@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 from .braidspace import canonical_subrack, diagonal_subspace, dynkin_diagram, \
     powers_subrack, quadruple_subrack, rotation_subrack, triple_subrack
-from .config import EngineConfig, from_env
+from .config import EngineConfig, from_env, positive_cap
 from .exactfield import zeta
 from .permgroup import UnmixedClass
 from .reps import CatalogGapError, enumerate_irreps, parse_rep_spec
@@ -115,11 +115,16 @@ def run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def engine_config(cfg: RunConfig) -> EngineConfig:
-    out = from_env(EngineConfig())
-    if cfg.max_class_size is not None:
-        out = out._replace(max_class_size=cfg.max_class_size)
-    if cfg.max_subracks is not None:
-        out = out._replace(max_subracks=cfg.max_subracks)
+    try:
+        out = from_env(EngineConfig())
+        if cfg.max_class_size is not None:
+            out = out._replace(max_class_size=positive_cap(
+                "--max-class-size", cfg.max_class_size))
+        if cfg.max_subracks is not None:
+            out = out._replace(max_subracks=positive_cap(
+                "--max-subracks", cfg.max_subracks))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if not cfg.symmetry_reduction:
         out = out._replace(symmetry_reduction=False)
     if cfg.jobs < 1:

@@ -6,12 +6,16 @@ length k in the symmetric group on k*n points; its centralizer at the
 canonical basepoint is generated by the cycle rotations A_1..A_n and the
 adjacent block swaps B_1..B_{n-1}, and every centralizer element has a
 unique normal form A_1^{d_1}..A_n^{d_n} * (block permutation b).
+
+The centralizer is the wreath product Z/k wr S_n.  Its conjugacy classes are
+labeled by the multiset of pairs (L, s), one per cycle of b: L is the cycle's
+length and s the twist sum over it mod k (James-Kerber 1981, 4.2).
 """
 
 from __future__ import annotations
 
 import itertools
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Iterator, NamedTuple
 
 
@@ -279,6 +283,15 @@ class NormalForm(NamedTuple):
         return "d=%s;b=%s" % (",".join(str(x) for x in self.d), self.b)
 
 
+class PartnerClass(NamedTuple):
+    """A centralizer conjugacy class of partners of the basepoint: its sorted
+    (L, s) label, one normal-form representative, and its size."""
+
+    label: tuple
+    representative: NormalForm
+    size: int
+
+
 class UnmixedClass:
     """The conjugacy class of type (k^n) in the symmetric group on k*n points."""
 
@@ -395,6 +408,54 @@ class UnmixedClass:
             b = Permutation(b_img)
             for d in itertools.product(range(self.k), repeat=self.n):
                 yield self.assemble(NormalForm(d, b))
+
+    def partner_classes(self) -> list:
+        """One PartnerClass per centralizer conjugacy class of partners, the
+        centralizer elements other than the basepoint that have cycle type
+        (k^n), in increasing label order; built from the labels alone.
+
+        A b-cycle with label (L, s) lifts to gcd(s, k) point cycles of length
+        L*k/gcd(s, k), so the element is a partner exactly when gcd(s, k) = L
+        on every b-cycle (hence L divides k).  A class has k^n * n! divided
+        by (k*L)^m * m! for each distinct pair (L, s) of multiplicity m.
+        The basepoint is the one-element class {(1, 1)^n}.
+        """
+        kinds = [(L, s) for L in range(1, self.n + 1) if self.k % L == 0
+                 for s in range(self.k) if gcd(s, self.k) == L]
+        basepoint = ((1, 1),) * self.n
+        out = []
+
+        def extend(start: int, left: int, label: tuple) -> None:
+            if not left:
+                if label != basepoint:
+                    out.append(PartnerClass(label, self._representative(label),
+                                            self._wreath_class_size(label)))
+                return
+            for i in range(start, len(kinds)):
+                if kinds[i][0] <= left:
+                    extend(i, left - kinds[i][0], label + (kinds[i],))
+
+        extend(0, self.n, ())
+        return out
+
+    def _representative(self, label: tuple) -> NormalForm:
+        # consecutive blocks per b-cycle, the whole twist sum on its first block
+        d = [0] * self.n
+        b_img = list(range(1, self.n + 1))
+        start = 0
+        for length, s in label:
+            for i in range(length):
+                b_img[start + i] = start + (i + 1) % length + 1
+            d[start] = s
+            start += length
+        return NormalForm(tuple(d), Permutation(b_img))
+
+    def _wreath_class_size(self, label: tuple) -> int:
+        size = self.centralizer_order()
+        for pair in set(label):
+            m = label.count(pair)
+            size //= (self.k * pair[0]) ** m * factorial(m)
+        return size
 
     # transporters
 

@@ -455,11 +455,11 @@ def enumerate_irreps(k: int, n: int) -> list:
 def parse_rep_spec(k: int, n: int, text: str) -> RepSpec:
     """Parse "chi=(u1,...,un);mu=<label>" (mu defaults to trivial).
 
-    "chi=k:<j>" abbreviates the weight-j character (j ones then zeros) for
-    k = 2.  The character vector is canonicalized to its non-increasing
-    orbit representative.  mu is one of trivial | sign | standard |
-    standard_sign | catalog:<p1|p2|...> with each p a partition "a+b+...",
-    one per stabilizer block.
+    "chi=2:<j>" (alias "chi=k:<j>") abbreviates the weight-j character (j
+    ones then zeros) for k = 2.  The character vector is canonicalized to
+    its non-increasing orbit representative.  mu is one of trivial | sign |
+    standard | standard_sign | catalog:<p1|p2|...> with each p a partition
+    "a+b+...", one per stabilizer block.
     """
     fields = {}
     for part in text.split(";"):
@@ -476,10 +476,16 @@ def parse_rep_spec(k: int, n: int, text: str) -> RepSpec:
     if "chi" not in fields:
         raise ValueError("representation spec needs a chi field")
     chi_text = fields["chi"]
-    if chi_text.startswith("k:"):
+    if ":" in chi_text:
+        prefix, _, weight = chi_text.partition(":")
+        if prefix.strip() not in ("2", "k"):
+            raise ValueError("unknown character shorthand %r; use chi=2:<j>" % chi_text)
         if k != 2:
-            raise ValueError("the weight shorthand chi=k:<j> is defined for k = 2 only")
-        j = int(chi_text[2:])
+            raise ValueError("the weight shorthand chi=2:<j> is defined for k = 2 only")
+        try:
+            j = int(weight)
+        except ValueError:
+            raise ValueError("weight %r is not an integer" % weight.strip()) from None
         if not 0 <= j <= n:
             raise ValueError("weight %d out of range 0..%d" % (j, n))
         u = (1,) * j + (0,) * (n - j)

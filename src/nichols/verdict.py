@@ -2,10 +2,10 @@
 
 The pipeline: a scalar gate on the basepoint value, diagonal subspaces over
 structured abelian subracks, Cartan and finite-type analysis of their
-generalized Dynkin diagrams, a labeled 4-cycle rule, an exhaustive negativity
-check over commuting pairs, and capped enumeration of maximal subracks as a
-fallback.  A closed-form verdict over the same inputs serves as an
-independent cross-check oracle.
+generalized Dynkin diagrams, a labeled 4-cycle rule, a negativity check over
+the centralizer classes of commuting partners, and capped enumeration of
+maximal subracks as a fallback.  A closed-form verdict over the same inputs
+serves as an independent cross-check oracle.
 
 Outcomes: "InfiniteDim" always carries a machine-checkable witness,
 "NegativeBraiding" carries the verified pair inventory, and "Undecided" is
@@ -289,99 +289,52 @@ class NegativityReport(NamedTuple):
     reduced: bool
     failure: Optional[dict]
     partners: tuple
+    partner_count: int = 0
 
 
-def negativity_check(cls: UnmixedClass, rho: InducedRep,
-                     config: EngineConfig = EngineConfig(),
-                     reduced: bool = True) -> NegativityReport:
+def negativity_check(cls: UnmixedClass, rho: InducedRep) -> NegativityReport:
     """Check that every commuting pair of class elements braids negatively:
     diagonal values -1 and opposite values multiplying to 1.
 
-    Reduced mode conjugates each pair onto the basepoint and checks the
-    basepoint against every class element of its centralizer; the braiding
-    conditions are invariant under that move.  Unreduced mode walks every
-    commuting pair of the class.
+    Every commuting pair conjugates onto (basepoint, t) with t a partner of
+    the basepoint, and conjugating by the centralizer moves t within its
+    centralizer class without changing the braiding values, so one pair per
+    partner class is checked.  pairs_checked counts those classes, partners
+    lists their representatives, and partner_count sums their sizes.
     """
     q = pi_scalar(rho, cls)
     if q != MINUS_ONE:
-        return NegativityReport(False, 0, reduced,
+        return NegativityReport(False, 0, True,
                                 {"reason": "basepoint scalar is not -1",
                                  "q_scalar": str(q)}, ())
-    if reduced:
-        return _negativity_reduced(cls, rho)
-    return _negativity_full(cls, rho, config)
-
-
-def _scalar_of(rho: InducedRep, cls: UnmixedClass, g: Permutation):
-    value = rho.evaluate(cls.normal_form(g))
-    return value.is_scalar()
-
-
-def _negativity_reduced(cls: UnmixedClass, rho: InducedRep) -> NegativityReport:
-    want = cls.cycle_type()
     pi = cls.basepoint
-    partners = []
-    for h in cls.centralizer_elements():
-        if h != pi and h.cycle_type() == want:
-            partners.append(h)
-    partners.sort()
     checked = 0
+    count = 0
     kept = []
-    for t in partners:
+    for partner in cls.partner_classes():
         checked += 1
-        lam = _scalar_of(rho, cls, t)
+        t = cls.assemble(partner.representative)
+        lam = rho.evaluate(partner.representative).is_scalar()
         if lam is None:
             return NegativityReport(
                 False, checked, True,
                 {"pair": (str(pi), str(t)), "reason": "non-scalar value"},
-                tuple(kept))
+                tuple(kept), count)
         g = cls.transporter(t)
-        mu = _scalar_of(rho, cls, conjugate(g.inverse(), pi))
+        mu = rho.evaluate(cls.normal_form(conjugate(g.inverse(), pi))).is_scalar()
         if mu is None:
             return NegativityReport(
                 False, checked, True,
                 {"pair": (str(pi), str(t)),
-                 "reason": "non-scalar pulled-back value"}, tuple(kept))
+                 "reason": "non-scalar pulled-back value"}, tuple(kept), count)
         if lam * mu != ONE:
             return NegativityReport(
                 False, checked, True,
                 {"pair": (str(pi), str(t)), "value": str(lam * mu),
-                 "reason": "opposite values do not cancel"}, tuple(kept))
-        kept.append(str(cls.normal_form(t)))
-    return NegativityReport(True, checked, True, None, tuple(kept))
-
-
-def _negativity_full(cls: UnmixedClass, rho: InducedRep,
-                     config: EngineConfig) -> NegativityReport:
-    if cls.class_size() > config.max_class_size:
-        raise EnumerationCapError(
-            "class size %d exceeds the cap %d"
-            % (cls.class_size(), config.max_class_size))
-    elements = sorted(cls.elements())
-    carriers = {t: cls.transporter(t) for t in elements}
-    checked = 0
-    for t in elements:
-        if _scalar_of(rho, cls, conjugate(carriers[t].inverse(), t)) != MINUS_ONE:
-            return NegativityReport(
-                False, checked, False,
-                {"pair": (str(t), str(t)), "reason": "diagonal value is not -1"},
-                ())
-    for a, b in itertools.combinations(elements, 2):
-        if not a.commutes_with(b):
-            continue
-        checked += 1
-        x = _scalar_of(rho, cls, conjugate(carriers[b].inverse(), a))
-        y = _scalar_of(rho, cls, conjugate(carriers[a].inverse(), b))
-        if x is None or y is None:
-            return NegativityReport(
-                False, checked, False,
-                {"pair": (str(a), str(b)), "reason": "non-scalar value"}, ())
-        if x * y != ONE:
-            return NegativityReport(
-                False, checked, False,
-                {"pair": (str(a), str(b)), "value": str(x * y),
-                 "reason": "opposite values do not cancel"}, ())
-    return NegativityReport(True, checked, False, None, ())
+                 "reason": "opposite values do not cancel"}, tuple(kept), count)
+        kept.append(str(partner.representative))
+        count += partner.size
+    return NegativityReport(True, checked, True, None, tuple(kept), count)
 
 
 def candidate_subracks(cls: UnmixedClass):
@@ -571,12 +524,13 @@ def decide(k: int, n: int, rho_spec,
         verdict = _subspace_rules(cls, subrack, rho)
         if verdict is not None:
             return verdict
-    report = negativity_check(cls, rho, config, reduced=True)
+    report = negativity_check(cls, rho)
     if report.negative:
         return Verdict(NEGATIVE, "negative-exhaustive",
                        {"pairs_checked": report.pairs_checked,
                         "symmetry_reduced": True,
-                        "partners": list(report.partners)})
+                        "partners": list(report.partners),
+                        "partner_count": report.partner_count})
     flags = []
     extra = []
     try:

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written from first principles with different
 algorithms than the package modules: cliques come from networkx, finite-type
-detection from an explicit rank-limited catalog plus graph isomorphism, and
-eigen-claims are re-checked by direct matrix application.
+detection from an explicit rank-limited catalog plus graph isomorphism,
+eigen-claims are re-checked by direct matrix application, and negativity by
+walking commuting pairs instead of partner classes.
 """
 
 from __future__ import annotations
@@ -12,6 +13,11 @@ import itertools
 import random
 
 import networkx as nx
+
+from nichols.exactfield import MINUS_ONE, ONE
+from nichols.permgroup import conjugate
+from nichols.reps import pi_scalar
+from nichols.verdict import NegativityReport
 
 
 # finite-type Cartan catalog, rank <= 8
@@ -221,3 +227,80 @@ def q_matches_up_to_permutation(q: list, ref: list) -> bool:
                for a in range(n) for b in range(n)):
             return True
     return False
+
+
+# negativity without the partner-class reduction
+
+def _scalar_of(rho, cls, g):
+    return rho.evaluate(cls.normal_form(g)).is_scalar()
+
+
+def _basepoint_failure(rho, cls):
+    q = pi_scalar(rho, cls)
+    if q != MINUS_ONE:
+        return NegativityReport(False, 0, False,
+                                {"reason": "basepoint scalar is not -1",
+                                 "q_scalar": str(q)}, ())
+    return None
+
+
+def negativity_full(cls, rho) -> NegativityReport:
+    """Every commuting pair of the whole class, each checked on both sides;
+    quadratic in the class size, so only for small classes."""
+    failed = _basepoint_failure(rho, cls)
+    if failed is not None:
+        return failed
+    elements = sorted(cls.elements())
+    carriers = {t: cls.transporter(t) for t in elements}
+    values = {}
+
+    def scalar(g):
+        # pulled-back elements repeat: at most k^n * n! distinct ones
+        if g not in values:
+            values[g] = _scalar_of(rho, cls, g)
+        return values[g]
+
+    checked = 0
+    for t in elements:
+        if scalar(conjugate(carriers[t].inverse(), t)) != MINUS_ONE:
+            return NegativityReport(
+                False, checked, False,
+                {"pair": (str(t), str(t)), "reason": "diagonal value is not -1"},
+                ())
+    for a, b in itertools.combinations(elements, 2):
+        if not a.commutes_with(b):
+            continue
+        checked += 1
+        x = scalar(conjugate(carriers[b].inverse(), a))
+        y = scalar(conjugate(carriers[a].inverse(), b))
+        if x is None or y is None:
+            return NegativityReport(
+                False, checked, False,
+                {"pair": (str(a), str(b)), "reason": "non-scalar value"}, ())
+        if x * y != ONE:
+            return NegativityReport(
+                False, checked, False,
+                {"pair": (str(a), str(b)), "value": str(x * y),
+                 "reason": "opposite values do not cancel"}, ())
+    return NegativityReport(True, checked, False, None, ())
+
+
+def negativity_walk(cls, rho) -> NegativityReport:
+    """The basepoint against every partner found by walking all k^n * n!
+    centralizer elements; for classes too large for negativity_full."""
+    failed = _basepoint_failure(rho, cls)
+    if failed is not None:
+        return failed
+    pi = cls.basepoint
+    want = cls.cycle_type()
+    partners = sorted(h for h in cls.centralizer_elements()
+                      if h != pi and h.cycle_type() == want)
+    for checked, t in enumerate(partners, start=1):
+        lam = _scalar_of(rho, cls, t)
+        mu = _scalar_of(rho, cls, conjugate(cls.transporter(t).inverse(), pi))
+        if lam is None or mu is None or lam * mu != ONE:
+            return NegativityReport(
+                False, checked, False,
+                {"pair": (str(pi), str(t)), "reason": "not negative"}, ())
+    return NegativityReport(True, len(partners), False, None, (),
+                            len(partners))

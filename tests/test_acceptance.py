@@ -16,11 +16,11 @@ from nichols.permgroup import UnmixedClass, conjugate
 from nichols.reps import enumerate_irreps, parse_rep_spec
 from nichols.verdict import (CartanData, INFINITE, NEGATIVE, UNDECIDED,
                              closed_form_verdict, decide, finite_type,
-                             negativity_check, verify_witness)
+                             verify_witness)
 
 from oracles import (REFERENCE_Q_SIX_CYCLE, finite_type_lookup,
-                     maximal_commuting_sets, q_matches_up_to_permutation,
-                     random_symmetrizable_gcm)
+                     maximal_commuting_sets, negativity_full,
+                     q_matches_up_to_permutation, random_symmetrizable_gcm)
 
 
 def _grid(limit: int = 10):
@@ -104,9 +104,8 @@ def test_criterion_4_k2_n5_negative_pairs_and_six_cycle():
         verdict = decide(2, 5, label)
         assert verdict.outcome == NEGATIVE
         assert verdict.witness["symmetry_reduced"] is True
-    full = negativity_check(
-        cls, parse_rep_spec(2, 5, "chi=(1,1,1,1,1);mu=trivial").resolve(),
-        EngineConfig(), reduced=False)
+    full = negativity_full(
+        cls, parse_rep_spec(2, 5, "chi=(1,1,1,1,1);mu=trivial").resolve())
     assert full.negative and not full.reduced
     assert full.pairs_checked == 37800
     for mu in ("standard", "standard_sign"):

@@ -84,11 +84,36 @@ def test_classify_scalar_gate_on_odd_order():
     ("diagram", "--k", "2", "--n", "3", "--rep",
      "chi=(1,1,1);mu=standard", "--subrack", "hexagon"),
     ("bogus",),
+    ("classify", "--k", "2", "--n", "3", "--rep", "chi=2:4"),
+    ("classify", "--k", "2", "--n", "3", "--rep", "chi=(1,1,1)",
+     "--max-subracks", "-5"),
+    ("table", "--k", "2", "--n", "2", "--max-class-size", "0"),
 ])
 def test_usage_errors_exit_64(argv):
     result = run_cli(*argv)
     assert result.returncode == 64
     assert "error" in result.stderr
+
+
+@pytest.mark.parametrize("rep", ["chi=2:2", "chi=k:2"])
+def test_weight_shorthand(rep):
+    result = run_cli("classify", "--k", "2", "--n", "3", "--rep", rep,
+                     "--format", "json")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["rep"] == "chi=(1,1,0);mu=trivial"
+
+
+@pytest.mark.parametrize("name,value", [
+    ("NICHOLS_MAX_CLASS_SIZE", "abc"),
+    ("NICHOLS_MAX_CLASS_SIZE", "-1"),
+    ("NICHOLS_MAX_SUBRACKS", "0"),
+])
+def test_bad_cap_in_environment_exits_64(name, value):
+    result = run_cli("classify", "--k", "2", "--n", "3",
+                     "--rep", "chi=(1,1,1)", env=dict(os.environ, **{name: value}))
+    assert result.returncode == 64
+    assert "%s must be a positive integer" % name in result.stderr
+    assert "internal error" not in result.stderr
 
 
 def test_table_json_small_case():

@@ -100,6 +100,55 @@ def test_normal_form_round_trip_over_full_centralizer():
         assert len(seen) == cls.centralizer_order()
 
 
+def _label(cls, nf):
+    return tuple(sorted((len(c), sum(nf.d[j - 1] for j in c) % cls.k)
+                        for c in nf.b.cycles(include_fixed=True)))
+
+
+def _conjugation_orbits(cls, elements):
+    gens = cls.centralizer_generators()
+    left = set(elements)
+    orbits = []
+    while left:
+        orbit = {min(left)}
+        frontier = list(orbit)
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = conjugate(g, x)
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        left -= orbit
+        orbits.append(orbit)
+    return orbits
+
+
+def test_partner_classes_match_the_centralizer_walk():
+    grids = [(2, n) for n in range(1, 7)] + [(3, 3)] + \
+        [(4, n) for n in range(1, 5)] + [(6, 2), (6, 3), (8, 2)]
+    for k, n in grids:
+        cls = UnmixedClass(k, n)
+        classes = cls.partner_classes()
+        reps = [cls.assemble(pc.representative) for pc in classes]
+        assert all(t.cycle_type() == cls.cycle_type() for t in reps)
+        labels = [_label(cls, pc.representative) for pc in classes]
+        assert labels == [pc.label for pc in classes]
+        assert len(set(labels)) == len(labels)
+        partners = [h for h in cls.centralizer_elements()
+                    if h != cls.basepoint and h.cycle_type() == cls.cycle_type()]
+        assert sum(pc.size for pc in classes) == len(partners), (k, n)
+        # the labels are the centralizer's conjugacy classes: each orbit
+        # holds exactly one representative and has the class's size
+        orbits = _conjugation_orbits(cls, partners)
+        assert len(orbits) == len(classes), (k, n)
+        for pc, t in zip(classes, reps):
+            orbit = next(o for o in orbits if t in o)
+            assert len(orbit) == pc.size, (k, n, pc.label)
+    assert sum(pc.size for pc in UnmixedClass(4, 5).partner_classes()) == 4671
+    assert sum(pc.size for pc in UnmixedClass(2, 7).partner_classes()) == 1302
+
+
 def test_normal_form_rejects_non_centralizing_elements():
     cls = UnmixedClass(2, 2)
     outsider = Permutation.from_cycles(4, ((2, 3),))

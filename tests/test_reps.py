@@ -120,6 +120,10 @@ def test_parse_shorthand_and_canonicalization():
     spec = parse_rep_spec(2, 4, "chi=k:1;mu=standard")
     assert spec.u == (1, 0, 0, 0)
     assert parse_rep_spec(2, 4, "chi=(0,1,0,0);mu=standard") == spec
+    assert parse_rep_spec(2, 4, "chi=2:1;mu=standard") == spec
+    for text in ("chi=2:5", "chi=2:-1", "chi=2:x", "chi=3:1"):
+        with pytest.raises(ValueError):
+            parse_rep_spec(2, 4, text)
     assert parse_rep_spec(3, 2, "chi=(1,2)").u == (2, 1)
     with pytest.raises(ValueError):
         parse_rep_spec(3, 2, "chi=k:1")

@@ -7,7 +7,7 @@ from nichols.config import EngineConfig
 from nichols.exactfield import MINUS_ONE, ONE, zeta
 from nichols.exactla import Matrix
 from nichols.permgroup import UnmixedClass
-from nichols.reps import enumerate_irreps, parse_rep_spec
+from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
 from nichols.verdict import (CartanData, INFINITE, NEGATIVE, NotCartan,
                              UNDECIDED, Verdict, cartan_type,
                              closed_form_verdict, cycle_rule, decide,
@@ -15,7 +15,7 @@ from nichols.verdict import (CartanData, INFINITE, NEGATIVE, NotCartan,
                              scalar_gate, symmetrizable, verify_witness)
 
 from oracles import (REFERENCE_Q_SIX_CYCLE, finite_catalog, finite_type_lookup,
-                     random_symmetrizable_gcm)
+                     negativity_full, negativity_walk, random_symmetrizable_gcm)
 
 _SYMBOLS = {"1": ONE, "-1": MINUS_ONE}
 
@@ -157,8 +157,8 @@ def test_cycle_rule_silent_without_alternation():
 def test_negativity_reduced_and_full_agree_on_negative_case():
     cls = UnmixedClass(2, 3)
     rho = parse_rep_spec(2, 3, "chi=(1,1,1);mu=trivial").resolve()
-    reduced = negativity_check(cls, rho, reduced=True)
-    full = negativity_check(cls, rho, reduced=False)
+    reduced = negativity_check(cls, rho)
+    full = negativity_full(cls, rho)
     assert reduced.negative and full.negative
     assert reduced.reduced and not full.reduced
     assert reduced.failure is None and full.failure is None
@@ -170,11 +170,38 @@ def test_negativity_reduced_and_full_agree_on_negative_case():
 def test_negativity_reduced_and_full_agree_on_failure():
     cls = UnmixedClass(2, 3)
     rho = parse_rep_spec(2, 3, "chi=(1,1,1);mu=standard").resolve()
-    reduced = negativity_check(cls, rho, reduced=True)
-    full = negativity_check(cls, rho, reduced=False)
+    reduced = negativity_check(cls, rho)
+    full = negativity_full(cls, rho)
     assert not reduced.negative and not full.negative
     assert reduced.failure is not None and full.failure is not None
     assert "reason" in reduced.failure
+
+
+def test_negativity_over_partner_classes_matches_the_walks():
+    # the unreduced pair walk is quadratic in the class size (1,247,400 at
+    # (4,3), 6,652,800 at (6,2)), so the larger grids use the per-partner
+    # walk; (6,3) has reps that fail only at the cancellation test
+    compared = negative = 0
+    for k, n, oracle in ((2, 3, negativity_full), (2, 4, negativity_full),
+                         (2, 5, negativity_full), (4, 2, negativity_full),
+                         (4, 3, negativity_walk), (6, 2, negativity_walk),
+                         (6, 3, negativity_walk)):
+        cls = UnmixedClass(k, n)
+        for spec in enumerate_irreps(k, n):
+            if not spec.cataloged():
+                continue
+            rho = spec.resolve()
+            if pi_scalar(rho, cls) != MINUS_ONE:
+                continue
+            report = negativity_check(cls, rho)
+            expected = oracle(cls, rho)
+            assert report.negative == expected.negative, (k, n, spec.label())
+            assert (report.failure is None) == report.negative
+            if oracle is negativity_walk and report.negative:
+                assert report.partner_count == expected.partner_count
+            compared += 1
+            negative += report.negative
+    assert compared > negative > 0
 
 
 def test_negativity_rejects_wrong_basepoint_scalar():
