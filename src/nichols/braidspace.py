@@ -3,9 +3,14 @@
 An abelian subrack is a set of pairwise-commuting class elements t_0..t_{m-1}
 together with transporters g_i conjugating the basepoint to t_i.  The
 conjugation table gamma_ij = g_j^{-1} t_i g_j lands in the centralizer of the
-basepoint, so a representation evaluates on it; simultaneously diagonalizing
-each column yields a braided subspace of diagonal type whose braiding matrix
-is read off from the eigenvalue tables.
+basepoint.  When its entries commute (always, for the structured families)
+they generate an abelian group H, and rho restricted to H splits into linear
+characters psi of H, each with multiplicity <chi_rho|_H, psi>.  That gives a
+braided subspace of diagonal type: one vertex per column j and eigenvector,
+with braiding q((i, r), (j, psi)) = psi(gamma_ij) (Andruskiewitsch-Grana,
+From racks to pointed Hopf algebras, 2003).  Only the character of rho is
+needed, and the braiding labels are roots of unity held as integer
+exponents.
 
 Construction families: the canonical involution subrack (k = 2), the swap and
 rotation quadruples (k even, n >= 2), the power subrack (n = 1), and full
@@ -15,13 +20,12 @@ enumeration of maximal subracks for small classes.
 from __future__ import annotations
 
 import itertools
-from math import gcd
+from math import gcd, lcm
 
 from .config import EngineConfig
-from .exactfield import Cyclotomic, ONE
-from .exactla import Matrix, simultaneous_diagonalize
+from .exactfield import Cyclotomic, RootOfUnity
 from .permgroup import Permutation, UnmixedClass, conjugate
-from .reps import InducedRep
+from .reps import InducedCharacter
 
 
 class EnumerationCapError(Exception):
@@ -261,42 +265,40 @@ def _symmetry_reduce(cls: UnmixedClass, keyed: list) -> list:
 class DiagonalSubspace:
     """A braided subspace of diagonal type over an abelian subrack.
 
-    Vertices are pairs (j, s): subrack position j and simultaneous
-    eigenvector s of the column-j operator family rho(gamma_ij).  The
+    Vertices are pairs (j, s): subrack position j and joint eigenvector s of
+    rho on the group generated by the conjugation table.  Eigenvectors are
+    ordered by the tuple of their eigenvalue exponents on the distinct table
+    entries, taken in order of first appearance (row i, then column j), and
+    a linear character of multiplicity m fills m consecutive indices.  The
     braiding entry for row vertex (i, r) and column vertex (j, s) is the
-    eigenvalue of rho(gamma_ij) on eigenvector s of column j; it does not
-    depend on r.
+    eigenvalue of rho(gamma_ij) on eigenvector s, zeta_modulus^labels[i][j][s];
+    it does not depend on r.
     """
 
-    __slots__ = ("subrack", "rho", "columns", "vertices")
+    __slots__ = ("subrack", "modulus", "labels", "vertices", "_roots")
 
-    def __init__(self, subrack: AbelianSubrack, rho: InducedRep,
-                 columns=None, vertices=None) -> None:
+    def __init__(self, subrack: AbelianSubrack, modulus: int, labels,
+                 vertices) -> None:
         self.subrack = subrack
-        self.rho = rho
-        if columns is None:
-            columns = _diagonalize_columns(subrack, rho)
-        self.columns = columns
-        if vertices is None:
-            vertices = tuple((j, s) for j in range(subrack.size)
-                             for s in range(rho.degree))
+        self.modulus = modulus
+        self.labels = labels
         self.vertices = tuple(vertices)
+        self._roots = tuple(RootOfUnity(modulus, e) for e in range(modulus))
 
     @property
     def size(self) -> int:
         return len(self.vertices)
 
-    def vector(self, vertex) -> tuple:
-        j, s = vertex
-        return self.columns[j][0][s]
+    def exponent(self, a, b) -> int:
+        """q(a, b) as an exponent of zeta_modulus."""
+        return self.labels[a[0]][b[0]][b[1]]
 
-    def q(self, a, b) -> Cyclotomic:
-        i, _ = a
-        j, s = b
-        return self.columns[j][1][i][s]
+    def q(self, a, b) -> RootOfUnity:
+        return self._roots[self.labels[a[0]][b[0]][b[1]]]
 
-    def braiding_matrix(self) -> Matrix:
-        return Matrix([[self.q(a, b) for b in self.vertices] for a in self.vertices])
+    def braiding_matrix(self) -> tuple:
+        return tuple(tuple(self.q(a, b) for b in self.vertices)
+                     for a in self.vertices)
 
     def restrict(self, vertices) -> "DiagonalSubspace":
         vertices = tuple(vertices)
@@ -304,7 +306,7 @@ class DiagonalSubspace:
         for v in vertices:
             if v not in known:
                 raise ValueError("vertex %r is not in the subspace" % (v,))
-        return DiagonalSubspace(self.subrack, self.rho, self.columns, vertices)
+        return DiagonalSubspace(self.subrack, self.modulus, self.labels, vertices)
 
     def restrict_vectors(self, indices) -> "DiagonalSubspace":
         """Keep only the listed eigenvector indices, uniformly in every column."""
@@ -318,48 +320,134 @@ class DiagonalSubspace:
         return "DiagonalSubspace(size=%d over %r)" % (self.size, self.subrack)
 
 
-def _diagonalize_columns(subrack: AbelianSubrack, rho: InducedRep) -> tuple:
-    """Eigendata per column of the conjugation table.
+def joint_spectrum(cls: UnmixedClass, character: InducedCharacter,
+                   generators, modulus: int) -> list:
+    """Joint eigenvalues of rho on commuting centralizer elements.
 
-    When the distinct table entries commute pairwise (true for the structured
-    subrack families, whose tables close inside the subrack) one shared
-    eigenbasis serves every column, so an eigenvector index means the same
-    vector in each column.  Otherwise each column is diagonalized separately.
+    One tuple per eigenvector, its entries the exponents e with
+    rho(generators[t]) acting by zeta_modulus^e_t; tuples in lexicographic
+    order, each repeated by its multiplicity.  modulus must be a multiple
+    of every generator's order.
+
+    H = <generators> is built layer by layer: a generator not yet in H
+    joins with its relative order r, so every element is a unique word
+    g_1^e_1 ... g_l^e_l with 0 <= e_i < r_i, and a linear character psi is
+    fixed by exponents x_i with psi(g_i) = zeta_modulus^x_i, subject to
+    r_i x_i = (exponent of psi at g_i^r_i, a word in earlier layers).  Each
+    layer multiplies the characters by r_i, so exactly |H| of them are
+    listed.  The multiplicity of psi is (1/|H|) sum_h chi(h) psi(h)^-1,
+    summed as integer coefficients over Z/modulus and reduced once.
     """
+    identity = Permutation.identity(cls.degree)
+    elements = [identity]
+    words = {identity: ()}
+    layers = []
+    for g in generators:
+        if g in words:
+            continue
+        r, power = 1, g
+        while power not in words:
+            power = power * g
+            r += 1
+        layers.append((r, words[power]))
+        grown = []
+        grown_words = {}
+        step = identity
+        for e in range(r):
+            for h in elements:
+                x = step * h
+                grown.append(x)
+                grown_words[x] = words[h] + (e,)
+            step = step * g
+        elements = grown
+        words = grown_words
+    characters = [()]
+    for r, rel in layers:
+        wider = []
+        for x in characters:
+            s = sum(c * xi for c, xi in zip(rel, x)) % modulus
+            if s % r:
+                raise ArithmeticError("generators do not commute")
+            wider.extend(x + ((s // r + t * (modulus // r)) % modulus,)
+                         for t in range(r))
+        characters = wider
+    # chi(h) as terms (exponent mod modulus, integer), elements in the
+    # layer order: e_1 fastest
+    scale = modulus // cls.k
+    terms = []
+    for h in elements:
+        coefficients = character.coefficients(cls.normal_form(h))
+        terms.append(tuple((a * scale, c) for a, c in enumerate(coefficients) if c))
+    order = len(elements)
+    spectrum = []
+    for x in characters:
+        phases = [0]
+        for (r, _), xi in zip(layers, x):
+            phases = [p + e * xi for e in range(r) for p in phases]
+        acc = [0] * modulus
+        for phase, hterms in zip(phases, terms):
+            for a, c in hterms:
+                acc[(a - phase) % modulus] += c
+        total = Cyclotomic(modulus, acc)
+        if not total.is_rational() or total.as_rational() % order:
+            raise ArithmeticError("character inner product is not an integer")
+        mult = int(total.as_rational()) // order
+        if mult:
+            exps = tuple(sum(w * xi for w, xi in zip(words[g], x)) % modulus
+                         for g in generators)
+            spectrum.append((exps, mult))
+    if sum(mult for _, mult in spectrum) != character.degree:
+        raise ArithmeticError("multiplicities do not add up to the degree")
+    spectrum.sort()
+    return [exps for exps, mult in spectrum for _ in range(mult)]
+
+
+def _braiding_labels(subrack: AbelianSubrack, character: InducedCharacter) -> tuple:
+    """(modulus, labels) with labels[i][j][s] the exponent of the eigenvalue
+    of rho(gamma_ij) on eigenvector s of column j.
+
+    When the distinct table entries commute pairwise (true for the
+    structured subrack families, whose tables close inside the subrack) one
+    joint spectrum serves every column, so an eigenvector index means the
+    same vector in each column.  Otherwise each column, whose entries are
+    conjugates of commuting elements by one transporter, gets its own."""
     cls = subrack.cls
     size = subrack.size
-    perms = [[subrack.gamma(i, j) for j in range(size)] for i in range(size)]
-    distinct = []
-    for row in perms:
-        for p in row:
-            if p not in distinct:
-                distinct.append(p)
-    shared = all(a.commutes_with(b) for a, b in itertools.combinations(distinct, 2))
-    if shared:
-        family = [rho.evaluate(cls.normal_form(p)) for p in distinct]
-        basis, table = simultaneous_diagonalize(family, [p.order() for p in distinct])
-        basis = tuple(basis)
-        index = {p: d for d, p in enumerate(distinct)}
-        return tuple(
-            (basis, tuple(tuple(table[index[perms[i][j]]]) for i in range(size)))
-            for j in range(size))
+    table = subrack.gamma_table()
+    modulus = lcm(*(p.order() for row in table for p in row))
+    distinct = list(dict.fromkeys(p for row in table for p in row))
+    if all(a.commutes_with(b) for a, b in itertools.combinations(distinct, 2)):
+        spectrum = joint_spectrum(cls, character, distinct, modulus)
+        column = {p: tuple(eig[t] for eig in spectrum)
+                  for t, p in enumerate(distinct)}
+        labels = tuple(tuple(column[p] for p in row) for row in table)
+        return modulus, labels
     columns = []
     for j in range(size):
-        family = [rho.evaluate(cls.normal_form(perms[i][j])) for i in range(size)]
-        basis, table = simultaneous_diagonalize(
-            family, [perms[i][j].order() for i in range(size)])
-        columns.append((tuple(basis), tuple(tuple(row) for row in table)))
-    return tuple(columns)
+        entries = list(dict.fromkeys(table[i][j] for i in range(size)))
+        spectrum = joint_spectrum(cls, character, entries, modulus)
+        columns.append({p: tuple(eig[t] for eig in spectrum)
+                        for t, p in enumerate(entries)})
+    labels = tuple(tuple(columns[j][table[i][j]] for j in range(size))
+                   for i in range(size))
+    return modulus, labels
 
 
-def diagonal_subspace(subrack: AbelianSubrack, rho: InducedRep) -> DiagonalSubspace:
-    return DiagonalSubspace(subrack, rho)
+def diagonal_subspace(subrack: AbelianSubrack,
+                      character: InducedCharacter) -> DiagonalSubspace:
+    modulus, labels = _braiding_labels(subrack, character)
+    vertices = tuple((j, s) for j in range(subrack.size)
+                     for s in range(character.degree))
+    return DiagonalSubspace(subrack, modulus, labels, vertices)
 
 
 class GeneralizedDynkinDiagram:
-    """Vertex labels q_aa and edge labels q_ab q_ba (edges only where != 1)."""
+    """Vertex labels q_aa and edge labels q_ab q_ba (edges only where != 1).
 
-    __slots__ = ("vertex_labels", "edges", "names")
+    An adjacency map (vertex -> {neighbor: label}) is built once, so
+    neighbors and edge labels are lookups rather than edge-list scans."""
+
+    __slots__ = ("vertex_labels", "edges", "names", "_adjacent", "_neighbors")
 
     def __init__(self, vertex_labels, edges, names=None) -> None:
         self.vertex_labels = tuple(vertex_labels)
@@ -367,27 +455,21 @@ class GeneralizedDynkinDiagram:
         if names is None:
             names = tuple("v%d" % i for i in range(len(self.vertex_labels)))
         self.names = tuple(names)
+        self._adjacent = tuple({} for _ in self.vertex_labels)
+        for x, y, w in self.edges:
+            self._adjacent[x].setdefault(y, w)
+            self._adjacent[y].setdefault(x, w)
+        self._neighbors = tuple(tuple(sorted(adj)) for adj in self._adjacent)
 
     @property
     def size(self) -> int:
         return len(self.vertex_labels)
 
     def edge_label(self, a: int, b: int):
-        if a > b:
-            a, b = b, a
-        for x, y, w in self.edges:
-            if (x, y) == (a, b):
-                return w
-        return None
+        return self._adjacent[a].get(b)
 
     def neighbors(self, a: int) -> tuple:
-        out = []
-        for x, y, _ in self.edges:
-            if x == a:
-                out.append(y)
-            elif y == a:
-                out.append(x)
-        return tuple(sorted(out))
+        return self._neighbors[a]
 
     def components(self) -> tuple:
         seen = set()
@@ -401,7 +483,7 @@ class GeneralizedDynkinDiagram:
             while stack:
                 v = stack.pop()
                 comp.append(v)
-                for w in self.neighbors(v):
+                for w in self._neighbors[v]:
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)
@@ -409,7 +491,7 @@ class GeneralizedDynkinDiagram:
         return tuple(out)
 
     def degree_sequence(self) -> tuple:
-        return tuple(sorted(len(self.neighbors(v)) for v in range(self.size)))
+        return tuple(sorted(len(nbrs) for nbrs in self._neighbors))
 
     def to_dot(self) -> str:
         lines = ["graph diagram {"]
@@ -426,11 +508,16 @@ class GeneralizedDynkinDiagram:
 
 def dynkin_diagram(subspace: DiagonalSubspace) -> GeneralizedDynkinDiagram:
     verts = subspace.vertices
-    labels = [subspace.q(v, v) for v in verts]
+    labels = subspace.labels
+    modulus = subspace.modulus
+    roots = subspace._roots
     edges = []
-    for a in range(len(verts)):
+    for a, (ia, sa) in enumerate(verts):
+        row = labels[ia]
         for b in range(a + 1, len(verts)):
-            w = subspace.q(verts[a], verts[b]) * subspace.q(verts[b], verts[a])
-            if w != ONE:
-                edges.append((a, b, w))
-    return GeneralizedDynkinDiagram(labels, edges, subspace.vertex_names())
+            ib, sb = verts[b]
+            w = (row[ib][sb] + labels[ib][ia][sa]) % modulus
+            if w:
+                edges.append((a, b, roots[w]))
+    return GeneralizedDynkinDiagram([subspace.q(v, v) for v in verts], edges,
+                                    subspace.vertex_names())

@@ -18,9 +18,8 @@ from typing import NamedTuple, Optional
 from .braidspace import canonical_subrack, diagonal_subspace, dynkin_diagram, \
     powers_subrack, quadruple_subrack, rotation_subrack, triple_subrack
 from .config import EngineConfig, from_env, positive_cap
-from .exactfield import zeta
 from .permgroup import UnmixedClass
-from .reps import CatalogGapError, enumerate_irreps, parse_rep_spec
+from .reps import enumerate_irreps, parse_rep_spec, pi_scalar
 from .verdict import UNDECIDED, candidate_subracks, closed_form_verdict, decide
 
 JSON_SCHEMA = "nichols.report/1"
@@ -146,10 +145,6 @@ def _parse_spec(cfg: RunConfig):
         raise UsageError(str(exc)) from None
 
 
-def _q_pi_text(k: int, u: tuple) -> str:
-    return str(zeta(k, sum(u) % k))
-
-
 # classify
 
 def classify_report(cfg: RunConfig, spec, verdict) -> dict:
@@ -160,7 +155,7 @@ def classify_report(cfg: RunConfig, spec, verdict) -> dict:
         "n": cfg.n,
         "rep": spec.label(),
         "degree": spec.degree(),
-        "q_pi": _q_pi_text(cfg.k, spec.u),
+        "q_pi": str(pi_scalar(spec)),
         "outcome": verdict.outcome,
         "rule": verdict.rule,
         "witness": verdict.witness,
@@ -211,14 +206,11 @@ def _table_row(k: int, n: int, label: str, config: EngineConfig) -> dict:
     spec = parse_rep_spec(k, n, label)
     verdict = decide(k, n, spec, config)
     oracle = closed_form_verdict(k, n, spec)
-    if verdict.rule == "catalog-gap":
-        agree = "gap"
-    else:
-        agree = "yes" if verdict.outcome == oracle.outcome else "no"
+    agree = "yes" if verdict.outcome == oracle.outcome else "no"
     return {
         "rep": spec.label(),
         "degree": spec.degree(),
-        "q_pi": _q_pi_text(k, spec.u),
+        "q_pi": str(pi_scalar(spec)),
         "outcome": verdict.outcome,
         "rule": verdict.rule,
         "oracle": oracle.outcome,
@@ -299,13 +291,8 @@ def cmd_diagram(cfg: RunConfig) -> int:
     config = engine_config(cfg)
     if cfg.subrack is not None:
         cls = UnmixedClass(cfg.k, cfg.n)
-        try:
-            rho = spec.resolve()
-        except CatalogGapError as exc:
-            print("cannot draw: %s" % exc, file=sys.stderr)
-            return EXIT_UNDECIDED
         subrack = _build_subrack(cls, cfg.subrack)
-        dot = dynkin_diagram(diagonal_subspace(subrack, rho)).to_dot()
+        dot = dynkin_diagram(diagonal_subspace(subrack, spec.character())).to_dot()
     else:
         verdict = decide(cfg.k, cfg.n, spec, config)
         if verdict.outcome == UNDECIDED:
@@ -314,9 +301,8 @@ def cmd_diagram(cfg: RunConfig) -> int:
         dot = verdict.witness.get("diagram_dot")
         if dot is None:
             cls = UnmixedClass(cfg.k, cfg.n)
-            rho = spec.resolve()
             subrack = next(iter(candidate_subracks(cls)))
-            dot = dynkin_diagram(diagonal_subspace(subrack, rho)).to_dot()
+            dot = dynkin_diagram(diagonal_subspace(subrack, spec.character())).to_dot()
     print("// %s" % DOT_SCHEMA)
     print(dot)
     return EXIT_DECIDED

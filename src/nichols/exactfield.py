@@ -7,11 +7,14 @@ vectors after coercing both operands to the lcm conductor.  Elements
 whose coefficient vector is constant are demoted to conductor 1, so a
 rational value has exactly one representation.
 
-Hashing is canonical for rationals and roots of unity (it goes through
-the formatted string, which reduces those to lowest terms).  General
-non-root elements built at different conductors may compare equal while
-hashing differently; only root-of-unity values should be used as set or
-dict keys.
+Hashing goes through a canonical form: the coefficient vector in the
+smallest cyclotomic field that contains the element, so equal elements
+hash equally whatever conductor they were built at.  A rational hashes as
+the Fraction it equals.
+
+Roots of unity also have an integer form, RootOfUnity: an (order,
+exponent) pair in lowest terms, which multiplies by adding exponents and
+prints exactly as the equal field element does.
 """
 
 from __future__ import annotations
@@ -121,22 +124,22 @@ def degree_of_field(m: int) -> int:
 
 
 class RootOfUnity:
-    """The value zeta_m**a, tracked by order and exponent only."""
+    """The value zeta_m**a as integers: order m and exponent a, in lowest
+    terms (gcd(a, m) = 1, with 1 stored as (1, 0)).  Equal to the matching
+    Cyclotomic, and printed the same way: "1", "-1" or "z(m,a)"."""
 
     __slots__ = ("m", "a")
 
     def __init__(self, m: int, a: int) -> None:
         if m < 1:
             raise ValueError("order must be positive")
-        self.m = m
-        self.a = a % m
+        a %= m
+        g = gcd(m, a)
+        self.m = m // g
+        self.a = a // g
 
     def order(self) -> int:
-        return self.m // gcd(self.m, self.a)
-
-    def reduced(self) -> "RootOfUnity":
-        g = gcd(self.m, self.a)
-        return RootOfUnity(self.m // g, self.a // g)
+        return self.m
 
     def value(self) -> "Cyclotomic":
         return zeta(self.m, self.a)
@@ -145,24 +148,37 @@ class RootOfUnity:
         m = self.m * other.m // gcd(self.m, other.m)
         return RootOfUnity(m, self.a * (m // self.m) + other.a * (m // other.m))
 
+    def inverse(self) -> "RootOfUnity":
+        return RootOfUnity(self.m, -self.a)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, RootOfUnity):
             return NotImplemented
-        x, y = self.reduced(), other.reduced()
-        return x.m == y.m and x.a == y.a
+        return self.m == other.m and self.a == other.a
 
     def __hash__(self) -> int:
-        x = self.reduced()
-        return hash(("root", x.m, x.a))
+        # equal to the matching Cyclotomic, so it must hash like it
+        return _root_hash(self.m, self.a)
 
-    def __repr__(self) -> str:
+    def __str__(self) -> str:
+        if self.m == 1:
+            return "1"
+        if self.m == 2:
+            return "-1"
         return "z(%d,%d)" % (self.m, self.a)
+
+    __repr__ = __str__
+
+
+@lru_cache(maxsize=None)
+def _root_hash(m: int, a: int) -> int:
+    return hash(zeta(m, a))
 
 
 class Cyclotomic:
     """An element of the cyclotomic field Q(zeta_m), in the power basis."""
 
-    __slots__ = ("m", "coeffs", "_str")
+    __slots__ = ("m", "coeffs", "_str", "_hash")
 
     def __init__(self, m: int, coeffs) -> None:
         if m < 1:
@@ -179,6 +195,7 @@ class Cyclotomic:
         self.m = m
         self.coeffs = tuple(vec)
         self._str = None
+        self._hash = None
 
     @staticmethod
     def _coerce(x):
@@ -328,7 +345,27 @@ class Cyclotomic:
         return self._lift(big) == other._lift(big)
 
     def __hash__(self) -> int:
-        return hash(str(self))
+        if self._hash is None:
+            m, coeffs = self.canonical()
+            self._hash = hash(coeffs[0]) if m == 1 else hash((m, coeffs))
+        return self._hash
+
+    def canonical(self) -> tuple:
+        """(f, coefficients) of this element in Q(zeta_f) for the smallest f
+        with Q(zeta_f) containing it.  Equal elements give equal pairs."""
+        if self.m == 1:
+            return 1, self.coeffs
+        for f in range(3, self.m):
+            # Q(zeta_f) = Q(zeta_{f/2}) for f = 2 mod 4, already tried
+            if self.m % f or f % 4 == 2:
+                continue
+            step = self.m // f
+            basis = [zeta(self.m, i * step)._lift(self.m)
+                     for i in range(degree_of_field(f))]
+            coords = _solve(basis, list(self.coeffs))
+            if coords is not None:
+                return f, tuple(coords)
+        return self.m, self.coeffs
 
     def __str__(self) -> str:
         if self._str is None:
@@ -344,6 +381,33 @@ class Cyclotomic:
         if root is not None:
             return "z(%d,%d)" % (root.m, root.a)
         return "cyc(%d;%s)" % (self.m, ",".join(str(c) for c in self.coeffs))
+
+
+def _solve(columns: list, target: list):
+    # the rational x with sum_i x_i * columns[i] = target, or None
+    rows = [[col[r] for col in columns] + [target[r]] for r in range(len(target))]
+    width = len(columns)
+    pivots = []
+    top = 0
+    for c in range(width):
+        pick = next((r for r in range(top, len(rows)) if rows[r][c]), None)
+        if pick is None:
+            continue
+        rows[top], rows[pick] = rows[pick], rows[top]
+        lead = rows[top][c]
+        rows[top] = [x / lead for x in rows[top]]
+        for r in range(len(rows)):
+            if r != top and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[top])]
+        pivots.append(c)
+        top += 1
+    if any(row[width] for row in rows[top:]):
+        return None
+    out = [Fraction(0)] * width
+    for r, c in enumerate(pivots):
+        out[c] = rows[r][width]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -410,3 +474,5 @@ def order(x: RootOfUnity) -> int:
 ZERO = rational(0)
 ONE = rational(1)
 MINUS_ONE = rational(-1)
+ROOT_ONE = RootOfUnity(1, 0)
+ROOT_MINUS_ONE = RootOfUnity(2, 1)

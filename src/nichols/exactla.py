@@ -2,11 +2,14 @@
 
 Matrices are immutable tuples of rows of Cyclotomic entries.  All
 algorithms are exact; eigenvalues of finite-order operators are found by
-testing every root of unity dividing the operator order, and commuting
-families are diagonalized by refining eigenspaces one operator at a
-time.  Tie-breaking is deterministic: operators are processed in the
-order given, candidate eigenvalues in the order zeta^0, zeta^1, ..., and
-every produced vector is scaled so its first nonzero coordinate is 1.
+testing every root of unity dividing the operator order.  Tie-breaking is
+deterministic: candidate eigenvalues run in the order zeta^0, zeta^1, ...,
+and every produced vector is scaled so its first nonzero coordinate is 1.
+
+The decision engine does not use this module: braidings come from
+characters (nichols.reps, nichols.braidspace).  It serves as a library for
+explicit matrices, and the test oracles build their dense representations
+and simultaneous diagonalization on it.
 """
 
 from __future__ import annotations
@@ -25,14 +28,6 @@ def as_cyclotomic(x) -> Cyclotomic:
     if isinstance(x, RootOfUnity):
         return x.value()
     raise TypeError("cannot interpret %r as a field element" % (x,))
-
-
-class NonCommutingError(Exception):
-    """A family passed for simultaneous diagonalization has a non-commuting pair."""
-
-    def __init__(self, i: int, j: int) -> None:
-        super().__init__("family members %d and %d do not commute" % (i, j))
-        self.pair = (i, j)
 
 
 class Matrix:
@@ -262,70 +257,6 @@ def eigenspaces_finite_order(m: Matrix, order: int) -> EigenDecomposition:
     if total != m.nrows:
         raise ArithmeticError("eigenspaces do not fill the space")
     return EigenDecomposition(order, tuple(spaces))
-
-
-def _split_subspace(m: Matrix, lam: Cyclotomic, vecs: list) -> list:
-    """Basis of the lam-eigenspace of m intersected with span(vecs)."""
-    images = []
-    for v in vecs:
-        mv = m.apply(v)
-        images.append(tuple(a - lam * b for a, b in zip(mv, v)))
-    coeff_kernel = kernel(Matrix.from_columns(images))
-    out = []
-    for coeffs in coeff_kernel:
-        vec = [ZERO] * len(vecs[0])
-        for c, v in zip(coeffs, vecs):
-            if c:
-                for idx, x in enumerate(v):
-                    if x:
-                        vec[idx] = vec[idx] + c * x
-        out.append(_normalize(vec))
-    return out
-
-
-def simultaneous_diagonalize(family, orders) -> tuple:
-    """Common eigenbasis of a commuting family of finite-order operators.
-
-    Returns (basis, table) with table[i][r] the eigenvalue of family[i] on
-    basis vector r.  Raises NonCommutingError on the first non-commuting
-    pair, and ArithmeticError if any member fails to diagonalize.
-    """
-    family = list(family)
-    orders = list(orders)
-    if len(family) != len(orders):
-        raise ValueError("need one order per operator")
-    if not family:
-        raise ValueError("family must be nonempty")
-    dim = family[0].nrows
-    for m in family:
-        if m.shape != (dim, dim):
-            raise ValueError("family members must be square of equal size")
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            if family[i] * family[j] != family[j] * family[i]:
-                raise NonCommutingError(i, j)
-    blocks = [([tuple(ONE if t == s else ZERO for t in range(dim)) for s in range(dim)], ())]
-    for m, order in zip(family, orders):
-        refined = []
-        for vecs, eigs in blocks:
-            found = 0
-            for a in range(order):
-                lam = zeta(order, a)
-                sub = _split_subspace(m, lam, vecs)
-                if sub:
-                    refined.append((sub, eigs + (lam,)))
-                    found += len(sub)
-            if found != len(vecs):
-                raise ArithmeticError("operator is not diagonalizable over the candidates")
-        blocks = refined
-    basis = []
-    table = [[] for _ in family]
-    for vecs, eigs in blocks:
-        for v in vecs:
-            basis.append(v)
-            for i, lam in enumerate(eigs):
-                table[i].append(lam)
-    return basis, [tuple(row) for row in table]
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -279,6 +279,12 @@ class NormalForm(NamedTuple):
     def is_identity(self) -> bool:
         return not any(self.d) and self.b.is_identity()
 
+    def class_label(self, k: int) -> tuple:
+        """The sorted (L, s) pairs of the cycles of b, with s the twist sum
+        over the cycle mod k: the element's conjugacy class in Z/k wr S_n."""
+        return tuple(sorted((len(c), sum(self.d[x - 1] for x in c) % k)
+                            for c in self.b.cycles(include_fixed=True)))
+
     def __str__(self) -> str:
         return "d=%s;b=%s" % (",".join(str(x) for x in self.d), self.b)
 

@@ -1,33 +1,27 @@
-"""Irreducible representations of the centralizer of an unmixed permutation.
+"""Irreducible characters of the centralizer of an unmixed permutation.
 
 The centralizer is (Z/k)^n semidirect S_n.  Its irreducibles are built
 from a character of the abelian part (a vector u with values in Z/k,
 stored with u non-increasing as orbit representative), an irrep of the
-Young-subgroup stabilizer of u (an outer tensor product of catalog
-symmetric-group irreps, one per level set of u), and induction up to the
-full group.  Evaluation takes a centralizer element in (d, b) normal
-form and returns an exact matrix.
-
-The built-in symmetric-group catalog covers every partition for m <= 4
-and, for each m >= 5, the four families (m), (1^m), (m-1,1), (2,1^(m-2)).
-Requests outside the catalog raise CatalogGapError; enumeration keeps
-such entries visible instead of dropping them.
+Young-subgroup stabilizer of u (an outer tensor product of symmetric-group
+irreps, one partition per level set of u), and induction up to the full
+group.  A RepSpec names one; the engine needs only its character, which
+InducedCharacter computes from the spec alone: the induced-character
+formula over the orbit of u, with the symmetric-group factors given by the
+Murnaghan-Nakayama rule.  That works for every partition, so every irrep
+of every class is available; no representation matrix is ever built.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
-from .exactfield import Cyclotomic, ONE, ZERO, zeta
-from .exactla import Matrix, kron
+from .exactfield import Cyclotomic, RootOfUnity, zeta
 from .permgroup import NormalForm, Permutation
-
-
-class CatalogGapError(Exception):
-    """The requested symmetric-group irrep is outside the built-in catalog."""
 
 
 class GammaCharacter:
@@ -101,7 +95,7 @@ def orbit_and_stabilizer(chi: GammaCharacter) -> tuple:
     return orbit, YoungSubgroup(blocks)
 
 
-# symmetric-group irrep catalog
+# symmetric-group irreps and their characters
 
 
 @lru_cache(maxsize=None)
@@ -132,89 +126,35 @@ def partition_degree(part) -> int:
     return factorial(m) // hooks
 
 
-class SnIrrep:
-    """An irrep of S_m given by matrices for the adjacent transpositions."""
-
-    __slots__ = ("m", "partition", "gens", "degree", "_cache")
-
-    def __init__(self, m: int, partition: tuple, gens: tuple) -> None:
-        self.m = m
-        self.partition = tuple(partition)
-        self.gens = tuple(gens)
-        self.degree = self.gens[0].nrows if self.gens else 1
-        self._cache = {}
-
-    def matrix(self, p: Permutation) -> Matrix:
-        if p.degree != self.m:
-            raise ValueError("permutation degree mismatch")
-        hit = self._cache.get(p.img)
-        if hit is not None:
-            return hit
-        arr = list(p.img)
-        word = []
-        changed = True
-        while changed:
-            changed = False
-            for t in range(self.m - 1):
-                if arr[t] > arr[t + 1]:
-                    arr[t], arr[t + 1] = arr[t + 1], arr[t]
-                    word.append(t)
-                    changed = True
-        out = Matrix.identity(self.degree)
-        for t in reversed(word):
-            out = out * self.gens[t]
-        self._cache[p.img] = out
-        return out
-
-    def __repr__(self) -> str:
-        return "SnIrrep(m=%d, partition=%s)" % (self.m, self.partition)
-
-
-def _standard_gens(m: int) -> tuple:
-    # basis u_i = e_1 - e_{i+1} of the sum-zero subspace, i = 1..m-1:
-    # (1 2) negates u_1 and subtracts it from the rest, (j j+1) for j >= 2
-    # swaps u_{j-1} and u_j
-    gens = []
-    dim = m - 1
-    first = [[-ONE] * dim] + [
-        [ONE if a == b else ZERO for b in range(dim)] for a in range(1, dim)]
-    gens.append(Matrix(first))
-    for j in range(1, dim):
-        rows = [[ONE if a == b else ZERO for b in range(dim)] for a in range(dim)]
-        rows[j - 1][j - 1] = ZERO
-        rows[j][j] = ZERO
-        rows[j - 1][j] = ONE
-        rows[j][j - 1] = ONE
-        gens.append(Matrix(rows))
-    return tuple(gens)
-
-
-def catalog_covers(m: int, partition) -> bool:
-    partition = tuple(partition)
-    if m <= 4:
-        return True
-    return partition in ((m,), (1,) * m, (m - 1, 1), (2,) + (1,) * (m - 2))
-
-
 @lru_cache(maxsize=None)
-def _catalog_irrep(m: int, partition: tuple) -> SnIrrep:
-    if partition not in partitions_of(m):
-        raise ValueError("%r is not a partition of %d" % (partition, m))
-    if partition == (m,):
-        return SnIrrep(m, partition, tuple(Matrix([[1]]) for _ in range(m - 1)))
-    if partition == (1,) * m:
-        return SnIrrep(m, partition, tuple(Matrix([[-1]]) for _ in range(m - 1)))
-    if partition == (m - 1, 1):
-        return SnIrrep(m, partition, _standard_gens(m))
-    if partition == (2,) + (1,) * (m - 2):
-        return SnIrrep(m, partition, tuple(-g for g in _standard_gens(m)))
-    if partition == (2, 2):
-        # pull back the two-dimensional irrep through the quotient of S_4
-        # by the normal Klein subgroup; the quotient maps s1, s3 to one
-        # S_3 transposition and s2 to another
-        std3 = _standard_gens(3)
-        return SnIrrep(4, partition, (std3[1], std3[0], std3[1]))
-    raise CatalogGapError("no catalog entry for partition %s of %d" % (partition, m))
+def sn_character(partition: tuple, cycle_type: tuple) -> int:
+    """The irreducible character of S_m labeled by the partition, at a
+    permutation of the given cycle type (a tuple of lengths summing to m),
+    by the Murnaghan-Nakayama rule: strip a rim hook of each cycle length
+    in turn, with sign (-1)^(rows spanned - 1).  Partition (m) is the
+    trivial character, (1^m) the sign."""
+    cycle_type = tuple(sorted(cycle_type, reverse=True))
+    if sum(partition) != sum(cycle_type):
+        raise ValueError("partition and cycle type have different sizes")
+    if not cycle_type:
+        return 1
+    length, rest = cycle_type[0], cycle_type[1:]
+    # beta-numbers: removing a rim hook of length r moves one bead r down
+    # to an empty place, across as many beads as the hook has extra rows
+    rows = len(partition)
+    beads = [part + rows - 1 - i for i, part in enumerate(partition)]
+    taken = set(beads)
+    total = 0
+    for bead in beads:
+        low = bead - length
+        if low < 0 or low in taken:
+            continue
+        height = sum(1 for x in beads if low < x < bead)
+        moved = sorted((low if x == bead else x for x in beads), reverse=True)
+        shape = tuple(x - (rows - 1 - i) for i, x in enumerate(moved))
+        shape = tuple(x for x in shape if x)
+        total += (-1) ** height * sn_character(shape, rest)
+    return total
 
 
 _LABEL_NAMES = ("trivial", "sign", "standard", "standard_sign")
@@ -232,150 +172,6 @@ def _label_to_partition(m: int, label: str) -> tuple:
     raise ValueError("unknown irrep label %r" % label)
 
 
-def sn_irrep(m: int, label) -> SnIrrep:
-    """Catalog lookup by name ("trivial", "sign", "standard", "standard_sign")
-    or by partition tuple."""
-    if isinstance(label, str):
-        partition = _label_to_partition(m, label)
-    else:
-        partition = tuple(label)
-    return _catalog_irrep(m, partition)
-
-
-class YoungIrrep:
-    """Outer tensor product of catalog irreps over the blocks of a Young subgroup."""
-
-    __slots__ = ("young", "factors", "degree", "_cache")
-
-    def __init__(self, young: YoungSubgroup, factors) -> None:
-        factors = tuple(factors)
-        if len(factors) != len(young.blocks):
-            raise ValueError("need one factor per block")
-        for block, factor in zip(young.blocks, factors):
-            if factor.m != len(block):
-                raise ValueError("factor degree does not match block size")
-        self.young = young
-        self.factors = factors
-        degree = 1
-        for factor in factors:
-            degree *= factor.degree
-        self.degree = degree
-        self._cache = {}
-
-    @property
-    def partitions(self) -> tuple:
-        return tuple(factor.partition for factor in self.factors)
-
-    def matrix(self, b: Permutation) -> Matrix:
-        hit = self._cache.get(b.img)
-        if hit is not None:
-            return hit
-        if not self.young.contains(b):
-            raise ValueError("element is not in the Young subgroup")
-        out = None
-        for block, factor in zip(self.young.blocks, self.factors):
-            rel = Permutation(block.index(b(x)) + 1 for x in block)
-            mat = factor.matrix(rel)
-            out = mat if out is None else kron(out, mat)
-        self._cache[b.img] = out
-        return out
-
-    def __repr__(self) -> str:
-        return "YoungIrrep(%s)" % ",".join(
-            "+".join(str(x) for x in p) for p in self.partitions)
-
-
-class InducedRep:
-    """Representation induced from chi (x) mu up to the whole centralizer.
-
-    Basis vectors are pairs (coset representative, mu-basis index); coset
-    representatives are the minimal-length permutations carrying the base
-    character to each orbit member, with the orbit in descending
-    lexicographic order, so the first representative is the identity.
-    """
-
-    __slots__ = ("k", "n", "chi", "mu", "orbit", "coset_reps", "degree", "_index")
-
-    def __init__(self, chi: GammaCharacter, mu: YoungIrrep) -> None:
-        if any(chi.u[i] < chi.u[i + 1] for i in range(chi.n - 1)):
-            raise ValueError("character must be a non-increasing orbit representative")
-        orbit, stab = orbit_and_stabilizer(chi)
-        if mu.young != stab:
-            raise ValueError("mu is not a representation of the stabilizer of chi")
-        self.k = chi.k
-        self.n = chi.n
-        self.chi = chi
-        self.mu = mu
-        self.orbit = tuple(orbit)
-        self.coset_reps = tuple(_coset_rep(chi.u, member.u) for member in orbit)
-        self.degree = len(orbit) * mu.degree
-        self._index = {member.u: i for i, member in enumerate(orbit)}
-
-    def evaluate(self, nf: NormalForm) -> Matrix:
-        d = tuple(nf.d)
-        b = nf.b
-        if len(d) != self.n or b.degree != self.n:
-            raise ValueError("normal form size mismatch")
-        dm = self.mu.degree
-        size = self.degree
-        entries = [[ZERO] * size for _ in range(size)]
-        for i, wi in enumerate(self.coset_reps):
-            target = self.orbit[i].permuted(b)
-            j = self._index[target.u]
-            h = self.coset_reps[j].inverse() * b * wi
-            phase = target.value(d)
-            block = self.mu.matrix(h)
-            for r in range(dm):
-                brow = block.rows[r]
-                row = entries[j * dm + r]
-                for v in range(dm):
-                    if brow[v]:
-                        row[i * dm + v] = phase * brow[v]
-        return Matrix(entries)
-
-    def __repr__(self) -> str:
-        return "InducedRep(chi=%r, mu=%r, degree=%d)" % (self.chi, self.mu, self.degree)
-
-
-def _coset_rep(base_u: tuple, target_u: tuple) -> Permutation:
-    # minimal-length permutation w with (w . base)_t = target_t: map the
-    # positions of each value in order
-    n = len(base_u)
-    img = [0] * n
-    for v in sorted(set(base_u), reverse=True):
-        src = [i for i, x in enumerate(base_u, start=1) if x == v]
-        dst = [i for i, x in enumerate(target_u, start=1) if x == v]
-        for s, t in zip(src, dst):
-            img[s - 1] = t
-    return Permutation(img)
-
-
-def induce(chi: GammaCharacter, mu) -> InducedRep:
-    """Induce chi (x) mu; mu may be a YoungIrrep or, when the stabilizer is
-    the full symmetric group, a bare SnIrrep."""
-    if isinstance(mu, SnIrrep):
-        _, stab = orbit_and_stabilizer(chi)
-        if len(stab.blocks) != 1:
-            raise ValueError("bare irrep given but the stabilizer is a proper product")
-        mu = YoungIrrep(stab, (mu,))
-    return InducedRep(chi, mu)
-
-
-def evaluate(rho: InducedRep, g: NormalForm) -> Matrix:
-    return rho.evaluate(g)
-
-
-def pi_scalar(rho: InducedRep, c) -> Cyclotomic:
-    """The scalar by which the basepoint acts; verifies the matrix is scalar."""
-    if c.k != rho.k or c.n != rho.n:
-        raise ValueError("class and representation sizes do not match")
-    mat = rho.evaluate(NormalForm((1,) * rho.n, Permutation.identity(rho.n)))
-    scalar = mat.is_scalar()
-    if scalar is None:
-        raise ArithmeticError("basepoint does not act by a scalar")
-    return scalar
-
-
 class RepSpec(NamedTuple):
     """Label of a centralizer irrep: character vector plus per-block partitions."""
 
@@ -387,9 +183,6 @@ class RepSpec(NamedTuple):
     def stabilizer(self) -> YoungSubgroup:
         _, stab = orbit_and_stabilizer(GammaCharacter(self.k, self.u))
         return stab
-
-    def cataloged(self) -> bool:
-        return all(catalog_covers(sum(p), p) for p in self.partitions)
 
     def degree(self) -> int:
         orbit, _ = orbit_and_stabilizer(GammaCharacter(self.k, self.u))
@@ -419,20 +212,92 @@ class RepSpec(NamedTuple):
     def label(self) -> str:
         return "chi=(%s);mu=%s" % (",".join(str(x) for x in self.u), self.mu_label())
 
-    def resolve(self) -> InducedRep:
-        chi = GammaCharacter(self.k, self.u)
-        _, stab = orbit_and_stabilizer(chi)
-        factors = []
-        for block, part in zip(stab.blocks, self.partitions):
-            if not catalog_covers(len(block), part):
-                raise CatalogGapError(
-                    "irrep %s needs the uncataloged partition %s"
-                    % (self.label(), "+".join(str(x) for x in part)))
-            factors.append(_catalog_irrep(len(block), tuple(part)))
-        return InducedRep(chi, YoungIrrep(stab, factors))
+    def character(self) -> "InducedCharacter":
+        return InducedCharacter(self)
 
     def __str__(self) -> str:
         return self.label()
+
+
+class InducedCharacter:
+    """The character of the centralizer irrep named by a RepSpec.
+
+    At (d, b) it is the sum, over the orbit members u' of u fixed by b
+    (constant on every cycle of b), of zeta_k^(u'.d) times the product over
+    the values v of the partition character of block v at the cycle type
+    of b on the positions where u' = v.  That depends only on the (L, s)
+    cycle label of (d, b), so a value is computed once per label.  Values
+    are integer coefficient vectors c over Z/k, meaning sum_a c[a] zeta_k^a.
+    """
+
+    __slots__ = ("spec", "k", "degree", "_levels", "_values")
+
+    def __init__(self, spec: RepSpec) -> None:
+        self.spec = spec
+        self.k = spec.k
+        self.degree = spec.degree()
+        values = sorted(set(spec.u), reverse=True)
+        self._levels = tuple((v, spec.u.count(v), part)
+                             for v, part in zip(values, spec.partitions))
+        self._values = {}
+
+    def coefficients(self, nf: NormalForm) -> tuple:
+        """chi(d, b) as k integers c with chi = sum_a c[a] zeta_k^a."""
+        label = nf.class_label(self.k)
+        hit = self._values.get(label)
+        if hit is None:
+            hit = self._values[label] = self._from_label(label)
+        return hit
+
+    def _from_label(self, label: tuple) -> tuple:
+        k = self.k
+        levels = self._levels
+        out = [0] * k
+        room = [count for _, count, _ in levels]
+        lengths = [[] for _ in levels]
+
+        def assign(c: int, phase: int) -> None:
+            # give cycle c (and those after it) a value whose level still
+            # has room for its length
+            if c == len(label):
+                factor = 1
+                for (_, _, part), cycle_type in zip(levels, lengths):
+                    factor *= sn_character(part, tuple(cycle_type))
+                    if not factor:
+                        return
+                out[phase % k] += factor
+                return
+            length, s = label[c]
+            for i, (v, _, _) in enumerate(levels):
+                if room[i] >= length:
+                    room[i] -= length
+                    lengths[i].append(length)
+                    assign(c + 1, phase + v * s)
+                    lengths[i].pop()
+                    room[i] += length
+
+        assign(0, 0)
+        return tuple(out)
+
+    def value(self, nf: NormalForm) -> Cyclotomic:
+        return Cyclotomic(self.k, self.coefficients(nf))
+
+    def scalar(self, nf: NormalForm) -> Optional[RootOfUnity]:
+        """The root of unity by which (d, b) acts when it acts by a scalar,
+        else None: a sum of degree roots of unity has absolute value degree
+        exactly when they are all equal, so rho(g) is scalar exactly when
+        chi(g)/degree is a root of unity."""
+        return (self.value(nf) * Fraction(1, self.degree)).as_root_of_unity()
+
+    def __repr__(self) -> str:
+        return "InducedCharacter(%s)" % self.spec.label()
+
+
+def pi_scalar(spec: RepSpec) -> RootOfUnity:
+    """The scalar by which the basepoint, (d, b) = ((1, ..., 1), id), acts:
+    every orbit member u' has the same coordinate sum, so it is
+    zeta_k^(u_1 + ... + u_n)."""
+    return RootOfUnity(spec.k, sum(spec.u))
 
 
 def enumerate_irreps(k: int, n: int) -> list:
@@ -440,8 +305,7 @@ def enumerate_irreps(k: int, n: int) -> list:
 
     Characters run over non-increasing vectors in descending lexicographic
     order; partition choices per stabilizer block run in descending
-    lexicographic order.  Entries outside the catalog are included (their
-    cataloged() is False) rather than dropped.
+    lexicographic order.
     """
     out = []
     for u in itertools.combinations_with_replacement(range(k - 1, -1, -1), n):

@@ -7,15 +7,21 @@ the centralizer classes of commuting partners, and capped enumeration of
 maximal subracks as a fallback.  A closed-form verdict over the same inputs
 serves as an independent cross-check oracle.
 
+Everything runs on the character of the representation: braidings are
+roots of unity with integer exponents, and "acts by a scalar" is read off
+the character value.
+
 Outcomes: "InfiniteDim" always carries a machine-checkable witness,
 "NegativeBraiding" carries the verified pair inventory, and "Undecided" is
-an honest abstention (catalog gap or no rule fired).
+an honest abstention (no rule fired).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple, Optional, Union
 
 from .braidspace import (AbelianSubrack, DiagonalSubspace, EnumerationCapError,
@@ -24,10 +30,9 @@ from .braidspace import (AbelianSubrack, DiagonalSubspace, EnumerationCapError,
                          maximal_abelian_subracks, powers_subrack,
                          quadruple_subrack, rotation_subrack, triple_subrack)
 from .config import EngineConfig
-from .exactla import Matrix
-from .exactfield import Cyclotomic, MINUS_ONE, ONE
+from .exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
 from .permgroup import Permutation, UnmixedClass, conjugate
-from .reps import CatalogGapError, InducedRep, RepSpec, parse_rep_spec, pi_scalar
+from .reps import InducedCharacter, RepSpec, parse_rep_spec, pi_scalar
 
 INFINITE = "InfiniteDim"
 NEGATIVE = "NegativeBraiding"
@@ -53,7 +58,7 @@ class NotCartan(NamedTuple):
     where: tuple = ()
 
 
-def scalar_gate(q: Cyclotomic, ord_pi: int) -> Optional[Verdict]:
+def scalar_gate(q: RootOfUnity, ord_pi: int) -> Optional[Verdict]:
     """Infinite unless the basepoint has even order and acts by -1.
 
     Returns the infinite verdict, or None to pass."""
@@ -61,48 +66,43 @@ def scalar_gate(q: Cyclotomic, ord_pi: int) -> Optional[Verdict]:
         return Verdict(INFINITE, "scalar-gate",
                        {"q_scalar": str(q), "element_order": ord_pi,
                         "reason": "basepoint has odd order"})
-    if q != MINUS_ONE:
+    if q != ROOT_MINUS_ONE:
         return Verdict(INFINITE, "scalar-gate",
                        {"q_scalar": str(q), "element_order": ord_pi,
                         "reason": "basepoint scalar is not -1"})
     return None
 
 
-def cartan_type(Q: Matrix) -> Union[CartanData, NotCartan]:
-    """Extract the integer exponent matrix of a diagonal braiding.
+def cartan_type(Q) -> Union[CartanData, NotCartan]:
+    """Extract the integer exponent matrix of a diagonal braiding, given as
+    a square table of RootOfUnity.
 
-    For each pair needs q_ij*q_ji = q_ii**a_ij with a_ij in (-ord(q_ii), 0];
-    within that window the exponent is unique when it exists.  Diagonal
-    entries must be roots of unity different from 1.
+    For each pair needs q_ij*q_ji = q_ii**a_ij with a_ij in (-ord(q_ii), 0].
+    Over a common modulus, q = zeta^e, that is the congruence
+    -a_ij * e_ii = e_ij + e_ji, solvable exactly when gcd(e_ii, modulus)
+    divides the right side, and then with one solution in the window.
+    Diagonal entries must differ from 1.
     """
-    m = Q.nrows
-    orders = []
+    m = len(Q)
+    modulus = lcm(*(x.order() for row in Q for x in row))
+    e = [[modulus // x.m * x.a for x in row] for row in Q]
     for i in range(m):
-        qii = Q[i][i]
-        if qii == ONE:
+        if not e[i][i]:
             return NotCartan("diagonal entry 1", (i,))
-        root = qii.as_root_of_unity()
-        if root is None:
-            return NotCartan("diagonal entry is not a root of unity", (i,))
-        orders.append(root.order())
     rows = [[2] * m for _ in range(m)]
     for i in range(m):
-        inv = Q[i][i].inverse()
+        g = gcd(e[i][i], modulus)
+        order = modulus // g
+        inverse = pow(e[i][i] // g, -1, order)
         for j in range(m):
             if i == j:
                 continue
-            product = Q[i][j] * Q[j][i]
-            found = None
-            cur = ONE
-            for e in range(orders[i]):
-                if cur == product:
-                    found = -e
-                    break
-                cur = cur * inv
-            if found is None:
+            product = (e[i][j] + e[j][i]) % modulus
+            if product % g:
                 return NotCartan("no admissible exponent", (i, j))
-            rows[i][j] = found
-    return CartanData(tuple(tuple(r) for r in rows), tuple(orders))
+            rows[i][j] = -((-(product // g) * inverse) % order)
+    return CartanData(tuple(tuple(r) for r in rows),
+                      tuple(Q[i][i].order() for i in range(m)))
 
 
 def _validate_gcm(A) -> None:
@@ -258,7 +258,7 @@ def cycle_rule(diagram: GeneralizedDynkinDiagram) -> Optional[dict]:
     and its labels, or None.
     """
     minus = [v for v in range(diagram.size)
-             if diagram.vertex_labels[v] == MINUS_ONE]
+             if diagram.vertex_labels[v] == ROOT_MINUS_ONE]
     mset = set(minus)
     for a in minus:
         nbrs_a = set(diagram.neighbors(a))
@@ -274,7 +274,7 @@ def cycle_rule(diagram: GeneralizedDynkinDiagram) -> Optional[dict]:
                 bc = diagram.edge_label(b, c)
                 cd = diagram.edge_label(c, d)
                 da = diagram.edge_label(d, a)
-                if ab * bc != ONE:
+                if ab * bc != ROOT_ONE:
                     continue
                 if ab != cd or bc != da:
                     continue
@@ -292,7 +292,7 @@ class NegativityReport(NamedTuple):
     partner_count: int = 0
 
 
-def negativity_check(cls: UnmixedClass, rho: InducedRep) -> NegativityReport:
+def negativity_check(cls: UnmixedClass, character: InducedCharacter) -> NegativityReport:
     """Check that every commuting pair of class elements braids negatively:
     diagonal values -1 and opposite values multiplying to 1.
 
@@ -301,9 +301,11 @@ def negativity_check(cls: UnmixedClass, rho: InducedRep) -> NegativityReport:
     centralizer class without changing the braiding values, so one pair per
     partner class is checked.  pairs_checked counts those classes, partners
     lists their representatives, and partner_count sums their sizes.
+    Whether an element acts by a scalar, and which, is read off the
+    character.
     """
-    q = pi_scalar(rho, cls)
-    if q != MINUS_ONE:
+    q = pi_scalar(character.spec)
+    if q != ROOT_MINUS_ONE:
         return NegativityReport(False, 0, True,
                                 {"reason": "basepoint scalar is not -1",
                                  "q_scalar": str(q)}, ())
@@ -314,20 +316,20 @@ def negativity_check(cls: UnmixedClass, rho: InducedRep) -> NegativityReport:
     for partner in cls.partner_classes():
         checked += 1
         t = cls.assemble(partner.representative)
-        lam = rho.evaluate(partner.representative).is_scalar()
+        lam = character.scalar(partner.representative)
         if lam is None:
             return NegativityReport(
                 False, checked, True,
                 {"pair": (str(pi), str(t)), "reason": "non-scalar value"},
                 tuple(kept), count)
         g = cls.transporter(t)
-        mu = rho.evaluate(cls.normal_form(conjugate(g.inverse(), pi))).is_scalar()
+        mu = character.scalar(cls.normal_form(conjugate(g.inverse(), pi)))
         if mu is None:
             return NegativityReport(
                 False, checked, True,
                 {"pair": (str(pi), str(t)),
                  "reason": "non-scalar pulled-back value"}, tuple(kept), count)
-        if lam * mu != ONE:
+        if lam * mu != ROOT_ONE:
             return NegativityReport(
                 False, checked, True,
                 {"pair": (str(pi), str(t)), "value": str(lam * mu),
@@ -360,9 +362,9 @@ def _shortest_cycle(diagram: GeneralizedDynkinDiagram) -> Optional[tuple]:
     for a, b, _ in diagram.edges:
         dist = {a: 0}
         parent = {a: None}
-        queue = [a]
+        queue = deque([a])
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             for w in diagram.neighbors(v):
                 if (v, w) in ((a, b), (b, a)):
                     continue
@@ -410,11 +412,11 @@ def _witness(space: DiagonalSubspace, firing: tuple, rule: str,
 
 
 def _subspace_rules(cls: UnmixedClass, subrack: AbelianSubrack,
-                    rho: InducedRep) -> Optional[Verdict]:
-    space = diagonal_subspace(subrack, rho)
+                    character: InducedCharacter) -> Optional[Verdict]:
+    space = diagonal_subspace(subrack, character)
     diagram = dynkin_diagram(space)
     for idx, v in enumerate(space.vertices):
-        if space.q(v, v) == ONE:
+        if not space.exponent(v, v):
             return _witness(space, (idx,), "fixed-vector",
                             {"vertex": list(v)})
     cartan_hits = []
@@ -511,20 +513,15 @@ def decide(k: int, n: int, rho_spec,
     NegativeBraiding with the verified pair inventory, or Undecided."""
     cls = UnmixedClass(k, n)
     spec = _resolve_spec(k, n, rho_spec)
-    try:
-        rho = spec.resolve()
-    except CatalogGapError as exc:
-        return Verdict(UNDECIDED, "catalog-gap",
-                       {"reason": str(exc), "rep": spec.label()})
-    q = pi_scalar(rho, cls)
-    gate = scalar_gate(q, k)
+    gate = scalar_gate(pi_scalar(spec), k)
     if gate is not None:
         return gate
+    character = spec.character()
     for subrack in candidate_subracks(cls):
-        verdict = _subspace_rules(cls, subrack, rho)
+        verdict = _subspace_rules(cls, subrack, character)
         if verdict is not None:
             return verdict
-    report = negativity_check(cls, rho)
+    report = negativity_check(cls, character)
     if report.negative:
         return Verdict(NEGATIVE, "negative-exhaustive",
                        {"pairs_checked": report.pairs_checked,
@@ -540,7 +537,7 @@ def decide(k: int, n: int, rho_spec,
     for subrack in extra:
         if subrack.size < 2:
             continue
-        verdict = _subspace_rules(cls, subrack, rho)
+        verdict = _subspace_rules(cls, subrack, character)
         if verdict is not None:
             return verdict._replace(flags=tuple(flags))
     witness = {"negativity_failure": report.failure,
@@ -568,30 +565,28 @@ def closed_form_verdict(k: int, n: int, rho_spec) -> Verdict:
 
 def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     """Re-validate an infinite verdict from its recorded witness: rebuild the
-    subrack from raw images, recompute the braiding on the witness vertices,
-    and re-fire the rule."""
+    subrack from raw images, recompute the braiding on the witness vertices
+    from the character, and re-fire the rule."""
     if verdict.outcome != INFINITE:
         raise ValueError("only infinite verdicts carry a rebuildable witness")
     cls = UnmixedClass(k, n)
     spec = _resolve_spec(k, n, rho_spec)
-    rho = spec.resolve()
     if verdict.rule == "scalar-gate":
-        q = pi_scalar(rho, cls)
-        return k % 2 == 1 or q != MINUS_ONE
+        return k % 2 == 1 or pi_scalar(spec) != ROOT_MINUS_ONE
     w = verdict.witness
     subrack = AbelianSubrack(
         cls,
         tuple(Permutation(img) for img in w["element_images"]),
         tuple(Permutation(img) for img in w["transporter_images"]),
         kind=w["subrack"]["kind"], param=tuple(w["subrack"]["param"]))
-    space = diagonal_subspace(subrack, rho)
+    space = diagonal_subspace(subrack, spec.character())
     restricted = space.restrict(tuple(v) for v in w["vertices"])
     q_matrix = [[str(restricted.q(a, b)) for b in restricted.vertices]
                 for a in restricted.vertices]
     if q_matrix != w["q_matrix"]:
         return False
     if verdict.rule == "fixed-vector":
-        return any(restricted.q(v, v) == ONE for v in restricted.vertices)
+        return any(not restricted.exponent(v, v) for v in restricted.vertices)
     if verdict.rule == "cartan-infinite":
         firing = [restricted.vertices[x] for x in w["firing"]]
         sub = restricted.restrict(firing)
@@ -601,10 +596,10 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
         a, b, c, d = (restricted.vertices[x] for x in w["cycle"])
         def product(x, y):
             return restricted.q(x, y) * restricted.q(y, x)
-        if any(restricted.q(v, v) != MINUS_ONE for v in (a, b, c, d)):
+        if any(restricted.q(v, v) != ROOT_MINUS_ONE for v in (a, b, c, d)):
             return False
-        if product(a, c) != ONE or product(b, d) != ONE:
+        if product(a, c) != ROOT_ONE or product(b, d) != ROOT_ONE:
             return False
         ab, bc, cd, da = product(a, b), product(b, c), product(c, d), product(d, a)
-        return (ab != ONE and ab * bc == ONE and ab == cd and bc == da)
+        return (ab != ROOT_ONE and ab * bc == ROOT_ONE and ab == cd and bc == da)
     raise ValueError("unknown rule %r" % verdict.rule)

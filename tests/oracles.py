@@ -3,21 +3,379 @@
 Everything here is deliberately written from first principles with different
 algorithms than the package modules: cliques come from networkx, finite-type
 detection from an explicit rank-limited catalog plus graph isomorphism,
-eigen-claims are re-checked by direct matrix application, and negativity by
-walking commuting pairs instead of partner classes.
+representations are explicit matrices (a symmetric-group matrix catalog
+induced up to the centralizer) diagonalized by exact linear algebra where
+the package uses characters only, and negativity is checked by walking
+commuting pairs instead of partner classes.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from functools import lru_cache
 
 import networkx as nx
 
-from nichols.exactfield import MINUS_ONE, ONE
-from nichols.permgroup import conjugate
-from nichols.reps import pi_scalar
+from nichols.exactfield import MINUS_ONE, ONE, ZERO, zeta
+from nichols.exactla import Matrix, _normalize, kernel, kron
+from nichols.permgroup import NormalForm, Permutation, conjugate
+from nichols.reps import (GammaCharacter, YoungSubgroup, _label_to_partition,
+                          orbit_and_stabilizer, partitions_of)
 from nichols.verdict import NegativityReport
+
+
+# dense representation matrices: a symmetric-group catalog covering every
+# partition for m <= 4 and, for m >= 5, the families (m), (1^m), (m-1,1),
+# (2,1^(m-2)), induced up to the centralizer
+
+class CatalogGapError(Exception):
+    """The requested symmetric-group irrep is outside the built-in catalog."""
+
+
+class SnIrrep:
+    """An irrep of S_m given by matrices for the adjacent transpositions."""
+
+    __slots__ = ("m", "partition", "gens", "degree", "_cache")
+
+    def __init__(self, m: int, partition: tuple, gens: tuple) -> None:
+        self.m = m
+        self.partition = tuple(partition)
+        self.gens = tuple(gens)
+        self.degree = self.gens[0].nrows if self.gens else 1
+        self._cache = {}
+
+    def matrix(self, p: Permutation) -> Matrix:
+        if p.degree != self.m:
+            raise ValueError("permutation degree mismatch")
+        hit = self._cache.get(p.img)
+        if hit is not None:
+            return hit
+        arr = list(p.img)
+        word = []
+        changed = True
+        while changed:
+            changed = False
+            for t in range(self.m - 1):
+                if arr[t] > arr[t + 1]:
+                    arr[t], arr[t + 1] = arr[t + 1], arr[t]
+                    word.append(t)
+                    changed = True
+        out = Matrix.identity(self.degree)
+        for t in reversed(word):
+            out = out * self.gens[t]
+        self._cache[p.img] = out
+        return out
+
+    def __repr__(self) -> str:
+        return "SnIrrep(m=%d, partition=%s)" % (self.m, self.partition)
+
+
+def _standard_gens(m: int) -> tuple:
+    # basis u_i = e_1 - e_{i+1} of the sum-zero subspace, i = 1..m-1:
+    # (1 2) negates u_1 and subtracts it from the rest, (j j+1) for j >= 2
+    # swaps u_{j-1} and u_j
+    gens = []
+    dim = m - 1
+    first = [[-ONE] * dim] + [
+        [ONE if a == b else ZERO for b in range(dim)] for a in range(1, dim)]
+    gens.append(Matrix(first))
+    for j in range(1, dim):
+        rows = [[ONE if a == b else ZERO for b in range(dim)] for a in range(dim)]
+        rows[j - 1][j - 1] = ZERO
+        rows[j][j] = ZERO
+        rows[j - 1][j] = ONE
+        rows[j][j - 1] = ONE
+        gens.append(Matrix(rows))
+    return tuple(gens)
+
+
+def catalog_covers(m: int, partition) -> bool:
+    partition = tuple(partition)
+    if m <= 4:
+        return True
+    return partition in ((m,), (1,) * m, (m - 1, 1), (2,) + (1,) * (m - 2))
+
+
+@lru_cache(maxsize=None)
+def _catalog_irrep(m: int, partition: tuple) -> SnIrrep:
+    if partition not in partitions_of(m):
+        raise ValueError("%r is not a partition of %d" % (partition, m))
+    if partition == (m,):
+        return SnIrrep(m, partition, tuple(Matrix([[1]]) for _ in range(m - 1)))
+    if partition == (1,) * m:
+        return SnIrrep(m, partition, tuple(Matrix([[-1]]) for _ in range(m - 1)))
+    if partition == (m - 1, 1):
+        return SnIrrep(m, partition, _standard_gens(m))
+    if partition == (2,) + (1,) * (m - 2):
+        return SnIrrep(m, partition, tuple(-g for g in _standard_gens(m)))
+    if partition == (2, 2):
+        # pull back the two-dimensional irrep through the quotient of S_4
+        # by the normal Klein subgroup; the quotient maps s1, s3 to one
+        # S_3 transposition and s2 to another
+        std3 = _standard_gens(3)
+        return SnIrrep(4, partition, (std3[1], std3[0], std3[1]))
+    raise CatalogGapError("no catalog entry for partition %s of %d" % (partition, m))
+
+
+def sn_irrep(m: int, label) -> SnIrrep:
+    """Catalog lookup by name ("trivial", "sign", "standard", "standard_sign")
+    or by partition tuple."""
+    if isinstance(label, str):
+        partition = _label_to_partition(m, label)
+    else:
+        partition = tuple(label)
+    return _catalog_irrep(m, partition)
+
+
+class YoungIrrep:
+    """Outer tensor product of catalog irreps over the blocks of a Young subgroup."""
+
+    __slots__ = ("young", "factors", "degree", "_cache")
+
+    def __init__(self, young: YoungSubgroup, factors) -> None:
+        factors = tuple(factors)
+        if len(factors) != len(young.blocks):
+            raise ValueError("need one factor per block")
+        for block, factor in zip(young.blocks, factors):
+            if factor.m != len(block):
+                raise ValueError("factor degree does not match block size")
+        self.young = young
+        self.factors = factors
+        degree = 1
+        for factor in factors:
+            degree *= factor.degree
+        self.degree = degree
+        self._cache = {}
+
+    @property
+    def partitions(self) -> tuple:
+        return tuple(factor.partition for factor in self.factors)
+
+    def matrix(self, b: Permutation) -> Matrix:
+        hit = self._cache.get(b.img)
+        if hit is not None:
+            return hit
+        if not self.young.contains(b):
+            raise ValueError("element is not in the Young subgroup")
+        out = None
+        for block, factor in zip(self.young.blocks, self.factors):
+            rel = Permutation(block.index(b(x)) + 1 for x in block)
+            mat = factor.matrix(rel)
+            out = mat if out is None else kron(out, mat)
+        self._cache[b.img] = out
+        return out
+
+    def __repr__(self) -> str:
+        return "YoungIrrep(%s)" % ",".join(
+            "+".join(str(x) for x in p) for p in self.partitions)
+
+
+class InducedRep:
+    """Representation induced from chi (x) mu up to the whole centralizer.
+
+    Basis vectors are pairs (coset representative, mu-basis index); coset
+    representatives are the minimal-length permutations carrying the base
+    character to each orbit member, with the orbit in descending
+    lexicographic order, so the first representative is the identity.
+    """
+
+    __slots__ = ("k", "n", "chi", "mu", "orbit", "coset_reps", "degree", "_index")
+
+    def __init__(self, chi: GammaCharacter, mu: YoungIrrep) -> None:
+        if any(chi.u[i] < chi.u[i + 1] for i in range(chi.n - 1)):
+            raise ValueError("character must be a non-increasing orbit representative")
+        orbit, stab = orbit_and_stabilizer(chi)
+        if mu.young != stab:
+            raise ValueError("mu is not a representation of the stabilizer of chi")
+        self.k = chi.k
+        self.n = chi.n
+        self.chi = chi
+        self.mu = mu
+        self.orbit = tuple(orbit)
+        self.coset_reps = tuple(_coset_rep(chi.u, member.u) for member in orbit)
+        self.degree = len(orbit) * mu.degree
+        self._index = {member.u: i for i, member in enumerate(orbit)}
+
+    def evaluate(self, nf: NormalForm) -> Matrix:
+        d = tuple(nf.d)
+        b = nf.b
+        if len(d) != self.n or b.degree != self.n:
+            raise ValueError("normal form size mismatch")
+        dm = self.mu.degree
+        size = self.degree
+        entries = [[ZERO] * size for _ in range(size)]
+        for i, wi in enumerate(self.coset_reps):
+            target = self.orbit[i].permuted(b)
+            j = self._index[target.u]
+            h = self.coset_reps[j].inverse() * b * wi
+            phase = target.value(d)
+            block = self.mu.matrix(h)
+            for r in range(dm):
+                brow = block.rows[r]
+                row = entries[j * dm + r]
+                for v in range(dm):
+                    if brow[v]:
+                        row[i * dm + v] = phase * brow[v]
+        return Matrix(entries)
+
+    def __repr__(self) -> str:
+        return "InducedRep(chi=%r, mu=%r, degree=%d)" % (self.chi, self.mu, self.degree)
+
+
+def _coset_rep(base_u: tuple, target_u: tuple) -> Permutation:
+    # minimal-length permutation w with (w . base)_t = target_t: map the
+    # positions of each value in order
+    n = len(base_u)
+    img = [0] * n
+    for v in sorted(set(base_u), reverse=True):
+        src = [i for i, x in enumerate(base_u, start=1) if x == v]
+        dst = [i for i, x in enumerate(target_u, start=1) if x == v]
+        for s, t in zip(src, dst):
+            img[s - 1] = t
+    return Permutation(img)
+
+
+def resolve(spec) -> InducedRep:
+    """The matrix representation named by a RepSpec; CatalogGapError when
+    a partition is outside the catalog."""
+    chi = GammaCharacter(spec.k, spec.u)
+    _, stab = orbit_and_stabilizer(chi)
+    factors = []
+    for block, part in zip(stab.blocks, spec.partitions):
+        if not catalog_covers(len(block), part):
+            raise CatalogGapError(
+                "irrep %s needs the uncataloged partition %s"
+                % (spec.label(), "+".join(str(x) for x in part)))
+        factors.append(_catalog_irrep(len(block), tuple(part)))
+    return InducedRep(chi, YoungIrrep(stab, factors))
+
+
+def cataloged(spec) -> bool:
+    return all(catalog_covers(sum(p), p) for p in spec.partitions)
+
+
+def dense_pi_scalar(rho: InducedRep, cls):
+    """The scalar matrix by which the basepoint acts, read off the matrix."""
+    if cls.k != rho.k or cls.n != rho.n:
+        raise ValueError("class and representation sizes do not match")
+    mat = rho.evaluate(NormalForm((1,) * rho.n, Permutation.identity(rho.n)))
+    scalar = mat.is_scalar()
+    if scalar is None:
+        raise ArithmeticError("basepoint does not act by a scalar")
+    return scalar
+
+
+# simultaneous diagonalization of commuting finite-order matrices
+
+class NonCommutingError(Exception):
+    """A family passed for simultaneous diagonalization has a non-commuting pair."""
+
+    def __init__(self, i: int, j: int) -> None:
+        super().__init__("family members %d and %d do not commute" % (i, j))
+        self.pair = (i, j)
+
+
+def _split_subspace(m: Matrix, lam, vecs: list) -> list:
+    """Basis of the lam-eigenspace of m intersected with span(vecs)."""
+    images = []
+    for v in vecs:
+        mv = m.apply(v)
+        images.append(tuple(a - lam * b for a, b in zip(mv, v)))
+    coeff_kernel = kernel(Matrix.from_columns(images))
+    out = []
+    for coeffs in coeff_kernel:
+        vec = [ZERO] * len(vecs[0])
+        for c, v in zip(coeffs, vecs):
+            if c:
+                for idx, x in enumerate(v):
+                    if x:
+                        vec[idx] = vec[idx] + c * x
+        out.append(_normalize(vec))
+    return out
+
+
+def simultaneous_diagonalize(family, orders) -> tuple:
+    """Common eigenbasis of a commuting family of finite-order operators.
+
+    Returns (basis, table) with table[i][r] the eigenvalue of family[i] on
+    basis vector r.  Operators are refined in the order given, candidate
+    eigenvalues in the order zeta^0, zeta^1, ..., so the basis runs through
+    the joint eigenvalue exponents in lexicographic order.  Raises
+    NonCommutingError on the first non-commuting pair, and ArithmeticError
+    if any member fails to diagonalize.
+    """
+    family = list(family)
+    orders = list(orders)
+    if len(family) != len(orders):
+        raise ValueError("need one order per operator")
+    if not family:
+        raise ValueError("family must be nonempty")
+    dim = family[0].nrows
+    for m in family:
+        if m.shape != (dim, dim):
+            raise ValueError("family members must be square of equal size")
+    for i in range(len(family)):
+        for j in range(i + 1, len(family)):
+            if family[i] * family[j] != family[j] * family[i]:
+                raise NonCommutingError(i, j)
+    blocks = [([tuple(ONE if t == s else ZERO for t in range(dim)) for s in range(dim)], ())]
+    for m, order in zip(family, orders):
+        refined = []
+        for vecs, eigs in blocks:
+            found = 0
+            for a in range(order):
+                lam = zeta(order, a)
+                sub = _split_subspace(m, lam, vecs)
+                if sub:
+                    refined.append((sub, eigs + (lam,)))
+                    found += len(sub)
+            if found != len(vecs):
+                raise ArithmeticError("operator is not diagonalizable over the candidates")
+        blocks = refined
+    basis = []
+    table = [[] for _ in family]
+    for vecs, eigs in blocks:
+        for v in vecs:
+            basis.append(v)
+            for i, lam in enumerate(eigs):
+                table[i].append(lam)
+    return basis, [tuple(row) for row in table]
+
+
+def dense_columns(subrack, rho) -> tuple:
+    """Per column j of the conjugation table, (basis, table) with
+    table[i][s] the eigenvalue of rho(gamma_ij) on basis vector s.
+
+    When the distinct table entries commute pairwise one shared eigenbasis
+    of all of them serves every column; otherwise each column is
+    diagonalized on its own."""
+    cls = subrack.cls
+    size = subrack.size
+    perms = [[subrack.gamma(i, j) for j in range(size)] for i in range(size)]
+    distinct = []
+    for row in perms:
+        for p in row:
+            if p not in distinct:
+                distinct.append(p)
+    shared = all(a.commutes_with(b) for a, b in itertools.combinations(distinct, 2))
+    if shared:
+        family = [rho.evaluate(cls.normal_form(p)) for p in distinct]
+        basis, table = simultaneous_diagonalize(family, [p.order() for p in distinct])
+        basis = tuple(basis)
+        index = {p: d for d, p in enumerate(distinct)}
+        return tuple(
+            (basis, tuple(tuple(table[index[perms[i][j]]]) for i in range(size)))
+            for j in range(size))
+    columns = []
+    for j in range(size):
+        family = [rho.evaluate(cls.normal_form(perms[i][j])) for i in range(size)]
+        basis, table = simultaneous_diagonalize(
+            family, [perms[i][j].order() for i in range(size)])
+        columns.append((tuple(basis), tuple(tuple(row) for row in table)))
+    return tuple(columns)
+
+
 
 
 # finite-type Cartan catalog, rank <= 8
@@ -236,7 +594,7 @@ def _scalar_of(rho, cls, g):
 
 
 def _basepoint_failure(rho, cls):
-    q = pi_scalar(rho, cls)
+    q = dense_pi_scalar(rho, cls)
     if q != MINUS_ONE:
         return NegativityReport(False, 0, False,
                                 {"reason": "basepoint scalar is not -1",

@@ -18,9 +18,10 @@ from nichols.verdict import (CartanData, INFINITE, NEGATIVE, UNDECIDED,
                              closed_form_verdict, decide, finite_type,
                              verify_witness)
 
-from oracles import (REFERENCE_Q_SIX_CYCLE, finite_type_lookup,
+from oracles import (REFERENCE_Q_SIX_CYCLE, cataloged, finite_type_lookup,
                      maximal_commuting_sets, negativity_full,
-                     q_matches_up_to_permutation, random_symmetrizable_gcm)
+                     q_matches_up_to_permutation, random_symmetrizable_gcm,
+                     resolve)
 
 
 def _grid(limit: int = 10):
@@ -43,22 +44,17 @@ def _table(k: int, n: int, *extra) -> list:
 
 def test_criterion_1_grid_matches_closed_form_oracle():
     started = time.monotonic()
-    cataloged = gaps = 0
+    decided = 0
     for k, n in _grid():
         for spec in enumerate_irreps(k, n):
             verdict = decide(k, n, spec)
-            if not spec.cataloged():
-                gaps += 1
-                assert verdict.outcome == UNDECIDED
-                assert verdict.rule == "catalog-gap"
-                continue
-            cataloged += 1
+            assert verdict.outcome != UNDECIDED, (k, n, spec.label())
             expected = closed_form_verdict(k, n, spec)
             assert verdict.outcome == expected.outcome, (k, n, spec.label())
-    assert cataloged == 184 and gaps == 6
-    print("criterion 1: %d cataloged reps match the closed-form oracle, "
-          "%d catalog gaps undecided, %.1fs"
-          % (cataloged, gaps, time.monotonic() - started))
+            decided += 1
+    assert decided == 190
+    print("criterion 1: all %d reps decided and matching the closed-form "
+          "oracle, %.1fs" % (decided, time.monotonic() - started))
 
 
 def test_criterion_2_table_k2_n3_rows_and_witnesses():
@@ -105,7 +101,7 @@ def test_criterion_4_k2_n5_negative_pairs_and_six_cycle():
         assert verdict.outcome == NEGATIVE
         assert verdict.witness["symmetry_reduced"] is True
     full = negativity_full(
-        cls, parse_rep_spec(2, 5, "chi=(1,1,1,1,1);mu=trivial").resolve())
+        cls, resolve(parse_rep_spec(2, 5, "chi=(1,1,1,1,1);mu=trivial")))
     assert full.negative and not full.reduced
     assert full.pairs_checked == 37800
     for mu in ("standard", "standard_sign"):
@@ -204,9 +200,9 @@ def test_criterion_8_oracle_equivalences():
         cls = UnmixedClass(k, n)
         cent = sorted(cls.centralizer_elements())
         for spec in enumerate_irreps(k, n):
-            if not spec.cataloged():
+            if not cataloged(spec):
                 continue
-            rho = spec.resolve()
+            rho = resolve(spec)
             reps += 1
             for _ in range(200):
                 g = pair_rng.choice(cent)

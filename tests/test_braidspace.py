@@ -1,18 +1,24 @@
+import itertools
+import random
+import time
+
 import pytest
 
 from nichols.braidspace import (AbelianSubrack, EnumerationCapError,
-                                canonical_subrack, commuting_graph,
-                                diagonal_subspace, dynkin_diagram,
-                                maximal_abelian_subracks, powers_subrack,
-                                quadruple_subrack, rotation_subrack,
-                                triple_subrack)
+                                GeneralizedDynkinDiagram, canonical_subrack,
+                                commuting_graph, diagonal_subspace,
+                                dynkin_diagram, maximal_abelian_subracks,
+                                powers_subrack, quadruple_subrack,
+                                rotation_subrack, triple_subrack)
 from nichols.config import EngineConfig
-from nichols.exactfield import MINUS_ONE, ONE
+from nichols.exactfield import MINUS_ONE, ONE, RootOfUnity
 from nichols.permgroup import Permutation, UnmixedClass, conjugate
-from nichols.reps import parse_rep_spec
+from nichols.reps import enumerate_irreps, parse_rep_spec
+from nichols.verdict import candidate_subracks
 
 from oracles import (REFERENCE_Q_ROTATION_EDGELESS, REFERENCE_Q_SIX_CYCLE,
-                     maximal_commuting_sets, q_matches_up_to_permutation)
+                     cataloged, dense_columns, maximal_commuting_sets,
+                     q_matches_up_to_permutation, resolve)
 
 
 def _q_strings(space):
@@ -102,31 +108,68 @@ def test_powers_subrack_lists_coprime_powers():
 
 def test_diagonal_subspace_vertices_are_genuine_eigenvectors():
     # the q-value of ((i, r), (j, s)) is the eigenvalue of the (i, j)
-    # conjugation image on eigenvector s of column j; re-check by direct
-    # matrix application
+    # conjugation image on eigenvector s of column j; re-check it on the
+    # dense oracle's eigenvector s by direct matrix application
     for k, n, text, builder in (
             (2, 3, "chi=(1,1,1);mu=standard", lambda c: triple_subrack(c, 1)),
             (2, 4, "chi=k:1;mu=standard", lambda c: triple_subrack(c, 2)),
             (4, 2, "chi=(2,0);mu=trivial", lambda c: quadruple_subrack(c, 1, 2)),
             (6, 3, "chi=(1,1,1);mu=sign", lambda c: rotation_subrack(c))):
         cls = UnmixedClass(k, n)
-        rho = parse_rep_spec(k, n, text).resolve()
+        spec = parse_rep_spec(k, n, text)
+        rho = resolve(spec)
         sub = builder(cls)
-        space = diagonal_subspace(sub, rho)
+        space = diagonal_subspace(sub, spec.character())
+        columns = dense_columns(sub, rho)
         assert space.size > 0
         for (j, s) in space.vertices:
-            basis, _ = space.columns[j]
+            basis, _ = columns[j]
             vec = basis[s]
             for i in range(sub.size):
                 image = rho.evaluate(cls.normal_form(sub.gamma(i, j)))
-                val = space.q((i, space.vertices[0][1]), (j, s))
+                val = space.q((i, space.vertices[0][1]), (j, s)).value()
                 assert image.apply(vec) == tuple(val * x for x in vec)
+
+
+def test_character_path_table_matches_dense_oracle():
+    # same eigenvalues in the same order as simultaneous diagonalization of
+    # the oracle's matrices, on every candidate subrack of every cataloged rep
+    # the enumerated (4,2) subracks include one whose table entries do not
+    # commute, diagonalized column by column on both sides
+    started = time.monotonic()
+    compared = 0
+    for k, n in ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (4, 1), (4, 2),
+                 (4, 3), (6, 2), (8, 2)):
+        cls = UnmixedClass(k, n)
+        subracks = list(candidate_subracks(cls))
+        if (k, n) == (4, 2):
+            subracks += maximal_abelian_subracks(
+                cls, EngineConfig(symmetry_reduction=False))
+            assert any(not a.commutes_with(b) for sub in subracks
+                       for a, b in itertools.combinations(
+                           set(itertools.chain(*sub.gamma_table())), 2))
+        for spec in enumerate_irreps(k, n):
+            if not cataloged(spec):
+                continue
+            rho = resolve(spec)
+            for sub in subracks:
+                space = diagonal_subspace(sub, spec.character())
+                columns = dense_columns(sub, rho)
+                got = [[[str(space.q((i, 0), (j, s))) for s in range(spec.degree())]
+                        for i in range(sub.size)] for j in range(sub.size)]
+                want = [[[str(x) for x in row] for row in table]
+                        for _, table in columns]
+                assert got == want, (k, n, spec.label(), sub.kind)
+                compared += 1
+    assert compared > 200
+    print("%d subspaces match the dense oracle, %.1fs"
+          % (compared, time.monotonic() - started))
 
 
 def test_triple_braiding_matches_reference_six_cycle():
     cls = UnmixedClass(2, 3)
-    rho = parse_rep_spec(2, 3, "chi=(1,1,1);mu=standard").resolve()
-    space = diagonal_subspace(triple_subrack(cls, 1), rho)
+    chi = parse_rep_spec(2, 3, "chi=(1,1,1);mu=standard").character()
+    space = diagonal_subspace(triple_subrack(cls, 1), chi)
     assert space.size == 6
     assert q_matches_up_to_permutation(_q_strings(space), REFERENCE_Q_SIX_CYCLE)
     diagram = dynkin_diagram(space)
@@ -138,16 +181,16 @@ def test_triple_braiding_matches_reference_six_cycle():
 
 def test_rotation_braiding_matches_reference_edgeless():
     cls = UnmixedClass(4, 2)
-    rho = parse_rep_spec(4, 2, "chi=(1,1);mu=trivial").resolve()
-    space = diagonal_subspace(rotation_subrack(cls), rho)
+    chi = parse_rep_spec(4, 2, "chi=(1,1);mu=trivial").character()
+    space = diagonal_subspace(rotation_subrack(cls), chi)
     assert _q_strings(space) == REFERENCE_Q_ROTATION_EDGELESS
     assert dynkin_diagram(space).edges == ()
 
 
 def test_negative_case_braiding_is_symmetric_with_unit_products():
     cls = UnmixedClass(2, 3)
-    rho = parse_rep_spec(2, 3, "chi=(1,1,1);mu=trivial").resolve()
-    space = diagonal_subspace(triple_subrack(cls, 1), rho)
+    chi = parse_rep_spec(2, 3, "chi=(1,1,1);mu=trivial").character()
+    space = diagonal_subspace(triple_subrack(cls, 1), chi)
     verts = space.vertices
     for a in verts:
         assert space.q(a, a) == MINUS_ONE
@@ -157,8 +200,8 @@ def test_negative_case_braiding_is_symmetric_with_unit_products():
 
 def test_restrict_vectors_keeps_column_structure():
     cls = UnmixedClass(2, 3)
-    rho = parse_rep_spec(2, 3, "chi=(1,1,1);mu=standard").resolve()
-    space = diagonal_subspace(triple_subrack(cls, 1), rho)
+    chi = parse_rep_spec(2, 3, "chi=(1,1,1);mu=standard").character()
+    space = diagonal_subspace(triple_subrack(cls, 1), chi)
     small = space.restrict_vectors((0,))
     assert small.size == 3
     assert all(s == 0 for _, s in small.vertices)
@@ -169,8 +212,8 @@ def test_restrict_vectors_keeps_column_structure():
 
 def test_dynkin_diagram_edges_only_where_product_differs_from_one():
     cls = UnmixedClass(2, 4)
-    rho = parse_rep_spec(2, 4, "chi=k:1;mu=standard").resolve()
-    space = diagonal_subspace(triple_subrack(cls, 2), rho)
+    chi = parse_rep_spec(2, 4, "chi=k:1;mu=standard").character()
+    space = diagonal_subspace(triple_subrack(cls, 2), chi)
     diagram = dynkin_diagram(space)
     verts = space.vertices
     listed = {(a, b) for a, b, _ in diagram.edges}
@@ -182,8 +225,8 @@ def test_dynkin_diagram_edges_only_where_product_differs_from_one():
 
 def test_dynkin_diagram_dot_shape():
     cls = UnmixedClass(2, 3)
-    rho = parse_rep_spec(2, 3, "chi=(1,1,1);mu=standard").resolve()
-    dot = dynkin_diagram(diagonal_subspace(triple_subrack(cls, 1), rho)).to_dot()
+    chi = parse_rep_spec(2, 3, "chi=(1,1,1);mu=standard").character()
+    dot = dynkin_diagram(diagonal_subspace(triple_subrack(cls, 1), chi)).to_dot()
     assert dot.startswith("graph diagram {")
     assert dot.endswith("}")
     assert dot.count("--") == 6
@@ -227,3 +270,27 @@ def test_enumeration_caps_raise():
         maximal_abelian_subracks(cls, EngineConfig(max_class_size=3))
     with pytest.raises(EnumerationCapError):
         maximal_abelian_subracks(cls, EngineConfig(max_subracks=1))
+
+
+def test_dynkin_adjacency_map_matches_edge_scan():
+    rng = random.Random(4711)
+    labels = [RootOfUnity(m, a) for m in (2, 3, 4, 6) for a in range(1, m)]
+    for _ in range(200):
+        size = rng.randint(1, 12)
+        pairs = [(a, b) for a in range(size) for b in range(a + 1, size)]
+        chosen = rng.sample(pairs, rng.randint(0, len(pairs)))
+        edges = [(a, b, rng.choice(labels)) for a, b in chosen]
+        diagram = GeneralizedDynkinDiagram(
+            [rng.choice(labels) for _ in range(size)], edges)
+        for v in range(size):
+            scanned = sorted([y for x, y, _ in edges if x == v]
+                             + [x for x, y, _ in edges if y == v])
+            assert diagram.neighbors(v) == tuple(scanned)
+            for w in range(size):
+                want = next((lbl for x, y, lbl in edges
+                             if (x, y) in ((v, w), (w, v))), None)
+                assert diagram.edge_label(v, w) == want
+        assert sorted(len(diagram.neighbors(v)) for v in range(size)) == list(
+            diagram.degree_sequence())
+        covered = sorted(v for comp in diagram.components() for v in comp)
+        assert covered == list(range(size))

@@ -56,12 +56,29 @@ def test_classify_dot_output():
     assert result.stdout.count("--") == 6
 
 
-def test_classify_undecided_exit_code():
+def test_classify_undecided_exit_code(monkeypatch, capsys):
+    # starve the engine of candidate subracks and cap the exhaustive
+    # enumeration, so that no rule fires
+    import nichols.cli as cli
+    import nichols.verdict as v
+
+    monkeypatch.setattr(v, "candidate_subracks", lambda cls: iter(()))
+    code = cli.main(["classify", "--k", "2", "--n", "3", "--max-class-size", "1",
+                     "--rep", "chi=(1,1,1);mu=standard"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert "outcome: Undecided" in lines
+    assert "rule: exhausted" in lines
+
+
+def test_classify_former_catalog_gap_exits_0():
     result = run_cli("classify", "--k", "2", "--n", "5",
-                     "--rep", "chi=(0,0,0,0,0);mu=catalog:3+2")
-    assert result.returncode == 2
-    assert "outcome: Undecided" in result.stdout.splitlines()
-    assert "rule: catalog-gap" in result.stdout.splitlines()
+                     "--rep", "chi=(1,1,1,1,1);mu=catalog:3+2", "--format", "json")
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["outcome"] == "InfiniteDim"
+    assert report["rule"] == "cartan-infinite"
+    assert report["degree"] == 5
 
 
 def test_classify_scalar_gate_on_odd_order():

@@ -127,3 +127,83 @@ def test_complex_conjugate_inverts_roots():
         assert z.conjugate() == z.inverse()
     mix = rational(2) + zeta(6)
     assert mix.conjugate().conjugate() == mix
+
+
+# property tests
+
+from math import gcd  # noqa: E402
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from nichols.exactfield import RootOfUnity  # noqa: E402
+
+CONDUCTORS = (1, 2, 3, 4, 5, 6, 8, 12)
+UNITS = tuple(t for t in range(1, 120) if gcd(t, 120) == 1)
+# pairs have lcm at most 120, which keeps the products' fields small
+ORDERS = (1, 2, 3, 4, 5, 6, 8, 10, 12, 15)
+
+
+@st.composite
+def elements(draw):
+    # sum of c_i zeta_m^i over all i < m, so the reduction is exercised
+    m = draw(st.sampled_from(CONDUCTORS))
+    coeffs = draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                           min_size=m, max_size=m))
+    x = ZERO
+    for i, c in enumerate(coeffs):
+        x = x + rational(c.numerator, c.denominator) * zeta(m, i)
+    return x
+
+
+def _at_conductor(x, big):
+    # the same value computed in Q(zeta_big): add and remove zeta_big
+    z = zeta(big)
+    return (x + z) - z
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements(), st.sampled_from(CONDUCTORS))
+def test_equal_elements_hash_equally(x, big):
+    y = _at_conductor(x, big)
+    assert y == x
+    assert hash(y) == hash(x)
+    assert y.canonical() == x.canonical()
+    if x.is_rational():
+        assert hash(x) == hash(x.as_rational())
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements(), elements(), elements())
+def test_field_axioms_hold(a, b, c):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + ZERO == a and a * ONE == a
+    assert a - a == ZERO
+    if a:
+        assert a * a.inverse() == ONE
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements(), elements(), st.sampled_from(UNITS))
+def test_galois_is_a_ring_homomorphism(a, b, t):
+    assert (a + b).galois(t) == a.galois(t) + b.galois(t)
+    assert (a * b).galois(t) == a.galois(t) * b.galois(t)
+    assert ONE.galois(t) == ONE
+    assert a.galois(1) == a
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ORDERS), st.integers(-50, 50),
+       st.sampled_from(ORDERS), st.integers(-50, 50))
+def test_root_of_unity_labels_agree_with_field_elements(m, a, p, b):
+    r, s = RootOfUnity(m, a), RootOfUnity(p, b)
+    assert str(r) == str(zeta(m, a))
+    assert r == zeta(m, a) and hash(r) == hash(zeta(m, a))
+    assert r.order() == zeta(m, a).as_root_of_unity().order()
+    assert (r * s).value() == zeta(m, a) * zeta(p, b)
+    assert str(r * s) == str(zeta(m, a) * zeta(p, b))
+    assert r.inverse().value() == zeta(m, a).inverse()
+    assert str(r.inverse()) == str(zeta(m, a).inverse())

@@ -1,11 +1,11 @@
 import random
+import time
 
 import pytest
 
 from nichols.braidspace import diagonal_subspace, dynkin_diagram, rotation_subrack
 from nichols.config import EngineConfig
-from nichols.exactfield import MINUS_ONE, ONE, zeta
-from nichols.exactla import Matrix
+from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
 from nichols.permgroup import UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
 from nichols.verdict import (CartanData, INFINITE, NEGATIVE, NotCartan,
@@ -14,14 +14,15 @@ from nichols.verdict import (CartanData, INFINITE, NEGATIVE, NotCartan,
                              diagram_label, finite_type, negativity_check,
                              scalar_gate, symmetrizable, verify_witness)
 
-from oracles import (REFERENCE_Q_SIX_CYCLE, finite_catalog, finite_type_lookup,
-                     negativity_full, negativity_walk, random_symmetrizable_gcm)
+from oracles import (REFERENCE_Q_SIX_CYCLE, cataloged, finite_catalog,
+                     finite_type_lookup, negativity_full, negativity_walk,
+                     random_symmetrizable_gcm, resolve)
 
-_SYMBOLS = {"1": ONE, "-1": MINUS_ONE}
+_SYMBOLS = {"1": ROOT_ONE, "-1": ROOT_MINUS_ONE}
 
 
 def _sign_matrix(rows):
-    return Matrix([[_SYMBOLS[x] for x in row] for row in rows])
+    return tuple(tuple(_SYMBOLS[x] for x in row) for row in rows)
 
 
 def _gcm(rows) -> CartanData:
@@ -30,12 +31,12 @@ def _gcm(rows) -> CartanData:
 
 
 def test_scalar_gate():
-    assert scalar_gate(MINUS_ONE, 2) is None
-    odd = scalar_gate(MINUS_ONE, 3)
+    assert scalar_gate(ROOT_MINUS_ONE, 2) is None
+    odd = scalar_gate(ROOT_MINUS_ONE, 3)
     assert odd is not None and odd.outcome == INFINITE
     assert odd.rule == "scalar-gate"
     assert odd.witness["reason"] == "basepoint has odd order"
-    wrong = scalar_gate(ONE, 2)
+    wrong = scalar_gate(ROOT_ONE, 2)
     assert wrong is not None and wrong.outcome == INFINITE
     assert wrong.witness["reason"] == "basepoint scalar is not -1"
 
@@ -49,7 +50,7 @@ def test_cartan_type_of_six_cycle_braiding():
         for j in range(6):
             if i == j:
                 assert data.matrix[i][j] == 2
-            elif q[i][j] * q[j][i] == MINUS_ONE:
+            elif q[i][j] * q[j][i] == ROOT_MINUS_ONE:
                 assert data.matrix[i][j] == -1
             else:
                 assert data.matrix[i][j] == 0
@@ -62,20 +63,16 @@ def test_cartan_type_of_six_cycle_braiding():
 
 
 def test_cartan_type_rejections():
-    assert cartan_type(Matrix([[ONE]])) == NotCartan("diagonal entry 1", (0,))
-    two = ONE + ONE
-    bad = cartan_type(Matrix([[two]]))
-    assert isinstance(bad, NotCartan)
-    assert bad.reason == "diagonal entry is not a root of unity"
-    q = Matrix([[MINUS_ONE, zeta(3, 1)], [ONE, MINUS_ONE]])
+    assert cartan_type([[ROOT_ONE]]) == NotCartan("diagonal entry 1", (0,))
+    q = [[ROOT_MINUS_ONE, RootOfUnity(3, 1)], [ROOT_ONE, ROOT_MINUS_ONE]]
     missing = cartan_type(q)
     assert missing == NotCartan("no admissible exponent", (0, 1))
 
 
 def test_cartan_type_exponent_window():
     # with q_ii of order 3 the product z3 forces the exponent -2
-    z = zeta(3, 1)
-    q = Matrix([[z, z], [ONE, z]])
+    z = RootOfUnity(3, 1)
+    q = [[z, z], [ROOT_ONE, z]]
     data = cartan_type(q)
     assert isinstance(data, CartanData)
     assert data.matrix == ((2, -2), (-2, 2))
@@ -129,8 +126,8 @@ def test_random_gcm_agreement_with_lookup():
 
 def test_cycle_rule_fires_on_rotation_subrack():
     cls = UnmixedClass(6, 3)
-    rho = parse_rep_spec(6, 3, "chi=(1,1,1);mu=trivial").resolve()
-    space = diagonal_subspace(rotation_subrack(cls), rho)
+    chi = parse_rep_spec(6, 3, "chi=(1,1,1);mu=trivial").character()
+    space = diagonal_subspace(rotation_subrack(cls), chi)
     diagram = dynkin_diagram(space)
     hits = []
     for comp in diagram.components():
@@ -147,8 +144,8 @@ def test_cycle_rule_fires_on_rotation_subrack():
 
 def test_cycle_rule_silent_without_alternation():
     cls = UnmixedClass(6, 3)
-    rho = parse_rep_spec(6, 3, "chi=(3,3,3);mu=trivial").resolve()
-    space = diagonal_subspace(rotation_subrack(cls), rho)
+    chi = parse_rep_spec(6, 3, "chi=(3,3,3);mu=trivial").character()
+    space = diagonal_subspace(rotation_subrack(cls), chi)
     diagram = dynkin_diagram(space)
     assert diagram.edges == ()
     assert cycle_rule(diagram) is None
@@ -156,9 +153,9 @@ def test_cycle_rule_silent_without_alternation():
 
 def test_negativity_reduced_and_full_agree_on_negative_case():
     cls = UnmixedClass(2, 3)
-    rho = parse_rep_spec(2, 3, "chi=(1,1,1);mu=trivial").resolve()
-    reduced = negativity_check(cls, rho)
-    full = negativity_full(cls, rho)
+    spec = parse_rep_spec(2, 3, "chi=(1,1,1);mu=trivial")
+    reduced = negativity_check(cls, spec.character())
+    full = negativity_full(cls, resolve(spec))
     assert reduced.negative and full.negative
     assert reduced.reduced and not full.reduced
     assert reduced.failure is None and full.failure is None
@@ -169,9 +166,9 @@ def test_negativity_reduced_and_full_agree_on_negative_case():
 
 def test_negativity_reduced_and_full_agree_on_failure():
     cls = UnmixedClass(2, 3)
-    rho = parse_rep_spec(2, 3, "chi=(1,1,1);mu=standard").resolve()
-    reduced = negativity_check(cls, rho)
-    full = negativity_full(cls, rho)
+    spec = parse_rep_spec(2, 3, "chi=(1,1,1);mu=standard")
+    reduced = negativity_check(cls, spec.character())
+    full = negativity_full(cls, resolve(spec))
     assert not reduced.negative and not full.negative
     assert reduced.failure is not None and full.failure is not None
     assert "reason" in reduced.failure
@@ -188,13 +185,10 @@ def test_negativity_over_partner_classes_matches_the_walks():
                          (6, 3, negativity_walk)):
         cls = UnmixedClass(k, n)
         for spec in enumerate_irreps(k, n):
-            if not spec.cataloged():
+            if not cataloged(spec) or pi_scalar(spec) != ROOT_MINUS_ONE:
                 continue
-            rho = spec.resolve()
-            if pi_scalar(rho, cls) != MINUS_ONE:
-                continue
-            report = negativity_check(cls, rho)
-            expected = oracle(cls, rho)
+            report = negativity_check(cls, spec.character())
+            expected = oracle(cls, resolve(spec))
             assert report.negative == expected.negative, (k, n, spec.label())
             assert (report.failure is None) == report.negative
             if oracle is negativity_walk and report.negative:
@@ -206,8 +200,8 @@ def test_negativity_over_partner_classes_matches_the_walks():
 
 def test_negativity_rejects_wrong_basepoint_scalar():
     cls = UnmixedClass(2, 3)
-    rho = parse_rep_spec(2, 3, "chi=(0,0,0);mu=trivial").resolve()
-    report = negativity_check(cls, rho)
+    chi = parse_rep_spec(2, 3, "chi=(0,0,0);mu=trivial").character()
+    report = negativity_check(cls, chi)
     assert not report.negative
     assert report.pairs_checked == 0
     assert report.failure["reason"] == "basepoint scalar is not -1"
@@ -232,8 +226,6 @@ def test_decide_matches_closed_form_on_small_grid():
     for k, n in ((2, 1), (3, 1), (4, 1), (5, 1), (6, 1),
                  (2, 2), (3, 2), (2, 3)):
         for spec in enumerate_irreps(k, n):
-            if not spec.cataloged():
-                continue
             verdict = decide(k, n, spec)
             expected = closed_form_verdict(k, n, spec)
             assert verdict.outcome == expected.outcome, (k, n, spec.label())
@@ -258,11 +250,34 @@ def test_verify_witness_needs_infinite_verdict():
         verify_witness(2, 3, "chi=(1,1,1);mu=trivial", verdict)
 
 
-def test_uncataloged_representation_is_undecided():
-    verdict = decide(2, 5, "chi=(0,0,0,0,0);mu=catalog:3+2")
-    assert verdict.outcome == UNDECIDED
-    assert verdict.rule == "catalog-gap"
-    assert "rep" in verdict.witness
+def test_former_catalog_gap_representation_is_decided():
+    # partitions outside the old matrix catalog: one decided by the scalar
+    # gate, one needing a subspace witness
+    for text, rule in (("chi=(0,0,0,0,0);mu=catalog:3+2", "scalar-gate"),
+                       ("chi=(1,1,1,1,1);mu=catalog:3+2", "cartan-infinite")):
+        spec = parse_rep_spec(2, 5, text)
+        assert not cataloged(spec)
+        verdict = decide(2, 5, spec)
+        assert verdict.outcome == closed_form_verdict(2, 5, spec).outcome
+        assert verdict.outcome == INFINITE and verdict.rule == rule
+        assert verify_witness(2, 5, spec, verdict)
+
+
+def test_wider_grids_match_closed_form_and_witnesses_verify():
+    started = time.monotonic()
+    rows = verified = 0
+    for k, n in ((2, 6), (4, 4), (6, 3), (8, 2)):
+        for spec in enumerate_irreps(k, n):
+            verdict = decide(k, n, spec)
+            expected = closed_form_verdict(k, n, spec)
+            assert verdict.outcome == expected.outcome, (k, n, spec.label())
+            rows += 1
+            if verdict.outcome == INFINITE:
+                assert verify_witness(k, n, spec, verdict), (k, n, spec.label())
+                verified += 1
+    assert rows == 312
+    print("%d rows match the closed form, %d witnesses verify, %.1fs"
+          % (rows, verified, time.monotonic() - started))
 
 
 def test_undecided_reports_exhaustion(monkeypatch):
