@@ -20,8 +20,8 @@ from functools import lru_cache
 from math import factorial
 from typing import NamedTuple, Optional
 
-from .exactfield import Cyclotomic, RootOfUnity, zeta
-from .permgroup import NormalForm, Permutation
+from .exactfield import Cyclotomic, RootOfUnity
+from .permgroup import NormalForm
 
 
 class GammaCharacter:
@@ -38,22 +38,6 @@ class GammaCharacter:
     @property
     def n(self) -> int:
         return len(self.u)
-
-    def value(self, d) -> Cyclotomic:
-        """Evaluate on the twist with exponent vector d."""
-        d = tuple(d)
-        if len(d) != self.n:
-            raise ValueError("exponent vector has the wrong length")
-        return zeta(self.k, sum(uj * dj for uj, dj in zip(self.u, d)))
-
-    def permuted(self, b: Permutation) -> "GammaCharacter":
-        """The character with coordinates permuted by b: new_u[b(j)] = u[j]."""
-        if b.degree != self.n:
-            raise ValueError("permutation degree mismatch")
-        out = [0] * self.n
-        for j in range(1, self.n + 1):
-            out[b(j) - 1] = self.u[j - 1]
-        return GammaCharacter(self.k, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GammaCharacter):
@@ -80,9 +64,6 @@ class YoungSubgroup(NamedTuple):
         for b in self.blocks:
             out *= factorial(len(b))
         return out
-
-    def contains(self, b: Permutation) -> bool:
-        return all(all(b(x) in block for x in block) for block in self.blocks)
 
 
 def orbit_and_stabilizer(chi: GammaCharacter) -> tuple:

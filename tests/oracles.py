@@ -156,7 +156,7 @@ class YoungIrrep:
         hit = self._cache.get(b.img)
         if hit is not None:
             return hit
-        if not self.young.contains(b):
+        if not all(all(b(x) in block for x in block) for block in self.young.blocks):
             raise ValueError("element is not in the Young subgroup")
         out = None
         for block, factor in zip(self.young.blocks, self.factors):
@@ -206,10 +206,13 @@ class InducedRep:
         size = self.degree
         entries = [[ZERO] * size for _ in range(size)]
         for i, wi in enumerate(self.coset_reps):
-            target = self.orbit[i].permuted(b)
-            j = self._index[target.u]
+            # the orbit member permuted by b: target[b(t)] = u[t]
+            target = [0] * self.n
+            for t, x in enumerate(self.orbit[i].u, start=1):
+                target[b(t) - 1] = x
+            j = self._index[tuple(target)]
             h = self.coset_reps[j].inverse() * b * wi
-            phase = target.value(d)
+            phase = zeta(self.k, sum(x * y for x, y in zip(target, d)))
             block = self.mu.matrix(h)
             for r in range(dm):
                 brow = block.rows[r]
