@@ -3,18 +3,17 @@
 An abelian subrack is a set of pairwise-commuting class elements t_0..t_{m-1}
 together with transporters g_i conjugating the basepoint to t_i.  The
 conjugation table gamma_ij = g_j^{-1} t_i g_j lands in the centralizer of the
-basepoint.  When its entries commute (always, for the structured families)
-they generate an abelian group H, and rho restricted to H splits into linear
-characters psi of H, each with multiplicity <chi_rho|_H, psi>.  That gives a
-braided subspace of diagonal type: one vertex per column j and eigenvector,
-with braiding q((i, r), (j, psi)) = psi(gamma_ij) (Andruskiewitsch-Grana,
-From racks to pointed Hopf algebras, 2003).  Only the character of rho is
-needed, and the braiding labels are roots of unity held as integer
-exponents.
+basepoint.  Its entries must commute (they do for every structured family);
+they generate an abelian group H, and rho restricted to H splits into
+linear characters psi of H, each with multiplicity <chi_rho|_H, psi>.
+That gives a braided subspace of diagonal type: one vertex per column j and
+eigenvector, with braiding q((i, r), (j, psi)) = psi(gamma_ij)
+(Andruskiewitsch-Grana, From racks to pointed Hopf algebras, 2003).  Only
+the character of rho is needed, and the braiding labels are roots of unity
+held as integer exponents.
 
 Construction families: the canonical involution subrack (k = 2), the swap and
-rotation quadruples (k even, n >= 2), the power subrack (n = 1), and full
-enumeration of maximal subracks for small classes.
+rotation quadruples (k even, n >= 2) and the power subrack (n = 1).
 """
 
 from __future__ import annotations
@@ -22,14 +21,9 @@ from __future__ import annotations
 import itertools
 from math import gcd, lcm
 
-from .config import EngineConfig
 from .exactfield import Cyclotomic, RootOfUnity
 from .permgroup import Permutation, UnmixedClass, conjugate
 from .reps import InducedCharacter
-
-
-class EnumerationCapError(Exception):
-    """A configured resource cap stopped the subrack enumeration."""
 
 
 def gamma(t: Permutation, g: Permutation) -> Permutation:
@@ -43,7 +37,7 @@ class AbelianSubrack:
     __slots__ = ("cls", "elements", "transporters", "kind", "param")
 
     def __init__(self, cls: UnmixedClass, elements, transporters,
-                 kind: str = "enumerated", param: tuple = ()) -> None:
+                 kind: str = "custom", param: tuple = ()) -> None:
         elements = tuple(elements)
         transporters = tuple(transporters)
         if len(elements) != len(transporters):
@@ -182,86 +176,6 @@ def _power(p: Permutation, e: int) -> Permutation:
     return out
 
 
-def commuting_graph(cls: UnmixedClass, elements=None) -> tuple:
-    """Vertices (class elements, sorted) and adjacency sets of the
-    commuting relation."""
-    if elements is None:
-        elements = sorted(cls.elements())
-    else:
-        elements = list(elements)
-    count = len(elements)
-    adj = [set() for _ in range(count)]
-    for a in range(count):
-        for b in range(a + 1, count):
-            if elements[a].commutes_with(elements[b]):
-                adj[a].add(b)
-                adj[b].add(a)
-    return tuple(elements), tuple(frozenset(s) for s in adj)
-
-
-def _bron_kerbosch(adj, clique, candidates, excluded, out, limit):
-    if not candidates and not excluded:
-        out.append(frozenset(clique))
-        if len(out) > limit:
-            raise EnumerationCapError("more than %d maximal subracks" % limit)
-        return
-    pool = candidates | excluded
-    pivot = min(sorted(pool), key=lambda v: (-len(adj[v] & candidates), v))
-    for v in sorted(candidates - adj[pivot]):
-        _bron_kerbosch(adj, clique | {v}, candidates & adj[v], excluded & adj[v],
-                       out, limit)
-        candidates = candidates - {v}
-        excluded = excluded | {v}
-
-
-def maximal_abelian_subracks(cls: UnmixedClass, config: EngineConfig = EngineConfig(),
-                             include_basepoint: bool = True) -> list:
-    """Every maximal abelian subrack of the class, as clique enumeration over
-    the commuting graph.
-
-    With include_basepoint only cliques through the basepoint are produced
-    (every maximal subrack is conjugate to one of those).  With
-    symmetry_reduction the result keeps one representative per orbit of the
-    centralizer of the basepoint.  Raises EnumerationCapError when the class
-    size or the subrack count exceeds the configured caps.
-    """
-    if cls.class_size() > config.max_class_size:
-        raise EnumerationCapError(
-            "class size %d exceeds the cap %d" % (cls.class_size(), config.max_class_size))
-    elements, adj = commuting_graph(cls)
-    index = {t: i for i, t in enumerate(elements)}
-    cliques = []
-    if include_basepoint:
-        base = index[cls.basepoint]
-        _bron_kerbosch(adj, {base}, adj[base], set(), cliques, config.max_subracks)
-    else:
-        _bron_kerbosch(adj, set(), set(range(len(elements))), set(), cliques,
-                       config.max_subracks)
-    keyed = sorted(tuple(sorted(elements[v] for v in clique)) for clique in cliques)
-    if config.symmetry_reduction:
-        keyed = _symmetry_reduce(cls, keyed)
-    out = []
-    for members in keyed:
-        out.append(AbelianSubrack(
-            cls, members, tuple(cls.transporter(t) for t in members)))
-    return out
-
-
-def _symmetry_reduce(cls: UnmixedClass, keyed: list) -> list:
-    # orbit representative = lexicographically least conjugate under the
-    # basepoint centralizer
-    pool = set(keyed)
-    reps = []
-    while pool:
-        first = min(pool)
-        orbit = set()
-        for h in cls.centralizer_elements():
-            orbit.add(tuple(sorted(conjugate(h, t) for t in first)))
-        reps.append(first)
-        pool -= orbit
-    return sorted(reps)
-
-
 class DiagonalSubspace:
     """A braided subspace of diagonal type over an abelian subrack.
 
@@ -288,10 +202,6 @@ class DiagonalSubspace:
     @property
     def size(self) -> int:
         return len(self.vertices)
-
-    def exponent(self, a, b) -> int:
-        """q(a, b) as an exponent of zeta_modulus."""
-        return self.labels[a[0]][b[0]][b[1]]
 
     def q(self, a, b) -> RootOfUnity:
         return self._roots[self.labels[a[0]][b[0]][b[1]]]
@@ -404,32 +314,22 @@ def joint_spectrum(cls: UnmixedClass, character: InducedCharacter,
 
 def _braiding_labels(subrack: AbelianSubrack, character: InducedCharacter) -> tuple:
     """(modulus, labels) with labels[i][j][s] the exponent of the eigenvalue
-    of rho(gamma_ij) on eigenvector s of column j.
+    of rho(gamma_ij) on eigenvector s.
 
-    When the distinct table entries commute pairwise (true for the
-    structured subrack families, whose tables close inside the subrack) one
-    joint spectrum serves every column, so an eigenvector index means the
-    same vector in each column.  Otherwise each column, whose entries are
-    conjugates of commuting elements by one transporter, gets its own."""
-    cls = subrack.cls
-    size = subrack.size
+    The distinct table entries must commute pairwise (true for the
+    structured subrack families, whose tables close inside the subrack):
+    then one joint spectrum serves every column, so an eigenvector index
+    means the same vector in each column.  A subrack rebuilt from outside
+    data whose table does not commute raises ValueError."""
     table = subrack.gamma_table()
     modulus = lcm(*(p.order() for row in table for p in row))
     distinct = list(dict.fromkeys(p for row in table for p in row))
-    if all(a.commutes_with(b) for a, b in itertools.combinations(distinct, 2)):
-        spectrum = joint_spectrum(cls, character, distinct, modulus)
-        column = {p: tuple(eig[t] for eig in spectrum)
-                  for t, p in enumerate(distinct)}
-        labels = tuple(tuple(column[p] for p in row) for row in table)
-        return modulus, labels
-    columns = []
-    for j in range(size):
-        entries = list(dict.fromkeys(table[i][j] for i in range(size)))
-        spectrum = joint_spectrum(cls, character, entries, modulus)
-        columns.append({p: tuple(eig[t] for eig in spectrum)
-                        for t, p in enumerate(entries)})
-    labels = tuple(tuple(columns[j][table[i][j]] for j in range(size))
-                   for i in range(size))
+    if not all(a.commutes_with(b) for a, b in itertools.combinations(distinct, 2)):
+        raise ValueError("conjugation table entries do not commute")
+    spectrum = joint_spectrum(subrack.cls, character, distinct, modulus)
+    column = {p: tuple(eig[t] for eig in spectrum)
+              for t, p in enumerate(distinct)}
+    labels = tuple(tuple(column[p] for p in row) for row in table)
     return modulus, labels
 
 

@@ -1,8 +1,9 @@
 """Command-line front end: classify one representation, sweep a table of
 all centralizer irreps, or print a braiding diagram in DOT form.
 
-Exit codes: 0 for a decided outcome, 2 for Undecided, 64 for usage errors,
-70 for internal invariant violations (including table/oracle disagreement).
+Exit codes: 0 for a decided outcome, 64 for usage errors, 70 for internal
+invariant violations: table/oracle disagreement, or a representation that
+no rule decides.
 Timing goes to stderr so stdout stays byte-identical between runs.
 """
 
@@ -17,16 +18,16 @@ from typing import NamedTuple, Optional
 
 from .braidspace import canonical_subrack, diagonal_subspace, dynkin_diagram, \
     powers_subrack, quadruple_subrack, rotation_subrack, triple_subrack
-from .config import EngineConfig, from_env, positive_cap
 from .permgroup import UnmixedClass
 from .reps import enumerate_irreps, parse_rep_spec, pi_scalar
-from .verdict import UNDECIDED, candidate_subracks, closed_form_verdict, decide
+from .verdict import candidate_subracks, closed_form_verdict, decide
 
 JSON_SCHEMA = "nichols.report/1"
 DOT_SCHEMA = "nichols.diagram/1"
+# printed where a verdict has no diagram and no subrack provides one
+EMPTY_DOT = "graph diagram {\n}"
 
 EXIT_DECIDED = 0
-EXIT_UNDECIDED = 2
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
 
@@ -54,9 +55,6 @@ class RunConfig(NamedTuple):
     fmt: str = "text"
     subrack: Optional[str] = None
     jobs: int = 1
-    max_class_size: Optional[int] = None
-    max_subracks: Optional[int] = None
-    symmetry_reduction: bool = True
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,12 +74,6 @@ def build_parser() -> _Parser:
         if rep_required:
             p.add_argument("--rep", required=True,
                            help='representation spec, e.g. "chi=(1,1,1);mu=standard"')
-        p.add_argument("--max-class-size", type=int, default=None,
-                       help="cap for exhaustive subrack enumeration")
-        p.add_argument("--max-subracks", type=int, default=None,
-                       help="cap on enumerated maximal subracks")
-        p.add_argument("--no-symmetry-reduction", action="store_true",
-                       help="disable centralizer-orbit deduplication")
 
     p = sub.add_parser("classify", help="classify a single representation")
     common(p, rep_required=True)
@@ -107,28 +99,7 @@ def run_config(args: argparse.Namespace) -> RunConfig:
         rep=getattr(args, "rep", None),
         fmt=getattr(args, "format", "text"),
         subrack=getattr(args, "subrack", None),
-        jobs=getattr(args, "jobs", 1),
-        max_class_size=args.max_class_size,
-        max_subracks=args.max_subracks,
-        symmetry_reduction=not args.no_symmetry_reduction)
-
-
-def engine_config(cfg: RunConfig) -> EngineConfig:
-    try:
-        out = from_env(EngineConfig())
-        if cfg.max_class_size is not None:
-            out = out._replace(max_class_size=positive_cap(
-                "--max-class-size", cfg.max_class_size))
-        if cfg.max_subracks is not None:
-            out = out._replace(max_subracks=positive_cap(
-                "--max-subracks", cfg.max_subracks))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    if not cfg.symmetry_reduction:
-        out = out._replace(symmetry_reduction=False)
-    if cfg.jobs < 1:
-        raise UsageError("--jobs must be at least 1")
-    return out._replace(jobs=cfg.jobs)
+        jobs=getattr(args, "jobs", 1))
 
 
 def _check_class(cfg: RunConfig):
@@ -186,25 +157,24 @@ def _text_lines(report: dict) -> list:
 def cmd_classify(cfg: RunConfig) -> int:
     _check_class(cfg)
     spec = _parse_spec(cfg)
-    config = engine_config(cfg)
-    verdict = decide(cfg.k, cfg.n, spec, config)
+    verdict = decide(cfg.k, cfg.n, spec)
     report = classify_report(cfg, spec, verdict)
     if cfg.fmt == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
     elif cfg.fmt == "dot":
-        dot = verdict.witness.get("diagram_dot", "graph diagram {\n}")
+        dot = verdict.witness.get("diagram_dot", EMPTY_DOT)
         print("// %s" % DOT_SCHEMA)
         print(dot)
     else:
         print("\n".join(_text_lines(report)))
-    return EXIT_UNDECIDED if verdict.outcome == UNDECIDED else EXIT_DECIDED
+    return EXIT_DECIDED
 
 
 # table
 
-def _table_row(k: int, n: int, label: str, config: EngineConfig) -> dict:
+def _table_row(k: int, n: int, label: str) -> dict:
     spec = parse_rep_spec(k, n, label)
-    verdict = decide(k, n, spec, config)
+    verdict = decide(k, n, spec)
     oracle = closed_form_verdict(k, n, spec)
     agree = "yes" if verdict.outcome == oracle.outcome else "no"
     return {
@@ -221,8 +191,7 @@ def _table_row(k: int, n: int, label: str, config: EngineConfig) -> dict:
 
 
 def _table_worker(task: tuple) -> dict:
-    k, n, label, config = task
-    return _table_row(k, n, label, EngineConfig(*config))
+    return _table_row(*task)
 
 
 def _format_table(rows: list) -> list:
@@ -238,11 +207,12 @@ def _format_table(rows: list) -> list:
 
 def cmd_table(cfg: RunConfig) -> int:
     _check_class(cfg)
-    config = engine_config(cfg)
+    if cfg.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
     labels = [spec.label() for spec in enumerate_irreps(cfg.k, cfg.n)]
-    tasks = [(cfg.k, cfg.n, label, tuple(config)) for label in labels]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    tasks = [(cfg.k, cfg.n, label) for label in labels]
+    if cfg.jobs > 1:
+        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             rows = list(pool.map(_table_worker, tasks))
     else:
         rows = [_table_worker(task) for task in tasks]
@@ -288,21 +258,19 @@ def _build_subrack(cls: UnmixedClass, selector: str):
 def cmd_diagram(cfg: RunConfig) -> int:
     _check_class(cfg)
     spec = _parse_spec(cfg)
-    config = engine_config(cfg)
+    cls = UnmixedClass(cfg.k, cfg.n)
+
+    def draw(subrack) -> str:
+        return dynkin_diagram(diagonal_subspace(subrack, spec.character())).to_dot()
+
     if cfg.subrack is not None:
-        cls = UnmixedClass(cfg.k, cfg.n)
-        subrack = _build_subrack(cls, cfg.subrack)
-        dot = dynkin_diagram(diagonal_subspace(subrack, spec.character())).to_dot()
+        dot = draw(_build_subrack(cls, cfg.subrack))
     else:
-        verdict = decide(cfg.k, cfg.n, spec, config)
-        if verdict.outcome == UNDECIDED:
-            print("undecided: %s" % verdict.rule, file=sys.stderr)
-            return EXIT_UNDECIDED
-        dot = verdict.witness.get("diagram_dot")
+        dot = decide(cfg.k, cfg.n, spec).witness.get("diagram_dot")
         if dot is None:
-            cls = UnmixedClass(cfg.k, cfg.n)
-            subrack = next(iter(candidate_subracks(cls)))
-            dot = dynkin_diagram(diagonal_subspace(subrack, spec.character())).to_dot()
+            # no witness diagram: show the first candidate subrack, if any
+            subrack = next(candidate_subracks(cls), None)
+            dot = EMPTY_DOT if subrack is None else draw(subrack)
     print("// %s" % DOT_SCHEMA)
     print(dot)
     return EXIT_DECIDED

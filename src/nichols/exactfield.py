@@ -447,30 +447,6 @@ def rational(p, q: int = 1) -> Cyclotomic:
     return Cyclotomic(1, (Fraction(p, q),))
 
 
-def add(x: Cyclotomic, y: Cyclotomic) -> Cyclotomic:
-    return x + y
-
-
-def mul(x: Cyclotomic, y: Cyclotomic) -> Cyclotomic:
-    return x * y
-
-
-def neg(x: Cyclotomic) -> Cyclotomic:
-    return -x
-
-
-def inv(x: Cyclotomic) -> Cyclotomic:
-    return x.inverse()
-
-
-def as_root_of_unity(x: Cyclotomic):
-    return x.as_root_of_unity()
-
-
-def order(x: RootOfUnity) -> int:
-    return x.order()
-
-
 ZERO = rational(0)
 ONE = rational(1)
 MINUS_ONE = rational(-1)

@@ -218,18 +218,9 @@ class CycleType:
         return "CycleType(%s)" % self.symbol()
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """(p o q)(x) = p(q(x))."""
-    return p * q
-
-
 def conjugate(g: Permutation, h: Permutation) -> Permutation:
     """g acting on h by conjugation: g h g^{-1}."""
     return h.conjugated_by(g)
-
-
-def cycle_type(p: Permutation) -> CycleType:
-    return p.cycle_type()
 
 
 def conjugacy_class_iter(t: CycleType, n: int) -> Iterator[Permutation]:
@@ -580,19 +571,3 @@ class UnmixedClass:
 
     def __repr__(self) -> str:
         return "UnmixedClass(k=%d, n=%d)" % (self.k, self.n)
-
-
-def centralizer_generators(c: UnmixedClass) -> list:
-    return c.centralizer_generators()
-
-
-def normal_form(g: Permutation, c: UnmixedClass) -> NormalForm:
-    return c.normal_form(g)
-
-
-def transporter(t: Permutation, c: UnmixedClass) -> Permutation:
-    return c.transporter(t)
-
-
-def canonical_involutions(c: UnmixedClass, i: int, j: int) -> tuple:
-    return c.canonical_involutions(i, j)

@@ -3,17 +3,17 @@
 The pipeline: a scalar gate on the basepoint value, diagonal subspaces over
 structured abelian subracks, Cartan and finite-type analysis of their
 generalized Dynkin diagrams, a labeled 4-cycle rule, a negativity check over
-the centralizer classes of commuting partners, and capped enumeration of
-maximal subracks as a fallback.  A closed-form verdict over the same inputs
-serves as an independent cross-check oracle.
+the centralizer classes of commuting partners.  A closed-form verdict over
+the same inputs serves as an independent cross-check oracle.
 
 Everything runs on the character of the representation: braidings are
 roots of unity with integer exponents, and "acts by a scalar" is read off
 the character value.
 
-Outcomes: "InfiniteDim" always carries a machine-checkable witness,
-"NegativeBraiding" carries the verified pair inventory, and "Undecided" is
-an honest abstention (no rule fired).
+Outcomes: "InfiniteDim" always carries a machine-checkable witness, and
+"NegativeBraiding" carries the verified pair inventory.  For an unmixed
+class every braiding is one or the other, so an input that no rule decides
+is a defect of the engine and raises.
 """
 
 from __future__ import annotations
@@ -24,19 +24,16 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Union
 
-from .braidspace import (AbelianSubrack, DiagonalSubspace, EnumerationCapError,
-                         GeneralizedDynkinDiagram, canonical_subrack,
-                         diagonal_subspace, dynkin_diagram,
-                         maximal_abelian_subracks, powers_subrack,
-                         quadruple_subrack, rotation_subrack, triple_subrack)
-from .config import EngineConfig
+from .braidspace import (AbelianSubrack, DiagonalSubspace,
+                         GeneralizedDynkinDiagram, diagonal_subspace,
+                         dynkin_diagram, powers_subrack, quadruple_subrack,
+                         rotation_subrack, triple_subrack)
 from .exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
 from .permgroup import Permutation, UnmixedClass, conjugate
 from .reps import InducedCharacter, RepSpec, parse_rep_spec, pi_scalar
 
 INFINITE = "InfiniteDim"
 NEGATIVE = "NegativeBraiding"
-UNDECIDED = "Undecided"
 
 
 class Verdict(NamedTuple):
@@ -347,8 +344,6 @@ def candidate_subracks(cls: UnmixedClass):
         span = cls.n // 2
         for l in range(span, 0, -1):
             yield triple_subrack(cls, l)
-        if span > 1:
-            yield canonical_subrack(cls)
         return
     if cls.k % 2 == 0:
         yield rotation_subrack(cls)
@@ -411,14 +406,10 @@ def _witness(space: DiagonalSubspace, firing: tuple, rule: str,
     return Verdict(INFINITE, rule, witness)
 
 
-def _subspace_rules(cls: UnmixedClass, subrack: AbelianSubrack,
+def _subspace_rules(subrack: AbelianSubrack,
                     character: InducedCharacter) -> Optional[Verdict]:
     space = diagonal_subspace(subrack, character)
     diagram = dynkin_diagram(space)
-    for idx, v in enumerate(space.vertices):
-        if not space.exponent(v, v):
-            return _witness(space, (idx,), "fixed-vector",
-                            {"vertex": list(v)})
     cartan_hits = []
     cycle_hits = []
     for comp in diagram.components():
@@ -506,11 +497,12 @@ def _resolve_spec(k: int, n: int, rho_spec) -> RepSpec:
     return parse_rep_spec(k, n, rho_spec)
 
 
-def decide(k: int, n: int, rho_spec,
-           config: EngineConfig = EngineConfig()) -> Verdict:
+def decide(k: int, n: int, rho_spec) -> Verdict:
     """Classify the braiding of the (k^n) class with the given centralizer
-    representation: InfiniteDim with a machine-checkable witness,
-    NegativeBraiding with the verified pair inventory, or Undecided."""
+    representation: InfiniteDim with a machine-checkable witness, or
+    NegativeBraiding with the verified pair inventory.  Raises RuntimeError
+    when no rule decides, which the dichotomy for unmixed classes rules
+    out."""
     cls = UnmixedClass(k, n)
     spec = _resolve_spec(k, n, rho_spec)
     gate = scalar_gate(pi_scalar(spec), k)
@@ -518,7 +510,7 @@ def decide(k: int, n: int, rho_spec,
         return gate
     character = spec.character()
     for subrack in candidate_subracks(cls):
-        verdict = _subspace_rules(cls, subrack, character)
+        verdict = _subspace_rules(subrack, character)
         if verdict is not None:
             return verdict
     report = negativity_check(cls, character)
@@ -528,21 +520,8 @@ def decide(k: int, n: int, rho_spec,
                         "symmetry_reduced": True,
                         "partners": list(report.partners),
                         "partner_count": report.partner_count})
-    flags = []
-    extra = []
-    try:
-        extra = maximal_abelian_subracks(cls, config)
-    except EnumerationCapError as exc:
-        flags.append("enumeration-capped: %s" % exc)
-    for subrack in extra:
-        if subrack.size < 2:
-            continue
-        verdict = _subspace_rules(cls, subrack, character)
-        if verdict is not None:
-            return verdict._replace(flags=tuple(flags))
-    witness = {"negativity_failure": report.failure,
-               "pairs_checked": report.pairs_checked}
-    return Verdict(UNDECIDED, "exhausted", witness, tuple(flags))
+    raise RuntimeError("no rule decides %s at (%d,%d); negativity failed: %s"
+                       % (spec.label(), k, n, report.failure))
 
 
 def closed_form_verdict(k: int, n: int, rho_spec) -> Verdict:
@@ -585,8 +564,6 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
                 for a in restricted.vertices]
     if q_matrix != w["q_matrix"]:
         return False
-    if verdict.rule == "fixed-vector":
-        return any(not restricted.exponent(v, v) for v in restricted.vertices)
     if verdict.rule == "cartan-infinite":
         firing = [restricted.vertices[x] for x in w["firing"]]
         sub = restricted.restrict(firing)

@@ -1,8 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written from first principles with different
-algorithms than the package modules: cliques come from networkx, finite-type
-detection from an explicit rank-limited catalog plus graph isomorphism,
+algorithms than the package modules: finite-type detection comes from an
+explicit rank-limited catalog plus networkx graph isomorphism,
 representations are explicit matrices (a symmetric-group matrix catalog
 induced up to the centralizer) diagonalized by exact linear algebra where
 the package uses characters only, and negativity is checked by walking
@@ -350,33 +350,19 @@ def dense_columns(subrack, rho) -> tuple:
     """Per column j of the conjugation table, (basis, table) with
     table[i][s] the eigenvalue of rho(gamma_ij) on basis vector s.
 
-    When the distinct table entries commute pairwise one shared eigenbasis
-    of all of them serves every column; otherwise each column is
-    diagonalized on its own."""
+    The distinct table entries must commute pairwise: one shared eigenbasis
+    of all of them serves every column."""
     cls = subrack.cls
     size = subrack.size
     perms = [[subrack.gamma(i, j) for j in range(size)] for i in range(size)]
-    distinct = []
-    for row in perms:
-        for p in row:
-            if p not in distinct:
-                distinct.append(p)
-    shared = all(a.commutes_with(b) for a, b in itertools.combinations(distinct, 2))
-    if shared:
-        family = [rho.evaluate(cls.normal_form(p)) for p in distinct]
-        basis, table = simultaneous_diagonalize(family, [p.order() for p in distinct])
-        basis = tuple(basis)
-        index = {p: d for d, p in enumerate(distinct)}
-        return tuple(
-            (basis, tuple(tuple(table[index[perms[i][j]]]) for i in range(size)))
-            for j in range(size))
-    columns = []
-    for j in range(size):
-        family = [rho.evaluate(cls.normal_form(perms[i][j])) for i in range(size)]
-        basis, table = simultaneous_diagonalize(
-            family, [perms[i][j].order() for i in range(size)])
-        columns.append((tuple(basis), tuple(tuple(row) for row in table)))
-    return tuple(columns)
+    distinct = list(dict.fromkeys(p for row in perms for p in row))
+    family = [rho.evaluate(cls.normal_form(p)) for p in distinct]
+    basis, table = simultaneous_diagonalize(family, [p.order() for p in distinct])
+    basis = tuple(basis)
+    index = {p: d for d, p in enumerate(distinct)}
+    return tuple(
+        (basis, tuple(tuple(table[index[perms[i][j]]]) for i in range(size)))
+        for j in range(size))
 
 
 
@@ -536,23 +522,6 @@ def _gcd(x: int, y: int) -> int:
     while y:
         x, y = y, x % y
     return x
-
-
-# maximal commuting subsets by an external clique engine
-
-def maximal_commuting_sets(elements: list, through=None) -> set:
-    g = nx.Graph()
-    g.add_nodes_from(range(len(elements)))
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            if elements[i].commutes_with(elements[j]):
-                g.add_edge(i, j)
-    out = set()
-    for clique in nx.find_cliques(g):
-        members = tuple(sorted(elements[v] for v in clique))
-        if through is None or through in members:
-            out.add(members)
-    return out
 
 
 # frozen braiding matrices for the weight-one involution classes: the

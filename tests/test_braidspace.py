@@ -4,21 +4,19 @@ import time
 
 import pytest
 
-from nichols.braidspace import (AbelianSubrack, EnumerationCapError,
-                                GeneralizedDynkinDiagram, canonical_subrack,
-                                commuting_graph, diagonal_subspace,
-                                dynkin_diagram, maximal_abelian_subracks,
-                                powers_subrack, quadruple_subrack,
-                                rotation_subrack, triple_subrack)
-from nichols.config import EngineConfig
+from nichols.braidspace import (AbelianSubrack, GeneralizedDynkinDiagram,
+                                canonical_subrack, diagonal_subspace,
+                                dynkin_diagram, powers_subrack,
+                                quadruple_subrack, rotation_subrack,
+                                triple_subrack)
 from nichols.exactfield import MINUS_ONE, ONE, RootOfUnity
 from nichols.permgroup import Permutation, UnmixedClass, conjugate
 from nichols.reps import enumerate_irreps, parse_rep_spec
 from nichols.verdict import candidate_subracks
 
 from oracles import (REFERENCE_Q_ROTATION_EDGELESS, REFERENCE_Q_SIX_CYCLE,
-                     cataloged, dense_columns, maximal_commuting_sets,
-                     q_matches_up_to_permutation, resolve)
+                     cataloged, dense_columns, q_matches_up_to_permutation,
+                     resolve)
 
 
 def _q_strings(space):
@@ -133,21 +131,16 @@ def test_diagonal_subspace_vertices_are_genuine_eigenvectors():
 
 def test_character_path_table_matches_dense_oracle():
     # same eigenvalues in the same order as simultaneous diagonalization of
-    # the oracle's matrices, on every candidate subrack of every cataloged rep
-    # the enumerated (4,2) subracks include one whose table entries do not
-    # commute, diagonalized column by column on both sides
+    # the oracle's matrices, on every candidate subrack of every cataloged
+    # rep, plus the full canonical subrack that `diagram` can draw
     started = time.monotonic()
     compared = 0
     for k, n in ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (4, 1), (4, 2),
                  (4, 3), (6, 2), (8, 2)):
         cls = UnmixedClass(k, n)
         subracks = list(candidate_subracks(cls))
-        if (k, n) == (4, 2):
-            subracks += maximal_abelian_subracks(
-                cls, EngineConfig(symmetry_reduction=False))
-            assert any(not a.commutes_with(b) for sub in subracks
-                       for a, b in itertools.combinations(
-                           set(itertools.chain(*sub.gamma_table())), 2))
+        if k == 2 and n >= 4:
+            subracks.append(canonical_subrack(cls))
         for spec in enumerate_irreps(k, n):
             if not cataloged(spec):
                 continue
@@ -232,44 +225,22 @@ def test_dynkin_diagram_dot_shape():
     assert dot.count("--") == 6
 
 
-def test_commuting_graph_is_symmetric_without_loops():
-    cls = UnmixedClass(2, 3)
-    elements, adj = commuting_graph(cls)
-    assert len(elements) == cls.class_size()
-    for v, nbrs in enumerate(adj):
-        assert v not in nbrs
-        for w in nbrs:
-            assert v in adj[w]
-            assert elements[v].commutes_with(elements[w])
-
-
-def test_maximal_subracks_match_external_clique_engine():
-    # reduced output expanded over the centralizer reproduces exactly the
-    # inventory found by networkx on the commuting graph
-    for k, n in ((2, 2), (2, 3)):
-        cls = UnmixedClass(k, n)
-        brute = maximal_commuting_sets(list(cls.elements()),
-                                       through=cls.basepoint)
-        unreduced = maximal_abelian_subracks(
-            cls, EngineConfig(symmetry_reduction=False))
-        assert {tuple(sub.elements) for sub in unreduced} == brute
-        reduced = maximal_abelian_subracks(cls, EngineConfig())
-        expanded = set()
-        for sub in reduced:
-            for h in cls.centralizer_elements():
-                image = tuple(sorted(conjugate(h, t) for t in sub.elements))
-                if cls.basepoint in image:
-                    expanded.add(image)
-        assert expanded == brute
-        assert len(reduced) <= len(brute)
-
-
-def test_enumeration_caps_raise():
-    cls = UnmixedClass(2, 3)
-    with pytest.raises(EnumerationCapError):
-        maximal_abelian_subracks(cls, EngineConfig(max_class_size=3))
-    with pytest.raises(EnumerationCapError):
-        maximal_abelian_subracks(cls, EngineConfig(max_subracks=1))
+def test_non_commuting_table_is_rejected():
+    # a maximal abelian subrack of the (4,2) class whose table entries do
+    # not commute, as a witness could supply it: no joint spectrum exists
+    cls = UnmixedClass(4, 2)
+    elements = ((2, 3, 4, 1, 6, 7, 8, 5), (4, 1, 2, 3, 8, 5, 6, 7),
+                (6, 7, 8, 5, 2, 3, 4, 1), (8, 5, 6, 7, 4, 1, 2, 3))
+    transporters = ((1, 2, 3, 4, 5, 6, 7, 8), (1, 4, 3, 2, 5, 8, 7, 6),
+                    (1, 6, 3, 8, 2, 7, 4, 5), (1, 8, 3, 6, 2, 5, 4, 7))
+    sub = AbelianSubrack(cls, map(Permutation, elements),
+                         map(Permutation, transporters))
+    distinct = set(itertools.chain(*sub.gamma_table()))
+    assert any(not a.commutes_with(b)
+               for a, b in itertools.combinations(distinct, 2))
+    chi = parse_rep_spec(4, 2, "chi=(1,1);mu=trivial").character()
+    with pytest.raises(ValueError, match="do not commute"):
+        diagonal_subspace(sub, chi)
 
 
 def test_dynkin_adjacency_map_matches_edge_scan():

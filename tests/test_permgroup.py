@@ -5,7 +5,7 @@ import random
 import pytest
 
 from nichols.permgroup import (CycleType, Permutation, UnmixedClass, conjugate,
-                               conjugacy_class, cycle_type)
+                               conjugacy_class)
 
 
 def test_permutation_composition_and_inverse():

@@ -4,15 +4,14 @@ import time
 import pytest
 
 from nichols.braidspace import diagonal_subspace, dynkin_diagram, rotation_subrack
-from nichols.config import EngineConfig
 from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
 from nichols.permgroup import UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
 from nichols.verdict import (CartanData, INFINITE, NEGATIVE, NotCartan,
-                             UNDECIDED, Verdict, cartan_type,
-                             closed_form_verdict, cycle_rule, decide,
-                             diagram_label, finite_type, negativity_check,
-                             scalar_gate, symmetrizable, verify_witness)
+                             cartan_type, closed_form_verdict, cycle_rule,
+                             decide, diagram_label, finite_type,
+                             negativity_check, scalar_gate, symmetrizable,
+                             verify_witness)
 
 from oracles import (REFERENCE_Q_SIX_CYCLE, cataloged, finite_catalog,
                      finite_type_lookup, negativity_full, negativity_walk,
@@ -281,13 +280,12 @@ def test_wider_grids_match_closed_form_and_witnesses_verify():
 
 
 def test_undecided_reports_exhaustion(monkeypatch):
+    # every braiding of an unmixed class is infinite or negative, so falling
+    # through every rule is an engine defect: starved of candidate subracks,
+    # a non-negative rep past the scalar gate raises instead of abstaining
     import nichols.verdict as v
 
     monkeypatch.setattr(v, "closed_form_verdict", None, raising=True)
-    # starve the engine of candidate subracks and catalog enumeration
     monkeypatch.setattr(v, "candidate_subracks", lambda cls: iter(()))
-    config = EngineConfig(max_class_size=1)
-    verdict = v.decide(2, 3, "chi=(1,1,1);mu=standard", config)
-    assert verdict.outcome == UNDECIDED
-    assert verdict.rule == "exhausted"
-    assert any(f.startswith("enumeration-capped") for f in verdict.flags)
+    with pytest.raises(RuntimeError, match="no rule decides"):
+        v.decide(2, 3, "chi=(1,1,1);mu=standard")
