@@ -9,11 +9,13 @@ linear characters psi of H, each with multiplicity <chi_rho|_H, psi>.
 That gives a braided subspace of diagonal type: one vertex per column j and
 eigenvector, with braiding q((i, r), (j, psi)) = psi(gamma_ij)
 (Andruskiewitsch-Grana, From racks to pointed Hopf algebras, 2003).  Only
-the character of rho is needed, and the braiding labels are roots of unity
-held as integer exponents.
+the character of rho is needed: the multiplicities are integers read off
+integer traces (nichols.exactfield.rational_value), and the braiding labels
+are roots of unity held as integer exponents.  No field element is built.
 
 Construction families: the canonical involution subrack (k = 2), the swap and
-rotation quadruples (k even, n >= 2) and the power subrack (n = 1).
+rotation quadruples (k even, n >= 2) and the power subrack (n = 1; drawn by
+`diagram --subrack powers`, never tried by the decision).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import itertools
 from math import gcd, lcm
 
-from .exactfield import Cyclotomic, RootOfUnity
+from .exactfield import RootOfUnity, rational_value
 from .permgroup import Permutation, UnmixedClass, conjugate
 from .reps import InducedCharacter
 
@@ -218,11 +220,6 @@ class DiagonalSubspace:
                 raise ValueError("vertex %r is not in the subspace" % (v,))
         return DiagonalSubspace(self.subrack, self.modulus, self.labels, vertices)
 
-    def restrict_vectors(self, indices) -> "DiagonalSubspace":
-        """Keep only the listed eigenvector indices, uniformly in every column."""
-        indices = tuple(indices)
-        return self.restrict((j, s) for j in range(self.subrack.size) for s in indices)
-
     def vertex_names(self) -> tuple:
         return tuple("t%d.v%d" % (j, s) for j, s in self.vertices)
 
@@ -237,7 +234,7 @@ def joint_spectrum(cls: UnmixedClass, character: InducedCharacter,
     One tuple per eigenvector, its entries the exponents e with
     rho(generators[t]) acting by zeta_modulus^e_t; tuples in lexicographic
     order, each repeated by its multiplicity.  modulus must be a multiple
-    of every generator's order.
+    of k and of every generator's order.
 
     H = <generators> is built layer by layer: a generator not yet in H
     joins with its relative order r, so every element is a unique word
@@ -246,8 +243,11 @@ def joint_spectrum(cls: UnmixedClass, character: InducedCharacter,
     r_i x_i = (exponent of psi at g_i^r_i, a word in earlier layers).  Each
     layer multiplies the characters by r_i, so exactly |H| of them are
     listed.  The multiplicity of psi is (1/|H|) sum_h chi(h) psi(h)^-1,
-    summed as integer coefficients over Z/modulus and reduced once.
+    summed as integer coefficients over Z/modulus; the sum is checked to be
+    rational, and read off, by integer traces (rational_value).
     """
+    if modulus % cls.k:
+        raise ValueError("modulus must be a multiple of k")
     identity = Permutation.identity(cls.degree)
     elements = [identity]
     words = {identity: ()}
@@ -298,10 +298,10 @@ def joint_spectrum(cls: UnmixedClass, character: InducedCharacter,
         for phase, hterms in zip(phases, terms):
             for a, c in hterms:
                 acc[(a - phase) % modulus] += c
-        total = Cyclotomic(modulus, acc)
-        if not total.is_rational() or total.as_rational() % order:
+        total = rational_value(modulus, acc)
+        if total is None or total % order:
             raise ArithmeticError("character inner product is not an integer")
-        mult = int(total.as_rational()) // order
+        mult = int(total) // order
         if mult:
             exps = tuple(sum(w * xi for w, xi in zip(words[g], x)) % modulus
                          for g in generators)
@@ -389,9 +389,6 @@ class GeneralizedDynkinDiagram:
                         stack.append(w)
             out.append(tuple(sorted(comp)))
         return tuple(out)
-
-    def degree_sequence(self) -> tuple:
-        return tuple(sorted(len(nbrs) for nbrs in self._neighbors))
 
     def to_dot(self) -> str:
         lines = ["graph diagram {"]

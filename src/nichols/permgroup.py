@@ -55,32 +55,6 @@ class Permutation:
                 img[x - 1] = cycle[(i + 1) % len(cycle)]
         return Permutation(img)
 
-    @staticmethod
-    def from_text(n: int, text: str) -> "Permutation":
-        """Parse cycle notation like "(1 2)(3 4)"; digit shorthand "(12)" only for n <= 9."""
-        text = text.strip()
-        if text in ("", "()", "id"):
-            return Permutation.identity(n)
-        if text.count("(") != text.count(")") or not text.startswith("("):
-            raise ValueError("malformed cycle notation: %r" % text)
-        cycles = []
-        for chunk in text.replace(")", ")\n").split("\n"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if not (chunk.startswith("(") and chunk.endswith(")")):
-                raise ValueError("malformed cycle notation: %r" % text)
-            body = chunk[1:-1].replace(",", " ")
-            if " " in body.strip() or body.strip() == "":
-                points = [int(tok) for tok in body.split()]
-            elif n <= 9:
-                points = [int(ch) for ch in body.strip()]
-            else:
-                raise ValueError("ambiguous digit run %r for n > 9" % chunk)
-            if points:
-                cycles.append(points)
-        return Permutation.from_cycles(n, cycles)
-
     def __call__(self, x: int) -> int:
         return self.img[x - 1]
 
@@ -257,10 +231,6 @@ def conjugacy_class_iter(t: CycleType, n: int) -> Iterator[Permutation]:
         yield Permutation.from_cycles(n, cycles)
 
 
-def conjugacy_class(t: CycleType, n: int) -> list:
-    return list(conjugacy_class_iter(t, n))
-
-
 class NormalForm(NamedTuple):
     """Centralizer element as twist exponents d and block permutation b."""
 
@@ -347,10 +317,6 @@ class UnmixedClass:
     def block_swap(self, i: int, j: int) -> Permutation:
         return self.block_perm(Permutation.from_cycles(self.n, [(i, j)]))
 
-    def centralizer_generators(self) -> list:
-        return [self.A(j) for j in range(1, self.n + 1)] + \
-               [self.B(i) for i in range(1, self.n)]
-
     def twist(self, d) -> Permutation:
         d = tuple(d)
         if len(d) != self.n:
@@ -391,20 +357,6 @@ class UnmixedClass:
         if self.assemble(nf) != g:
             raise ValueError("element does not centralize the basepoint")
         return nf
-
-    def in_centralizer(self, g: Permutation) -> bool:
-        try:
-            self.normal_form(g)
-            return True
-        except ValueError:
-            return False
-
-    def centralizer_elements(self) -> Iterator[Permutation]:
-        """All k^n * n! centralizer elements, identity first, deterministic order."""
-        for b_img in itertools.permutations(range(1, self.n + 1)):
-            b = Permutation(b_img)
-            for d in itertools.product(range(self.k), repeat=self.n):
-                yield self.assemble(NormalForm(d, b))
 
     def partner_classes(self) -> list:
         """One PartnerClass per centralizer conjugacy class of partners, the

@@ -10,17 +10,19 @@ InducedCharacter computes from the spec alone: the induced-character
 formula over the orbit of u, with the symmetric-group factors given by the
 Murnaghan-Nakayama rule.  That works for every partition, so every irrep
 of every class is available; no representation matrix is ever built.
+Character values are integer coefficient vectors over Z/k, and whether an
+element acts by a scalar is decided from them by integer traces
+(nichols.exactfield.rational_value).
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import NamedTuple, Optional
 
-from .exactfield import Cyclotomic, RootOfUnity
+from .exactfield import RootOfUnity, rational_value
 from .permgroup import NormalForm
 
 
@@ -260,15 +262,23 @@ class InducedCharacter:
         assign(0, 0)
         return tuple(out)
 
-    def value(self, nf: NormalForm) -> Cyclotomic:
-        return Cyclotomic(self.k, self.coefficients(nf))
-
     def scalar(self, nf: NormalForm) -> Optional[RootOfUnity]:
         """The root of unity by which (d, b) acts when it acts by a scalar,
         else None: a sum of degree roots of unity has absolute value degree
         exactly when they are all equal, so rho(g) is scalar exactly when
-        chi(g)/degree is a root of unity."""
-        return (self.value(nf) * Fraction(1, self.degree)).as_root_of_unity()
+        chi(g) = degree * zeta for a root of unity zeta.  The roots of unity
+        of Q(zeta_k) are the +-zeta_k^a, all of them powers of zeta_2k, so
+        each zeta_2k^b is tried: chi(g) zeta_2k^-b must be the rational
+        degree."""
+        coefficients = self.coefficients(nf)
+        m = 2 * self.k
+        for b in range(m):
+            shifted = [0] * m
+            for a, c in enumerate(coefficients):
+                shifted[(2 * a - b) % m] = c
+            if rational_value(m, shifted) == self.degree:
+                return RootOfUnity(m, b)
+        return None
 
     def __repr__(self) -> str:
         return "InducedCharacter(%s)" % self.spec.label()

@@ -26,8 +26,8 @@ from typing import NamedTuple, Optional, Union
 
 from .braidspace import (AbelianSubrack, DiagonalSubspace,
                          GeneralizedDynkinDiagram, diagonal_subspace,
-                         dynkin_diagram, powers_subrack, quadruple_subrack,
-                         rotation_subrack, triple_subrack)
+                         dynkin_diagram, quadruple_subrack, rotation_subrack,
+                         triple_subrack)
 from .exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
 from .permgroup import Permutation, UnmixedClass, conjugate
 from .reps import InducedCharacter, RepSpec, parse_rep_spec, pi_scalar
@@ -337,15 +337,16 @@ def negativity_check(cls: UnmixedClass, character: InducedCharacter) -> Negativi
 
 
 def candidate_subracks(cls: UnmixedClass):
-    if cls.n == 1:
-        yield powers_subrack(cls)
-        return
+    """The subracks the rules are tried on, in order.  There is none for
+    n = 1: a row reaches them only when the basepoint acts by -1, and then
+    every table entry of the power subrack is an odd power of the basepoint,
+    so every label is -1 and its diagram has no edges."""
     if cls.k == 2:
         span = cls.n // 2
         for l in range(span, 0, -1):
             yield triple_subrack(cls, l)
         return
-    if cls.k % 2 == 0:
+    if cls.k % 2 == 0 and cls.n >= 2:
         yield rotation_subrack(cls)
         yield quadruple_subrack(cls, 1, 2)
 

@@ -1,23 +1,19 @@
-"""Dense exact linear algebra over cyclotomic fields.
+"""Dense exact linear algebra over cyclotomic fields, for the test oracles.
 
 Matrices are immutable tuples of rows of Cyclotomic entries.  All
-algorithms are exact; eigenvalues of finite-order operators are found by
-testing every root of unity dividing the operator order.  Tie-breaking is
-deterministic: candidate eigenvalues run in the order zeta^0, zeta^1, ...,
-and every produced vector is scaled so its first nonzero coordinate is 1.
+algorithms are exact.  Every vector a kernel produces is scaled so its
+first nonzero coordinate is 1, so results are deterministic.
 
-The decision engine does not use this module: braidings come from
-characters (nichols.reps, nichols.braidspace).  It serves as a library for
-explicit matrices, and the test oracles build their dense representations
-and simultaneous diagonalization on it.
+The package never builds a matrix: braidings come from characters
+(nichols.reps, nichols.braidspace).  The oracles build their dense
+representations and simultaneous diagonalization on this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
-from .exactfield import Cyclotomic, RootOfUnity, ZERO, ONE, zeta
+from exactfield_oracle import Cyclotomic, ONE, ZERO
 
 
 def as_cyclotomic(x) -> Cyclotomic:
@@ -25,8 +21,6 @@ def as_cyclotomic(x) -> Cyclotomic:
         return x
     if isinstance(x, (int, Fraction)):
         return Cyclotomic(1, (x,))
-    if isinstance(x, RootOfUnity):
-        return x.value()
     raise TypeError("cannot interpret %r as a field element" % (x,))
 
 
@@ -223,40 +217,6 @@ def kernel(m: Matrix) -> list:
             vec[p] = -reduced[row_idx][f]
         basis.append(_normalize(vec))
     return basis
-
-
-class EigenDecomposition(NamedTuple):
-    """Eigenspaces of a finite-order operator; spaces are (eigenvalue, basis) pairs."""
-
-    order: int
-    spaces: tuple
-
-    def eigenvalues(self) -> tuple:
-        return tuple(lam for lam, _ in self.spaces)
-
-    def dimension(self) -> int:
-        return sum(len(basis) for _, basis in self.spaces)
-
-
-def eigenspaces_finite_order(m: Matrix, order: int) -> EigenDecomposition:
-    """Decompose a finite-order operator into eigenspaces of roots of unity."""
-    if m.nrows != m.ncols:
-        raise ValueError("operator must be square")
-    if order < 1:
-        raise ValueError("order must be positive")
-    if m ** order != Matrix.identity(m.nrows):
-        raise ValueError("matrix does not have the claimed finite order")
-    spaces = []
-    total = 0
-    for a in range(order):
-        lam = zeta(order, a)
-        basis = kernel(m - Matrix.identity(m.nrows).scale(lam))
-        if basis:
-            spaces.append((lam, tuple(basis)))
-            total += len(basis)
-    if total != m.nrows:
-        raise ArithmeticError("eigenspaces do not fill the space")
-    return EigenDecomposition(order, tuple(spaces))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

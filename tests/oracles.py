@@ -3,10 +3,13 @@
 Everything here is deliberately written from first principles with different
 algorithms than the package modules: finite-type detection comes from an
 explicit rank-limited catalog plus networkx graph isomorphism,
-representations are explicit matrices (a symmetric-group matrix catalog
-induced up to the centralizer) diagonalized by exact linear algebra where
-the package uses characters only, and negativity is checked by walking
-commuting pairs instead of partner classes.
+representations are explicit matrices over the exact cyclotomic field of
+exactfield_oracle and exactla_oracle (a symmetric-group matrix catalog
+induced up to the centralizer), diagonalized by exact linear algebra where
+the package uses characters and integer traces only, negativity is checked
+by walking commuting pairs instead of partner classes, and the whole
+centralizer is listed element by element where the package works with its
+conjugacy-class labels.
 """
 
 from __future__ import annotations
@@ -17,12 +20,63 @@ from functools import lru_cache
 
 import networkx as nx
 
-from nichols.exactfield import MINUS_ONE, ONE, ZERO, zeta
-from nichols.exactla import Matrix, _normalize, kernel, kron
-from nichols.permgroup import NormalForm, Permutation, conjugate
+from nichols.permgroup import (NormalForm, Permutation, conjugacy_class_iter,
+                               conjugate)
 from nichols.reps import (GammaCharacter, YoungSubgroup, _label_to_partition,
                           orbit_and_stabilizer, partitions_of)
 from nichols.verdict import NegativityReport
+
+from exactfield_oracle import MINUS_ONE, ONE, ZERO, Cyclotomic, zeta
+from exactla_oracle import Matrix, _normalize, kernel, kron
+
+
+# whole groups and classes, listed element by element
+
+def conjugacy_class(t, n: int) -> list:
+    """Every permutation of S_n with cycle type t."""
+    return list(conjugacy_class_iter(t, n))
+
+
+def centralizer_generators(cls) -> list:
+    """The cycle rotations A_1..A_n and the adjacent block swaps B_1..B_{n-1}."""
+    return [cls.A(j) for j in range(1, cls.n + 1)] + \
+           [cls.B(i) for i in range(1, cls.n)]
+
+
+def centralizer_elements(cls):
+    """All k^n * n! centralizer elements, identity first, deterministic order."""
+    for b_img in itertools.permutations(range(1, cls.n + 1)):
+        b = Permutation(b_img)
+        for d in itertools.product(range(cls.k), repeat=cls.n):
+            yield cls.assemble(NormalForm(d, b))
+
+
+def in_centralizer(cls, g: Permutation) -> bool:
+    try:
+        cls.normal_form(g)
+        return True
+    except ValueError:
+        return False
+
+
+def restrict_vectors(space, indices):
+    """Keep only the listed eigenvector indices, uniformly in every column."""
+    indices = tuple(indices)
+    return space.restrict((j, s) for j in range(space.subrack.size) for s in indices)
+
+
+def degree_sequence(diagram) -> tuple:
+    """Sorted vertex degrees, counted from the edge list."""
+    degrees = [0] * diagram.size
+    for a, b, _ in diagram.edges:
+        degrees[a] += 1
+        degrees[b] += 1
+    return tuple(sorted(degrees))
+
+
+def character_value(character, nf: NormalForm) -> Cyclotomic:
+    """chi(d, b) as a field element."""
+    return Cyclotomic(character.k, character.coefficients(nf))
 
 
 # dense representation matrices: a symmetric-group catalog covering every
@@ -623,7 +677,7 @@ def negativity_walk(cls, rho) -> NegativityReport:
         return failed
     pi = cls.basepoint
     want = cls.cycle_type()
-    partners = sorted(h for h in cls.centralizer_elements()
+    partners = sorted(h for h in centralizer_elements(cls)
                       if h != pi and h.cycle_type() == want)
     for checked, t in enumerate(partners, start=1):
         lam = _scalar_of(rho, cls, t)

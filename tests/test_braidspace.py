@@ -1,22 +1,27 @@
 import itertools
 import random
 import time
+from collections import Counter
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nichols.braidspace import (AbelianSubrack, GeneralizedDynkinDiagram,
                                 canonical_subrack, diagonal_subspace,
-                                dynkin_diagram, powers_subrack,
+                                dynkin_diagram, joint_spectrum, powers_subrack,
                                 quadruple_subrack, rotation_subrack,
                                 triple_subrack)
-from nichols.exactfield import MINUS_ONE, ONE, RootOfUnity
+from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
 from nichols.permgroup import Permutation, UnmixedClass, conjugate
 from nichols.reps import enumerate_irreps, parse_rep_spec
 from nichols.verdict import candidate_subracks
 
+from exactfield_oracle import ZERO, rational, root_value, zeta
 from oracles import (REFERENCE_Q_ROTATION_EDGELESS, REFERENCE_Q_SIX_CYCLE,
-                     cataloged, dense_columns, q_matches_up_to_permutation,
-                     resolve)
+                     cataloged, centralizer_elements, character_value,
+                     degree_sequence, dense_columns, in_centralizer,
+                     q_matches_up_to_permutation, resolve, restrict_vectors)
 
 
 def _q_strings(space):
@@ -53,7 +58,7 @@ def test_subrack_gamma_diagonal_is_basepoint():
         for j in range(sub.size):
             g = sub.gamma(i, j)
             assert g.cycle_type() == cls.cycle_type()
-            assert cls.in_centralizer(g)
+            assert in_centralizer(cls, g)
 
 
 def test_canonical_subrack_matches_reference_element_list():
@@ -125,14 +130,15 @@ def test_diagonal_subspace_vertices_are_genuine_eigenvectors():
             vec = basis[s]
             for i in range(sub.size):
                 image = rho.evaluate(cls.normal_form(sub.gamma(i, j)))
-                val = space.q((i, space.vertices[0][1]), (j, s)).value()
+                val = root_value(space.q((i, space.vertices[0][1]), (j, s)))
                 assert image.apply(vec) == tuple(val * x for x in vec)
 
 
 def test_character_path_table_matches_dense_oracle():
     # same eigenvalues in the same order as simultaneous diagonalization of
     # the oracle's matrices, on every candidate subrack of every cataloged
-    # rep, plus the full canonical subrack that `diagram` can draw
+    # rep, plus the full canonical and power subracks that `diagram` can
+    # draw
     started = time.monotonic()
     compared = 0
     for k, n in ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (4, 1), (4, 2),
@@ -141,6 +147,8 @@ def test_character_path_table_matches_dense_oracle():
         subracks = list(candidate_subracks(cls))
         if k == 2 and n >= 4:
             subracks.append(canonical_subrack(cls))
+        if n == 1:
+            subracks.append(powers_subrack(cls))
         for spec in enumerate_irreps(k, n):
             if not cataloged(spec):
                 continue
@@ -186,16 +194,16 @@ def test_negative_case_braiding_is_symmetric_with_unit_products():
     space = diagonal_subspace(triple_subrack(cls, 1), chi)
     verts = space.vertices
     for a in verts:
-        assert space.q(a, a) == MINUS_ONE
+        assert space.q(a, a) == ROOT_MINUS_ONE
         for b in verts:
-            assert space.q(a, b) * space.q(b, a) == ONE
+            assert space.q(a, b) * space.q(b, a) == ROOT_ONE
 
 
 def test_restrict_vectors_keeps_column_structure():
     cls = UnmixedClass(2, 3)
     chi = parse_rep_spec(2, 3, "chi=(1,1,1);mu=standard").character()
     space = diagonal_subspace(triple_subrack(cls, 1), chi)
-    small = space.restrict_vectors((0,))
+    small = restrict_vectors(space, (0,))
     assert small.size == 3
     assert all(s == 0 for _, s in small.vertices)
     for a in small.vertices:
@@ -213,7 +221,7 @@ def test_dynkin_diagram_edges_only_where_product_differs_from_one():
     for x in range(len(verts)):
         for y in range(x + 1, len(verts)):
             w = space.q(verts[x], verts[y]) * space.q(verts[y], verts[x])
-            assert ((x, y) in listed) == (w != ONE)
+            assert ((x, y) in listed) == (w != ROOT_ONE)
 
 
 def test_dynkin_diagram_dot_shape():
@@ -262,6 +270,123 @@ def test_dynkin_adjacency_map_matches_edge_scan():
                              if (x, y) in ((v, w), (w, v))), None)
                 assert diagram.edge_label(v, w) == want
         assert sorted(len(diagram.neighbors(v)) for v in range(size)) == list(
-            diagram.degree_sequence())
+            degree_sequence(diagram))
         covered = sorted(v for comp in diagram.components() for v in comp)
         assert covered == list(range(size))
+
+
+# the integer path of joint_spectrum against the exact field
+
+# classes whose centralizers are small enough to list
+SMALL_CLASSES = ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+                 (4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (6, 1), (6, 2),
+                 (8, 1), (8, 2))
+
+
+@st.composite
+def commuting_generators(draw):
+    """(class, spec, generators, modulus): a random irrep, two commuting
+    centralizer elements, and a common multiple of k and their orders, up
+    to 3 times the least one."""
+    k, n = draw(st.sampled_from(SMALL_CLASSES))
+    cls = UnmixedClass(k, n)
+    specs = enumerate_irreps(k, n)
+    spec = specs[draw(st.integers(0, len(specs) - 1))]
+    pool = list(centralizer_elements(cls))
+    g = pool[draw(st.integers(0, len(pool) - 1))]
+    partners = [h for h in pool if h.commutes_with(g)]
+    h = partners[draw(st.integers(0, len(partners) - 1))]
+    modulus = lcm(k, g.order(), h.order()) * draw(st.integers(1, 3))
+    return cls, spec, (g, h), modulus
+
+
+def _group_words(generators):
+    # every element of <generators> with one exponent word, by search
+    identity = Permutation.identity(generators[0].degree)
+    words = {identity: (0,) * len(generators)}
+    frontier = [identity]
+    while frontier:
+        x = frontier.pop()
+        for t, g in enumerate(generators):
+            y = x * g
+            if y not in words:
+                words[y] = tuple(w + (i == t) for i, w in enumerate(words[x]))
+                frontier.append(y)
+    return words
+
+
+@settings(max_examples=80, deadline=None)
+@given(commuting_generators())
+def test_joint_spectrum_multiplicities_match_the_field(case):
+    # each multiplicity is (1/|H|) sum_h chi(h) psi(h)^-1, summed in the
+    # field over an independently listed H
+    cls, spec, generators, modulus = case
+    character = spec.character()
+    spectrum = joint_spectrum(cls, character, generators, modulus)
+    assert len(spectrum) == spec.degree()
+    words = _group_words(generators)
+    values = {h: character_value(character, cls.normal_form(h)) for h in words}
+    for exps, count in Counter(spectrum).items():
+        total = ZERO
+        for h, word in words.items():
+            phase = sum(w * e for w, e in zip(word, exps))
+            total = total + values[h] * zeta(modulus, -phase)
+        assert total == rational(count * len(words)), (spec.label(), exps)
+
+
+class _Perturbed:
+    """A character with one value changed at a single element: not a class
+    function, so not a character."""
+
+    def __init__(self, character, at, index: int) -> None:
+        self.degree = character.degree
+        self._character = character
+        self._at = at
+        self._index = index
+
+    def coefficients(self, nf):
+        out = list(self._character.coefficients(nf))
+        if nf == self._at:
+            out[self._index] += 1
+        return tuple(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(commuting_generators(), st.integers(0, 7))
+def test_joint_spectrum_rejects_a_non_character(case, index):
+    # adding zeta_k^index at one element h0 != 1 of H moves the inner
+    # product with the trivial character of H by zeta_k^index / |H|: not an
+    # integer, and irrational unless zeta_k^index = +-1
+    cls, spec, generators, modulus = case
+    words = _group_words(generators)
+    others = [h for h in words if not h.is_identity()]
+    if not others:
+        return
+    fake = _Perturbed(spec.character(), cls.normal_form(min(others)),
+                      index % cls.k)
+    with pytest.raises(ArithmeticError):
+        joint_spectrum(cls, fake, generators, modulus)
+
+
+def test_joint_spectrum_rejects_an_irrational_inner_product():
+    # at k = 4, adding zeta_4 at pi^2 moves every inner product over
+    # H = <pi> by +-zeta_4 / 4, which has trace 0: only the rationality test
+    # sees it, not the divisibility of the trace
+    cls = UnmixedClass(4, 1)
+    pi = cls.basepoint
+    character = parse_rep_spec(4, 1, "chi=(0)").character()
+    assert joint_spectrum(cls, character, (pi,), 4) == [(0,)]
+    fake = _Perturbed(character, cls.normal_form(pi * pi), 1)
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        joint_spectrum(cls, fake, (pi,), 4)
+
+
+def test_joint_spectrum_needs_a_multiple_of_k():
+    # character values live in Q(zeta_k), so the modulus must hold zeta_k
+    # even when every generator has a smaller order
+    cls = UnmixedClass(4, 1)
+    pi = cls.basepoint
+    character = parse_rep_spec(4, 1, "chi=(3)").character()
+    assert joint_spectrum(cls, character, (pi * pi,), 4) == [(2,)]
+    with pytest.raises(ValueError, match="multiple of k"):
+        joint_spectrum(cls, character, (pi * pi,), 2)

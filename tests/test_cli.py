@@ -185,15 +185,17 @@ def test_diagram_negative_case_prints_raw_diagram():
 
 
 def test_diagram_without_subracks_prints_empty_graph():
-    # odd k with n >= 2 has no candidate subrack: the scalar gate decides
-    # and the diagram is the empty graph `classify --format dot` prints
-    result = run_cli("diagram", "--k", "3", "--n", "2", "--rep", "chi=(0,0)")
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == [
-        "// nichols.diagram/1", "graph diagram {", "}"]
-    dot = run_cli("classify", "--k", "3", "--n", "2", "--rep", "chi=(0,0)",
-                  "--format", "dot")
-    assert dot.stdout == result.stdout
+    # odd k with n >= 2, and every n = 1, has no candidate subrack: the
+    # scalar gate or the negativity check decides, and the diagram is the
+    # empty graph `classify --format dot` prints
+    for k, n, rep in ((3, 2, "chi=(0,0)"), (6, 1, "chi=(3)")):
+        args = ("--k", str(k), "--n", str(n), "--rep", rep)
+        result = run_cli("diagram", *args)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            "// nichols.diagram/1", "graph diagram {", "}"]
+        dot = run_cli("classify", *args, "--format", "dot")
+        assert dot.stdout == result.stdout
 
 
 @pytest.mark.parametrize("k,n,rep,selector", [

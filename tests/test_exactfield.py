@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from nichols.exactfield import (Cyclotomic, MINUS_ONE, ONE, ZERO,
-                                cyclotomic_polynomial, degree_of_field,
-                                rational, zeta)
+from exactfield_oracle import (Cyclotomic, MINUS_ONE, ONE, ZERO,
+                               cyclotomic_polynomial, degree_of_field,
+                               rational, root_value, zeta)
 
 
 def _random_elements(rng, count):
@@ -135,7 +135,7 @@ from math import gcd  # noqa: E402
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nichols.exactfield import RootOfUnity  # noqa: E402
+from nichols.exactfield import RootOfUnity, rational_value  # noqa: E402
 
 CONDUCTORS = (1, 2, 3, 4, 5, 6, 8, 12)
 UNITS = tuple(t for t in range(1, 120) if gcd(t, 120) == 1)
@@ -201,9 +201,49 @@ def test_galois_is_a_ring_homomorphism(a, b, t):
 def test_root_of_unity_labels_agree_with_field_elements(m, a, p, b):
     r, s = RootOfUnity(m, a), RootOfUnity(p, b)
     assert str(r) == str(zeta(m, a))
-    assert r == zeta(m, a) and hash(r) == hash(zeta(m, a))
-    assert r.order() == zeta(m, a).as_root_of_unity().order()
-    assert (r * s).value() == zeta(m, a) * zeta(p, b)
+    assert root_value(r) == zeta(m, a)
+    assert zeta(m, a).as_root_of_unity() == r
+    assert root_value(r * s) == zeta(m, a) * zeta(p, b)
     assert str(r * s) == str(zeta(m, a) * zeta(p, b))
-    assert r.inverse().value() == zeta(m, a).inverse()
+    assert root_value(r.inverse()) == zeta(m, a).inverse()
     assert str(r.inverse()) == str(zeta(m, a).inverse())
+    # equal roots hash equally, and a root never equals a field element
+    assert (r == s) == (root_value(r) == root_value(s))
+    if r == s:
+        assert hash(r) == hash(s)
+    assert r != zeta(m, a) and zeta(m, a) != r
+
+
+@st.composite
+def vanishing_sums(draw, m):
+    # integer combinations of the sums of the d-th roots of unity, d > 1
+    # dividing m, each sum rotated by a power of zeta_m: they vanish
+    coeffs = [0] * m
+    divisors = [d for d in range(2, m + 1) if m % d == 0]
+    for _ in range(draw(st.integers(0, 3)) if divisors else 0):
+        d = draw(st.sampled_from(divisors))
+        shift, c = draw(st.integers(0, m - 1)), draw(st.integers(-3, 3))
+        for i in range(d):
+            coeffs[(shift + i * (m // d)) % m] += c
+    return coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rational_value_agrees_with_the_field(data):
+    # x = r + (a vanishing sum) + t zeta_m^a: rational exactly when t = 0
+    # or zeta_m^a is +-1, which the field decides independently
+    m = data.draw(st.integers(1, 24))
+    r = data.draw(st.integers(-5, 5))
+    a = data.draw(st.integers(0, m - 1))
+    t = data.draw(st.integers(-2, 2))
+    coeffs = data.draw(vanishing_sums(m))
+    coeffs[0] += r
+    coeffs[a] += t
+    x = Cyclotomic(m, coeffs)
+    want = x.as_rational() if x.is_rational() else None
+    assert rational_value(m, coeffs) == want
+    # a random integer vector, rational or not
+    noise = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+    y = Cyclotomic(m, noise)
+    assert rational_value(m, noise) == (y.as_rational() if y.is_rational() else None)

@@ -2,10 +2,8 @@ import random
 
 import pytest
 
-from nichols.exactfield import MINUS_ONE, ONE, ZERO, rational, zeta
-from nichols.exactla import (Matrix, kernel, kron, rref,
-                             eigenspaces_finite_order)
-
+from exactfield_oracle import MINUS_ONE, ONE, ZERO, rational
+from exactla_oracle import Matrix, kernel, kron, rref
 from oracles import NonCommutingError, simultaneous_diagonalize
 
 
@@ -59,27 +57,6 @@ def test_rref_and_kernel():
     reduced, pivots = rref(m)
     assert pivots == (0,)
     assert reduced.rows[0][0] == ONE
-
-
-def test_eigenspaces_of_finite_order_operator():
-    # a transposition-like swap has eigenvalues 1 and -1
-    swap = Matrix([[ZERO, ONE], [ONE, ZERO]])
-    dec = eigenspaces_finite_order(swap, 2)
-    assert set(dec.eigenvalues()) == {ONE, MINUS_ONE}
-    assert dec.dimension() == 2
-    for val, vecs in dec.spaces:
-        for vec in vecs:
-            assert swap.apply(vec) == tuple(val * x for x in vec)
-
-
-def test_eigenspaces_cover_the_whole_space():
-    z = zeta(3)
-    m = Matrix([[ZERO, ZERO, ONE],
-                [ONE, ZERO, ZERO],
-                [ZERO, ONE, ZERO]])
-    dec = eigenspaces_finite_order(m, 3)
-    assert dec.dimension() == 3
-    assert set(dec.eigenvalues()) == {ONE, z, z * z}
 
 
 def test_simultaneous_diagonalize_on_commuting_family():

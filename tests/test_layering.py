@@ -1,0 +1,38 @@
+"""The package decides with integers and roots of unity only: no module of
+`nichols` imports the exact cyclotomic field, the dense linear algebra, or
+the test-side modules that hold them as reference implementations."""
+
+import ast
+import pathlib
+
+import nichols
+
+# last component of a module path that the package must not import
+FORBIDDEN_MODULES = frozenset(("exactla", "exactfield_oracle", "exactla_oracle",
+                               "oracles"))
+FORBIDDEN_NAMES = frozenset(("Cyclotomic",)) | FORBIDDEN_MODULES
+
+
+def _imports(tree):
+    """(module, names) for every import statement of a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, ()
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or "", tuple(alias.name for alias in node.names)
+
+
+def test_package_imports_no_field_and_no_oracle():
+    package = pathlib.Path(nichols.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for module, names in _imports(tree):
+            assert module.split(".")[-1] not in FORBIDDEN_MODULES, (path.name, module)
+            assert not FORBIDDEN_NAMES & set(names), (path.name, module, names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)}
+        assert not FORBIDDEN_NAMES & used, (path.name, FORBIDDEN_NAMES & used)

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from nichols.permgroup import (CycleType, Permutation, UnmixedClass, conjugate,
-                               conjugacy_class)
+from nichols.permgroup import CycleType, Permutation, UnmixedClass, conjugate
+
+from oracles import (centralizer_elements, centralizer_generators,
+                     conjugacy_class, in_centralizer)
 
 
 def test_permutation_composition_and_inverse():
@@ -92,7 +94,7 @@ def test_normal_form_round_trip_over_full_centralizer():
     for k, n in ((2, 3), (3, 2), (4, 2)):
         cls = UnmixedClass(k, n)
         seen = set()
-        for g in cls.centralizer_elements():
+        for g in centralizer_elements(cls):
             nf = cls.normal_form(g)
             assert cls.assemble(nf) == g
             assert all(0 <= d < k for d in nf.d)
@@ -106,7 +108,7 @@ def _label(cls, nf):
 
 
 def _conjugation_orbits(cls, elements):
-    gens = cls.centralizer_generators()
+    gens = centralizer_generators(cls)
     left = set(elements)
     orbits = []
     while left:
@@ -135,7 +137,7 @@ def test_partner_classes_match_the_centralizer_walk():
         labels = [_label(cls, pc.representative) for pc in classes]
         assert labels == [pc.label for pc in classes]
         assert len(set(labels)) == len(labels)
-        partners = [h for h in cls.centralizer_elements()
+        partners = [h for h in centralizer_elements(cls)
                     if h != cls.basepoint and h.cycle_type() == cls.cycle_type()]
         assert sum(pc.size for pc in classes) == len(partners), (k, n)
         # the labels are the centralizer's conjugacy classes: each orbit
@@ -152,7 +154,7 @@ def test_partner_classes_match_the_centralizer_walk():
 def test_normal_form_rejects_non_centralizing_elements():
     cls = UnmixedClass(2, 2)
     outsider = Permutation.from_cycles(4, ((2, 3),))
-    assert not cls.in_centralizer(outsider)
+    assert not in_centralizer(cls, outsider)
     with pytest.raises(ValueError):
         cls.normal_form(outsider)
 
@@ -161,7 +163,7 @@ def test_normal_form_multiplicativity():
     # (d, b) pairs compose like the semidirect product they encode
     cls = UnmixedClass(3, 3)
     rng = random.Random(3)
-    pool = list(cls.centralizer_elements())
+    pool = list(centralizer_elements(cls))
     for _ in range(40):
         g, h = rng.choice(pool), rng.choice(pool)
         ng, nh = cls.normal_form(g), cls.normal_form(h)

@@ -5,15 +5,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nichols.exactfield import MINUS_ONE, ONE, ROOT_MINUS_ONE, rational, zeta
-from nichols.exactla import Matrix
-from nichols.permgroup import CycleType, Permutation, UnmixedClass
+from nichols.exactfield import ROOT_MINUS_ONE
+from nichols.braidspace import powers_subrack
+from nichols.permgroup import CycleType, NormalForm, Permutation, UnmixedClass
 from nichols.reps import (enumerate_irreps, parse_rep_spec, partition_degree,
                           partitions_of, pi_scalar, sn_character)
 from nichols.verdict import candidate_subracks
 
+from exactfield_oracle import MINUS_ONE, ONE, rational, root_value, zeta
+from exactla_oracle import Matrix
 from oracles import (CatalogGapError, catalog_covers, cataloged,
-                     dense_pi_scalar, resolve, sn_irrep)
+                     centralizer_elements, character_value, dense_pi_scalar,
+                     resolve, sn_irrep)
 
 
 def _int_matrix(rows):
@@ -99,7 +102,7 @@ def test_uncataloged_partition_raises_on_resolve():
         resolve(spec)
     cls = UnmixedClass(2, 5)
     identity = cls.normal_form(Permutation.identity(10))
-    assert spec.character().value(identity) == rational(5)
+    assert character_value(spec.character(), identity) == rational(5)
 
 
 def test_sum_of_squared_degrees_is_group_order():
@@ -150,7 +153,7 @@ def test_pi_scalar_is_weight_power_of_root():
         spec = parse_rep_spec(
             k, n, "chi=(%s)" % ",".join(str(x) for x in u))
         cls = UnmixedClass(k, n)
-        assert pi_scalar(spec) == zeta(k, sum(u) % k)
+        assert root_value(pi_scalar(spec)) == zeta(k, sum(u) % k)
         assert str(pi_scalar(spec)) == str(zeta(k, sum(u) % k))
         assert dense_pi_scalar(resolve(spec), cls) == zeta(k, sum(u) % k)
 
@@ -163,7 +166,7 @@ def test_induced_rep_is_a_homomorphism():
                        (3, 2, "chi=(1,0);mu=trivial")):
         cls = UnmixedClass(k, n)
         rho = resolve(parse_rep_spec(k, n, text))
-        pool = list(cls.centralizer_elements())
+        pool = list(centralizer_elements(cls))
         for _ in range(30):
             g, h = rng.choice(pool), rng.choice(pool)
             lhs = rho.evaluate(cls.normal_form(g * h))
@@ -229,11 +232,16 @@ def test_character_degree_is_hook_length_degree():
         cls = UnmixedClass(k, n)
         identity = cls.normal_form(Permutation.identity(k * n))
         for spec in enumerate_irreps(k, n):
-            assert spec.character().value(identity) == rational(spec.degree())
+            assert character_value(spec.character(), identity) == rational(spec.degree())
 
 
 def _gamma_entries(cls):
-    for subrack in candidate_subracks(cls):
+    # the power subrack is no candidate, but `diagram --subrack powers`
+    # draws it at n = 1
+    subracks = list(candidate_subracks(cls))
+    if cls.n == 1:
+        subracks.append(powers_subrack(cls))
+    for subrack in subracks:
         for i in range(subrack.size):
             for j in range(subrack.size):
                 yield subrack.gamma(i, j)
@@ -252,7 +260,7 @@ def test_induced_character_is_trace_of_oracle_matrix():
             rho = resolve(spec)
             character = spec.character()
             for nf in entries:
-                assert character.value(nf) == rho.evaluate(nf).trace(), (
+                assert character_value(character, nf) == rho.evaluate(nf).trace(), (
                     k, n, spec.label(), str(nf))
                 compared += 1
     assert compared > 1000
@@ -267,3 +275,26 @@ def test_labels_parse_back_to_their_spec(data):
     spec = specs[data.draw(st.integers(0, len(specs) - 1))]
     assert parse_rep_spec(k, n, spec.label()) == spec
     assert parse_rep_spec(k, n, str(spec)) == spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_scalar_matches_the_field(data):
+    # rho(g) is scalar exactly when chi(g)/degree is a root of unity, which
+    # the field reads off the value; powers of the basepoint are central,
+    # so they act by scalars in every irrep
+    k = data.draw(st.sampled_from((2, 3, 4, 5, 6, 8, 10, 12)))
+    n = data.draw(st.integers(1, 3))
+    cls = UnmixedClass(k, n)
+    specs = enumerate_irreps(k, n)
+    spec = specs[data.draw(st.integers(0, len(specs) - 1))]
+    d = tuple(data.draw(st.integers(0, k - 1)) for _ in range(n))
+    if data.draw(st.booleans()):
+        d = (d[0],) * n
+        b = Permutation.identity(n)
+    else:
+        b = Permutation(data.draw(st.permutations(range(1, n + 1))))
+    nf = NormalForm(d, b)
+    character = spec.character()
+    value = character_value(character, nf) * Fraction(1, spec.degree())
+    assert character.scalar(nf) == value.as_root_of_unity(), (spec.label(), str(nf))
