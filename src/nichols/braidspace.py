@@ -371,6 +371,22 @@ class GeneralizedDynkinDiagram:
     def neighbors(self, a: int) -> tuple:
         return self._neighbors[a]
 
+    def neighbor_set(self, a: int):
+        """The neighbors of a as a set view: membership is a lookup, and
+        & or - with another set gives a set."""
+        return self._adjacent[a].keys()
+
+    def induced(self, vertices) -> "GeneralizedDynkinDiagram":
+        """The subdiagram on the given vertices, renumbered in that order,
+        with their labels and names and the edges among them."""
+        index = {v: i for i, v in enumerate(vertices)}
+        edges = [(i, index[w], label) for v, i in index.items()
+                 for w, label in self._adjacent[v].items()
+                 if index.get(w, -1) > i]
+        return GeneralizedDynkinDiagram(
+            [self.vertex_labels[v] for v in index], edges,
+            [self.names[v] for v in index])
+
     def components(self) -> tuple:
         seen = set()
         out = []

@@ -211,8 +211,10 @@ def cmd_table(cfg: RunConfig) -> int:
         raise UsageError("--jobs must be at least 1")
     labels = [spec.label() for spec in enumerate_irreps(cfg.k, cfg.n)]
     tasks = [(cfg.k, cfg.n, label) for label in labels]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    # a fork-based pool starts all of its workers at the first submit
+    workers = min(cfg.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_table_worker, tasks))
     else:
         rows = [_table_worker(task) for task in tasks]

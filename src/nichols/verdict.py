@@ -19,7 +19,6 @@ is a defect of the engine and raises.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Union
@@ -351,33 +350,76 @@ def candidate_subracks(cls: UnmixedClass):
         yield quadruple_subrack(cls, 1, 2)
 
 
-def _shortest_cycle(diagram: GeneralizedDynkinDiagram) -> Optional[tuple]:
-    """A minimum-length cycle of the diagram (chordless by minimality), as a
-    vertex tuple in cycle order, or None for forests."""
+def _shortest_cycle(diagram: GeneralizedDynkinDiagram, vertices=None,
+                    limit: Optional[int] = None) -> Optional[tuple]:
+    """A minimum-length cycle of the subdiagram induced on vertices (all of
+    them by default), chordless by minimality, as a vertex tuple in cycle
+    order; None when it has no cycle of length at most limit.
+
+    The tie-break, on which the printed witness depends: for each edge
+    (a, b) with a < b, in increasing order, a breadth-first search from a
+    with that edge removed, neighbors taken in increasing order and the
+    first discoverer made the parent, reaches b along the
+    lexicographically least shortest path; the cycle is (b, ..., a) along
+    it.  The answer is the first of these cycles that is least by (length,
+    sorted vertex tuple).  A search stops at b, and looks no further than
+    the best length so far: each level first asks whether a common
+    neighbor of b and a level vertex closes the cycle, one set
+    intersection per vertex, before the next level is built."""
+    vertices = sorted(range(diagram.size) if vertices is None else vertices)
+    keep = set(vertices)
+    adjacent = {v: diagram.neighbor_set(v) & keep for v in vertices}
+    order = {v: sorted(adjacent[v]) for v in vertices}
+    limit = len(vertices) if limit is None else limit
     best = None
-    for a, b, _ in diagram.edges:
-        dist = {a: 0}
-        parent = {a: None}
-        queue = deque([a])
-        while queue:
-            v = queue.popleft()
-            for w in diagram.neighbors(v):
-                if (v, w) in ((a, b), (b, a)):
-                    continue
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    parent[w] = v
-                    queue.append(w)
-        if b not in dist:
-            continue
-        path = [b]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        cycle = tuple(path)
-        key = (len(cycle), tuple(sorted(cycle)))
-        if best is None or key < best[0]:
-            best = (key, cycle)
+    for a in vertices:
+        for b in order[a]:
+            if b < a:
+                continue
+            cycle = _cycle_through(adjacent, order, a, b, limit)
+            if cycle is None:
+                continue
+            key = (len(cycle), sorted(cycle))
+            if best is None or key < best[0]:
+                best = (key, cycle)
+                limit = len(cycle)
     return None if best is None else best[1]
+
+
+def _cycle_through(adjacent: dict, order: dict, a: int, b: int,
+                   limit: int) -> Optional[tuple]:
+    # the search from a without the edge ab, level by level.  The level at
+    # depth d closes a cycle of length d + 3 through a vertex w, off the
+    # levels so far, that neighbors both b and a level vertex v.  The first
+    # such v in queue order is w's parent, and the least such w is b's
+    # parent: w joins the next level in v's group, and no earlier group
+    # holds a neighbor of b
+    parent = {a: None}
+    seen = {a, b}
+    level = [a]
+    target = adjacent[b]
+    length = 3
+    while level and length <= limit:
+        for v in level:
+            hits = (adjacent[v] & target) - seen
+            if hits:
+                path = [b, min(hits)]
+                while v is not None:
+                    path.append(v)
+                    v = parent[v]
+                return tuple(path)
+        length += 1
+        if length > limit:
+            break
+        grown = []
+        for v in level:
+            for w in order[v]:
+                if w not in seen:
+                    seen.add(w)
+                    parent[w] = v
+                    grown.append(w)
+        level = grown
+    return None
 
 
 def _witness(space: DiagonalSubspace, firing: tuple, rule: str,
@@ -418,10 +460,10 @@ def _subspace_rules(subrack: AbelianSubrack,
         data = cartan_type(sub.braiding_matrix())
         if isinstance(data, CartanData):
             if not finite_type(data):
-                firing = _minimal_infinite_set(space, sub, comp)
+                firing = _minimal_infinite_set(space, diagram, comp)
                 cartan_hits.append((_expansion_size(space, firing), firing))
         else:
-            hit = cycle_rule(dynkin_diagram(sub))
+            hit = cycle_rule(diagram.induced(comp))
             if hit is not None:
                 firing = tuple(sorted(comp[x] for x in hit["cycle"]))
                 order = tuple(comp[x] for x in hit["cycle"])
@@ -449,45 +491,85 @@ def _expansion_size(space: DiagonalSubspace, firing: tuple) -> int:
     return len(cols) * len(vecs)
 
 
-def _minimal_infinite_set(space: DiagonalSubspace, sub: DiagonalSubspace,
+def _minimal_infinite_set(space: DiagonalSubspace,
+                          diagram: GeneralizedDynkinDiagram,
                           comp: tuple) -> tuple:
-    """Shrink a non-finite Cartan component to a small witness: a triangle
-    with the smallest expansion when one exists, else a cycle minimizing
-    (expansion, length), else the whole component (non-finite trees).  Any
-    cycle subdiagram is again non-finite Cartan."""
-    subdiag = dynkin_diagram(sub)
-    adjacency = [set(subdiag.neighbors(v)) for v in range(subdiag.size)]
-    triangles = []
-    for a in range(subdiag.size):
-        for b in sorted(adjacency[a]):
-            if b <= a:
+    """Shrink a non-finite Cartan component of the diagram to a small
+    witness: a triangle with the smallest expansion when one exists, else a
+    cycle minimizing (expansion, length), else the whole component
+    (non-finite trees).  Any cycle subdiagram is again non-finite Cartan.
+
+    Past the scalar gate every vertex label is -1, so two vertices of one
+    column are never adjacent and a triangle spans three columns: its
+    expansion is 3, 6 or 9 as it uses one, two or three eigenvector
+    indices.  The tiers are searched in that order, each in lexicographic
+    order, so the first triangle found is the least by (expansion, sorted
+    tuple)."""
+    if any(diagram.vertex_labels[x] != ROOT_MINUS_ONE for x in comp):
+        raise RuntimeError("a vertex label is not -1 past the scalar gate, "
+                           "so one column may hold adjacent vertices")
+    vec = {x: space.vertices[x][1] for x in comp}
+    slices = {}
+    for x in comp:
+        slices.setdefault(vec[x], []).append(x)
+    triangle = _least_triangle(diagram, comp, vec, slices)
+    if triangle is not None:
+        return triangle
+    # the cycle rule: the shortest cycle of each one- or two-index slice
+    # and of the whole component, least by (expansion, length, tuple).  A
+    # cycle is no longer than its expansion, so searches are cut at the
+    # least expansion so far; two slices with no edge between them add
+    # nothing that each alone does not
+    pairs = {tuple(sorted((vec[x], vec[y])))
+             for x in comp for y in diagram.neighbors(x) if vec[x] != vec[y]}
+    subsets = list(slices.values())
+    subsets += [sorted(slices[s] + slices[t]) for s, t in pairs]
+    subsets.append(comp)
+    best = None
+    for keep in subsets:
+        if len(keep) < 3:
+            continue
+        cyc = _shortest_cycle(diagram, keep,
+                              None if best is None else best[0])
+        if cyc is not None:
+            firing = tuple(sorted(cyc))
+            candidate = (_expansion_size(space, firing), len(cyc), firing)
+            if best is None or candidate < best:
+                best = candidate
+    return comp if best is None else best[2]
+
+
+def _least_triangle(diagram: GeneralizedDynkinDiagram, comp: tuple,
+                    vec: dict, slices: dict) -> Optional[tuple]:
+    # the least triangle of the component by (expansion, sorted tuple)
+    adjacent = diagram.neighbor_set
+    # one index: the triangle lies in the slice of vec(x)
+    for x in comp:
+        later = [y for y in slices[vec[x]] if y > x and y in adjacent(x)]
+        for y, z in itertools.combinations(later, 2):
+            if z in adjacent(y):
+                return (x, y, z)
+    # two indices: an edge (x, w) between two slices closes only through a
+    # vertex of one of them
+    for x in comp:
+        near = adjacent(x)
+        found = [tuple(sorted((w, c)))
+                 for w in diagram.neighbors(x) if w > x and vec[w] != vec[x]
+                 for c in slices[vec[x]] + slices[vec[w]]
+                 if c > x and c in near and c in adjacent(w)]
+        if found:
+            return (x,) + min(found)
+    # three indices
+    for x in comp:
+        near = adjacent(x)
+        for y in diagram.neighbors(x):
+            if y < x or vec[y] == vec[x]:
                 continue
-            for c in sorted(adjacency[a] & adjacency[b]):
-                if c > b:
-                    triangles.append(tuple(sorted((comp[a], comp[b], comp[c]))))
-    if triangles:
-        return min(triangles, key=lambda t: (_expansion_size(space, t), t))
-    candidates = []
-    vec_indices = sorted({space.vertices[x][1] for x in comp})
-    for r in (1, 2):
-        for subset in itertools.combinations(vec_indices, r):
-            keep = [x for x in comp if space.vertices[x][1] in subset]
-            if len(keep) < 3:
-                continue
-            rdiag = dynkin_diagram(
-                space.restrict(space.vertices[x] for x in keep))
-            cyc = _shortest_cycle(rdiag)
-            if cyc is not None:
-                firing = tuple(sorted(keep[i] for i in cyc))
-                candidates.append(
-                    (_expansion_size(space, firing), len(cyc), firing))
-    cyc = _shortest_cycle(subdiag)
-    if cyc is not None:
-        firing = tuple(sorted(comp[x] for x in cyc))
-        candidates.append((_expansion_size(space, firing), len(cyc), firing))
-    if candidates:
-        return min(candidates)[2]
-    return comp
+            common = [z for z in near & adjacent(y)
+                      if z > y and vec[z] != vec[x] and vec[z] != vec[y]]
+            if common:
+                return (x, y, min(common))
+    return None
 
 
 def _resolve_spec(k: int, n: int, rho_spec) -> RepSpec:

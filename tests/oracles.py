@@ -9,22 +9,27 @@ induced up to the centralizer), diagonalized by exact linear algebra where
 the package uses characters and integer traces only, negativity is checked
 by walking commuting pairs instead of partner classes, and the whole
 centralizer is listed element by element where the package works with its
-conjugacy-class labels.
+conjugacy-class labels, and a witness is shrunk by listing every triangle
+and running one unbounded BFS per edge where the package searches by tiers
+and cuts its searches short.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from functools import lru_cache
+from typing import Optional
 
 import networkx as nx
 
+from nichols.braidspace import dynkin_diagram
 from nichols.permgroup import (NormalForm, Permutation, conjugacy_class_iter,
                                conjugate)
 from nichols.reps import (GammaCharacter, YoungSubgroup, _label_to_partition,
                           orbit_and_stabilizer, partitions_of)
-from nichols.verdict import NegativityReport
+from nichols.verdict import NegativityReport, _expansion_size
 
 from exactfield_oracle import MINUS_ONE, ONE, ZERO, Cyclotomic, zeta
 from exactla_oracle import Matrix, _normalize, kernel, kron
@@ -688,3 +693,76 @@ def negativity_walk(cls, rho) -> NegativityReport:
                 {"pair": (str(pi), str(t)), "reason": "not negative"}, ())
     return NegativityReport(True, len(partners), False, None, (),
                             len(partners))
+
+
+# witness shrinking by listing every triangle and one full BFS per edge
+
+def shortest_cycle(diagram) -> Optional[tuple]:
+    """A minimum-length cycle of the diagram (chordless by minimality), as a
+    vertex tuple in cycle order, or None for forests: one unbounded BFS per
+    edge, least by (length, sorted tuple)."""
+    best = None
+    for a, b, _ in diagram.edges:
+        dist = {a: 0}
+        parent = {a: None}
+        queue = deque([a])
+        while queue:
+            v = queue.popleft()
+            for w in diagram.neighbors(v):
+                if (v, w) in ((a, b), (b, a)):
+                    continue
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    parent[w] = v
+                    queue.append(w)
+        if b not in dist:
+            continue
+        path = [b]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        cycle = tuple(path)
+        key = (len(cycle), tuple(sorted(cycle)))
+        if best is None or key < best[0]:
+            best = (key, cycle)
+    return None if best is None else best[1]
+
+
+def minimal_infinite_set(space, sub, comp: tuple) -> tuple:
+    """The witness of a non-finite Cartan component: every triangle listed
+    and the least by (expansion, sorted tuple) taken; else the shortest
+    cycle of the component and of each one- or two-index slice, each from
+    a rebuilt diagram, least by (expansion, length, tuple); else the
+    component."""
+    subdiag = dynkin_diagram(sub)
+    adjacency = [set(subdiag.neighbors(v)) for v in range(subdiag.size)]
+    triangles = []
+    for a in range(subdiag.size):
+        for b in sorted(adjacency[a]):
+            if b <= a:
+                continue
+            for c in sorted(adjacency[a] & adjacency[b]):
+                if c > b:
+                    triangles.append(tuple(sorted((comp[a], comp[b], comp[c]))))
+    if triangles:
+        return min(triangles, key=lambda t: (_expansion_size(space, t), t))
+    candidates = []
+    vec_indices = sorted({space.vertices[x][1] for x in comp})
+    for r in (1, 2):
+        for subset in itertools.combinations(vec_indices, r):
+            keep = [x for x in comp if space.vertices[x][1] in subset]
+            if len(keep) < 3:
+                continue
+            rdiag = dynkin_diagram(
+                space.restrict(space.vertices[x] for x in keep))
+            cyc = shortest_cycle(rdiag)
+            if cyc is not None:
+                firing = tuple(sorted(keep[i] for i in cyc))
+                candidates.append(
+                    (_expansion_size(space, firing), len(cyc), firing))
+    cyc = shortest_cycle(subdiag)
+    if cyc is not None:
+        firing = tuple(sorted(comp[x] for x in cyc))
+        candidates.append((_expansion_size(space, firing), len(cyc), firing))
+    if candidates:
+        return min(candidates)[2]
+    return comp

@@ -165,6 +165,34 @@ def test_table_parallel_output_is_identical():
     assert one.stdout == two.stdout
 
 
+def test_table_starts_no_more_workers_than_rows(monkeypatch, capsys):
+    # the pool is replaced by one that records its size and runs in-process,
+    # so no worker is started however large --jobs is
+    import nichols.cli as cli
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert cli.main(["table", "--k", "2", "--n", "2", "--jobs", "64"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert sizes == [len(rows)] == [5]
+    assert cli.main(["table", "--k", "2", "--n", "2", "--jobs", "3"]) == 0
+    assert sizes == [5, 3]
+
+
 def test_diagram_default_shows_witness():
     result = run_cli("diagram", "--k", "2", "--n", "4",
                      "--rep", "chi=(1,0,0,0);mu=standard")

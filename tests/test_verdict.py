@@ -279,6 +279,30 @@ def test_wider_grids_match_closed_form_and_witnesses_verify():
           % (rows, verified, time.monotonic() - started))
 
 
+@pytest.mark.slow
+def test_largest_sweeps_match_closed_form_and_witnesses_verify():
+    # 547 rows up to degree 672.  63 s on a 2-vCPU VM, almost all of it
+    # the degree-448 to degree-672 rows of (2,8); the bound allows a slower
+    # machine, and fails a witness search that lists every triangle, which
+    # took over 20 min on (2,8) alone
+    started = time.monotonic()
+    rows = verified = 0
+    for k, n in ((2, 7), (4, 5), (2, 8)):
+        for spec in enumerate_irreps(k, n):
+            verdict = decide(k, n, spec)
+            expected = closed_form_verdict(k, n, spec)
+            assert verdict.outcome == expected.outcome, (k, n, spec.label())
+            rows += 1
+            if verdict.outcome == INFINITE:
+                assert verify_witness(k, n, spec, verdict), (k, n, spec.label())
+                verified += 1
+    elapsed = time.monotonic() - started
+    assert rows == 547
+    assert elapsed < 180, elapsed
+    print("%d rows match the closed form, %d witnesses verify, %.1fs"
+          % (rows, verified, elapsed))
+
+
 def test_undecided_reports_exhaustion(monkeypatch):
     # every braiding of an unmixed class is infinite or negative, so falling
     # through every rule is an engine defect: starved of candidate subracks,
