@@ -208,10 +208,6 @@ class DiagonalSubspace:
     def q(self, a, b) -> RootOfUnity:
         return self._roots[self.labels[a[0]][b[0]][b[1]]]
 
-    def braiding_matrix(self) -> tuple:
-        return tuple(tuple(self.q(a, b) for b in self.vertices)
-                     for a in self.vertices)
-
     def restrict(self, vertices) -> "DiagonalSubspace":
         vertices = tuple(vertices)
         known = set(self.vertices)

@@ -1,10 +1,16 @@
 """Decision engine for conjugacy-class braidings of unmixed classes.
 
 The pipeline: a scalar gate on the basepoint value, diagonal subspaces over
-structured abelian subracks, Cartan and finite-type analysis of their
+structured abelian subracks, a reading of each component of their
 generalized Dynkin diagrams, a labeled 4-cycle rule, a negativity check over
 the centralizer classes of commuting partners.  A closed-form verdict over
 the same inputs serves as an independent cross-check oracle.
+
+Past the scalar gate every vertex label is -1, so a component is Cartan
+exactly when every edge label is -1, and its matrix is then simply laced:
+of finite type exactly when its graph is an A, D or E tree.  The decision
+reads this off the diagram's neighbor lists (dynkin_shape); verify_witness
+re-fires it by linear algebra on the witness's braiding values instead.
 
 Everything runs on the character of the representation: braidings are
 roots of unity with integer exponents, and "acts by a scalar" is read off
@@ -19,9 +25,7 @@ is a defect of the engine and raises.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from math import gcd, lcm
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .braidspace import (AbelianSubrack, DiagonalSubspace,
                          GeneralizedDynkinDiagram, diagonal_subspace,
@@ -42,18 +46,6 @@ class Verdict(NamedTuple):
     flags: tuple = ()
 
 
-class CartanData(NamedTuple):
-    """Integer matrix a_ij with a_ii = 2 plus the orders of the diagonal
-    braiding entries it was extracted from."""
-    matrix: tuple
-    diagonal_orders: tuple
-
-
-class NotCartan(NamedTuple):
-    reason: str
-    where: tuple = ()
-
-
 def scalar_gate(q: RootOfUnity, ord_pi: int) -> Optional[Verdict]:
     """Infinite unless the basepoint has even order and acts by -1.
 
@@ -69,181 +61,96 @@ def scalar_gate(q: RootOfUnity, ord_pi: int) -> Optional[Verdict]:
     return None
 
 
-def cartan_type(Q) -> Union[CartanData, NotCartan]:
-    """Extract the integer exponent matrix of a diagonal braiding, given as
-    a square table of RootOfUnity.
-
-    For each pair needs q_ij*q_ji = q_ii**a_ij with a_ij in (-ord(q_ii), 0].
-    Over a common modulus, q = zeta^e, that is the congruence
-    -a_ij * e_ii = e_ij + e_ji, solvable exactly when gcd(e_ii, modulus)
-    divides the right side, and then with one solution in the window.
-    Diagonal entries must differ from 1.
-    """
-    m = len(Q)
-    modulus = lcm(*(x.order() for row in Q for x in row))
-    e = [[modulus // x.m * x.a for x in row] for row in Q]
-    for i in range(m):
-        if not e[i][i]:
-            return NotCartan("diagonal entry 1", (i,))
-    rows = [[2] * m for _ in range(m)]
-    for i in range(m):
-        g = gcd(e[i][i], modulus)
-        order = modulus // g
-        inverse = pow(e[i][i] // g, -1, order)
-        for j in range(m):
-            if i == j:
-                continue
-            product = (e[i][j] + e[j][i]) % modulus
-            if product % g:
-                return NotCartan("no admissible exponent", (i, j))
-            rows[i][j] = -((-(product // g) * inverse) % order)
-    return CartanData(tuple(tuple(r) for r in rows),
-                      tuple(Q[i][i].order() for i in range(m)))
+class DynkinShape(NamedTuple):
+    finite: bool
+    label: Optional[str]
 
 
-def _validate_gcm(A) -> None:
-    m = len(A)
-    for i in range(m):
-        if len(A[i]) != m:
-            raise ValueError("matrix must be square")
-        if A[i][i] != 2:
-            raise ValueError("diagonal entries must equal 2")
-        for j in range(m):
-            if i != j:
-                if A[i][j] > 0:
-                    raise ValueError("off-diagonal entries must be <= 0")
-                if (A[i][j] == 0) != (A[j][i] == 0):
-                    raise ValueError("zero pattern must be symmetric")
+_EXCEPTIONAL = {(1, 2, 2): "E6", (1, 2, 3): "E7", (1, 2, 4): "E8"}
 
 
-def _gcm_components(A) -> tuple:
-    m = len(A)
-    seen = set()
-    out = []
-    for start in range(m):
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in range(m):
-                if w != v and A[v][w] != 0 and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        out.append(tuple(sorted(comp)))
-    return tuple(out)
+def dynkin_shape(diagram: GeneralizedDynkinDiagram,
+                 vertices) -> Optional[DynkinShape]:
+    """Read the subdiagram on a connected vertex set as a Cartan diagram.
 
-
-def _symmetrizer(A, comp) -> Optional[list]:
-    # spanning-tree propagation of d_i * a_ij = d_j * a_ji, verified on the
-    # remaining edges; None when no positive symmetrizer exists
-    d = {comp[0]: Fraction(1)}
-    queue = [comp[0]]
-    while queue:
-        v = queue.pop(0)
-        for w in comp:
-            if w == v or A[v][w] == 0:
-                continue
-            want = d[v] * Fraction(A[v][w], A[w][v])
-            if w in d:
-                if d[w] != want:
-                    return None
-            else:
-                d[w] = want
-                queue.append(w)
-    return [d[v] for v in comp]
+    Every vertex label must be -1 (past the scalar gate it is; otherwise
+    RuntimeError).  Then q_ab q_ba = q_aa^a_ab has a solution a_ab in
+    {0, -1} exactly when the edge label is 1 (no edge) or -1, so the set is
+    Cartan exactly when every edge label is -1, and None is returned
+    otherwise.  The matrix is then simply laced, and of finite type exactly
+    when the graph is an A, D or E tree (Kac, Infinite-dimensional Lie
+    algebras, 4.8).  The label names A_m, D_m and E6-E8, and a cycle as
+    A_{m-1}(1); any other non-finite shape is unnamed (None)."""
+    keep = set(vertices)
+    if any(diagram.vertex_labels[v] != ROOT_MINUS_ONE for v in keep):
+        raise RuntimeError("a vertex label is not -1 past the scalar gate, "
+                           "so one column may hold adjacent vertices")
+    near = {v: diagram.neighbor_set(v) & keep for v in keep}
+    if any(diagram.edge_label(v, w) != ROOT_MINUS_ONE
+           for v, ws in near.items() for w in ws if w > v):
+        return None
+    degrees = sorted(len(ws) for ws in near.values())
+    edges = sum(degrees) // 2
+    m = len(keep)
+    if edges >= m:
+        cycle = edges == m and degrees[-1] == 2
+        return DynkinShape(False, "A%d(1)" % (m - 1) if cycle else None)
+    if degrees[-1] <= 2:
+        return DynkinShape(True, "A%d" % m)
+    if degrees[-1] > 3 or degrees[-2] > 2:
+        return DynkinShape(False, None)
+    center = next(v for v, ws in near.items() if len(ws) == 3)
+    arms = []
+    for start in near[center]:
+        length, prev, cur = 1, center, start
+        while len(near[cur]) == 2:
+            prev, cur = cur, min(near[cur] - {prev})
+            length += 1
+        arms.append(length)
+    arms.sort()
+    if arms[:2] == [1, 1]:
+        return DynkinShape(True, "D%d" % m)
+    label = _EXCEPTIONAL.get(tuple(arms))
+    return DynkinShape(label is not None, label)
 
 
 def _positive_definite(S) -> bool:
-    m = len(S)
-    work = [[Fraction(x) for x in row] for row in S]
+    """Sylvester's criterion for an integer symmetric matrix: every leading
+    principal minor is positive.  Fraction-free (Bareiss) elimination makes
+    each pivot the next leading minor and keeps every entry an integer."""
+    work = [list(row) for row in S]
+    m = len(work)
+    previous = 1
     for p in range(m):
         pivot = work[p][p]
         if pivot <= 0:
             return False
         for i in range(p + 1, m):
-            factor = work[i][p] / pivot
-            if not factor:
+            for j in range(p + 1, m):
+                work[i][j] = (pivot * work[i][j]
+                              - work[i][p] * work[p][j]) // previous
+        previous = pivot
+    return True
+
+
+def _cartan_infinite(q) -> bool:
+    """The cartan-infinite rule re-fired by linear algebra on a square table
+    of braiding values: every diagonal entry is -1 and every product
+    q_ab q_ba is 1 or -1, and the Cartan matrix 2I - A is not positive
+    definite, A being 1 where the product is -1 and 0 elsewhere."""
+    m = len(q)
+    cartan = [[2] * m for _ in range(m)]
+    for a in range(m):
+        if q[a][a] != ROOT_MINUS_ONE:
+            return False
+        for b in range(m):
+            if a == b:
                 continue
-            for j in range(p, m):
-                work[i][j] -= factor * work[p][j]
-    return True
-
-
-def symmetrizable(data: CartanData) -> bool:
-    A = data.matrix
-    _validate_gcm(A)
-    return all(_symmetrizer(A, comp) is not None for comp in _gcm_components(A))
-
-
-def finite_type(data: CartanData) -> bool:
-    """True iff the matrix is symmetrizable with positive definite
-    symmetrization, component by component (exact rational arithmetic)."""
-    A = data.matrix
-    _validate_gcm(A)
-    for comp in _gcm_components(A):
-        edges = sum(1 for a, b in itertools.combinations(comp, 2) if A[a][b] != 0)
-        if edges >= len(comp):
-            return False
-        d = _symmetrizer(A, comp)
-        if d is None:
-            return False
-        S = [[d[x] * A[comp[x]][comp[y]] for y in range(len(comp))]
-             for x in range(len(comp))]
-        if not _positive_definite(S):
-            return False
-    return True
-
-
-def diagram_label(data: CartanData) -> Optional[str]:
-    """Best-effort name for a connected exponent matrix: simply-laced cycles
-    and trees get their standard labels; anything else is unnamed.  Display
-    only; verdicts never depend on it."""
-    A = data.matrix
-    comps = _gcm_components(A)
-    if len(comps) != 1:
-        return None
-    m = len(A)
-    if m == 1:
-        return "A1"
-    simply = all(A[i][j] in (0, -1) for i in range(m) for j in range(m) if i != j)
-    if not simply:
-        return None
-    degrees = [sum(1 for j in range(m) if j != i and A[i][j]) for i in range(m)]
-    edges = sum(degrees) // 2
-    if edges == m and all(d == 2 for d in degrees):
-        return "A%d(1)" % (m - 1)
-    if edges != m - 1:
-        return None
-    if all(d <= 2 for d in degrees):
-        return "A%d" % m
-    if degrees.count(3) != 1 or max(degrees) > 3:
-        return None
-    center = degrees.index(3)
-    arms = []
-    for start in (j for j in range(m) if j != center and A[center][j]):
-        length = 1
-        prev, cur = center, start
-        while True:
-            nxt = [j for j in range(m) if j != prev and j != cur and A[cur][j]]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return "D%d" % m
-    if arms == [1, 2, 2]:
-        return "E6"
-    if arms == [1, 2, 3]:
-        return "E7"
-    if arms == [1, 2, 4]:
-        return "E8"
-    return None
+            product = q[a][b] * q[b][a]
+            if product not in (ROOT_ONE, ROOT_MINUS_ONE):
+                return False
+            cartan[a][b] = -1 if product == ROOT_MINUS_ONE else 0
+    return not _positive_definite(cartan)
 
 
 def cycle_rule(diagram: GeneralizedDynkinDiagram) -> Optional[dict]:
@@ -456,26 +363,24 @@ def _subspace_rules(subrack: AbelianSubrack,
     cartan_hits = []
     cycle_hits = []
     for comp in diagram.components():
-        sub = space.restrict(space.vertices[x] for x in comp)
-        data = cartan_type(sub.braiding_matrix())
-        if isinstance(data, CartanData):
-            if not finite_type(data):
-                firing = _minimal_infinite_set(space, diagram, comp)
-                cartan_hits.append((_expansion_size(space, firing), firing))
-        else:
+        shape = dynkin_shape(diagram, comp)
+        if shape is None:
             hit = cycle_rule(diagram.induced(comp))
             if hit is not None:
                 firing = tuple(sorted(comp[x] for x in hit["cycle"]))
                 order = tuple(comp[x] for x in hit["cycle"])
                 cycle_hits.append(
                     (_expansion_size(space, firing), firing, order, hit))
+        elif not shape.finite:
+            firing = _minimal_infinite_set(space, diagram, comp)
+            cartan_hits.append((_expansion_size(space, firing), firing))
     if cartan_hits:
         size, firing = min(cartan_hits)
-        sub = space.restrict(space.vertices[x] for x in firing)
-        data = cartan_type(sub.braiding_matrix())
+        cartan = [[2 if a == b else -1 if b in diagram.neighbor_set(a) else 0
+                   for b in firing] for a in firing]
         return _witness(space, firing, "cartan-infinite",
-                        {"cartan_matrix": [list(r) for r in data.matrix],
-                         "label": diagram_label(data)})
+                        {"cartan_matrix": cartan,
+                         "label": dynkin_shape(diagram, firing).label})
     if cycle_hits:
         size, firing, order, hit = min(
             cycle_hits, key=lambda x: (x[0], x[1]))
@@ -499,15 +404,12 @@ def _minimal_infinite_set(space: DiagonalSubspace,
     cycle minimizing (expansion, length), else the whole component
     (non-finite trees).  Any cycle subdiagram is again non-finite Cartan.
 
-    Past the scalar gate every vertex label is -1, so two vertices of one
-    column are never adjacent and a triangle spans three columns: its
-    expansion is 3, 6 or 9 as it uses one, two or three eigenvector
-    indices.  The tiers are searched in that order, each in lexicographic
-    order, so the first triangle found is the least by (expansion, sorted
-    tuple)."""
-    if any(diagram.vertex_labels[x] != ROOT_MINUS_ONE for x in comp):
-        raise RuntimeError("a vertex label is not -1 past the scalar gate, "
-                           "so one column may hold adjacent vertices")
+    Every vertex label is -1 (dynkin_shape raises otherwise), so two
+    vertices of one column are never adjacent and a triangle spans three
+    columns: its expansion is 3, 6 or 9 as it uses one, two or three
+    eigenvector indices.  The tiers are searched in that order, each in
+    lexicographic order, so the first triangle found is the least by
+    (expansion, sorted tuple)."""
     vec = {x: space.vertices[x][1] for x in comp}
     slices = {}
     for x in comp:
@@ -628,7 +530,12 @@ def closed_form_verdict(k: int, n: int, rho_spec) -> Verdict:
 def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     """Re-validate an infinite verdict from its recorded witness: rebuild the
     subrack from raw images, recompute the braiding on the witness vertices
-    from the character, and re-fire the rule."""
+    from the character, check it equals the recorded q_matrix, and re-fire
+    the rule on it.  cartan-infinite is re-fired by linear algebra on the
+    firing set, sharing no code with the graph reading that decided it:
+    every diagonal entry -1, every product q_ab q_ba equal to 1 or -1, and
+    the Cartan matrix 2I - A (A = 1 where the product is -1) not positive
+    definite."""
     if verdict.outcome != INFINITE:
         raise ValueError("only infinite verdicts carry a rebuildable witness")
     cls = UnmixedClass(k, n)
@@ -649,9 +556,8 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
         return False
     if verdict.rule == "cartan-infinite":
         firing = [restricted.vertices[x] for x in w["firing"]]
-        sub = restricted.restrict(firing)
-        data = cartan_type(sub.braiding_matrix())
-        return isinstance(data, CartanData) and not finite_type(data)
+        return _cartan_infinite([[restricted.q(a, b) for b in firing]
+                                 for a in firing])
     if verdict.rule == "alternating-cycle":
         a, b, c, d = (restricted.vertices[x] for x in w["cycle"])
         def product(x, y):

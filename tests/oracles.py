@@ -2,7 +2,10 @@
 
 Everything here is deliberately written from first principles with different
 algorithms than the package modules: finite-type detection comes from an
-explicit rank-limited catalog plus networkx graph isomorphism,
+explicit rank-limited catalog plus networkx graph isomorphism, and from the
+general reading of a braiding as a generalized Cartan matrix (a congruence
+per pair, a symmetrizer and exact positive definiteness) where the package
+reads simply-laced shapes off the diagram,
 representations are explicit matrices over the exact cyclotomic field of
 exactfield_oracle and exactla_oracle (a symmetric-group matrix catalog
 induced up to the centralizer), diagonalized by exact linear algebra where
@@ -19,8 +22,10 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
+from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from math import gcd, lcm
+from typing import NamedTuple, Optional, Union
 
 import networkx as nx
 
@@ -571,16 +576,188 @@ def _random_block(rng: random.Random, n: int) -> list:
         edges.add(rng.choice(pool))
     for i, j in sorted(edges):
         t = rng.choice((1, 1, 1, 2))
-        s = -t * (d[i] * d[j]) // _gcd(d[i], d[j])
+        s = -t * (d[i] * d[j]) // gcd(d[i], d[j])
         a[i][j] = s // d[i]
         a[j][i] = s // d[j]
     return a
 
 
-def _gcd(x: int, y: int) -> int:
-    while y:
-        x, y = y, x % y
-    return x
+# the general reading of a diagonal braiding as a generalized Cartan
+# matrix, for any vertex labels and any symmetrizable matrix: the reference
+# that the simply-laced graph reading of nichols.verdict.dynkin_shape is
+# compared against
+
+def braiding_matrix(space) -> tuple:
+    """The square table of braiding values q(a, b) over the vertices."""
+    return tuple(tuple(space.q(a, b) for b in space.vertices)
+                 for a in space.vertices)
+
+
+class CartanData(NamedTuple):
+    """Integer matrix a_ij with a_ii = 2 plus the orders of the diagonal
+    braiding entries it was extracted from."""
+    matrix: tuple
+    diagonal_orders: tuple
+
+
+class NotCartan(NamedTuple):
+    reason: str
+    where: tuple = ()
+
+
+def cartan_type(Q) -> Union[CartanData, NotCartan]:
+    """Extract the integer exponent matrix of a diagonal braiding, given as
+    a square table of RootOfUnity.
+
+    For each pair needs q_ij*q_ji = q_ii**a_ij with a_ij in (-ord(q_ii), 0].
+    Over a common modulus, q = zeta^e, that is the congruence
+    -a_ij * e_ii = e_ij + e_ji, solvable exactly when gcd(e_ii, modulus)
+    divides the right side, and then with one solution in the window.
+    Diagonal entries must differ from 1.
+    """
+    m = len(Q)
+    modulus = lcm(*(x.order() for row in Q for x in row))
+    e = [[modulus // x.m * x.a for x in row] for row in Q]
+    for i in range(m):
+        if not e[i][i]:
+            return NotCartan("diagonal entry 1", (i,))
+    rows = [[2] * m for _ in range(m)]
+    for i in range(m):
+        g = gcd(e[i][i], modulus)
+        order = modulus // g
+        inverse = pow(e[i][i] // g, -1, order)
+        for j in range(m):
+            if i == j:
+                continue
+            product = (e[i][j] + e[j][i]) % modulus
+            if product % g:
+                return NotCartan("no admissible exponent", (i, j))
+            rows[i][j] = -((-(product // g) * inverse) % order)
+    return CartanData(tuple(tuple(r) for r in rows),
+                      tuple(Q[i][i].order() for i in range(m)))
+
+
+def _validate_gcm(A) -> None:
+    m = len(A)
+    for i in range(m):
+        if len(A[i]) != m:
+            raise ValueError("matrix must be square")
+        if A[i][i] != 2:
+            raise ValueError("diagonal entries must equal 2")
+        for j in range(m):
+            if i != j:
+                if A[i][j] > 0:
+                    raise ValueError("off-diagonal entries must be <= 0")
+                if (A[i][j] == 0) != (A[j][i] == 0):
+                    raise ValueError("zero pattern must be symmetric")
+
+
+def _symmetrizer(A, comp) -> Optional[list]:
+    # spanning-tree propagation of d_i * a_ij = d_j * a_ji, verified on the
+    # remaining edges; None when no positive symmetrizer exists
+    d = {comp[0]: Fraction(1)}
+    queue = [comp[0]]
+    while queue:
+        v = queue.pop(0)
+        for w in comp:
+            if w == v or A[v][w] == 0:
+                continue
+            want = d[v] * Fraction(A[v][w], A[w][v])
+            if w in d:
+                if d[w] != want:
+                    return None
+            else:
+                d[w] = want
+                queue.append(w)
+    return [d[v] for v in comp]
+
+
+def _positive_definite(S) -> bool:
+    # Gaussian elimination over the rationals: every pivot positive
+    m = len(S)
+    work = [[Fraction(x) for x in row] for row in S]
+    for p in range(m):
+        pivot = work[p][p]
+        if pivot <= 0:
+            return False
+        for i in range(p + 1, m):
+            factor = work[i][p] / pivot
+            if not factor:
+                continue
+            for j in range(p, m):
+                work[i][j] -= factor * work[p][j]
+    return True
+
+
+def symmetrizable(data: CartanData) -> bool:
+    A = data.matrix
+    _validate_gcm(A)
+    return all(_symmetrizer(A, comp) is not None for comp in _components(A))
+
+
+def finite_type(data: CartanData) -> bool:
+    """True iff the matrix is symmetrizable with positive definite
+    symmetrization, component by component (exact rational arithmetic)."""
+    A = data.matrix
+    _validate_gcm(A)
+    for comp in _components(A):
+        edges = sum(1 for a, b in itertools.combinations(comp, 2) if A[a][b] != 0)
+        if edges >= len(comp):
+            return False
+        d = _symmetrizer(A, comp)
+        if d is None:
+            return False
+        S = [[d[x] * A[comp[x]][comp[y]] for y in range(len(comp))]
+             for x in range(len(comp))]
+        if not _positive_definite(S):
+            return False
+    return True
+
+
+def diagram_label(data: CartanData) -> Optional[str]:
+    """Best-effort name for a connected exponent matrix: simply-laced cycles
+    and trees get their standard labels; anything else is unnamed."""
+    A = data.matrix
+    if len(_components(A)) != 1:
+        return None
+    m = len(A)
+    if m == 1:
+        return "A1"
+    simply = all(A[i][j] in (0, -1) for i in range(m) for j in range(m) if i != j)
+    if not simply:
+        return None
+    degrees = [sum(1 for j in range(m) if j != i and A[i][j]) for i in range(m)]
+    edges = sum(degrees) // 2
+    if edges == m and all(d == 2 for d in degrees):
+        return "A%d(1)" % (m - 1)
+    if edges != m - 1:
+        return None
+    if all(d <= 2 for d in degrees):
+        return "A%d" % m
+    if degrees.count(3) != 1 or max(degrees) > 3:
+        return None
+    center = degrees.index(3)
+    arms = []
+    for start in (j for j in range(m) if j != center and A[center][j]):
+        length = 1
+        prev, cur = center, start
+        while True:
+            nxt = [j for j in range(m) if j != prev and j != cur and A[cur][j]]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+            length += 1
+        arms.append(length)
+    arms.sort()
+    if arms[0] == 1 and arms[1] == 1:
+        return "D%d" % m
+    if arms == [1, 2, 2]:
+        return "E6"
+    if arms == [1, 2, 3]:
+        return "E7"
+    if arms == [1, 2, 4]:
+        return "E8"
+    return None
 
 
 # frozen braiding matrices for the weight-one involution classes: the

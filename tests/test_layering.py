@@ -1,6 +1,8 @@
 """The package decides with integers and roots of unity only: no module of
 `nichols` imports the exact cyclotomic field, the dense linear algebra, or
-the test-side modules that hold them as reference implementations."""
+the test-side modules that hold them as reference implementations, and
+none defines or uses the general Cartan-matrix reading (the congruence
+solver, the symmetrizer, the dense braiding table) that now lives there."""
 
 import ast
 import pathlib
@@ -10,7 +12,8 @@ import nichols
 # last component of a module path that the package must not import
 FORBIDDEN_MODULES = frozenset(("exactla", "exactfield_oracle", "exactla_oracle",
                                "oracles"))
-FORBIDDEN_NAMES = frozenset(("Cyclotomic",)) | FORBIDDEN_MODULES
+FORBIDDEN_NAMES = frozenset(("Cyclotomic", "cartan_type", "symmetrizable",
+                             "braiding_matrix")) | FORBIDDEN_MODULES
 
 
 def _imports(tree):
@@ -35,4 +38,6 @@ def test_package_imports_no_field_and_no_oracle():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         used |= {node.attr for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute)}
+        used |= {node.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
         assert not FORBIDDEN_NAMES & used, (path.name, FORBIDDEN_NAMES & used)

@@ -1,21 +1,25 @@
 import random
+import re
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nichols.braidspace import diagonal_subspace, dynkin_diagram, rotation_subrack
 from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
 from nichols.permgroup import UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
-from nichols.verdict import (CartanData, INFINITE, NEGATIVE, NotCartan,
-                             cartan_type, closed_form_verdict, cycle_rule,
-                             decide, diagram_label, finite_type,
-                             negativity_check, scalar_gate, symmetrizable,
-                             verify_witness)
+from nichols.verdict import (INFINITE, NEGATIVE, _cartan_infinite,
+                             _positive_definite, closed_form_verdict,
+                             cycle_rule, decide, negativity_check,
+                             scalar_gate, verify_witness)
 
-from oracles import (REFERENCE_Q_SIX_CYCLE, cataloged, finite_catalog,
-                     finite_type_lookup, negativity_full, negativity_walk,
-                     random_symmetrizable_gcm, resolve)
+from oracles import (REFERENCE_Q_SIX_CYCLE, CartanData, NotCartan,
+                     _positive_definite as oracle_positive_definite,
+                     cartan_type, cataloged, diagram_label, finite_catalog,
+                     finite_type, finite_type_lookup, negativity_full,
+                     negativity_walk, random_symmetrizable_gcm, resolve,
+                     symmetrizable)
 
 _SYMBOLS = {"1": ROOT_ONE, "-1": ROOT_MINUS_ONE}
 
@@ -121,6 +125,16 @@ def test_random_gcm_agreement_with_lookup():
         a = random_symmetrizable_gcm(rng)
         data = _gcm(a)
         assert finite_type(data) == finite_type_lookup(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda m: st.lists(
+    st.lists(st.integers(-3, 6), min_size=m, max_size=m),
+    min_size=m, max_size=m)))
+def test_positive_definite_agrees_with_rational_elimination(rows):
+    m = len(rows)
+    S = [[rows[min(i, j)][max(i, j)] for j in range(m)] for i in range(m)]
+    assert _positive_definite(S) == oracle_positive_definite(S)
 
 
 def test_cycle_rule_fires_on_rotation_subrack():
@@ -242,6 +256,59 @@ def test_verify_witness_rejects_tampering():
     assert not verify_witness(2, 4, "chi=(1,0,0,0);mu=standard", tampered)
 
 
+def _root(text):
+    if text in _SYMBOLS:
+        return _SYMBOLS[text]
+    return RootOfUnity(*map(int, re.fullmatch(r"z\((\d+),(\d+)\)", text).groups()))
+
+
+def _firing_q(witness):
+    firing = witness["firing"]
+    return [[_root(witness["q_matrix"][a][b]) for b in firing] for a in firing]
+
+
+def test_verify_witness_rejects_a_dropped_firing_vertex():
+    # a triangle or chordless cycle less one vertex is a path, of type A
+    witnesses = 0
+    for spec in enumerate_irreps(2, 6):
+        verdict = decide(2, 6, spec)
+        if verdict.rule != "cartan-infinite":
+            continue
+        witnesses += 1
+        firing = verdict.witness["firing"]
+        assert verify_witness(2, 6, spec, verdict)
+        for x in firing:
+            kept = [y for y in firing if y != x]
+            dropped = verdict._replace(witness=dict(verdict.witness, firing=kept))
+            assert not verify_witness(2, 6, spec, dropped), (spec.label(), x)
+    assert witnesses == 23
+
+
+def test_verify_witness_rejects_labels_outside_the_cartan_reading():
+    spec = "chi=(1,0,0,0);mu=standard"
+    verdict = decide(2, 4, spec)
+    w = verdict.witness
+    assert _cartan_infinite(_firing_q(w))
+    a, b = w["firing"][:2]
+    # a diagonal entry 1, and a product q_ab q_ba of z(4,1)
+    diagonal = [row[:] for row in w["q_matrix"]]
+    diagonal[a][a] = "1"
+    product = [row[:] for row in w["q_matrix"]]
+    product[a][b] = str(RootOfUnity(4, 1) * _root(product[b][a]).inverse())
+    for q_matrix in (diagonal, product):
+        edited = dict(w, q_matrix=q_matrix)
+        assert not _cartan_infinite(_firing_q(edited))
+        assert not verify_witness(2, 4, spec, verdict._replace(witness=edited))
+    # a triangle, non-finite on its own, beside a vertex whose product with
+    # it is z(4,1): read as "no edge", that product would pass unnoticed
+    q = [[ROOT_MINUS_ONE if a == b else ROOT_ONE for b in range(4)]
+         for a in range(4)]
+    q[0][1] = q[1][2] = q[0][2] = ROOT_MINUS_ONE
+    assert _cartan_infinite(q)
+    q[0][3] = RootOfUnity(4, 1)
+    assert not _cartan_infinite(q)
+
+
 def test_verify_witness_needs_infinite_verdict():
     verdict = decide(2, 3, "chi=(1,1,1);mu=trivial")
     assert verdict.outcome == NEGATIVE
@@ -281,7 +348,7 @@ def test_wider_grids_match_closed_form_and_witnesses_verify():
 
 @pytest.mark.slow
 def test_largest_sweeps_match_closed_form_and_witnesses_verify():
-    # 547 rows up to degree 672.  63 s on a 2-vCPU VM, almost all of it
+    # 547 rows up to degree 672.  34 s on a 2-vCPU VM, almost all of it
     # the degree-448 to degree-672 rows of (2,8); the bound allows a slower
     # machine, and fails a witness search that lists every triangle, which
     # took over 20 min on (2,8) alone

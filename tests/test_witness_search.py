@@ -1,5 +1,7 @@
-"""The witness search of nichols.verdict against the enumerating reference
-in oracles: the same firing tuple on every non-finite Cartan component, and
+"""The component reading and the witness search of nichols.verdict against
+the references in oracles: the same Cartan and finite-type answer and label
+as the general Cartan-matrix reading on every component, the same firing
+tuple as the enumerating search on every non-finite Cartan component, and
 the same cycle on random graphs."""
 
 import itertools
@@ -9,29 +11,47 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nichols.verdict
 from nichols.braidspace import (DiagonalSubspace, GeneralizedDynkinDiagram,
-                                diagonal_subspace, dynkin_diagram)
-from nichols.exactfield import ROOT_MINUS_ONE
+                                canonical_subrack, diagonal_subspace,
+                                dynkin_diagram)
+from nichols.exactfield import ROOT_MINUS_ONE, RootOfUnity
 from nichols.permgroup import UnmixedClass
 from nichols.reps import enumerate_irreps, pi_scalar
-from nichols.verdict import (CartanData, _minimal_infinite_set,
-                             _shortest_cycle, candidate_subracks, cartan_type,
-                             finite_type, scalar_gate)
+from nichols.verdict import (INFINITE, _minimal_infinite_set, _shortest_cycle,
+                             _subspace_rules, candidate_subracks,
+                             dynkin_shape, scalar_gate, verify_witness)
 
-from oracles import minimal_infinite_set, shortest_cycle
+from oracles import (CartanData, braiding_matrix, cartan_type, diagram_label,
+                     finite_type, finite_type_lookup, minimal_infinite_set,
+                     shortest_cycle)
 
 
-def _non_finite_components(space):
+def _read_components(space):
+    """(diagram, restricted space, component, reading) for every component,
+    each reading checked against the general Cartan-matrix reference."""
     diagram = dynkin_diagram(space)
     for comp in diagram.components():
         sub = space.restrict(space.vertices[x] for x in comp)
-        data = cartan_type(sub.braiding_matrix())
-        if isinstance(data, CartanData) and not finite_type(data):
+        data = cartan_type(braiding_matrix(sub))
+        shape = dynkin_shape(diagram, comp)
+        assert (shape is not None) == isinstance(data, CartanData), comp
+        if shape is not None:
+            assert shape.finite == finite_type(data), comp
+            assert shape.label == diagram_label(data), comp
+        yield diagram, sub, comp, shape
+
+
+def _non_finite_components(space):
+    for diagram, sub, comp, shape in _read_components(space):
+        if shape is not None and not shape.finite:
             yield diagram, sub, comp
 
 
 def test_witness_search_matches_the_reference_on_every_candidate_subrack():
-    checked = 0
+    # every component is read as the reference reads it, finite or not,
+    # Cartan or not; the non-finite ones are shrunk as the reference does
+    read = checked = 0
     for k, n in ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (4, 2), (4, 3),
                  (4, 4), (6, 3), (8, 2), (10, 2)):
         cls = UnmixedClass(k, n)
@@ -41,12 +61,16 @@ def test_witness_search_matches_the_reference_on_every_candidate_subrack():
             character = spec.character()
             for subrack in candidate_subracks(cls):
                 space = diagonal_subspace(subrack, character)
-                for diagram, sub, comp in _non_finite_components(space):
+                for diagram, sub, comp, shape in _read_components(space):
+                    read += 1
+                    if shape is None or shape.finite:
+                        continue
                     want = minimal_infinite_set(space, sub, comp)
                     got = _minimal_infinite_set(space, diagram, comp)
                     assert got == want, (k, n, spec.label(), subrack.kind)
                     checked += 1
     assert checked == 284
+    assert read == 780
 
 
 @st.composite
@@ -69,14 +93,23 @@ def labeled_spaces(draw):
 @settings(max_examples=300, deadline=None)
 @given(labeled_spaces())
 def test_witness_search_matches_the_reference_on_random_sign_tables(space):
+    # every component is read as the reference reads it (in
+    # _read_components); the non-finite ones are shrunk alike
     for diagram, sub, comp in _non_finite_components(space):
         assert (_minimal_infinite_set(space, diagram, comp)
                 == minimal_infinite_set(space, sub, comp))
 
 
-def test_witness_search_needs_minus_one_vertex_labels():
+def _decide_on(monkeypatch, space):
+    # the rules of one subrack, run on a given diagonal subspace
+    monkeypatch.setattr(nichols.verdict, "diagonal_subspace",
+                        lambda subrack, character: space)
+    return _subspace_rules(space.subrack, None)
+
+
+def test_witness_search_needs_minus_one_vertex_labels(monkeypatch):
     # a vertex label 1 breaks "one column holds no edge", on which the
-    # triangle tiers rest: the search raises rather than guess
+    # triangle tiers rest: the reading raises rather than guess
     labels = (((0, 1), (0, 1), (1, 0)), ((1, 0), (1, 1), (0, 1)),
               ((0, 1), (1, 0), (1, 1)))
     space = DiagonalSubspace(None, 2, labels,
@@ -84,13 +117,123 @@ def test_witness_search_needs_minus_one_vertex_labels():
     diagram = dynkin_diagram(space)
     comp = max(diagram.components(), key=len)
     with pytest.raises(RuntimeError, match="not -1"):
-        _minimal_infinite_set(space, diagram, comp)
+        dynkin_shape(diagram, comp)
+    with pytest.raises(RuntimeError, match="not -1"):
+        _decide_on(monkeypatch, space)
+    # the path 0 - 1 - 2 with every edge label -1 and the middle label
+    # z(4,1): read as a graph alone it would be the finite tree A3, so the
+    # guard covers finite components too
+    labels = (((2,), (2,), (0,)), ((0,), (1,), (2,)), ((0,), (0,), (2,)))
+    space = DiagonalSubspace(None, 4, labels, [(j, 0) for j in range(3)])
+    diagram = dynkin_diagram(space)
+    assert diagram.components() == ((0, 1, 2),)
+    assert {w for _, _, w in diagram.edges} == {ROOT_MINUS_ONE}
+    with pytest.raises(RuntimeError, match="not -1"):
+        dynkin_shape(diagram, (0, 1, 2))
+    with pytest.raises(RuntimeError, match="not -1"):
+        _decide_on(monkeypatch, space)
 
 
-def _graph(size, pairs):
+def _one_vector_space(subrack, size, pairs):
+    # one eigenvector per column, every vertex label -1, and an edge
+    # labelled -1 on each given pair
+    bits = [[int(i == j) for j in range(size)] for i in range(size)]
+    for i, j in pairs:
+        bits[min(i, j)][max(i, j)] = 1
+    labels = tuple(tuple((b,) for b in row) for row in bits)
+    return DiagonalSubspace(subrack, 2, labels, [(j, 0) for j in range(size)])
+
+
+def test_a_non_finite_tree_is_its_own_witness(monkeypatch):
+    # no row has a non-finite tree component, so the whole-component
+    # branch of the witness search runs on a synthetic diagram: the affine
+    # tree E6(1) (three arms of two edges) on the first seven columns of
+    # the (2,4) canonical subrack, two isolated vertices beside it
+    subrack = canonical_subrack(UnmixedClass(2, 4))
+    assert subrack.size == 9
+    space = _one_vector_space(subrack, 9, [(0, 1), (1, 2), (0, 3), (3, 4),
+                                           (0, 5), (5, 6)])
+    verdict = _decide_on(monkeypatch, space)
+    assert verdict.outcome == INFINITE and verdict.rule == "cartan-infinite"
+    assert verdict.witness["firing"] == list(range(7))
+    assert verdict.witness["label"] is None
+    assert len(verdict.witness["cartan_matrix"]) == 7
+    spec = "chi=(1,1,1,1);mu=trivial"
+    assert verify_witness(2, 4, spec, verdict)
+    # without a leaf the tree is E6, of finite type
+    for leaf in (2, 4, 6):
+        firing = [x for x in verdict.witness["firing"] if x != leaf]
+        dropped = verdict._replace(
+            witness=dict(verdict.witness, firing=firing))
+        assert not verify_witness(2, 4, spec, dropped)
+
+
+def _graph(size, pairs, label=ROOT_MINUS_ONE):
     edges = {tuple(sorted(p)) for p in pairs}
     return GeneralizedDynkinDiagram(
-        [ROOT_MINUS_ONE] * size, [(a, b, ROOT_MINUS_ONE) for a, b in edges])
+        [ROOT_MINUS_ONE] * size, [(a, b, label) for a, b in edges])
+
+
+def _matrix(diagram, comp):
+    return [[2 if a == b else -1 if diagram.edge_label(a, b) else 0
+             for b in comp] for a in comp]
+
+
+@st.composite
+def simply_laced_graphs(draw):
+    # a random forest on up to 8 vertices (each vertex hangs off an earlier
+    # one or starts a new tree), with or without extra edges closing cycles
+    size = draw(st.integers(1, 8))
+    pairs = []
+    for v in range(1, size):
+        parent = draw(st.integers(-1, v - 1))
+        if parent >= 0:
+            pairs.append((parent, v))
+    if size > 2 and draw(st.booleans()):
+        extra = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+        pairs += [(a, b) for a, b in draw(st.lists(extra, max_size=3)) if a != b]
+    return _graph(size, pairs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(simply_laced_graphs())
+def test_dynkin_shape_agrees_with_the_catalog_lookup(diagram):
+    finite = []
+    for comp in diagram.components():
+        shape = dynkin_shape(diagram, comp)
+        a = _matrix(diagram, comp)
+        assert shape.finite == finite_type_lookup(a), comp
+        assert shape.label == diagram_label(CartanData(a, (2,) * len(a)))
+        finite.append(shape.finite)
+    assert all(finite) == finite_type_lookup(_matrix(diagram, range(diagram.size)))
+
+
+def _path(size, start=0):
+    return [(v, v + 1) for v in range(start, start + size - 1)]
+
+
+def test_dynkin_shape_fixed_cases():
+    # the A9 chain is beyond the rank-8 lookup, and finite
+    assert dynkin_shape(_graph(9, _path(9)), range(9)) == (True, "A9")
+    assert dynkin_shape(_graph(1, []), (0,)) == (True, "A1")
+    named = {"D5": [(0, 1), (0, 2), (0, 3), (3, 4)],
+             "E8": [(0, 1), (0, 2), (2, 3), (0, 4)] + _path(4, 4)}
+    for name, pairs in named.items():
+        size = max(max(p) for p in pairs) + 1
+        assert dynkin_shape(_graph(size, pairs), range(size)) == (True, name)
+    affine = {"K1,4": (5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
+              "D5(1)": (6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)]),
+              "E6(1)": (7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])}
+    for name, (size, pairs) in affine.items():
+        shape = dynkin_shape(_graph(size, pairs), range(size))
+        assert shape == (False, None), name
+    cycle = _graph(6, _path(6) + [(5, 0)])
+    assert dynkin_shape(cycle, range(6)) == (False, "A5(1)")
+    chorded = _graph(4, _path(4) + [(3, 0), (0, 2)])
+    assert dynkin_shape(chorded, range(4)) == (False, None)
+    # an edge label other than -1 is no Cartan entry: not a shape at all
+    assert dynkin_shape(_graph(2, [(0, 1)], RootOfUnity(4, 1)),
+                        (0, 1)) is None
 
 
 @st.composite
