@@ -188,17 +188,21 @@ class DiagonalSubspace:
     a linear character of multiplicity m fills m consecutive indices.  The
     braiding entry for row vertex (i, r) and column vertex (j, s) is the
     eigenvalue of rho(gamma_ij) on eigenvector s, zeta_modulus^labels[i][j][s];
-    it does not depend on r.
+    it does not depend on r.  runs[s] numbers the joint character of
+    eigenvector s (None: each eigenvector its own), so two vertices of one
+    column whose eigenvectors share a character are twins: they have the
+    same braiding with every vertex.
     """
 
-    __slots__ = ("subrack", "modulus", "labels", "vertices", "_roots")
+    __slots__ = ("subrack", "modulus", "labels", "vertices", "runs", "_roots")
 
     def __init__(self, subrack: AbelianSubrack, modulus: int, labels,
-                 vertices) -> None:
+                 vertices, runs=None) -> None:
         self.subrack = subrack
         self.modulus = modulus
         self.labels = labels
         self.vertices = tuple(vertices)
+        self.runs = runs
         self._roots = tuple(RootOfUnity(modulus, e) for e in range(modulus))
 
     @property
@@ -214,7 +218,24 @@ class DiagonalSubspace:
         for v in vertices:
             if v not in known:
                 raise ValueError("vertex %r is not in the subspace" % (v,))
-        return DiagonalSubspace(self.subrack, self.modulus, self.labels, vertices)
+        return DiagonalSubspace(self.subrack, self.modulus, self.labels,
+                                vertices, self.runs)
+
+    def blocks(self) -> list:
+        """The vertex indices in blocks of twins: each block a maximal run of
+        consecutive vertices in one column whose eigenvectors share a joint
+        character."""
+        runs = self.runs
+        out = []
+        previous = None
+        for x, (j, s) in enumerate(self.vertices):
+            key = (j, s if runs is None else runs[s])
+            if key == previous:
+                out[-1].append(x)
+            else:
+                out.append([x])
+                previous = key
+        return out
 
     def vertex_names(self) -> tuple:
         return tuple("t%d.v%d" % (j, s) for j, s in self.vertices)
@@ -225,12 +246,13 @@ class DiagonalSubspace:
 
 def joint_spectrum(cls: UnmixedClass, character: InducedCharacter,
                    generators, modulus: int) -> list:
-    """Joint eigenvalues of rho on commuting centralizer elements.
+    """Joint eigenvalues of rho on commuting centralizer elements: the
+    linear characters of H = <generators> that occur in rho.
 
-    One tuple per eigenvector, its entries the exponents e with
-    rho(generators[t]) acting by zeta_modulus^e_t; tuples in lexicographic
-    order, each repeated by its multiplicity.  modulus must be a multiple
-    of k and of every generator's order.
+    One pair (exps, mult) per character, exps the exponents e with
+    rho(generators[t]) acting by zeta_modulus^e_t on its eigenvectors and
+    mult their number; pairs in lexicographic order of exps.  modulus must
+    be a multiple of k and of every generator's order.
 
     H = <generators> is built layer by layer: a generator not yet in H
     joins with its relative order r, so every element is a unique word
@@ -305,12 +327,13 @@ def joint_spectrum(cls: UnmixedClass, character: InducedCharacter,
     if sum(mult for _, mult in spectrum) != character.degree:
         raise ArithmeticError("multiplicities do not add up to the degree")
     spectrum.sort()
-    return [exps for exps, mult in spectrum for _ in range(mult)]
+    return spectrum
 
 
 def _braiding_labels(subrack: AbelianSubrack, character: InducedCharacter) -> tuple:
-    """(modulus, labels) with labels[i][j][s] the exponent of the eigenvalue
-    of rho(gamma_ij) on eigenvector s.
+    """(modulus, labels, runs) with labels[i][j][s] the exponent of the
+    eigenvalue of rho(gamma_ij) on eigenvector s, and runs[s] the index of
+    the joint character of eigenvector s.
 
     The distinct table entries must commute pairwise (true for the
     structured subrack families, whose tables close inside the subrack):
@@ -323,84 +346,152 @@ def _braiding_labels(subrack: AbelianSubrack, character: InducedCharacter) -> tu
     if not all(a.commutes_with(b) for a, b in itertools.combinations(distinct, 2)):
         raise ValueError("conjugation table entries do not commute")
     spectrum = joint_spectrum(subrack.cls, character, distinct, modulus)
-    column = {p: tuple(eig[t] for eig in spectrum)
+    column = {p: tuple(exps[t] for exps, mult in spectrum for _ in range(mult))
               for t, p in enumerate(distinct)}
     labels = tuple(tuple(column[p] for p in row) for row in table)
-    return modulus, labels
+    runs = tuple(r for r, (_, mult) in enumerate(spectrum) for _ in range(mult))
+    return modulus, labels, runs
 
 
 def diagonal_subspace(subrack: AbelianSubrack,
                       character: InducedCharacter) -> DiagonalSubspace:
-    modulus, labels = _braiding_labels(subrack, character)
+    modulus, labels, runs = _braiding_labels(subrack, character)
     vertices = tuple((j, s) for j in range(subrack.size)
                      for s in range(character.degree))
-    return DiagonalSubspace(subrack, modulus, labels, vertices)
+    return DiagonalSubspace(subrack, modulus, labels, vertices, runs)
 
 
 class GeneralizedDynkinDiagram:
     """Vertex labels q_aa and edge labels q_ab q_ba (edges only where != 1).
 
-    An adjacency map (vertex -> {neighbor: label}) is built once, so
-    neighbors and edge labels are lookups rather than edge-list scans."""
+    The vertices fall into blocks of twins, each block a tuple of vertices
+    in increasing order whose members have one label towards every other
+    vertex.  So the edges are given between blocks, (x, y, label) with
+    x <= y; an edge (x, x) joins the members of block x pairwise, and no
+    vertex is its own neighbor.  Without blocks every vertex is a block of
+    its own, and the edges are between vertices.  The sorted neighbors of
+    a block's members are built on first use, one set shared by twins, and
+    the vertex edge list only when it is asked for."""
 
-    __slots__ = ("vertex_labels", "edges", "names", "_adjacent", "_neighbors")
+    __slots__ = ("vertex_labels", "names", "blocks", "block_of", "_adjacent",
+                 "_neighbors", "_neighbor_sets", "_edges")
 
-    def __init__(self, vertex_labels, edges, names=None) -> None:
+    def __init__(self, vertex_labels, edges, names=None, blocks=None) -> None:
         self.vertex_labels = tuple(vertex_labels)
-        self.edges = tuple(sorted(edges, key=lambda e: (e[0], e[1])))
+        size = len(self.vertex_labels)
         if names is None:
-            names = tuple("v%d" % i for i in range(len(self.vertex_labels)))
+            names = tuple("v%d" % i for i in range(size))
         self.names = tuple(names)
-        self._adjacent = tuple({} for _ in self.vertex_labels)
-        for x, y, w in self.edges:
+        if blocks is None:
+            self.blocks = tuple((v,) for v in range(size))
+            self.block_of = tuple(range(size))
+        else:
+            self.blocks = tuple(tuple(members) for members in blocks)
+            block_of = [0] * size
+            for x, members in enumerate(self.blocks):
+                for v in members:
+                    block_of[v] = x
+            self.block_of = tuple(block_of)
+        self._adjacent = tuple({} for _ in self.blocks)
+        for x, y, w in edges:
             self._adjacent[x].setdefault(y, w)
             self._adjacent[y].setdefault(x, w)
-        self._neighbors = tuple(tuple(sorted(adj)) for adj in self._adjacent)
+        self._neighbors = [None] * size
+        self._neighbor_sets = [None] * size
+        self._edges = None
 
     @property
     def size(self) -> int:
         return len(self.vertex_labels)
 
+    def block_adjacent(self, x: int) -> dict:
+        """The blocks adjacent to block x, itself included when its twins are
+        adjacent to each other, mapped to the edge label."""
+        return self._adjacent[x]
+
     def edge_label(self, a: int, b: int):
-        return self._adjacent[a].get(b)
+        if a == b:
+            return None
+        return self._adjacent[self.block_of[a]].get(self.block_of[b])
+
+    def _fill(self, a: int) -> None:
+        x = self.block_of[a]
+        members = self.blocks[x]
+        adjacent = self._adjacent[x]
+        around = sorted(v for y in adjacent if y != x for v in self.blocks[y])
+        if x in adjacent:
+            for b in members:
+                near = tuple(sorted(around + [v for v in members if v != b]))
+                self._neighbors[b] = near
+                self._neighbor_sets[b] = frozenset(near)
+        else:
+            near = tuple(around)
+            shared = frozenset(near)
+            for b in members:
+                self._neighbors[b] = near
+                self._neighbor_sets[b] = shared
 
     def neighbors(self, a: int) -> tuple:
+        if self._neighbors[a] is None:
+            self._fill(a)
         return self._neighbors[a]
 
-    def neighbor_set(self, a: int):
-        """The neighbors of a as a set view: membership is a lookup, and
-        & or - with another set gives a set."""
-        return self._adjacent[a].keys()
+    def neighbor_set(self, a: int) -> frozenset:
+        """The neighbors of a as a set: membership is a lookup, and & or -
+        with another set gives a set."""
+        if self._neighbor_sets[a] is None:
+            self._fill(a)
+        return self._neighbor_sets[a]
+
+    @property
+    def edges(self) -> tuple:
+        """Every edge (a, b, label) with a < b, sorted by (a, b)."""
+        if self._edges is None:
+            self._edges = tuple((a, b, self.edge_label(a, b))
+                                for a in range(self.size)
+                                for b in self.neighbors(a) if b > a)
+        return self._edges
 
     def induced(self, vertices) -> "GeneralizedDynkinDiagram":
         """The subdiagram on the given vertices, renumbered in that order,
-        with their labels and names and the edges among them."""
+        with their labels and names and the edges among them; twins stay
+        twins."""
         index = {v: i for i, v in enumerate(vertices)}
-        edges = [(i, index[w], label) for v, i in index.items()
-                 for w, label in self._adjacent[v].items()
-                 if index.get(w, -1) > i]
+        groups = {}
+        for v, i in index.items():
+            groups.setdefault(self.block_of[v], []).append(i)
+        position = {x: y for y, x in enumerate(groups)}
+        edges = [(y, position[z], w) for x, y in position.items()
+                 for z, w in self._adjacent[x].items()
+                 if position.get(z, -1) >= y]
         return GeneralizedDynkinDiagram(
             [self.vertex_labels[v] for v in index], edges,
-            [self.names[v] for v in index])
+            [self.names[v] for v in index], groups.values())
 
     def components(self) -> tuple:
-        seen = set()
+        """The connected components, each a sorted vertex tuple, ordered by
+        least vertex.  Adjacent blocks lie in one component whole; a block
+        adjacent to no other is one component when its twins are adjacent,
+        else one per member."""
+        seen = [False] * len(self.blocks)
         out = []
-        for start in range(self.size):
-            if start in seen:
+        for start in range(len(self.blocks)):
+            if seen[start]:
                 continue
-            comp = []
+            seen[start] = True
+            group = [start]
             stack = [start]
-            seen.add(start)
             while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self._neighbors[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            out.append(tuple(sorted(comp)))
-        return tuple(out)
+                for y in self._adjacent[stack.pop()]:
+                    if not seen[y]:
+                        seen[y] = True
+                        group.append(y)
+                        stack.append(y)
+            if len(group) == 1 and start not in self._adjacent[start]:
+                out.extend((v,) for v in self.blocks[start])
+            else:
+                out.append(tuple(sorted(v for x in group for v in self.blocks[x])))
+        return tuple(sorted(out))
 
     def to_dot(self) -> str:
         lines = ["graph diagram {"]
@@ -416,17 +507,22 @@ class GeneralizedDynkinDiagram:
 
 
 def dynkin_diagram(subspace: DiagonalSubspace) -> GeneralizedDynkinDiagram:
+    """The diagram of a diagonal subspace on its blocks of twins: one label
+    per pair of blocks, read off their first members.  Two twins a, b have
+    q_ab q_ba = q_aa^2, an edge only before the scalar gate."""
     verts = subspace.vertices
     labels = subspace.labels
     modulus = subspace.modulus
     roots = subspace._roots
+    blocks = subspace.blocks()
+    heads = [verts[members[0]] for members in blocks]
     edges = []
-    for a, (ia, sa) in enumerate(verts):
+    for x, (ia, sa) in enumerate(heads):
         row = labels[ia]
-        for b in range(a + 1, len(verts)):
-            ib, sb = verts[b]
+        for y in range(x if len(blocks[x]) > 1 else x + 1, len(heads)):
+            ib, sb = heads[y]
             w = (row[ib][sb] + labels[ib][ia][sa]) % modulus
             if w:
-                edges.append((a, b, roots[w]))
-    return GeneralizedDynkinDiagram([subspace.q(v, v) for v in verts], edges,
-                                    subspace.vertex_names())
+                edges.append((x, y, roots[w]))
+    return GeneralizedDynkinDiagram([roots[labels[j][j][s]] for j, s in verts],
+                                    edges, subspace.vertex_names(), blocks)

@@ -324,7 +324,10 @@ def parse_rep_spec(k: int, n: int, text: str) -> RepSpec:
         if "=" not in part:
             raise ValueError("malformed representation spec %r" % text)
         key, _, val = part.partition("=")
-        fields[key.strip()] = val.strip()
+        key = key.strip()
+        if key in fields:
+            raise ValueError("repeated representation spec field: %s" % key)
+        fields[key] = val.strip()
     unknown = set(fields) - {"chi", "mu"}
     if unknown:
         raise ValueError("unknown representation spec fields: %s" % ", ".join(sorted(unknown)))
@@ -377,7 +380,11 @@ def _parse_mu(stab: YoungSubgroup, text: str) -> tuple:
             raise ValueError("mu needs %d block partitions, got %d" % (len(sizes), len(chunks)))
         partitions = []
         for chunk, s in zip(chunks, sizes):
-            part = tuple(sorted((int(tok) for tok in chunk.split("+")), reverse=True))
+            try:
+                part = tuple(sorted((int(tok) for tok in chunk.split("+")),
+                                    reverse=True))
+            except ValueError:
+                part = ()
             if sum(part) != s or any(x < 1 for x in part):
                 raise ValueError("%r is not a partition of block size %d" % (chunk, s))
             partitions.append(part)

@@ -80,25 +80,42 @@ def dynkin_shape(diagram: GeneralizedDynkinDiagram,
     otherwise.  The matrix is then simply laced, and of finite type exactly
     when the graph is an A, D or E tree (Kac, Infinite-dimensional Lie
     algebras, 4.8).  The label names A_m, D_m and E6-E8, and a cycle as
-    A_{m-1}(1); any other non-finite shape is unnamed (None)."""
+    A_{m-1}(1); any other non-finite shape is unnamed (None).
+
+    Labels and degrees are read per pair of twin blocks, as twins have one
+    label and one degree; neighbors are walked only in trees."""
     keep = set(vertices)
-    if any(diagram.vertex_labels[v] != ROOT_MINUS_ONE for v in keep):
+    count = {}
+    for v in keep:
+        x = diagram.block_of[v]
+        count[x] = count.get(x, 0) + 1
+    if any(diagram.vertex_labels[diagram.blocks[x][0]] != ROOT_MINUS_ONE
+           for x in count):
         raise RuntimeError("a vertex label is not -1 past the scalar gate, "
                            "so one column may hold adjacent vertices")
-    near = {v: diagram.neighbor_set(v) & keep for v in keep}
-    if any(diagram.edge_label(v, w) != ROOT_MINUS_ONE
-           for v, ws in near.items() for w in ws if w > v):
-        return None
-    degrees = sorted(len(ws) for ws in near.values())
-    edges = sum(degrees) // 2
+    degrees = []
+    for x, c in count.items():
+        degree = 0
+        for y, w in diagram.block_adjacent(x).items():
+            near = count.get(y, 0) - (y == x)
+            if near:
+                if w != ROOT_MINUS_ONE:
+                    return None
+                degree += near
+        degrees.append((degree, c))
+    degrees.sort(reverse=True)
+    edges = sum(d * c for d, c in degrees) // 2
     m = len(keep)
+    top = degrees[0][0]
     if edges >= m:
-        cycle = edges == m and degrees[-1] == 2
+        cycle = edges == m and top == 2
         return DynkinShape(False, "A%d(1)" % (m - 1) if cycle else None)
-    if degrees[-1] <= 2:
+    # a tree: twins share their neighbors, so only leaves have twins
+    if top <= 2:
         return DynkinShape(True, "A%d" % m)
-    if degrees[-1] > 3 or degrees[-2] > 2:
+    if top > 3 or degrees[1][0] > 2:
         return DynkinShape(False, None)
+    near = {v: diagram.neighbor_set(v) & keep for v in keep}
     center = next(v for v, ws in near.items() if len(ws) == 3)
     arms = []
     for start in near[center]:

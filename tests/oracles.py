@@ -12,9 +12,10 @@ induced up to the centralizer), diagonalized by exact linear algebra where
 the package uses characters and integer traces only, negativity is checked
 by walking commuting pairs instead of partner classes, and the whole
 centralizer is listed element by element where the package works with its
-conjugacy-class labels, and a witness is shrunk by listing every triangle
+conjugacy-class labels, a witness is shrunk by listing every triangle
 and running one unbounded BFS per edge where the package searches by tiers
-and cuts its searches short.
+and cuts its searches short, and the Dynkin diagram is built one vertex
+pair at a time where the package labels one pair of twin blocks at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import NamedTuple, Optional, Union
 
 import networkx as nx
 
-from nichols.braidspace import dynkin_diagram
+from nichols.braidspace import GeneralizedDynkinDiagram, dynkin_diagram
 from nichols.permgroup import (NormalForm, Permutation, conjugacy_class_iter,
                                conjugate)
 from nichols.reps import (GammaCharacter, YoungSubgroup, _label_to_partition,
@@ -870,6 +871,28 @@ def negativity_walk(cls, rho) -> NegativityReport:
                 {"pair": (str(pi), str(t)), "reason": "not negative"}, ())
     return NegativityReport(True, len(partners), False, None, (),
                             len(partners))
+
+
+# the Dynkin diagram one vertex pair at a time
+
+def dynkin_diagram_by_pairs(subspace) -> GeneralizedDynkinDiagram:
+    """The generalized Dynkin diagram of a diagonal subspace with the label
+    q_ab q_ba summed for every pair of vertices a < b, each vertex a block
+    of its own."""
+    verts = subspace.vertices
+    labels = subspace.labels
+    modulus = subspace.modulus
+    roots = subspace._roots
+    edges = []
+    for a, (ia, sa) in enumerate(verts):
+        row = labels[ia]
+        for b in range(a + 1, len(verts)):
+            ib, sb = verts[b]
+            w = (row[ib][sb] + labels[ib][ia][sa]) % modulus
+            if w:
+                edges.append((a, b, roots[w]))
+    return GeneralizedDynkinDiagram([subspace.q(v, v) for v in verts], edges,
+                                    subspace.vertex_names())
 
 
 # witness shrinking by listing every triangle and one full BFS per edge

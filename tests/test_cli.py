@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import pathlib
@@ -115,11 +116,23 @@ def test_classify_scalar_gate_on_odd_order():
      "--max-subracks", "-5"),
     ("table", "--k", "2", "--n", "2", "--max-class-size", "0"),
     ("table", "--k", "2", "--n", "2", "--no-symmetry-reduction"),
+    ("classify", "--k", "2", "--n", "3", "--rep",
+     "chi=(1,1,1);mu=sign;mu=trivial"),
+    ("classify", "--k", "2", "--n", "3", "--rep", "chi=(1,1,1);mu=catalog:"),
 ])
 def test_usage_errors_exit_64(argv):
     result = run_cli(*argv)
     assert result.returncode == 64
     assert "error" in result.stderr
+
+
+@pytest.mark.parametrize("part", ["", "a"])
+def test_catalog_part_error_names_the_part(part):
+    result = run_cli("classify", "--k", "2", "--n", "3",
+                     "--rep", "chi=(1,1,1);mu=catalog:" + part)
+    assert result.returncode == 64
+    assert result.stderr == (
+        "nichols: error: %r is not a partition of block size 3\n" % part)
 
 
 @pytest.mark.parametrize("rep", ["chi=2:2", "chi=k:2"])
@@ -238,6 +251,22 @@ def test_diagram_subrack_selectors(k, n, rep, selector):
                      "--rep", rep, "--subrack", selector)
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "// nichols.diagram/1"
+
+
+def test_diagram_of_adjacent_twins():
+    # before the scalar gate two twins of one column can be adjacent: here
+    # every vertex label is z(4,3), so each product q_ab q_ba is z(4,3)^2 =
+    # -1, and the rotation quadruple's 8 vertices form the complete graph
+    result = run_cli("diagram", "--k", "4", "--n", "3",
+                     "--rep", "chi=(1,1,1);mu=standard", "--subrack", "rotation")
+    assert result.returncode == 0, result.stderr
+    names = ["t%d.v%d" % (j, s) for j in range(4) for s in range(2)]
+    assert result.stdout.splitlines() == (
+        ["// nichols.diagram/1", "graph diagram {"]
+        + ['  %s [label="z(4,3)"];' % name for name in names]
+        + ['  %s -- %s [label="-1"];' % pair
+           for pair in itertools.combinations(names, 2)]
+        + ["}"])
 
 
 def test_repeat_runs_are_byte_identical():

@@ -1,0 +1,52 @@
+"""The `table --format json` output of 26 classes, pinned by its sha256.
+
+A change that is meant to keep every verdict and witness must keep these
+digests; a change that alters output on purpose records the new ones here,
+with the reason in CHANGES.md.  To print the digest of one class:
+
+    PYTHONPATH=src python -m nichols.cli table --k K --n N --format json \\
+        2>/dev/null | sha256sum
+"""
+
+import hashlib
+
+import pytest
+
+from nichols import cli
+
+DIGESTS = {
+    (2, 1): "c9232bf1a9ec8ceedd29bdd4d049438f4a672ed25382c91e02916b9c6a483668",
+    (2, 2): "2978f753ebc8a1e413093a8d60883a5a2e27a6ae39e5444b9e28a87d5ae8e648",
+    (2, 3): "9a83700b11d0faabcebf7f4c75f2eb15f32bd57cf68a8481f0ef5fe9f8e341c4",
+    (2, 4): "171001ab2cb2e40bcf0b12daf94bd5fa9260ae5f64ca148b8e5d4f4b738b3c4c",
+    (2, 5): "72eb28569e254e7385608b4f645a27f66ea70380581d11689b36efe56210d725",
+    (2, 6): "306a7da0b4b9eb5dba1dd5a0649773bbfd4447953c9682f6be9fb4d091ddb7bb",
+    (2, 7): "5dd24612c4d1fb3344c9d041f8de678c6f305c6fe7c95c6859f5e74fca17905b",
+    (3, 1): "ff923443d410857b90b71bac3dad6cd4d83342cd4520baca5b258ab022bca3b0",
+    (3, 2): "923f87dd5965e3bafb239459ddd7b4f14945e8951a941464223257810f4bbff8",
+    (3, 3): "40090e5aa87c522ce1018478dd64db2ec296404596d1733bd4c2c2f6776a2203",
+    (3, 4): "ec2112ee50fffa80a3679efe59761df126badfa820dfc0f11906e29835e738e4",
+    (4, 1): "5a9a499818c065afc2a10f7257c9dc042f2f04173d5f688d24025ba8d9a9af2b",
+    (4, 2): "0322e35dfac855e2bedb0364ae72ed9c499e4a49f130b8547371a9270a0de52d",
+    (4, 3): "7b544ec074499018e8de3d2733cb9cd1de369846a7a551ddc714090325840557",
+    (4, 4): "9fb014537d23b38bdbdb33476105b679d06d2cee28b82f5653aded21fa119285",
+    (4, 5): "2e834690477783aafefa8585ac153420dcac4f932caf18412fac59bcffca7e60",
+    (5, 1): "ef1eb931612f2c229079e3ce6d5ada6cdf40c351b02f3561e8bcea0c6acbba2a",
+    (5, 2): "166c9aa8e20891b66c0116369275846a5f1dbc4fcc90fa05f135fc488089d5d3",
+    (6, 1): "ff4573fa06b96c1b7f670af3bdb31ba6ada787a5af839e5e6e73a6ee835a604c",
+    (6, 2): "422ba0ce78237ddddf961e8fe8af7870a3e3347d6d6d0bd25e994f5faa0efb31",
+    (6, 3): "b45a063d378526837be1c9148854f2bd70bfc8fc27df8ed2b2052bd6dc549b98",
+    (8, 1): "c8a15e20be9c1a922a8e67a17bc1de2f3059673ee860e3506c7dd308ee8e48d2",
+    (8, 2): "b770b6044a40b24c93d4f04946262132d289176e8b97a5d374e93660e0e45864",
+    (10, 1): "5df69e2c71e1766f4a24dc9f77e9e380f52696d4c0f096577cf8e2f432dcd14f",
+    (10, 2): "13d1327d118351e01cc29d7aed0abcf2d37e973bab444077b2e3fb5735bd1dcd",
+    (12, 1): "5dac3de4e325a4504b9197b10faa2dc6adcfd8169264f6be1af0271b48d533c1",
+}
+
+
+@pytest.mark.parametrize("k,n", sorted(DIGESTS))
+def test_table_json_matches_its_digest(k, n, capsys):
+    assert cli.main(["table", "--k", str(k), "--n", str(n),
+                     "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[k, n]

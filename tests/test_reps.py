@@ -147,6 +147,26 @@ def test_parse_shorthand_and_canonicalization():
         parse_rep_spec(2, 3, "tau=(1,1,1)")
 
 
+
+@pytest.mark.parametrize("text,field", [
+    ("chi=(1,1,1);mu=sign;mu=trivial", "mu"),
+    ("chi=(1,1,1);chi=(0,0,0)", "chi"),
+    ("chi=(1,1,0); chi =(1,1,0)", "chi"),
+])
+def test_repeated_spec_field_is_rejected(text, field):
+    # the last value used to win silently, answering for a rep the text
+    # does not name unambiguously
+    with pytest.raises(ValueError,
+                       match="^repeated representation spec field: %s$" % field):
+        parse_rep_spec(2, 3, text)
+
+
+@pytest.mark.parametrize("part", ["", "a", "1+a", "1++2", "9"])
+def test_catalog_part_that_is_no_partition(part):
+    with pytest.raises(ValueError) as caught:
+        parse_rep_spec(2, 3, "chi=(1,1,1);mu=catalog:" + part)
+    assert str(caught.value) == "%r is not a partition of block size 3" % part
+
 def test_pi_scalar_is_weight_power_of_root():
     for k, n, u in ((2, 3, (1, 1, 1)), (2, 4, (1, 1, 0, 0)),
                     (4, 2, (3, 1)), (6, 3, (3, 3, 3))):

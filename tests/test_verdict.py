@@ -348,8 +348,8 @@ def test_wider_grids_match_closed_form_and_witnesses_verify():
 
 @pytest.mark.slow
 def test_largest_sweeps_match_closed_form_and_witnesses_verify():
-    # 547 rows up to degree 672.  34 s on a 2-vCPU VM, almost all of it
-    # the degree-448 to degree-672 rows of (2,8); the bound allows a slower
+    # 547 rows up to degree 672.  5 s on a 2-vCPU VM, most of it the
+    # degree-448 to degree-672 rows of (2,8); the bound allows a slower
     # machine, and fails a witness search that lists every triangle, which
     # took over 20 min on (2,8) alone
     started = time.monotonic()

@@ -1,11 +1,13 @@
 """The component reading and the witness search of nichols.verdict against
 the references in oracles: the same Cartan and finite-type answer and label
 as the general Cartan-matrix reading on every component, the same firing
-tuple as the enumerating search on every non-finite Cartan component, and
-the same cycle on random graphs."""
+tuple as the enumerating search on every non-finite Cartan component, the
+same cycle on random graphs, and the same diagram on twin blocks as the one
+built vertex pair by vertex pair."""
 
 import itertools
 import math
+import random
 
 import networkx as nx
 import pytest
@@ -14,17 +16,18 @@ from hypothesis import given, settings, strategies as st
 import nichols.verdict
 from nichols.braidspace import (DiagonalSubspace, GeneralizedDynkinDiagram,
                                 canonical_subrack, diagonal_subspace,
-                                dynkin_diagram)
+                                dynkin_diagram, rotation_subrack)
+from nichols.cli import _build_subrack
 from nichols.exactfield import ROOT_MINUS_ONE, RootOfUnity
 from nichols.permgroup import UnmixedClass
-from nichols.reps import enumerate_irreps, pi_scalar
+from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
 from nichols.verdict import (INFINITE, _minimal_infinite_set, _shortest_cycle,
                              _subspace_rules, candidate_subracks,
                              dynkin_shape, scalar_gate, verify_witness)
 
 from oracles import (CartanData, braiding_matrix, cartan_type, diagram_label,
-                     finite_type, finite_type_lookup, minimal_infinite_set,
-                     shortest_cycle)
+                     dynkin_diagram_by_pairs, finite_type, finite_type_lookup,
+                     minimal_infinite_set, shortest_cycle)
 
 
 def _read_components(space):
@@ -52,25 +55,138 @@ def test_witness_search_matches_the_reference_on_every_candidate_subrack():
     # every component is read as the reference reads it, finite or not,
     # Cartan or not; the non-finite ones are shrunk as the reference does
     read = checked = 0
-    for k, n in ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (4, 2), (4, 3),
-                 (4, 4), (6, 3), (8, 2), (10, 2)):
+    for k, n, spec, subrack, space in _grid_spaces():
+        for diagram, sub, comp, shape in _read_components(space):
+            read += 1
+            if shape is None or shape.finite:
+                continue
+            want = minimal_infinite_set(space, sub, comp)
+            got = _minimal_infinite_set(space, diagram, comp)
+            assert got == want, (k, n, spec.label(), subrack.kind)
+            checked += 1
+    assert checked == 284
+    assert read == 780
+
+
+# the classes whose candidate subspaces past the scalar gate are walked
+GRID = ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (4, 2), (4, 3), (4, 4),
+        (6, 3), (8, 2), (10, 2))
+
+
+def _grid_spaces():
+    for k, n in GRID:
         cls = UnmixedClass(k, n)
         for spec in enumerate_irreps(k, n):
             if scalar_gate(pi_scalar(spec), k) is not None:
                 continue
             character = spec.character()
             for subrack in candidate_subracks(cls):
-                space = diagonal_subspace(subrack, character)
-                for diagram, sub, comp, shape in _read_components(space):
-                    read += 1
-                    if shape is None or shape.finite:
-                        continue
-                    want = minimal_infinite_set(space, sub, comp)
-                    got = _minimal_infinite_set(space, diagram, comp)
-                    assert got == want, (k, n, spec.label(), subrack.kind)
-                    checked += 1
-    assert checked == 284
-    assert read == 780
+                yield k, n, spec, subrack, diagonal_subspace(subrack, character)
+
+
+def _shape_or_raise(diagram, comp):
+    try:
+        return dynkin_shape(diagram, comp)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def _assert_same_diagram(space):
+    # the diagram on twin blocks reads exactly as the one built pair by pair
+    got = dynkin_diagram(space)
+    _assert_same_graph(got, dynkin_diagram_by_pairs(space))
+    return got
+
+
+def _assert_same_graph(got, want):
+    assert got.vertex_labels == want.vertex_labels
+    assert got.names == want.names
+    assert got.edges == want.edges
+    everyone = range(want.size)
+    for a in everyone:
+        assert got.neighbors(a) == want.neighbors(a)
+        assert got.neighbor_set(a) == want.neighbor_set(a)
+        assert ([got.edge_label(a, b) for b in everyone]
+                == [want.edge_label(a, b) for b in everyone])
+    assert got.components() == want.components()
+    for comp in want.components():
+        assert _shape_or_raise(got, comp) == _shape_or_raise(want, comp)
+
+
+def test_block_diagram_reads_as_its_vertex_expansion():
+    # random blocks, not necessarily runs, with random edges between and
+    # within them, against the same graph given vertex by vertex; and a
+    # random induced subdiagram of each
+    rng = random.Random(1978)
+    other = RootOfUnity(4, 1)
+    for _ in range(400):
+        size = rng.randint(1, 10)
+        order = rng.sample(range(size), size)
+        blocks = []
+        while order:
+            cut = rng.randint(1, 3)
+            blocks.append(sorted(order[:cut]))
+            order = order[cut:]
+        labels = [ROOT_MINUS_ONE] * size
+        for members in blocks:
+            if rng.random() < 0.1:
+                for v in members:
+                    labels[v] = other
+        block_edges = [(x, y, ROOT_MINUS_ONE if rng.random() < 0.9 else other)
+                       for x in range(len(blocks))
+                       for y in range(x, len(blocks)) if rng.random() < 0.3]
+        vertex_edges = [(min(a, b), max(a, b), w) for x, y, w in block_edges
+                        for a in blocks[x] for b in blocks[y]
+                        if a < b or (x != y and a != b)]
+        got = GeneralizedDynkinDiagram(labels, block_edges, blocks=blocks)
+        want = GeneralizedDynkinDiagram(labels, vertex_edges)
+        _assert_same_graph(got, want)
+        chosen = rng.sample(range(size), rng.randint(1, size))
+        _assert_same_graph(got.induced(chosen), want.induced(chosen))
+
+
+def test_twin_blocks_read_as_the_pairwise_diagram():
+    # every candidate subspace of the grid, and a random restriction of
+    # each, in random order (blocks split) and in subspace order
+    rng = random.Random(2003)
+    merged = 0
+    for k, n, spec, subrack, space in _grid_spaces():
+        diagram = _assert_same_diagram(space)
+        merged += len(diagram.blocks) < diagram.size
+        chosen = rng.sample(space.vertices, rng.randint(1, space.size))
+        _assert_same_diagram(space.restrict(chosen))
+        _assert_same_diagram(space.restrict(sorted(chosen)))
+    assert merged > 0
+
+
+@pytest.mark.parametrize("k,n,selector", [
+    (2, 4, "canonical"), (2, 4, "triple:1"), (2, 5, "triple:2"),
+    (4, 3, "rotation"), (4, 3, "quadruple:1,2"), (6, 2, "rotation"),
+    (6, 1, "powers")])
+def test_twin_blocks_before_the_scalar_gate(k, n, selector):
+    # each `diagram --subrack` selector on the rep of largest degree that
+    # the scalar gate decides, where vertex labels need not be -1 and twins
+    # may be adjacent
+    cls = UnmixedClass(k, n)
+    specs = [spec for spec in enumerate_irreps(k, n)
+             if scalar_gate(pi_scalar(spec), k) is not None]
+    spec = max(specs, key=lambda spec: spec.degree())
+    space = diagonal_subspace(_build_subrack(cls, selector), spec.character())
+    _assert_same_diagram(space)
+
+
+def test_adjacent_twins_form_one_component():
+    # at (4,3) with chi=(1,1,1);mu=standard every vertex label is z(4,3):
+    # the two twins of each column are adjacent, and so is every other pair
+    cls = UnmixedClass(4, 3)
+    space = diagonal_subspace(rotation_subrack(cls), parse_rep_spec(
+        4, 3, "chi=(1,1,1);mu=standard").character())
+    diagram = _assert_same_diagram(space)
+    assert diagram.blocks == ((0, 1), (2, 3), (4, 5), (6, 7))
+    assert all(x in diagram.block_adjacent(x) for x in range(4))
+    assert diagram.components() == (tuple(range(8)),)
+    assert len(diagram.edges) == 28
+    assert all(v not in diagram.neighbor_set(v) for v in range(8))
 
 
 @st.composite
