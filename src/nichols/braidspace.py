@@ -13,6 +13,11 @@ the character of rho is needed: the multiplicities are integers read off
 integer traces (nichols.exactfield.rational_value), and the braiding labels
 are roots of unity held as integer exponents.  No field element is built.
 
+The work splits in two.  subrack_plan does what rho does not change: the
+table, the commute check, H with the normal form of each element, and the
+linear characters of H.  diagonal_subspace then sums the character of rho
+over H, once per rho.
+
 Construction families: the canonical involution subrack (k = 2), the swap and
 rotation quadruples (k even, n >= 2) and the power subrack (n = 1; drawn by
 `diagram --subrack powers`, never tried by the decision).
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd, lcm
+from typing import NamedTuple, Optional
 
 from .exactfield import RootOfUnity, rational_value
 from .permgroup import Permutation, UnmixedClass, conjugate
@@ -244,26 +250,29 @@ class DiagonalSubspace:
         return "DiagonalSubspace(size=%d over %r)" % (self.size, self.subrack)
 
 
-def joint_spectrum(cls: UnmixedClass, character: InducedCharacter,
-                   generators, modulus: int) -> list:
-    """Joint eigenvalues of rho on commuting centralizer elements: the
-    linear characters of H = <generators> that occur in rho.
+class SpectrumPlan(NamedTuple):
+    """The part of a joint spectrum that does not depend on rho: the
+    elements of H = <generators> in layer order (e_1 fastest) as normal
+    forms, and the |H| linear characters of H, each as its phase at every
+    element (psi(h) = zeta_modulus^phase) and its exponents on the
+    generators."""
 
-    One pair (exps, mult) per character, exps the exponents e with
-    rho(generators[t]) acting by zeta_modulus^e_t on its eigenvectors and
-    mult their number; pairs in lexicographic order of exps.  modulus must
-    be a multiple of k and of every generator's order.
+    modulus: int
+    scale: int
+    forms: tuple
+    characters: tuple
 
-    H = <generators> is built layer by layer: a generator not yet in H
-    joins with its relative order r, so every element is a unique word
-    g_1^e_1 ... g_l^e_l with 0 <= e_i < r_i, and a linear character psi is
-    fixed by exponents x_i with psi(g_i) = zeta_modulus^x_i, subject to
-    r_i x_i = (exponent of psi at g_i^r_i, a word in earlier layers).  Each
-    layer multiplies the characters by r_i, so exactly |H| of them are
-    listed.  The multiplicity of psi is (1/|H|) sum_h chi(h) psi(h)^-1,
-    summed as integer coefficients over Z/modulus; the sum is checked to be
-    rational, and read off, by integer traces (rational_value).
-    """
+
+def spectrum_plan(cls: UnmixedClass, generators, modulus: int) -> SpectrumPlan:
+    """Build H = <generators> and its linear characters for joint_spectrum.
+
+    H is built layer by layer: a generator not yet in H joins with its
+    relative order r, so every element is a unique word g_1^e_1 ... g_l^e_l
+    with 0 <= e_i < r_i, and a linear character psi is fixed by exponents
+    x_i with psi(g_i) = zeta_modulus^x_i, subject to r_i x_i = (exponent of
+    psi at g_i^r_i, a word in earlier layers).  Each layer multiplies the
+    characters by r_i, so exactly |H| of them are listed.  modulus must be a
+    multiple of k and of every generator's order."""
     if modulus % cls.k:
         raise ValueError("modulus must be a multiple of k")
     identity = Permutation.identity(cls.degree)
@@ -299,19 +308,37 @@ def joint_spectrum(cls: UnmixedClass, character: InducedCharacter,
             wider.extend(x + ((s // r + t * (modulus // r)) % modulus,)
                          for t in range(r))
         characters = wider
-    # chi(h) as terms (exponent mod modulus, integer), elements in the
-    # layer order: e_1 fastest
-    scale = modulus // cls.k
-    terms = []
-    for h in elements:
-        coefficients = character.coefficients(cls.normal_form(h))
-        terms.append(tuple((a * scale, c) for a, c in enumerate(coefficients) if c))
-    order = len(elements)
-    spectrum = []
+    planned = []
     for x in characters:
         phases = [0]
         for (r, _), xi in zip(layers, x):
             phases = [p + e * xi for e in range(r) for p in phases]
+        exps = tuple(sum(w * xi for w, xi in zip(words[g], x)) % modulus
+                     for g in generators)
+        planned.append((tuple(phases), exps))
+    return SpectrumPlan(modulus, modulus // cls.k,
+                        tuple(cls.normal_form(h) for h in elements),
+                        tuple(planned))
+
+
+def planned_spectrum(plan: SpectrumPlan, character: InducedCharacter) -> list:
+    """The joint spectrum of rho on a planned H: one pair (exps, mult) per
+    linear character psi that occurs, in lexicographic order of exps.
+
+    The multiplicity of psi is (1/|H|) sum_h chi(h) psi(h)^-1, with chi read
+    at every element of H and summed as integer coefficients over
+    Z/modulus; the sum is checked to be rational, and read off, by integer
+    traces (rational_value), and the multiplicities to add up to the
+    degree."""
+    modulus = plan.modulus
+    scale = plan.scale
+    # chi(h) as terms (exponent mod modulus, integer)
+    terms = [tuple((a * scale, c) for a, c in
+                   enumerate(character.coefficients(nf)) if c)
+             for nf in plan.forms]
+    order = len(terms)
+    spectrum = []
+    for phases, exps in plan.characters:
         acc = [0] * modulus
         for phase, hterms in zip(phases, terms):
             for a, c in hterms:
@@ -321,8 +348,6 @@ def joint_spectrum(cls: UnmixedClass, character: InducedCharacter,
             raise ArithmeticError("character inner product is not an integer")
         mult = int(total) // order
         if mult:
-            exps = tuple(sum(w * xi for w, xi in zip(words[g], x)) % modulus
-                         for g in generators)
             spectrum.append((exps, mult))
     if sum(mult for _, mult in spectrum) != character.degree:
         raise ArithmeticError("multiplicities do not add up to the degree")
@@ -330,10 +355,32 @@ def joint_spectrum(cls: UnmixedClass, character: InducedCharacter,
     return spectrum
 
 
-def _braiding_labels(subrack: AbelianSubrack, character: InducedCharacter) -> tuple:
-    """(modulus, labels, runs) with labels[i][j][s] the exponent of the
-    eigenvalue of rho(gamma_ij) on eigenvector s, and runs[s] the index of
-    the joint character of eigenvector s.
+def joint_spectrum(cls: UnmixedClass, character: InducedCharacter,
+                   generators, modulus: int) -> list:
+    """Joint eigenvalues of rho on commuting centralizer elements: the
+    linear characters of H = <generators> that occur in rho.
+
+    One pair (exps, mult) per character, exps the exponents e with
+    rho(generators[t]) acting by zeta_modulus^e_t on its eigenvectors and
+    mult their number; pairs in lexicographic order of exps.  modulus must
+    be a multiple of k and of every generator's order.  H and its
+    characters come from spectrum_plan, the multiplicities from
+    planned_spectrum."""
+    return planned_spectrum(spectrum_plan(cls, generators, modulus), character)
+
+
+class SubrackPlan(NamedTuple):
+    """The part of a diagonal subspace that does not depend on rho: the
+    conjugation table, its distinct entries in order of first appearance
+    (row i, then column j), and the plan of the group they generate."""
+
+    table: tuple
+    distinct: tuple
+    spectrum: SpectrumPlan
+
+
+def subrack_plan(subrack: AbelianSubrack) -> SubrackPlan:
+    """Plan the diagonal subspaces of a subrack, for every rho at once.
 
     The distinct table entries must commute pairwise (true for the
     structured subrack families, whose tables close inside the subrack):
@@ -342,20 +389,33 @@ def _braiding_labels(subrack: AbelianSubrack, character: InducedCharacter) -> tu
     data whose table does not commute raises ValueError."""
     table = subrack.gamma_table()
     modulus = lcm(*(p.order() for row in table for p in row))
-    distinct = list(dict.fromkeys(p for row in table for p in row))
+    distinct = tuple(dict.fromkeys(p for row in table for p in row))
     if not all(a.commutes_with(b) for a, b in itertools.combinations(distinct, 2)):
         raise ValueError("conjugation table entries do not commute")
-    spectrum = joint_spectrum(subrack.cls, character, distinct, modulus)
+    return SubrackPlan(table, distinct,
+                       spectrum_plan(subrack.cls, distinct, modulus))
+
+
+def _braiding_labels(plan: SubrackPlan, character: InducedCharacter) -> tuple:
+    """(modulus, labels, runs) with labels[i][j][s] the exponent of the
+    eigenvalue of rho(gamma_ij) on eigenvector s, and runs[s] the index of
+    the joint character of eigenvector s."""
+    spectrum = planned_spectrum(plan.spectrum, character)
     column = {p: tuple(exps[t] for exps, mult in spectrum for _ in range(mult))
-              for t, p in enumerate(distinct)}
-    labels = tuple(tuple(column[p] for p in row) for row in table)
+              for t, p in enumerate(plan.distinct)}
+    labels = tuple(tuple(column[p] for p in row) for row in plan.table)
     runs = tuple(r for r, (_, mult) in enumerate(spectrum) for _ in range(mult))
-    return modulus, labels, runs
+    return plan.spectrum.modulus, labels, runs
 
 
-def diagonal_subspace(subrack: AbelianSubrack,
-                      character: InducedCharacter) -> DiagonalSubspace:
-    modulus, labels, runs = _braiding_labels(subrack, character)
+def diagonal_subspace(subrack: AbelianSubrack, character: InducedCharacter,
+                      plan: Optional[SubrackPlan] = None) -> DiagonalSubspace:
+    """The diagonal subspace of rho over the subrack, from the subrack's
+    plan: the one given, which must be subrack_plan(subrack), or else a
+    fresh one."""
+    if plan is None:
+        plan = subrack_plan(subrack)
+    modulus, labels, runs = _braiding_labels(plan, character)
     vertices = tuple((j, s) for j in range(subrack.size)
                      for s in range(character.degree))
     return DiagonalSubspace(subrack, modulus, labels, vertices, runs)

@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import NamedTuple, Optional
 
 from .braidspace import canonical_subrack, diagonal_subspace, dynkin_diagram, \
@@ -214,6 +213,9 @@ def cmd_table(cfg: RunConfig) -> int:
     # a fork-based pool starts all of its workers at the first submit
     workers = min(cfg.jobs, len(tasks))
     if workers > 1:
+        # imported here: the pool pulls in multiprocessing, which a
+        # one-process run does not need
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_table_worker, tasks))
     else:
@@ -238,15 +240,27 @@ def cmd_table(cfg: RunConfig) -> int:
 
 # diagram
 
+def _selector_indices(name: str, arg: str, shape: str) -> list:
+    # the integers of "<i>,<j>,...", as many as shape names
+    tokens = arg.split(",")
+    try:
+        if len(tokens) == shape.count(",") + 1:
+            return [int(tok) for tok in tokens]
+    except ValueError:
+        pass
+    raise ValueError("%s needs %s" % (name, shape))
+
+
 def _build_subrack(cls: UnmixedClass, selector: str):
     name, _, arg = selector.partition(":")
     try:
         if name == "canonical" and not arg:
             return canonical_subrack(cls)
         if name == "triple":
-            return triple_subrack(cls, int(arg))
+            l, = _selector_indices(name, arg, "<l>")
+            return triple_subrack(cls, l)
         if name == "quadruple":
-            i, j = (int(tok) for tok in arg.split(","))
+            i, j = _selector_indices(name, arg, "<i>,<j>")
             return quadruple_subrack(cls, i, j)
         if name == "rotation" and not arg:
             return rotation_subrack(cls)

@@ -33,13 +33,21 @@ class Permutation:
             seen[y] = True
         self.img = img
 
+    @classmethod
+    def _trusted(cls, img: tuple) -> "Permutation":
+        # images known to be a bijection (a product, inverse or conjugate
+        # of permutations), so not checked again
+        p = object.__new__(cls)
+        p.img = img
+        return p
+
     @property
     def degree(self) -> int:
         return len(self.img)
 
     @staticmethod
     def identity(n: int) -> "Permutation":
-        return Permutation(range(1, n + 1))
+        return Permutation._trusted(tuple(range(1, n + 1)))
 
     @staticmethod
     def from_cycles(n: int, cycles) -> "Permutation":
@@ -62,22 +70,24 @@ class Permutation:
         # (p * q)(x) = p(q(x))
         if self.degree != other.degree:
             raise ValueError("ground set size mismatch")
-        return Permutation(self.img[y - 1] for y in other.img)
+        img = self.img
+        return Permutation._trusted(tuple(img[y - 1] for y in other.img))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
         for i, y in enumerate(self.img):
             inv[y - 1] = i + 1
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def conjugated_by(self, g: "Permutation") -> "Permutation":
         """g * self * g^{-1}."""
         if self.degree != g.degree:
             raise ValueError("ground set size mismatch")
+        gi = g.img
         img = [0] * self.degree
-        for x in range(1, self.degree + 1):
-            img[g(x) - 1] = g(self(x))
-        return Permutation(img)
+        for x, y in zip(gi, self.img):
+            img[x - 1] = gi[y - 1]
+        return Permutation._trusted(tuple(img))
 
     def cycles(self, include_fixed: bool = False) -> tuple:
         seen = [False] * (self.degree + 1)

@@ -68,14 +68,18 @@ class YoungSubgroup(NamedTuple):
         return out
 
 
-def orbit_and_stabilizer(chi: GammaCharacter) -> tuple:
-    """S_n-orbit of chi (descending lexicographic order) and its stabilizer."""
-    vectors = sorted(set(itertools.permutations(chi.u)), reverse=True)
-    orbit = [GammaCharacter(chi.k, u) for u in vectors]
-    blocks = tuple(
+def stabilizer(chi: GammaCharacter) -> YoungSubgroup:
+    """The stabilizer of chi in S_n: one block per value of chi, values in
+    descending order, each block the positions (1-based) holding it."""
+    return YoungSubgroup(tuple(
         tuple(i for i, x in enumerate(chi.u, start=1) if x == v)
-        for v in sorted(set(chi.u), reverse=True))
-    return orbit, YoungSubgroup(blocks)
+        for v in sorted(set(chi.u), reverse=True)))
+
+
+def orbit_size(chi: GammaCharacter) -> int:
+    """The size of the S_n-orbit of chi, n! over the order of its
+    stabilizer."""
+    return factorial(chi.n) // stabilizer(chi).order()
 
 
 # symmetric-group irreps and their characters
@@ -164,12 +168,10 @@ class RepSpec(NamedTuple):
     partitions: tuple
 
     def stabilizer(self) -> YoungSubgroup:
-        _, stab = orbit_and_stabilizer(GammaCharacter(self.k, self.u))
-        return stab
+        return stabilizer(GammaCharacter(self.k, self.u))
 
     def degree(self) -> int:
-        orbit, _ = orbit_and_stabilizer(GammaCharacter(self.k, self.u))
-        deg = len(orbit)
+        deg = orbit_size(GammaCharacter(self.k, self.u))
         for p in self.partitions:
             deg *= partition_degree(p)
         return deg
@@ -300,8 +302,7 @@ def enumerate_irreps(k: int, n: int) -> list:
     """
     out = []
     for u in itertools.combinations_with_replacement(range(k - 1, -1, -1), n):
-        chi = GammaCharacter(k, u)
-        _, stab = orbit_and_stabilizer(chi)
+        stab = stabilizer(GammaCharacter(k, u))
         for parts in itertools.product(*(partitions_of(s) for s in stab.sizes())):
             out.append(RepSpec(k, n, u, parts))
     return out
@@ -351,15 +352,26 @@ def parse_rep_spec(k: int, n: int, text: str) -> RepSpec:
         body = chi_text.strip()
         if body.startswith("(") and body.endswith(")"):
             body = body[1:-1]
-        u = tuple(int(tok) % k for tok in body.replace(",", " ").split())
+        tokens = []
+        for entry in body.split(",") if body.strip() else ():
+            if not entry.strip():
+                raise ValueError("character vector %r has an empty entry" % body)
+            tokens += entry.split()
+        u = tuple(_integer(tok) % k for tok in tokens)
         if len(u) != n:
             raise ValueError("character vector must have length %d" % n)
         u = tuple(sorted(u, reverse=True))
-    chi = GammaCharacter(k, u)
-    _, stab = orbit_and_stabilizer(chi)
+    stab = stabilizer(GammaCharacter(k, u))
     mu_text = fields.get("mu", "trivial")
     partitions = _parse_mu(stab, mu_text)
     return RepSpec(k, n, u, partitions)
+
+
+def _integer(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError("%r is not an integer" % token) from None
 
 
 def _parse_mu(stab: YoungSubgroup, text: str) -> tuple:

@@ -14,7 +14,9 @@ re-fires it by linear algebra on the witness's braiding values instead.
 
 Everything runs on the character of the representation: braidings are
 roots of unity with integer exponents, and "acts by a scalar" is read off
-the character value.
+the character value.  What does not depend on the representation (the
+candidate subracks, their plans, the partner classes) is built once per
+class and kept in the class plan; verify_witness does not read it.
 
 Outcomes: "InfiniteDim" always carries a machine-checkable witness, and
 "NegativeBraiding" carries the verified pair inventory.  For an unmixed
@@ -25,14 +27,15 @@ is a defect of the engine and raises.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from typing import NamedTuple, Optional
 
 from .braidspace import (AbelianSubrack, DiagonalSubspace,
-                         GeneralizedDynkinDiagram, diagonal_subspace,
-                         dynkin_diagram, quadruple_subrack, rotation_subrack,
-                         triple_subrack)
+                         GeneralizedDynkinDiagram, SubrackPlan,
+                         diagonal_subspace, dynkin_diagram, quadruple_subrack,
+                         rotation_subrack, subrack_plan, triple_subrack)
 from .exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
-from .permgroup import Permutation, UnmixedClass, conjugate
+from .permgroup import NormalForm, Permutation, UnmixedClass, conjugate
 from .reps import InducedCharacter, RepSpec, parse_rep_spec, pi_scalar
 
 INFINITE = "InfiniteDim"
@@ -212,6 +215,61 @@ class NegativityReport(NamedTuple):
     partner_count: int = 0
 
 
+class PartnerData(NamedTuple):
+    """One partner class as negativity_check reads it: the representative
+    t = (d, b) of the class, the normal form of the basepoint pulled back
+    along the transporter of t, the class size, and the printed
+    representative and pair (basepoint, t)."""
+
+    representative: NormalForm
+    pulled_back: NormalForm
+    size: int
+    name: str
+    pair: tuple
+
+
+class ClassPlan:
+    """What the decision needs of one class that no representation
+    changes: the candidate subracks, the plan of each subrack (built on
+    first use, see subrack_plan) and the partner data (built on first use).
+    One plan per (k, n) is kept for the life of the process (class_plan)."""
+
+    __slots__ = ("cls", "subracks", "_subrack_plans", "_partners")
+
+    def __init__(self, k: int, n: int) -> None:
+        self.cls = UnmixedClass(k, n)
+        self.subracks = tuple(_candidates(self.cls))
+        self._subrack_plans = {}
+        self._partners = None
+
+    def subrack_plan(self, subrack: AbelianSubrack) -> SubrackPlan:
+        plan = self._subrack_plans.get(subrack)
+        if plan is None:
+            plan = self._subrack_plans[subrack] = subrack_plan(subrack)
+        return plan
+
+    def partners(self) -> tuple:
+        if self._partners is None:
+            cls = self.cls
+            pi = cls.basepoint
+            out = []
+            for partner in cls.partner_classes():
+                t = cls.assemble(partner.representative)
+                g = cls.transporter(t)
+                out.append(PartnerData(
+                    partner.representative,
+                    cls.normal_form(conjugate(g.inverse(), pi)),
+                    partner.size, str(partner.representative),
+                    (str(pi), str(t))))
+            self._partners = tuple(out)
+        return self._partners
+
+
+@cache
+def class_plan(k: int, n: int) -> ClassPlan:
+    return ClassPlan(k, n)
+
+
 def negativity_check(cls: UnmixedClass, character: InducedCharacter) -> NegativityReport:
     """Check that every commuting pair of class elements braids negatively:
     diagonal values -1 and opposite values multiplying to 1.
@@ -222,48 +280,51 @@ def negativity_check(cls: UnmixedClass, character: InducedCharacter) -> Negativi
     partner class is checked.  pairs_checked counts those classes, partners
     lists their representatives, and partner_count sums their sizes.
     Whether an element acts by a scalar, and which, is read off the
-    character.
+    character; the partners come from the class plan.
     """
     q = pi_scalar(character.spec)
     if q != ROOT_MINUS_ONE:
         return NegativityReport(False, 0, True,
                                 {"reason": "basepoint scalar is not -1",
                                  "q_scalar": str(q)}, ())
-    pi = cls.basepoint
     checked = 0
     count = 0
     kept = []
-    for partner in cls.partner_classes():
+    for partner in class_plan(cls.k, cls.n).partners():
         checked += 1
-        t = cls.assemble(partner.representative)
         lam = character.scalar(partner.representative)
         if lam is None:
             return NegativityReport(
                 False, checked, True,
-                {"pair": (str(pi), str(t)), "reason": "non-scalar value"},
+                {"pair": partner.pair, "reason": "non-scalar value"},
                 tuple(kept), count)
-        g = cls.transporter(t)
-        mu = character.scalar(cls.normal_form(conjugate(g.inverse(), pi)))
+        mu = character.scalar(partner.pulled_back)
         if mu is None:
             return NegativityReport(
                 False, checked, True,
-                {"pair": (str(pi), str(t)),
+                {"pair": partner.pair,
                  "reason": "non-scalar pulled-back value"}, tuple(kept), count)
         if lam * mu != ROOT_ONE:
             return NegativityReport(
                 False, checked, True,
-                {"pair": (str(pi), str(t)), "value": str(lam * mu),
+                {"pair": partner.pair, "value": str(lam * mu),
                  "reason": "opposite values do not cancel"}, tuple(kept), count)
-        kept.append(str(partner.representative))
+        kept.append(partner.name)
         count += partner.size
     return NegativityReport(True, checked, True, None, tuple(kept), count)
 
 
 def candidate_subracks(cls: UnmixedClass):
-    """The subracks the rules are tried on, in order.  There is none for
-    n = 1: a row reaches them only when the basepoint acts by -1, and then
-    every table entry of the power subrack is an odd power of the basepoint,
-    so every label is -1 and its diagram has no edges."""
+    """The subracks the rules are tried on, in order, from the class plan:
+    built once per (k, n)."""
+    return iter(class_plan(cls.k, cls.n).subracks)
+
+
+def _candidates(cls: UnmixedClass):
+    # there is none for n = 1: a row reaches them only when the basepoint
+    # acts by -1, and then every table entry of the power subrack is an odd
+    # power of the basepoint, so every label is -1 and its diagram has no
+    # edges
     if cls.k == 2:
         span = cls.n // 2
         for l in range(span, 0, -1):
@@ -373,9 +434,9 @@ def _witness(space: DiagonalSubspace, firing: tuple, rule: str,
     return Verdict(INFINITE, rule, witness)
 
 
-def _subspace_rules(subrack: AbelianSubrack,
-                    character: InducedCharacter) -> Optional[Verdict]:
-    space = diagonal_subspace(subrack, character)
+def _subspace_rules(subrack: AbelianSubrack, character: InducedCharacter,
+                    plan: SubrackPlan) -> Optional[Verdict]:
+    space = diagonal_subspace(subrack, character, plan)
     diagram = dynkin_diagram(space)
     cartan_hits = []
     cycle_hits = []
@@ -504,18 +565,20 @@ def decide(k: int, n: int, rho_spec) -> Verdict:
     representation: InfiniteDim with a machine-checkable witness, or
     NegativeBraiding with the verified pair inventory.  Raises RuntimeError
     when no rule decides, which the dichotomy for unmixed classes rules
-    out."""
-    cls = UnmixedClass(k, n)
+    out.  The subracks, their plans and the partners come from the class
+    plan of (k, n); each row sums its character over them."""
+    plan = class_plan(k, n)
     spec = _resolve_spec(k, n, rho_spec)
     gate = scalar_gate(pi_scalar(spec), k)
     if gate is not None:
         return gate
     character = spec.character()
-    for subrack in candidate_subracks(cls):
-        verdict = _subspace_rules(subrack, character)
+    for subrack in candidate_subracks(plan.cls):
+        verdict = _subspace_rules(subrack, character,
+                                  plan.subrack_plan(subrack))
         if verdict is not None:
             return verdict
-    report = negativity_check(cls, character)
+    report = negativity_check(plan.cls, character)
     if report.negative:
         return Verdict(NEGATIVE, "negative-exhaustive",
                        {"pairs_checked": report.pairs_checked,
@@ -546,13 +609,13 @@ def closed_form_verdict(k: int, n: int, rho_spec) -> Verdict:
 
 def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     """Re-validate an infinite verdict from its recorded witness: rebuild the
-    subrack from raw images, recompute the braiding on the witness vertices
-    from the character, check it equals the recorded q_matrix, and re-fire
-    the rule on it.  cartan-infinite is re-fired by linear algebra on the
-    firing set, sharing no code with the graph reading that decided it:
-    every diagonal entry -1, every product q_ab q_ba equal to 1 or -1, and
-    the Cartan matrix 2I - A (A = 1 where the product is -1) not positive
-    definite."""
+    subrack and a fresh plan of it from raw images (never the class plan),
+    recompute the braiding on the witness vertices from the character,
+    check it equals the recorded q_matrix, and re-fire the rule on it.
+    cartan-infinite is re-fired by linear algebra on the firing set,
+    sharing no code with the graph reading that decided it: every diagonal
+    entry -1, every product q_ab q_ba equal to 1 or -1, and the Cartan
+    matrix 2I - A (A = 1 where the product is -1) not positive definite."""
     if verdict.outcome != INFINITE:
         raise ValueError("only infinite verdicts carry a rebuildable witness")
     cls = UnmixedClass(k, n)

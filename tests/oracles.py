@@ -34,7 +34,7 @@ from nichols.braidspace import GeneralizedDynkinDiagram, dynkin_diagram
 from nichols.permgroup import (NormalForm, Permutation, conjugacy_class_iter,
                                conjugate)
 from nichols.reps import (GammaCharacter, YoungSubgroup, _label_to_partition,
-                          orbit_and_stabilizer, partitions_of)
+                          partitions_of)
 from nichols.verdict import NegativityReport, _expansion_size
 
 from exactfield_oracle import MINUS_ONE, ONE, ZERO, Cyclotomic, zeta
@@ -60,6 +60,17 @@ def centralizer_elements(cls):
         b = Permutation(b_img)
         for d in itertools.product(range(cls.k), repeat=cls.n):
             yield cls.assemble(NormalForm(d, b))
+
+
+def orbit_and_stabilizer(chi: GammaCharacter) -> tuple:
+    """S_n-orbit of chi (descending lexicographic order), listed by running
+    over every permutation of its entries, and its stabilizer."""
+    vectors = sorted(set(itertools.permutations(chi.u)), reverse=True)
+    orbit = [GammaCharacter(chi.k, u) for u in vectors]
+    blocks = tuple(
+        tuple(i for i, x in enumerate(chi.u, start=1) if x == v)
+        for v in sorted(set(chi.u), reverse=True))
+    return orbit, YoungSubgroup(blocks)
 
 
 def in_centralizer(cls, g: Permutation) -> bool:

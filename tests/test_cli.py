@@ -135,6 +135,32 @@ def test_catalog_part_error_names_the_part(part):
         "nichols: error: %r is not a partition of block size 3\n" % part)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("classify", "--k", "2", "--n", "3", "--rep", "chi=(1,,1,1)"),
+     "character vector '1,,1,1' has an empty entry"),
+    (("classify", "--k", "2", "--n", "3", "--rep", "chi=(1,1,x)"),
+     "'x' is not an integer"),
+    (("classify", "--k", "2", "--n", "3", "--rep", "chi=(1,1,1.5)"),
+     "'1.5' is not an integer"),
+    (("diagram", "--k", "4", "--n", "3", "--rep", "chi=(1,1,1)",
+      "--subrack", "quadruple:1,2,3"),
+     "bad subrack selector 'quadruple:1,2,3': quadruple needs <i>,<j>"),
+    (("diagram", "--k", "4", "--n", "3", "--rep", "chi=(1,1,1)",
+      "--subrack", "quadruple:a,2"),
+     "bad subrack selector 'quadruple:a,2': quadruple needs <i>,<j>"),
+    (("diagram", "--k", "2", "--n", "3", "--rep", "chi=(1,1,1)",
+      "--subrack", "triple:1,2"),
+     "bad subrack selector 'triple:1,2': triple needs <l>"),
+])
+def test_malformed_spec_or_selector_is_named(argv, message):
+    # an empty entry used to be skipped, and the others reported Python's
+    # own int() or unpacking messages
+    result = run_cli(*argv)
+    assert result.returncode == 64
+    assert result.stdout == ""
+    assert result.stderr == "nichols: error: %s\n" % message
+
+
 @pytest.mark.parametrize("rep", ["chi=2:2", "chi=k:2"])
 def test_weight_shorthand(rep):
     result = run_cli("classify", "--k", "2", "--n", "3", "--rep", rep,
@@ -178,9 +204,22 @@ def test_table_parallel_output_is_identical():
     assert one.stdout == two.stdout
 
 
+def test_table_jobs_output_is_byte_identical_past_the_gate():
+    # (4,4) rows pass the scalar gate and use the class plan, which each
+    # worker builds for itself
+    one = run_cli("table", "--k", "4", "--n", "4", "--format", "json")
+    two = run_cli("table", "--k", "4", "--n", "4", "--format", "json",
+                  "--jobs", "2")
+    assert one.returncode == two.returncode == 0
+    assert one.stdout == two.stdout
+
+
 def test_table_starts_no_more_workers_than_rows(monkeypatch, capsys):
     # the pool is replaced by one that records its size and runs in-process,
-    # so no worker is started however large --jobs is
+    # so no worker is started however large --jobs is; the CLI imports the
+    # pool from concurrent.futures when it needs one, so it is replaced there
+    import concurrent.futures
+
     import nichols.cli as cli
 
     sizes = []
@@ -198,12 +237,22 @@ def test_table_starts_no_more_workers_than_rows(monkeypatch, capsys):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert cli.main(["table", "--k", "2", "--n", "2", "--jobs", "64"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert sizes == [len(rows)] == [5]
     assert cli.main(["table", "--k", "2", "--n", "2", "--jobs", "3"]) == 0
     assert sizes == [5, 3]
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # the pool pulls in multiprocessing, which only table --jobs N needs
+    probe = ("import sys, nichols.cli; "
+             "print('concurrent.futures.process' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, env=child_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def test_diagram_default_shows_witness():

@@ -8,15 +8,17 @@ from hypothesis import given, settings, strategies as st
 from nichols.exactfield import ROOT_MINUS_ONE
 from nichols.braidspace import powers_subrack
 from nichols.permgroup import CycleType, NormalForm, Permutation, UnmixedClass
-from nichols.reps import (enumerate_irreps, parse_rep_spec, partition_degree,
-                          partitions_of, pi_scalar, sn_character)
+from nichols.reps import (GammaCharacter, enumerate_irreps, parse_rep_spec,
+                          partition_degree, partitions_of, pi_scalar,
+                          sn_character)
 from nichols.verdict import candidate_subracks
 
 from exactfield_oracle import MINUS_ONE, ONE, rational, root_value, zeta
 from exactla_oracle import Matrix
 from oracles import (CatalogGapError, catalog_covers, cataloged,
                      centralizer_elements, character_value, dense_pi_scalar,
-                     resolve, sn_irrep)
+                     orbit_and_stabilizer, resolve, sn_irrep)
+from test_golden import DIGESTS
 
 
 def _int_matrix(rows):
@@ -225,6 +227,25 @@ def test_induced_degree_is_orbit_size_times_factor_degree():
     img = rho.evaluate(cls.normal_form(cls.basepoint))
     assert img.nrows == 8
     assert spec.character().degree == 8
+
+
+def test_degree_is_the_listed_orbit_size_times_the_partition_degrees():
+    # the orbit size n!/prod m_v! and the stabilizer blocks, read off u,
+    # against the orbit listed by permuting u, on every golden class
+    for k, n in sorted(DIGESTS):
+        for spec in enumerate_irreps(k, n):
+            orbit, stab = orbit_and_stabilizer(GammaCharacter(k, spec.u))
+            assert spec.stabilizer() == stab, spec.label()
+            assert spec.degree() == len(orbit) * math.prod(
+                partition_degree(p) for p in spec.partitions), spec.label()
+
+
+def test_parse_rejects_an_empty_vector_entry():
+    # "1,,1" used to be read as "1,1"; entries separated by spaces still
+    # parse
+    with pytest.raises(ValueError, match="empty entry"):
+        parse_rep_spec(2, 2, "chi=(1,,1)")
+    assert parse_rep_spec(2, 3, "chi=(1 1 0)").u == (1, 1, 0)
 
 
 def _sn_classes(m):

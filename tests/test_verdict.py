@@ -1,18 +1,21 @@
+import itertools
 import random
 import re
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nichols.braidspace import diagonal_subspace, dynkin_diagram, rotation_subrack
+from nichols.braidspace import (AbelianSubrack, diagonal_subspace,
+                                dynkin_diagram, rotation_subrack)
 from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
 from nichols.permgroup import UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
 from nichols.verdict import (INFINITE, NEGATIVE, _cartan_infinite,
-                             _positive_definite, closed_form_verdict,
-                             cycle_rule, decide, negativity_check,
-                             scalar_gate, verify_witness)
+                             _positive_definite, class_plan,
+                             closed_form_verdict, cycle_rule, decide,
+                             negativity_check, scalar_gate, verify_witness)
 
 from oracles import (REFERENCE_Q_SIX_CYCLE, CartanData, NotCartan,
                      _positive_definite as oracle_positive_definite,
@@ -348,7 +351,7 @@ def test_wider_grids_match_closed_form_and_witnesses_verify():
 
 @pytest.mark.slow
 def test_largest_sweeps_match_closed_form_and_witnesses_verify():
-    # 547 rows up to degree 672.  5 s on a 2-vCPU VM, most of it the
+    # 547 rows up to degree 672.  1.5 s on a 2-vCPU VM, most of it the
     # degree-448 to degree-672 rows of (2,8); the bound allows a slower
     # machine, and fails a witness search that lists every triangle, which
     # took over 20 min on (2,8) alone
@@ -380,3 +383,89 @@ def test_undecided_reports_exhaustion(monkeypatch):
     monkeypatch.setattr(v, "candidate_subracks", lambda cls: iter(()))
     with pytest.raises(RuntimeError, match="no rule decides"):
         v.decide(2, 3, "chi=(1,1,1);mu=standard")
+
+
+# the class plan: what decide builds once per (k, n)
+
+def _count_calls(monkeypatch, counts, owner, name):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_a_second_decide_on_a_class_builds_no_plan(monkeypatch):
+    # the negative (6,3) row walks both candidate subracks and the partner
+    # classes; a second row of the class reuses all of it
+    counts = Counter()
+    _count_calls(monkeypatch, counts, AbelianSubrack, "__init__")
+    _count_calls(monkeypatch, counts, AbelianSubrack, "gamma_table")
+    _count_calls(monkeypatch, counts, UnmixedClass, "partner_classes")
+    class_plan.cache_clear()
+    first = decide(6, 3, "chi=(3,3,3);mu=trivial")
+    assert first.outcome == NEGATIVE
+    assert counts == {"__init__": 2, "gamma_table": 2, "partner_classes": 1}
+    counts.clear()
+    assert decide(6, 3, "chi=(3,3,3);mu=trivial") == first
+    assert decide(6, 3, "chi=(3,3,3);mu=sign").outcome == NEGATIVE
+    assert decide(6, 3, "chi=(1,1,1);mu=trivial").outcome == INFINITE
+    assert not counts
+
+
+def _past_the_gate(k, n):
+    return [spec for spec in enumerate_irreps(k, n)
+            if scalar_gate(pi_scalar(spec), k) is None]
+
+
+def test_interleaved_classes_decide_as_each_class_alone():
+    # rows of (4,4), (6,3), (4,4) again and (4,5), taken in turn, against
+    # each class decided alone from an empty cache
+    half = len(_past_the_gate(4, 4)) // 2
+    streams = [
+        [(4, 4, spec) for spec in _past_the_gate(4, 4)[:half]],
+        [(6, 3, spec) for spec in _past_the_gate(6, 3)],
+        [(4, 4, spec) for spec in _past_the_gate(4, 4)[half:]],
+        [(4, 5, spec) for spec in _past_the_gate(4, 5)[:6]]
+        + [(4, 5, parse_rep_spec(4, 5, "chi=(2,2,2,2,2);mu=" + mu))
+           for mu in ("trivial", "sign")],
+    ]
+    alone = {}
+    for k, n in ((4, 4), (6, 3), (4, 5)):
+        class_plan.cache_clear()
+        for stream in streams:
+            for row in stream:
+                if row[:2] == (k, n):
+                    alone[row] = decide(*row)
+    class_plan.cache_clear()
+    interleaved = {}
+    for group in itertools.zip_longest(*streams):
+        for row in group:
+            if row is not None:
+                interleaved[row] = decide(*row)
+    assert interleaved == alone
+    assert {v.rule for v in alone.values()} == {
+        "cartan-infinite", "alternating-cycle", "negative-exhaustive"}
+
+
+def test_verify_witness_does_not_read_the_class_plan(monkeypatch):
+    # a cached plan that pairs the table entries with the wrong exponents
+    # breaks decide; verify_witness rebuilds the subrack and its plan from
+    # the witness, so it still accepts the genuine witness and rejects an
+    # edited one
+    k, n, rep = 4, 4, "chi=(3,3,3,1);mu=trivial"
+    genuine = decide(k, n, rep)
+    assert genuine.rule == "cartan-infinite"
+    plans = class_plan(k, n)
+    for subrack in plans.subracks:
+        plan = plans.subrack_plan(subrack)
+        monkeypatch.setitem(plans._subrack_plans, subrack,
+                            plan._replace(distinct=plan.distinct[::-1]))
+    with pytest.raises(RuntimeError, match="not -1"):
+        decide(k, n, rep)
+    assert verify_witness(k, n, rep, genuine)
+    q_matrix = [row[:] for row in genuine.witness["q_matrix"]]
+    q_matrix[0][0] = "1"
+    edited = genuine._replace(witness=dict(genuine.witness, q_matrix=q_matrix))
+    assert not verify_witness(k, n, rep, edited)

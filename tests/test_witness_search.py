@@ -219,8 +219,8 @@ def test_witness_search_matches_the_reference_on_random_sign_tables(space):
 def _decide_on(monkeypatch, space):
     # the rules of one subrack, run on a given diagonal subspace
     monkeypatch.setattr(nichols.verdict, "diagonal_subspace",
-                        lambda subrack, character: space)
-    return _subspace_rules(space.subrack, None)
+                        lambda subrack, character, plan=None: space)
+    return _subspace_rules(space.subrack, None, None)
 
 
 def test_witness_search_needs_minus_one_vertex_labels(monkeypatch):
