@@ -512,22 +512,6 @@ class GeneralizedDynkinDiagram:
                                 for b in self.neighbors(a) if b > a)
         return self._edges
 
-    def induced(self, vertices) -> "GeneralizedDynkinDiagram":
-        """The subdiagram on the given vertices, renumbered in that order,
-        with their labels and names and the edges among them; twins stay
-        twins."""
-        index = {v: i for i, v in enumerate(vertices)}
-        groups = {}
-        for v, i in index.items():
-            groups.setdefault(self.block_of[v], []).append(i)
-        position = {x: y for y, x in enumerate(groups)}
-        edges = [(y, position[z], w) for x, y in position.items()
-                 for z, w in self._adjacent[x].items()
-                 if position.get(z, -1) >= y]
-        return GeneralizedDynkinDiagram(
-            [self.vertex_labels[v] for v in index], edges,
-            [self.names[v] for v in index], groups.values())
-
     def components(self) -> tuple:
         """The connected components, each a sorted vertex tuple, ordered by
         least vertex.  Adjacent blocks lie in one component whole; a block

@@ -27,6 +27,7 @@ is a defect of the engine and raises.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from functools import cache
 from typing import NamedTuple, Optional
 
@@ -153,38 +154,42 @@ def _positive_definite(S) -> bool:
     return True
 
 
-def _cartan_infinite(q) -> bool:
+def _cartan_infinite(q) -> Optional[list]:
     """The cartan-infinite rule re-fired by linear algebra on a square table
     of braiding values: every diagonal entry is -1 and every product
     q_ab q_ba is 1 or -1, and the Cartan matrix 2I - A is not positive
-    definite, A being 1 where the product is -1 and 0 elsewhere."""
+    definite, A being 1 where the product is -1 and 0 elsewhere.  Returns
+    that Cartan matrix when the rule fires, else None."""
     m = len(q)
     cartan = [[2] * m for _ in range(m)]
     for a in range(m):
         if q[a][a] != ROOT_MINUS_ONE:
-            return False
+            return None
         for b in range(m):
             if a == b:
                 continue
             product = q[a][b] * q[b][a]
             if product not in (ROOT_ONE, ROOT_MINUS_ONE):
-                return False
+                return None
             cartan[a][b] = -1 if product == ROOT_MINUS_ONE else 0
-    return not _positive_definite(cartan)
+    return None if _positive_definite(cartan) else cartan
 
 
-def cycle_rule(diagram: GeneralizedDynkinDiagram) -> Optional[dict]:
+def cycle_rule(diagram: GeneralizedDynkinDiagram,
+               vertices=None) -> Optional[dict]:
     """Detect a chordless 4-cycle with every vertex label -1 whose edge
-    labels alternate nu, 1/nu around the cycle (opposite edges equal).
+    labels alternate nu, 1/nu around the cycle (opposite edges equal), in
+    the subdiagram induced on vertices (all of them by default).
 
     Such a labeled cycle certifies an infinite braiding.  Returns the cycle
     and its labels, or None.
     """
-    minus = [v for v in range(diagram.size)
+    vertices = sorted(range(diagram.size) if vertices is None else vertices)
+    minus = [v for v in vertices
              if diagram.vertex_labels[v] == ROOT_MINUS_ONE]
     mset = set(minus)
     for a in minus:
-        nbrs_a = set(diagram.neighbors(a))
+        nbrs_a = diagram.neighbor_set(a)
         for c in minus:
             if c <= a or c in nbrs_a:
                 continue
@@ -335,11 +340,11 @@ def _candidates(cls: UnmixedClass):
         yield quadruple_subrack(cls, 1, 2)
 
 
-def _shortest_cycle(diagram: GeneralizedDynkinDiagram, vertices=None,
-                    limit: Optional[int] = None) -> Optional[tuple]:
+def _shortest_cycle(diagram: GeneralizedDynkinDiagram,
+                    vertices=None) -> Optional[tuple]:
     """A minimum-length cycle of the subdiagram induced on vertices (all of
     them by default), chordless by minimality, as a vertex tuple in cycle
-    order; None when it has no cycle of length at most limit.
+    order; None when it has no cycle.
 
     The tie-break, on which the printed witness depends: for each edge
     (a, b) with a < b, in increasing order, a breadth-first search from a
@@ -347,64 +352,32 @@ def _shortest_cycle(diagram: GeneralizedDynkinDiagram, vertices=None,
     first discoverer made the parent, reaches b along the
     lexicographically least shortest path; the cycle is (b, ..., a) along
     it.  The answer is the first of these cycles that is least by (length,
-    sorted vertex tuple).  A search stops at b, and looks no further than
-    the best length so far: each level first asks whether a common
-    neighbor of b and a level vertex closes the cycle, one set
-    intersection per vertex, before the next level is built."""
+    sorted vertex tuple)."""
     vertices = sorted(range(diagram.size) if vertices is None else vertices)
     keep = set(vertices)
-    adjacent = {v: diagram.neighbor_set(v) & keep for v in vertices}
-    order = {v: sorted(adjacent[v]) for v in vertices}
-    limit = len(vertices) if limit is None else limit
+    order = {v: sorted(diagram.neighbor_set(v) & keep) for v in vertices}
     best = None
     for a in vertices:
         for b in order[a]:
             if b < a:
                 continue
-            cycle = _cycle_through(adjacent, order, a, b, limit)
-            if cycle is None:
+            parent = {a: None}
+            queue = deque([a])
+            while queue and b not in parent:
+                v = queue.popleft()
+                for w in order[v]:
+                    if w not in parent and (v, w) != (a, b):
+                        parent[w] = v
+                        queue.append(w)
+            if b not in parent:
                 continue
-            key = (len(cycle), sorted(cycle))
+            path = [b]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            key = (len(path), sorted(path))
             if best is None or key < best[0]:
-                best = (key, cycle)
-                limit = len(cycle)
+                best = (key, tuple(path))
     return None if best is None else best[1]
-
-
-def _cycle_through(adjacent: dict, order: dict, a: int, b: int,
-                   limit: int) -> Optional[tuple]:
-    # the search from a without the edge ab, level by level.  The level at
-    # depth d closes a cycle of length d + 3 through a vertex w, off the
-    # levels so far, that neighbors both b and a level vertex v.  The first
-    # such v in queue order is w's parent, and the least such w is b's
-    # parent: w joins the next level in v's group, and no earlier group
-    # holds a neighbor of b
-    parent = {a: None}
-    seen = {a, b}
-    level = [a]
-    target = adjacent[b]
-    length = 3
-    while level and length <= limit:
-        for v in level:
-            hits = (adjacent[v] & target) - seen
-            if hits:
-                path = [b, min(hits)]
-                while v is not None:
-                    path.append(v)
-                    v = parent[v]
-                return tuple(path)
-        length += 1
-        if length > limit:
-            break
-        grown = []
-        for v in level:
-            for w in order[v]:
-                if w not in seen:
-                    seen.add(w)
-                    parent[w] = v
-                    grown.append(w)
-        level = grown
-    return None
 
 
 def _witness(space: DiagonalSubspace, firing: tuple, rule: str,
@@ -443,12 +416,11 @@ def _subspace_rules(subrack: AbelianSubrack, character: InducedCharacter,
     for comp in diagram.components():
         shape = dynkin_shape(diagram, comp)
         if shape is None:
-            hit = cycle_rule(diagram.induced(comp))
+            hit = cycle_rule(diagram, comp)
             if hit is not None:
-                firing = tuple(sorted(comp[x] for x in hit["cycle"]))
-                order = tuple(comp[x] for x in hit["cycle"])
-                cycle_hits.append(
-                    (_expansion_size(space, firing), firing, order, hit))
+                firing = tuple(sorted(hit["cycle"]))
+                cycle_hits.append((_expansion_size(space, firing), firing,
+                                   hit["cycle"], hit))
         elif not shape.finite:
             firing = _minimal_infinite_set(space, diagram, comp)
             cartan_hits.append((_expansion_size(space, firing), firing))
@@ -478,78 +450,48 @@ def _minimal_infinite_set(space: DiagonalSubspace,
                           diagram: GeneralizedDynkinDiagram,
                           comp: tuple) -> tuple:
     """Shrink a non-finite Cartan component of the diagram to a small
-    witness: a triangle with the smallest expansion when one exists, else a
-    cycle minimizing (expansion, length), else the whole component
-    (non-finite trees).  Any cycle subdiagram is again non-finite Cartan.
+    witness: the triangle least by (expansion, sorted tuple) when one
+    exists; else, of the shortest cycles of each one- and two-index slice
+    and of the whole component, the least by (expansion, length, sorted
+    tuple); else the whole component (non-finite trees).  Any cycle
+    subdiagram is again non-finite Cartan.
 
-    Every vertex label is -1 (dynkin_shape raises otherwise), so two
-    vertices of one column are never adjacent and a triangle spans three
-    columns: its expansion is 3, 6 or 9 as it uses one, two or three
-    eigenvector indices.  The tiers are searched in that order, each in
-    lexicographic order, so the first triangle found is the least by
-    (expansion, sorted tuple)."""
-    vec = {x: space.vertices[x][1] for x in comp}
-    slices = {}
-    for x in comp:
-        slices.setdefault(vec[x], []).append(x)
-    triangle = _least_triangle(diagram, comp, vec, slices)
-    if triangle is not None:
-        return triangle
-    # the cycle rule: the shortest cycle of each one- or two-index slice
-    # and of the whole component, least by (expansion, length, tuple).  A
-    # cycle is no longer than its expansion, so searches are cut at the
-    # least expansion so far; two slices with no edge between them add
-    # nothing that each alone does not
-    pairs = {tuple(sorted((vec[x], vec[y])))
-             for x in comp for y in diagram.neighbors(x) if vec[x] != vec[y]}
-    subsets = list(slices.values())
-    subsets += [sorted(slices[s] + slices[t]) for s, t in pairs]
-    subsets.append(comp)
+    The search runs on the first two members of each twin block of the
+    component, with the same answer:
+    - twins share one neighbor set and, every vertex label being -1
+      (dynkin_shape raises otherwise), are never adjacent;
+    - so a triangle holds at most one member of each block, and moving
+      each to the first member of its block keeps it a triangle with no
+      larger expansion and no larger tuple;
+    - a chordless cycle through twins x1 and x2 is x1 - p - x2 - q, as both
+      cycle neighbors of x1 neighbor x2; so it holds at most two members
+      of any block, and moving them to the first two members of their
+      block keeps the length, the expansion at most and the tuple at most;
+    - the eigenvector indices of one run can be swapped without changing
+      the graph, so a slice over indices beyond the first two of a run
+      repeats an earlier slice, with larger tuples."""
+    blocks = {diagram.block_of[x] for x in comp}
+    pruned = sorted(x for b in blocks for x in diagram.blocks[b][:2])
+    keep = set(pruned)
+    near = {x: diagram.neighbor_set(x) & keep for x in pruned}
+    triangles = [(a, b, c) for a in pruned for b in near[a] if b > a
+                 for c in near[a] & near[b] if c > b]
+    if triangles:
+        return min(triangles, key=lambda t: (_expansion_size(space, t), t))
+    vec = {x: space.vertices[x][1] for x in pruned}
+    indices = sorted(set(vec.values()))
+    subsets = [[x for x in pruned if vec[x] in chosen]
+               for r in (1, 2) for chosen in itertools.combinations(indices, r)]
+    subsets.append(pruned)
     best = None
-    for keep in subsets:
-        if len(keep) < 3:
-            continue
-        cyc = _shortest_cycle(diagram, keep,
-                              None if best is None else best[0])
+    for subset in subsets:
+        cyc = _shortest_cycle(diagram, subset)
         if cyc is not None:
             firing = tuple(sorted(cyc))
             candidate = (_expansion_size(space, firing), len(cyc), firing)
             if best is None or candidate < best:
                 best = candidate
     return comp if best is None else best[2]
-
-
-def _least_triangle(diagram: GeneralizedDynkinDiagram, comp: tuple,
-                    vec: dict, slices: dict) -> Optional[tuple]:
-    # the least triangle of the component by (expansion, sorted tuple)
-    adjacent = diagram.neighbor_set
-    # one index: the triangle lies in the slice of vec(x)
-    for x in comp:
-        later = [y for y in slices[vec[x]] if y > x and y in adjacent(x)]
-        for y, z in itertools.combinations(later, 2):
-            if z in adjacent(y):
-                return (x, y, z)
-    # two indices: an edge (x, w) between two slices closes only through a
-    # vertex of one of them
-    for x in comp:
-        near = adjacent(x)
-        found = [tuple(sorted((w, c)))
-                 for w in diagram.neighbors(x) if w > x and vec[w] != vec[x]
-                 for c in slices[vec[x]] + slices[vec[w]]
-                 if c > x and c in near and c in adjacent(w)]
-        if found:
-            return (x,) + min(found)
-    # three indices
-    for x in comp:
-        near = adjacent(x)
-        for y in diagram.neighbors(x):
-            if y < x or vec[y] == vec[x]:
-                continue
-            common = [z for z in near & adjacent(y)
-                      if z > y and vec[z] != vec[x] and vec[z] != vec[y]]
-            if common:
-                return (x, y, min(common))
-    return None
 
 
 def _resolve_spec(k: int, n: int, rho_spec) -> RepSpec:
@@ -615,14 +557,21 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     cartan-infinite is re-fired by linear algebra on the firing set,
     sharing no code with the graph reading that decided it: every diagonal
     entry -1, every product q_ab q_ba equal to 1 or -1, and the Cartan
-    matrix 2I - A (A = 1 where the product is -1) not positive definite."""
+    matrix 2I - A (A = 1 where the product is -1) not positive definite.
+
+    The recorded fields that follow from these values must match them: the
+    cartan_matrix, the cycle_labels (the products around the cycle), and
+    the q_scalar and element_order of the scalar gate.  The label, the
+    components and the diagram_dot are not read."""
     if verdict.outcome != INFINITE:
         raise ValueError("only infinite verdicts carry a rebuildable witness")
     cls = UnmixedClass(k, n)
     spec = _resolve_spec(k, n, rho_spec)
-    if verdict.rule == "scalar-gate":
-        return k % 2 == 1 or pi_scalar(spec) != ROOT_MINUS_ONE
     w = verdict.witness
+    if verdict.rule == "scalar-gate":
+        q = pi_scalar(spec)
+        return ((k % 2 == 1 or q != ROOT_MINUS_ONE)
+                and w["q_scalar"] == str(q) and w["element_order"] == k)
     subrack = AbelianSubrack(
         cls,
         tuple(Permutation(img) for img in w["element_images"]),
@@ -636,8 +585,9 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
         return False
     if verdict.rule == "cartan-infinite":
         firing = [restricted.vertices[x] for x in w["firing"]]
-        return _cartan_infinite([[restricted.q(a, b) for b in firing]
-                                 for a in firing])
+        cartan = _cartan_infinite([[restricted.q(a, b) for b in firing]
+                                   for a in firing])
+        return cartan is not None and cartan == w["cartan_matrix"]
     if verdict.rule == "alternating-cycle":
         a, b, c, d = (restricted.vertices[x] for x in w["cycle"])
         def product(x, y):
@@ -647,5 +597,6 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
         if product(a, c) != ROOT_ONE or product(b, d) != ROOT_ONE:
             return False
         ab, bc, cd, da = product(a, b), product(b, c), product(c, d), product(d, a)
-        return (ab != ROOT_ONE and ab * bc == ROOT_ONE and ab == cd and bc == da)
+        return (ab != ROOT_ONE and ab * bc == ROOT_ONE and ab == cd and bc == da
+                and [str(x) for x in (ab, bc, cd, da)] == w["cycle_labels"])
     raise ValueError("unknown rule %r" % verdict.rule)

@@ -259,6 +259,44 @@ def test_verify_witness_rejects_tampering():
     assert not verify_witness(2, 4, "chi=(1,0,0,0);mu=standard", tampered)
 
 
+def test_verify_witness_rejects_a_tampered_cartan_matrix():
+    spec = "chi=(1,0,0,0);mu=standard"
+    verdict = decide(2, 4, spec)
+    assert verdict.witness["cartan_matrix"] == [[2, -1, -1], [-1, 2, -1],
+                                                [-1, -1, 2]]
+    assert verify_witness(2, 4, spec, verdict)
+    # a 1x1 matrix, and the triangle recorded as a path
+    path = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+    for edited in (dict(verdict.witness, cartan_matrix=[[7]], label="E8"),
+                   dict(verdict.witness, cartan_matrix=path)):
+        assert not verify_witness(2, 4, spec, verdict._replace(witness=edited))
+
+
+def test_verify_witness_rejects_tampered_cycle_labels():
+    spec = "chi=(5,5,5);mu=trivial"
+    verdict = decide(6, 3, spec)
+    assert verdict.rule == "alternating-cycle"
+    labels = verdict.witness["cycle_labels"]
+    assert labels == ["z(3,2)", "z(3,1)", "z(3,2)", "z(3,1)"]
+    assert verify_witness(6, 3, spec, verdict)
+    for edited in (["1", "1", "1", "1"], labels[1:] + labels[:1]):
+        tampered = dict(verdict.witness, cycle_labels=edited)
+        assert not verify_witness(6, 3, spec,
+                                  verdict._replace(witness=tampered))
+
+
+def test_verify_witness_rejects_a_tampered_scalar_gate():
+    spec = "chi=(1,1,0);mu=trivial"
+    verdict = decide(2, 3, spec)
+    assert verdict.rule == "scalar-gate"
+    assert verdict.witness["q_scalar"] == "1"
+    assert verify_witness(2, 3, spec, verdict)
+    for field, value in (("q_scalar", "z(9,2)"), ("element_order", 5)):
+        tampered = dict(verdict.witness, **{field: value})
+        assert not verify_witness(2, 3, spec,
+                                  verdict._replace(witness=tampered)), field
+
+
 def _root(text):
     if text in _SYMBOLS:
         return _SYMBOLS[text]
@@ -351,10 +389,10 @@ def test_wider_grids_match_closed_form_and_witnesses_verify():
 
 @pytest.mark.slow
 def test_largest_sweeps_match_closed_form_and_witnesses_verify():
-    # 547 rows up to degree 672.  1.5 s on a 2-vCPU VM, most of it the
-    # degree-448 to degree-672 rows of (2,8); the bound allows a slower
-    # machine, and fails a witness search that lists every triangle, which
-    # took over 20 min on (2,8) alone
+    # 547 rows up to degree 672.  0.6 s on a 2-vCPU VM, about a third each
+    # for (2,7), (4,5) and (2,8); the bound allows a slower machine, and
+    # fails a witness search that lists every triangle of a whole
+    # component, which took over 20 min on (2,8) alone
     started = time.monotonic()
     rows = verified = 0
     for k, n in ((2, 7), (4, 5), (2, 8)):
