@@ -14,9 +14,9 @@ integer traces (nichols.exactfield.rational_value), and the braiding labels
 are roots of unity held as integer exponents.  No field element is built.
 
 The work splits in two.  subrack_plan does what rho does not change: the
-table, the commute check, H with the normal form of each element, and the
-linear characters of H.  diagonal_subspace then sums the character of rho
-over H, once per rho.
+table, the commute check, H with the (L, s) class label of each element
+(nichols.permgroup), and the linear characters of H.  diagonal_subspace then
+sums the character of rho, read at those labels, over H, once per rho.
 
 Construction families: the canonical involution subrack (k = 2), the swap and
 rotation quadruples (k even, n >= 2) and the power subrack (n = 1; drawn by
@@ -252,14 +252,14 @@ class DiagonalSubspace:
 
 class SpectrumPlan(NamedTuple):
     """The part of a joint spectrum that does not depend on rho: the
-    elements of H = <generators> in layer order (e_1 fastest) as normal
-    forms, and the |H| linear characters of H, each as its phase at every
-    element (psi(h) = zeta_modulus^phase) and its exponents on the
-    generators."""
+    elements of H = <generators> in layer order (e_1 fastest), each as its
+    (L, s) class label in the centralizer, at which characters are read,
+    and the |H| linear characters of H, each as its phase at every element
+    (psi(h) = zeta_modulus^phase) and its exponents on the generators."""
 
     modulus: int
     scale: int
-    forms: tuple
+    class_labels: tuple
     characters: tuple
 
 
@@ -317,7 +317,8 @@ def spectrum_plan(cls: UnmixedClass, generators, modulus: int) -> SpectrumPlan:
                      for g in generators)
         planned.append((tuple(phases), exps))
     return SpectrumPlan(modulus, modulus // cls.k,
-                        tuple(cls.normal_form(h) for h in elements),
+                        tuple(cls.normal_form(h).class_label(cls.k)
+                              for h in elements),
                         tuple(planned))
 
 
@@ -326,16 +327,16 @@ def planned_spectrum(plan: SpectrumPlan, character: InducedCharacter) -> list:
     linear character psi that occurs, in lexicographic order of exps.
 
     The multiplicity of psi is (1/|H|) sum_h chi(h) psi(h)^-1, with chi read
-    at every element of H and summed as integer coefficients over
-    Z/modulus; the sum is checked to be rational, and read off, by integer
-    traces (rational_value), and the multiplicities to add up to the
-    degree."""
+    at the class label of every element of H and summed as integer
+    coefficients over Z/modulus; the sum is checked to be rational, and read
+    off, by integer traces (rational_value), and the multiplicities to add
+    up to the degree."""
     modulus = plan.modulus
     scale = plan.scale
     # chi(h) as terms (exponent mod modulus, integer)
     terms = [tuple((a * scale, c) for a, c in
-                   enumerate(character.coefficients(nf)) if c)
-             for nf in plan.forms]
+                   enumerate(character.coefficients(label)) if c)
+             for label in plan.class_labels]
     order = len(terms)
     spectrum = []
     for phases, exps in plan.characters:

@@ -1,22 +1,22 @@
-"""Permutations, cycle types, unmixed conjugacy classes, and centralizers.
+"""Permutations, unmixed conjugacy classes, and their centralizers.
 
 Permutations act on the 1-based points {1..N} and carry their ground set
 size.  An unmixed class is the class of permutations with n cycles of
-length k in the symmetric group on k*n points; its centralizer at the
-canonical basepoint is generated by the cycle rotations A_1..A_n and the
-adjacent block swaps B_1..B_{n-1}, and every centralizer element has a
-unique normal form A_1^{d_1}..A_n^{d_n} * (block permutation b).
+length k in the symmetric group on k*n points.  Every element of the
+centralizer of its canonical basepoint has a unique normal form (d, b): a
+permutation b of the n blocks and a twist exponent d_j per block, the
+element sending offset h of block j to offset h + d_b(j) of block b(j).
 
 The centralizer is the wreath product Z/k wr S_n.  Its conjugacy classes are
 labeled by the multiset of pairs (L, s), one per cycle of b: L is the cycle's
-length and s the twist sum over it mod k (James-Kerber 1981, 4.2).
+length and s the twist sum over it mod k (James-Kerber 1981, 4.2).  A
+character of the centralizer is read only at these labels.
 """
 
 from __future__ import annotations
 
-import itertools
 from math import factorial, gcd, lcm
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 
 class Permutation:
@@ -106,19 +106,12 @@ class Permutation:
                 out.append(tuple(cyc))
         return tuple(out)
 
-    def cycle_type(self) -> "CycleType":
-        return CycleType.from_lengths(
-            len(c) for c in self.cycles(include_fixed=True))
+    def cycle_type(self) -> tuple:
+        """The cycle lengths, fixed points included, in increasing order."""
+        return tuple(sorted(len(c) for c in self.cycles(include_fixed=True)))
 
     def order(self) -> int:
         return lcm(*(len(c) for c in self.cycles(include_fixed=True)))
-
-    def sign(self) -> int:
-        n_cycles = len(self.cycles(include_fixed=True))
-        return -1 if (self.degree - n_cycles) % 2 else 1
-
-    def is_identity(self) -> bool:
-        return all(y == i + 1 for i, y in enumerate(self.img))
 
     def commutes_with(self, other: "Permutation") -> bool:
         return all(self.img[other.img[x] - 1] == other.img[self.img[x] - 1]
@@ -145,100 +138,9 @@ class Permutation:
         return "Permutation(%r)" % (self.img,)
 
 
-class CycleType:
-    """Multiset of cycle lengths, stored as length -> multiplicity."""
-
-    __slots__ = ("multiplicities",)
-
-    def __init__(self, multiplicities) -> None:
-        pairs = tuple(sorted((int(j), int(m)) for j, m in dict(multiplicities).items() if m))
-        if any(j < 1 or m < 1 for j, m in pairs):
-            raise ValueError("lengths and multiplicities must be positive")
-        self.multiplicities = pairs
-
-    @staticmethod
-    def from_lengths(lengths) -> "CycleType":
-        counts: dict = {}
-        for j in lengths:
-            counts[j] = counts.get(j, 0) + 1
-        return CycleType(counts)
-
-    @staticmethod
-    def unmixed(k: int, n: int) -> "CycleType":
-        return CycleType({k: n})
-
-    @property
-    def degree(self) -> int:
-        return sum(j * m for j, m in self.multiplicities)
-
-    def parts(self) -> tuple:
-        """All cycle lengths, longest first."""
-        out = []
-        for j, m in reversed(self.multiplicities):
-            out.extend([j] * m)
-        return tuple(out)
-
-    def symbol(self) -> str:
-        bits = []
-        for j, m in self.multiplicities:
-            bits.append("%d^%d" % (j, m) if m > 1 else "%d" % j)
-        return "(" + ",".join(bits) + ")"
-
-    def class_size(self) -> int:
-        size = factorial(self.degree)
-        for j, m in self.multiplicities:
-            size //= j ** m * factorial(m)
-        return size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CycleType):
-            return NotImplemented
-        return self.multiplicities == other.multiplicities
-
-    def __hash__(self) -> int:
-        return hash(self.multiplicities)
-
-    def __repr__(self) -> str:
-        return "CycleType(%s)" % self.symbol()
-
-
 def conjugate(g: Permutation, h: Permutation) -> Permutation:
     """g acting on h by conjugation: g h g^{-1}."""
     return h.conjugated_by(g)
-
-
-def conjugacy_class_iter(t: CycleType, n: int) -> Iterator[Permutation]:
-    """All permutations of S_n with cycle type t, each exactly once.
-
-    Deterministic order: the cycle containing the smallest unused point is
-    chosen first, its length runs over the available lengths in increasing
-    order, and the remaining cycle entries run lexicographically.
-    """
-    if t.degree != n:
-        raise ValueError("cycle type does not fill 1..n")
-    counts = {j: m for j, m in t.multiplicities}
-
-    def rec(unused: tuple) -> Iterator[tuple]:
-        if not unused:
-            yield ()
-            return
-        x = unused[0]
-        rest = unused[1:]
-        for length in sorted(j for j, m in counts.items() if m > 0):
-            counts[length] -= 1
-            if length == 1:
-                for tail in rec(rest):
-                    yield ((x,),) + tail
-            else:
-                for body in itertools.permutations(rest, length - 1):
-                    taken = set(body)
-                    remaining = tuple(y for y in rest if y not in taken)
-                    for tail in rec(remaining):
-                        yield ((x,) + body,) + tail
-            counts[length] += 1
-
-    for cycles in rec(tuple(range(1, n + 1))):
-        yield Permutation.from_cycles(n, cycles)
 
 
 class NormalForm(NamedTuple):
@@ -246,9 +148,6 @@ class NormalForm(NamedTuple):
 
     d: tuple
     b: Permutation
-
-    def is_identity(self) -> bool:
-        return not any(self.d) and self.b.is_identity()
 
     def class_label(self, k: int) -> tuple:
         """The sorted (L, s) pairs of the cycles of b, with s the twist sum
@@ -262,11 +161,36 @@ class NormalForm(NamedTuple):
 
 class PartnerClass(NamedTuple):
     """A centralizer conjugacy class of partners of the basepoint: its sorted
-    (L, s) label, one normal-form representative, and its size."""
+    (L, s) label, its dual label (see dual_label), one normal-form
+    representative, and its size."""
 
     label: tuple
+    dual: tuple
     representative: NormalForm
     size: int
+
+
+def dual_label(k: int, label: tuple) -> tuple:
+    """The label of g^-1 pi g, for pi the basepoint and t = g pi g^-1 a
+    partner with the given label: each b-cycle (L, s) of t gives a b-cycle
+    (L, L * ((s/L)^-1 mod k/L) mod k), and (L, 0) when L = k.
+
+    Why this is exact, one b-cycle (L, s) of t at a time (gcd(s, k) = L, see
+    partner_classes):
+    - on the L*k points of its blocks, pi and t generate an abelian group,
+      and t^L = pi^s there, since t^L turns each of those blocks by s;
+    - conjugating by g^-1 turns the pair (pi, t) into (g^-1 pi g, pi), and
+      those points into L blocks of pi on which pi^L = (g^-1 pi g)^s;
+    - with pi, which fixes every block, g^-1 pi g is transitive on those
+      points, so it cycles all L blocks, with a twist sum sigma that makes
+      (g^-1 pi g)^L = pi^sigma there; it has cycle type (k^n), so
+      gcd(sigma, k) = L and sigma = L sigma';
+    - hence pi^L = pi^(sigma' s) on those blocks: sigma' (s/L) = 1 mod k/L.
+    Any other g is g c with c centralizing pi, which gives the conjugate
+    c^-1 (g^-1 pi g) c and so the same label."""
+    return tuple(sorted((length, 0 if length == k
+                         else length * pow(s // length, -1, k // length) % k)
+                        for length, s in label))
 
 
 class UnmixedClass:
@@ -290,29 +214,13 @@ class UnmixedClass:
         """Point at offset h (1-based) inside block j."""
         return self.k * (j - 1) + h
 
-    def cycle_type(self) -> CycleType:
-        return CycleType.unmixed(self.k, self.n)
-
-    def class_size(self) -> int:
-        return self.cycle_type().class_size()
+    def cycle_type(self) -> tuple:
+        return (self.k,) * self.n
 
     def centralizer_order(self) -> int:
         return self.k ** self.n * factorial(self.n)
 
-    def elements(self) -> Iterator[Permutation]:
-        return conjugacy_class_iter(self.cycle_type(), self.degree)
-
-    # centralizer generators and normal forms
-
-    def A(self, j: int) -> Permutation:
-        if not 1 <= j <= self.n:
-            raise ValueError("block index out of range")
-        return Permutation.from_cycles(self.degree, [self._block(j)])
-
-    def B(self, i: int) -> Permutation:
-        if not 1 <= i <= self.n - 1:
-            raise ValueError("adjacent swap index out of range")
-        return self.block_swap(i, i + 1)
+    # the centralizer in normal form
 
     def block_perm(self, b: Permutation) -> Permutation:
         """Permutation of blocks b lifted to points, preserving offsets."""
@@ -387,7 +295,8 @@ class UnmixedClass:
         def extend(start: int, left: int, label: tuple) -> None:
             if not left:
                 if label != basepoint:
-                    out.append(PartnerClass(label, self._representative(label),
+                    out.append(PartnerClass(label, dual_label(self.k, label),
+                                            self._representative(label),
                                             self._wreath_class_size(label)))
                 return
             for i in range(start, len(kinds)):
@@ -415,48 +324,6 @@ class UnmixedClass:
             m = label.count(pair)
             size //= (self.k * pair[0]) ** m * factorial(m)
         return size
-
-    # transporters
-
-    def transporter(self, t: Permutation) -> Permutation:
-        """A deterministic g with g * basepoint * g^{-1} = t."""
-        if t.cycle_type() != self.cycle_type():
-            raise ValueError("target has the wrong cycle type")
-        if self.k == 2:
-            return self._involution_transporter(t)
-        target_cycles = sorted(
-            (c[c.index(min(c)):] + c[:c.index(min(c))] for c in t.cycles()),
-            key=lambda c: c[0])
-        img = [0] * self.degree
-        for j, cyc in enumerate(target_cycles, start=1):
-            for h in range(1, self.k + 1):
-                img[self.point(j, h) - 1] = cyc[h - 1]
-        return Permutation(img)
-
-    def _involution_transporter(self, t: Permutation) -> Permutation:
-        # k = 2: basepoint and t are fixed-point-free involutions, so the
-        # group they generate partitions the points into even cycles that
-        # alternate basepoint- and t-edges; reflecting each cycle about its
-        # smallest point conjugates basepoint to t and is itself an involution
-        pi = self.basepoint
-        img = [0] * self.degree
-        seen = [False] * (self.degree + 1)
-        for x0 in range(1, self.degree + 1):
-            if seen[x0]:
-                continue
-            seq = [x0]
-            seen[x0] = True
-            while True:
-                cur = seq[-1]
-                nxt = pi(cur) if len(seq) % 2 else t(cur)
-                if nxt == x0:
-                    break
-                seq.append(nxt)
-                seen[nxt] = True
-            size = len(seq)
-            for a, x in enumerate(seq):
-                img[x - 1] = seq[(-a) % size]
-        return Permutation(img)
 
     # canonical involutions for even k = 2r
 

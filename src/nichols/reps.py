@@ -10,9 +10,11 @@ InducedCharacter computes from the spec alone: the induced-character
 formula over the orbit of u, with the symmetric-group factors given by the
 Murnaghan-Nakayama rule.  That works for every partition, so every irrep
 of every class is available; no representation matrix is ever built.
-Character values are integer coefficient vectors over Z/k, and whether an
-element acts by a scalar is decided from them by integer traces
-(nichols.exactfield.rational_value).
+A character is a class function, so it is read at a conjugacy-class label
+of the centralizer, the sorted (L, s) pairs of nichols.permgroup, and never
+at a group element.  Character values are integer coefficient vectors over
+Z/k, and whether a class acts by a scalar is decided from them by integer
+traces (nichols.exactfield.rational_value).
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from math import factorial
 from typing import NamedTuple, Optional
 
 from .exactfield import RootOfUnity, rational_value
-from .permgroup import NormalForm
 
 
 class GammaCharacter:
@@ -211,8 +212,9 @@ class InducedCharacter:
     (constant on every cycle of b), of zeta_k^(u'.d) times the product over
     the values v of the partition character of block v at the cycle type
     of b on the positions where u' = v.  That depends only on the (L, s)
-    cycle label of (d, b), so a value is computed once per label.  Values
-    are integer coefficient vectors c over Z/k, meaning sum_a c[a] zeta_k^a.
+    cycle label of (d, b), so the character takes the label, and a value is
+    computed once per label.  Values are integer coefficient vectors c over
+    Z/k, meaning sum_a c[a] zeta_k^a.
     """
 
     __slots__ = ("spec", "k", "degree", "_levels", "_values")
@@ -226,9 +228,9 @@ class InducedCharacter:
                              for v, part in zip(values, spec.partitions))
         self._values = {}
 
-    def coefficients(self, nf: NormalForm) -> tuple:
-        """chi(d, b) as k integers c with chi = sum_a c[a] zeta_k^a."""
-        label = nf.class_label(self.k)
+    def coefficients(self, label: tuple) -> tuple:
+        """chi at the class with the given sorted (L, s) label, as k integers
+        c with chi = sum_a c[a] zeta_k^a."""
         hit = self._values.get(label)
         if hit is None:
             hit = self._values[label] = self._from_label(label)
@@ -264,15 +266,15 @@ class InducedCharacter:
         assign(0, 0)
         return tuple(out)
 
-    def scalar(self, nf: NormalForm) -> Optional[RootOfUnity]:
-        """The root of unity by which (d, b) acts when it acts by a scalar,
-        else None: a sum of degree roots of unity has absolute value degree
-        exactly when they are all equal, so rho(g) is scalar exactly when
-        chi(g) = degree * zeta for a root of unity zeta.  The roots of unity
-        of Q(zeta_k) are the +-zeta_k^a, all of them powers of zeta_2k, so
-        each zeta_2k^b is tried: chi(g) zeta_2k^-b must be the rational
-        degree."""
-        coefficients = self.coefficients(nf)
+    def scalar(self, label: tuple) -> Optional[RootOfUnity]:
+        """The root of unity by which the class with the given label acts
+        when it acts by a scalar, else None: a sum of degree roots of unity
+        has absolute value degree exactly when they are all equal, so rho(g)
+        is scalar exactly when chi(g) = degree * zeta for a root of unity
+        zeta.  The roots of unity of Q(zeta_k) are the +-zeta_k^a, all of
+        them powers of zeta_2k, so each zeta_2k^b is tried: chi(g) zeta_2k^-b
+        must be the rational degree."""
+        coefficients = self.coefficients(label)
         m = 2 * self.k
         for b in range(m):
             shifted = [0] * m

@@ -36,7 +36,7 @@ from .braidspace import (AbelianSubrack, DiagonalSubspace,
                          diagonal_subspace, dynkin_diagram, quadruple_subrack,
                          rotation_subrack, subrack_plan, triple_subrack)
 from .exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
-from .permgroup import NormalForm, Permutation, UnmixedClass, conjugate
+from .permgroup import PartnerClass, Permutation, UnmixedClass
 from .reps import InducedCharacter, RepSpec, parse_rep_spec, pi_scalar
 
 INFINITE = "InfiniteDim"
@@ -220,23 +220,11 @@ class NegativityReport(NamedTuple):
     partner_count: int = 0
 
 
-class PartnerData(NamedTuple):
-    """One partner class as negativity_check reads it: the representative
-    t = (d, b) of the class, the normal form of the basepoint pulled back
-    along the transporter of t, the class size, and the printed
-    representative and pair (basepoint, t)."""
-
-    representative: NormalForm
-    pulled_back: NormalForm
-    size: int
-    name: str
-    pair: tuple
-
-
 class ClassPlan:
     """What the decision needs of one class that no representation
     changes: the candidate subracks, the plan of each subrack (built on
-    first use, see subrack_plan) and the partner data (built on first use).
+    first use, see subrack_plan) and the partner classes with their labels
+    and dual labels (built on first use).
     One plan per (k, n) is kept for the life of the process (class_plan)."""
 
     __slots__ = ("cls", "subracks", "_subrack_plans", "_partners")
@@ -255,18 +243,7 @@ class ClassPlan:
 
     def partners(self) -> tuple:
         if self._partners is None:
-            cls = self.cls
-            pi = cls.basepoint
-            out = []
-            for partner in cls.partner_classes():
-                t = cls.assemble(partner.representative)
-                g = cls.transporter(t)
-                out.append(PartnerData(
-                    partner.representative,
-                    cls.normal_form(conjugate(g.inverse(), pi)),
-                    partner.size, str(partner.representative),
-                    (str(pi), str(t))))
-            self._partners = tuple(out)
+            self._partners = tuple(self.cls.partner_classes())
         return self._partners
 
 
@@ -285,7 +262,10 @@ def negativity_check(cls: UnmixedClass, character: InducedCharacter) -> Negativi
     partner class is checked.  pairs_checked counts those classes, partners
     lists their representatives, and partner_count sums their sizes.
     Whether an element acts by a scalar, and which, is read off the
-    character; the partners come from the class plan.
+    character at its class label: for t the label of its partner class, and
+    for the basepoint pulled back along a transporter of t the dual label
+    (nichols.permgroup.dual_label), so no transporter is built.  The
+    partners come from the class plan.
     """
     q = pi_scalar(character.spec)
     if q != ROOT_MINUS_ONE:
@@ -297,26 +277,31 @@ def negativity_check(cls: UnmixedClass, character: InducedCharacter) -> Negativi
     kept = []
     for partner in class_plan(cls.k, cls.n).partners():
         checked += 1
-        lam = character.scalar(partner.representative)
+        lam = character.scalar(partner.label)
         if lam is None:
             return NegativityReport(
                 False, checked, True,
-                {"pair": partner.pair, "reason": "non-scalar value"},
+                {"pair": _pair(cls, partner), "reason": "non-scalar value"},
                 tuple(kept), count)
-        mu = character.scalar(partner.pulled_back)
+        mu = character.scalar(partner.dual)
         if mu is None:
             return NegativityReport(
                 False, checked, True,
-                {"pair": partner.pair,
+                {"pair": _pair(cls, partner),
                  "reason": "non-scalar pulled-back value"}, tuple(kept), count)
         if lam * mu != ROOT_ONE:
             return NegativityReport(
                 False, checked, True,
-                {"pair": partner.pair, "value": str(lam * mu),
+                {"pair": _pair(cls, partner), "value": str(lam * mu),
                  "reason": "opposite values do not cancel"}, tuple(kept), count)
-        kept.append(partner.name)
+        kept.append(str(partner.representative))
         count += partner.size
     return NegativityReport(True, checked, True, None, tuple(kept), count)
+
+
+def _pair(cls: UnmixedClass, partner: PartnerClass) -> tuple:
+    # the printed pair (basepoint, t) of a partner class
+    return str(cls.basepoint), str(cls.assemble(partner.representative))
 
 
 def candidate_subracks(cls: UnmixedClass):
@@ -329,11 +314,14 @@ def _candidates(cls: UnmixedClass):
     # there is none for n = 1: a row reaches them only when the basepoint
     # acts by -1, and then every table entry of the power subrack is an odd
     # power of the basepoint, so every label is -1 and its diagram has no
-    # edges
+    # edges.  For k = 2 one triple is enough: the block permutation that
+    # swaps the pairs of blocks at l and l' centralizes the basepoint and
+    # conjugates the triple at l, transporters included, onto the one at l',
+    # so their conjugation tables agree class by class and give the same
+    # braiding labels
     if cls.k == 2:
-        span = cls.n // 2
-        for l in range(span, 0, -1):
-            yield triple_subrack(cls, l)
+        if cls.n >= 2:
+            yield triple_subrack(cls, cls.n // 2)
         return
     if cls.k % 2 == 0 and cls.n >= 2:
         yield rotation_subrack(cls)

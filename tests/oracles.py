@@ -10,32 +10,35 @@ representations are explicit matrices over the exact cyclotomic field of
 exactfield_oracle and exactla_oracle (a symmetric-group matrix catalog
 induced up to the centralizer), diagonalized by exact linear algebra where
 the package uses characters and integer traces only, negativity is checked
-by walking commuting pairs instead of partner classes, and the whole
-centralizer is listed element by element where the package works with its
-conjugacy-class labels, a witness is shrunk by listing every triangle
-and running one unbounded BFS per edge where the package searches by tiers
-and cuts its searches short, and the Dynkin diagram is built one vertex
-pair at a time where the package labels one pair of twin blocks at a time.
+by walking commuting pairs, each pulled back along an explicit transporter,
+instead of partner classes and their dual labels in closed form, and the
+whole class and centralizer are listed element by element where the
+package works with their conjugacy-class labels, a witness is shrunk by
+listing every triangle and running one unbounded BFS per edge where the
+package runs one plain search on at most two twins per block, and the
+Dynkin diagram is built one vertex pair at a time where the package labels
+one pair of twin blocks at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from typing import NamedTuple, Optional, Union
 
 import networkx as nx
 
-from nichols.braidspace import GeneralizedDynkinDiagram, dynkin_diagram
-from nichols.permgroup import (NormalForm, Permutation, conjugacy_class_iter,
-                               conjugate)
+from nichols.braidspace import (GeneralizedDynkinDiagram, dynkin_diagram,
+                                triple_subrack)
+from nichols.permgroup import NormalForm, Permutation, conjugate
 from nichols.reps import (GammaCharacter, YoungSubgroup, _label_to_partition,
                           partitions_of)
-from nichols.verdict import NegativityReport, _expansion_size
+from nichols.verdict import (NegativityReport, _expansion_size,
+                             candidate_subracks)
 
 from exactfield_oracle import MINUS_ONE, ONE, ZERO, Cyclotomic, zeta
 from exactla_oracle import Matrix, _normalize, kernel, kron
@@ -43,15 +46,95 @@ from exactla_oracle import Matrix, _normalize, kernel, kron
 
 # whole groups and classes, listed element by element
 
-def conjugacy_class(t, n: int) -> list:
-    """Every permutation of S_n with cycle type t."""
-    return list(conjugacy_class_iter(t, n))
+def conjugacy_class(t: tuple, n: int) -> list:
+    """Every permutation of S_n with cycle type t (its cycle lengths, fixed
+    points included), each exactly once.
+
+    Deterministic order: the cycle containing the smallest unused point is
+    chosen first, its length runs over the available lengths in increasing
+    order, and the remaining cycle entries run lexicographically.
+    """
+    if sum(t) != n:
+        raise ValueError("cycle type does not fill 1..n")
+    counts = Counter(t)
+
+    def rec(unused: tuple):
+        if not unused:
+            yield ()
+            return
+        x = unused[0]
+        rest = unused[1:]
+        for length in sorted(j for j, m in counts.items() if m > 0):
+            counts[length] -= 1
+            for body in itertools.permutations(rest, length - 1):
+                taken = set(body)
+                remaining = tuple(y for y in rest if y not in taken)
+                for tail in rec(remaining):
+                    yield ((x,) + body,) + tail
+            counts[length] += 1
+
+    return [Permutation.from_cycles(n, cycles)
+            for cycles in rec(tuple(range(1, n + 1)))]
+
+
+def class_elements(cls) -> list:
+    """Every element of the unmixed class, in conjugacy_class order."""
+    return conjugacy_class(cls.cycle_type(), cls.degree)
+
+
+def class_size(t: tuple) -> int:
+    """The size of the class of cycle type t in the symmetric group on
+    sum(t) points: N! over j^m m! for each length j of multiplicity m."""
+    size = factorial(sum(t))
+    for j, m in Counter(t).items():
+        size //= j ** m * factorial(m)
+    return size
+
+
+def sign(p: Permutation) -> int:
+    """(-1)^(N - number of cycles)."""
+    return -1 if (p.degree - len(p.cycles(include_fixed=True))) % 2 else 1
+
+
+def is_identity(p: Permutation) -> bool:
+    return all(y == i + 1 for i, y in enumerate(p.img))
+
+
+def A(cls, j: int) -> Permutation:
+    """The cycle rotation A_j: the basepoint's cycle on block j."""
+    if not 1 <= j <= cls.n:
+        raise ValueError("block index out of range")
+    return Permutation.from_cycles(
+        cls.degree, [tuple(cls.point(j, h) for h in range(1, cls.k + 1))])
+
+
+def B(cls, i: int) -> Permutation:
+    """The adjacent block swap B_i of blocks i and i + 1."""
+    if not 1 <= i <= cls.n - 1:
+        raise ValueError("adjacent swap index out of range")
+    return cls.block_swap(i, i + 1)
+
+
+def transporter(cls, t: Permutation) -> Permutation:
+    """A deterministic g with g * basepoint * g^{-1} = t: the cycles of t
+    are ordered by their least points, and block j goes onto the j-th of
+    them, read from its least point."""
+    if t.cycle_type() != cls.cycle_type():
+        raise ValueError("target has the wrong cycle type")
+    target_cycles = sorted(
+        (c[c.index(min(c)):] + c[:c.index(min(c))] for c in t.cycles()),
+        key=lambda c: c[0])
+    img = [0] * cls.degree
+    for j, cyc in enumerate(target_cycles, start=1):
+        for h in range(1, cls.k + 1):
+            img[cls.point(j, h) - 1] = cyc[h - 1]
+    return Permutation(img)
 
 
 def centralizer_generators(cls) -> list:
     """The cycle rotations A_1..A_n and the adjacent block swaps B_1..B_{n-1}."""
-    return [cls.A(j) for j in range(1, cls.n + 1)] + \
-           [cls.B(i) for i in range(1, cls.n)]
+    return [A(cls, j) for j in range(1, cls.n + 1)] + \
+           [B(cls, i) for i in range(1, cls.n)]
 
 
 def centralizer_elements(cls):
@@ -60,6 +143,18 @@ def centralizer_elements(cls):
         b = Permutation(b_img)
         for d in itertools.product(range(cls.k), repeat=cls.n):
             yield cls.assemble(NormalForm(d, b))
+
+
+def tried_subracks(cls) -> list:
+    """The candidate subracks of the class plus, for k = 2, the triples at
+    l < n // 2, in decreasing l: they give the same braiding labels as the
+    candidate triple at n // 2 (see verdict._candidates), and the grid
+    tests walk them all."""
+    subracks = list(candidate_subracks(cls))
+    if cls.k == 2:
+        subracks += [triple_subrack(cls, l)
+                     for l in range(cls.n // 2 - 1, 0, -1)]
+    return subracks
 
 
 def orbit_and_stabilizer(chi: GammaCharacter) -> tuple:
@@ -97,8 +192,9 @@ def degree_sequence(diagram) -> tuple:
 
 
 def character_value(character, nf: NormalForm) -> Cyclotomic:
-    """chi(d, b) as a field element."""
-    return Cyclotomic(character.k, character.coefficients(nf))
+    """chi(d, b) as a field element, read at the class label of (d, b)."""
+    return Cyclotomic(character.k,
+                      character.coefficients(nf.class_label(character.k)))
 
 
 # dense representation matrices: a symmetric-group catalog covering every
@@ -828,8 +924,8 @@ def negativity_full(cls, rho) -> NegativityReport:
     failed = _basepoint_failure(rho, cls)
     if failed is not None:
         return failed
-    elements = sorted(cls.elements())
-    carriers = {t: cls.transporter(t) for t in elements}
+    elements = sorted(class_elements(cls))
+    carriers = {t: transporter(cls, t) for t in elements}
     values = {}
 
     def scalar(g):
@@ -875,7 +971,7 @@ def negativity_walk(cls, rho) -> NegativityReport:
                       if h != pi and h.cycle_type() == want)
     for checked, t in enumerate(partners, start=1):
         lam = _scalar_of(rho, cls, t)
-        mu = _scalar_of(rho, cls, conjugate(cls.transporter(t).inverse(), pi))
+        mu = _scalar_of(rho, cls, conjugate(transporter(cls, t).inverse(), pi))
         if lam is None or mu is None or lam * mu != ONE:
             return NegativityReport(
                 False, checked, False,

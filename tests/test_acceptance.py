@@ -19,10 +19,10 @@ from nichols.verdict import (INFINITE, NEGATIVE, closed_form_verdict, decide,
                              verify_witness)
 
 from oracles import (REFERENCE_Q_SIX_CYCLE, CartanData, cataloged,
-                     centralizer_elements, finite_type, finite_type_lookup,
-                     negativity_full,
+                     centralizer_elements, class_size, finite_type,
+                     finite_type_lookup, negativity_full,
                      q_matches_up_to_permutation, random_symmetrizable_gcm,
-                     resolve)
+                     resolve, transporter)
 
 PACKAGE_ROOT = str(pathlib.Path(nichols.__file__).resolve().parents[1])
 
@@ -100,7 +100,7 @@ def test_criterion_3_table_k2_n4_disjoint_triangles():
 def test_criterion_4_k2_n5_negative_pairs_and_six_cycle():
     started = time.monotonic()
     cls = UnmixedClass(2, 5)
-    assert cls.class_size() == 945
+    assert class_size(cls.cycle_type()) == 945
     for mu in ("trivial", "sign"):
         label = "chi=(1,1,1,1,1);mu=%s" % mu
         verdict = decide(2, 5, label)
@@ -165,7 +165,7 @@ def test_criterion_7_commuting_pair_normal_form_invariants():
                 continue
             pairs += 1
             right = cls.normal_form(t)
-            g = cls.transporter(t)
+            g = transporter(cls, t)
             left = cls.normal_form(conjugate(g.inverse(), cls.basepoint))
             assert right.b.cycle_type() == left.b.cycle_type(), (k, n, t)
             total = sum(right.d) + sum(left.d)

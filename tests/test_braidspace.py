@@ -14,13 +14,13 @@ from nichols.braidspace import (AbelianSubrack, GeneralizedDynkinDiagram,
 from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
 from nichols.permgroup import Permutation, UnmixedClass, conjugate
 from nichols.reps import enumerate_irreps, parse_rep_spec
-from nichols.verdict import candidate_subracks
 
 from exactfield_oracle import ZERO, rational, root_value, zeta
-from oracles import (REFERENCE_Q_ROTATION_EDGELESS, REFERENCE_Q_SIX_CYCLE,
-                     cataloged, centralizer_elements, character_value,
+from oracles import (REFERENCE_Q_ROTATION_EDGELESS, REFERENCE_Q_SIX_CYCLE, A,
+                     B, cataloged, centralizer_elements, character_value,
                      degree_sequence, dense_columns, in_centralizer,
-                     q_matches_up_to_permutation, resolve, restrict_vectors)
+                     is_identity, q_matches_up_to_permutation, resolve,
+                     restrict_vectors, transporter, tried_subracks)
 
 
 def _q_strings(space):
@@ -36,7 +36,17 @@ def test_subrack_rejects_non_commuting_elements():
     assert not pi.commutes_with(t)
     with pytest.raises(ValueError):
         AbelianSubrack(cls, (pi, t),
-                       (Permutation.identity(6), cls.transporter(t)))
+                       (Permutation.identity(6), transporter(cls, t)))
+
+
+def test_subrack_rejects_an_element_of_the_wrong_cycle_type():
+    cls = UnmixedClass(2, 3)
+    pi = cls.basepoint
+    three = Permutation.from_cycles(6, ((1, 2, 3),))
+    assert three.cycle_type() == (1, 1, 1, 3) != cls.cycle_type()
+    with pytest.raises(ValueError, match="outside the class"):
+        AbelianSubrack(cls, (pi, three),
+                       (Permutation.identity(6), Permutation.identity(6)))
 
 
 def test_subrack_rejects_wrong_transporter():
@@ -64,8 +74,11 @@ def test_canonical_subrack_matches_reference_element_list():
     # the nine commuting conjugates of the basepoint for five 2-blocks
     cls = UnmixedClass(2, 5)
     sub = canonical_subrack(cls)
-    a = cls.A
-    b = cls.B
+    def a(j):
+        return A(cls, j)
+
+    def b(i):
+        return B(cls, i)
     pi = cls.basepoint
     expected = {
         pi,
@@ -135,7 +148,7 @@ def test_diagonal_subspace_vertices_are_genuine_eigenvectors():
 
 def test_character_path_table_matches_dense_oracle():
     # same eigenvalues in the same order as simultaneous diagonalization of
-    # the oracle's matrices, on every candidate subrack of every cataloged
+    # the oracle's matrices, on every tried subrack of every cataloged
     # rep, plus the full canonical and power subracks that `diagram` can
     # draw
     started = time.monotonic()
@@ -143,7 +156,7 @@ def test_character_path_table_matches_dense_oracle():
     for k, n in ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (4, 1), (4, 2),
                  (4, 3), (6, 2), (8, 2)):
         cls = UnmixedClass(k, n)
-        subracks = list(candidate_subracks(cls))
+        subracks = tried_subracks(cls)
         if k == 2 and n >= 4:
             subracks.append(canonical_subrack(cls))
         if n == 1:
@@ -335,8 +348,8 @@ def test_joint_spectrum_multiplicities_match_the_field(case):
 
 
 class _Perturbed:
-    """A character with one value changed at a single element: not a class
-    function, so not a character."""
+    """A character with one value changed at a single class label: still a
+    class function, but not a character."""
 
     def __init__(self, character, at, index: int) -> None:
         self.degree = character.degree
@@ -344,9 +357,9 @@ class _Perturbed:
         self._at = at
         self._index = index
 
-    def coefficients(self, nf):
-        out = list(self._character.coefficients(nf))
-        if nf == self._at:
+    def coefficients(self, label):
+        out = list(self._character.coefficients(label))
+        if label == self._at:
             out[self._index] += 1
         return tuple(out)
 
@@ -354,15 +367,18 @@ class _Perturbed:
 @settings(max_examples=80, deadline=None)
 @given(commuting_generators(), st.integers(0, 7))
 def test_joint_spectrum_rejects_a_non_character(case, index):
-    # adding zeta_k^index at one element h0 != 1 of H moves the inner
-    # product with the trivial character of H by zeta_k^index / |H|: not an
-    # integer, and irrational unless zeta_k^index = +-1
+    # adding zeta_k^index at the class of one element h0 != 1 of H, so at
+    # the c elements of H in that class, 0 < c < |H| (the identity is alone
+    # in its class), moves the inner product with the trivial character of
+    # H by c zeta_k^index / |H|: not an integer, and irrational unless
+    # zeta_k^index = +-1
     cls, spec, generators, modulus = case
     words = _group_words(generators)
-    others = [h for h in words if not h.is_identity()]
+    others = [h for h in words if not is_identity(h)]
     if not others:
         return
-    fake = _Perturbed(spec.character(), cls.normal_form(min(others)),
+    fake = _Perturbed(spec.character(),
+                      cls.normal_form(min(others)).class_label(cls.k),
                       index % cls.k)
     with pytest.raises(ArithmeticError):
         joint_spectrum(cls, fake, generators, modulus)
@@ -376,7 +392,7 @@ def test_joint_spectrum_rejects_an_irrational_inner_product():
     pi = cls.basepoint
     character = parse_rep_spec(4, 1, "chi=(0)").character()
     assert joint_spectrum(cls, character, (pi,), 4) == [((0,), 1)]
-    fake = _Perturbed(character, cls.normal_form(pi * pi), 1)
+    fake = _Perturbed(character, cls.normal_form(pi * pi).class_label(4), 1)
     with pytest.raises(ArithmeticError, match="not an integer"):
         joint_spectrum(cls, fake, (pi,), 4)
 

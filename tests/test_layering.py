@@ -2,7 +2,10 @@
 `nichols` imports the exact cyclotomic field, the dense linear algebra, or
 the test-side modules that hold them as reference implementations, and
 none defines or uses the general Cartan-matrix reading (the congruence
-solver, the symmetrizer, the dense braiding table) that now lives there."""
+solver, the symmetrizer, the dense braiding table) that now lives there.
+Characters are read at class labels only: `reps` imports nothing from
+`permgroup`, and no module defines or uses a transporter, a cycle-type
+class or a walk over the whole class, which live there too."""
 
 import ast
 import pathlib
@@ -13,7 +16,9 @@ import nichols
 FORBIDDEN_MODULES = frozenset(("exactla", "exactfield_oracle", "exactla_oracle",
                                "oracles"))
 FORBIDDEN_NAMES = frozenset(("Cyclotomic", "cartan_type", "symmetrizable",
-                             "braiding_matrix")) | FORBIDDEN_MODULES
+                             "braiding_matrix", "transporter",
+                             "_involution_transporter", "CycleType",
+                             "conjugacy_class_iter")) | FORBIDDEN_MODULES
 
 
 def _imports(tree):
@@ -41,3 +46,10 @@ def test_package_imports_no_field_and_no_oracle():
         used |= {node.name for node in ast.walk(tree)
                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
         assert not FORBIDDEN_NAMES & used, (path.name, FORBIDDEN_NAMES & used)
+
+
+def test_reps_reads_characters_at_labels_without_permgroup():
+    path = pathlib.Path(nichols.__file__).parent / "reps.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for module, _ in _imports(tree):
+        assert module.split(".")[-1] != "permgroup", module

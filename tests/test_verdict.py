@@ -7,8 +7,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nichols.braidspace import (AbelianSubrack, diagonal_subspace,
-                                dynkin_diagram, rotation_subrack)
+from nichols.braidspace import (AbelianSubrack, _braiding_labels,
+                                diagonal_subspace, dynkin_diagram,
+                                rotation_subrack, subrack_plan, triple_subrack)
 from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
 from nichols.permgroup import UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
@@ -507,3 +508,32 @@ def test_verify_witness_does_not_read_the_class_plan(monkeypatch):
     q_matrix[0][0] = "1"
     edited = genuine._replace(witness=dict(genuine.witness, q_matrix=q_matrix))
     assert not verify_witness(k, n, rep, edited)
+
+
+def test_every_k2_triple_gives_the_same_braiding_labels():
+    # the triples at l and l' are conjugate by a block permutation that
+    # centralizes the basepoint, so the class plan keeps only l = n // 2
+    for n in (5, 7):
+        cls = UnmixedClass(2, n)
+        plans = [subrack_plan(triple_subrack(cls, l))
+                 for l in range(1, n // 2 + 1)]
+        for spec in enumerate_irreps(2, n):
+            character = spec.character()
+            first = _braiding_labels(plans[-1], character)
+            for plan in plans[:-1]:
+                assert _braiding_labels(plan, character) == first, spec.label()
+    kept = [(s.kind, s.param) for s in class_plan(2, 7).subracks]
+    assert kept == [("canonical-triple", (3,))]
+
+
+def test_verify_witness_rejects_an_element_outside_the_class():
+    # a witness whose subrack holds a 3-cycle fails the subrack's own check
+    k, n, rep = 2, 3, "chi=(1,1,1);mu=standard"
+    genuine = decide(k, n, rep)
+    assert genuine.rule == "cartan-infinite"
+    images = [list(img) for img in genuine.witness["element_images"]]
+    images[1] = [2, 3, 1, 4, 5, 6]
+    edited = genuine._replace(
+        witness=dict(genuine.witness, element_images=images))
+    with pytest.raises(ValueError, match="outside the class"):
+        verify_witness(k, n, rep, edited)

@@ -27,7 +27,7 @@ from nichols.verdict import (INFINITE, _minimal_infinite_set, _shortest_cycle,
 
 from oracles import (CartanData, braiding_matrix, cartan_type, diagram_label,
                      dynkin_diagram_by_pairs, finite_type, finite_type_lookup,
-                     minimal_infinite_set, shortest_cycle)
+                     minimal_infinite_set, shortest_cycle, tried_subracks)
 
 
 def _read_components(space):
@@ -68,7 +68,7 @@ def test_witness_search_matches_the_reference_on_every_candidate_subrack():
     assert read == 780
 
 
-# the classes whose candidate subspaces past the scalar gate are walked
+# the classes whose tried subspaces past the scalar gate are walked
 GRID = ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (4, 2), (4, 3), (4, 4),
         (6, 3), (8, 2), (10, 2))
 
@@ -80,7 +80,7 @@ def _grid_spaces():
             if scalar_gate(pi_scalar(spec), k) is not None:
                 continue
             character = spec.character()
-            for subrack in candidate_subracks(cls):
+            for subrack in tried_subracks(cls):
                 yield k, n, spec, subrack, diagonal_subspace(subrack, character)
 
 
