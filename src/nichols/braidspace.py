@@ -13,10 +13,11 @@ the character of rho is needed: the multiplicities are integers read off
 integer traces (nichols.exactfield.rational_value), and the braiding labels
 are roots of unity held as integer exponents.  No field element is built.
 
-The work splits in two.  subrack_plan does what rho does not change: the
-table, the commute check, H with the (L, s) class label of each element
-(nichols.permgroup), and the linear characters of H.  diagonal_subspace then
-sums the character of rho, read at those labels, over H, once per rho.
+The work splits in two.  subrack_plan does what rho does not change, in a
+plan that carries its subrack: the table, the commute check, H with the
+(L, s) class label of each element (nichols.permgroup), and the linear
+characters of H.  diagonal_subspace(plan, character) then sums the
+character of rho, read at those labels, over H, once per rho.
 
 Construction families: the canonical involution subrack (k = 2), the swap and
 rotation quadruples (k even, n >= 2) and the power subrack (n = 1; drawn by
@@ -27,16 +28,11 @@ from __future__ import annotations
 
 import itertools
 from math import gcd, lcm
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .exactfield import RootOfUnity, rational_value
 from .permgroup import Permutation, UnmixedClass, conjugate
 from .reps import InducedCharacter
-
-
-def gamma(t: Permutation, g: Permutation) -> Permutation:
-    """Pull t back along the transporter g: g^{-1} t g."""
-    return t.conjugated_by(g.inverse())
 
 
 class AbelianSubrack:
@@ -74,7 +70,7 @@ class AbelianSubrack:
     def gamma(self, i: int, j: int) -> Permutation:
         """Conjugation table entry g_j^{-1} t_i g_j, an element centralizing
         the basepoint."""
-        return gamma(self.elements[i], self.transporters[j])
+        return self.elements[i].conjugated_by(self.transporters[j].inverse())
 
     def gamma_table(self) -> tuple:
         return tuple(tuple(self.gamma(i, j) for j in range(self.size))
@@ -134,11 +130,13 @@ def quadruple_subrack(cls: UnmixedClass, i: int = 1, j: int = 2) -> AbelianSubra
     canonical involution transporters; needs k even and at least 4."""
     if cls.k < 4 or cls.k % 2:
         raise ValueError("the swap quadruple needs even k >= 4")
-    sigma, swap, swapinv = cls.canonical_involutions(i, j)
+    if not 1 <= i < j <= cls.n:
+        raise ValueError("need 1 <= i < j <= n")
     pi = cls.basepoint
     mixed = pi * cls.block_swap(i, j)
     elements = (pi, pi.inverse(), mixed, mixed.inverse())
-    transporters = (Permutation.identity(cls.degree), sigma, swap, swapinv)
+    transporters = (Permutation.identity(cls.degree), cls.sigma_reflect(),
+                    cls.sigma_swap(i, j), cls.sigma_swapinv(i, j))
     return AbelianSubrack(cls, elements, transporters,
                           kind="quadruple-swap", param=(i, j))
 
@@ -195,15 +193,14 @@ class DiagonalSubspace:
     braiding entry for row vertex (i, r) and column vertex (j, s) is the
     eigenvalue of rho(gamma_ij) on eigenvector s, zeta_modulus^labels[i][j][s];
     it does not depend on r.  runs[s] numbers the joint character of
-    eigenvector s (None: each eigenvector its own), so two vertices of one
-    column whose eigenvectors share a character are twins: they have the
-    same braiding with every vertex.
+    eigenvector s, so two vertices of one column whose eigenvectors share a
+    character are twins: they have the same braiding with every vertex.
     """
 
     __slots__ = ("subrack", "modulus", "labels", "vertices", "runs", "_roots")
 
     def __init__(self, subrack: AbelianSubrack, modulus: int, labels,
-                 vertices, runs=None) -> None:
+                 vertices, runs) -> None:
         self.subrack = subrack
         self.modulus = modulus
         self.labels = labels
@@ -223,7 +220,9 @@ class DiagonalSubspace:
         known = set(self.vertices)
         for v in vertices:
             if v not in known:
-                raise ValueError("vertex %r is not in the subspace" % (v,))
+                raise ValueError("vertex %r is repeated or not in the subspace"
+                                 % (v,))
+            known.remove(v)
         return DiagonalSubspace(self.subrack, self.modulus, self.labels,
                                 vertices, self.runs)
 
@@ -235,7 +234,7 @@ class DiagonalSubspace:
         out = []
         previous = None
         for x, (j, s) in enumerate(self.vertices):
-            key = (j, s if runs is None else runs[s])
+            key = (j, runs[s])
             if key == previous:
                 out[-1].append(x)
             else:
@@ -264,7 +263,7 @@ class SpectrumPlan(NamedTuple):
 
 
 def spectrum_plan(cls: UnmixedClass, generators, modulus: int) -> SpectrumPlan:
-    """Build H = <generators> and its linear characters for joint_spectrum.
+    """Build H = <generators> and its linear characters for planned_spectrum.
 
     H is built layer by layer: a generator not yet in H joins with its
     relative order r, so every element is a unique word g_1^e_1 ... g_l^e_l
@@ -324,7 +323,8 @@ def spectrum_plan(cls: UnmixedClass, generators, modulus: int) -> SpectrumPlan:
 
 def planned_spectrum(plan: SpectrumPlan, character: InducedCharacter) -> list:
     """The joint spectrum of rho on a planned H: one pair (exps, mult) per
-    linear character psi that occurs, in lexicographic order of exps.
+    linear character psi that occurs, psi(generators[t]) = zeta^exps[t] with
+    zeta = zeta_modulus, in lexicographic order of exps.
 
     The multiplicity of psi is (1/|H|) sum_h chi(h) psi(h)^-1, with chi read
     at the class label of every element of H and summed as integer
@@ -356,25 +356,12 @@ def planned_spectrum(plan: SpectrumPlan, character: InducedCharacter) -> list:
     return spectrum
 
 
-def joint_spectrum(cls: UnmixedClass, character: InducedCharacter,
-                   generators, modulus: int) -> list:
-    """Joint eigenvalues of rho on commuting centralizer elements: the
-    linear characters of H = <generators> that occur in rho.
-
-    One pair (exps, mult) per character, exps the exponents e with
-    rho(generators[t]) acting by zeta_modulus^e_t on its eigenvectors and
-    mult their number; pairs in lexicographic order of exps.  modulus must
-    be a multiple of k and of every generator's order.  H and its
-    characters come from spectrum_plan, the multiplicities from
-    planned_spectrum."""
-    return planned_spectrum(spectrum_plan(cls, generators, modulus), character)
-
-
 class SubrackPlan(NamedTuple):
     """The part of a diagonal subspace that does not depend on rho: the
-    conjugation table, its distinct entries in order of first appearance
-    (row i, then column j), and the plan of the group they generate."""
+    subrack, its conjugation table, the distinct entries in order of first
+    appearance (row i, then column j), and the plan of the group they make."""
 
+    subrack: AbelianSubrack
     table: tuple
     distinct: tuple
     spectrum: SpectrumPlan
@@ -393,7 +380,7 @@ def subrack_plan(subrack: AbelianSubrack) -> SubrackPlan:
     distinct = tuple(dict.fromkeys(p for row in table for p in row))
     if not all(a.commutes_with(b) for a, b in itertools.combinations(distinct, 2)):
         raise ValueError("conjugation table entries do not commute")
-    return SubrackPlan(table, distinct,
+    return SubrackPlan(subrack, table, distinct,
                        spectrum_plan(subrack.cls, distinct, modulus))
 
 
@@ -409,17 +396,13 @@ def _braiding_labels(plan: SubrackPlan, character: InducedCharacter) -> tuple:
     return plan.spectrum.modulus, labels, runs
 
 
-def diagonal_subspace(subrack: AbelianSubrack, character: InducedCharacter,
-                      plan: Optional[SubrackPlan] = None) -> DiagonalSubspace:
-    """The diagonal subspace of rho over the subrack, from the subrack's
-    plan: the one given, which must be subrack_plan(subrack), or else a
-    fresh one."""
-    if plan is None:
-        plan = subrack_plan(subrack)
+def diagonal_subspace(plan: SubrackPlan,
+                      character: InducedCharacter) -> DiagonalSubspace:
+    """The diagonal subspace of rho over the planned subrack."""
     modulus, labels, runs = _braiding_labels(plan, character)
-    vertices = tuple((j, s) for j in range(subrack.size)
+    vertices = tuple((j, s) for j in range(plan.subrack.size)
                      for s in range(character.degree))
-    return DiagonalSubspace(subrack, modulus, labels, vertices, runs)
+    return DiagonalSubspace(plan.subrack, modulus, labels, vertices, runs)
 
 
 class GeneralizedDynkinDiagram:

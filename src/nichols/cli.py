@@ -13,13 +13,13 @@ import argparse
 import json
 import sys
 import time
-from typing import NamedTuple, Optional
 
 from .braidspace import canonical_subrack, diagonal_subspace, dynkin_diagram, \
-    powers_subrack, quadruple_subrack, rotation_subrack, triple_subrack
+    powers_subrack, quadruple_subrack, rotation_subrack, subrack_plan, \
+    triple_subrack
 from .permgroup import UnmixedClass
 from .reps import enumerate_irreps, parse_rep_spec, pi_scalar
-from .verdict import candidate_subracks, closed_form_verdict, decide
+from .verdict import class_plan, closed_form_verdict, decide
 
 JSON_SCHEMA = "nichols.report/1"
 DOT_SCHEMA = "nichols.diagram/1"
@@ -42,18 +42,6 @@ class UsageError(Exception):
 
 class InternalError(Exception):
     pass
-
-
-class RunConfig(NamedTuple):
-    """One CLI invocation; identical configs must print identical stdout."""
-
-    command: str
-    k: int
-    n: int
-    rep: Optional[str] = None
-    fmt: str = "text"
-    subrack: Optional[str] = None
-    jobs: int = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,39 +78,28 @@ def build_parser() -> _Parser:
     return parser
 
 
-def run_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        k=args.k,
-        n=args.n,
-        rep=getattr(args, "rep", None),
-        fmt=getattr(args, "format", "text"),
-        subrack=getattr(args, "subrack", None),
-        jobs=getattr(args, "jobs", 1))
-
-
-def _check_class(cfg: RunConfig):
-    if cfg.k < 2:
+def _check_class(args: argparse.Namespace):
+    if args.k < 2:
         raise UsageError("--k must be at least 2")
-    if cfg.n < 1:
+    if args.n < 1:
         raise UsageError("--n must be at least 1")
 
 
-def _parse_spec(cfg: RunConfig):
+def _parse_spec(args: argparse.Namespace):
     try:
-        return parse_rep_spec(cfg.k, cfg.n, cfg.rep)
+        return parse_rep_spec(args.k, args.n, args.rep)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
 # classify
 
-def classify_report(cfg: RunConfig, spec, verdict) -> dict:
+def classify_report(args: argparse.Namespace, spec, verdict) -> dict:
     return {
         "schema": JSON_SCHEMA,
         "command": "classify",
-        "k": cfg.k,
-        "n": cfg.n,
+        "k": args.k,
+        "n": args.n,
         "rep": spec.label(),
         "degree": spec.degree(),
         "q_pi": str(pi_scalar(spec)),
@@ -153,14 +130,14 @@ def _text_lines(report: dict) -> list:
     return lines
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    _check_class(cfg)
-    spec = _parse_spec(cfg)
-    verdict = decide(cfg.k, cfg.n, spec)
-    report = classify_report(cfg, spec, verdict)
-    if cfg.fmt == "json":
+def cmd_classify(args: argparse.Namespace) -> int:
+    _check_class(args)
+    spec = _parse_spec(args)
+    verdict = decide(args.k, args.n, spec)
+    report = classify_report(args, spec, verdict)
+    if args.format == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
-    elif cfg.fmt == "dot":
+    elif args.format == "dot":
         dot = verdict.witness.get("diagram_dot", EMPTY_DOT)
         print("// %s" % DOT_SCHEMA)
         print(dot)
@@ -204,14 +181,14 @@ def _format_table(rows: list) -> list:
     return lines
 
 
-def cmd_table(cfg: RunConfig) -> int:
-    _check_class(cfg)
-    if cfg.jobs < 1:
+def cmd_table(args: argparse.Namespace) -> int:
+    _check_class(args)
+    if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
-    labels = [spec.label() for spec in enumerate_irreps(cfg.k, cfg.n)]
-    tasks = [(cfg.k, cfg.n, label) for label in labels]
+    labels = [spec.label() for spec in enumerate_irreps(args.k, args.n)]
+    tasks = [(args.k, args.n, label) for label in labels]
     # a fork-based pool starts all of its workers at the first submit
-    workers = min(cfg.jobs, len(tasks))
+    workers = min(args.jobs, len(tasks))
     if workers > 1:
         # imported here: the pool pulls in multiprocessing, which a
         # one-process run does not need
@@ -220,12 +197,12 @@ def cmd_table(cfg: RunConfig) -> int:
             rows = list(pool.map(_table_worker, tasks))
     else:
         rows = [_table_worker(task) for task in tasks]
-    if cfg.fmt == "json":
+    if args.format == "json":
         report = {
             "schema": JSON_SCHEMA,
             "command": "table",
-            "k": cfg.k,
-            "n": cfg.n,
+            "k": args.k,
+            "n": args.n,
             "rows": rows,
         }
         print(json.dumps(report, sort_keys=True, indent=2))
@@ -271,22 +248,23 @@ def _build_subrack(cls: UnmixedClass, selector: str):
     raise UsageError("unknown subrack selector %r" % selector)
 
 
-def cmd_diagram(cfg: RunConfig) -> int:
-    _check_class(cfg)
-    spec = _parse_spec(cfg)
-    cls = UnmixedClass(cfg.k, cfg.n)
+def cmd_diagram(args: argparse.Namespace) -> int:
+    _check_class(args)
+    spec = _parse_spec(args)
 
-    def draw(subrack) -> str:
-        return dynkin_diagram(diagonal_subspace(subrack, spec.character())).to_dot()
+    def draw(plan) -> str:
+        return dynkin_diagram(diagonal_subspace(plan, spec.character())).to_dot()
 
-    if cfg.subrack is not None:
-        dot = draw(_build_subrack(cls, cfg.subrack))
+    if args.subrack is not None:
+        cls = UnmixedClass(args.k, args.n)
+        dot = draw(subrack_plan(_build_subrack(cls, args.subrack)))
     else:
-        dot = decide(cfg.k, cfg.n, spec).witness.get("diagram_dot")
+        dot = decide(args.k, args.n, spec).witness.get("diagram_dot")
         if dot is None:
             # no witness diagram: show the first candidate subrack, if any
-            subrack = next(candidate_subracks(cls), None)
-            dot = EMPTY_DOT if subrack is None else draw(subrack)
+            plan = class_plan(args.k, args.n)
+            dot = (draw(plan.subrack_plan(plan.subracks[0])) if plan.subracks
+                   else EMPTY_DOT)
     print("// %s" % DOT_SCHEMA)
     print(dot)
     return EXIT_DECIDED
@@ -305,10 +283,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
-    cfg = run_config(args)
     started = time.monotonic()
     try:
-        code = COMMANDS[cfg.command](cfg)
+        code = COMMANDS[args.command](args)
     except UsageError as exc:
         print("%s: error: %s" % (parser.prog, exc), file=sys.stderr)
         return EXIT_USAGE

@@ -222,18 +222,13 @@ class UnmixedClass:
 
     # the centralizer in normal form
 
-    def block_perm(self, b: Permutation) -> Permutation:
-        """Permutation of blocks b lifted to points, preserving offsets."""
-        if b.degree != self.n:
-            raise ValueError("block permutation must act on 1..n")
-        img = [0] * self.degree
-        for j in range(1, self.n + 1):
-            for h in range(1, self.k + 1):
-                img[self.point(j, h) - 1] = self.point(b(j), h)
-        return Permutation(img)
-
     def block_swap(self, i: int, j: int) -> Permutation:
-        return self.block_perm(Permutation.from_cycles(self.n, [(i, j)]))
+        """The involution exchanging blocks i and j, offset by offset."""
+        img = list(range(1, self.degree + 1))
+        for h in range(1, self.k + 1):
+            img[self.point(i, h) - 1] = self.point(j, h)
+            img[self.point(j, h) - 1] = self.point(i, h)
+        return Permutation(img)
 
     def twist(self, d) -> Permutation:
         d = tuple(d)
@@ -373,14 +368,6 @@ class UnmixedClass:
                 cycles.extend((self.point(blk, h), self.point(blk, self.k + 1 - h))
                               for h in range(1, r + 1))
         return Permutation.from_cycles(self.degree, cycles)
-
-    def canonical_involutions(self, i: int, j: int) -> tuple:
-        """(sigma, sigma_swap, sigma_swapinv) for even k and 1 <= i < j <= n."""
-        if self.k % 2:
-            raise ValueError("canonical involutions exist only for even cycle length")
-        if not 1 <= i < j <= self.n:
-            raise ValueError("need 1 <= i < j <= n")
-        return self.sigma_reflect(), self.sigma_swap(i, j), self.sigma_swapinv(i, j)
 
     # pair involutions for k = 2 (blocks 2l-1, 2l)
 

@@ -145,9 +145,6 @@ def sn_character(partition: tuple, cycle_type: tuple) -> int:
     return total
 
 
-_LABEL_NAMES = ("trivial", "sign", "standard", "standard_sign")
-
-
 def _label_to_partition(m: int, label: str) -> tuple:
     if label == "trivial":
         return (m,)

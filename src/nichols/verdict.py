@@ -15,8 +15,9 @@ re-fires it by linear algebra on the witness's braiding values instead.
 Everything runs on the character of the representation: braidings are
 roots of unity with integer exponents, and "acts by a scalar" is read off
 the character value.  What does not depend on the representation (the
-candidate subracks, their plans, the partner classes) is built once per
-class and kept in the class plan; verify_witness does not read it.
+candidate subracks, their plans, each carrying its subrack, and the partner
+classes) is built once per class and kept in the class plan; verify_witness
+does not read it.
 
 Outcomes: "InfiniteDim" always carries a machine-checkable witness, and
 "NegativeBraiding" carries the verified pair inventory.  For an unmixed
@@ -175,17 +176,15 @@ def _cartan_infinite(q) -> Optional[list]:
     return None if _positive_definite(cartan) else cartan
 
 
-def cycle_rule(diagram: GeneralizedDynkinDiagram,
-               vertices=None) -> Optional[dict]:
+def cycle_rule(diagram: GeneralizedDynkinDiagram, vertices) -> Optional[dict]:
     """Detect a chordless 4-cycle with every vertex label -1 whose edge
     labels alternate nu, 1/nu around the cycle (opposite edges equal), in
-    the subdiagram induced on vertices (all of them by default).
+    the subdiagram induced on vertices.
 
     Such a labeled cycle certifies an infinite braiding.  Returns the cycle
     and its labels, or None.
     """
-    vertices = sorted(range(diagram.size) if vertices is None else vertices)
-    minus = [v for v in vertices
+    minus = [v for v in sorted(vertices)
              if diagram.vertex_labels[v] == ROOT_MINUS_ONE]
     mset = set(minus)
     for a in minus:
@@ -224,7 +223,7 @@ class ClassPlan:
     """What the decision needs of one class that no representation
     changes: the candidate subracks, the plan of each subrack (built on
     first use, see subrack_plan) and the partner classes with their labels
-    and dual labels (built on first use).
+    and dual labels (built on first use): a scalar-gate row builds neither.
     One plan per (k, n) is kept for the life of the process (class_plan)."""
 
     __slots__ = ("cls", "subracks", "_subrack_plans", "_partners")
@@ -304,12 +303,6 @@ def _pair(cls: UnmixedClass, partner: PartnerClass) -> tuple:
     return str(cls.basepoint), str(cls.assemble(partner.representative))
 
 
-def candidate_subracks(cls: UnmixedClass):
-    """The subracks the rules are tried on, in order, from the class plan:
-    built once per (k, n)."""
-    return iter(class_plan(cls.k, cls.n).subracks)
-
-
 def _candidates(cls: UnmixedClass):
     # there is none for n = 1: a row reaches them only when the basepoint
     # acts by -1, and then every table entry of the power subrack is an odd
@@ -329,10 +322,10 @@ def _candidates(cls: UnmixedClass):
 
 
 def _shortest_cycle(diagram: GeneralizedDynkinDiagram,
-                    vertices=None) -> Optional[tuple]:
-    """A minimum-length cycle of the subdiagram induced on vertices (all of
-    them by default), chordless by minimality, as a vertex tuple in cycle
-    order; None when it has no cycle.
+                    vertices) -> Optional[tuple]:
+    """A minimum-length cycle of the subdiagram induced on vertices,
+    chordless by minimality, as a vertex tuple in cycle order; None when it
+    has no cycle.
 
     The tie-break, on which the printed witness depends: for each edge
     (a, b) with a < b, in increasing order, a breadth-first search from a
@@ -341,7 +334,7 @@ def _shortest_cycle(diagram: GeneralizedDynkinDiagram,
     lexicographically least shortest path; the cycle is (b, ..., a) along
     it.  The answer is the first of these cycles that is least by (length,
     sorted vertex tuple)."""
-    vertices = sorted(range(diagram.size) if vertices is None else vertices)
+    vertices = sorted(vertices)
     keep = set(vertices)
     order = {v: sorted(diagram.neighbor_set(v) & keep) for v in vertices}
     best = None
@@ -395,9 +388,9 @@ def _witness(space: DiagonalSubspace, firing: tuple, rule: str,
     return Verdict(INFINITE, rule, witness)
 
 
-def _subspace_rules(subrack: AbelianSubrack, character: InducedCharacter,
-                    plan: SubrackPlan) -> Optional[Verdict]:
-    space = diagonal_subspace(subrack, character, plan)
+def _subspace_rules(plan: SubrackPlan,
+                    character: InducedCharacter) -> Optional[Verdict]:
+    space = diagonal_subspace(plan, character)
     diagram = dynkin_diagram(space)
     cartan_hits = []
     cycle_hits = []
@@ -503,9 +496,8 @@ def decide(k: int, n: int, rho_spec) -> Verdict:
     if gate is not None:
         return gate
     character = spec.character()
-    for subrack in candidate_subracks(plan.cls):
-        verdict = _subspace_rules(subrack, character,
-                                  plan.subrack_plan(subrack))
+    for subrack in plan.subracks:
+        verdict = _subspace_rules(plan.subrack_plan(subrack), character)
         if verdict is not None:
             return verdict
     report = negativity_check(plan.cls, character)
@@ -550,7 +542,9 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     The recorded fields that follow from these values must match them: the
     cartan_matrix, the cycle_labels (the products around the cycle), and
     the q_scalar and element_order of the scalar gate.  The label, the
-    components and the diagram_dot are not read."""
+    components and the diagram_dot are not read.  A witness whose vertices,
+    firing or cycle indices repeat, whose indices leave its vertex list, or
+    whose cycle is not a 4-cycle raises ValueError."""
     if verdict.outcome != INFINITE:
         raise ValueError("only infinite verdicts carry a rebuildable witness")
     cls = UnmixedClass(k, n)
@@ -565,18 +559,23 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
         tuple(Permutation(img) for img in w["element_images"]),
         tuple(Permutation(img) for img in w["transporter_images"]),
         kind=w["subrack"]["kind"], param=tuple(w["subrack"]["param"]))
-    space = diagonal_subspace(subrack, spec.character())
+    space = diagonal_subspace(subrack_plan(subrack), spec.character())
     restricted = space.restrict(tuple(v) for v in w["vertices"])
     q_matrix = [[str(restricted.q(a, b)) for b in restricted.vertices]
                 for a in restricted.vertices]
     if q_matrix != w["q_matrix"]:
         return False
+    for indices in (w["firing"], w.get("cycle", ())):
+        if len(set(indices) & set(range(restricted.size))) != len(indices):
+            raise ValueError("witness indices must be distinct vertex positions")
     if verdict.rule == "cartan-infinite":
         firing = [restricted.vertices[x] for x in w["firing"]]
         cartan = _cartan_infinite([[restricted.q(a, b) for b in firing]
                                    for a in firing])
         return cartan is not None and cartan == w["cartan_matrix"]
     if verdict.rule == "alternating-cycle":
+        if len(w["cycle"]) != 4:
+            raise ValueError("an alternating cycle has four vertices")
         a, b, c, d = (restricted.vertices[x] for x in w["cycle"])
         def product(x, y):
             return restricted.q(x, y) * restricted.q(y, x)

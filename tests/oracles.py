@@ -37,8 +37,7 @@ from nichols.braidspace import (GeneralizedDynkinDiagram, dynkin_diagram,
 from nichols.permgroup import NormalForm, Permutation, conjugate
 from nichols.reps import (GammaCharacter, YoungSubgroup, _label_to_partition,
                           partitions_of)
-from nichols.verdict import (NegativityReport, _expansion_size,
-                             candidate_subracks)
+from nichols.verdict import NegativityReport, _expansion_size, class_plan
 
 from exactfield_oracle import MINUS_ONE, ONE, ZERO, Cyclotomic, zeta
 from exactla_oracle import Matrix, _normalize, kernel, kron
@@ -150,7 +149,7 @@ def tried_subracks(cls) -> list:
     l < n // 2, in decreasing l: they give the same braiding labels as the
     candidate triple at n // 2 (see verdict._candidates), and the grid
     tests walk them all."""
-    subracks = list(candidate_subracks(cls))
+    subracks = list(class_plan(cls.k, cls.n).subracks)
     if cls.k == 2:
         subracks += [triple_subrack(cls, l)
                      for l in range(cls.n // 2 - 1, 0, -1)]

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from nichols.braidspace import (AbelianSubrack, GeneralizedDynkinDiagram,
                                 canonical_subrack, diagonal_subspace,
-                                dynkin_diagram, joint_spectrum, powers_subrack,
-                                quadruple_subrack, rotation_subrack,
+                                dynkin_diagram, planned_spectrum,
+                                powers_subrack, quadruple_subrack,
+                                rotation_subrack, spectrum_plan, subrack_plan,
                                 triple_subrack)
 from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
 from nichols.permgroup import Permutation, UnmixedClass, conjugate
@@ -134,7 +135,7 @@ def test_diagonal_subspace_vertices_are_genuine_eigenvectors():
         spec = parse_rep_spec(k, n, text)
         rho = resolve(spec)
         sub = builder(cls)
-        space = diagonal_subspace(sub, spec.character())
+        space = diagonal_subspace(subrack_plan(sub), spec.character())
         columns = dense_columns(sub, rho)
         assert space.size > 0
         for (j, s) in space.vertices:
@@ -166,7 +167,7 @@ def test_character_path_table_matches_dense_oracle():
                 continue
             rho = resolve(spec)
             for sub in subracks:
-                space = diagonal_subspace(sub, spec.character())
+                space = diagonal_subspace(subrack_plan(sub), spec.character())
                 columns = dense_columns(sub, rho)
                 got = [[[str(space.q((i, 0), (j, s))) for s in range(spec.degree())]
                         for i in range(sub.size)] for j in range(sub.size)]
@@ -182,7 +183,7 @@ def test_character_path_table_matches_dense_oracle():
 def test_triple_braiding_matches_reference_six_cycle():
     cls = UnmixedClass(2, 3)
     chi = parse_rep_spec(2, 3, "chi=(1,1,1);mu=standard").character()
-    space = diagonal_subspace(triple_subrack(cls, 1), chi)
+    space = diagonal_subspace(subrack_plan(triple_subrack(cls, 1)), chi)
     assert space.size == 6
     assert q_matches_up_to_permutation(_q_strings(space), REFERENCE_Q_SIX_CYCLE)
     diagram = dynkin_diagram(space)
@@ -195,7 +196,7 @@ def test_triple_braiding_matches_reference_six_cycle():
 def test_rotation_braiding_matches_reference_edgeless():
     cls = UnmixedClass(4, 2)
     chi = parse_rep_spec(4, 2, "chi=(1,1);mu=trivial").character()
-    space = diagonal_subspace(rotation_subrack(cls), chi)
+    space = diagonal_subspace(subrack_plan(rotation_subrack(cls)), chi)
     assert _q_strings(space) == REFERENCE_Q_ROTATION_EDGELESS
     assert dynkin_diagram(space).edges == ()
 
@@ -203,7 +204,7 @@ def test_rotation_braiding_matches_reference_edgeless():
 def test_negative_case_braiding_is_symmetric_with_unit_products():
     cls = UnmixedClass(2, 3)
     chi = parse_rep_spec(2, 3, "chi=(1,1,1);mu=trivial").character()
-    space = diagonal_subspace(triple_subrack(cls, 1), chi)
+    space = diagonal_subspace(subrack_plan(triple_subrack(cls, 1)), chi)
     verts = space.vertices
     for a in verts:
         assert space.q(a, a) == ROOT_MINUS_ONE
@@ -214,7 +215,7 @@ def test_negative_case_braiding_is_symmetric_with_unit_products():
 def test_restrict_vectors_keeps_column_structure():
     cls = UnmixedClass(2, 3)
     chi = parse_rep_spec(2, 3, "chi=(1,1,1);mu=standard").character()
-    space = diagonal_subspace(triple_subrack(cls, 1), chi)
+    space = diagonal_subspace(subrack_plan(triple_subrack(cls, 1)), chi)
     small = restrict_vectors(space, (0,))
     assert small.size == 3
     assert all(s == 0 for _, s in small.vertices)
@@ -226,7 +227,7 @@ def test_restrict_vectors_keeps_column_structure():
 def test_dynkin_diagram_edges_only_where_product_differs_from_one():
     cls = UnmixedClass(2, 4)
     chi = parse_rep_spec(2, 4, "chi=k:1;mu=standard").character()
-    space = diagonal_subspace(triple_subrack(cls, 2), chi)
+    space = diagonal_subspace(subrack_plan(triple_subrack(cls, 2)), chi)
     diagram = dynkin_diagram(space)
     verts = space.vertices
     listed = {(a, b) for a, b, _ in diagram.edges}
@@ -239,7 +240,8 @@ def test_dynkin_diagram_edges_only_where_product_differs_from_one():
 def test_dynkin_diagram_dot_shape():
     cls = UnmixedClass(2, 3)
     chi = parse_rep_spec(2, 3, "chi=(1,1,1);mu=standard").character()
-    dot = dynkin_diagram(diagonal_subspace(triple_subrack(cls, 1), chi)).to_dot()
+    space = diagonal_subspace(subrack_plan(triple_subrack(cls, 1)), chi)
+    dot = dynkin_diagram(space).to_dot()
     assert dot.startswith("graph diagram {")
     assert dot.endswith("}")
     assert dot.count("--") == 6
@@ -260,7 +262,7 @@ def test_non_commuting_table_is_rejected():
                for a, b in itertools.combinations(distinct, 2))
     chi = parse_rep_spec(4, 2, "chi=(1,1);mu=trivial").character()
     with pytest.raises(ValueError, match="do not commute"):
-        diagonal_subspace(sub, chi)
+        diagonal_subspace(subrack_plan(sub), chi)
 
 
 def test_dynkin_adjacency_map_matches_edge_scan():
@@ -287,7 +289,7 @@ def test_dynkin_adjacency_map_matches_edge_scan():
         assert covered == list(range(size))
 
 
-# the integer path of joint_spectrum against the exact field
+# the integer path of planned_spectrum against the exact field
 
 # classes whose centralizers are small enough to list
 SMALL_CLASSES = ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
@@ -334,7 +336,8 @@ def test_joint_spectrum_multiplicities_match_the_field(case):
     # field over an independently listed H
     cls, spec, generators, modulus = case
     character = spec.character()
-    spectrum = joint_spectrum(cls, character, generators, modulus)
+    spectrum = planned_spectrum(spectrum_plan(cls, generators, modulus),
+                                character)
     assert sum(count for _, count in spectrum) == spec.degree()
     assert [exps for exps, _ in spectrum] == sorted({exps for exps, _ in spectrum})
     words = _group_words(generators)
@@ -381,7 +384,7 @@ def test_joint_spectrum_rejects_a_non_character(case, index):
                       cls.normal_form(min(others)).class_label(cls.k),
                       index % cls.k)
     with pytest.raises(ArithmeticError):
-        joint_spectrum(cls, fake, generators, modulus)
+        planned_spectrum(spectrum_plan(cls, generators, modulus), fake)
 
 
 def test_joint_spectrum_rejects_an_irrational_inner_product():
@@ -391,10 +394,11 @@ def test_joint_spectrum_rejects_an_irrational_inner_product():
     cls = UnmixedClass(4, 1)
     pi = cls.basepoint
     character = parse_rep_spec(4, 1, "chi=(0)").character()
-    assert joint_spectrum(cls, character, (pi,), 4) == [((0,), 1)]
+    plan = spectrum_plan(cls, (pi,), 4)
+    assert planned_spectrum(plan, character) == [((0,), 1)]
     fake = _Perturbed(character, cls.normal_form(pi * pi).class_label(4), 1)
     with pytest.raises(ArithmeticError, match="not an integer"):
-        joint_spectrum(cls, fake, (pi,), 4)
+        planned_spectrum(plan, fake)
 
 
 def test_joint_spectrum_needs_a_multiple_of_k():
@@ -403,6 +407,7 @@ def test_joint_spectrum_needs_a_multiple_of_k():
     cls = UnmixedClass(4, 1)
     pi = cls.basepoint
     character = parse_rep_spec(4, 1, "chi=(3)").character()
-    assert joint_spectrum(cls, character, (pi * pi,), 4) == [((2,), 1)]
+    assert planned_spectrum(spectrum_plan(cls, (pi * pi,), 4),
+                            character) == [((2,), 1)]
     with pytest.raises(ValueError, match="multiple of k"):
-        joint_spectrum(cls, character, (pi * pi,), 2)
+        spectrum_plan(cls, (pi * pi,), 2)

@@ -72,7 +72,9 @@ def test_classify_undecided_exit_code(monkeypatch, capsys):
     import nichols.cli as cli
     import nichols.verdict as v
 
-    monkeypatch.setattr(v, "candidate_subracks", lambda cls: iter(()))
+    empty = v.ClassPlan(2, 3)
+    empty.subracks = ()
+    monkeypatch.setattr(v, "class_plan", lambda k, n: empty)
     code = cli.main(["classify", "--k", "2", "--n", "3",
                      "--rep", "chi=(1,1,1);mu=standard"])
     captured = capsys.readouterr()

@@ -5,20 +5,30 @@ none defines or uses the general Cartan-matrix reading (the congruence
 solver, the symmetrizer, the dense braiding table) that now lives there.
 Characters are read at class labels only: `reps` imports nothing from
 `permgroup`, and no module defines or uses a transporter, a cycle-type
-class or a walk over the whole class, which live there too."""
+class or a walk over the whole class, which live there too.  Nor does it
+keep a wrapper whose callers know all it hides: a diagonal subspace is
+built from a subrack plan alone."""
 
 import ast
+import inspect
 import pathlib
 
 import nichols
+from nichols.braidspace import diagonal_subspace
 
 # last component of a module path that the package must not import
 FORBIDDEN_MODULES = frozenset(("exactla", "exactfield_oracle", "exactla_oracle",
                                "oracles"))
+# wrappers and test-only paths that left the package: their callers call
+# the code behind them
+REMOVED_NAMES = frozenset(("candidate_subracks", "joint_spectrum",
+                           "canonical_involutions", "block_perm", "RunConfig",
+                           "run_config", "_LABEL_NAMES"))
 FORBIDDEN_NAMES = frozenset(("Cyclotomic", "cartan_type", "symmetrizable",
                              "braiding_matrix", "transporter",
                              "_involution_transporter", "CycleType",
-                             "conjugacy_class_iter")) | FORBIDDEN_MODULES
+                             "conjugacy_class_iter")) | FORBIDDEN_MODULES \
+    | REMOVED_NAMES
 
 
 def _imports(tree):
@@ -53,3 +63,9 @@ def test_reps_reads_characters_at_labels_without_permgroup():
     tree = ast.parse(path.read_text(), filename=str(path))
     for module, _ in _imports(tree):
         assert module.split(".")[-1] != "permgroup", module
+
+
+def test_a_diagonal_subspace_is_built_from_a_plan_alone():
+    # the plan carries its subrack, so no second argument can disagree
+    assert list(inspect.signature(diagonal_subspace).parameters) == [
+        "plan", "character"]

@@ -226,7 +226,8 @@ def test_sigma_pairs_conjugate_basepoint_into_commuting_partners():
 def test_canonical_involutions_move_pi_to_inverse_and_swap():
     cls = UnmixedClass(4, 2)
     pi = cls.basepoint
-    sigma, swap, swapinv = cls.canonical_involutions(1, 2)
+    sigma, swap, swapinv = (cls.sigma_reflect(), cls.sigma_swap(1, 2),
+                            cls.sigma_swapinv(1, 2))
     assert conjugate(sigma, pi) == pi.inverse()
     mixed = pi * cls.block_swap(1, 2)
     assert conjugate(swap, pi) == mixed

@@ -144,12 +144,13 @@ def test_positive_definite_agrees_with_rational_elimination(rows):
 def test_cycle_rule_fires_on_rotation_subrack():
     cls = UnmixedClass(6, 3)
     chi = parse_rep_spec(6, 3, "chi=(1,1,1);mu=trivial").character()
-    space = diagonal_subspace(rotation_subrack(cls), chi)
+    space = diagonal_subspace(subrack_plan(rotation_subrack(cls)), chi)
     diagram = dynkin_diagram(space)
     hits = []
     for comp in diagram.components():
         sub = space.restrict(space.vertices[x] for x in comp)
-        hit = cycle_rule(dynkin_diagram(sub))
+        sub_diagram = dynkin_diagram(sub)
+        hit = cycle_rule(sub_diagram, range(sub_diagram.size))
         if hit is not None:
             hits.append(hit)
     assert hits
@@ -162,10 +163,10 @@ def test_cycle_rule_fires_on_rotation_subrack():
 def test_cycle_rule_silent_without_alternation():
     cls = UnmixedClass(6, 3)
     chi = parse_rep_spec(6, 3, "chi=(3,3,3);mu=trivial").character()
-    space = diagonal_subspace(rotation_subrack(cls), chi)
+    space = diagonal_subspace(subrack_plan(rotation_subrack(cls)), chi)
     diagram = dynkin_diagram(space)
     assert diagram.edges == ()
-    assert cycle_rule(diagram) is None
+    assert cycle_rule(diagram, range(diagram.size)) is None
 
 
 def test_negativity_reduced_and_full_agree_on_negative_case():
@@ -419,7 +420,9 @@ def test_undecided_reports_exhaustion(monkeypatch):
     import nichols.verdict as v
 
     monkeypatch.setattr(v, "closed_form_verdict", None, raising=True)
-    monkeypatch.setattr(v, "candidate_subracks", lambda cls: iter(()))
+    empty = v.ClassPlan(2, 3)
+    empty.subracks = ()
+    monkeypatch.setattr(v, "class_plan", lambda k, n: empty)
     with pytest.raises(RuntimeError, match="no rule decides"):
         v.decide(2, 3, "chi=(1,1,1);mu=standard")
 
@@ -451,6 +454,25 @@ def test_a_second_decide_on_a_class_builds_no_plan(monkeypatch):
     assert decide(6, 3, "chi=(3,3,3);mu=sign").outcome == NEGATIVE
     assert decide(6, 3, "chi=(1,1,1);mu=trivial").outcome == INFINITE
     assert not counts
+
+
+def test_a_scalar_gate_row_builds_no_subrack_plan_and_no_partner_class(
+        monkeypatch):
+    # the class plan builds its subrack plans and partner classes on first
+    # use: at (24,12), with 477,950 partner classes, a row that the scalar
+    # gate decides needs neither
+    import nichols.verdict as v
+
+    counts = Counter()
+    _count_calls(monkeypatch, counts, v, "subrack_plan")
+    _count_calls(monkeypatch, counts, UnmixedClass, "partner_classes")
+    class_plan.cache_clear()
+    verdict = decide(24, 12, "chi=(1,0,0,0,0,0,0,0,0,0,0,0)")
+    assert verdict.rule == "scalar-gate"
+    assert len(class_plan(24, 12).subracks) == 2
+    assert counts["subrack_plan"] == 0
+    assert counts["partner_classes"] == 0
+    class_plan.cache_clear()
 
 
 def _past_the_gate(k, n):
@@ -499,6 +521,7 @@ def test_verify_witness_does_not_read_the_class_plan(monkeypatch):
     plans = class_plan(k, n)
     for subrack in plans.subracks:
         plan = plans.subrack_plan(subrack)
+        assert plan.subrack is subrack
         monkeypatch.setitem(plans._subrack_plans, subrack,
                             plan._replace(distinct=plan.distinct[::-1]))
     with pytest.raises(RuntimeError, match="not -1"):
@@ -537,3 +560,55 @@ def test_verify_witness_rejects_an_element_outside_the_class():
         witness=dict(genuine.witness, element_images=images))
     with pytest.raises(ValueError, match="outside the class"):
         verify_witness(k, n, rep, edited)
+
+
+
+# malformed index lists: each forgery of the genuine (2,3) witness reads a
+# vertex twice or through a negative index, and each is refused
+
+GENUINE = (2, 3, "chi=(1,1,1);mu=standard")
+
+
+def _forged(rule="cartan-infinite", **fields):
+    genuine = decide(*GENUINE)
+    assert genuine.rule == "cartan-infinite"
+    assert verify_witness(*GENUINE, genuine)
+    return genuine._replace(rule=rule, witness=dict(genuine.witness, **fields))
+
+
+def test_verify_witness_rejects_a_repeated_firing_vertex():
+    # {0, 3, 4} is the finite path A3; listing 3 twice makes it the affine
+    # A3 4-cycle 0 - 3 - 4 - 3 - 0
+    forged = _forged(firing=[0, 3, 4, 3],
+                     cartan_matrix=[[2, -1, 0, -1], [-1, 2, -1, 0],
+                                    [0, -1, 2, -1], [-1, 0, -1, 2]])
+    with pytest.raises(ValueError, match="distinct vertex positions"):
+        verify_witness(*GENUINE, forged)
+
+
+def test_verify_witness_rejects_a_cycle_that_is_one_edge():
+    # 0 - 3 - 0 - 3 alternates -1, -1 around a single edge
+    forged = _forged(rule="alternating-cycle", cycle=[0, 3, 0, 3],
+                     cycle_labels=["-1"] * 4)
+    with pytest.raises(ValueError, match="distinct vertex positions"):
+        verify_witness(*GENUINE, forged)
+
+
+def test_verify_witness_rejects_negative_firing_indices():
+    # shifted by -len(vertices), each index still names its vertex in Python
+    witness = decide(*GENUINE).witness
+    size = len(witness["vertices"])
+    forged = _forged(firing=[x - size for x in witness["firing"]])
+    with pytest.raises(ValueError, match="distinct vertex positions"):
+        verify_witness(*GENUINE, forged)
+
+
+def test_verify_witness_rejects_repeated_vertices_and_short_cycles():
+    vertices = decide(*GENUINE).witness["vertices"]
+    forged = _forged(vertices=vertices[:-1] + vertices[:1])
+    with pytest.raises(ValueError, match="repeated"):
+        verify_witness(*GENUINE, forged)
+    forged = _forged(rule="alternating-cycle", cycle=[0, 3, 4],
+                     cycle_labels=["-1"] * 3)
+    with pytest.raises(ValueError, match="four vertices"):
+        verify_witness(*GENUINE, forged)

@@ -16,13 +16,13 @@ from hypothesis import given, settings, strategies as st
 import nichols.verdict
 from nichols.braidspace import (DiagonalSubspace, GeneralizedDynkinDiagram,
                                 canonical_subrack, diagonal_subspace,
-                                dynkin_diagram, rotation_subrack)
+                                dynkin_diagram, rotation_subrack, subrack_plan)
 from nichols.cli import _build_subrack
 from nichols.exactfield import ROOT_MINUS_ONE, RootOfUnity
 from nichols.permgroup import UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
 from nichols.verdict import (INFINITE, _minimal_infinite_set, _shortest_cycle,
-                             _subspace_rules, candidate_subracks,
+                             _subspace_rules, class_plan,
                              dynkin_shape, scalar_gate, verify_witness)
 
 from oracles import (CartanData, braiding_matrix, cartan_type, diagram_label,
@@ -81,7 +81,8 @@ def _grid_spaces():
                 continue
             character = spec.character()
             for subrack in tried_subracks(cls):
-                yield k, n, spec, subrack, diagonal_subspace(subrack, character)
+                space = diagonal_subspace(subrack_plan(subrack), character)
+                yield k, n, spec, subrack, space
 
 
 def _shape_or_raise(diagram, comp):
@@ -168,7 +169,8 @@ def test_twin_blocks_before_the_scalar_gate(k, n, selector):
     specs = [spec for spec in enumerate_irreps(k, n)
              if scalar_gate(pi_scalar(spec), k) is not None]
     spec = max(specs, key=lambda spec: spec.degree())
-    space = diagonal_subspace(_build_subrack(cls, selector), spec.character())
+    plan = subrack_plan(_build_subrack(cls, selector))
+    space = diagonal_subspace(plan, spec.character())
     _assert_same_diagram(space)
 
 
@@ -176,8 +178,9 @@ def test_adjacent_twins_form_one_component():
     # at (4,3) with chi=(1,1,1);mu=standard every vertex label is z(4,3):
     # the two twins of each column are adjacent, and so is every other pair
     cls = UnmixedClass(4, 3)
-    space = diagonal_subspace(rotation_subrack(cls), parse_rep_spec(
-        4, 3, "chi=(1,1,1);mu=standard").character())
+    space = diagonal_subspace(subrack_plan(rotation_subrack(cls)),
+                              parse_rep_spec(4, 3, "chi=(1,1,1);mu=standard")
+                              .character())
     diagram = _assert_same_diagram(space)
     assert diagram.blocks == ((0, 1), (2, 3), (4, 5), (6, 7))
     assert all(x in diagram.block_adjacent(x) for x in range(4))
@@ -222,18 +225,19 @@ def test_cycle_search_sees_at_most_two_twins_per_block(monkeypatch):
     # (At (2,6) every non-finite component has a triangle, so it never runs)
     given = []
 
-    def spy(diagram, vertices=None):
+    def spy(diagram, vertices):
         given.append((diagram, vertices))
         return _shortest_cycle(diagram, vertices)
 
     monkeypatch.setattr(nichols.verdict, "_shortest_cycle", spy)
     largest = 0
-    cls = UnmixedClass(4, 4)
+    plans = class_plan(4, 4)
     for spec in enumerate_irreps(4, 4):
         if scalar_gate(pi_scalar(spec), 4) is not None:
             continue
-        for subrack in candidate_subracks(cls):
-            space = diagonal_subspace(subrack, spec.character())
+        for subrack in plans.subracks:
+            space = diagonal_subspace(plans.subrack_plan(subrack),
+                                      spec.character())
             for diagram, sub, comp in _non_finite_components(space):
                 _minimal_infinite_set(space, diagram, comp)
                 largest = max(largest, max(
@@ -247,8 +251,8 @@ def test_cycle_search_sees_at_most_two_twins_per_block(monkeypatch):
 def _decide_on(monkeypatch, space):
     # the rules of one subrack, run on a given diagonal subspace
     monkeypatch.setattr(nichols.verdict, "diagonal_subspace",
-                        lambda subrack, character, plan=None: space)
-    return _subspace_rules(space.subrack, None, None)
+                        lambda plan, character: space)
+    return _subspace_rules(None, None)
 
 
 def test_witness_search_needs_minus_one_vertex_labels(monkeypatch):
@@ -258,7 +262,8 @@ def test_witness_search_needs_minus_one_vertex_labels(monkeypatch):
     labels = (((0, 1), (0, 1), (1, 0)), ((1, 0), (1, 1), (0, 1)),
               ((0, 1), (1, 0), (1, 1)))
     space = DiagonalSubspace(None, 2, labels,
-                             [(j, s) for j in range(3) for s in range(2)])
+                             [(j, s) for j in range(3) for s in range(2)],
+                             (0, 1))
     diagram = dynkin_diagram(space)
     comp = max(diagram.components(), key=len)
     with pytest.raises(RuntimeError, match="not -1"):
@@ -269,7 +274,8 @@ def test_witness_search_needs_minus_one_vertex_labels(monkeypatch):
     # z(4,1): read as a graph alone it would be the finite tree A3, so the
     # guard covers finite components too
     labels = (((2,), (2,), (0,)), ((0,), (1,), (2,)), ((0,), (0,), (2,)))
-    space = DiagonalSubspace(None, 4, labels, [(j, 0) for j in range(3)])
+    space = DiagonalSubspace(None, 4, labels, [(j, 0) for j in range(3)],
+                             (0,))
     diagram = dynkin_diagram(space)
     assert diagram.components() == ((0, 1, 2),)
     assert {w for _, _, w in diagram.edges} == {ROOT_MINUS_ONE}
@@ -286,7 +292,8 @@ def _one_vector_space(subrack, size, pairs):
     for i, j in pairs:
         bits[min(i, j)][max(i, j)] = 1
     labels = tuple(tuple((b,) for b in row) for row in bits)
-    return DiagonalSubspace(subrack, 2, labels, [(j, 0) for j in range(size)])
+    return DiagonalSubspace(subrack, 2, labels, [(j, 0) for j in range(size)],
+                            (0,))
 
 
 def test_a_non_finite_tree_is_its_own_witness(monkeypatch):
@@ -407,8 +414,9 @@ def test_shortest_cycle_ties_go_to_the_least_sorted_tuple():
     # cycle sorts lower
     diagram = _graph(9, [(0, 3), (3, 7), (7, 8), (8, 4), (4, 0),
                          (0, 5), (5, 1), (1, 2), (2, 6), (6, 0)])
-    assert sorted(_shortest_cycle(diagram)) == [0, 1, 2, 5, 6]
-    assert _shortest_cycle(diagram) == shortest_cycle(diagram)
+    cycle = _shortest_cycle(diagram, range(diagram.size))
+    assert sorted(cycle) == [0, 1, 2, 5, 6]
+    assert cycle == shortest_cycle(diagram)
 
 
 @settings(max_examples=300, deadline=None)
@@ -417,7 +425,7 @@ def test_shortest_cycle_is_a_girth_cycle_and_the_reference_cycle(diagram):
     graph = nx.Graph()
     graph.add_nodes_from(range(diagram.size))
     graph.add_edges_from((a, b) for a, b, _ in diagram.edges)
-    cycle = _shortest_cycle(diagram)
+    cycle = _shortest_cycle(diagram, range(diagram.size))
     assert cycle == shortest_cycle(diagram)
     if cycle is None:
         assert nx.girth(graph) == math.inf
