@@ -234,33 +234,44 @@ class InducedCharacter:
         return hit
 
     def _from_label(self, label: tuple) -> tuple:
+        # the cycles of one (L, s) pair are alike, and adjacent in the
+        # sorted label: they are given levels in non-decreasing order, and
+        # a split of m of them, m_i to level i, stands for its m! / prod m_i!
+        # placements, built up as the t-th of them joins a level that then
+        # holds `same` of them: times t / same
         k = self.k
         levels = self._levels
         out = [0] * k
         room = [count for _, count, _ in levels]
         lengths = [[] for _ in levels]
+        rank = []
+        for c, pair in enumerate(label):
+            rank.append(rank[-1] + 1 if c and label[c - 1] == pair else 1)
 
-        def assign(c: int, phase: int) -> None:
-            # give cycle c (and those after it) a value whose level still
-            # has room for its length
+        def assign(c: int, level: int, run: int, phase: int, weight: int) -> None:
+            # cycle c (and those after it) gets a level with room for its
+            # length; the cycle before it went to level, the last run of
+            # its alike cycles there
             if c == len(label):
-                factor = 1
                 for (_, _, part), cycle_type in zip(levels, lengths):
-                    factor *= sn_character(part, tuple(cycle_type))
-                    if not factor:
+                    weight *= sn_character(part, tuple(cycle_type))
+                    if not weight:
                         return
-                out[phase % k] += factor
+                out[phase % k] += weight
                 return
             length, s = label[c]
-            for i, (v, _, _) in enumerate(levels):
+            t = rank[c]
+            for i in range(level if t > 1 else 0, len(levels)):
                 if room[i] >= length:
+                    same = run + 1 if t > 1 and i == level else 1
                     room[i] -= length
                     lengths[i].append(length)
-                    assign(c + 1, phase + v * s)
+                    assign(c + 1, i, same, phase + levels[i][0] * s,
+                           weight * t // same)
                     lengths[i].pop()
                     room[i] += length
 
-        assign(0, 0)
+        assign(0, 0, 0, 0, 1)
         return tuple(out)
 
     def scalar(self, label: tuple) -> Optional[RootOfUnity]:

@@ -16,8 +16,16 @@ Everything runs on the character of the representation: braidings are
 roots of unity with integer exponents, and "acts by a scalar" is read off
 the character value.  What does not depend on the representation (the
 candidate subracks, their plans, each carrying its subrack, and the partner
-classes) is built once per class and kept in the class plan; verify_witness
-does not read it.
+classes) is built once per class and kept in the class plan.
+
+verify_witness shares none of that with the decision: it plans no subrack
+and runs none of its spectrum code.  A witness vertex (j, s) means the
+vector g_j v_s, with v_s an eigenvector of the group H_w that the
+witness's own table entries generate, and s only a name.  Since
+t_i g_j v = g_j gamma_ij v, the recorded q_matrix is such a braiding
+exactly when each psi_s read off it is a character of H_w that occurs in
+chi|H_w as often as the witness uses it; the check builds H_w by closure
+and tests just that, then re-fires the rule (see verify_witness).
 
 Outcomes: "InfiniteDim" always carries a machine-checkable witness, and
 "NegativeBraiding" carries the verified pair inventory.  For an unmixed
@@ -30,14 +38,15 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from functools import cache
+from math import lcm
 from typing import NamedTuple, Optional
 
 from .braidspace import (AbelianSubrack, DiagonalSubspace,
                          GeneralizedDynkinDiagram, SubrackPlan,
                          diagonal_subspace, dynkin_diagram, quadruple_subrack,
                          rotation_subrack, subrack_plan, triple_subrack)
-from .exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
-from .permgroup import PartnerClass, Permutation, UnmixedClass
+from .exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity, rational_value
+from .permgroup import NormalForm, PartnerClass, Permutation, UnmixedClass
 from .reps import InducedCharacter, RepSpec, parse_rep_spec, pi_scalar
 
 INFINITE = "InfiniteDim"
@@ -529,11 +538,41 @@ def closed_form_verdict(k: int, n: int, rho_spec) -> Verdict:
     return Verdict(NEGATIVE, "closed-form", {"case": "scalar-negative", "c": c})
 
 
+def _class_label(k: int, img: tuple) -> tuple:
+    # the (L, s) label of a centralizer element read off its images, without
+    # the round trip of UnmixedClass.normal_form: block j goes to the block
+    # of the image of its first point, whose offset is the twist there
+    heads = [img[x] - 1 for x in range(0, len(img), k)]
+    d = [0] * len(heads)
+    for y in heads:
+        d[y // k] = y % k
+    return NormalForm(tuple(d), Permutation([y // k + 1 for y in heads])
+                      ).class_label(k)
+
+
 def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
-    """Re-validate an infinite verdict from its recorded witness: rebuild the
-    subrack and a fresh plan of it from raw images (never the class plan),
-    recompute the braiding on the witness vertices from the character,
-    check it equals the recorded q_matrix, and re-fire the rule on it.
+    """Re-validate an infinite verdict from its recorded witness alone, on
+    the witness's own group: no subrack plan, class plan or spectrum of the
+    decision is read.
+
+    The subrack is rebuilt from the raw images, with its own checks.  A
+    vertex (j, s) names the vector g_j v_s, for g_j the transporter of
+    column j and v_s a joint eigenvector of rho on H_w, the group generated
+    by the table entries gamma_ij = g_j^-1 t_i g_j with i, j in the witness
+    columns; s is only a name.  Why that is sound:
+    - t_i (g_j v) = g_j gamma_ij v, and gamma_ij centralizes the basepoint;
+    - so if v_s is an eigenvector of H_w with linear character psi_s, the
+      vectors g_j v_s span a braided subspace of diagonal type whose entry
+      for (i, r), (j, s) is psi_s(gamma_ij), the recorded q_matrix;
+    - vectors of one psi can be chosen independent exactly when psi occurs
+      in chi|H_w at least as often as the witness uses it, and vectors of
+      different psi are independent.
+    So the check reads psi_s(gamma_ij) off the recorded q_matrix (the same
+    for every row index r, and wherever two (i, j) give the same entry),
+    builds H_w by plain closure from the identity and checks on every
+    Cayley edge that psi_s extends to a character of H_w, and sums chi
+    against each psi used, (1/|H_w|) sum_h chi(h) psi(h)^-1, by integer
+    traces.  Then the rule is re-fired on the recorded values.
     cartan-infinite is re-fired by linear algebra on the firing set,
     sharing no code with the graph reading that decided it: every diagonal
     entry -1, every product q_ab q_ba equal to 1 or -1, and the Cartan
@@ -542,44 +581,115 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     The recorded fields that follow from these values must match them: the
     cartan_matrix, the cycle_labels (the products around the cycle), and
     the q_scalar and element_order of the scalar gate.  The label, the
-    components and the diagram_dot are not read.  A witness whose vertices,
-    firing or cycle indices repeat, whose indices leave its vertex list, or
-    whose cycle is not a 4-cycle raises ValueError."""
+    components and the diagram_dot are not read.  An entry that is not a
+    root of unity printed in lowest terms, or a q_matrix that is not one
+    list per vertex of one entry per vertex, fails.  A witness whose
+    vertices are not the rectangle (its columns) x (its indices) in order,
+    below the subrack size and the degree, whose firing or cycle indices
+    repeat or leave its vertex list, whose table entries do not commute,
+    or whose cycle is not a 4-cycle raises ValueError."""
     if verdict.outcome != INFINITE:
         raise ValueError("only infinite verdicts carry a rebuildable witness")
-    cls = UnmixedClass(k, n)
     spec = _resolve_spec(k, n, rho_spec)
     w = verdict.witness
     if verdict.rule == "scalar-gate":
         q = pi_scalar(spec)
         return ((k % 2 == 1 or q != ROOT_MINUS_ONE)
                 and w["q_scalar"] == str(q) and w["element_order"] == k)
+    cls = UnmixedClass(k, n)
     subrack = AbelianSubrack(
         cls,
         tuple(Permutation(img) for img in w["element_images"]),
         tuple(Permutation(img) for img in w["transporter_images"]),
         kind=w["subrack"]["kind"], param=tuple(w["subrack"]["param"]))
-    space = diagonal_subspace(subrack_plan(subrack), spec.character())
-    restricted = space.restrict(tuple(v) for v in w["vertices"])
-    q_matrix = [[str(restricted.q(a, b)) for b in restricted.vertices]
-                for a in restricted.vertices]
-    if q_matrix != w["q_matrix"]:
-        return False
+    character = spec.character()
+    vertices = [(j, s) for j, s in w["vertices"]]
+    cols = sorted({j for j, _ in vertices})
+    vecs = sorted({s for _, s in vertices})
+    if (not vertices or vertices != [(j, s) for j in cols for s in vecs]
+            or not set(cols) <= set(range(subrack.size))
+            or not set(vecs) <= set(range(character.degree))):
+        raise ValueError("witness vertices must be the rectangle of their "
+                         "columns and indices, none repeated, below the "
+                         "subrack size and the degree")
+    size = len(vertices)
     for indices in (w["firing"], w.get("cycle", ())):
-        if len(set(indices) & set(range(restricted.size))) != len(indices):
+        if len(set(indices) & set(range(size))) != len(indices):
             raise ValueError("witness indices must be distinct vertex positions")
+    position = {}
+    entry = {(i, j): position.setdefault(subrack.gamma(i, j), len(position))
+             for i in cols for j in cols}
+    generators = tuple(position)
+    for g in generators:
+        cls.normal_form(g)
+    if not all(a.commutes_with(b)
+               for a, b in itertools.combinations(generators, 2)):
+        raise ValueError("conjugation table entries do not commute")
+    modulus = lcm(k, *(g.order() for g in generators))
+    roots = [RootOfUnity(modulus, e) for e in range(modulus)]
+    exponent = {str(r): e for e, r in enumerate(roots)}
+    q_matrix = w["q_matrix"]
+    if (not isinstance(q_matrix, list) or len(q_matrix) != size
+            or any(not isinstance(row, list) or len(row) != size
+                   for row in q_matrix)):
+        return False
+    exps = [[exponent.get(x) if isinstance(x, str) else None for x in row]
+            for row in q_matrix]
+    if any(None in row for row in exps):
+        return False
+    # psi_s on the generators, read off every row vertex (i, r)
+    width = len(vecs)
+    psis = []
+    for b in range(width):
+        psi = {}
+        for a, row in enumerate(exps):
+            for y, j in enumerate(cols):
+                e = row[y * width + b]
+                if psi.setdefault(entry[cols[a // width], j], e) != e:
+                    return False
+        psis.append(tuple(psi[t] for t in range(len(generators))))
+    used = sorted(set(psis))
+    # H_w by closure, each psi used carried along the tree and checked on
+    # every Cayley edge; the queue grows while it is read
+    identity = Permutation.identity(cls.degree)
+    phases = {identity: (0,) * len(used)}
+    queue = [identity]
+    for h in queue:
+        for t, g in enumerate(generators):
+            x = g * h
+            step = tuple((p + psi[t]) % modulus
+                         for p, psi in zip(phases[h], used))
+            if x not in phases:
+                phases[x] = step
+                queue.append(x)
+            elif phases[x] != step:
+                return False
+    order = len(queue)
+    scale = modulus // k
+    terms = [[(a * scale, c) for a, c in enumerate(
+              character.coefficients(_class_label(k, h.img))) if c]
+             for h in queue]
+    for d, psi in enumerate(used):
+        acc = [0] * modulus
+        for h, hterms in zip(queue, terms):
+            phase = phases[h][d]
+            for a, c in hterms:
+                acc[(a - phase) % modulus] += c
+        total = rational_value(modulus, acc)
+        if total is None or total % order or total // order < psis.count(psi):
+            return False
+    q = [[roots[e] for e in row] for row in exps]
     if verdict.rule == "cartan-infinite":
-        firing = [restricted.vertices[x] for x in w["firing"]]
-        cartan = _cartan_infinite([[restricted.q(a, b) for b in firing]
-                                   for a in firing])
+        firing = w["firing"]
+        cartan = _cartan_infinite([[q[a][b] for b in firing] for a in firing])
         return cartan is not None and cartan == w["cartan_matrix"]
     if verdict.rule == "alternating-cycle":
         if len(w["cycle"]) != 4:
             raise ValueError("an alternating cycle has four vertices")
-        a, b, c, d = (restricted.vertices[x] for x in w["cycle"])
+        a, b, c, d = w["cycle"]
         def product(x, y):
-            return restricted.q(x, y) * restricted.q(y, x)
-        if any(restricted.q(v, v) != ROOT_MINUS_ONE for v in (a, b, c, d)):
+            return q[x][y] * q[y][x]
+        if any(q[v][v] != ROOT_MINUS_ONE for v in (a, b, c, d)):
             return False
         if product(a, c) != ROOT_ONE or product(b, d) != ROOT_ONE:
             return False

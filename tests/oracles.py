@@ -36,7 +36,7 @@ from nichols.braidspace import (GeneralizedDynkinDiagram, dynkin_diagram,
                                 triple_subrack)
 from nichols.permgroup import NormalForm, Permutation, conjugate
 from nichols.reps import (GammaCharacter, YoungSubgroup, _label_to_partition,
-                          partitions_of)
+                          partitions_of, sn_character)
 from nichols.verdict import NegativityReport, _expansion_size, class_plan
 
 from exactfield_oracle import MINUS_ONE, ONE, ZERO, Cyclotomic, zeta
@@ -194,6 +194,39 @@ def character_value(character, nf: NormalForm) -> Cyclotomic:
     """chi(d, b) as a field element, read at the class label of (d, b)."""
     return Cyclotomic(character.k,
                       character.coefficients(nf.class_label(character.k)))
+
+
+def coefficients_by_placements(character, label: tuple) -> tuple:
+    """chi at the class with the given (L, s) label, as k integers, by
+    handing the label's cycles to the levels of the character one at a time:
+    every placement of every cycle, alike cycles included, adds its term
+    (the package counts the placements of alike cycles by multinomials)."""
+    k = character.k
+    levels = character._levels
+    out = [0] * k
+    room = [count for _, count, _ in levels]
+    lengths = [[] for _ in levels]
+
+    def assign(c: int, phase: int) -> None:
+        if c == len(label):
+            factor = 1
+            for (_, _, part), cycle_type in zip(levels, lengths):
+                factor *= sn_character(part, tuple(cycle_type))
+                if not factor:
+                    return
+            out[phase % k] += factor
+            return
+        length, s = label[c]
+        for i, (v, _, _) in enumerate(levels):
+            if room[i] >= length:
+                room[i] -= length
+                lengths[i].append(length)
+                assign(c + 1, phase + v * s)
+                lengths[i].pop()
+                room[i] += length
+
+    assign(0, 0)
+    return tuple(out)
 
 
 # dense representation matrices: a symmetric-group catalog covering every

@@ -7,13 +7,17 @@ Characters are read at class labels only: `reps` imports nothing from
 `permgroup`, and no module defines or uses a transporter, a cycle-type
 class or a walk over the whole class, which live there too.  Nor does it
 keep a wrapper whose callers know all it hides: a diagonal subspace is
-built from a subrack plan alone."""
+built from a subrack plan alone.  The witness check shares no code with
+the decision's spectrum: it plans no subrack and reads no joint spectrum,
+and parses no text by regular expression."""
 
 import ast
 import inspect
 import pathlib
+import types
 
 import nichols
+import nichols.verdict
 from nichols.braidspace import diagonal_subspace
 
 # last component of a module path that the package must not import
@@ -69,3 +73,46 @@ def test_a_diagonal_subspace_is_built_from_a_plan_alone():
     # the plan carries its subrack, so no second argument can disagree
     assert list(inspect.signature(diagonal_subspace).parameters) == [
         "plan", "character"]
+
+
+# the decision's spectrum code, which the witness check re-checks and so
+# must not call
+SPECTRUM_NAMES = frozenset(("subrack_plan", "spectrum_plan", "planned_spectrum",
+                            "diagonal_subspace", "_braiding_labels",
+                            "restrict"))
+
+
+def _code_objects(code):
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _code_objects(const)
+
+
+def test_the_witness_check_names_no_spectrum_code():
+    # verify_witness, the functions it defines, and every function of
+    # nichols.verdict that they name, followed to the end
+    todo = [nichols.verdict.verify_witness]
+    seen = set()
+    while todo:
+        function = todo.pop()
+        if function in seen:
+            continue
+        seen.add(function)
+        for code in _code_objects(function.__code__):
+            assert not SPECTRUM_NAMES & set(code.co_names), (
+                function.__name__, code.co_name,
+                SPECTRUM_NAMES & set(code.co_names))
+            for name in code.co_names:
+                value = getattr(nichols.verdict, name, None)
+                if (isinstance(value, types.FunctionType)
+                        and value.__module__ == "nichols.verdict"):
+                    todo.append(value)
+    assert {f.__name__ for f in seen} >= {"verify_witness", "_class_label",
+                                          "_cartan_infinite"}
+
+
+def test_verdict_imports_no_regular_expressions():
+    path = pathlib.Path(nichols.verdict.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert "re" not in {module for module, _ in _imports(tree)}

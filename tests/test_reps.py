@@ -14,10 +14,12 @@ from nichols.reps import (GammaCharacter, enumerate_irreps, parse_rep_spec,
 
 from exactfield_oracle import MINUS_ONE, ONE, rational, root_value, zeta
 from exactla_oracle import Matrix
+from nichols.verdict import class_plan
 from oracles import (A, B, CatalogGapError, catalog_covers, cataloged,
                      centralizer_elements, character_value, class_size,
-                     dense_pi_scalar, orbit_and_stabilizer, resolve, sign,
-                     sn_irrep, tried_subracks)
+                     coefficients_by_placements, dense_pi_scalar,
+                     orbit_and_stabilizer, resolve, sign, sn_irrep,
+                     tried_subracks)
 from test_golden import DIGESTS
 
 
@@ -341,3 +343,25 @@ def test_scalar_matches_the_field(data):
     value = character_value(character, nf) * Fraction(1, spec.degree())
     assert character.scalar(nf.class_label(k)) == value.as_root_of_unity(), (
         spec.label(), str(nf))
+
+
+def test_alike_cycles_counted_by_multinomials_match_every_placement():
+    # the labels a decision reads: those of H on every candidate subrack and
+    # those of the partner classes and their duals
+    pairs = 0
+    for k, n in ((2, 6), (4, 4), (6, 3), (8, 2), (2, 7), (4, 5), (2, 8),
+                 (3, 4), (10, 2)):
+        plan = class_plan(k, n)
+        labels = set()
+        for subrack in plan.subracks:
+            labels.update(plan.subrack_plan(subrack).spectrum.class_labels)
+        for partner in plan.partners():
+            labels.update((partner.label, partner.dual))
+        for spec in enumerate_irreps(k, n):
+            character = spec.character()
+            for label in sorted(labels):
+                assert (character.coefficients(label)
+                        == coefficients_by_placements(character, label)), (
+                    k, n, spec.label(), label)
+                pairs += 1
+    assert pairs == 16068

@@ -7,20 +7,23 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nichols.braidspace
+import nichols.verdict
 from nichols.braidspace import (AbelianSubrack, _braiding_labels,
                                 diagonal_subspace, dynkin_diagram,
                                 rotation_subrack, subrack_plan, triple_subrack)
 from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
-from nichols.permgroup import UnmixedClass
+from nichols.permgroup import Permutation, UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
 from nichols.verdict import (INFINITE, NEGATIVE, _cartan_infinite,
-                             _positive_definite, class_plan,
+                             _class_label, _positive_definite, class_plan,
                              closed_form_verdict, cycle_rule, decide,
                              negativity_check, scalar_gate, verify_witness)
 
 from oracles import (REFERENCE_Q_SIX_CYCLE, CartanData, NotCartan,
                      _positive_definite as oracle_positive_definite,
-                     cartan_type, cataloged, diagram_label, finite_catalog,
+                     cartan_type, cataloged, centralizer_elements,
+                     diagram_label, finite_catalog,
                      finite_type, finite_type_lookup, negativity_full,
                      negativity_walk, random_symmetrizable_gcm, resolve,
                      symmetrizable)
@@ -612,3 +615,146 @@ def test_verify_witness_rejects_repeated_vertices_and_short_cycles():
                      cycle_labels=["-1"] * 3)
     with pytest.raises(ValueError, match="four vertices"):
         verify_witness(*GENUINE, forged)
+
+
+# the witness check reads the witness's own group H_w, never the decision's
+# spectrum: a fault there that decide cannot see is caught, and each new
+# reading of the witness refuses its own forgery
+
+def _shifted_spectrum(planned_spectrum):
+    # one unit of multiplicity moved from the second joint character to the
+    # first: the multiplicities still add up to the degree
+    def mutant(plan, character):
+        spectrum = planned_spectrum(plan, character)
+        if len(spectrum) < 2:
+            return spectrum
+        (first, m0), (second, m1) = spectrum[:2]
+        return ([(first, m0 + 1)] + [(second, m1 - 1)] * (m1 > 1)
+                + spectrum[2:])
+    return mutant
+
+
+def test_verify_witness_catches_a_shifted_multiplicity(monkeypatch):
+    # (4,5) is beyond the reach of the dense oracle
+    monkeypatch.setattr(nichols.braidspace, "planned_spectrum",
+                        _shifted_spectrum(nichols.braidspace.planned_spectrum))
+    for k, n, rep in ((4, 5, "chi=(2,0,0,0,0);mu=trivial"),
+                      (4, 4, "chi=(3,3,3,1);mu=trivial")):
+        verdict = decide(k, n, rep)
+        assert verdict.outcome == INFINITE and verdict.rule == "cartan-infinite"
+        assert not verify_witness(k, n, rep, verdict), (k, n, rep)
+
+
+def test_verify_witness_plans_no_subrack_and_no_spectrum(monkeypatch):
+    witnesses = []
+    for k, n in ((2, 4), (4, 3), (6, 2)):
+        for spec in enumerate_irreps(k, n):
+            verdict = decide(k, n, spec)
+            if verdict.outcome == INFINITE:
+                witnesses.append((k, n, spec, verdict))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the witness check used the decision's spectrum")
+    for module in (nichols.braidspace, nichols.verdict):
+        for name in ("subrack_plan", "spectrum_plan", "planned_spectrum",
+                     "diagonal_subspace"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert sum(v.rule != "scalar-gate" for *_, v in witnesses) == 17
+    for k, n, spec, verdict in witnesses:
+        assert verify_witness(k, n, spec, verdict), (k, n, spec.label())
+
+
+def test_a_class_label_read_off_the_images_is_the_normal_form_label():
+    for k, n in ((2, 3), (3, 3), (4, 2), (6, 2)):
+        cls = UnmixedClass(k, n)
+        for g in centralizer_elements(cls):
+            assert _class_label(k, g.img) == cls.normal_form(g).class_label(k)
+
+
+QUADRUPLE = (4, 4, "chi=(3,3,3,1);mu=trivial")
+
+
+def _quadruple_witness():
+    # four columns of the swap quadruple, two eigenvector indices
+    verdict = decide(*QUADRUPLE)
+    assert verdict.rule == "cartan-infinite"
+    w = verdict.witness
+    assert w["subrack"]["kind"] == "quadruple-swap"
+    assert w["vertices"] == [[j, s] for j in range(4) for s in (0, 1)]
+    assert verify_witness(*QUADRUPLE, verdict)
+    return verdict
+
+
+def _with(verdict, **fields):
+    return verdict._replace(witness=dict(verdict.witness, **fields))
+
+
+def test_verify_witness_refuses_vertices_that_are_no_rectangle():
+    verdict = _quadruple_witness()
+    vertices = verdict.witness["vertices"]
+    with pytest.raises(ValueError, match="rectangle"):
+        verify_witness(*QUADRUPLE, _with(verdict, vertices=vertices[:-1]))
+    # s = 1 renamed to the degree, 4
+    moved = [[j, 4 if s == 1 else s] for j, s in vertices]
+    assert parse_rep_spec(*QUADRUPLE).degree() == 4
+    with pytest.raises(ValueError, match="degree"):
+        verify_witness(*QUADRUPLE, _with(verdict, vertices=moved))
+
+
+def test_verify_witness_refuses_an_entry_not_in_lowest_terms():
+    verdict = _quadruple_witness()
+    q_matrix = [row[:] for row in verdict.witness["q_matrix"]]
+    assert q_matrix[0][0] == "-1"
+    q_matrix[0][0] = "z(4,2)"
+    assert not verify_witness(*QUADRUPLE, _with(verdict, q_matrix=q_matrix))
+    # the genuine values, but not as the list of lists a witness prints
+    genuine = verdict.witness["q_matrix"]
+    for rows in (tuple(genuine), [tuple(row) for row in genuine]):
+        assert not verify_witness(*QUADRUPLE, _with(verdict, q_matrix=rows))
+
+
+def test_verify_witness_refuses_a_column_whose_rows_disagree():
+    # psi_s(gamma_ij) is read off every row vertex (i, r): here (0, 1)
+    # disagrees with (0, 0) in the column of vertex (1, 0)
+    verdict = _quadruple_witness()
+    q_matrix = [row[:] for row in verdict.witness["q_matrix"]]
+    q_matrix[1][2] = str(_root(q_matrix[1][2]) * ROOT_MINUS_ONE)
+    assert q_matrix[0][2] != q_matrix[1][2]
+    assert not verify_witness(*QUADRUPLE, _with(verdict, q_matrix=q_matrix))
+
+
+def test_verify_witness_refuses_a_psi_that_breaks_a_relation_of_h():
+    # psi_1 is negated at every entry gamma_ij that equals gamma, a table
+    # entry other than the basepoint that the other entries generate: it
+    # reads consistently entry by entry, the rule still fires with the
+    # recorded Cartan matrix, and chi summed against the values it takes
+    # along a spanning tree of H_w is still a large enough integer, but it
+    # is no character of H_w
+    verdict = _quadruple_witness()
+    w = verdict.witness
+    cls = UnmixedClass(4, 4)
+    subrack = AbelianSubrack(
+        cls, [Permutation(img) for img in w["element_images"]],
+        [Permutation(img) for img in w["transporter_images"]])
+    gamma = {(i, j): subrack.gamma(i, j) for i in range(4) for j in range(4)}
+    entries = list(dict.fromkeys(gamma.values()))
+
+    def generated(gens):
+        group = [Permutation.identity(cls.degree)]
+        for h in group:
+            group.extend(x for x in (g * h for g in gens) if x not in group)
+        return group
+    target = next(g for g in entries if g != cls.basepoint
+                  and g in generated([h for h in entries if h != g]))
+    q_matrix = [row[:] for row in w["q_matrix"]]
+    for (i, j), g in gamma.items():
+        if g == target:
+            for r in (0, 1):
+                flipped = _root(q_matrix[2 * i + r][2 * j + 1]) * ROOT_MINUS_ONE
+                q_matrix[2 * i + r][2 * j + 1] = str(flipped)
+    firing = w["firing"]
+    q = [[_root(x) for x in row] for row in q_matrix]
+    assert _cartan_infinite([[q[a][b] for b in firing] for a in firing]) \
+        == w["cartan_matrix"]
+    assert not verify_witness(*QUADRUPLE, _with(verdict, q_matrix=q_matrix))

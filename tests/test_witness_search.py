@@ -18,11 +18,11 @@ from nichols.braidspace import (DiagonalSubspace, GeneralizedDynkinDiagram,
                                 canonical_subrack, diagonal_subspace,
                                 dynkin_diagram, rotation_subrack, subrack_plan)
 from nichols.cli import _build_subrack
-from nichols.exactfield import ROOT_MINUS_ONE, RootOfUnity
+from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
 from nichols.permgroup import UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
-from nichols.verdict import (INFINITE, _minimal_infinite_set, _shortest_cycle,
-                             _subspace_rules, class_plan,
+from nichols.verdict import (INFINITE, _cartan_infinite, _minimal_infinite_set,
+                             _shortest_cycle, _subspace_rules, class_plan,
                              dynkin_shape, scalar_gate, verify_witness)
 
 from oracles import (CartanData, braiding_matrix, cartan_type, diagram_label,
@@ -307,17 +307,22 @@ def test_a_non_finite_tree_is_its_own_witness(monkeypatch):
                                            (0, 5), (5, 6)])
     verdict = _decide_on(monkeypatch, space)
     assert verdict.outcome == INFINITE and verdict.rule == "cartan-infinite"
-    assert verdict.witness["firing"] == list(range(7))
+    firing = verdict.witness["firing"]
+    assert firing == list(range(7))
     assert verdict.witness["label"] is None
     assert len(verdict.witness["cartan_matrix"]) == 7
-    spec = "chi=(1,1,1,1);mu=trivial"
-    assert verify_witness(2, 4, spec, verdict)
-    # without a leaf the tree is E6, of finite type
+    # the rule fires on the recorded values; without a leaf the tree is E6,
+    # of finite type
+    values = {"1": ROOT_ONE, "-1": ROOT_MINUS_ONE}
+    q = [[values[x] for x in row] for row in verdict.witness["q_matrix"]]
+    assert _cartan_infinite([[q[a][b] for b in firing] for a in firing]) \
+        == verdict.witness["cartan_matrix"]
     for leaf in (2, 4, 6):
-        firing = [x for x in verdict.witness["firing"] if x != leaf]
-        dropped = verdict._replace(
-            witness=dict(verdict.witness, firing=firing))
-        assert not verify_witness(2, 4, spec, dropped)
+        kept = [x for x in firing if x != leaf]
+        assert _cartan_infinite([[q[a][b] for b in kept] for a in kept]) is None
+    # but they are not a braiding of chi=(1,1,1,1);mu=trivial, whose every
+    # entry on those columns is 1, so the witness check refuses them
+    assert not verify_witness(2, 4, "chi=(1,1,1,1);mu=trivial", verdict)
 
 
 def _graph(size, pairs, label=ROOT_MINUS_ONE):
