@@ -8,16 +8,20 @@ they generate an abelian group H, and rho restricted to H splits into
 linear characters psi of H, each with multiplicity <chi_rho|_H, psi>.
 That gives a braided subspace of diagonal type: one vertex per column j and
 eigenvector, with braiding q((i, r), (j, psi)) = psi(gamma_ij)
-(Andruskiewitsch-Grana, From racks to pointed Hopf algebras, 2003).  Only
-the character of rho is needed: the multiplicities are integers read off
-integer traces (nichols.exactfield.rational_value), and the braiding labels
-are roots of unity held as integer exponents.  No field element is built.
+(Andruskiewitsch-Grana, From racks to pointed Hopf algebras, 2003).  The
+braiding depends only on the column and psi, so the subspace and its
+generalized Dynkin diagram are held as one node per (column, psi) with the
+multiplicity of psi: as many nodes as the subrack size times the number of
+psi that occur, however large the degree.  Only the character of rho is
+needed: the multiplicities are integers read off integer traces
+(nichols.exactfield.rational_value), and the braiding labels are roots of
+unity held as integer exponents.  No field element is built.
 
 The work splits in two.  subrack_plan does what rho does not change, in a
 plan that carries its subrack: the table, the commute check, H with the
 (L, s) class label of each element (nichols.permgroup), and the linear
-characters of H.  diagonal_subspace(plan, character) then sums the
-character of rho, read at those labels, over H, once per rho.
+characters of H.  dynkin_diagram(plan, character) then sums the character
+of rho, read at those labels, over H, once per rho, and labels the nodes.
 
 Construction families: the canonical involution subrack (k = 2), the swap and
 rotation quadruples (k even, n >= 2) and the power subrack (n = 1; drawn by
@@ -27,6 +31,7 @@ rotation quadruples (k even, n >= 2) and the power subrack (n = 1; drawn by
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -182,73 +187,6 @@ def _power(p: Permutation, e: int) -> Permutation:
     return out
 
 
-class DiagonalSubspace:
-    """A braided subspace of diagonal type over an abelian subrack.
-
-    Vertices are pairs (j, s): subrack position j and joint eigenvector s of
-    rho on the group generated by the conjugation table.  Eigenvectors are
-    ordered by the tuple of their eigenvalue exponents on the distinct table
-    entries, taken in order of first appearance (row i, then column j), and
-    a linear character of multiplicity m fills m consecutive indices.  The
-    braiding entry for row vertex (i, r) and column vertex (j, s) is the
-    eigenvalue of rho(gamma_ij) on eigenvector s, zeta_modulus^labels[i][j][s];
-    it does not depend on r.  runs[s] numbers the joint character of
-    eigenvector s, so two vertices of one column whose eigenvectors share a
-    character are twins: they have the same braiding with every vertex.
-    """
-
-    __slots__ = ("subrack", "modulus", "labels", "vertices", "runs", "_roots")
-
-    def __init__(self, subrack: AbelianSubrack, modulus: int, labels,
-                 vertices, runs) -> None:
-        self.subrack = subrack
-        self.modulus = modulus
-        self.labels = labels
-        self.vertices = tuple(vertices)
-        self.runs = runs
-        self._roots = tuple(RootOfUnity(modulus, e) for e in range(modulus))
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
-    def q(self, a, b) -> RootOfUnity:
-        return self._roots[self.labels[a[0]][b[0]][b[1]]]
-
-    def restrict(self, vertices) -> "DiagonalSubspace":
-        vertices = tuple(vertices)
-        known = set(self.vertices)
-        for v in vertices:
-            if v not in known:
-                raise ValueError("vertex %r is repeated or not in the subspace"
-                                 % (v,))
-            known.remove(v)
-        return DiagonalSubspace(self.subrack, self.modulus, self.labels,
-                                vertices, self.runs)
-
-    def blocks(self) -> list:
-        """The vertex indices in blocks of twins: each block a maximal run of
-        consecutive vertices in one column whose eigenvectors share a joint
-        character."""
-        runs = self.runs
-        out = []
-        previous = None
-        for x, (j, s) in enumerate(self.vertices):
-            key = (j, runs[s])
-            if key == previous:
-                out[-1].append(x)
-            else:
-                out.append([x])
-                previous = key
-        return out
-
-    def vertex_names(self) -> tuple:
-        return tuple("t%d.v%d" % (j, s) for j, s in self.vertices)
-
-    def __repr__(self) -> str:
-        return "DiagonalSubspace(size=%d over %r)" % (self.size, self.subrack)
-
-
 class SpectrumPlan(NamedTuple):
     """The part of a joint spectrum that does not depend on rho: the
     elements of H = <generators> in layer order (e_1 fastest), each as its
@@ -384,126 +322,90 @@ def subrack_plan(subrack: AbelianSubrack) -> SubrackPlan:
                        spectrum_plan(subrack.cls, distinct, modulus))
 
 
-def _braiding_labels(plan: SubrackPlan, character: InducedCharacter) -> tuple:
-    """(modulus, labels, runs) with labels[i][j][s] the exponent of the
-    eigenvalue of rho(gamma_ij) on eigenvector s, and runs[s] the index of
-    the joint character of eigenvector s."""
-    spectrum = planned_spectrum(plan.spectrum, character)
-    column = {p: tuple(exps[t] for exps, mult in spectrum for _ in range(mult))
-              for t, p in enumerate(plan.distinct)}
-    labels = tuple(tuple(column[p] for p in row) for row in plan.table)
-    runs = tuple(r for r, (_, mult) in enumerate(spectrum) for _ in range(mult))
-    return plan.spectrum.modulus, labels, runs
-
-
-def diagonal_subspace(plan: SubrackPlan,
-                      character: InducedCharacter) -> DiagonalSubspace:
-    """The diagonal subspace of rho over the planned subrack."""
-    modulus, labels, runs = _braiding_labels(plan, character)
-    vertices = tuple((j, s) for j in range(plan.subrack.size)
-                     for s in range(character.degree))
-    return DiagonalSubspace(plan.subrack, modulus, labels, vertices, runs)
-
-
 class GeneralizedDynkinDiagram:
-    """Vertex labels q_aa and edge labels q_ab q_ba (edges only where != 1).
+    """The generalized Dynkin diagram of a diagonal subspace, on nodes.
 
-    The vertices fall into blocks of twins, each block a tuple of vertices
-    in increasing order whose members have one label towards every other
-    vertex.  So the edges are given between blocks, (x, y, label) with
-    x <= y; an edge (x, x) joins the members of block x pairwise, and no
-    vertex is its own neighbor.  Without blocks every vertex is a block of
-    its own, and the edges are between vertices.  The sorted neighbors of
-    a block's members are built on first use, one set shared by twins, and
-    the vertex edge list only when it is asked for."""
+    A vertex (j, s) is column j and joint eigenvector s.  Eigenvectors are
+    ordered by the exponents of their linear character psi on the distinct
+    table entries, and a psi of multiplicity m fills m consecutive indices,
+    a run.  A node is a column and a run: nodes[x] = (j, indices), column
+    by column, each column's runs in order, so the vertices in node order
+    are in vertex order.  The braiding entry for row vertex (i, r) and
+    column vertex (j, s) is psi_s(gamma_ij) = zeta_modulus^labels[a][b][t],
+    a and b the places of i and j in columns and t the run of s; it does
+    not depend on r (Andruskiewitsch-Grana, 2003, section 3).  So the
+    members of a node are twins: they have one braiding with every vertex.
 
-    __slots__ = ("vertex_labels", "names", "blocks", "block_of", "_adjacent",
-                 "_neighbors", "_neighbor_sets", "_edges")
+    The vertex label of a node is q_aa of its members, and the edge label
+    of two nodes is q_ab q_ba of their members, an edge only where != 1; an
+    edge of a node to itself joins its members pairwise, and no vertex is
+    its own neighbor.  edges lists them as (x, y, label) with x <= y.  The
+    decision reads nodes only; vertices are drawn only by to_dot, and
+    rectangle gives the diagram of a few of them, each a node of its own."""
 
-    def __init__(self, vertex_labels, edges, names=None, blocks=None) -> None:
-        self.vertex_labels = tuple(vertex_labels)
-        size = len(self.vertex_labels)
-        if names is None:
-            names = tuple("v%d" % i for i in range(size))
-        self.names = tuple(names)
-        if blocks is None:
-            self.blocks = tuple((v,) for v in range(size))
-            self.block_of = tuple(range(size))
-        else:
-            self.blocks = tuple(tuple(members) for members in blocks)
-            block_of = [0] * size
-            for x, members in enumerate(self.blocks):
-                for v in members:
-                    block_of[v] = x
-            self.block_of = tuple(block_of)
-        self._adjacent = tuple({} for _ in self.blocks)
-        for x, y, w in edges:
-            self._adjacent[x].setdefault(y, w)
-            self._adjacent[y].setdefault(x, w)
-        self._neighbors = [None] * size
-        self._neighbor_sets = [None] * size
-        self._edges = None
+    __slots__ = ("subrack", "modulus", "columns", "offsets", "labels",
+                 "nodes", "edges", "_roots", "_adjacent")
 
-    @property
-    def size(self) -> int:
-        return len(self.vertex_labels)
+    def __init__(self, subrack, modulus: int, columns, runs, labels) -> None:
+        # runs: (first index, multiplicity) of each run, in order
+        self.subrack = subrack
+        self.modulus = modulus
+        self.columns = tuple(columns)
+        self.offsets = tuple(offset for offset, _ in runs)
+        self.labels = labels
+        self.nodes = tuple((j, range(offset, offset + mult))
+                           for j in self.columns for offset, mult in runs)
+        self._roots = roots = tuple(RootOfUnity(modulus, e)
+                                    for e in range(modulus))
+        width = len(self.offsets)
+        edges = []
+        self._adjacent = adjacent = tuple({} for _ in self.nodes)
+        for x, (_, indices) in enumerate(self.nodes):
+            a, r = divmod(x, width)
+            for y in range(x if len(indices) > 1 else x + 1, len(self.nodes)):
+                b, t = divmod(y, width)
+                w = (labels[a][b][t] + labels[b][a][r]) % modulus
+                if w:
+                    edges.append((x, y, roots[w]))
+                    adjacent[x][y] = adjacent[y][x] = roots[w]
+        self.edges = tuple(edges)
 
-    def block_adjacent(self, x: int) -> dict:
-        """The blocks adjacent to block x, itself included when its twins are
-        adjacent to each other, mapped to the edge label."""
+    def node(self, vertex) -> int:
+        """The node of the vertex (j, s)."""
+        j, s = vertex
+        return ((bisect_right(self.columns, j) - 1) * len(self.offsets)
+                + bisect_right(self.offsets, s) - 1)
+
+    def vertex_label(self, x: int) -> RootOfUnity:
+        a, r = divmod(x, len(self.offsets))
+        return self._roots[self.labels[a][a][r]]
+
+    def adjacent(self, x: int) -> dict:
+        """The nodes adjacent to node x, itself included when its members
+        are adjacent to each other, mapped to the edge label."""
         return self._adjacent[x]
 
-    def edge_label(self, a: int, b: int):
-        if a == b:
+    def q(self, u, v) -> RootOfUnity:
+        """The braiding entry for vertices u and v."""
+        width = len(self.offsets)
+        x, y = self.node(u), self.node(v)
+        return self._roots[self.labels[x // width][y // width][y % width]]
+
+    def edge_label(self, u, v):
+        """The edge label of vertices u and v, None where they are not
+        adjacent."""
+        if u == v:
             return None
-        return self._adjacent[self.block_of[a]].get(self.block_of[b])
-
-    def _fill(self, a: int) -> None:
-        x = self.block_of[a]
-        members = self.blocks[x]
-        adjacent = self._adjacent[x]
-        around = sorted(v for y in adjacent if y != x for v in self.blocks[y])
-        if x in adjacent:
-            for b in members:
-                near = tuple(sorted(around + [v for v in members if v != b]))
-                self._neighbors[b] = near
-                self._neighbor_sets[b] = frozenset(near)
-        else:
-            near = tuple(around)
-            shared = frozenset(near)
-            for b in members:
-                self._neighbors[b] = near
-                self._neighbor_sets[b] = shared
-
-    def neighbors(self, a: int) -> tuple:
-        if self._neighbors[a] is None:
-            self._fill(a)
-        return self._neighbors[a]
-
-    def neighbor_set(self, a: int) -> frozenset:
-        """The neighbors of a as a set: membership is a lookup, and & or -
-        with another set gives a set."""
-        if self._neighbor_sets[a] is None:
-            self._fill(a)
-        return self._neighbor_sets[a]
-
-    @property
-    def edges(self) -> tuple:
-        """Every edge (a, b, label) with a < b, sorted by (a, b)."""
-        if self._edges is None:
-            self._edges = tuple((a, b, self.edge_label(a, b))
-                                for a in range(self.size)
-                                for b in self.neighbors(a) if b > a)
-        return self._edges
+        return self._adjacent[self.node(u)].get(self.node(v))
 
     def components(self) -> tuple:
-        """The connected components, each a sorted vertex tuple, ordered by
-        least vertex.  Adjacent blocks lie in one component whole; a block
-        adjacent to no other is one component when its twins are adjacent,
-        else one per member."""
-        seen = [False] * len(self.blocks)
+        """The connected components, each a sorted node tuple, ordered by
+        least node.  The members of a node lie in one component, save that
+        a node with no edge at all is one entry here and, when it has
+        several members, stands for one component per member."""
+        seen = [False] * len(self.nodes)
         out = []
-        for start in range(len(self.blocks)):
+        for start in range(len(self.nodes)):
             if seen[start]:
                 continue
             seen[start] = True
@@ -515,42 +417,53 @@ class GeneralizedDynkinDiagram:
                         seen[y] = True
                         group.append(y)
                         stack.append(y)
-            if len(group) == 1 and start not in self._adjacent[start]:
-                out.extend((v,) for v in self.blocks[start])
-            else:
-                out.append(tuple(sorted(v for x in group for v in self.blocks[x])))
-        return tuple(sorted(out))
+            out.append(tuple(sorted(group)))
+        return tuple(out)
+
+    def rectangle(self, columns, indices) -> "GeneralizedDynkinDiagram":
+        """The diagram on the vertices (j, s) with j in columns and s in
+        indices, both increasing, each vertex a node of its own."""
+        places = [bisect_right(self.columns, j) - 1 for j in columns]
+        runs = [bisect_right(self.offsets, s) - 1 for s in indices]
+        return GeneralizedDynkinDiagram(
+            self.subrack, self.modulus, columns, [(s, 1) for s in indices],
+            tuple(tuple(tuple(self.labels[a][b][t] for t in runs)
+                        for b in places) for a in places))
 
     def to_dot(self) -> str:
+        """The diagram on its vertices, named t<j>.v<s>, in vertex order,
+        with every edge (u, v) for u before v, sorted."""
+        names = [["t%d.v%d" % (j, s) for s in indices]
+                 for j, indices in self.nodes]
         lines = ["graph diagram {"]
-        for i, label in enumerate(self.vertex_labels):
-            lines.append('  %s [label="%s"];' % (self.names[i], label))
-        for a, b, w in self.edges:
-            lines.append('  %s -- %s [label="%s"];' % (self.names[a], self.names[b], w))
+        for x, members in enumerate(names):
+            label = self.vertex_label(x)
+            lines += ['  %s [label="%s"];' % (v, label) for v in members]
+        for x, members in enumerate(names):
+            later = sorted(y for y in self._adjacent[x] if y >= x)
+            for t, u in enumerate(members):
+                for y in later:
+                    w = self._adjacent[x][y]
+                    lines += ['  %s -- %s [label="%s"];' % (u, v, w)
+                              for v in (members[t + 1:] if y == x else names[y])]
         lines.append("}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return "GeneralizedDynkinDiagram(size=%d, edges=%d)" % (self.size, len(self.edges))
+        return "GeneralizedDynkinDiagram(nodes=%d, edges=%d)" % (
+            len(self.nodes), len(self.edges))
 
 
-def dynkin_diagram(subspace: DiagonalSubspace) -> GeneralizedDynkinDiagram:
-    """The diagram of a diagonal subspace on its blocks of twins: one label
-    per pair of blocks, read off their first members.  Two twins a, b have
-    q_ab q_ba = q_aa^2, an edge only before the scalar gate."""
-    verts = subspace.vertices
-    labels = subspace.labels
-    modulus = subspace.modulus
-    roots = subspace._roots
-    blocks = subspace.blocks()
-    heads = [verts[members[0]] for members in blocks]
-    edges = []
-    for x, (ia, sa) in enumerate(heads):
-        row = labels[ia]
-        for y in range(x if len(blocks[x]) > 1 else x + 1, len(heads)):
-            ib, sb = heads[y]
-            w = (row[ib][sb] + labels[ib][ia][sa]) % modulus
-            if w:
-                edges.append((x, y, roots[w]))
-    return GeneralizedDynkinDiagram([roots[labels[j][j][s]] for j, s in verts],
-                                    edges, subspace.vertex_names(), blocks)
+def dynkin_diagram(plan: SubrackPlan,
+                   character: InducedCharacter) -> GeneralizedDynkinDiagram:
+    """The diagram of the diagonal subspace of rho over the planned
+    subrack: in each column one node per linear character psi of H that
+    occurs in rho, labelled by psi at the table entries."""
+    spectrum = planned_spectrum(plan.spectrum, character)
+    column = {p: tuple(exps[t] for exps, _ in spectrum)
+              for t, p in enumerate(plan.distinct)}
+    mults = [mult for _, mult in spectrum]
+    return GeneralizedDynkinDiagram(
+        plan.subrack, plan.spectrum.modulus, range(plan.subrack.size),
+        tuple(zip(itertools.accumulate(mults, initial=0), mults)),
+        tuple(tuple(column[p] for p in row) for row in plan.table))

@@ -14,9 +14,8 @@ import json
 import sys
 import time
 
-from .braidspace import canonical_subrack, diagonal_subspace, dynkin_diagram, \
-    powers_subrack, quadruple_subrack, rotation_subrack, subrack_plan, \
-    triple_subrack
+from .braidspace import canonical_subrack, dynkin_diagram, powers_subrack, \
+    quadruple_subrack, rotation_subrack, subrack_plan, triple_subrack
 from .permgroup import UnmixedClass
 from .reps import enumerate_irreps, parse_rep_spec, pi_scalar
 from .verdict import class_plan, closed_form_verdict, decide
@@ -253,7 +252,7 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     spec = _parse_spec(args)
 
     def draw(plan) -> str:
-        return dynkin_diagram(diagonal_subspace(plan, spec.character())).to_dot()
+        return dynkin_diagram(plan, spec.character()).to_dot()
 
     if args.subrack is not None:
         cls = UnmixedClass(args.k, args.n)

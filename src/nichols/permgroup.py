@@ -90,18 +90,19 @@ class Permutation:
         return Permutation._trusted(tuple(img))
 
     def cycles(self, include_fixed: bool = False) -> tuple:
-        seen = [False] * (self.degree + 1)
+        img = self.img
+        seen = [False] * (len(img) + 1)
         out = []
-        for x in range(1, self.degree + 1):
+        for x in range(1, len(img) + 1):
             if seen[x]:
                 continue
             cyc = [x]
             seen[x] = True
-            y = self(x)
+            y = img[x - 1]
             while y != x:
                 cyc.append(y)
                 seen[y] = True
-                y = self(y)
+                y = img[y - 1]
             if len(cyc) > 1 or include_fixed:
                 out.append(tuple(cyc))
         return tuple(out)

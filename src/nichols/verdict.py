@@ -9,8 +9,9 @@ the same inputs serves as an independent cross-check oracle.
 Past the scalar gate every vertex label is -1, so a component is Cartan
 exactly when every edge label is -1, and its matrix is then simply laced:
 of finite type exactly when its graph is an A, D or E tree.  The decision
-reads this off the diagram's neighbor lists (dynkin_shape); verify_witness
-re-fires it by linear algebra on the witness's braiding values instead.
+reads this off the nodes of the diagram (dynkin_shape), and searches its
+witnesses on at most two members of each node; verify_witness re-fires it
+by linear algebra on the witness's braiding values instead.
 
 Everything runs on the character of the representation: braidings are
 roots of unity with integer exponents, and "acts by a scalar" is read off
@@ -36,14 +37,13 @@ is a defect of the engine and raises.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from functools import cache
 from math import lcm
 from typing import NamedTuple, Optional
 
-from .braidspace import (AbelianSubrack, DiagonalSubspace,
-                         GeneralizedDynkinDiagram, SubrackPlan,
-                         diagonal_subspace, dynkin_diagram, quadruple_subrack,
+from .braidspace import (AbelianSubrack, GeneralizedDynkinDiagram,
+                         SubrackPlan, dynkin_diagram, quadruple_subrack,
                          rotation_subrack, subrack_plan, triple_subrack)
 from .exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity, rational_value
 from .permgroup import NormalForm, PartnerClass, Permutation, UnmixedClass
@@ -84,8 +84,9 @@ _EXCEPTIONAL = {(1, 2, 2): "E6", (1, 2, 3): "E7", (1, 2, 4): "E8"}
 
 
 def dynkin_shape(diagram: GeneralizedDynkinDiagram,
-                 vertices) -> Optional[DynkinShape]:
-    """Read the subdiagram on a connected vertex set as a Cartan diagram.
+                 count: dict) -> Optional[DynkinShape]:
+    """Read the subdiagram on a connected vertex set as a Cartan diagram;
+    count maps each node of the set to the number of its members in it.
 
     Every vertex label must be -1 (past the scalar gate it is; otherwise
     RuntimeError).  Then q_ab q_ba = q_aa^a_ab has a solution a_ab in
@@ -94,50 +95,48 @@ def dynkin_shape(diagram: GeneralizedDynkinDiagram,
     otherwise.  The matrix is then simply laced, and of finite type exactly
     when the graph is an A, D or E tree (Kac, Infinite-dimensional Lie
     algebras, 4.8).  The label names A_m, D_m and E6-E8, and a cycle as
-    A_{m-1}(1); any other non-finite shape is unnamed (None).
+    A_{m-1}(1); any other non-finite shape is unnamed (None).  A node
+    without edges stands for its members as one-vertex components, A1.
 
-    Labels and degrees are read per pair of twin blocks, as twins have one
-    label and one degree; neighbors are walked only in trees."""
-    keep = set(vertices)
-    count = {}
-    for v in keep:
-        x = diagram.block_of[v]
-        count[x] = count.get(x, 0) + 1
-    if any(diagram.vertex_labels[diagram.blocks[x][0]] != ROOT_MINUS_ONE
-           for x in count):
+    Labels and degrees are read per node, as twins have one label and one
+    degree, and trees are walked on nodes."""
+    if any(diagram.vertex_label(x) != ROOT_MINUS_ONE for x in count):
         raise RuntimeError("a vertex label is not -1 past the scalar gate, "
                            "so one column may hold adjacent vertices")
-    degrees = []
-    for x, c in count.items():
-        degree = 0
-        for y, w in diagram.block_adjacent(x).items():
+    degree = {}
+    for x in count:
+        degree[x] = 0
+        for y, w in diagram.adjacent(x).items():
             near = count.get(y, 0) - (y == x)
             if near:
                 if w != ROOT_MINUS_ONE:
                     return None
-                degree += near
-        degrees.append((degree, c))
-    degrees.sort(reverse=True)
-    edges = sum(d * c for d, c in degrees) // 2
-    m = len(keep)
-    top = degrees[0][0]
+                degree[x] += near
+    edges = sum(degree[x] * c for x, c in count.items()) // 2
+    if not edges:
+        return DynkinShape(True, "A1")
+    m = sum(count.values())
+    top = max(degree.values())
     if edges >= m:
         cycle = edges == m and top == 2
         return DynkinShape(False, "A%d(1)" % (m - 1) if cycle else None)
     # a tree: twins share their neighbors, so only leaves have twins
     if top <= 2:
         return DynkinShape(True, "A%d" % m)
-    if top > 3 or degrees[1][0] > 2:
+    forks = [x for x in count if degree[x] > 2]
+    if top > 3 or len(forks) > 1:
         return DynkinShape(False, None)
-    near = {v: diagram.neighbor_set(v) & keep for v in keep}
-    center = next(v for v, ws in near.items() if len(ws) == 3)
+    center = forks[0]
     arms = []
-    for start in near[center]:
+    for start in diagram.adjacent(center):
+        if start not in count:
+            continue
         length, prev, cur = 1, center, start
-        while len(near[cur]) == 2:
-            prev, cur = cur, min(near[cur] - {prev})
+        while degree[cur] == 2:
+            prev, cur = cur, next(y for y in diagram.adjacent(cur)
+                                  if y in count and y != prev)
             length += 1
-        arms.append(length)
+        arms += [length] * count[start]
     arms.sort()
     if arms[:2] == [1, 1]:
         return DynkinShape(True, "D%d" % m)
@@ -185,24 +184,59 @@ def _cartan_infinite(q) -> Optional[list]:
     return None if _positive_definite(cartan) else cartan
 
 
-def cycle_rule(diagram: GeneralizedDynkinDiagram, vertices) -> Optional[dict]:
+def _members(diagram: GeneralizedDynkinDiagram, nodes, most) -> list:
+    """The first most members (j, s) of each node (all for None), in
+    vertex order."""
+    members = []
+    for x in sorted(nodes):
+        j, indices = diagram.nodes[x]
+        members += [(j, s) for s in indices[:most]]
+    return members
+
+
+def _near(diagram: GeneralizedDynkinDiagram, vertices) -> dict:
+    """The neighbors of each vertex among vertices, in increasing order."""
+    by_node = {}
+    for v in vertices:
+        by_node.setdefault(diagram.node(v), []).append(v)
+    near = {}
+    for x, group in by_node.items():
+        adjacent = diagram.adjacent(x)
+        around = [w for y in adjacent if y != x for w in by_node.get(y, ())]
+        for v in group:
+            twins = [w for w in group if w != v] if x in adjacent else []
+            near[v] = sorted(around + twins)
+    return near
+
+
+def cycle_rule(diagram: GeneralizedDynkinDiagram, comp) -> Optional[dict]:
     """Detect a chordless 4-cycle with every vertex label -1 whose edge
     labels alternate nu, 1/nu around the cycle (opposite edges equal), in
-    the subdiagram induced on vertices.
+    the subdiagram on the vertices of the nodes comp.
 
     Such a labeled cycle certifies an infinite braiding.  Returns the cycle
-    and its labels, or None.
-    """
-    minus = [v for v in sorted(vertices)
-             if diagram.vertex_labels[v] == ROOT_MINUS_ONE]
-    mset = set(minus)
+    as vertices (j, s) and its labels, or None.
+
+    The search runs on the first two members of each node, and finds the
+    cycle that the same search on every vertex finds first:
+    - members of a node labelled -1 are never adjacent (their product is
+      q_aa^2 = 1) and share one neighbor set;
+    - so a chordless 4-cycle a - b - c - d holds two members of one node
+      only as an opposite pair, (a, c) or (b, d);
+    - moving each vertex to the first or second member of its node keeps
+      every label and every non-edge, and moves no vertex later;
+    - so the first hit, in the order a < c, then b, d among the common
+      neighbors, holds only first and second members.
+    The same argument shrinks the witness search (_minimal_infinite_set)."""
+    minus = _members(diagram, [x for x in comp if diagram.vertex_label(x)
+                               == ROOT_MINUS_ONE], 2)
+    near = _near(diagram, minus)
     for a in minus:
-        nbrs_a = diagram.neighbor_set(a)
         for c in minus:
-            if c <= a or c in nbrs_a:
+            if c <= a or diagram.edge_label(a, c) is not None:
                 continue
-            commons = [x for x in diagram.neighbors(a)
-                       if x in mset and diagram.edge_label(x, c) is not None]
+            commons = [x for x in near[a]
+                       if diagram.edge_label(x, c) is not None]
             for b, d in itertools.permutations(commons, 2):
                 if diagram.edge_label(b, d) is not None:
                     continue
@@ -330,11 +364,10 @@ def _candidates(cls: UnmixedClass):
         yield quadruple_subrack(cls, 1, 2)
 
 
-def _shortest_cycle(diagram: GeneralizedDynkinDiagram,
-                    vertices) -> Optional[tuple]:
-    """A minimum-length cycle of the subdiagram induced on vertices,
-    chordless by minimality, as a vertex tuple in cycle order; None when it
-    has no cycle.
+def _shortest_cycle(near: dict) -> Optional[tuple]:
+    """A minimum-length cycle of the graph that maps each vertex to its
+    neighbors in increasing order, chordless by minimality, as a vertex
+    tuple in cycle order; None when it has no cycle.
 
     The tie-break, on which the printed witness depends: for each edge
     (a, b) with a < b, in increasing order, a breadth-first search from a
@@ -343,19 +376,16 @@ def _shortest_cycle(diagram: GeneralizedDynkinDiagram,
     lexicographically least shortest path; the cycle is (b, ..., a) along
     it.  The answer is the first of these cycles that is least by (length,
     sorted vertex tuple)."""
-    vertices = sorted(vertices)
-    keep = set(vertices)
-    order = {v: sorted(diagram.neighbor_set(v) & keep) for v in vertices}
     best = None
-    for a in vertices:
-        for b in order[a]:
+    for a in sorted(near):
+        for b in near[a]:
             if b < a:
                 continue
             parent = {a: None}
             queue = deque([a])
             while queue and b not in parent:
                 v = queue.popleft()
-                for w in order[v]:
+                for w in near[v]:
                     if w not in parent and (v, w) != (a, b):
                         parent[w] = v
                         queue.append(w)
@@ -370,118 +400,116 @@ def _shortest_cycle(diagram: GeneralizedDynkinDiagram,
     return None if best is None else best[1]
 
 
-def _witness(space: DiagonalSubspace, firing: tuple, rule: str,
+def _witness(diagram: GeneralizedDynkinDiagram, firing: tuple, rule: str,
              detail: dict, cycle_order: tuple = ()) -> Verdict:
     # expand the firing vertex set to (its columns) x (its eigenvector
     # indices): the smallest rectangle that makes the witness self-contained
-    cols = sorted({space.vertices[x][0] for x in firing})
-    vecs = sorted({space.vertices[x][1] for x in firing})
-    vertices = tuple((j, s) for j in cols for s in vecs)
-    expanded = space.restrict(vertices)
+    cols = sorted({j for j, _ in firing})
+    vecs = sorted({s for _, s in firing})
+    vertices = [(j, s) for j in cols for s in vecs]
     position = {v: i for i, v in enumerate(vertices)}
-    diagram = dynkin_diagram(expanded)
+    expanded = diagram.rectangle(cols, vecs)
+    subrack = diagram.subrack
     witness = {
-        "subrack": space.subrack.describe(),
-        "element_images": [list(t.img) for t in space.subrack.elements],
-        "transporter_images": [list(g.img) for g in space.subrack.transporters],
+        "subrack": subrack.describe(),
+        "element_images": [list(t.img) for t in subrack.elements],
+        "transporter_images": [list(g.img) for g in subrack.transporters],
         "vertices": [[j, s] for j, s in vertices],
         "q_matrix": [[str(expanded.q(a, b)) for b in vertices]
                      for a in vertices],
-        "diagram_dot": diagram.to_dot(),
-        "components": [list(c) for c in diagram.components()],
-        "firing": sorted(position[space.vertices[x]] for x in firing),
+        "diagram_dot": expanded.to_dot(),
+        "components": [list(c) for c in expanded.components()],
+        "firing": sorted(position[v] for v in firing),
     }
     if cycle_order:
-        witness["cycle"] = [position[space.vertices[x]] for x in cycle_order]
+        witness["cycle"] = [position[v] for v in cycle_order]
     witness.update(detail)
     return Verdict(INFINITE, rule, witness)
 
 
 def _subspace_rules(plan: SubrackPlan,
                     character: InducedCharacter) -> Optional[Verdict]:
-    space = diagonal_subspace(plan, character)
-    diagram = dynkin_diagram(space)
+    diagram = dynkin_diagram(plan, character)
     cartan_hits = []
     cycle_hits = []
     for comp in diagram.components():
-        shape = dynkin_shape(diagram, comp)
+        shape = dynkin_shape(diagram, {x: len(diagram.nodes[x][1])
+                                       for x in comp})
         if shape is None:
             hit = cycle_rule(diagram, comp)
             if hit is not None:
                 firing = tuple(sorted(hit["cycle"]))
-                cycle_hits.append((_expansion_size(space, firing), firing,
+                cycle_hits.append((_expansion_size(firing), firing,
                                    hit["cycle"], hit))
         elif not shape.finite:
-            firing = _minimal_infinite_set(space, diagram, comp)
-            cartan_hits.append((_expansion_size(space, firing), firing))
+            firing = _minimal_infinite_set(diagram, comp)
+            cartan_hits.append((_expansion_size(firing), firing))
     if cartan_hits:
         size, firing = min(cartan_hits)
-        cartan = [[2 if a == b else -1 if b in diagram.neighbor_set(a) else 0
-                   for b in firing] for a in firing]
-        return _witness(space, firing, "cartan-infinite",
+        cartan = [[2 if a == b else 0 if diagram.edge_label(a, b) is None
+                   else -1 for b in firing] for a in firing]
+        count = Counter(map(diagram.node, firing))
+        return _witness(diagram, firing, "cartan-infinite",
                         {"cartan_matrix": cartan,
-                         "label": dynkin_shape(diagram, firing).label})
+                         "label": dynkin_shape(diagram, count).label})
     if cycle_hits:
         size, firing, order, hit = min(
             cycle_hits, key=lambda x: (x[0], x[1]))
-        return _witness(space, firing, "alternating-cycle",
+        return _witness(diagram, firing, "alternating-cycle",
                         {"cycle_labels": list(hit["labels"])},
                         cycle_order=order)
     return None
 
 
-def _expansion_size(space: DiagonalSubspace, firing: tuple) -> int:
-    cols = {space.vertices[x][0] for x in firing}
-    vecs = {space.vertices[x][1] for x in firing}
-    return len(cols) * len(vecs)
+def _expansion_size(firing: tuple) -> int:
+    return len({j for j, _ in firing}) * len({s for _, s in firing})
 
 
-def _minimal_infinite_set(space: DiagonalSubspace,
-                          diagram: GeneralizedDynkinDiagram,
+def _minimal_infinite_set(diagram: GeneralizedDynkinDiagram,
                           comp: tuple) -> tuple:
-    """Shrink a non-finite Cartan component of the diagram to a small
-    witness: the triangle least by (expansion, sorted tuple) when one
-    exists; else, of the shortest cycles of each one- and two-index slice
-    and of the whole component, the least by (expansion, length, sorted
-    tuple); else the whole component (non-finite trees).  Any cycle
-    subdiagram is again non-finite Cartan.
+    """Shrink a non-finite Cartan component of the diagram, given by its
+    nodes, to a small witness: the triangle least by (expansion, sorted
+    tuple) when one exists; else, of the shortest cycles of each one- and
+    two-index slice and of the whole component, the least by (expansion,
+    length, sorted tuple); else every vertex of the component (non-finite
+    trees).  Any cycle subdiagram is again non-finite Cartan.
 
-    The search runs on the first two members of each twin block of the
-    component, with the same answer:
+    The search runs on the first two members of each node of the
+    component, with the answer of the search on every vertex:
     - twins share one neighbor set and, every vertex label being -1
       (dynkin_shape raises otherwise), are never adjacent;
-    - so a triangle holds at most one member of each block, and moving
-      each to the first member of its block keeps it a triangle with no
+    - so a triangle holds at most one member of each node, and moving
+      each to the first member of its node keeps it a triangle with no
       larger expansion and no larger tuple;
     - a chordless cycle through twins x1 and x2 is x1 - p - x2 - q, as both
       cycle neighbors of x1 neighbor x2; so it holds at most two members
-      of any block, and moving them to the first two members of their
-      block keeps the length, the expansion at most and the tuple at most;
+      of any node, and moving them to the first two members of their
+      node keeps the length, the expansion at most and the tuple at most;
     - the eigenvector indices of one run can be swapped without changing
       the graph, so a slice over indices beyond the first two of a run
       repeats an earlier slice, with larger tuples."""
-    blocks = {diagram.block_of[x] for x in comp}
-    pruned = sorted(x for b in blocks for x in diagram.blocks[b][:2])
-    keep = set(pruned)
-    near = {x: diagram.neighbor_set(x) & keep for x in pruned}
+    pruned = _members(diagram, comp, 2)
+    near = _near(diagram, pruned)
+    sets = {v: set(ws) for v, ws in near.items()}
     triangles = [(a, b, c) for a in pruned for b in near[a] if b > a
-                 for c in near[a] & near[b] if c > b]
+                 for c in sets[a] & sets[b] if c > b]
     if triangles:
-        return min(triangles, key=lambda t: (_expansion_size(space, t), t))
-    vec = {x: space.vertices[x][1] for x in pruned}
-    indices = sorted(set(vec.values()))
-    subsets = [[x for x in pruned if vec[x] in chosen]
+        return min(triangles, key=lambda t: (_expansion_size(t), t))
+    indices = sorted({s for _, s in pruned})
+    subsets = [[v for v in pruned if v[1] in chosen]
                for r in (1, 2) for chosen in itertools.combinations(indices, r)]
     subsets.append(pruned)
     best = None
     for subset in subsets:
-        cyc = _shortest_cycle(diagram, subset)
+        keep = set(subset)
+        cyc = _shortest_cycle({v: [w for w in near[v] if w in keep]
+                               for v in subset})
         if cyc is not None:
             firing = tuple(sorted(cyc))
-            candidate = (_expansion_size(space, firing), len(cyc), firing)
+            candidate = (_expansion_size(firing), len(cyc), firing)
             if best is None or candidate < best:
                 best = candidate
-    return comp if best is None else best[2]
+    return tuple(_members(diagram, comp, None)) if best is None else best[2]
 
 
 def _resolve_spec(k: int, n: int, rho_spec) -> RepSpec:
@@ -579,8 +607,10 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     matrix 2I - A (A = 1 where the product is -1) not positive definite.
 
     The recorded fields that follow from these values must match them: the
-    cartan_matrix, the cycle_labels (the products around the cycle), and
-    the q_scalar and element_order of the scalar gate.  The label, the
+    cartan_matrix, the cycle_labels (the products around the cycle), the
+    q_scalar and element_order of the scalar gate, and the subrack
+    description (kind, param and the printed elements and transporters),
+    which must describe the subrack rebuilt from the images.  The label, the
     components and the diagram_dot are not read.  An entry that is not a
     root of unity printed in lowest terms, or a q_matrix that is not one
     list per vertex of one entry per vertex, fails.  A witness whose
@@ -602,13 +632,15 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
         tuple(Permutation(img) for img in w["element_images"]),
         tuple(Permutation(img) for img in w["transporter_images"]),
         kind=w["subrack"]["kind"], param=tuple(w["subrack"]["param"]))
+    if w["subrack"] != subrack.describe():
+        return False
     character = spec.character()
     vertices = [(j, s) for j, s in w["vertices"]]
     cols = sorted({j for j, _ in vertices})
     vecs = sorted({s for _, s in vertices})
     if (not vertices or vertices != [(j, s) for j in cols for s in vecs]
-            or not set(cols) <= set(range(subrack.size))
-            or not set(vecs) <= set(range(character.degree))):
+            or cols[0] < 0 or cols[-1] >= subrack.size
+            or vecs[0] < 0 or vecs[-1] >= character.degree):
         raise ValueError("witness vertices must be the rectangle of their "
                          "columns and indices, none repeated, below the "
                          "subrack size and the degree")

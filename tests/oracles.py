@@ -15,9 +15,10 @@ instead of partner classes and their dual labels in closed form, and the
 whole class and centralizer are listed element by element where the
 package works with their conjugacy-class labels, a witness is shrunk by
 listing every triangle and running one unbounded BFS per edge where the
-package runs one plain search on at most two twins per block, and the
-Dynkin diagram is built one vertex pair at a time where the package labels
-one pair of twin blocks at a time.
+package runs one plain search on at most two twins per node, and the
+Dynkin diagram is built one vertex pair at a time, and searched for
+alternating 4-cycles vertex by vertex, where the package labels one pair
+of nodes at a time and searches two members per node.
 """
 
 from __future__ import annotations
@@ -32,12 +33,12 @@ from typing import NamedTuple, Optional, Union
 
 import networkx as nx
 
-from nichols.braidspace import (GeneralizedDynkinDiagram, dynkin_diagram,
-                                triple_subrack)
+from nichols.braidspace import triple_subrack
+from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE
 from nichols.permgroup import NormalForm, Permutation, conjugate
 from nichols.reps import (GammaCharacter, YoungSubgroup, _label_to_partition,
                           partitions_of, sn_character)
-from nichols.verdict import NegativityReport, _expansion_size, class_plan
+from nichols.verdict import NegativityReport, class_plan
 
 from exactfield_oracle import MINUS_ONE, ONE, ZERO, Cyclotomic, zeta
 from exactla_oracle import Matrix, _normalize, kernel, kron
@@ -175,15 +176,10 @@ def in_centralizer(cls, g: Permutation) -> bool:
         return False
 
 
-def restrict_vectors(space, indices):
-    """Keep only the listed eigenvector indices, uniformly in every column."""
-    indices = tuple(indices)
-    return space.restrict((j, s) for j in range(space.subrack.size) for s in indices)
-
-
 def degree_sequence(diagram) -> tuple:
-    """Sorted vertex degrees, counted from the edge list."""
-    degrees = [0] * diagram.size
+    """Sorted node degrees, counted from the edge list of a diagram with no
+    edge from a node to itself."""
+    degrees = [0] * len(diagram.nodes)
     for a, b, _ in diagram.edges:
         degrees[a] += 1
         degrees[b] += 1
@@ -1012,26 +1008,126 @@ def negativity_walk(cls, rho) -> NegativityReport:
                             len(partners))
 
 
-# the Dynkin diagram one vertex pair at a time
+# the diagonal subspace and its Dynkin diagram vertex by vertex
 
-def dynkin_diagram_by_pairs(subspace) -> GeneralizedDynkinDiagram:
+class VertexSpace:
+    """A diagonal subspace listed vertex by vertex: the vertices (j, s) of
+    a node diagram of nichols.braidspace, with its braiding values."""
+
+    def __init__(self, diagram, vertices) -> None:
+        self.diagram = diagram
+        self.vertices = tuple(vertices)
+
+    @property
+    def size(self) -> int:
+        return len(self.vertices)
+
+    def q(self, a, b):
+        return self.diagram.q(a, b)
+
+    def restrict(self, vertices) -> "VertexSpace":
+        vertices = tuple(vertices)
+        known = set(self.vertices)
+        for v in vertices:
+            if v not in known:
+                raise ValueError("vertex %r is repeated or not in the subspace"
+                                 % (v,))
+            known.remove(v)
+        return VertexSpace(self.diagram, vertices)
+
+
+def vertex_space(diagram) -> VertexSpace:
+    """Every vertex of a node diagram, in vertex order."""
+    return VertexSpace(diagram, [(j, s) for j, indices in diagram.nodes
+                                 for s in indices])
+
+
+class VertexDiagram:
+    """A generalized Dynkin diagram on vertices: vertex labels, and edges
+    (a, b, label) with a < b, one per vertex pair whose label is not 1."""
+
+    def __init__(self, vertex_labels, edges, names) -> None:
+        self.vertex_labels = tuple(vertex_labels)
+        self.names = tuple(names)
+        self.edges = tuple(sorted(edges, key=lambda e: e[:2]))
+        self._adjacent = [{} for _ in self.vertex_labels]
+        for a, b, w in self.edges:
+            self._adjacent[a][b] = self._adjacent[b][a] = w
+
+    @property
+    def size(self) -> int:
+        return len(self.vertex_labels)
+
+    def neighbors(self, a: int) -> tuple:
+        return tuple(sorted(self._adjacent[a]))
+
+    def neighbor_set(self, a: int) -> frozenset:
+        return frozenset(self._adjacent[a])
+
+    def edge_label(self, a: int, b: int):
+        return self._adjacent[a].get(b)
+
+    def components(self) -> tuple:
+        graph = nx.Graph()
+        graph.add_nodes_from(range(self.size))
+        graph.add_edges_from((a, b) for a, b, _ in self.edges)
+        return tuple(sorted(tuple(sorted(c))
+                            for c in nx.connected_components(graph)))
+
+    def to_dot(self) -> str:
+        lines = ["graph diagram {"]
+        for i, label in enumerate(self.vertex_labels):
+            lines.append('  %s [label="%s"];' % (self.names[i], label))
+        for a, b, w in self.edges:
+            lines.append('  %s -- %s [label="%s"];'
+                         % (self.names[a], self.names[b], w))
+        lines.append("}")
+        return "\n".join(lines)
+
+
+def dynkin_diagram_by_pairs(subspace) -> VertexDiagram:
     """The generalized Dynkin diagram of a diagonal subspace with the label
-    q_ab q_ba summed for every pair of vertices a < b, each vertex a block
-    of its own."""
+    q_ab q_ba computed for every pair of vertices a < b."""
     verts = subspace.vertices
-    labels = subspace.labels
-    modulus = subspace.modulus
-    roots = subspace._roots
     edges = []
-    for a, (ia, sa) in enumerate(verts):
-        row = labels[ia]
+    for a, u in enumerate(verts):
         for b in range(a + 1, len(verts)):
-            ib, sb = verts[b]
-            w = (row[ib][sb] + labels[ib][ia][sa]) % modulus
-            if w:
-                edges.append((a, b, roots[w]))
-    return GeneralizedDynkinDiagram([subspace.q(v, v) for v in verts], edges,
-                                    subspace.vertex_names())
+            w = subspace.q(u, verts[b]) * subspace.q(verts[b], u)
+            if w != ROOT_ONE:
+                edges.append((a, b, w))
+    return VertexDiagram([subspace.q(v, v) for v in verts], edges,
+                         ["t%d.v%d" % v for v in verts])
+
+
+def cycle_rule(diagram: VertexDiagram, vertices) -> Optional[dict]:
+    """The labeled 4-cycle rule searched on every vertex: the first
+    chordless 4-cycle a - b - c - d with every vertex label -1, a < c, b
+    and d among the common neighbors of a and c in order, whose edge labels
+    alternate nu, 1/nu (opposite edges equal)."""
+    minus = [v for v in sorted(vertices)
+             if diagram.vertex_labels[v] == ROOT_MINUS_ONE]
+    mset = set(minus)
+    for a in minus:
+        nbrs_a = diagram.neighbor_set(a)
+        for c in minus:
+            if c <= a or c in nbrs_a:
+                continue
+            commons = [x for x in diagram.neighbors(a)
+                       if x in mset and diagram.edge_label(x, c) is not None]
+            for b, d in itertools.permutations(commons, 2):
+                if diagram.edge_label(b, d) is not None:
+                    continue
+                ab = diagram.edge_label(a, b)
+                bc = diagram.edge_label(b, c)
+                cd = diagram.edge_label(c, d)
+                da = diagram.edge_label(d, a)
+                if ab * bc != ROOT_ONE:
+                    continue
+                if ab != cd or bc != da:
+                    continue
+                return {"cycle": (a, b, c, d),
+                        "labels": (str(ab), str(bc), str(cd), str(da))}
+    return None
 
 
 # witness shrinking by listing every triangle and one full BFS per edge
@@ -1071,8 +1167,13 @@ def minimal_infinite_set(space, sub, comp: tuple) -> tuple:
     and the least by (expansion, sorted tuple) taken; else the shortest
     cycle of the component and of each one- or two-index slice, each from
     a rebuilt diagram, least by (expansion, length, tuple); else the
-    component."""
-    subdiag = dynkin_diagram(sub)
+    component.  Vertices are positions in space.vertices."""
+    def _expansion_size(firing):
+        cols = {space.vertices[x][0] for x in firing}
+        vecs = {space.vertices[x][1] for x in firing}
+        return len(cols) * len(vecs)
+
+    subdiag = dynkin_diagram_by_pairs(sub)
     adjacency = [set(subdiag.neighbors(v)) for v in range(subdiag.size)]
     triangles = []
     for a in range(subdiag.size):
@@ -1083,7 +1184,7 @@ def minimal_infinite_set(space, sub, comp: tuple) -> tuple:
                 if c > b:
                     triangles.append(tuple(sorted((comp[a], comp[b], comp[c]))))
     if triangles:
-        return min(triangles, key=lambda t: (_expansion_size(space, t), t))
+        return min(triangles, key=lambda t: (_expansion_size(t), t))
     candidates = []
     vec_indices = sorted({space.vertices[x][1] for x in comp})
     for r in (1, 2):
@@ -1091,17 +1192,17 @@ def minimal_infinite_set(space, sub, comp: tuple) -> tuple:
             keep = [x for x in comp if space.vertices[x][1] in subset]
             if len(keep) < 3:
                 continue
-            rdiag = dynkin_diagram(
+            rdiag = dynkin_diagram_by_pairs(
                 space.restrict(space.vertices[x] for x in keep))
             cyc = shortest_cycle(rdiag)
             if cyc is not None:
                 firing = tuple(sorted(keep[i] for i in cyc))
                 candidates.append(
-                    (_expansion_size(space, firing), len(cyc), firing))
+                    (_expansion_size(firing), len(cyc), firing))
     cyc = shortest_cycle(subdiag)
     if cyc is not None:
         firing = tuple(sorted(comp[x] for x in cyc))
-        candidates.append((_expansion_size(space, firing), len(cyc), firing))
+        candidates.append((_expansion_size(firing), len(cyc), firing))
     if candidates:
         return min(candidates)[2]
     return comp

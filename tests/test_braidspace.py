@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nichols.braidspace import (AbelianSubrack, GeneralizedDynkinDiagram,
-                                canonical_subrack, diagonal_subspace,
-                                dynkin_diagram, planned_spectrum,
+                                canonical_subrack, dynkin_diagram,
+                                planned_spectrum,
                                 powers_subrack, quadruple_subrack,
                                 rotation_subrack, spectrum_plan, subrack_plan,
                                 triple_subrack)
@@ -21,12 +21,12 @@ from oracles import (REFERENCE_Q_ROTATION_EDGELESS, REFERENCE_Q_SIX_CYCLE, A,
                      B, cataloged, centralizer_elements, character_value,
                      degree_sequence, dense_columns, in_centralizer,
                      is_identity, q_matches_up_to_permutation, resolve,
-                     restrict_vectors, transporter, tried_subracks)
+                     transporter, tried_subracks, vertex_space)
 
 
-def _q_strings(space):
-    verts = space.vertices
-    return [[str(space.q(a, b)) for b in verts] for a in verts]
+def _q_strings(diagram):
+    verts = vertex_space(diagram).vertices
+    return [[str(diagram.q(a, b)) for b in verts] for a in verts]
 
 
 def test_subrack_rejects_non_commuting_elements():
@@ -135,15 +135,16 @@ def test_diagonal_subspace_vertices_are_genuine_eigenvectors():
         spec = parse_rep_spec(k, n, text)
         rho = resolve(spec)
         sub = builder(cls)
-        space = diagonal_subspace(subrack_plan(sub), spec.character())
+        diagram = dynkin_diagram(subrack_plan(sub), spec.character())
         columns = dense_columns(sub, rho)
-        assert space.size > 0
-        for (j, s) in space.vertices:
+        vertices = vertex_space(diagram).vertices
+        assert len(vertices) == sub.size * spec.degree()
+        for (j, s) in vertices:
             basis, _ = columns[j]
             vec = basis[s]
             for i in range(sub.size):
                 image = rho.evaluate(cls.normal_form(sub.gamma(i, j)))
-                val = root_value(space.q((i, space.vertices[0][1]), (j, s)))
+                val = root_value(diagram.q((i, 0), (j, s)))
                 assert image.apply(vec) == tuple(val * x for x in vec)
 
 
@@ -167,9 +168,9 @@ def test_character_path_table_matches_dense_oracle():
                 continue
             rho = resolve(spec)
             for sub in subracks:
-                space = diagonal_subspace(subrack_plan(sub), spec.character())
+                diagram = dynkin_diagram(subrack_plan(sub), spec.character())
                 columns = dense_columns(sub, rho)
-                got = [[[str(space.q((i, 0), (j, s))) for s in range(spec.degree())]
+                got = [[[str(diagram.q((i, 0), (j, s))) for s in range(spec.degree())]
                         for i in range(sub.size)] for j in range(sub.size)]
                 want = [[[str(x) for x in row] for row in table]
                         for _, table in columns]
@@ -183,65 +184,70 @@ def test_character_path_table_matches_dense_oracle():
 def test_triple_braiding_matches_reference_six_cycle():
     cls = UnmixedClass(2, 3)
     chi = parse_rep_spec(2, 3, "chi=(1,1,1);mu=standard").character()
-    space = diagonal_subspace(subrack_plan(triple_subrack(cls, 1)), chi)
-    assert space.size == 6
-    assert q_matches_up_to_permutation(_q_strings(space), REFERENCE_Q_SIX_CYCLE)
-    diagram = dynkin_diagram(space)
+    diagram = dynkin_diagram(subrack_plan(triple_subrack(cls, 1)), chi)
+    assert q_matches_up_to_permutation(_q_strings(diagram), REFERENCE_Q_SIX_CYCLE)
     assert len(diagram.components()) == 1
-    assert all(str(lbl) == "-1" for lbl in diagram.vertex_labels)
-    assert len(diagram.edges) == 6
-    assert all(str(w) == "-1" for _, _, w in diagram.edges)
+    assert all(str(diagram.vertex_label(x)) == "-1"
+               for x in range(len(diagram.nodes)))
+    # every vertex a node of its own
+    vertices = diagram.rectangle(range(3), range(2))
+    assert len(vertex_space(vertices).vertices) == 6
+    assert vertices.components() == (tuple(range(6)),)
+    assert len(vertices.edges) == 6
+    assert all(str(w) == "-1" for _, _, w in vertices.edges)
 
 
 def test_rotation_braiding_matches_reference_edgeless():
     cls = UnmixedClass(4, 2)
     chi = parse_rep_spec(4, 2, "chi=(1,1);mu=trivial").character()
-    space = diagonal_subspace(subrack_plan(rotation_subrack(cls)), chi)
-    assert _q_strings(space) == REFERENCE_Q_ROTATION_EDGELESS
-    assert dynkin_diagram(space).edges == ()
+    diagram = dynkin_diagram(subrack_plan(rotation_subrack(cls)), chi)
+    assert _q_strings(diagram) == REFERENCE_Q_ROTATION_EDGELESS
+    assert diagram.edges == ()
 
 
 def test_negative_case_braiding_is_symmetric_with_unit_products():
     cls = UnmixedClass(2, 3)
     chi = parse_rep_spec(2, 3, "chi=(1,1,1);mu=trivial").character()
-    space = diagonal_subspace(subrack_plan(triple_subrack(cls, 1)), chi)
-    verts = space.vertices
+    diagram = dynkin_diagram(subrack_plan(triple_subrack(cls, 1)), chi)
+    verts = vertex_space(diagram).vertices
     for a in verts:
-        assert space.q(a, a) == ROOT_MINUS_ONE
+        assert diagram.q(a, a) == ROOT_MINUS_ONE
         for b in verts:
-            assert space.q(a, b) * space.q(b, a) == ROOT_ONE
+            assert diagram.q(a, b) * diagram.q(b, a) == ROOT_ONE
 
 
 def test_restrict_vectors_keeps_column_structure():
+    # the rectangle of one eigenvector index in every column
     cls = UnmixedClass(2, 3)
     chi = parse_rep_spec(2, 3, "chi=(1,1,1);mu=standard").character()
-    space = diagonal_subspace(subrack_plan(triple_subrack(cls, 1)), chi)
-    small = restrict_vectors(space, (0,))
-    assert small.size == 3
-    assert all(s == 0 for _, s in small.vertices)
-    for a in small.vertices:
-        for b in small.vertices:
-            assert small.q(a, b) == space.q(a, b)
+    diagram = dynkin_diagram(subrack_plan(triple_subrack(cls, 1)), chi)
+    small = diagram.rectangle(range(3), (0,))
+    assert small.nodes == tuple((j, range(0, 1)) for j in range(3))
+    vertices = vertex_space(small).vertices
+    for a in vertices:
+        for b in vertices:
+            assert small.q(a, b) == diagram.q(a, b)
 
 
 def test_dynkin_diagram_edges_only_where_product_differs_from_one():
     cls = UnmixedClass(2, 4)
     chi = parse_rep_spec(2, 4, "chi=k:1;mu=standard").character()
-    space = diagonal_subspace(subrack_plan(triple_subrack(cls, 2)), chi)
-    diagram = dynkin_diagram(space)
-    verts = space.vertices
-    listed = {(a, b) for a, b, _ in diagram.edges}
+    diagram = dynkin_diagram(subrack_plan(triple_subrack(cls, 2)), chi)
+    verts = vertex_space(diagram).vertices
+    listed = {(a, b) for a, b, _ in diagram.rectangle(
+        range(3), range(chi.degree)).edges}
     for x in range(len(verts)):
         for y in range(x + 1, len(verts)):
-            w = space.q(verts[x], verts[y]) * space.q(verts[y], verts[x])
+            w = diagram.q(verts[x], verts[y]) * diagram.q(verts[y], verts[x])
             assert ((x, y) in listed) == (w != ROOT_ONE)
+            assert (diagram.edge_label(verts[x], verts[y])
+                    == (w if w != ROOT_ONE else None))
 
 
 def test_dynkin_diagram_dot_shape():
     cls = UnmixedClass(2, 3)
     chi = parse_rep_spec(2, 3, "chi=(1,1,1);mu=standard").character()
-    space = diagonal_subspace(subrack_plan(triple_subrack(cls, 1)), chi)
-    dot = dynkin_diagram(space).to_dot()
+    dot = dynkin_diagram(subrack_plan(triple_subrack(cls, 1)), chi).to_dot()
     assert dot.startswith("graph diagram {")
     assert dot.endswith("}")
     assert dot.count("--") == 6
@@ -262,28 +268,34 @@ def test_non_commuting_table_is_rejected():
                for a, b in itertools.combinations(distinct, 2))
     chi = parse_rep_spec(4, 2, "chi=(1,1);mu=trivial").character()
     with pytest.raises(ValueError, match="do not commute"):
-        diagonal_subspace(subrack_plan(sub), chi)
+        dynkin_diagram(subrack_plan(sub), chi)
 
 
 def test_dynkin_adjacency_map_matches_edge_scan():
+    # one vertex per column over Z/12, with random labels of every order
+    # dividing 12: the adjacency of each node against a scan of the
+    # products q_ab q_ba, and the components cover every node once
     rng = random.Random(4711)
-    labels = [RootOfUnity(m, a) for m in (2, 3, 4, 6) for a in range(1, m)]
     for _ in range(200):
         size = rng.randint(1, 12)
-        pairs = [(a, b) for a in range(size) for b in range(a + 1, size)]
-        chosen = rng.sample(pairs, rng.randint(0, len(pairs)))
-        edges = [(a, b, rng.choice(labels)) for a, b in chosen]
-        diagram = GeneralizedDynkinDiagram(
-            [rng.choice(labels) for _ in range(size)], edges)
+        labels = tuple(tuple((rng.randrange(12),) for _ in range(size))
+                       for _ in range(size))
+        diagram = GeneralizedDynkinDiagram(None, 12, range(size), ((0, 1),),
+                                           labels)
+        scanned = {}
+        for a, b in itertools.combinations(range(size), 2):
+            w = (labels[a][b][0] + labels[b][a][0]) % 12
+            if w:
+                scanned[a, b] = RootOfUnity(12, w)
+        assert [(a, b) for a, b, _ in diagram.edges] == sorted(scanned)
         for v in range(size):
-            scanned = sorted([y for x, y, _ in edges if x == v]
-                             + [x for x, y, _ in edges if y == v])
-            assert diagram.neighbors(v) == tuple(scanned)
+            assert diagram.adjacent(v) == {
+                w: lbl for (x, y), lbl in scanned.items()
+                for w in (x, y) if v in (x, y) and w != v}
             for w in range(size):
-                want = next((lbl for x, y, lbl in edges
-                             if (x, y) in ((v, w), (w, v))), None)
-                assert diagram.edge_label(v, w) == want
-        assert sorted(len(diagram.neighbors(v)) for v in range(size)) == list(
+                want = scanned.get((min(v, w), max(v, w)))
+                assert diagram.edge_label((v, 0), (w, 0)) == want
+        assert sorted(len(diagram.adjacent(v)) for v in range(size)) == list(
             degree_sequence(diagram))
         covered = sorted(v for comp in diagram.components() for v in comp)
         assert covered == list(range(size))

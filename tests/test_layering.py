@@ -6,8 +6,8 @@ solver, the symmetrizer, the dense braiding table) that now lives there.
 Characters are read at class labels only: `reps` imports nothing from
 `permgroup`, and no module defines or uses a transporter, a cycle-type
 class or a walk over the whole class, which live there too.  Nor does it
-keep a wrapper whose callers know all it hides: a diagonal subspace is
-built from a subrack plan alone.  The witness check shares no code with
+keep a wrapper whose callers know all it hides: a Dynkin diagram is built
+from a subrack plan alone, on nodes, with no vertex-level twin of it.  The witness check shares no code with
 the decision's spectrum: it plans no subrack and reads no joint spectrum,
 and parses no text by regular expression."""
 
@@ -18,7 +18,7 @@ import types
 
 import nichols
 import nichols.verdict
-from nichols.braidspace import diagonal_subspace
+from nichols.braidspace import dynkin_diagram
 
 # last component of a module path that the package must not import
 FORBIDDEN_MODULES = frozenset(("exactla", "exactfield_oracle", "exactla_oracle",
@@ -27,7 +27,11 @@ FORBIDDEN_MODULES = frozenset(("exactla", "exactfield_oracle", "exactla_oracle",
 # the code behind them
 REMOVED_NAMES = frozenset(("candidate_subracks", "joint_spectrum",
                            "canonical_involutions", "block_perm", "RunConfig",
-                           "run_config", "_LABEL_NAMES"))
+                           "run_config", "_LABEL_NAMES", "DiagonalSubspace",
+                           "diagonal_subspace", "_braiding_labels", "restrict",
+                           "vertex_names", "vertex_labels", "block_of",
+                           "block_adjacent", "_fill", "neighbor_set",
+                           "_neighbors", "_neighbor_sets"))
 FORBIDDEN_NAMES = frozenset(("Cyclotomic", "cartan_type", "symmetrizable",
                              "braiding_matrix", "transporter",
                              "_involution_transporter", "CycleType",
@@ -69,17 +73,16 @@ def test_reps_reads_characters_at_labels_without_permgroup():
         assert module.split(".")[-1] != "permgroup", module
 
 
-def test_a_diagonal_subspace_is_built_from_a_plan_alone():
+def test_a_dynkin_diagram_is_built_from_a_plan_alone():
     # the plan carries its subrack, so no second argument can disagree
-    assert list(inspect.signature(diagonal_subspace).parameters) == [
+    assert list(inspect.signature(dynkin_diagram).parameters) == [
         "plan", "character"]
 
 
 # the decision's spectrum code, which the witness check re-checks and so
 # must not call
 SPECTRUM_NAMES = frozenset(("subrack_plan", "spectrum_plan", "planned_spectrum",
-                            "diagonal_subspace", "_braiding_labels",
-                            "restrict"))
+                            "dynkin_diagram"))
 
 
 def _code_objects(code):

@@ -234,8 +234,11 @@ def test_induced_degree_is_orbit_size_times_factor_degree():
 
 def test_degree_is_the_listed_orbit_size_times_the_partition_degrees():
     # the orbit size n!/prod m_v! and the stabilizer blocks, read off u,
-    # against the orbit listed by permuting u, on every golden class
+    # against the orbit listed by permuting u, on every golden class with
+    # n <= 8: the listing makes n! tuples per rep
     for k, n in sorted(DIGESTS):
+        if n > 8:
+            continue
         for spec in enumerate_irreps(k, n):
             orbit, stab = orbit_and_stabilizer(GammaCharacter(k, spec.u))
             assert spec.stabilizer() == stab, spec.label()

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 import time
@@ -9,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import nichols.braidspace
 import nichols.verdict
-from nichols.braidspace import (AbelianSubrack, _braiding_labels,
-                                diagonal_subspace, dynkin_diagram,
+from nichols.braidspace import (AbelianSubrack, dynkin_diagram,
                                 rotation_subrack, subrack_plan, triple_subrack)
 from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
 from nichols.permgroup import Permutation, UnmixedClass
@@ -147,13 +147,10 @@ def test_positive_definite_agrees_with_rational_elimination(rows):
 def test_cycle_rule_fires_on_rotation_subrack():
     cls = UnmixedClass(6, 3)
     chi = parse_rep_spec(6, 3, "chi=(1,1,1);mu=trivial").character()
-    space = diagonal_subspace(subrack_plan(rotation_subrack(cls)), chi)
-    diagram = dynkin_diagram(space)
+    diagram = dynkin_diagram(subrack_plan(rotation_subrack(cls)), chi)
     hits = []
     for comp in diagram.components():
-        sub = space.restrict(space.vertices[x] for x in comp)
-        sub_diagram = dynkin_diagram(sub)
-        hit = cycle_rule(sub_diagram, range(sub_diagram.size))
+        hit = cycle_rule(diagram, comp)
         if hit is not None:
             hits.append(hit)
     assert hits
@@ -166,10 +163,9 @@ def test_cycle_rule_fires_on_rotation_subrack():
 def test_cycle_rule_silent_without_alternation():
     cls = UnmixedClass(6, 3)
     chi = parse_rep_spec(6, 3, "chi=(3,3,3);mu=trivial").character()
-    space = diagonal_subspace(subrack_plan(rotation_subrack(cls)), chi)
-    diagram = dynkin_diagram(space)
+    diagram = dynkin_diagram(subrack_plan(rotation_subrack(cls)), chi)
     assert diagram.edges == ()
-    assert cycle_rule(diagram, range(diagram.size)) is None
+    assert cycle_rule(diagram, range(len(diagram.nodes))) is None
 
 
 def test_negativity_reduced_and_full_agree_on_negative_case():
@@ -394,24 +390,26 @@ def test_wider_grids_match_closed_form_and_witnesses_verify():
 
 @pytest.mark.slow
 def test_largest_sweeps_match_closed_form_and_witnesses_verify():
-    # 547 rows up to degree 672.  0.6 s on a 2-vCPU VM, about a third each
-    # for (2,7), (4,5) and (2,8); the bound allows a slower machine, and
-    # fails a witness search that lists every triangle of a whole
-    # component, which took over 20 min on (2,8) alone
+    # 7,018 rows up to degree 10,080, each witness sent through JSON first.
+    # About 6 s on a 2-vCPU VM, most of it (4,8) and (6,6); the bound allows
+    # a slower machine, and fails a decision that builds its diagram vertex
+    # by vertex, which took over 11 minutes on (6,6) alone
     started = time.monotonic()
     rows = verified = 0
-    for k, n in ((2, 7), (4, 5), (2, 8)):
+    for k, n in ((2, 7), (4, 5), (2, 8), (2, 10), (4, 8), (6, 5), (6, 6)):
         for spec in enumerate_irreps(k, n):
             verdict = decide(k, n, spec)
             expected = closed_form_verdict(k, n, spec)
             assert verdict.outcome == expected.outcome, (k, n, spec.label())
             rows += 1
             if verdict.outcome == INFINITE:
-                assert verify_witness(k, n, spec, verdict), (k, n, spec.label())
+                sent = json.loads(json.dumps(verdict.witness))
+                assert verify_witness(k, n, spec, verdict._replace(
+                    witness=sent)), (k, n, spec.label())
                 verified += 1
     elapsed = time.monotonic() - started
-    assert rows == 547
-    assert elapsed < 180, elapsed
+    assert rows == 7018
+    assert elapsed < 60, elapsed
     print("%d rows match the closed form, %d witnesses verify, %.1fs"
           % (rows, verified, elapsed))
 
@@ -536,6 +534,11 @@ def test_verify_witness_does_not_read_the_class_plan(monkeypatch):
     assert not verify_witness(k, n, rep, edited)
 
 
+def _braiding(plan, character):
+    diagram = dynkin_diagram(plan, character)
+    return diagram.modulus, diagram.labels, diagram.nodes
+
+
 def test_every_k2_triple_gives_the_same_braiding_labels():
     # the triples at l and l' are conjugate by a block permutation that
     # centralizes the basepoint, so the class plan keeps only l = n // 2
@@ -545,9 +548,9 @@ def test_every_k2_triple_gives_the_same_braiding_labels():
                  for l in range(1, n // 2 + 1)]
         for spec in enumerate_irreps(2, n):
             character = spec.character()
-            first = _braiding_labels(plans[-1], character)
+            first = _braiding(plans[-1], character)
             for plan in plans[:-1]:
-                assert _braiding_labels(plan, character) == first, spec.label()
+                assert _braiding(plan, character) == first, spec.label()
     kept = [(s.kind, s.param) for s in class_plan(2, 7).subracks]
     assert kept == [("canonical-triple", (3,))]
 
@@ -606,6 +609,20 @@ def test_verify_witness_rejects_negative_firing_indices():
         verify_witness(*GENUINE, forged)
 
 
+def test_verify_witness_reads_the_subrack_description():
+    # the printed elements and kind must describe the subrack rebuilt from
+    # the images; the genuine description passes a JSON round trip
+    genuine = decide(*GENUINE)
+    sent = json.loads(json.dumps(genuine.witness))
+    assert verify_witness(*GENUINE, genuine._replace(witness=sent))
+    subrack = dict(genuine.witness["subrack"], kind="quadruple-swap")
+    subrack["elements"] = ["()"] * len(subrack["elements"])
+    assert not verify_witness(*GENUINE, _forged(subrack=subrack))
+    transporters = genuine.witness["subrack"]["transporters"][::-1]
+    edited = dict(genuine.witness["subrack"], transporters=transporters)
+    assert not verify_witness(*GENUINE, _forged(subrack=edited))
+
+
 def test_verify_witness_rejects_repeated_vertices_and_short_cycles():
     vertices = decide(*GENUINE).witness["vertices"]
     forged = _forged(vertices=vertices[:-1] + vertices[:1])
@@ -657,7 +674,7 @@ def test_verify_witness_plans_no_subrack_and_no_spectrum(monkeypatch):
         raise AssertionError("the witness check used the decision's spectrum")
     for module in (nichols.braidspace, nichols.verdict):
         for name in ("subrack_plan", "spectrum_plan", "planned_spectrum",
-                     "diagonal_subspace"):
+                     "dynkin_diagram"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     assert sum(v.rule != "scalar-gate" for *_, v in witnesses) == 17
@@ -695,11 +712,16 @@ def test_verify_witness_refuses_vertices_that_are_no_rectangle():
     vertices = verdict.witness["vertices"]
     with pytest.raises(ValueError, match="rectangle"):
         verify_witness(*QUADRUPLE, _with(verdict, vertices=vertices[:-1]))
-    # s = 1 renamed to the degree, 4
-    moved = [[j, 4 if s == 1 else s] for j, s in vertices]
+    # s = 1 renamed to the degree, 4, and s = 0 or column 0 renamed to -1:
+    # each still a rectangle in order
     assert parse_rep_spec(*QUADRUPLE).degree() == 4
-    with pytest.raises(ValueError, match="degree"):
-        verify_witness(*QUADRUPLE, _with(verdict, vertices=moved))
+    assert {s for _, s in vertices} == {0, 1}
+    assert {j for j, _ in vertices} == {0, 1, 2, 3}
+    for moved in ([[j, 4 if s == 1 else s] for j, s in vertices],
+                  [[j, -1 if s == 0 else s] for j, s in vertices],
+                  [[-1 if j == 0 else j, s] for j, s in vertices]):
+        with pytest.raises(ValueError, match="degree"):
+            verify_witness(*QUADRUPLE, _with(verdict, vertices=moved))
 
 
 def test_verify_witness_refuses_an_entry_not_in_lowest_terms():

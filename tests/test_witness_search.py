@@ -1,9 +1,10 @@
-"""The component reading and the witness search of nichols.verdict against
-the references in oracles: the same Cartan and finite-type answer and label
-as the general Cartan-matrix reading on every component, the same firing
-tuple as the enumerating search on every non-finite Cartan component, the
-same cycle on random graphs, and the same diagram on twin blocks as the one
-built vertex pair by vertex pair."""
+"""The component reading, the witness search and the 4-cycle rule of
+nichols.verdict against the references in oracles: the same Cartan and
+finite-type answer and label as the general Cartan-matrix reading on every
+component, the same firing tuple as the enumerating search on every
+non-finite Cartan component, the same alternating 4-cycle as the search on
+every vertex, the same cycle on random graphs, and the same diagram on
+nodes as the one built vertex pair by vertex pair."""
 
 import itertools
 import math
@@ -14,55 +15,82 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nichols.verdict
-from nichols.braidspace import (DiagonalSubspace, GeneralizedDynkinDiagram,
-                                canonical_subrack, diagonal_subspace,
+from nichols.braidspace import (GeneralizedDynkinDiagram, canonical_subrack,
                                 dynkin_diagram, rotation_subrack, subrack_plan)
 from nichols.cli import _build_subrack
 from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
 from nichols.permgroup import UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
 from nichols.verdict import (INFINITE, _cartan_infinite, _minimal_infinite_set,
-                             _shortest_cycle, _subspace_rules, class_plan,
-                             dynkin_shape, scalar_gate, verify_witness)
+                             _near, _shortest_cycle, _subspace_rules, class_plan,
+                             cycle_rule, dynkin_shape, scalar_gate,
+                             verify_witness)
 
+import oracles
 from oracles import (CartanData, braiding_matrix, cartan_type, diagram_label,
                      dynkin_diagram_by_pairs, finite_type, finite_type_lookup,
-                     minimal_infinite_set, shortest_cycle, tried_subracks)
+                     minimal_infinite_set, shortest_cycle, tried_subracks,
+                     vertex_space)
 
 
-def _read_components(space):
-    """(diagram, restricted space, component, reading) for every component,
-    each reading checked against the general Cartan-matrix reference."""
-    diagram = dynkin_diagram(space)
-    for comp in diagram.components():
+def _count(diagram, nodes):
+    # every member of each node
+    return {x: len(diagram.nodes[x][1]) for x in nodes}
+
+
+def _node_components(diagram, space):
+    """(nodes, vertex positions) for every component of the vertex graph:
+    the members of each node component, save that an edgeless node gives
+    one component per member."""
+    position = {v: i for i, v in enumerate(space.vertices)}
+    for nodes in diagram.components():
+        comp = tuple(position[j, s] for x in nodes
+                     for j, indices in (diagram.nodes[x],) for s in indices)
+        if len(nodes) == 1 and not diagram.adjacent(nodes[0]):
+            for v in comp:
+                yield nodes, (v,)
+        else:
+            yield nodes, comp
+
+
+def _read_components(diagram):
+    """(space, restricted space, nodes, vertex component, reading) for
+    every component, each reading checked against the general Cartan-matrix
+    reference, and the components against those of the pairwise diagram."""
+    space = vertex_space(diagram)
+    found = list(_node_components(diagram, space))
+    assert sorted(comp for _, comp in found) == list(
+        dynkin_diagram_by_pairs(space).components())
+    for nodes, comp in found:
         sub = space.restrict(space.vertices[x] for x in comp)
         data = cartan_type(braiding_matrix(sub))
-        shape = dynkin_shape(diagram, comp)
+        shape = dynkin_shape(diagram, _count(diagram, nodes))
         assert (shape is not None) == isinstance(data, CartanData), comp
         if shape is not None:
             assert shape.finite == finite_type(data), comp
             assert shape.label == diagram_label(data), comp
-        yield diagram, sub, comp, shape
+        yield space, sub, nodes, comp, shape
 
 
-def _non_finite_components(space):
-    for diagram, sub, comp, shape in _read_components(space):
+def _non_finite_components(diagram):
+    for space, sub, nodes, comp, shape in _read_components(diagram):
         if shape is not None and not shape.finite:
-            yield diagram, sub, comp
+            yield space, sub, nodes, comp
 
 
 def test_witness_search_matches_the_reference_on_every_candidate_subrack():
     # every component is read as the reference reads it, finite or not,
     # Cartan or not; the non-finite ones are shrunk as the reference does
     read = checked = 0
-    for k, n, spec, subrack, space in _grid_spaces():
-        for diagram, sub, comp, shape in _read_components(space):
+    for k, n, spec, subrack, diagram in _grid_diagrams(GRID):
+        for space, sub, nodes, comp, shape in _read_components(diagram):
             read += 1
             if shape is None or shape.finite:
                 continue
             want = minimal_infinite_set(space, sub, comp)
-            got = _minimal_infinite_set(space, diagram, comp)
-            assert got == want, (k, n, spec.label(), subrack.kind)
+            got = _minimal_infinite_set(diagram, nodes)
+            assert got == tuple(space.vertices[x] for x in want), (
+                k, n, spec.label(), subrack.kind)
             checked += 1
     assert checked == 284
     assert read == 780
@@ -73,87 +101,125 @@ GRID = ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (4, 2), (4, 3), (4, 4),
         (6, 3), (8, 2), (10, 2))
 
 
-def _grid_spaces():
-    for k, n in GRID:
+def _grid_diagrams(grid):
+    for k, n in grid:
         cls = UnmixedClass(k, n)
         for spec in enumerate_irreps(k, n):
             if scalar_gate(pi_scalar(spec), k) is not None:
                 continue
             character = spec.character()
             for subrack in tried_subracks(cls):
-                space = diagonal_subspace(subrack_plan(subrack), character)
-                yield k, n, spec, subrack, space
+                diagram = dynkin_diagram(subrack_plan(subrack), character)
+                yield k, n, spec, subrack, diagram
 
 
-def _shape_or_raise(diagram, comp):
+def _assert_same_cycle(diagram, space, pairs):
+    # the 4-cycle rule on two members per node finds the cycle that the
+    # search on every vertex finds first, on every component
+    fired = 0
+    for nodes, comp in _node_components(diagram, space):
+        got = cycle_rule(diagram, nodes)
+        want = oracles.cycle_rule(pairs, comp)
+        if want is None:
+            assert got is None, comp
+            continue
+        assert got == {"cycle": tuple(space.vertices[x] for x in want["cycle"]),
+                       "labels": want["labels"]}, comp
+        fired += 1
+    return fired
+
+
+def test_cycle_rule_matches_the_vertex_rule_on_every_candidate_subrack():
+    # the grid, and two golden classes whose vertex diagrams stay small:
+    # (6,4), where the rule decides rows, and (4,5)
+    fired = 0
+    for k, n, spec, subrack, diagram in _grid_diagrams(
+            GRID + ((6, 4), (4, 5))):
+        space = vertex_space(diagram)
+        fired += _assert_same_cycle(diagram, space,
+                                    dynkin_diagram_by_pairs(space))
+    assert fired == 647
+
+
+def _shape_or_raise(diagram, count):
     try:
-        return dynkin_shape(diagram, comp)
+        return dynkin_shape(diagram, count)
     except RuntimeError as exc:
         return str(exc)
 
 
-def _assert_same_diagram(space):
-    # the diagram on twin blocks reads exactly as the one built pair by pair
-    got = dynkin_diagram(space)
-    _assert_same_graph(got, dynkin_diagram_by_pairs(space))
-    return got
+def _expanded(diagram):
+    # the same diagram with every vertex a node of its own
+    indices = sorted({s for _, run in diagram.nodes for s in run})
+    return diagram.rectangle(diagram.columns, indices)
 
 
-def _assert_same_graph(got, want):
-    assert got.vertex_labels == want.vertex_labels
-    assert got.names == want.names
-    assert got.edges == want.edges
-    everyone = range(want.size)
-    for a in everyone:
-        assert got.neighbors(a) == want.neighbors(a)
-        assert got.neighbor_set(a) == want.neighbor_set(a)
-        assert ([got.edge_label(a, b) for b in everyone]
-                == [want.edge_label(a, b) for b in everyone])
-    assert got.components() == want.components()
-    for comp in want.components():
-        assert _shape_or_raise(got, comp) == _shape_or_raise(want, comp)
+def _assert_same_diagram(diagram, space):
+    # the diagram on nodes reads exactly as the one built pair by pair on
+    # the vertices of space, which are the vertices of the diagram
+    want = dynkin_diagram_by_pairs(space)
+    assert [(j, s) for j, run in diagram.nodes for s in run] == list(
+        space.vertices)
+    assert [diagram.vertex_label(diagram.node(v))
+            for v in space.vertices] == list(want.vertex_labels)
+    assert diagram.to_dot() == want.to_dot()
+    for a, u in enumerate(space.vertices):
+        assert ([diagram.q(u, v) for v in space.vertices]
+                == [space.q(u, v) for v in space.vertices])
+        assert ([diagram.edge_label(u, v) for v in space.vertices]
+                == [want.edge_label(a, b) if a != b else None
+                    for b in range(space.size)])
+    found = list(_node_components(diagram, space))
+    assert sorted(comp for _, comp in found) == list(want.components())
+    # each reading on nodes is the reading of the vertex expansion
+    expanded = _expanded(diagram)
+    for nodes, comp in found:
+        assert (_shape_or_raise(diagram, _count(diagram, nodes))
+                == _shape_or_raise(expanded, dict.fromkeys(comp, 1)))
+    return diagram
 
 
-def test_block_diagram_reads_as_its_vertex_expansion():
-    # random blocks, not necessarily runs, with random edges between and
-    # within them, against the same graph given vertex by vertex
-    rng = random.Random(1978)
-    other = RootOfUnity(4, 1)
-    for _ in range(400):
-        size = rng.randint(1, 10)
-        order = rng.sample(range(size), size)
-        blocks = []
-        while order:
-            cut = rng.randint(1, 3)
-            blocks.append(sorted(order[:cut]))
-            order = order[cut:]
-        labels = [ROOT_MINUS_ONE] * size
-        for members in blocks:
-            if rng.random() < 0.1:
-                for v in members:
-                    labels[v] = other
-        block_edges = [(x, y, ROOT_MINUS_ONE if rng.random() < 0.9 else other)
-                       for x in range(len(blocks))
-                       for y in range(x, len(blocks)) if rng.random() < 0.3]
-        vertex_edges = [(min(a, b), max(a, b), w) for x, y, w in block_edges
-                        for a in blocks[x] for b in blocks[y]
-                        if a < b or (x != y and a != b)]
-        got = GeneralizedDynkinDiagram(labels, block_edges, blocks=blocks)
-        want = GeneralizedDynkinDiagram(labels, vertex_edges)
-        _assert_same_graph(got, want)
+@st.composite
+def node_diagrams(draw):
+    # 1 to 4 columns and 1 to 3 runs of 1 to 3 members, over Z/4 with any
+    # label on the diagonal: twins may be adjacent and labels need not be -1
+    columns = draw(st.integers(1, 4))
+    mults = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    count = columns * columns * len(mults)
+    exps = draw(st.lists(st.integers(0, 3), min_size=count, max_size=count))
+    labels = tuple(
+        tuple(tuple(exps[(i * columns + j) * len(mults) + r]
+                    for r in range(len(mults)))
+              for j in range(columns))
+        for i in range(columns))
+    return GeneralizedDynkinDiagram(
+        None, 4, range(columns),
+        tuple(zip(itertools.accumulate(mults, initial=0), mults)), labels)
+
+
+@settings(max_examples=400, deadline=None)
+@given(node_diagrams())
+def test_block_diagram_reads_as_its_vertex_expansion(diagram):
+    # random nodes with random labels between and within them, against the
+    # same graph built vertex pair by vertex pair
+    _assert_same_diagram(diagram, vertex_space(diagram))
 
 
 def test_twin_blocks_read_as_the_pairwise_diagram():
-    # every candidate subspace of the grid, and a random restriction of
-    # each, in random order (blocks split) and in subspace order
+    # every candidate subspace of the grid, and a random rectangle of each
     rng = random.Random(2003)
     merged = 0
-    for k, n, spec, subrack, space in _grid_spaces():
-        diagram = _assert_same_diagram(space)
-        merged += len(diagram.blocks) < diagram.size
-        chosen = rng.sample(space.vertices, rng.randint(1, space.size))
-        _assert_same_diagram(space.restrict(chosen))
-        _assert_same_diagram(space.restrict(sorted(chosen)))
+    for k, n, spec, subrack, diagram in _grid_diagrams(GRID):
+        space = vertex_space(diagram)
+        _assert_same_diagram(diagram, space)
+        merged += any(len(run) > 1 for _, run in diagram.nodes)
+        columns = sorted(rng.sample(diagram.columns,
+                                    rng.randint(1, len(diagram.columns))))
+        degree = space.size // len(diagram.columns)
+        indices = sorted(rng.sample(range(degree), rng.randint(1, degree)))
+        _assert_same_diagram(diagram.rectangle(columns, indices),
+                             space.restrict((j, s) for j in columns
+                                            for s in indices))
     assert merged > 0
 
 
@@ -170,64 +236,77 @@ def test_twin_blocks_before_the_scalar_gate(k, n, selector):
              if scalar_gate(pi_scalar(spec), k) is not None]
     spec = max(specs, key=lambda spec: spec.degree())
     plan = subrack_plan(_build_subrack(cls, selector))
-    space = diagonal_subspace(plan, spec.character())
-    _assert_same_diagram(space)
+    diagram = dynkin_diagram(plan, spec.character())
+    _assert_same_diagram(diagram, vertex_space(diagram))
 
 
 def test_adjacent_twins_form_one_component():
     # at (4,3) with chi=(1,1,1);mu=standard every vertex label is z(4,3):
     # the two twins of each column are adjacent, and so is every other pair
     cls = UnmixedClass(4, 3)
-    space = diagonal_subspace(subrack_plan(rotation_subrack(cls)),
-                              parse_rep_spec(4, 3, "chi=(1,1,1);mu=standard")
-                              .character())
-    diagram = _assert_same_diagram(space)
-    assert diagram.blocks == ((0, 1), (2, 3), (4, 5), (6, 7))
-    assert all(x in diagram.block_adjacent(x) for x in range(4))
-    assert diagram.components() == (tuple(range(8)),)
-    assert len(diagram.edges) == 28
-    assert all(v not in diagram.neighbor_set(v) for v in range(8))
+    diagram = dynkin_diagram(subrack_plan(rotation_subrack(cls)),
+                             parse_rep_spec(4, 3, "chi=(1,1,1);mu=standard")
+                             .character())
+    _assert_same_diagram(diagram, vertex_space(diagram))
+    assert diagram.nodes == tuple((j, range(2)) for j in range(4))
+    assert all(x in diagram.adjacent(x) for x in range(4))
+    assert diagram.components() == ((0, 1, 2, 3),)
+    assert len(_expanded(diagram).edges) == 28
+    assert all(diagram.edge_label(v, v) is None
+               for v in vertex_space(diagram).vertices)
 
 
 @st.composite
-def labeled_spaces(draw):
-    # 3 or 4 columns over a random sign table with -1 on the diagonal, as
-    # past the scalar gate, for 1 to 4 characters of multiplicity 1 to 4:
-    # the labels are constant on a run, so each column holds blocks of up
-    # to 4 twins.  Triangles of every expansion, and cycles through twins
+def labeled_spaces(draw, moduli):
+    # 3 or 4 columns over a random table of signs (or of powers of i) with
+    # -1 on the diagonal, as past the scalar gate, for 1 to 4 characters of
+    # multiplicity 1 to 4: the labels are constant on a run, so each column
+    # holds nodes of up to 4 twins.  Triangles of every expansion, and
+    # cycles through twins
+    modulus = draw(st.sampled_from(moduli))
     columns = draw(st.integers(3, 4))
     mults = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
-    runs = tuple(r for r, mult in enumerate(mults) for _ in range(mult))
     count = columns * columns * len(mults)
-    bits = draw(st.lists(st.integers(0, 1), min_size=count, max_size=count))
+    exps = draw(st.lists(st.integers(0, modulus - 1), min_size=count,
+                         max_size=count))
     labels = tuple(
-        tuple(tuple(1 if i == j else bits[(i * columns + j) * len(mults) + r]
-                    for r in runs)
+        tuple(tuple(modulus // 2 if i == j
+                    else exps[(i * columns + j) * len(mults) + r]
+                    for r in range(len(mults)))
               for j in range(columns))
         for i in range(columns))
-    vertices = [(j, s) for j in range(columns) for s in range(len(runs))]
-    return DiagonalSubspace(None, 2, labels, vertices, runs)
+    return GeneralizedDynkinDiagram(
+        None, modulus, range(columns),
+        tuple(zip(itertools.accumulate(mults, initial=0), mults)), labels)
 
 
 @settings(max_examples=300, deadline=None)
-@given(labeled_spaces())
-def test_witness_search_matches_the_reference_on_random_sign_tables(space):
+@given(labeled_spaces((2,)))
+def test_witness_search_matches_the_reference_on_random_sign_tables(diagram):
     # every component is read as the reference reads it (in
     # _read_components); the non-finite ones are shrunk alike
-    for diagram, sub, comp in _non_finite_components(space):
-        assert (_minimal_infinite_set(space, diagram, comp)
-                == minimal_infinite_set(space, sub, comp))
+    for space, sub, nodes, comp in _non_finite_components(diagram):
+        want = minimal_infinite_set(space, sub, comp)
+        assert (_minimal_infinite_set(diagram, nodes)
+                == tuple(space.vertices[x] for x in want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeled_spaces((2, 4)))
+def test_cycle_rule_matches_the_vertex_rule_on_random_tables(diagram):
+    space = vertex_space(diagram)
+    _assert_same_cycle(diagram, space, dynkin_diagram_by_pairs(space))
 
 
 def test_cycle_search_sees_at_most_two_twins_per_block(monkeypatch):
-    # at (4,4) the cycle search runs 948 times, on components whose blocks
-    # hold up to 12 twins, and is given only the first two of each block.
+    # at (4,4) the cycle search runs 948 times, on components whose nodes
+    # hold up to 12 twins, and is given only the first two of each node.
     # (At (2,6) every non-finite component has a triangle, so it never runs)
     given = []
 
-    def spy(diagram, vertices):
-        given.append((diagram, vertices))
-        return _shortest_cycle(diagram, vertices)
+    def spy(near):
+        given.append(list(near))
+        return _shortest_cycle(near)
 
     monkeypatch.setattr(nichols.verdict, "_shortest_cycle", spy)
     largest = 0
@@ -236,22 +315,21 @@ def test_cycle_search_sees_at_most_two_twins_per_block(monkeypatch):
         if scalar_gate(pi_scalar(spec), 4) is not None:
             continue
         for subrack in plans.subracks:
-            space = diagonal_subspace(plans.subrack_plan(subrack),
-                                      spec.character())
-            for diagram, sub, comp in _non_finite_components(space):
-                _minimal_infinite_set(space, diagram, comp)
-                largest = max(largest, max(
-                    len(diagram.blocks[diagram.block_of[v]]) for v in comp))
+            diagram = dynkin_diagram(plans.subrack_plan(subrack),
+                                     spec.character())
+            for space, sub, nodes, comp in _non_finite_components(diagram):
+                searched = len(given)
+                _minimal_infinite_set(diagram, nodes)
+                largest = max(largest, max(_count(diagram, nodes).values()))
+                assert all(v[1] in diagram.nodes[diagram.node(v)][1][:2]
+                           for vertices in given[searched:] for v in vertices)
     assert largest == 12 and len(given) == 948
-    for diagram, vertices in given:
-        assert all(v in diagram.blocks[diagram.block_of[v]][:2]
-                   for v in vertices)
 
 
-def _decide_on(monkeypatch, space):
-    # the rules of one subrack, run on a given diagonal subspace
-    monkeypatch.setattr(nichols.verdict, "diagonal_subspace",
-                        lambda plan, character: space)
+def _decide_on(monkeypatch, diagram):
+    # the rules of one subrack, run on a given diagram
+    monkeypatch.setattr(nichols.verdict, "dynkin_diagram",
+                        lambda plan, character: diagram)
     return _subspace_rules(None, None)
 
 
@@ -261,39 +339,38 @@ def test_witness_search_needs_minus_one_vertex_labels(monkeypatch):
     # guess
     labels = (((0, 1), (0, 1), (1, 0)), ((1, 0), (1, 1), (0, 1)),
               ((0, 1), (1, 0), (1, 1)))
-    space = DiagonalSubspace(None, 2, labels,
-                             [(j, s) for j in range(3) for s in range(2)],
-                             (0, 1))
-    diagram = dynkin_diagram(space)
+    diagram = GeneralizedDynkinDiagram(None, 2, range(3), ((0, 1), (1, 1)),
+                                       labels)
     comp = max(diagram.components(), key=len)
     with pytest.raises(RuntimeError, match="not -1"):
-        dynkin_shape(diagram, comp)
+        dynkin_shape(diagram, _count(diagram, comp))
     with pytest.raises(RuntimeError, match="not -1"):
-        _decide_on(monkeypatch, space)
+        _decide_on(monkeypatch, diagram)
     # the path 0 - 1 - 2 with every edge label -1 and the middle label
     # z(4,1): read as a graph alone it would be the finite tree A3, so the
     # guard covers finite components too
     labels = (((2,), (2,), (0,)), ((0,), (1,), (2,)), ((0,), (0,), (2,)))
-    space = DiagonalSubspace(None, 4, labels, [(j, 0) for j in range(3)],
-                             (0,))
-    diagram = dynkin_diagram(space)
+    diagram = GeneralizedDynkinDiagram(None, 4, range(3), ((0, 1),), labels)
     assert diagram.components() == ((0, 1, 2),)
     assert {w for _, _, w in diagram.edges} == {ROOT_MINUS_ONE}
     with pytest.raises(RuntimeError, match="not -1"):
-        dynkin_shape(diagram, (0, 1, 2))
+        dynkin_shape(diagram, {0: 1, 1: 1, 2: 1})
     with pytest.raises(RuntimeError, match="not -1"):
-        _decide_on(monkeypatch, space)
+        _decide_on(monkeypatch, diagram)
 
 
-def _one_vector_space(subrack, size, pairs):
-    # one eigenvector per column, every vertex label -1, and an edge
-    # labelled -1 on each given pair
-    bits = [[int(i == j) for j in range(size)] for i in range(size)]
-    for i, j in pairs:
-        bits[min(i, j)][max(i, j)] = 1
-    labels = tuple(tuple((b,) for b in row) for row in bits)
-    return DiagonalSubspace(subrack, 2, labels, [(j, 0) for j in range(size)],
-                            (0,))
+def _graph(size, pairs, label=ROOT_MINUS_ONE, subrack=None):
+    # one vertex (j, 0) per column j, every vertex label -1, and an edge
+    # with the given label on each pair
+    exponent = 4 // label.m * label.a
+    edges = {tuple(sorted(p)) for p in pairs}
+    labels = tuple(tuple((2 if a == b else exponent if (a, b) in edges else 0,)
+                         for b in range(size)) for a in range(size))
+    return GeneralizedDynkinDiagram(subrack, 4, range(size), ((0, 1),), labels)
+
+
+def _ones(nodes):
+    return dict.fromkeys(nodes, 1)
 
 
 def test_a_non_finite_tree_is_its_own_witness(monkeypatch):
@@ -303,9 +380,9 @@ def test_a_non_finite_tree_is_its_own_witness(monkeypatch):
     # the (2,4) canonical subrack, two isolated vertices beside it
     subrack = canonical_subrack(UnmixedClass(2, 4))
     assert subrack.size == 9
-    space = _one_vector_space(subrack, 9, [(0, 1), (1, 2), (0, 3), (3, 4),
-                                           (0, 5), (5, 6)])
-    verdict = _decide_on(monkeypatch, space)
+    diagram = _graph(9, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)],
+                     subrack=subrack)
+    verdict = _decide_on(monkeypatch, diagram)
     assert verdict.outcome == INFINITE and verdict.rule == "cartan-infinite"
     firing = verdict.witness["firing"]
     assert firing == list(range(7))
@@ -325,14 +402,8 @@ def test_a_non_finite_tree_is_its_own_witness(monkeypatch):
     assert not verify_witness(2, 4, "chi=(1,1,1,1);mu=trivial", verdict)
 
 
-def _graph(size, pairs, label=ROOT_MINUS_ONE):
-    edges = {tuple(sorted(p)) for p in pairs}
-    return GeneralizedDynkinDiagram(
-        [ROOT_MINUS_ONE] * size, [(a, b, label) for a, b in edges])
-
-
 def _matrix(diagram, comp):
-    return [[2 if a == b else -1 if diagram.edge_label(a, b) else 0
+    return [[2 if a == b else -1 if b in diagram.adjacent(a) else 0
              for b in comp] for a in comp]
 
 
@@ -357,12 +428,13 @@ def simply_laced_graphs(draw):
 def test_dynkin_shape_agrees_with_the_catalog_lookup(diagram):
     finite = []
     for comp in diagram.components():
-        shape = dynkin_shape(diagram, comp)
+        shape = dynkin_shape(diagram, _ones(comp))
         a = _matrix(diagram, comp)
         assert shape.finite == finite_type_lookup(a), comp
         assert shape.label == diagram_label(CartanData(a, (2,) * len(a)))
         finite.append(shape.finite)
-    assert all(finite) == finite_type_lookup(_matrix(diagram, range(diagram.size)))
+    everyone = range(len(diagram.nodes))
+    assert all(finite) == finite_type_lookup(_matrix(diagram, everyone))
 
 
 def _path(size, start=0):
@@ -371,26 +443,45 @@ def _path(size, start=0):
 
 def test_dynkin_shape_fixed_cases():
     # the A9 chain is beyond the rank-8 lookup, and finite
-    assert dynkin_shape(_graph(9, _path(9)), range(9)) == (True, "A9")
-    assert dynkin_shape(_graph(1, []), (0,)) == (True, "A1")
+    assert dynkin_shape(_graph(9, _path(9)), _ones(range(9))) == (True, "A9")
+    assert dynkin_shape(_graph(1, []), _ones((0,))) == (True, "A1")
     named = {"D5": [(0, 1), (0, 2), (0, 3), (3, 4)],
              "E8": [(0, 1), (0, 2), (2, 3), (0, 4)] + _path(4, 4)}
     for name, pairs in named.items():
         size = max(max(p) for p in pairs) + 1
-        assert dynkin_shape(_graph(size, pairs), range(size)) == (True, name)
+        assert dynkin_shape(_graph(size, pairs), _ones(range(size))) == (
+            True, name)
     affine = {"K1,4": (5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
               "D5(1)": (6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)]),
               "E6(1)": (7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])}
     for name, (size, pairs) in affine.items():
-        shape = dynkin_shape(_graph(size, pairs), range(size))
+        shape = dynkin_shape(_graph(size, pairs), _ones(range(size)))
         assert shape == (False, None), name
     cycle = _graph(6, _path(6) + [(5, 0)])
-    assert dynkin_shape(cycle, range(6)) == (False, "A5(1)")
+    assert dynkin_shape(cycle, _ones(range(6))) == (False, "A5(1)")
     chorded = _graph(4, _path(4) + [(3, 0), (0, 2)])
-    assert dynkin_shape(chorded, range(4)) == (False, None)
+    assert dynkin_shape(chorded, _ones(range(4))) == (False, None)
     # an edge label other than -1 is no Cartan entry: not a shape at all
     assert dynkin_shape(_graph(2, [(0, 1)], RootOfUnity(4, 1)),
-                        (0, 1)) is None
+                        _ones((0, 1))) is None
+
+
+def test_dynkin_shape_counts_twins():
+    # in two columns, a node of one member (node 2) adjacent to a node of
+    # one (node 0) and to a node of four twins (node 1): read with some of
+    # the twins it is a star or a path; and a node of twins without edges
+    # is one A1 per member
+    diagram = GeneralizedDynkinDiagram(None, 4, range(2), ((0, 1), (1, 4)),
+                                       (((2, 2), (2, 0)), ((0, 0), (2, 2))))
+    assert diagram.edges == ((0, 2, ROOT_MINUS_ONE), (1, 2, ROOT_MINUS_ONE))
+    assert dynkin_shape(diagram, {2: 1, 1: 3}) == (True, "D4")
+    assert dynkin_shape(diagram, {2: 1, 1: 4}) == (False, None)
+    assert dynkin_shape(diagram, {2: 1, 1: 2}) == (True, "A3")
+    assert dynkin_shape(diagram, {0: 1, 2: 1, 1: 2}) == (True, "D4")
+    assert dynkin_shape(diagram, _count(diagram, range(4))) == (False, None)
+    twins = GeneralizedDynkinDiagram(None, 2, range(1), ((0, 5),), (((1,),),))
+    assert twins.edges == () and twins.components() == ((0,),)
+    assert dynkin_shape(twins, {0: 5}) == (True, "A1")
 
 
 @st.composite
@@ -414,24 +505,33 @@ def cycle_unions(draw):
     return _graph(size, pairs)
 
 
+def _shortest_cycles(diagram):
+    # the package's cycle over every vertex (j, 0), as columns, and the
+    # reference cycle of the pairwise diagram
+    vertices = vertex_space(diagram).vertices
+    cycle = _shortest_cycle(_near(diagram, vertices))
+    want = shortest_cycle(dynkin_diagram_by_pairs(vertex_space(diagram)))
+    return (None if cycle is None else tuple(j for j, _ in cycle)), want
+
+
 def test_shortest_cycle_ties_go_to_the_least_sorted_tuple():
     # two 5-cycles through 0; the edge (0, 3) comes first, but the other
     # cycle sorts lower
     diagram = _graph(9, [(0, 3), (3, 7), (7, 8), (8, 4), (4, 0),
                          (0, 5), (5, 1), (1, 2), (2, 6), (6, 0)])
-    cycle = _shortest_cycle(diagram, range(diagram.size))
+    cycle, want = _shortest_cycles(diagram)
     assert sorted(cycle) == [0, 1, 2, 5, 6]
-    assert cycle == shortest_cycle(diagram)
+    assert cycle == want
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(small_graphs(), cycle_unions()))
 def test_shortest_cycle_is_a_girth_cycle_and_the_reference_cycle(diagram):
     graph = nx.Graph()
-    graph.add_nodes_from(range(diagram.size))
+    graph.add_nodes_from(range(len(diagram.nodes)))
     graph.add_edges_from((a, b) for a, b, _ in diagram.edges)
-    cycle = _shortest_cycle(diagram, range(diagram.size))
-    assert cycle == shortest_cycle(diagram)
+    cycle, want = _shortest_cycles(diagram)
+    assert cycle == want
     if cycle is None:
         assert nx.girth(graph) == math.inf
         return
