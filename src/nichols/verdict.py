@@ -195,17 +195,17 @@ def _members(diagram: GeneralizedDynkinDiagram, nodes, most) -> list:
 
 
 def _near(diagram: GeneralizedDynkinDiagram, vertices) -> dict:
-    """The neighbors of each vertex among vertices, in increasing order."""
+    """The neighbors of each vertex among vertices, in increasing order.
+    Every node of the vertices must be labelled -1, so that no two of its
+    members are adjacent: twins have one list."""
     by_node = {}
     for v in vertices:
         by_node.setdefault(diagram.node(v), []).append(v)
     near = {}
     for x, group in by_node.items():
-        adjacent = diagram.adjacent(x)
-        around = [w for y in adjacent if y != x for w in by_node.get(y, ())]
-        for v in group:
-            twins = [w for w in group if w != v] if x in adjacent else []
-            near[v] = sorted(around + twins)
+        around = sorted(w for y in diagram.adjacent(x)
+                        for w in by_node.get(y, ()))
+        near.update(dict.fromkeys(group, around))
     return near
 
 
@@ -615,9 +615,9 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     root of unity printed in lowest terms, or a q_matrix that is not one
     list per vertex of one entry per vertex, fails.  A witness whose
     vertices are not the rectangle (its columns) x (its indices) in order,
-    below the subrack size and the degree, whose firing or cycle indices
-    repeat or leave its vertex list, whose table entries do not commute,
-    or whose cycle is not a 4-cycle raises ValueError."""
+    from 0 and below the subrack size and the degree, whose firing or
+    cycle indices repeat or leave its vertex list, whose table entries do
+    not commute, or whose cycle is not a 4-cycle raises ValueError."""
     if verdict.outcome != INFINITE:
         raise ValueError("only infinite verdicts carry a rebuildable witness")
     spec = _resolve_spec(k, n, rho_spec)
