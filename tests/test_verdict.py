@@ -610,8 +610,9 @@ def test_verify_witness_rejects_negative_firing_indices():
 
 
 def test_verify_witness_reads_the_subrack_description():
-    # the printed elements and kind must describe the subrack rebuilt from
-    # the images; the genuine description passes a JSON round trip
+    # the printed elements and transporters must describe the subrack
+    # rebuilt from the images (the first forgery also renames the kind);
+    # the genuine description passes a JSON round trip
     genuine = decide(*GENUINE)
     sent = json.loads(json.dumps(genuine.witness))
     assert verify_witness(*GENUINE, genuine._replace(witness=sent))
