@@ -376,19 +376,15 @@ class GeneralizedDynkinDiagram:
         return ((bisect_right(self.columns, j) - 1) * len(self.offsets)
                 + bisect_right(self.offsets, s) - 1)
 
-    def vertex_label(self, x: int) -> RootOfUnity:
-        a, r = divmod(x, len(self.offsets))
-        return self._roots[self.labels[a][a][r]]
-
     def adjacent(self, x: int) -> dict:
         """The nodes adjacent to node x, itself included when its members
         are adjacent to each other, mapped to the edge label."""
         return self._adjacent[x]
 
-    def q(self, u, v) -> RootOfUnity:
-        """The braiding entry for vertices u and v."""
+    def q(self, x: int, y: int) -> RootOfUnity:
+        """The braiding entry of a member of node x with one of node y; for
+        x = y, the vertex label of node x."""
         width = len(self.offsets)
-        x, y = self.node(u), self.node(v)
         return self._roots[self.labels[x // width][y // width][y % width]]
 
     def edge_label(self, u, v):
@@ -437,7 +433,7 @@ class GeneralizedDynkinDiagram:
                  for j, indices in self.nodes]
         lines = ["graph diagram {"]
         for x, members in enumerate(names):
-            label = self.vertex_label(x)
+            label = self.q(x, x)
             lines += ['  %s [label="%s"];' % (v, label) for v in members]
         for x, members in enumerate(names):
             later = sorted(y for y in self._adjacent[x] if y >= x)

@@ -100,7 +100,7 @@ def dynkin_shape(diagram: GeneralizedDynkinDiagram,
 
     Labels and degrees are read per node, as twins have one label and one
     degree, and trees are walked on nodes."""
-    if any(diagram.vertex_label(x) != ROOT_MINUS_ONE for x in count):
+    if any(diagram.q(x, x) != ROOT_MINUS_ONE for x in count):
         raise RuntimeError("a vertex label is not -1 past the scalar gate, "
                            "so one column may hold adjacent vertices")
     degree = {}
@@ -228,8 +228,8 @@ def cycle_rule(diagram: GeneralizedDynkinDiagram, comp) -> Optional[dict]:
     - so the first hit, in the order a < c, then b, d among the common
       neighbors, holds only first and second members.
     The same argument shrinks the witness search (_minimal_infinite_set)."""
-    minus = _members(diagram, [x for x in comp if diagram.vertex_label(x)
-                               == ROOT_MINUS_ONE], 2)
+    minus = _members(diagram, [x for x in comp
+                               if diagram.q(x, x) == ROOT_MINUS_ONE], 2)
     near = _near(diagram, minus)
     for a in minus:
         for c in minus:
@@ -415,8 +415,8 @@ def _witness(diagram: GeneralizedDynkinDiagram, firing: tuple, rule: str,
         "element_images": [list(t.img) for t in subrack.elements],
         "transporter_images": [list(g.img) for g in subrack.transporters],
         "vertices": [[j, s] for j, s in vertices],
-        "q_matrix": [[str(expanded.q(a, b)) for b in vertices]
-                     for a in vertices],
+        "q_matrix": [[str(expanded.q(x, y)) for y in range(len(vertices))]
+                     for x in range(len(vertices))],
         "diagram_dot": expanded.to_dot(),
         "components": [list(c) for c in expanded.components()],
         "firing": sorted(position[v] for v in firing),

@@ -1023,7 +1023,7 @@ class VertexSpace:
         return len(self.vertices)
 
     def q(self, a, b):
-        return self.diagram.q(a, b)
+        return self.diagram.q(self.diagram.node(a), self.diagram.node(b))
 
     def restrict(self, vertices) -> "VertexSpace":
         vertices = tuple(vertices)

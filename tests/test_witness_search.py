@@ -170,11 +170,11 @@ def _assert_same_diagram(diagram, space):
     want = dynkin_diagram_by_pairs(space)
     assert [(j, s) for j, run in diagram.nodes for s in run] == list(
         space.vertices)
-    assert [diagram.vertex_label(diagram.node(v))
-            for v in space.vertices] == list(want.vertex_labels)
+    nodes = [diagram.node(v) for v in space.vertices]
+    assert [diagram.q(x, x) for x in nodes] == list(want.vertex_labels)
     assert diagram.to_dot() == want.to_dot()
     for a, u in enumerate(space.vertices):
-        assert ([diagram.q(u, v) for v in space.vertices]
+        assert ([diagram.q(nodes[a], y) for y in nodes]
                 == [space.q(u, v) for v in space.vertices])
         assert ([diagram.edge_label(u, v) for v in space.vertices]
                 == [want.edge_label(a, b) if a != b else None
