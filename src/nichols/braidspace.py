@@ -43,7 +43,7 @@ from .reps import InducedCharacter
 class AbelianSubrack:
     """Pairwise-commuting class elements with transporters from the basepoint."""
 
-    __slots__ = ("cls", "elements", "transporters", "kind", "param")
+    __slots__ = ("cls", "elements", "transporters", "kind", "param", "_names")
 
     def __init__(self, cls: UnmixedClass, elements, transporters,
                  kind: str = "custom", param: tuple = ()) -> None:
@@ -67,6 +67,7 @@ class AbelianSubrack:
         self.transporters = transporters
         self.kind = kind
         self.param = tuple(param)
+        self._names = None
 
     @property
     def size(self) -> int:
@@ -82,11 +83,18 @@ class AbelianSubrack:
                      for i in range(self.size))
 
     def describe(self) -> dict:
+        """Kind, param, and the elements and transporters in cycle
+        notation, rendered on the first call only; each call returns new
+        lists."""
+        if self._names is None:
+            self._names = (tuple(map(str, self.elements)),
+                           tuple(map(str, self.transporters)))
+        elements, transporters = self._names
         return {
             "kind": self.kind,
             "param": list(self.param),
-            "elements": [str(t) for t in self.elements],
-            "transporters": [str(g) for g in self.transporters],
+            "elements": list(elements),
+            "transporters": list(transporters),
         }
 
     def __repr__(self) -> str:
@@ -178,6 +186,13 @@ def powers_subrack(cls: UnmixedClass) -> AbelianSubrack:
         elements.append(_power(pi, j))
         transporters.append(Permutation((j * m) % k + 1 for m in range(k)))
     return AbelianSubrack(cls, elements, transporters, kind="powers")
+
+
+# each family by the kind of its subracks; a subrack's param is the rest of
+# the arguments of its family
+FAMILIES = {"canonical": canonical_subrack, "canonical-triple": triple_subrack,
+            "quadruple-swap": quadruple_subrack,
+            "quadruple-rotation": rotation_subrack, "powers": powers_subrack}
 
 
 def _power(p: Permutation, e: int) -> Permutation:

@@ -17,7 +17,7 @@ import time
 from .braidspace import canonical_subrack, dynkin_diagram, powers_subrack, \
     quadruple_subrack, rotation_subrack, subrack_plan, triple_subrack
 from .permgroup import UnmixedClass
-from .reps import enumerate_irreps, parse_rep_spec, pi_scalar
+from .reps import RepSpec, enumerate_irreps, parse_rep_spec, pi_scalar
 from .verdict import class_plan, closed_form_verdict, decide
 
 JSON_SCHEMA = "nichols.report/1"
@@ -147,10 +147,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 # table
 
-def _table_row(k: int, n: int, label: str) -> dict:
-    spec = parse_rep_spec(k, n, label)
-    verdict = decide(k, n, spec)
-    oracle = closed_form_verdict(k, n, spec)
+def _table_row(spec: RepSpec) -> dict:
+    verdict = decide(spec.k, spec.n, spec)
+    oracle = closed_form_verdict(spec.k, spec.n, spec)
     agree = "yes" if verdict.outcome == oracle.outcome else "no"
     return {
         "rep": spec.label(),
@@ -163,10 +162,6 @@ def _table_row(k: int, n: int, label: str) -> dict:
         "witness": verdict.witness,
         "flags": list(verdict.flags),
     }
-
-
-def _table_worker(task: tuple) -> dict:
-    return _table_row(*task)
 
 
 def _format_table(rows: list) -> list:
@@ -184,18 +179,17 @@ def cmd_table(args: argparse.Namespace) -> int:
     _check_class(args)
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
-    labels = [spec.label() for spec in enumerate_irreps(args.k, args.n)]
-    tasks = [(args.k, args.n, label) for label in labels]
+    specs = enumerate_irreps(args.k, args.n)
     # a fork-based pool starts all of its workers at the first submit
-    workers = min(args.jobs, len(tasks))
+    workers = min(args.jobs, len(specs))
     if workers > 1:
         # imported here: the pool pulls in multiprocessing, which a
         # one-process run does not need
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_table_worker, tasks))
+            rows = list(pool.map(_table_row, specs))
     else:
-        rows = [_table_worker(task) for task in tasks]
+        rows = [_table_row(spec) for spec in specs]
     if args.format == "json":
         report = {
             "schema": JSON_SCHEMA,

@@ -26,7 +26,13 @@ witness's own table entries generate, and s only a name.  Since
 t_i g_j v = g_j gamma_ij v, the recorded q_matrix is such a braiding
 exactly when each psi_s read off it is a character of H_w that occurs in
 chi|H_w as often as the witness uses it; the check builds H_w by closure
-and tests just that, then re-fires the rule (see verify_witness).
+and tests just that, then re-fires the rule (see verify_witness).  It is
+split as the decision is: what no representation changes is built once
+per recorded subrack (the subrack with its own checks, the family its kind
+names, and its description) and once per set of its witness columns (H_w
+as a table of Cayley edges, with the class label of each element), and
+kept for the life of the process; a row only reads its psi_s, carries
+them along those edges and sums its character at those labels.
 
 Outcomes: "InfiniteDim" always carries a machine-checkable witness, and
 "NegativeBraiding" carries the verified pair inventory.  For an unmixed
@@ -42,7 +48,7 @@ from functools import cache
 from math import lcm
 from typing import NamedTuple, Optional
 
-from .braidspace import (AbelianSubrack, GeneralizedDynkinDiagram,
+from .braidspace import (FAMILIES, AbelianSubrack, GeneralizedDynkinDiagram,
                          SubrackPlan, dynkin_diagram, quadruple_subrack,
                          rotation_subrack, subrack_plan, triple_subrack)
 from .exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity, rational_value
@@ -578,16 +584,94 @@ def _class_label(k: int, img: tuple) -> tuple:
                       ).class_label(k)
 
 
+class _WitnessGroup(NamedTuple):
+    """What the witness check needs of one subrack and a set of its
+    columns, whatever the representation: the place of gamma_ij among the
+    distinct table entries for i, j at places a, b of the columns
+    (generator[a][b]), the roots of unity of order dividing modulus, by
+    exponent and by their printed form, and H_w: its elements h_0 = 1,
+    h_1, ... in the order of a breadth-first closure from the identity,
+    with h_x = g_t h_h for x = edges[h][t] and g_t the t-th distinct
+    entry, and the class label of each."""
+
+    generator: tuple
+    modulus: int
+    roots: tuple
+    exponent: dict
+    edges: tuple
+    labels: tuple
+
+
+@cache
+def _witness_subrack(k: int, n: int, elements: tuple, transporters: tuple,
+                     kind, param: tuple) -> tuple:
+    """The subrack of a witness, rebuilt with its own checks, and its
+    description; the description is None unless kind names a family
+    (nichols.braidspace.FAMILIES) whose member at param has exactly these
+    elements and transporters."""
+    cls = UnmixedClass(k, n)
+    subrack = AbelianSubrack(cls, elements, transporters, kind=kind, param=param)
+    family = FAMILIES.get(kind)
+    if family is None:
+        return subrack, None
+    try:
+        named = family(cls, *param)
+    except (TypeError, ValueError):
+        return subrack, None
+    if (named.elements, named.transporters) != (elements, transporters):
+        return subrack, None
+    return subrack, subrack.describe()
+
+
+@cache
+def _witness_group(subrack: AbelianSubrack, cols: tuple) -> _WitnessGroup:
+    """H_w for the given columns of a subrack (see _WitnessGroup).  Table
+    entries that do not centralize the basepoint or do not commute raise
+    ValueError."""
+    cls = subrack.cls
+    position = {}
+    generator = tuple(tuple(position.setdefault(subrack.gamma(i, j),
+                                                len(position))
+                            for j in cols) for i in cols)
+    generators = tuple(position)
+    for g in generators:
+        cls.normal_form(g)
+    if not all(a.commutes_with(b)
+               for a, b in itertools.combinations(generators, 2)):
+        raise ValueError("conjugation table entries do not commute")
+    modulus = lcm(cls.k, *(g.order() for g in generators))
+    roots = tuple(RootOfUnity(modulus, e) for e in range(modulus))
+    identity = Permutation.identity(cls.degree)
+    index = {identity: 0}
+    queue = [identity]
+    edges = []
+    # the queue grows while it is read
+    for h in queue:
+        row = []
+        for g in generators:
+            x = g * h
+            if x not in index:
+                index[x] = len(queue)
+                queue.append(x)
+            row.append(index[x])
+        edges.append(tuple(row))
+    return _WitnessGroup(generator, modulus, roots,
+                         {str(r): e for e, r in enumerate(roots)},
+                         tuple(edges),
+                         tuple(_class_label(cls.k, h.img) for h in queue))
+
+
 def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     """Re-validate an infinite verdict from its recorded witness alone, on
     the witness's own group: no subrack plan, class plan or spectrum of the
     decision is read.
 
-    The subrack is rebuilt from the raw images, with its own checks.  A
-    vertex (j, s) names the vector g_j v_s, for g_j the transporter of
-    column j and v_s a joint eigenvector of rho on H_w, the group generated
-    by the table entries gamma_ij = g_j^-1 t_i g_j with i, j in the witness
-    columns; s is only a name.  Why that is sound:
+    The subrack is rebuilt from the raw images, with its own checks, and
+    the family that its kind and param name must rebuild the same elements
+    and transporters.  A vertex (j, s) names the vector g_j v_s, for g_j
+    the transporter of column j and v_s a joint eigenvector of rho on H_w,
+    the group generated by the table entries gamma_ij = g_j^-1 t_i g_j with
+    i, j in the witness columns; s is only a name.  Why that is sound:
     - t_i (g_j v) = g_j gamma_ij v, and gamma_ij centralizes the basepoint;
     - so if v_s is an eigenvector of H_w with linear character psi_s, the
       vectors g_j v_s span a braided subspace of diagonal type whose entry
@@ -606,14 +690,26 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     entry -1, every product q_ab q_ba equal to 1 or -1, and the Cartan
     matrix 2I - A (A = 1 where the product is -1) not positive definite.
 
+    Only the values and the representation change from row to row.  The
+    subrack, the family check and the description are built once per
+    recorded (images, kind, param) (_witness_subrack); the generator of
+    each gamma_ij, the normal form and commute checks, the modulus, H_w as
+    a table of Cayley edges and the class label of each of its elements
+    once per subrack and set of witness columns (_witness_group).  Each
+    row compares the description, checks its vertices and indices, reads
+    psi_s, carries it along the edges, sums chi at the labels and re-fires
+    the rule.  Checks run in that order, cached or not, and a witness that
+    raises is not cached.
+
     The recorded fields that follow from these values must match them: the
     cartan_matrix, the cycle_labels (the products around the cycle), the
     q_scalar and element_order of the scalar gate, and the subrack
     description (kind, param and the printed elements and transporters),
-    which must describe the subrack rebuilt from the images.  The label, the
-    components and the diagram_dot are not read.  An entry that is not a
-    root of unity printed in lowest terms, or a q_matrix that is not one
-    list per vertex of one entry per vertex, fails.  A witness whose
+    which must describe the subrack rebuilt from the images; a kind that
+    names no family, or a param that its family refuses, fails.  The
+    label, the components and the diagram_dot are not read.  An entry that
+    is not a root of unity printed in lowest terms, or a q_matrix that is
+    not one list per vertex of one entry per vertex, fails.  A witness whose
     vertices are not the rectangle (its columns) x (its indices) in order,
     from 0 and below the subrack size and the degree, whose firing or
     cycle indices repeat or leave its vertex list, whose table entries do
@@ -626,13 +722,11 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
         q = pi_scalar(spec)
         return ((k % 2 == 1 or q != ROOT_MINUS_ONE)
                 and w["q_scalar"] == str(q) and w["element_order"] == k)
-    cls = UnmixedClass(k, n)
-    subrack = AbelianSubrack(
-        cls,
-        tuple(Permutation(img) for img in w["element_images"]),
+    subrack, description = _witness_subrack(
+        k, n, tuple(Permutation(img) for img in w["element_images"]),
         tuple(Permutation(img) for img in w["transporter_images"]),
-        kind=w["subrack"]["kind"], param=tuple(w["subrack"]["param"]))
-    if w["subrack"] != subrack.describe():
+        w["subrack"]["kind"], tuple(w["subrack"]["param"]))
+    if description is None or w["subrack"] != description:
         return False
     character = spec.character()
     vertices = [(j, s) for j, s in w["vertices"]]
@@ -648,25 +742,15 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     for indices in (w["firing"], w.get("cycle", ())):
         if len(set(indices) & set(range(size))) != len(indices):
             raise ValueError("witness indices must be distinct vertex positions")
-    position = {}
-    entry = {(i, j): position.setdefault(subrack.gamma(i, j), len(position))
-             for i in cols for j in cols}
-    generators = tuple(position)
-    for g in generators:
-        cls.normal_form(g)
-    if not all(a.commutes_with(b)
-               for a, b in itertools.combinations(generators, 2)):
-        raise ValueError("conjugation table entries do not commute")
-    modulus = lcm(k, *(g.order() for g in generators))
-    roots = [RootOfUnity(modulus, e) for e in range(modulus)]
-    exponent = {str(r): e for e, r in enumerate(roots)}
+    group = _witness_group(subrack, tuple(cols))
+    modulus = group.modulus
     q_matrix = w["q_matrix"]
     if (not isinstance(q_matrix, list) or len(q_matrix) != size
             or any(not isinstance(row, list) or len(row) != size
                    for row in q_matrix)):
         return False
-    exps = [[exponent.get(x) if isinstance(x, str) else None for x in row]
-            for row in q_matrix]
+    exps = [[group.exponent.get(x) if isinstance(x, str) else None
+             for x in row] for row in q_matrix]
     if any(None in row for row in exps):
         return False
     # psi_s on the generators, read off every row vertex (i, r)
@@ -675,41 +759,38 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     for b in range(width):
         psi = {}
         for a, row in enumerate(exps):
-            for y, j in enumerate(cols):
+            for y, t in enumerate(group.generator[a // width]):
                 e = row[y * width + b]
-                if psi.setdefault(entry[cols[a // width], j], e) != e:
+                if psi.setdefault(t, e) != e:
                     return False
-        psis.append(tuple(psi[t] for t in range(len(generators))))
+        psis.append(tuple(psi[t] for t in range(len(psi))))
     used = sorted(set(psis))
-    # H_w by closure, each psi used carried along the tree and checked on
-    # every Cayley edge; the queue grows while it is read
-    identity = Permutation.identity(cls.degree)
-    phases = {identity: (0,) * len(used)}
-    queue = [identity]
-    for h in queue:
-        for t, g in enumerate(generators):
-            x = g * h
+    # each psi used carried from the identity along the Cayley edges of
+    # H_w, and checked on every one of them
+    phases = [None] * len(group.edges)
+    phases[0] = (0,) * len(used)
+    for h, row in enumerate(group.edges):
+        for t, x in enumerate(row):
             step = tuple((p + psi[t]) % modulus
                          for p, psi in zip(phases[h], used))
-            if x not in phases:
+            if phases[x] is None:
                 phases[x] = step
-                queue.append(x)
             elif phases[x] != step:
                 return False
-    order = len(queue)
+    order = len(phases)
     scale = modulus // k
     terms = [[(a * scale, c) for a, c in enumerate(
-              character.coefficients(_class_label(k, h.img))) if c]
-             for h in queue]
+              character.coefficients(label)) if c] for label in group.labels]
     for d, psi in enumerate(used):
         acc = [0] * modulus
-        for h, hterms in zip(queue, terms):
-            phase = phases[h][d]
+        for at, hterms in zip(phases, terms):
+            phase = at[d]
             for a, c in hterms:
                 acc[(a - phase) % modulus] += c
         total = rational_value(modulus, acc)
         if total is None or total % order or total // order < psis.count(psi):
             return False
+    roots = group.roots
     q = [[roots[e] for e in row] for row in exps]
     if verdict.rule == "cartan-infinite":
         firing = w["firing"]

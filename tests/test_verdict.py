@@ -781,3 +781,71 @@ def test_verify_witness_refuses_a_psi_that_breaks_a_relation_of_h():
     assert _cartan_infinite([[q[a][b] for b in firing] for a in firing]) \
         == w["cartan_matrix"]
     assert not verify_witness(*QUADRUPLE, _with(verdict, q_matrix=q_matrix))
+
+
+def test_verify_witness_rebuilds_the_family_its_kind_names():
+    # kind and param must name the family that has the rebuilt elements
+    # and transporters: the canonical subrack takes no index, and a custom
+    # subrack is no family; each family's genuine witness passes a JSON
+    # round trip
+    genuine = decide(*GENUINE)
+    for kind, param in (("canonical", [1]), ("custom", [1]),
+                        ("quadruple-swap", [1, 2]), ("canonical-triple", [2])):
+        subrack = dict(genuine.witness["subrack"], kind=kind, param=param)
+        assert not verify_witness(*GENUINE, _forged(subrack=subrack)), kind
+    for k, n, rep, kind in ((*GENUINE, "canonical-triple"),
+                            (*QUADRUPLE, "quadruple-swap"),
+                            (4, 4, "chi=(3,2,1,0);mu=trivial",
+                             "quadruple-rotation")):
+        verdict = decide(k, n, rep)
+        assert verdict.witness["subrack"]["kind"] == kind
+        sent = json.loads(json.dumps(verdict.witness))
+        assert verify_witness(k, n, rep, verdict._replace(witness=sent)), kind
+
+
+def _verify_or_error(verdict):
+    # False, True, or the ValueError raised, as text
+    try:
+        return verify_witness(*QUADRUPLE, verdict)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+def test_a_warm_witness_cache_refuses_what_a_cold_one_refuses():
+    # after the genuine witness fills the cache, each forgery of it is
+    # refused as from an empty cache, an error on every call
+    verdict = _quadruple_witness()
+    w = verdict.witness
+    images = [list(img) for img in w["element_images"]]
+    images[2], images[3] = images[3], images[2]
+    kept = [x for x, (j, _) in enumerate(w["vertices"]) if j]
+    # the (4,2) abelian subrack whose table entries do not commute, with
+    # the basepoint on the other two blocks
+    lift = (tuple(range(9, 17)), (10, 11, 12, 9, 14, 15, 16, 13))
+    forgeries = {
+        "element": _with(verdict, element_images=images),
+        "kind": _with(verdict, subrack=dict(w["subrack"],
+                                            kind="quadruple-rotation", param=[])),
+        "columns": _with(
+            verdict, vertices=[w["vertices"][x] for x in kept],
+            q_matrix=[[w["q_matrix"][x][y] for y in kept] for x in kept],
+            firing=[kept.index(x) for x in w["firing"] if x in kept]),
+        "commute": _with(
+            verdict,
+            element_images=[img + lift[1] for img in (
+                (2, 3, 4, 1, 6, 7, 8, 5), (4, 1, 2, 3, 8, 5, 6, 7),
+                (6, 7, 8, 5, 2, 3, 4, 1), (8, 5, 6, 7, 4, 1, 2, 3))],
+            transporter_images=[img + lift[0] for img in (
+                (1, 2, 3, 4, 5, 6, 7, 8), (1, 4, 3, 2, 5, 8, 7, 6),
+                (1, 6, 3, 8, 2, 7, 4, 5), (1, 8, 3, 6, 2, 5, 4, 7))]),
+    }
+    warm = {name: [_verify_or_error(forged) for _ in range(2)]
+            for name, forged in forgeries.items()}
+    nichols.verdict._witness_subrack.cache_clear()
+    nichols.verdict._witness_group.cache_clear()
+    cold = {name: _verify_or_error(forged)
+            for name, forged in forgeries.items()}
+    assert warm == {name: [result] * 2 for name, result in cold.items()}
+    assert cold["element"].startswith("ValueError: transporter")
+    assert cold["kind"] is cold["columns"] is cold["commute"] is False
+    assert verify_witness(*QUADRUPLE, verdict)
