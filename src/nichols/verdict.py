@@ -607,8 +607,9 @@ def _witness_subrack(k: int, n: int, elements: tuple, transporters: tuple,
                      kind, param: tuple) -> tuple:
     """The subrack of a witness, rebuilt with its own checks, and its
     description; the description is None unless kind names a family
-    (nichols.braidspace.FAMILIES) whose member at param has exactly these
-    elements and transporters."""
+    (nichols.braidspace.FAMILIES) whose member at param has exactly this
+    kind, param, elements and transporters (a family that fills in a
+    default param records it)."""
     cls = UnmixedClass(k, n)
     subrack = AbelianSubrack(cls, elements, transporters, kind=kind, param=param)
     family = FAMILIES.get(kind)
@@ -618,7 +619,8 @@ def _witness_subrack(k: int, n: int, elements: tuple, transporters: tuple,
         named = family(cls, *param)
     except (TypeError, ValueError):
         return subrack, None
-    if (named.elements, named.transporters) != (elements, transporters):
+    if ((named.kind, named.param, named.elements, named.transporters)
+            != (kind, param, elements, transporters)):
         return subrack, None
     return subrack, subrack.describe()
 

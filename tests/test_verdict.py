@@ -793,6 +793,12 @@ def test_verify_witness_rebuilds_the_family_its_kind_names():
                         ("quadruple-swap", [1, 2]), ("canonical-triple", [2])):
         subrack = dict(genuine.witness["subrack"], kind=kind, param=param)
         assert not verify_witness(*GENUINE, _forged(subrack=subrack)), kind
+    # the swap quadruple's default indices rebuild the genuine member, whose
+    # param is then (1, 2)
+    quadruple = decide(*QUADRUPLE)
+    for param in ([], [1]):
+        subrack = dict(quadruple.witness["subrack"], param=param)
+        assert not verify_witness(*QUADRUPLE, _with(quadruple, subrack=subrack))
     for k, n, rep, kind in ((*GENUINE, "canonical-triple"),
                             (*QUADRUPLE, "quadruple-swap"),
                             (4, 4, "chi=(3,2,1,0);mu=trivial",
