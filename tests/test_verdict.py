@@ -825,9 +825,10 @@ def test_a_warm_witness_cache_refuses_what_a_cold_one_refuses():
     images = [list(img) for img in w["element_images"]]
     images[2], images[3] = images[3], images[2]
     kept = [x for x, (j, _) in enumerate(w["vertices"]) if j]
-    # the (4,2) abelian subrack whose table entries do not commute, with
-    # the basepoint on the other two blocks
-    lift = (tuple(range(9, 17)), (10, 11, 12, 9, 14, 15, 16, 13))
+    # the (4,2) abelian subrack whose table entries do not commute (see
+    # test_braidspace), lifted to (4,4): its elements act as the basepoint,
+    # and its transporters as the identity, on the last two blocks
+    basepoint, identity = (10, 11, 12, 9, 14, 15, 16, 13), tuple(range(9, 17))
     forgeries = {
         "element": _with(verdict, element_images=images),
         "kind": _with(verdict, subrack=dict(w["subrack"],
@@ -838,10 +839,10 @@ def test_a_warm_witness_cache_refuses_what_a_cold_one_refuses():
             firing=[kept.index(x) for x in w["firing"] if x in kept]),
         "commute": _with(
             verdict,
-            element_images=[img + lift[1] for img in (
+            element_images=[img + basepoint for img in (
                 (2, 3, 4, 1, 6, 7, 8, 5), (4, 1, 2, 3, 8, 5, 6, 7),
                 (6, 7, 8, 5, 2, 3, 4, 1), (8, 5, 6, 7, 4, 1, 2, 3))],
-            transporter_images=[img + lift[0] for img in (
+            transporter_images=[img + identity for img in (
                 (1, 2, 3, 4, 5, 6, 7, 8), (1, 4, 3, 2, 5, 8, 7, 6),
                 (1, 6, 3, 8, 2, 7, 4, 5), (1, 8, 3, 6, 2, 5, 4, 7))]),
     }
