@@ -36,7 +36,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .exactfield import RootOfUnity, rational_value
-from .permgroup import Permutation, UnmixedClass, conjugate
+from .permgroup import Permutation, UnmixedClass
 from .reps import InducedCharacter
 
 
@@ -57,7 +57,7 @@ class AbelianSubrack:
         for t, g in zip(elements, transporters):
             if t.cycle_type() != want:
                 raise ValueError("subrack element lies outside the class")
-            if conjugate(g, cls.basepoint) != t:
+            if cls.basepoint.conjugated_by(g) != t:
                 raise ValueError("transporter does not carry the basepoint to its element")
         for a, b in itertools.combinations(elements, 2):
             if not a.commutes_with(b):
@@ -119,7 +119,7 @@ def canonical_subrack(cls: UnmixedClass) -> AbelianSubrack:
                 g = Permutation.identity(cls.degree)
                 for l, sign in zip(support, signs):
                     g = g * (cls.sigma_plus(l) if sign == 1 else cls.sigma_minus(l))
-                elements.append(conjugate(g, cls.basepoint))
+                elements.append(cls.basepoint.conjugated_by(g))
                 transporters.append(g)
     return AbelianSubrack(cls, elements, transporters, kind="canonical")
 
@@ -133,7 +133,7 @@ def triple_subrack(cls: UnmixedClass, l: int) -> AbelianSubrack:
     pi = cls.basepoint
     return AbelianSubrack(
         cls,
-        (pi, conjugate(plus, pi), conjugate(minus, pi)),
+        (pi, pi.conjugated_by(plus), pi.conjugated_by(minus)),
         (Permutation.identity(cls.degree), plus, minus),
         kind="canonical-triple", param=(l,))
 
@@ -179,11 +179,10 @@ def powers_subrack(cls: UnmixedClass) -> AbelianSubrack:
     k = cls.k
     elements = []
     transporters = []
-    pi = cls.basepoint
     for j in range(1, k):
         if gcd(j, k) != 1:
             continue
-        elements.append(_power(pi, j))
+        elements.append(cls.twist((j,)))
         transporters.append(Permutation((j * m) % k + 1 for m in range(k)))
     return AbelianSubrack(cls, elements, transporters, kind="powers")
 
@@ -193,13 +192,6 @@ def powers_subrack(cls: UnmixedClass) -> AbelianSubrack:
 FAMILIES = {"canonical": canonical_subrack, "canonical-triple": triple_subrack,
             "quadruple-swap": quadruple_subrack,
             "quadruple-rotation": rotation_subrack, "powers": powers_subrack}
-
-
-def _power(p: Permutation, e: int) -> Permutation:
-    out = Permutation.identity(p.degree)
-    for _ in range(e):
-        out = out * p
-    return out
 
 
 class SpectrumPlan(NamedTuple):

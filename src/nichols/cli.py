@@ -186,8 +186,11 @@ def cmd_table(args: argparse.Namespace) -> int:
         # imported here: the pool pulls in multiprocessing, which a
         # one-process run does not need
         from concurrent.futures import ProcessPoolExecutor
+        # one row per task costs more in pickling than a row takes to
+        # decide; about four chunks per worker still share out uneven rows
+        chunk = -(-len(specs) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_table_row, specs))
+            rows = list(pool.map(_table_row, specs, chunksize=chunk))
     else:
         rows = [_table_row(spec) for spec in specs]
     if args.format == "json":

@@ -139,11 +139,6 @@ class Permutation:
         return "Permutation(%r)" % (self.img,)
 
 
-def conjugate(g: Permutation, h: Permutation) -> Permutation:
-    """g acting on h by conjugation: g h g^{-1}."""
-    return h.conjugated_by(g)
-
-
 class NormalForm(NamedTuple):
     """Centralizer element as twist exponents d and block permutation b."""
 

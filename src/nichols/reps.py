@@ -5,11 +5,15 @@ from a character of the abelian part (a vector u with values in Z/k,
 stored with u non-increasing as orbit representative), an irrep of the
 Young-subgroup stabilizer of u (an outer tensor product of symmetric-group
 irreps, one partition per level set of u), and induction up to the full
-group.  A RepSpec names one; the engine needs only its character, which
-InducedCharacter computes from the spec alone: the induced-character
-formula over the orbit of u, with the symmetric-group factors given by the
-Murnaghan-Nakayama rule.  That works for every partition, so every irrep
-of every class is available; no representation matrix is ever built.
+group.  A RepSpec names one by u and its partitions alone: the stabilizer
+enters only through its block sizes, the level sizes m_v of u (how many
+entries hold each value v, values descending; see level_sizes), and the
+orbit of u has n! / prod m_v! members.  The engine needs only the
+character, which InducedCharacter computes from the spec alone: the
+induced-character formula over the orbit of u, with the symmetric-group
+factors given by the Murnaghan-Nakayama rule.  That works for every
+partition, so every irrep of every class is available; no representation
+matrix is ever built.
 A character is a class function, so it is read at a conjugacy-class label
 of the centralizer, the sorted (L, s) pairs of nichols.permgroup, and never
 at a group element.  Character values are integer coefficient vectors over
@@ -21,66 +25,16 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import NamedTuple, Optional
 
 from .exactfield import RootOfUnity, rational_value
 
 
-class GammaCharacter:
-    """Character of (Z/k)^n sending the j-th generator to zeta_k^{u_j}."""
-
-    __slots__ = ("k", "u")
-
-    def __init__(self, k: int, u) -> None:
-        if k < 1:
-            raise ValueError("modulus must be positive")
-        self.k = k
-        self.u = tuple(int(x) % k for x in u)
-
-    @property
-    def n(self) -> int:
-        return len(self.u)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GammaCharacter):
-            return NotImplemented
-        return self.k == other.k and self.u == other.u
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.u))
-
-    def __repr__(self) -> str:
-        return "chi(%s mod %d)" % (",".join(str(x) for x in self.u), self.k)
-
-
-class YoungSubgroup(NamedTuple):
-    """Product of symmetric groups on the listed position blocks of 1..n."""
-
-    blocks: tuple
-
-    def sizes(self) -> tuple:
-        return tuple(len(b) for b in self.blocks)
-
-    def order(self) -> int:
-        out = 1
-        for b in self.blocks:
-            out *= factorial(len(b))
-        return out
-
-
-def stabilizer(chi: GammaCharacter) -> YoungSubgroup:
-    """The stabilizer of chi in S_n: one block per value of chi, values in
-    descending order, each block the positions (1-based) holding it."""
-    return YoungSubgroup(tuple(
-        tuple(i for i, x in enumerate(chi.u, start=1) if x == v)
-        for v in sorted(set(chi.u), reverse=True)))
-
-
-def orbit_size(chi: GammaCharacter) -> int:
-    """The size of the S_n-orbit of chi, n! over the order of its
-    stabilizer."""
-    return factorial(chi.n) // stabilizer(chi).order()
+def level_sizes(u) -> tuple:
+    """How many entries of u hold each value, values in descending order:
+    the block sizes of the stabilizer of u in S_n, a Young subgroup."""
+    return tuple(u.count(v) for v in sorted(set(u), reverse=True))
 
 
 # symmetric-group irreps and their characters
@@ -165,14 +119,12 @@ class RepSpec(NamedTuple):
     u: tuple
     partitions: tuple
 
-    def stabilizer(self) -> YoungSubgroup:
-        return stabilizer(GammaCharacter(self.k, self.u))
-
     def degree(self) -> int:
-        deg = orbit_size(GammaCharacter(self.k, self.u))
-        for p in self.partitions:
-            deg *= partition_degree(p)
-        return deg
+        # the orbit of u has n! / prod m_v! members, m_v the level sizes
+        deg = factorial(len(self.u))
+        for m in level_sizes(self.u):
+            deg //= factorial(m)
+        return deg * prod(map(partition_degree, self.partitions))
 
     def mu_label(self) -> str:
         sizes = tuple(sum(p) for p in self.partitions)
@@ -220,9 +172,8 @@ class InducedCharacter:
         self.spec = spec
         self.k = spec.k
         self.degree = spec.degree()
-        values = sorted(set(spec.u), reverse=True)
-        self._levels = tuple((v, spec.u.count(v), part)
-                             for v, part in zip(values, spec.partitions))
+        self._levels = tuple(zip(sorted(set(spec.u), reverse=True),
+                                 level_sizes(spec.u), spec.partitions))
         self._values = {}
 
     def coefficients(self, label: tuple) -> tuple:
@@ -312,8 +263,7 @@ def enumerate_irreps(k: int, n: int) -> list:
     """
     out = []
     for u in itertools.combinations_with_replacement(range(k - 1, -1, -1), n):
-        stab = stabilizer(GammaCharacter(k, u))
-        for parts in itertools.product(*(partitions_of(s) for s in stab.sizes())):
+        for parts in itertools.product(*map(partitions_of, level_sizes(u))):
             out.append(RepSpec(k, n, u, parts))
     return out
 
@@ -371,10 +321,7 @@ def parse_rep_spec(k: int, n: int, text: str) -> RepSpec:
         if len(u) != n:
             raise ValueError("character vector must have length %d" % n)
         u = tuple(sorted(u, reverse=True))
-    stab = stabilizer(GammaCharacter(k, u))
-    mu_text = fields.get("mu", "trivial")
-    partitions = _parse_mu(stab, mu_text)
-    return RepSpec(k, n, u, partitions)
+    return RepSpec(k, n, u, _parse_mu(level_sizes(u), fields.get("mu", "trivial")))
 
 
 def _integer(token: str) -> int:
@@ -384,8 +331,7 @@ def _integer(token: str) -> int:
         raise ValueError("%r is not an integer" % token) from None
 
 
-def _parse_mu(stab: YoungSubgroup, text: str) -> tuple:
-    sizes = stab.sizes()
+def _parse_mu(sizes: tuple, text: str) -> tuple:
     if text in ("trivial", "sign"):
         return tuple(_label_to_partition(s, text) for s in sizes)
     if text in ("standard", "standard_sign"):

@@ -326,24 +326,21 @@ def negativity_check(cls: UnmixedClass, character: InducedCharacter) -> Negativi
     for partner in class_plan(cls.k, cls.n).partners():
         checked += 1
         lam = character.scalar(partner.label)
+        mu = None if lam is None else character.scalar(partner.dual)
         if lam is None:
-            return NegativityReport(
-                False, checked, True,
-                {"pair": _pair(cls, partner), "reason": "non-scalar value"},
-                tuple(kept), count)
-        mu = character.scalar(partner.dual)
-        if mu is None:
-            return NegativityReport(
-                False, checked, True,
-                {"pair": _pair(cls, partner),
-                 "reason": "non-scalar pulled-back value"}, tuple(kept), count)
-        if lam * mu != ROOT_ONE:
-            return NegativityReport(
-                False, checked, True,
-                {"pair": _pair(cls, partner), "value": str(lam * mu),
-                 "reason": "opposite values do not cancel"}, tuple(kept), count)
-        kept.append(str(partner.representative))
-        count += partner.size
+            failure = {"reason": "non-scalar value"}
+        elif mu is None:
+            failure = {"reason": "non-scalar pulled-back value"}
+        elif lam * mu != ROOT_ONE:
+            failure = {"value": str(lam * mu),
+                       "reason": "opposite values do not cancel"}
+        else:
+            kept.append(str(partner.representative))
+            count += partner.size
+            continue
+        return NegativityReport(False, checked, True,
+                                {"pair": _pair(cls, partner), **failure},
+                                tuple(kept), count)
     return NegativityReport(True, checked, True, None, tuple(kept), count)
 
 

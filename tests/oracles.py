@@ -35,9 +35,8 @@ import networkx as nx
 
 from nichols.braidspace import triple_subrack
 from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE
-from nichols.permgroup import NormalForm, Permutation, conjugate
-from nichols.reps import (GammaCharacter, YoungSubgroup, _label_to_partition,
-                          partitions_of, sn_character)
+from nichols.permgroup import NormalForm, Permutation
+from nichols.reps import _label_to_partition, partitions_of, sn_character
 from nichols.verdict import NegativityReport, class_plan
 
 from exactfield_oracle import MINUS_ONE, ONE, ZERO, Cyclotomic, zeta
@@ -155,6 +154,32 @@ def tried_subracks(cls) -> list:
         subracks += [triple_subrack(cls, l)
                      for l in range(cls.n // 2 - 1, 0, -1)]
     return subracks
+
+
+def conjugate(g: Permutation, h: Permutation) -> Permutation:
+    """g acting on h by conjugation, g h g^-1, as a product of three
+    permutations."""
+    return g * h * g.inverse()
+
+
+class GammaCharacter(NamedTuple):
+    """Character of (Z/k)^n sending the j-th generator to zeta_k^{u_j}."""
+
+    k: int
+    u: tuple
+
+    @property
+    def n(self) -> int:
+        return len(self.u)
+
+    def __repr__(self) -> str:
+        return "chi(%s mod %d)" % (",".join(str(x) for x in self.u), self.k)
+
+
+class YoungSubgroup(NamedTuple):
+    """Product of symmetric groups on the listed position blocks of 1..n."""
+
+    blocks: tuple
 
 
 def orbit_and_stabilizer(chi: GammaCharacter) -> tuple:

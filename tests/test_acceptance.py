@@ -13,13 +13,13 @@ import sys
 import time
 
 import nichols
-from nichols.permgroup import UnmixedClass, conjugate
+from nichols.permgroup import UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec
 from nichols.verdict import (INFINITE, NEGATIVE, closed_form_verdict, decide,
                              verify_witness)
 
 from oracles import (REFERENCE_Q_SIX_CYCLE, CartanData, cataloged,
-                     centralizer_elements, class_size, finite_type,
+                     centralizer_elements, class_size, conjugate, finite_type,
                      finite_type_lookup, negativity_full,
                      q_matches_up_to_permutation, random_symmetrizable_gcm,
                      resolve, transporter)

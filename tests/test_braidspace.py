@@ -13,13 +13,13 @@ from nichols.braidspace import (AbelianSubrack, GeneralizedDynkinDiagram,
                                 rotation_subrack, spectrum_plan, subrack_plan,
                                 triple_subrack)
 from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
-from nichols.permgroup import Permutation, UnmixedClass, conjugate
+from nichols.permgroup import Permutation, UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec
 
 from exactfield_oracle import ZERO, rational, root_value, zeta
 from oracles import (REFERENCE_Q_ROTATION_EDGELESS, REFERENCE_Q_SIX_CYCLE, A,
                      B, cataloged, centralizer_elements, character_value,
-                     degree_sequence, dense_columns, in_centralizer,
+                     conjugate, degree_sequence, dense_columns, in_centralizer,
                      is_identity, q_matches_up_to_permutation, resolve,
                      transporter, tried_subracks, vertex_space)
 

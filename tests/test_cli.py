@@ -236,7 +236,7 @@ def test_table_starts_no_more_workers_than_rows(monkeypatch, capsys):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
+        def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)

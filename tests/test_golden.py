@@ -25,6 +25,8 @@ DIGESTS = {
     (2, 8): "92eb5213f66cac2b30662355f9bc861ee2556ad81d2254615c12cdfd625aad73",
     (2, 9): "e55e233cdd0f9910322cb24a82fa33fe897082d294f3e0b72de4634668ae133a",
     (2, 10): "1b452bdb514ab1fd465eaad4a8d0abee32ce519f74b223271945cae1ab3dc4a5",
+    (2, 11): "120bd43442de444d6e7f4c933185db4b844fcc08c9d25d1f2f0b0c51e2855b37",
+    (2, 12): "647068c2ae283fd30088de391e7d84134f3d55fe34b553a298fe346ac676846f",
     (3, 1): "ff923443d410857b90b71bac3dad6cd4d83342cd4520baca5b258ab022bca3b0",
     (3, 2): "923f87dd5965e3bafb239459ddd7b4f14945e8951a941464223257810f4bbff8",
     (3, 3): "40090e5aa87c522ce1018478dd64db2ec296404596d1733bd4c2c2f6776a2203",
@@ -52,10 +54,9 @@ DIGESTS = {
     (12, 1): "5dac3de4e325a4504b9197b10faa2dc6adcfd8169264f6be1af0271b48d533c1",
 }
 
-# the classes whose sweep takes over 0.6 s on a 2-vCPU VM: run with -m slow
+# the classes whose sweep takes about 1 s or more on a 2-vCPU VM: run with
+# -m slow
 SLOW_DIGESTS = {
-    (2, 11): "120bd43442de444d6e7f4c933185db4b844fcc08c9d25d1f2f0b0c51e2855b37",
-    (2, 12): "647068c2ae283fd30088de391e7d84134f3d55fe34b553a298fe346ac676846f",
     (4, 8): "388535971d225a74763399264bc6d977757aec006cc25f56f1624235b9340d13",
     (4, 9): "c537a94a05b688e059688bc2fd80d007b5d7416e2a95ec557e2c71b48a8c29e9",
     (6, 6): "e487d9bb80625d6c2a51b842eaa6357eca02b4c01d93192ec0b1700180f9f4e8",

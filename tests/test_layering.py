@@ -7,9 +7,13 @@ Characters are read at class labels only: `reps` imports nothing from
 `permgroup`, and no module defines or uses a transporter, a cycle-type
 class or a walk over the whole class, which live there too.  Nor does it
 keep a wrapper whose callers know all it hides: a Dynkin diagram is built
-from a subrack plan alone, on nodes, with no vertex-level twin of it.  The witness check shares no code with
-the decision's spectrum: it plans no subrack and reads no joint spectrum,
-and parses no text by regular expression."""
+from a subrack plan alone, on nodes, with no vertex-level twin of it; the
+stabilizer of a character vector is read as its level sizes, with no
+record of the character or of its Young subgroup; and conjugation and the
+powers of one cycle are the methods of the permutation and the class.
+The witness check shares no code with the decision's spectrum: it plans no
+subrack and reads no joint spectrum, and parses no text by regular
+expression."""
 
 import ast
 import inspect
@@ -31,7 +35,9 @@ REMOVED_NAMES = frozenset(("candidate_subracks", "joint_spectrum",
                            "diagonal_subspace", "_braiding_labels", "restrict",
                            "vertex_names", "vertex_labels", "block_of",
                            "block_adjacent", "_fill", "neighbor_set",
-                           "_neighbors", "_neighbor_sets"))
+                           "_neighbors", "_neighbor_sets", "GammaCharacter",
+                           "YoungSubgroup", "stabilizer", "orbit_size",
+                           "conjugate", "_power"))
 FORBIDDEN_NAMES = frozenset(("Cyclotomic", "cartan_type", "symmetrizable",
                              "braiding_matrix", "transporter",
                              "_involution_transporter", "CycleType",

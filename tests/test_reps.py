@@ -8,16 +8,16 @@ from hypothesis import given, settings, strategies as st
 from nichols.exactfield import ROOT_MINUS_ONE
 from nichols.braidspace import powers_subrack
 from nichols.permgroup import NormalForm, Permutation, UnmixedClass
-from nichols.reps import (GammaCharacter, enumerate_irreps, parse_rep_spec,
+from nichols.reps import (enumerate_irreps, level_sizes, parse_rep_spec,
                           partition_degree, partitions_of, pi_scalar,
                           sn_character)
 
 from exactfield_oracle import MINUS_ONE, ONE, rational, root_value, zeta
 from exactla_oracle import Matrix
 from nichols.verdict import class_plan
-from oracles import (A, B, CatalogGapError, catalog_covers, cataloged,
-                     centralizer_elements, character_value, class_size,
-                     coefficients_by_placements, dense_pi_scalar,
+from oracles import (A, B, CatalogGapError, GammaCharacter, catalog_covers,
+                     cataloged, centralizer_elements, character_value,
+                     class_size, coefficients_by_placements, dense_pi_scalar,
                      orbit_and_stabilizer, resolve, sign, sn_irrep,
                      tried_subracks)
 from test_golden import DIGESTS
@@ -233,15 +233,17 @@ def test_induced_degree_is_orbit_size_times_factor_degree():
 
 
 def test_degree_is_the_listed_orbit_size_times_the_partition_degrees():
-    # the orbit size n!/prod m_v! and the stabilizer blocks, read off u,
-    # against the orbit listed by permuting u, on every golden class with
-    # n <= 8: the listing makes n! tuples per rep
+    # the orbit size n!/prod m_v! and the level sizes m_v, read off u,
+    # against the orbit listed by permuting u and the sizes of its listed
+    # stabilizer blocks, on every golden class with n <= 8: the listing
+    # makes n! tuples per rep
     for k, n in sorted(DIGESTS):
         if n > 8:
             continue
         for spec in enumerate_irreps(k, n):
             orbit, stab = orbit_and_stabilizer(GammaCharacter(k, spec.u))
-            assert spec.stabilizer() == stab, spec.label()
+            assert level_sizes(spec.u) == tuple(
+                len(block) for block in stab.blocks), spec.label()
             assert spec.degree() == len(orbit) * math.prod(
                 partition_degree(p) for p in spec.partitions), spec.label()
 
