@@ -321,6 +321,8 @@ def parse_rep_spec(k: int, n: int, text: str) -> RepSpec:
         if len(u) != n:
             raise ValueError("character vector must have length %d" % n)
         u = tuple(sorted(u, reverse=True))
+    if k < 1:
+        raise ValueError("modulus must be positive")
     return RepSpec(k, n, u, _parse_mu(level_sizes(u), fields.get("mu", "trivial")))
 
 
