@@ -317,12 +317,12 @@ def parse_rep_spec(k: int, n: int, text: str) -> RepSpec:
             if not entry.strip():
                 raise ValueError("character vector %r has an empty entry" % body)
             tokens += entry.split()
+        if k < 1:
+            raise ValueError("modulus must be positive")
         u = tuple(_integer(tok) % k for tok in tokens)
         if len(u) != n:
             raise ValueError("character vector must have length %d" % n)
         u = tuple(sorted(u, reverse=True))
-    if k < 1:
-        raise ValueError("modulus must be positive")
     return RepSpec(k, n, u, _parse_mu(level_sizes(u), fields.get("mu", "trivial")))
 
 

@@ -225,6 +225,7 @@ def test_table_starts_no_more_workers_than_rows(monkeypatch, capsys):
     import nichols.cli as cli
 
     sizes = []
+    chunks = []
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -236,7 +237,8 @@ def test_table_starts_no_more_workers_than_rows(monkeypatch, capsys):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
+        def map(self, fn, tasks, chunksize=None):
+            chunks.append(chunksize)
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
@@ -244,7 +246,14 @@ def test_table_starts_no_more_workers_than_rows(monkeypatch, capsys):
     rows = capsys.readouterr().out.splitlines()[1:]
     assert sizes == [len(rows)] == [5]
     assert cli.main(["table", "--k", "2", "--n", "2", "--jobs", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == rows
     assert sizes == [5, 3]
+    # about four chunks per worker: ceil(rows / (4 * workers)) rows a task
+    assert cli.main(["table", "--k", "2", "--n", "5", "--jobs", "2"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert sizes == [5, 3, 2]
+    assert len(rows) == 36
+    assert chunks == [1, 1, 5]
 
 
 def test_cli_import_leaves_the_process_pool_out():

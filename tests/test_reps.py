@@ -256,6 +256,14 @@ def test_parse_rejects_an_empty_vector_entry():
     assert parse_rep_spec(2, 3, "chi=(1 1 0)").u == (1, 1, 0)
 
 
+def test_parse_rejects_a_modulus_below_one():
+    # checked before the entries are reduced mod k, so k = 0 gives this
+    # message rather than a ZeroDivisionError
+    for k in (0, -2):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            parse_rep_spec(k, 2, "chi=(1,0)")
+
+
 def _sn_classes(m):
     # (cycle type, class size) for every conjugacy class of S_m
     return [(part, class_size(part))
