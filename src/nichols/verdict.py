@@ -17,7 +17,9 @@ Everything runs on the character of the representation: braidings are
 roots of unity with integer exponents, and "acts by a scalar" is read off
 the character value.  What does not depend on the representation (the
 candidate subracks, their plans, each carrying its subrack, and the partner
-classes) is built once per class and kept in the class plan.
+classes) is built once per class and kept in the class plan, and so is
+the answer of the subspace rules, which depends on the representation
+only through its character on the group of the subrack's table entries.
 
 verify_witness shares none of that with the decision: it plans no subrack
 and runs none of its spectrum code.  A witness vertex (j, s) means the
@@ -60,6 +62,11 @@ NEGATIVE = "NegativeBraiding"
 
 
 class Verdict(NamedTuple):
+    """An outcome, the rule that decided it and its witness.  Rows of one
+    class whose characters restrict alike to the group of a subrack that
+    fires share one verdict, witness included (ClassPlan.subspace_rules),
+    so a caller must treat the witness as read-only."""
+
     outcome: str
     rule: str
     witness: dict
@@ -273,21 +280,45 @@ class ClassPlan:
     changes: the candidate subracks, the plan of each subrack (built on
     first use, see subrack_plan) and the partner classes with their labels
     and dual labels (built on first use): a scalar-gate row builds neither.
-    One plan per (k, n) is kept for the life of the process (class_plan)."""
+    One plan per (k, n) is kept for the life of the process (class_plan).
 
-    __slots__ = ("cls", "subracks", "_subrack_plans", "_partners")
+    It also keeps the answer of the subspace rules of each subrack for each
+    restriction chi|H met so far (subspace_rules), where H is the group of
+    the subrack's table entries.  The braiding labels of the subspace are
+    psi(gamma_ij) for the psi that occur in chi|H, so the multiplicities,
+    the diagram, its reading and the witness depend on rho only through
+    chi|H (Andruskiewitsch-Grana, 2003, section 3).  The key is the subrack
+    and the coefficients of chi at the distinct class labels of H, the
+    identity's among them, whose value is the degree; every check of the
+    spectrum (rationality, integrality, the degree sum) and every rule is
+    a function of the key, run in full by the first row with that key.
+    An answer of None, no rule fires, is kept as well."""
+
+    __slots__ = ("cls", "subracks", "_subrack_plans", "_partners", "_rules")
 
     def __init__(self, k: int, n: int) -> None:
         self.cls = UnmixedClass(k, n)
         self.subracks = tuple(_candidates(self.cls))
         self._subrack_plans = {}
         self._partners = None
+        self._rules = {}
 
     def subrack_plan(self, subrack: AbelianSubrack) -> SubrackPlan:
         plan = self._subrack_plans.get(subrack)
         if plan is None:
             plan = self._subrack_plans[subrack] = subrack_plan(subrack)
         return plan
+
+    def subspace_rules(self, subrack: AbelianSubrack,
+                       character: InducedCharacter) -> Optional[Verdict]:
+        """The verdict of the subspace rules on the subrack, or None, run
+        once per restriction of the character to H (see above)."""
+        plan = self.subrack_plan(subrack)
+        key = (subrack, tuple(map(character.coefficients,
+                                  dict.fromkeys(plan.spectrum.class_labels))))
+        if key not in self._rules:
+            self._rules[key] = _subspace_rules(plan, character)
+        return self._rules[key]
 
     def partners(self) -> tuple:
         if self._partners is None:
@@ -529,7 +560,9 @@ def decide(k: int, n: int, rho_spec) -> Verdict:
     NegativeBraiding with the verified pair inventory.  Raises RuntimeError
     when no rule decides, which the dichotomy for unmixed classes rules
     out.  The subracks, their plans and the partners come from the class
-    plan of (k, n); each row sums its character over them."""
+    plan of (k, n); each row reads its character at the labels of each H,
+    and runs the subspace rules only on a restriction the plan has not
+    met."""
     plan = class_plan(k, n)
     spec = _resolve_spec(k, n, rho_spec)
     gate = scalar_gate(pi_scalar(spec), k)
@@ -537,7 +570,7 @@ def decide(k: int, n: int, rho_spec) -> Verdict:
         return gate
     character = spec.character()
     for subrack in plan.subracks:
-        verdict = _subspace_rules(plan.subrack_plan(subrack), character)
+        verdict = plan.subspace_rules(subrack, character)
         if verdict is not None:
             return verdict
     report = negativity_check(plan.cls, character)

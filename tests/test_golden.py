@@ -38,6 +38,7 @@ DIGESTS = {
     (4, 5): "2e834690477783aafefa8585ac153420dcac4f932caf18412fac59bcffca7e60",
     (4, 6): "06ae3547d8361dc371e025ee55b4ad14b61d131a450fb9c09dacd043542bd1b8",
     (4, 7): "0862c85f8961cf6e3d6066806c290c916fd04e135dbd0ca75dc5151d0db1f51f",
+    (4, 8): "388535971d225a74763399264bc6d977757aec006cc25f56f1624235b9340d13",
     (5, 1): "ef1eb931612f2c229079e3ce6d5ada6cdf40c351b02f3561e8bcea0c6acbba2a",
     (5, 2): "166c9aa8e20891b66c0116369275846a5f1dbc4fcc90fa05f135fc488089d5d3",
     (6, 1): "ff4573fa06b96c1b7f670af3bdb31ba6ada787a5af839e5e6e73a6ee835a604c",
@@ -45,6 +46,7 @@ DIGESTS = {
     (6, 3): "b45a063d378526837be1c9148854f2bd70bfc8fc27df8ed2b2052bd6dc549b98",
     (6, 4): "19e352d9a919c6e044bb45f02085d3f1d1fbf2072295c91c0aa0fa9f6186e33b",
     (6, 5): "3bb8e1e4a08f053131912cbe2b2154ecdb0436f89c8ebcf33cab9344ae773e53",
+    (6, 6): "e487d9bb80625d6c2a51b842eaa6357eca02b4c01d93192ec0b1700180f9f4e8",
     (8, 1): "c8a15e20be9c1a922a8e67a17bc1de2f3059673ee860e3506c7dd308ee8e48d2",
     (8, 2): "b770b6044a40b24c93d4f04946262132d289176e8b97a5d374e93660e0e45864",
     (8, 3): "892c08206c4bbcb7f3d3f06cdded1e462a76d6a03d9815a901cb1e21c2783eda",
@@ -57,9 +59,7 @@ DIGESTS = {
 # the classes whose sweep takes about 1 s or more on a 2-vCPU VM: run with
 # -m slow
 SLOW_DIGESTS = {
-    (4, 8): "388535971d225a74763399264bc6d977757aec006cc25f56f1624235b9340d13",
     (4, 9): "c537a94a05b688e059688bc2fd80d007b5d7416e2a95ec557e2c71b48a8c29e9",
-    (6, 6): "e487d9bb80625d6c2a51b842eaa6357eca02b4c01d93192ec0b1700180f9f4e8",
 }
 
 

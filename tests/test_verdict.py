@@ -391,9 +391,9 @@ def test_wider_grids_match_closed_form_and_witnesses_verify():
 @pytest.mark.slow
 def test_largest_sweeps_match_closed_form_and_witnesses_verify():
     # 7,018 rows up to degree 10,080, each witness sent through JSON first.
-    # About 6 s on a 2-vCPU VM, most of it (4,8) and (6,6); the bound allows
-    # a slower machine, and fails a decision that builds its diagram vertex
-    # by vertex, which took over 11 minutes on (6,6) alone
+    # About 1.3 s on a 2-vCPU VM; the bound allows a slower machine, and
+    # fails a decision that builds its diagram vertex by vertex, which took
+    # over 11 minutes on (6,6) alone
     started = time.monotonic()
     rows = verified = 0
     for k, n in ((2, 7), (4, 5), (2, 8), (2, 10), (4, 8), (6, 5), (6, 6)):
@@ -525,6 +525,8 @@ def test_verify_witness_does_not_read_the_class_plan(monkeypatch):
         assert plan.subrack is subrack
         monkeypatch.setitem(plans._subrack_plans, subrack,
                             plan._replace(distinct=plan.distinct[::-1]))
+    # and no subspace verdict kept from before the edit
+    monkeypatch.setattr(plans, "_rules", {})
     with pytest.raises(RuntimeError, match="not -1"):
         decide(k, n, rep)
     assert verify_witness(k, n, rep, genuine)
@@ -537,6 +539,36 @@ def test_verify_witness_does_not_read_the_class_plan(monkeypatch):
 def _braiding(plan, character):
     diagram = dynkin_diagram(plan, character)
     return diagram.modulus, diagram.labels, diagram.nodes
+
+
+# (k, n): the runs of the subspace rules in a sweep of every row, with one
+# class plan for all of them and with a cold plan for each
+SUBSPACE_RUNS = {(2, 6): (13, 23), (4, 4): (9, 41), (6, 3): (15, 24),
+                 (8, 2): (6, 12), (4, 5): (36, 81)}
+
+
+def test_the_class_plan_runs_the_subspace_rules_once_per_restriction(
+        monkeypatch):
+    # rows whose characters agree on H share one answer, and a row decided
+    # on a warm plan gets the verdict, witness included, of a cold one
+    runs = []
+    rules = nichols.verdict._subspace_rules
+
+    def counted(plan, character):
+        runs.append(plan.subrack)
+        return rules(plan, character)
+    monkeypatch.setattr(nichols.verdict, "_subspace_rules", counted)
+    for (k, n), (warm_runs, cold_runs) in SUBSPACE_RUNS.items():
+        specs = enumerate_irreps(k, n)
+        class_plan.cache_clear()
+        warm = [decide(k, n, spec) for spec in specs]
+        assert len(runs) == warm_runs, (k, n)
+        runs.clear()
+        for spec, verdict in zip(specs, warm):
+            class_plan.cache_clear()
+            assert decide(k, n, spec) == verdict, (k, n, spec.label())
+        assert len(runs) == cold_runs, (k, n)
+        runs.clear()
 
 
 def test_every_k2_triple_gives_the_same_braiding_labels():
@@ -652,8 +684,12 @@ def _shifted_spectrum(planned_spectrum):
     return mutant
 
 
-def test_verify_witness_catches_a_shifted_multiplicity(monkeypatch):
-    # (4,5) is beyond the reach of the dense oracle
+def test_verify_witness_catches_a_shifted_multiplicity(monkeypatch, request):
+    # (4,5) is beyond the reach of the dense oracle; the class plans start
+    # cold, so that the mutant decides, and the verdicts it kept in them
+    # are dropped at the end
+    class_plan.cache_clear()
+    request.addfinalizer(class_plan.cache_clear)
     monkeypatch.setattr(nichols.braidspace, "planned_spectrum",
                         _shifted_spectrum(nichols.braidspace.planned_spectrum))
     for k, n, rep in ((4, 5, "chi=(2,0,0,0,0);mu=trivial"),
