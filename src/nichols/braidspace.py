@@ -43,7 +43,7 @@ from .reps import InducedCharacter
 class AbelianSubrack:
     """Pairwise-commuting class elements with transporters from the basepoint."""
 
-    __slots__ = ("cls", "elements", "transporters", "kind", "param", "_names")
+    __slots__ = ("cls", "elements", "transporters", "kind", "param")
 
     def __init__(self, cls: UnmixedClass, elements, transporters,
                  kind: str = "custom", param: tuple = ()) -> None:
@@ -67,7 +67,6 @@ class AbelianSubrack:
         self.transporters = transporters
         self.kind = kind
         self.param = tuple(param)
-        self._names = None
 
     @property
     def size(self) -> int:
@@ -84,17 +83,12 @@ class AbelianSubrack:
 
     def describe(self) -> dict:
         """Kind, param, and the elements and transporters in cycle
-        notation, rendered on the first call only; each call returns new
-        lists."""
-        if self._names is None:
-            self._names = (tuple(map(str, self.elements)),
-                           tuple(map(str, self.transporters)))
-        elements, transporters = self._names
+        notation."""
         return {
             "kind": self.kind,
             "param": list(self.param),
-            "elements": list(elements),
-            "transporters": list(transporters),
+            "elements": list(map(str, self.elements)),
+            "transporters": list(map(str, self.transporters)),
         }
 
     def __repr__(self) -> str:
@@ -156,9 +150,11 @@ def quadruple_subrack(cls: UnmixedClass, i: int = 1, j: int = 2) -> AbelianSubra
 
 def rotation_subrack(cls: UnmixedClass) -> AbelianSubrack:
     """The twist quadruple (pi, pi^{-1}, t, t^{-1}) with t rotating the first
-    block backwards and the rest forwards; needs k >= 3 and n >= 2."""
-    if cls.k < 3:
-        raise ValueError("the rotation quadruple needs k >= 3")
+    block backwards and the rest forwards; needs even k >= 4 (an odd k
+    has no block reflection to transport with, and at k = 2, t is pi) and
+    n >= 2."""
+    if cls.k < 4 or cls.k % 2:
+        raise ValueError("the rotation quadruple needs even k >= 4")
     if cls.n < 2:
         raise ValueError("the rotation quadruple needs n >= 2")
     pi = cls.basepoint
@@ -348,14 +344,15 @@ class GeneralizedDynkinDiagram:
     edge of a node to itself joins its members pairwise, and no vertex is
     its own neighbor.  edges lists them as (x, y, label) with x <= y.  The
     decision reads nodes only; vertices are drawn only by to_dot, and
-    rectangle gives the diagram of a few of them, each a node of its own."""
+    rectangle gives the diagram of a few of them, each a node of its own.
+    The diagram holds labels only, no subrack: a witness names the subrack
+    of the plan that the diagram was built from."""
 
-    __slots__ = ("subrack", "modulus", "columns", "offsets", "labels",
-                 "nodes", "edges", "_roots", "_adjacent")
+    __slots__ = ("modulus", "columns", "offsets", "labels", "nodes", "edges",
+                 "_roots", "_adjacent")
 
-    def __init__(self, subrack, modulus: int, columns, runs, labels) -> None:
+    def __init__(self, modulus: int, columns, runs, labels) -> None:
         # runs: (first index, multiplicity) of each run, in order
-        self.subrack = subrack
         self.modulus = modulus
         self.columns = tuple(columns)
         self.offsets = tuple(offset for offset, _ in runs)
@@ -429,7 +426,7 @@ class GeneralizedDynkinDiagram:
         places = [bisect_right(self.columns, j) - 1 for j in columns]
         runs = [bisect_right(self.offsets, s) - 1 for s in indices]
         return GeneralizedDynkinDiagram(
-            self.subrack, self.modulus, columns, [(s, 1) for s in indices],
+            self.modulus, columns, [(s, 1) for s in indices],
             tuple(tuple(tuple(self.labels[a][b][t] for t in runs)
                         for b in places) for a in places))
 
@@ -467,6 +464,6 @@ def dynkin_diagram(plan: SubrackPlan,
               for t, p in enumerate(plan.distinct)}
     mults = [mult for _, mult in spectrum]
     return GeneralizedDynkinDiagram(
-        plan.subrack, plan.spectrum.modulus, range(plan.subrack.size),
+        plan.spectrum.modulus, range(plan.subrack.size),
         tuple(zip(itertools.accumulate(mults, initial=0), mults)),
         tuple(tuple(column[p] for p in row) for row in plan.table))

@@ -258,9 +258,8 @@ def cmd_diagram(args: argparse.Namespace) -> int:
         dot = decide(args.k, args.n, spec).witness.get("diagram_dot")
         if dot is None:
             # no witness diagram: show the first candidate subrack, if any
-            plan = class_plan(args.k, args.n)
-            dot = (draw(plan.subrack_plan(plan.subracks[0])) if plan.subracks
-                   else EMPTY_DOT)
+            plan = next(class_plan(args.k, args.n).plans(), None)
+            dot = EMPTY_DOT if plan is None else draw(plan)
     print("// %s" % DOT_SCHEMA)
     print(dot)
     return EXIT_DECIDED

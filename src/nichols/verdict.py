@@ -16,10 +16,12 @@ by linear algebra on the witness's braiding values instead.
 Everything runs on the character of the representation: braidings are
 roots of unity with integer exponents, and "acts by a scalar" is read off
 the character value.  What does not depend on the representation (the
-candidate subracks, their plans, each carrying its subrack, and the partner
-classes) is built once per class and kept in the class plan, and so is
-the answer of the subspace rules, which depends on the representation
-only through its character on the group of the subrack's table entries.
+plans of the candidate subracks, each carrying its subrack, and the
+partner classes) is built once per class, by the first row that needs it,
+and kept in the class plan, and so is the answer of the subspace rules,
+which depends on the representation only through its character on the
+group of the subrack's table entries.  A row reads all of it from the one
+class plan that decide looks up, the negativity check included.
 
 verify_witness shares none of that with the decision: it plans no subrack
 and runs none of its spectrum code.  A witness vertex (j, s) means the
@@ -54,7 +56,7 @@ from .braidspace import (FAMILIES, AbelianSubrack, GeneralizedDynkinDiagram,
                          SubrackPlan, dynkin_diagram, quadruple_subrack,
                          rotation_subrack, subrack_plan, triple_subrack)
 from .exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity, rational_value
-from .permgroup import NormalForm, PartnerClass, Permutation, UnmixedClass
+from .permgroup import PartnerClass, Permutation, UnmixedClass
 from .reps import InducedCharacter, RepSpec, parse_rep_spec, pi_scalar
 
 INFINITE = "InfiniteDim"
@@ -277,45 +279,48 @@ class NegativityReport(NamedTuple):
 
 class ClassPlan:
     """What the decision needs of one class that no representation
-    changes: the candidate subracks, the plan of each subrack (built on
-    first use, see subrack_plan) and the partner classes with their labels
-    and dual labels (built on first use): a scalar-gate row builds neither.
-    One plan per (k, n) is kept for the life of the process (class_plan).
+    changes: the plans of the candidate subracks, each carrying its
+    subrack (plans), and the partner classes with their labels and dual
+    labels (partners), each built on first use: a scalar-gate row builds
+    none of them.  One plan per (k, n) is kept for the life of the process
+    (class_plan).
 
-    It also keeps the answer of the subspace rules of each subrack for each
-    restriction chi|H met so far (subspace_rules), where H is the group of
-    the subrack's table entries.  The braiding labels of the subspace are
-    psi(gamma_ij) for the psi that occur in chi|H, so the multiplicities,
-    the diagram, its reading and the witness depend on rho only through
-    chi|H (Andruskiewitsch-Grana, 2003, section 3).  The key is the subrack
-    and the coefficients of chi at the distinct class labels of H, the
-    identity's among them, whose value is the degree; every check of the
-    spectrum (rationality, integrality, the degree sum) and every rule is
-    a function of the key, run in full by the first row with that key.
-    An answer of None, no rule fires, is kept as well."""
+    It also keeps the answer of the subspace rules of each subrack plan
+    for each restriction chi|H met so far (subspace_rules), where H is the
+    group of the subrack's table entries.  The braiding labels of the
+    subspace are psi(gamma_ij) for the psi that occur in chi|H, so the
+    multiplicities, the diagram, its reading and the witness depend on rho
+    only through chi|H (Andruskiewitsch-Grana, 2003, section 3).  The key
+    is the subrack and the coefficients of chi at the distinct class
+    labels of H, the identity's among them, whose value is the degree;
+    every check of the spectrum (rationality, integrality, the degree sum)
+    and every rule is a function of the key, run in full by the first row
+    with that key.  An answer of None, no rule fires, is kept as well."""
 
-    __slots__ = ("cls", "subracks", "_subrack_plans", "_partners", "_rules")
+    __slots__ = ("cls", "_plans", "_unplanned", "_partners", "_rules")
 
     def __init__(self, k: int, n: int) -> None:
         self.cls = UnmixedClass(k, n)
-        self.subracks = tuple(_candidates(self.cls))
-        self._subrack_plans = {}
+        self._plans = []
+        self._unplanned = _candidates(self.cls)
         self._partners = None
         self._rules = {}
 
-    def subrack_plan(self, subrack: AbelianSubrack) -> SubrackPlan:
-        plan = self._subrack_plans.get(subrack)
-        if plan is None:
-            plan = self._subrack_plans[subrack] = subrack_plan(subrack)
-        return plan
+    def plans(self):
+        """The plans of the candidate subracks, in order, each built by the
+        first row that reaches it: a row that the first subrack decides
+        builds no other."""
+        yield from self._plans
+        for subrack in self._unplanned:
+            self._plans.append(subrack_plan(subrack))
+            yield self._plans[-1]
 
-    def subspace_rules(self, subrack: AbelianSubrack,
+    def subspace_rules(self, plan: SubrackPlan,
                        character: InducedCharacter) -> Optional[Verdict]:
-        """The verdict of the subspace rules on the subrack, or None, run
-        once per restriction of the character to H (see above)."""
-        plan = self.subrack_plan(subrack)
-        key = (subrack, tuple(map(character.coefficients,
-                                  dict.fromkeys(plan.spectrum.class_labels))))
+        """The verdict of the subspace rules on the subrack plan, or None,
+        run once per restriction of the character to H (see above)."""
+        key = (plan.subrack, tuple(map(
+            character.coefficients, dict.fromkeys(plan.spectrum.class_labels))))
         if key not in self._rules:
             self._rules[key] = _subspace_rules(plan, character)
         return self._rules[key]
@@ -331,7 +336,8 @@ def class_plan(k: int, n: int) -> ClassPlan:
     return ClassPlan(k, n)
 
 
-def negativity_check(cls: UnmixedClass, character: InducedCharacter) -> NegativityReport:
+def negativity_check(plan: ClassPlan,
+                     character: InducedCharacter) -> NegativityReport:
     """Check that every commuting pair of class elements braids negatively:
     diagonal values -1 and opposite values multiplying to 1.
 
@@ -344,7 +350,7 @@ def negativity_check(cls: UnmixedClass, character: InducedCharacter) -> Negativi
     character at its class label: for t the label of its partner class, and
     for the basepoint pulled back along a transporter of t the dual label
     (nichols.permgroup.dual_label), so no transporter is built.  The
-    partners come from the class plan.
+    partners come from the given class plan.
     """
     q = pi_scalar(character.spec)
     if q != ROOT_MINUS_ONE:
@@ -354,7 +360,7 @@ def negativity_check(cls: UnmixedClass, character: InducedCharacter) -> Negativi
     checked = 0
     count = 0
     kept = []
-    for partner in class_plan(cls.k, cls.n).partners():
+    for partner in plan.partners():
         checked += 1
         lam = character.scalar(partner.label)
         mu = None if lam is None else character.scalar(partner.dual)
@@ -370,7 +376,7 @@ def negativity_check(cls: UnmixedClass, character: InducedCharacter) -> Negativi
             count += partner.size
             continue
         return NegativityReport(False, checked, True,
-                                {"pair": _pair(cls, partner), **failure},
+                                {"pair": _pair(plan.cls, partner), **failure},
                                 tuple(kept), count)
     return NegativityReport(True, checked, True, None, tuple(kept), count)
 
@@ -434,8 +440,9 @@ def _shortest_cycle(near: dict) -> Optional[tuple]:
     return None if best is None else best[1]
 
 
-def _witness(diagram: GeneralizedDynkinDiagram, firing: tuple, rule: str,
-             detail: dict, cycle_order: tuple = ()) -> Verdict:
+def _witness(subrack: AbelianSubrack, diagram: GeneralizedDynkinDiagram,
+             firing: tuple, rule: str, detail: dict,
+             cycle_order: tuple = ()) -> Verdict:
     # expand the firing vertex set to (its columns) x (its eigenvector
     # indices): the smallest rectangle that makes the witness self-contained
     cols = sorted({j for j, _ in firing})
@@ -443,7 +450,6 @@ def _witness(diagram: GeneralizedDynkinDiagram, firing: tuple, rule: str,
     vertices = [(j, s) for j in cols for s in vecs]
     position = {v: i for i, v in enumerate(vertices)}
     expanded = diagram.rectangle(cols, vecs)
-    subrack = diagram.subrack
     witness = {
         "subrack": subrack.describe(),
         "element_images": [list(t.img) for t in subrack.elements],
@@ -483,13 +489,13 @@ def _subspace_rules(plan: SubrackPlan,
         cartan = [[2 if a == b else 0 if diagram.edge_label(a, b) is None
                    else -1 for b in firing] for a in firing]
         count = Counter(map(diagram.node, firing))
-        return _witness(diagram, firing, "cartan-infinite",
+        return _witness(plan.subrack, diagram, firing, "cartan-infinite",
                         {"cartan_matrix": cartan,
                          "label": dynkin_shape(diagram, count).label})
     if cycle_hits:
         size, firing, order, hit = min(
             cycle_hits, key=lambda x: (x[0], x[1]))
-        return _witness(diagram, firing, "alternating-cycle",
+        return _witness(plan.subrack, diagram, firing, "alternating-cycle",
                         {"cycle_labels": list(hit["labels"])},
                         cycle_order=order)
     return None
@@ -559,21 +565,20 @@ def decide(k: int, n: int, rho_spec) -> Verdict:
     representation: InfiniteDim with a machine-checkable witness, or
     NegativeBraiding with the verified pair inventory.  Raises RuntimeError
     when no rule decides, which the dichotomy for unmixed classes rules
-    out.  The subracks, their plans and the partners come from the class
-    plan of (k, n); each row reads its character at the labels of each H,
-    and runs the subspace rules only on a restriction the plan has not
-    met."""
-    plan = class_plan(k, n)
+    out.  The subrack plans and the partners come from the class plan of
+    (k, n); each row reads its character at the labels of each H, and runs
+    the subspace rules only on a restriction the plan has not met."""
+    plans = class_plan(k, n)
     spec = _resolve_spec(k, n, rho_spec)
     gate = scalar_gate(pi_scalar(spec), k)
     if gate is not None:
         return gate
     character = spec.character()
-    for subrack in plan.subracks:
-        verdict = plan.subspace_rules(subrack, character)
+    for plan in plans.plans():
+        verdict = plans.subspace_rules(plan, character)
         if verdict is not None:
             return verdict
-    report = negativity_check(plan.cls, character)
+    report = negativity_check(plans, character)
     if report.negative:
         return Verdict(NEGATIVE, "negative-exhaustive",
                        {"pairs_checked": report.pairs_checked,
@@ -600,18 +605,6 @@ def closed_form_verdict(k: int, n: int, rho_spec) -> Verdict:
     if (2 * c) % r:
         return Verdict(INFINITE, "closed-form", {"case": "parameter"})
     return Verdict(NEGATIVE, "closed-form", {"case": "scalar-negative", "c": c})
-
-
-def _class_label(k: int, img: tuple) -> tuple:
-    # the (L, s) label of a centralizer element read off its images, without
-    # the round trip of UnmixedClass.normal_form: block j goes to the block
-    # of the image of its first point, whose offset is the twist there
-    heads = [img[x] - 1 for x in range(0, len(img), k)]
-    d = [0] * len(heads)
-    for y in heads:
-        d[y // k] = y % k
-    return NormalForm(tuple(d), Permutation([y // k + 1 for y in heads])
-                      ).class_label(k)
 
 
 class _WitnessGroup(NamedTuple):
@@ -690,7 +683,8 @@ def _witness_group(subrack: AbelianSubrack, cols: tuple) -> _WitnessGroup:
     return _WitnessGroup(generator, modulus, roots,
                          {str(r): e for e, r in enumerate(roots)},
                          tuple(edges),
-                         tuple(_class_label(cls.k, h.img) for h in queue))
+                         tuple(cls.normal_form(h).class_label(cls.k)
+                               for h in queue))
 
 
 def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
@@ -742,10 +736,12 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     label, the components and the diagram_dot are not read.  An entry that
     is not a root of unity printed in lowest terms, or a q_matrix that is
     not one list per vertex of one entry per vertex, fails.  A witness whose
-    vertices are not the rectangle (its columns) x (its indices) in order,
-    from 0 and below the subrack size and the degree, whose firing or
-    cycle indices repeat or leave its vertex list, whose table entries do
-    not commute, or whose cycle is not a 4-cycle raises ValueError."""
+    vertex coordinates or firing or cycle indices are not all of type int
+    (a bool, float or str is not), whose vertices are not the rectangle
+    (its columns) x (its indices) in order, from 0 and below the subrack
+    size and the degree, whose firing or cycle indices repeat or leave its
+    vertex list, whose table entries do not commute, or whose cycle is not
+    a 4-cycle raises ValueError."""
     if verdict.outcome != INFINITE:
         raise ValueError("only infinite verdicts carry a rebuildable witness")
     spec = _resolve_spec(k, n, rho_spec)
@@ -762,6 +758,10 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
         return False
     character = spec.character()
     vertices = [(j, s) for j, s in w["vertices"]]
+    indices = (w["firing"], w.get("cycle", ()))
+    if any(type(x) is not int
+           for x in itertools.chain(*vertices, *indices)):
+        raise ValueError("witness vertices and indices must be integers")
     cols = sorted({j for j, _ in vertices})
     vecs = sorted({s for _, s in vertices})
     if (not vertices or vertices != [(j, s) for j in cols for s in vecs]
@@ -771,8 +771,8 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
                          "columns and indices, none repeated, below the "
                          "subrack size and the degree")
     size = len(vertices)
-    for indices in (w["firing"], w.get("cycle", ())):
-        if len(set(indices) & set(range(size))) != len(indices):
+    for positions in indices:
+        if len(set(positions) & set(range(size))) != len(positions):
             raise ValueError("witness indices must be distinct vertex positions")
     group = _witness_group(subrack, tuple(cols))
     modulus = group.modulus

@@ -149,7 +149,7 @@ def tried_subracks(cls) -> list:
     l < n // 2, in decreasing l: they give the same braiding labels as the
     candidate triple at n // 2 (see verdict._candidates), and the grid
     tests walk them all."""
-    subracks = list(class_plan(cls.k, cls.n).subracks)
+    subracks = [plan.subrack for plan in class_plan(cls.k, cls.n).plans()]
     if cls.k == 2:
         subracks += [triple_subrack(cls, l)
                      for l in range(cls.n // 2 - 1, 0, -1)]

@@ -283,8 +283,7 @@ def test_dynkin_adjacency_map_matches_edge_scan():
         size = rng.randint(1, 12)
         labels = tuple(tuple((rng.randrange(12),) for _ in range(size))
                        for _ in range(size))
-        diagram = GeneralizedDynkinDiagram(None, 12, range(size), ((0, 1),),
-                                           labels)
+        diagram = GeneralizedDynkinDiagram(12, range(size), ((0, 1),), labels)
         scanned = {}
         for a, b in itertools.combinations(range(size), 2):
             w = (labels[a][b][0] + labels[b][a][0]) % 12

@@ -73,7 +73,7 @@ def test_classify_undecided_exit_code(monkeypatch, capsys):
     import nichols.verdict as v
 
     empty = v.ClassPlan(2, 3)
-    empty.subracks = ()
+    empty._unplanned = iter(())
     monkeypatch.setattr(v, "class_plan", lambda k, n: empty)
     code = cli.main(["classify", "--k", "2", "--n", "3",
                      "--rep", "chi=(1,1,1);mu=standard"])
@@ -153,10 +153,15 @@ def test_catalog_part_error_names_the_part(part):
     (("diagram", "--k", "2", "--n", "3", "--rep", "chi=(1,1,1)",
       "--subrack", "triple:1,2"),
      "bad subrack selector 'triple:1,2': triple needs <l>"),
+    (("diagram", "--k", "3", "--n", "2", "--rep", "chi=(1,1)",
+      "--subrack", "rotation"),
+     "bad subrack selector 'rotation': the rotation quadruple needs even "
+     "k >= 4"),
 ])
 def test_malformed_spec_or_selector_is_named(argv, message):
     # an empty entry used to be skipped, and the others reported Python's
-    # own int() or unpacking messages
+    # own int() or unpacking messages; the rotation quadruple names its own
+    # condition rather than the block reflection's
     result = run_cli(*argv)
     assert result.returncode == 64
     assert result.stdout == ""

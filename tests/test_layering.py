@@ -7,10 +7,12 @@ Characters are read at class labels only: `reps` imports nothing from
 `permgroup`, and no module defines or uses a transporter, a cycle-type
 class or a walk over the whole class, which live there too.  Nor does it
 keep a wrapper whose callers know all it hides: a Dynkin diagram is built
-from a subrack plan alone, on nodes, with no vertex-level twin of it; the
-stabilizer of a character vector is read as its level sizes, with no
-record of the character or of its Young subgroup; and conjugation and the
-powers of one cycle are the methods of the permutation and the class.
+from a subrack plan alone, on nodes, with no vertex-level twin of it, and
+does not hold the subrack again; a class plan reaches its subracks through
+their plans alone; the stabilizer of a character vector is read as its
+level sizes, with no record of the character or of its Young subgroup;
+and conjugation and the powers of one cycle are the methods of the
+permutation and the class.
 The witness check shares no code with the decision's spectrum: it plans no
 subrack and reads no joint spectrum, and parses no text by regular
 expression."""
@@ -22,7 +24,9 @@ import types
 
 import nichols
 import nichols.verdict
-from nichols.braidspace import dynkin_diagram
+from nichols.braidspace import (AbelianSubrack, GeneralizedDynkinDiagram,
+                                dynkin_diagram)
+from nichols.verdict import ClassPlan
 
 # last component of a module path that the package must not import
 FORBIDDEN_MODULES = frozenset(("exactla", "exactfield_oracle", "exactla_oracle",
@@ -37,7 +41,8 @@ REMOVED_NAMES = frozenset(("candidate_subracks", "joint_spectrum",
                            "block_adjacent", "_fill", "neighbor_set",
                            "_neighbors", "_neighbor_sets", "GammaCharacter",
                            "YoungSubgroup", "stabilizer", "orbit_size",
-                           "conjugate", "_power"))
+                           "conjugate", "_power", "_class_label",
+                           "_subrack_plans"))
 FORBIDDEN_NAMES = frozenset(("Cyclotomic", "cartan_type", "symmetrizable",
                              "braiding_matrix", "transporter",
                              "_involution_transporter", "CycleType",
@@ -80,9 +85,24 @@ def test_reps_reads_characters_at_labels_without_permgroup():
 
 
 def test_a_dynkin_diagram_is_built_from_a_plan_alone():
-    # the plan carries its subrack, so no second argument can disagree
+    # the plan carries its subrack, so no second argument can disagree,
+    # and the diagram does not carry it again
     assert list(inspect.signature(dynkin_diagram).parameters) == [
         "plan", "character"]
+    assert list(inspect.signature(GeneralizedDynkinDiagram).parameters) == [
+        "modulus", "columns", "runs", "labels"]
+    assert "subrack" not in GeneralizedDynkinDiagram.__slots__
+
+
+def test_a_class_plan_reaches_its_subracks_through_their_plans():
+    # one list of subrack plans, each carrying its subrack, and the
+    # candidates not yet planned: no subrack list beside it, no map from
+    # subrack to plan, and no cached names on a subrack under the caches
+    # that already keep its description
+    assert set(ClassPlan.__slots__) == {"cls", "_plans", "_unplanned",
+                                        "_partners", "_rules"}
+    assert not hasattr(ClassPlan, "subrack_plan")
+    assert "_names" not in AbelianSubrack.__slots__
 
 
 # the decision's spectrum code, which the witness check re-checks and so
@@ -118,7 +138,7 @@ def test_the_witness_check_names_no_spectrum_code():
                 if (isinstance(value, types.FunctionType)
                         and value.__module__ == "nichols.verdict"):
                     todo.append(value)
-    assert {f.__name__ for f in seen} >= {"verify_witness", "_class_label",
+    assert {f.__name__ for f in seen} >= {"verify_witness", "_witness_group",
                                           "_cartan_infinite"}
 
 

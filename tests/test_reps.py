@@ -366,8 +366,8 @@ def test_alike_cycles_counted_by_multinomials_match_every_placement():
                  (3, 4), (10, 2)):
         plan = class_plan(k, n)
         labels = set()
-        for subrack in plan.subracks:
-            labels.update(plan.subrack_plan(subrack).spectrum.class_labels)
+        for subrack_plan in plan.plans():
+            labels.update(subrack_plan.spectrum.class_labels)
         for partner in plan.partners():
             labels.update((partner.label, partner.dual))
         for spec in enumerate_irreps(k, n):

@@ -16,14 +16,13 @@ from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
 from nichols.permgroup import Permutation, UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
 from nichols.verdict import (INFINITE, NEGATIVE, _cartan_infinite,
-                             _class_label, _positive_definite, class_plan,
+                             _positive_definite, class_plan,
                              closed_form_verdict, cycle_rule, decide,
                              negativity_check, scalar_gate, verify_witness)
 
 from oracles import (REFERENCE_Q_SIX_CYCLE, CartanData, NotCartan,
                      _positive_definite as oracle_positive_definite,
-                     cartan_type, cataloged, centralizer_elements,
-                     diagram_label, finite_catalog,
+                     cartan_type, cataloged, diagram_label, finite_catalog,
                      finite_type, finite_type_lookup, negativity_full,
                      negativity_walk, random_symmetrizable_gcm, resolve,
                      symmetrizable)
@@ -171,7 +170,7 @@ def test_cycle_rule_silent_without_alternation():
 def test_negativity_reduced_and_full_agree_on_negative_case():
     cls = UnmixedClass(2, 3)
     spec = parse_rep_spec(2, 3, "chi=(1,1,1);mu=trivial")
-    reduced = negativity_check(cls, spec.character())
+    reduced = negativity_check(class_plan(2, 3), spec.character())
     full = negativity_full(cls, resolve(spec))
     assert reduced.negative and full.negative
     assert reduced.reduced and not full.reduced
@@ -184,7 +183,7 @@ def test_negativity_reduced_and_full_agree_on_negative_case():
 def test_negativity_reduced_and_full_agree_on_failure():
     cls = UnmixedClass(2, 3)
     spec = parse_rep_spec(2, 3, "chi=(1,1,1);mu=standard")
-    reduced = negativity_check(cls, spec.character())
+    reduced = negativity_check(class_plan(2, 3), spec.character())
     full = negativity_full(cls, resolve(spec))
     assert not reduced.negative and not full.negative
     assert reduced.failure is not None and full.failure is not None
@@ -204,7 +203,7 @@ def test_negativity_over_partner_classes_matches_the_walks():
         for spec in enumerate_irreps(k, n):
             if not cataloged(spec) or pi_scalar(spec) != ROOT_MINUS_ONE:
                 continue
-            report = negativity_check(cls, spec.character())
+            report = negativity_check(class_plan(k, n), spec.character())
             expected = oracle(cls, resolve(spec))
             assert report.negative == expected.negative, (k, n, spec.label())
             assert (report.failure is None) == report.negative
@@ -216,9 +215,8 @@ def test_negativity_over_partner_classes_matches_the_walks():
 
 
 def test_negativity_rejects_wrong_basepoint_scalar():
-    cls = UnmixedClass(2, 3)
     chi = parse_rep_spec(2, 3, "chi=(0,0,0);mu=trivial").character()
-    report = negativity_check(cls, chi)
+    report = negativity_check(class_plan(2, 3), chi)
     assert not report.negative
     assert report.pairs_checked == 0
     assert report.failure["reason"] == "basepoint scalar is not -1"
@@ -422,7 +420,7 @@ def test_undecided_reports_exhaustion(monkeypatch):
 
     monkeypatch.setattr(v, "closed_form_verdict", None, raising=True)
     empty = v.ClassPlan(2, 3)
-    empty.subracks = ()
+    empty._unplanned = iter(())
     monkeypatch.setattr(v, "class_plan", lambda k, n: empty)
     with pytest.raises(RuntimeError, match="no rule decides"):
         v.decide(2, 3, "chi=(1,1,1);mu=standard")
@@ -470,9 +468,28 @@ def test_a_scalar_gate_row_builds_no_subrack_plan_and_no_partner_class(
     class_plan.cache_clear()
     verdict = decide(24, 12, "chi=(1,0,0,0,0,0,0,0,0,0,0,0)")
     assert verdict.rule == "scalar-gate"
-    assert len(class_plan(24, 12).subracks) == 2
+    assert class_plan(24, 12)._plans == []
     assert counts["subrack_plan"] == 0
     assert counts["partner_classes"] == 0
+    class_plan.cache_clear()
+
+
+def test_a_row_builds_only_the_subrack_plans_it_reaches(monkeypatch):
+    # the first (6,3) row past the gate fires on the rotation quadruple, so
+    # it neither builds nor plans the swap quadruple: the plans of a class
+    # spread over the rows that first reach them, which keeps the slowest
+    # row of a sweep short
+    counts = Counter()
+    _count_calls(monkeypatch, counts, AbelianSubrack, "__init__")
+    class_plan.cache_clear()
+    assert decide(6, 3, "chi=(5,5,5);mu=trivial").rule == "alternating-cycle"
+    assert [plan.subrack.kind for plan in class_plan(6, 3)._plans] == [
+        "quadruple-rotation"]
+    assert counts == {"__init__": 1}
+    assert decide(6, 3, "chi=(3,3,3);mu=trivial").outcome == NEGATIVE
+    assert [plan.subrack.kind for plan in class_plan(6, 3)._plans] == [
+        "quadruple-rotation", "quadruple-swap"]
+    assert counts == {"__init__": 2}
     class_plan.cache_clear()
 
 
@@ -520,11 +537,11 @@ def test_verify_witness_does_not_read_the_class_plan(monkeypatch):
     genuine = decide(k, n, rep)
     assert genuine.rule == "cartan-infinite"
     plans = class_plan(k, n)
-    for subrack in plans.subracks:
-        plan = plans.subrack_plan(subrack)
-        assert plan.subrack is subrack
-        monkeypatch.setitem(plans._subrack_plans, subrack,
-                            plan._replace(distinct=plan.distinct[::-1]))
+    assert [plan.subrack.kind for plan in plans.plans()] == [
+        "quadruple-rotation", "quadruple-swap"]
+    monkeypatch.setattr(plans, "_plans", [
+        plan._replace(distinct=plan.distinct[::-1])
+        for plan in plans.plans()])
     # and no subspace verdict kept from before the edit
     monkeypatch.setattr(plans, "_rules", {})
     with pytest.raises(RuntimeError, match="not -1"):
@@ -583,7 +600,8 @@ def test_every_k2_triple_gives_the_same_braiding_labels():
             first = _braiding(plans[-1], character)
             for plan in plans[:-1]:
                 assert _braiding(plan, character) == first, spec.label()
-    kept = [(s.kind, s.param) for s in class_plan(2, 7).subracks]
+    kept = [(plan.subrack.kind, plan.subrack.param)
+            for plan in class_plan(2, 7).plans()]
     assert kept == [("canonical-triple", (3,))]
 
 
@@ -639,6 +657,26 @@ def test_verify_witness_rejects_negative_firing_indices():
     forged = _forged(firing=[x - size for x in witness["firing"]])
     with pytest.raises(ValueError, match="distinct vertex positions"):
         verify_witness(*GENUINE, forged)
+
+
+@pytest.mark.parametrize("fake", [0.0, False, "0"])
+def test_verify_witness_rejects_positions_that_are_not_int(fake):
+    # 0.0 and False equal 0 and hash like it, so the rectangle and position
+    # checks alone take them for 0, and a bool indexes like 0 or 1; only
+    # the type tells them from a genuine position
+    witness = decide(*GENUINE).witness
+    vertices = witness["vertices"]
+    firing = witness["firing"]
+    forgeries = [
+        _forged(vertices=[[fake, 0]] + vertices[1:]),
+        _forged(vertices=[[0, fake]] + vertices[1:]),
+        _forged(firing=[fake] + firing[1:]),
+        _forged(rule="alternating-cycle", cycle=[fake, 1, 2, 3],
+                cycle_labels=["-1"] * 4),
+    ]
+    for forged in forgeries:
+        with pytest.raises(ValueError, match="must be integers"):
+            verify_witness(*GENUINE, forged)
 
 
 def test_verify_witness_reads_the_subrack_description():
@@ -717,13 +755,6 @@ def test_verify_witness_plans_no_subrack_and_no_spectrum(monkeypatch):
     assert sum(v.rule != "scalar-gate" for *_, v in witnesses) == 17
     for k, n, spec, verdict in witnesses:
         assert verify_witness(k, n, spec, verdict), (k, n, spec.label())
-
-
-def test_a_class_label_read_off_the_images_is_the_normal_form_label():
-    for k, n in ((2, 3), (3, 3), (4, 2), (6, 2)):
-        cls = UnmixedClass(k, n)
-        for g in centralizer_elements(cls):
-            assert _class_label(k, g.img) == cls.normal_form(g).class_label(k)
 
 
 QUADRUPLE = (4, 4, "chi=(3,3,3,1);mu=trivial")

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nichols.verdict
-from nichols.braidspace import (GeneralizedDynkinDiagram, canonical_subrack,
-                                dynkin_diagram, rotation_subrack, subrack_plan)
+from nichols.braidspace import (GeneralizedDynkinDiagram, SubrackPlan,
+                                canonical_subrack, dynkin_diagram,
+                                rotation_subrack, subrack_plan)
 from nichols.cli import _build_subrack
 from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
 from nichols.permgroup import UnmixedClass
@@ -203,7 +204,7 @@ def node_diagrams(draw):
               for j in range(columns))
         for i in range(columns))
     return GeneralizedDynkinDiagram(
-        None, 4, range(columns),
+        4, range(columns),
         tuple(zip(itertools.accumulate(mults, initial=0), mults)), labels)
 
 
@@ -286,7 +287,7 @@ def labeled_spaces(draw, moduli):
               for j in range(columns))
         for i in range(columns))
     return GeneralizedDynkinDiagram(
-        None, modulus, range(columns),
+        modulus, range(columns),
         tuple(zip(itertools.accumulate(mults, initial=0), mults)), labels)
 
 
@@ -324,9 +325,8 @@ def test_cycle_search_sees_at_most_two_twins_per_block(monkeypatch):
     for spec in enumerate_irreps(4, 4):
         if scalar_gate(pi_scalar(spec), 4) is not None:
             continue
-        for subrack in plans.subracks:
-            diagram = dynkin_diagram(plans.subrack_plan(subrack),
-                                     spec.character())
+        for plan in plans.plans():
+            diagram = dynkin_diagram(plan, spec.character())
             for space, sub, nodes, comp in _non_finite_components(diagram):
                 searched = len(given)
                 _minimal_infinite_set(diagram, nodes)
@@ -336,11 +336,11 @@ def test_cycle_search_sees_at_most_two_twins_per_block(monkeypatch):
     assert largest == 12 and len(given) == 948
 
 
-def _decide_on(monkeypatch, diagram):
+def _decide_on(monkeypatch, diagram, subrack=None):
     # the rules of one subrack, run on a given diagram
     monkeypatch.setattr(nichols.verdict, "dynkin_diagram",
                         lambda plan, character: diagram)
-    return _subspace_rules(None, None)
+    return _subspace_rules(SubrackPlan(subrack, None, None, None), None)
 
 
 def test_witness_search_needs_minus_one_vertex_labels(monkeypatch):
@@ -349,8 +349,7 @@ def test_witness_search_needs_minus_one_vertex_labels(monkeypatch):
     # guess
     labels = (((0, 1), (0, 1), (1, 0)), ((1, 0), (1, 1), (0, 1)),
               ((0, 1), (1, 0), (1, 1)))
-    diagram = GeneralizedDynkinDiagram(None, 2, range(3), ((0, 1), (1, 1)),
-                                       labels)
+    diagram = GeneralizedDynkinDiagram(2, range(3), ((0, 1), (1, 1)), labels)
     comp = max(diagram.components(), key=len)
     with pytest.raises(RuntimeError, match="not -1"):
         dynkin_shape(diagram, _count(diagram, comp))
@@ -360,7 +359,7 @@ def test_witness_search_needs_minus_one_vertex_labels(monkeypatch):
     # z(4,1): read as a graph alone it would be the finite tree A3, so the
     # guard covers finite components too
     labels = (((2,), (2,), (0,)), ((0,), (1,), (2,)), ((0,), (0,), (2,)))
-    diagram = GeneralizedDynkinDiagram(None, 4, range(3), ((0, 1),), labels)
+    diagram = GeneralizedDynkinDiagram(4, range(3), ((0, 1),), labels)
     assert diagram.components() == ((0, 1, 2),)
     assert {w for _, _, w in diagram.edges} == {ROOT_MINUS_ONE}
     with pytest.raises(RuntimeError, match="not -1"):
@@ -369,14 +368,14 @@ def test_witness_search_needs_minus_one_vertex_labels(monkeypatch):
         _decide_on(monkeypatch, diagram)
 
 
-def _graph(size, pairs, label=ROOT_MINUS_ONE, subrack=None):
+def _graph(size, pairs, label=ROOT_MINUS_ONE):
     # one vertex (j, 0) per column j, every vertex label -1, and an edge
     # with the given label on each pair
     exponent = 4 // label.m * label.a
     edges = {tuple(sorted(p)) for p in pairs}
     labels = tuple(tuple((2 if a == b else exponent if (a, b) in edges else 0,)
                          for b in range(size)) for a in range(size))
-    return GeneralizedDynkinDiagram(subrack, 4, range(size), ((0, 1),), labels)
+    return GeneralizedDynkinDiagram(4, range(size), ((0, 1),), labels)
 
 
 def _ones(nodes):
@@ -390,9 +389,8 @@ def test_a_non_finite_tree_is_its_own_witness(monkeypatch):
     # the (2,4) canonical subrack, two isolated vertices beside it
     subrack = canonical_subrack(UnmixedClass(2, 4))
     assert subrack.size == 9
-    diagram = _graph(9, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)],
-                     subrack=subrack)
-    verdict = _decide_on(monkeypatch, diagram)
+    diagram = _graph(9, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+    verdict = _decide_on(monkeypatch, diagram, subrack)
     assert verdict.outcome == INFINITE and verdict.rule == "cartan-infinite"
     firing = verdict.witness["firing"]
     assert firing == list(range(7))
@@ -481,7 +479,7 @@ def test_dynkin_shape_counts_twins():
     # one (node 0) and to a node of four twins (node 1): read with some of
     # the twins it is a star or a path; and a node of twins without edges
     # is one A1 per member
-    diagram = GeneralizedDynkinDiagram(None, 4, range(2), ((0, 1), (1, 4)),
+    diagram = GeneralizedDynkinDiagram(4, range(2), ((0, 1), (1, 4)),
                                        (((2, 2), (2, 0)), ((0, 0), (2, 2))))
     assert diagram.edges == ((0, 2, ROOT_MINUS_ONE), (1, 2, ROOT_MINUS_ONE))
     assert dynkin_shape(diagram, {2: 1, 1: 3}) == (True, "D4")
@@ -489,7 +487,7 @@ def test_dynkin_shape_counts_twins():
     assert dynkin_shape(diagram, {2: 1, 1: 2}) == (True, "A3")
     assert dynkin_shape(diagram, {0: 1, 2: 1, 1: 2}) == (True, "D4")
     assert dynkin_shape(diagram, _count(diagram, range(4))) == (False, None)
-    twins = GeneralizedDynkinDiagram(None, 2, range(1), ((0, 5),), (((1,),),))
+    twins = GeneralizedDynkinDiagram(2, range(1), ((0, 5),), (((1,),),))
     assert twins.edges == () and twins.components() == ((0,),)
     assert dynkin_shape(twins, {0: 5}) == (True, "A1")
 
