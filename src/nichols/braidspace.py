@@ -299,10 +299,13 @@ def planned_spectrum(plan: SpectrumPlan, character: InducedCharacter) -> list:
 
 class SubrackPlan(NamedTuple):
     """The part of a diagonal subspace that does not depend on rho: the
-    subrack, its conjugation table, the distinct entries in order of first
-    appearance (row i, then column j), and the plan of the group they make."""
+    subrack and its description (AbelianSubrack.describe, which every
+    witness on the subrack prints), its conjugation table, the distinct
+    entries in order of first appearance (row i, then column j), and the
+    plan of the group they make."""
 
     subrack: AbelianSubrack
+    description: dict
     table: tuple
     distinct: tuple
     spectrum: SpectrumPlan
@@ -321,7 +324,7 @@ def subrack_plan(subrack: AbelianSubrack) -> SubrackPlan:
     distinct = tuple(dict.fromkeys(p for row in table for p in row))
     if not all(a.commutes_with(b) for a, b in itertools.combinations(distinct, 2)):
         raise ValueError("conjugation table entries do not commute")
-    return SubrackPlan(subrack, table, distinct,
+    return SubrackPlan(subrack, subrack.describe(), table, distinct,
                        spectrum_plan(subrack.cls, distinct, modulus))
 
 

@@ -8,10 +8,12 @@ the same inputs serves as an independent cross-check oracle.
 
 Past the scalar gate every vertex label is -1, so a component is Cartan
 exactly when every edge label is -1, and its matrix is then simply laced:
-of finite type exactly when its graph is an A, D or E tree.  The decision
-reads this off the nodes of the diagram (dynkin_shape), and searches its
-witnesses on at most two members of each node; verify_witness re-fires it
-by linear algebra on the witness's braiding values instead.
+of finite type exactly when its graph is an A, D or E tree.  On the
+candidate subracks every tree is a path, so the decision reads a Cartan
+component off the nodes of the diagram by counting its edges
+(cartan_finite), and searches its witnesses on at most two members of
+each node; verify_witness re-fires it by linear algebra on the witness's
+braiding values instead.
 
 Everything runs on the character of the representation: braidings are
 roots of unity with integer exponents, and "acts by a scalar" is read off
@@ -47,7 +49,7 @@ is a defect of the engine and raises.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import deque
 from functools import cache
 from math import lcm
 from typing import NamedTuple, Optional
@@ -90,31 +92,41 @@ def scalar_gate(q: RootOfUnity, ord_pi: int) -> Optional[Verdict]:
     return None
 
 
-class DynkinShape(NamedTuple):
-    finite: bool
-    label: Optional[str]
-
-
-_EXCEPTIONAL = {(1, 2, 2): "E6", (1, 2, 3): "E7", (1, 2, 4): "E8"}
-
-
-def dynkin_shape(diagram: GeneralizedDynkinDiagram,
-                 count: dict) -> Optional[DynkinShape]:
+def cartan_finite(diagram: GeneralizedDynkinDiagram,
+                  count: dict) -> Optional[bool]:
     """Read the subdiagram on a connected vertex set as a Cartan diagram;
     count maps each node of the set to the number of its members in it.
+    Returns None when the set is not Cartan, False when it holds a cycle
+    (as many edges as vertices or more), and True otherwise.
 
-    Every vertex label must be -1 (past the scalar gate it is; otherwise
-    RuntimeError).  Then q_ab q_ba = q_aa^a_ab has a solution a_ab in
-    {0, -1} exactly when the edge label is 1 (no edge) or -1, so the set is
-    Cartan exactly when every edge label is -1, and None is returned
-    otherwise.  The matrix is then simply laced, and of finite type exactly
-    when the graph is an A, D or E tree (Kac, Infinite-dimensional Lie
-    algebras, 4.8).  The label names A_m, D_m and E6-E8, and a cycle as
-    A_{m-1}(1); any other non-finite shape is unnamed (None).  A node
-    without edges stands for its members as one-vertex components, A1.
+    Every vertex label must be -1, or RuntimeError: past the scalar gate
+    every character psi of H that occurs has psi(pi) = -1, and gamma_jj =
+    pi.  Then q_ab q_ba = q_aa^a_ab has a solution a_ab in {0, -1} exactly
+    when the edge label is 1 (no edge) or -1, so the set is Cartan exactly
+    when every edge label is -1.  The matrix is then simply laced, and of
+    finite type exactly when its graph is an A, D or E tree (Kac,
+    Infinite-dimensional Lie algebras, 4.8).  A cycle is not a tree, and a
+    path A_m is of finite type.  A tree with a fork, a vertex of degree 3
+    or more, raises RuntimeError, as no candidate subrack makes one:
+    - the quadruples (even k >= 4, quadruple-rotation and quadruple-swap)
+      have gamma_ij = f(i XOR j) with f(0) = pi, f(1) = pi^-1 and
+      f(3) = f(2)^-1.  So (i, psi) and (i XOR 1, psi) have the same
+      neighbors, with inverse edge labels, and are never adjacent: their
+      label is psi(pi^-1)^2 = 1.  Every edge (i, psi) - (j, phi) then lies
+      in the chordless 4-cycle through (i XOR 1, psi) and (j XOR 1, phi),
+      and an acyclic component is a single vertex;
+    - the triple (k = 2, canonical-triple) has the table ((pi, x, y),
+      (x, pi, x), (y, y, pi)) with x and y involutions, so a character is
+      fixed by its signs (psi(x), psi(y)): there are at most four.  A fork
+      is a vertex and three of its neighbors, whose eigenvectors carry at
+      most four characters counted with multiplicity; the diagram on those
+      eigenvectors, in every column, is an induced subgraph, in which the
+      fork's component is still a tree.  Of the 69 multisets of the four
+      characters of total multiplicity at most 4, none has a tree
+      component with a fork (the test suite builds every one).
 
     Labels and degrees are read per node, as twins have one label and one
-    degree, and trees are walked on nodes."""
+    degree."""
     if any(diagram.q(x, x) != ROOT_MINUS_ONE for x in count):
         raise RuntimeError("a vertex label is not -1 past the scalar gate, "
                            "so one column may hold adjacent vertices")
@@ -127,36 +139,12 @@ def dynkin_shape(diagram: GeneralizedDynkinDiagram,
                 if w != ROOT_MINUS_ONE:
                     return None
                 degree[x] += near
-    edges = sum(degree[x] * c for x, c in count.items()) // 2
-    if not edges:
-        return DynkinShape(True, "A1")
-    m = sum(count.values())
-    top = max(degree.values())
-    if edges >= m:
-        cycle = edges == m and top == 2
-        return DynkinShape(False, "A%d(1)" % (m - 1) if cycle else None)
-    # a tree: twins share their neighbors, so only leaves have twins
-    if top <= 2:
-        return DynkinShape(True, "A%d" % m)
-    forks = [x for x in count if degree[x] > 2]
-    if top > 3 or len(forks) > 1:
-        return DynkinShape(False, None)
-    center = forks[0]
-    arms = []
-    for start in diagram.adjacent(center):
-        if start not in count:
-            continue
-        length, prev, cur = 1, center, start
-        while degree[cur] == 2:
-            prev, cur = cur, next(y for y in diagram.adjacent(cur)
-                                  if y in count and y != prev)
-            length += 1
-        arms += [length] * count[start]
-    arms.sort()
-    if arms[:2] == [1, 1]:
-        return DynkinShape(True, "D%d" % m)
-    label = _EXCEPTIONAL.get(tuple(arms))
-    return DynkinShape(label is not None, label)
+    if sum(degree[x] * c for x, c in count.items()) // 2 >= sum(count.values()):
+        return False
+    if any(d > 2 for d in degree.values()):
+        raise RuntimeError("a tree component has a fork, which no candidate "
+                           "subrack makes")
+    return True
 
 
 def _positive_definite(S) -> bool:
@@ -199,13 +187,12 @@ def _cartan_infinite(q) -> Optional[list]:
     return None if _positive_definite(cartan) else cartan
 
 
-def _members(diagram: GeneralizedDynkinDiagram, nodes, most) -> list:
-    """The first most members (j, s) of each node (all for None), in
-    vertex order."""
+def _members(diagram: GeneralizedDynkinDiagram, nodes) -> list:
+    """The first two members (j, s) of each node, in vertex order."""
     members = []
     for x in sorted(nodes):
         j, indices = diagram.nodes[x]
-        members += [(j, s) for s in indices[:most]]
+        members += [(j, s) for s in indices[:2]]
     return members
 
 
@@ -244,7 +231,7 @@ def cycle_rule(diagram: GeneralizedDynkinDiagram, comp) -> Optional[dict]:
       neighbors, holds only first and second members.
     The same argument shrinks the witness search (_minimal_infinite_set)."""
     minus = _members(diagram, [x for x in comp
-                               if diagram.q(x, x) == ROOT_MINUS_ONE], 2)
+                               if diagram.q(x, x) == ROOT_MINUS_ONE])
     near = _near(diagram, minus)
     for a in minus:
         for c in minus:
@@ -440,7 +427,7 @@ def _shortest_cycle(near: dict) -> Optional[tuple]:
     return None if best is None else best[1]
 
 
-def _witness(subrack: AbelianSubrack, diagram: GeneralizedDynkinDiagram,
+def _witness(plan: SubrackPlan, diagram: GeneralizedDynkinDiagram,
              firing: tuple, rule: str, detail: dict,
              cycle_order: tuple = ()) -> Verdict:
     # expand the firing vertex set to (its columns) x (its eigenvector
@@ -451,9 +438,9 @@ def _witness(subrack: AbelianSubrack, diagram: GeneralizedDynkinDiagram,
     position = {v: i for i, v in enumerate(vertices)}
     expanded = diagram.rectangle(cols, vecs)
     witness = {
-        "subrack": subrack.describe(),
-        "element_images": [list(t.img) for t in subrack.elements],
-        "transporter_images": [list(g.img) for g in subrack.transporters],
+        "subrack": plan.description,
+        "element_images": [list(t.img) for t in plan.subrack.elements],
+        "transporter_images": [list(g.img) for g in plan.subrack.transporters],
         "vertices": [[j, s] for j, s in vertices],
         "q_matrix": [[str(expanded.q(x, y)) for y in range(len(vertices))]
                      for x in range(len(vertices))],
@@ -473,29 +460,29 @@ def _subspace_rules(plan: SubrackPlan,
     cartan_hits = []
     cycle_hits = []
     for comp in diagram.components():
-        shape = dynkin_shape(diagram, {x: len(diagram.nodes[x][1])
-                                       for x in comp})
-        if shape is None:
+        finite = cartan_finite(diagram, {x: len(diagram.nodes[x][1])
+                                         for x in comp})
+        if finite is None:
             hit = cycle_rule(diagram, comp)
             if hit is not None:
                 firing = tuple(sorted(hit["cycle"]))
                 cycle_hits.append((_expansion_size(firing), firing,
                                    hit["cycle"], hit))
-        elif not shape.finite:
+        elif not finite:
             firing = _minimal_infinite_set(diagram, comp)
             cartan_hits.append((_expansion_size(firing), firing))
     if cartan_hits:
+        # the firing set is a triangle or a chordless cycle
         size, firing = min(cartan_hits)
         cartan = [[2 if a == b else 0 if diagram.edge_label(a, b) is None
                    else -1 for b in firing] for a in firing]
-        count = Counter(map(diagram.node, firing))
-        return _witness(plan.subrack, diagram, firing, "cartan-infinite",
+        return _witness(plan, diagram, firing, "cartan-infinite",
                         {"cartan_matrix": cartan,
-                         "label": dynkin_shape(diagram, count).label})
+                         "label": "A%d(1)" % (len(firing) - 1)})
     if cycle_hits:
         size, firing, order, hit = min(
             cycle_hits, key=lambda x: (x[0], x[1]))
-        return _witness(plan.subrack, diagram, firing, "alternating-cycle",
+        return _witness(plan, diagram, firing, "alternating-cycle",
                         {"cycle_labels": list(hit["labels"])},
                         cycle_order=order)
     return None
@@ -511,13 +498,14 @@ def _minimal_infinite_set(diagram: GeneralizedDynkinDiagram,
     nodes, to a small witness: the triangle least by (expansion, sorted
     tuple) when one exists; else, of the shortest cycles of each one- and
     two-index slice and of the whole component, the least by (expansion,
-    length, sorted tuple); else every vertex of the component (non-finite
-    trees).  Any cycle subdiagram is again non-finite Cartan.
+    length, sorted tuple).  A non-finite component holds a cycle
+    (cartan_finite), a shortest one is chordless, and any cycle subdiagram
+    is again non-finite Cartan.
 
     The search runs on the first two members of each node of the
     component, with the answer of the search on every vertex:
     - twins share one neighbor set and, every vertex label being -1
-      (dynkin_shape raises otherwise), are never adjacent;
+      (cartan_finite raises otherwise), are never adjacent;
     - so a triangle holds at most one member of each node, and moving
       each to the first member of its node keeps it a triangle with no
       larger expansion and no larger tuple;
@@ -528,7 +516,7 @@ def _minimal_infinite_set(diagram: GeneralizedDynkinDiagram,
     - the eigenvector indices of one run can be swapped without changing
       the graph, so a slice over indices beyond the first two of a run
       repeats an earlier slice, with larger tuples."""
-    pruned = _members(diagram, comp, 2)
+    pruned = _members(diagram, comp)
     near = _near(diagram, pruned)
     sets = {v: set(ws) for v, ws in near.items()}
     triangles = [(a, b, c) for a in pruned for b in near[a] if b > a
@@ -549,7 +537,7 @@ def _minimal_infinite_set(diagram: GeneralizedDynkinDiagram,
             candidate = (_expansion_size(firing), len(cyc), firing)
             if best is None or candidate < best:
                 best = candidate
-    return tuple(_members(diagram, comp, None)) if best is None else best[2]
+    return best[2]
 
 
 def _resolve_spec(k: int, n: int, rho_spec) -> RepSpec:
@@ -733,15 +721,18 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     description (kind, param and the printed elements and transporters),
     which must describe the subrack rebuilt from the images; a kind that
     names no family, or a param that its family refuses, fails.  The
-    label, the components and the diagram_dot are not read.  An entry that
-    is not a root of unity printed in lowest terms, or a q_matrix that is
-    not one list per vertex of one entry per vertex, fails.  A witness whose
-    vertex coordinates or firing or cycle indices are not all of type int
-    (a bool, float or str is not), whose vertices are not the rectangle
-    (its columns) x (its indices) in order, from 0 and below the subrack
-    size and the degree, whose firing or cycle indices repeat or leave its
-    vertex list, whose table entries do not commute, or whose cycle is not
-    a 4-cycle raises ValueError."""
+    cartan_matrix entries and the element_order must be of type int (3.0
+    is not 3).  The label, the components and the diagram_dot are not
+    read.  An entry that is not a root of unity printed in lowest terms,
+    or a q_matrix that is not one list per vertex of one entry per vertex,
+    fails.  A witness whose vertices are not a list of two-element lists,
+    whose firing or cycle is not a list, whose vertex coordinates or
+    firing or cycle indices are not all of type int (a bool, float or str
+    is not), whose vertices are not the rectangle (its columns) x (its
+    indices) in order, from 0 and below the subrack size and the degree,
+    whose firing or cycle indices repeat or leave its vertex list, whose
+    table entries do not commute, or whose cycle is not a 4-cycle raises
+    ValueError."""
     if verdict.outcome != INFINITE:
         raise ValueError("only infinite verdicts carry a rebuildable witness")
     spec = _resolve_spec(k, n, rho_spec)
@@ -749,7 +740,8 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     if verdict.rule == "scalar-gate":
         q = pi_scalar(spec)
         return ((k % 2 == 1 or q != ROOT_MINUS_ONE)
-                and w["q_scalar"] == str(q) and w["element_order"] == k)
+                and w["q_scalar"] == str(q)
+                and type(w["element_order"]) is int and w["element_order"] == k)
     subrack, description = _witness_subrack(
         k, n, tuple(Permutation(img) for img in w["element_images"]),
         tuple(Permutation(img) for img in w["transporter_images"]),
@@ -757,8 +749,14 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     if description is None or w["subrack"] != description:
         return False
     character = spec.character()
+    indices = [w[key] for key in ("firing", "cycle") if key in w]
+    if (not isinstance(w["vertices"], list)
+            or any(not isinstance(v, list) or len(v) != 2
+                   for v in w["vertices"])
+            or any(not isinstance(positions, list) for positions in indices)):
+        raise ValueError("witness vertices must be a list of pairs, and its "
+                         "firing and cycle lists")
     vertices = [(j, s) for j, s in w["vertices"]]
-    indices = (w["firing"], w.get("cycle", ()))
     if any(type(x) is not int
            for x in itertools.chain(*vertices, *indices)):
         raise ValueError("witness vertices and indices must be integers")
@@ -827,7 +825,9 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     if verdict.rule == "cartan-infinite":
         firing = w["firing"]
         cartan = _cartan_infinite([[q[a][b] for b in firing] for a in firing])
-        return cartan is not None and cartan == w["cartan_matrix"]
+        return (cartan is not None and cartan == w["cartan_matrix"]
+                and all(type(x) is int for row in w["cartan_matrix"]
+                        for x in row))
     if verdict.rule == "alternating-cycle":
         if len(w["cycle"]) != 4:
             raise ValueError("an alternating cycle has four vertices")

@@ -745,7 +745,7 @@ def _random_block(rng: random.Random, n: int) -> list:
 
 # the general reading of a diagonal braiding as a generalized Cartan
 # matrix, for any vertex labels and any symmetrizable matrix: the reference
-# that the simply-laced graph reading of nichols.verdict.dynkin_shape is
+# that the simply-laced graph reading of nichols.verdict.cartan_finite is
 # compared against
 
 def braiding_matrix(space) -> tuple:

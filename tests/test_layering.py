@@ -11,8 +11,9 @@ from a subrack plan alone, on nodes, with no vertex-level twin of it, and
 does not hold the subrack again; a class plan reaches its subracks through
 their plans alone; the stabilizer of a character vector is read as its
 level sizes, with no record of the character or of its Young subgroup;
-and conjugation and the powers of one cycle are the methods of the
-permutation and the class.
+conjugation and the powers of one cycle are the methods of the
+permutation and the class; and a Cartan component is read by counting its
+edges, with no reader of the tree shapes that no candidate subrack makes.
 The witness check shares no code with the decision's spectrum: it plans no
 subrack and reads no joint spectrum, and parses no text by regular
 expression."""
@@ -42,7 +43,8 @@ REMOVED_NAMES = frozenset(("candidate_subracks", "joint_spectrum",
                            "_neighbors", "_neighbor_sets", "GammaCharacter",
                            "YoungSubgroup", "stabilizer", "orbit_size",
                            "conjugate", "_power", "_class_label",
-                           "_subrack_plans"))
+                           "_subrack_plans", "dynkin_shape", "DynkinShape",
+                           "_EXCEPTIONAL"))
 FORBIDDEN_NAMES = frozenset(("Cyclotomic", "cartan_type", "symmetrizable",
                              "braiding_matrix", "transporter",
                              "_involution_transporter", "CycleType",

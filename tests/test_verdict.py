@@ -679,6 +679,41 @@ def test_verify_witness_rejects_positions_that_are_not_int(fake):
             verify_witness(*GENUINE, forged)
 
 
+def test_verify_witness_rejects_index_lists_and_vertices_of_the_wrong_shape():
+    # a firing or cycle that is no list, and a vertex that is no pair, are
+    # malformed witnesses: ValueError, not an error of the reading itself
+    witness = decide(*GENUINE).witness
+    vertices = witness["vertices"]
+    forgeries = [
+        _forged(firing=5),
+        _forged(firing=tuple(witness["firing"])),
+        _forged(rule="alternating-cycle", cycle=5, cycle_labels=["-1"] * 4),
+        _forged(vertices=[5] + vertices[1:]),
+        _forged(vertices=[vertices[0] + [0]] + vertices[1:]),
+        _forged(vertices=5),
+    ]
+    for forged in forgeries:
+        with pytest.raises(ValueError, match="list of pairs"):
+            verify_witness(*GENUINE, forged)
+
+
+def test_verify_witness_compares_recorded_numbers_by_type():
+    # a float or bool equals its int, but is not what the decision records
+    witness = decide(*GENUINE).witness
+    floats = [[float(x) for x in row] for row in witness["cartan_matrix"]]
+    bools = [[x if x else False for x in row]
+             for row in witness["cartan_matrix"]]
+    assert floats == bools == witness["cartan_matrix"]
+    for cartan in (floats, bools):
+        assert not verify_witness(*GENUINE, _forged(cartan_matrix=cartan))
+    spec = enumerate_irreps(3, 1)[0]
+    gate = decide(3, 1, spec)
+    assert gate.rule == "scalar-gate" and gate.witness["element_order"] == 3
+    assert verify_witness(3, 1, spec, gate)
+    forged = gate._replace(witness=dict(gate.witness, element_order=3.0))
+    assert not verify_witness(3, 1, spec, forged)
+
+
 def test_verify_witness_reads_the_subrack_description():
     # the printed elements and transporters must describe the subrack
     # rebuilt from the images (the first forgery also renames the kind);

@@ -1,10 +1,12 @@
 """The component reading, the witness search and the 4-cycle rule of
 nichols.verdict against the references in oracles: the same Cartan and
-finite-type answer and label as the general Cartan-matrix reading on every
-component, the same firing tuple as the enumerating search on every
-non-finite Cartan component, the same alternating 4-cycle as the search on
-every vertex, the same cycle on random graphs, and the same diagram on
-nodes as the one built vertex pair by vertex pair."""
+finite-type answer as the general Cartan-matrix reading on every component
+(and a refusal where that reading sees a tree with a fork), the same
+firing tuple and label as the enumerating search on every non-finite
+Cartan component, the same alternating 4-cycle as the search on every
+vertex, the same cycle on random graphs, and the same diagram on nodes as
+the one built vertex pair by vertex pair.  Two tests check the proof that
+no candidate subrack makes a tree with a fork (verdict.cartan_finite)."""
 
 import itertools
 import math
@@ -16,16 +18,16 @@ from hypothesis import given, settings, strategies as st
 
 import nichols.verdict
 from nichols.braidspace import (GeneralizedDynkinDiagram, SubrackPlan,
-                                canonical_subrack, dynkin_diagram,
-                                rotation_subrack, subrack_plan)
+                                dynkin_diagram, rotation_subrack,
+                                subrack_plan)
 from nichols.cli import _build_subrack
-from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
-from nichols.permgroup import UnmixedClass
+from nichols.exactfield import ROOT_MINUS_ONE, RootOfUnity
+from nichols.permgroup import Permutation, UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
-from nichols.verdict import (INFINITE, _cartan_infinite, _minimal_infinite_set,
-                             _near, _shortest_cycle, _subspace_rules, class_plan,
-                             cycle_rule, dynkin_shape, scalar_gate,
-                             verify_witness)
+from nichols.verdict import (_candidates, _cartan_infinite,
+                             _minimal_infinite_set, _near, _shortest_cycle,
+                             _subspace_rules, cartan_finite, class_plan,
+                             cycle_rule, scalar_gate)
 
 import oracles
 from oracles import (CartanData, braiding_matrix, cartan_type, diagram_label,
@@ -54,47 +56,84 @@ def _node_components(diagram, space):
             yield nodes, comp
 
 
+def _forked(a) -> bool:
+    # the graph of a connected simply-laced matrix is a tree with a vertex
+    # of degree 3 or more
+    degrees = [sum(1 for j, x in enumerate(row) if j != i and x)
+               for i, row in enumerate(a)]
+    return sum(degrees) // 2 == len(a) - 1 and max(degrees) > 2
+
+
+# the reading of a component whose general Cartan-matrix reading is a tree
+# with a fork: cartan_finite refuses it
+FORK = "fork"
+
+
+def _checked_reading(diagram, nodes, sub):
+    """cartan_finite on the nodes, every vertex label -1, against the
+    general Cartan-matrix reading of their vertices sub: the same answer,
+    or FORK where that reading is a tree with a fork and the reader
+    raises."""
+    count = _count(diagram, nodes)
+    data = cartan_type(braiding_matrix(sub))
+    if isinstance(data, CartanData) and _forked(data.matrix):
+        with pytest.raises(RuntimeError, match="fork"):
+            cartan_finite(diagram, count)
+        return FORK
+    finite = cartan_finite(diagram, count)
+    assert (finite is not None) == isinstance(data, CartanData)
+    if finite is not None:
+        assert finite == finite_type(data)
+    return finite
+
+
 def _read_components(diagram):
     """(space, restricted space, nodes, vertex component, reading) for
-    every component, each reading checked against the general Cartan-matrix
-    reference, and the components against those of the pairwise diagram."""
+    every component, each reading checked (_checked_reading), and the
+    components against those of the pairwise diagram."""
     space = vertex_space(diagram)
     found = list(_node_components(diagram, space))
     assert sorted(comp for _, comp in found) == list(
         dynkin_diagram_by_pairs(space).components())
     for nodes, comp in found:
         sub = space.restrict(space.vertices[x] for x in comp)
-        data = cartan_type(braiding_matrix(sub))
-        shape = dynkin_shape(diagram, _count(diagram, nodes))
-        assert (shape is not None) == isinstance(data, CartanData), comp
-        if shape is not None:
-            assert shape.finite == finite_type(data), comp
-            assert shape.label == diagram_label(data), comp
-        yield space, sub, nodes, comp, shape
+        yield space, sub, nodes, comp, _checked_reading(diagram, nodes, sub)
 
 
 def _non_finite_components(diagram):
-    for space, sub, nodes, comp, shape in _read_components(diagram):
-        if shape is not None and not shape.finite:
+    for space, sub, nodes, comp, finite in _read_components(diagram):
+        if finite is False:
             yield space, sub, nodes, comp
 
 
 def test_witness_search_matches_the_reference_on_every_candidate_subrack():
     # every component is read as the reference reads it, finite or not,
-    # Cartan or not; the non-finite ones are shrunk as the reference does
-    read = checked = 0
-    for k, n, spec, subrack, diagram in _grid_diagrams(GRID):
-        for space, sub, nodes, comp, shape in _read_components(diagram):
+    # Cartan or not, and none is a tree with a fork; the non-finite ones
+    # are shrunk as the reference does, and the label of each witness is
+    # the reference's name of its firing set
+    read = checked = labelled = 0
+    for k, n, spec, plan, diagram in _grid_diagrams(GRID):
+        for space, sub, nodes, comp, finite in _read_components(diagram):
             read += 1
-            if shape is None or shape.finite:
+            assert finite != FORK
+            if finite is not False:
                 continue
             want = minimal_infinite_set(space, sub, comp)
             got = _minimal_infinite_set(diagram, nodes)
             assert got == tuple(space.vertices[x] for x in want), (
-                k, n, spec.label(), subrack.kind)
+                k, n, spec.label(), plan.subrack.kind)
             checked += 1
+        verdict = _subspace_rules(plan, spec.character())
+        if verdict is not None and verdict.rule == "cartan-infinite":
+            w = verdict.witness
+            firing = vertex_space(diagram).restrict(
+                tuple(w["vertices"][x]) for x in w["firing"])
+            assert w["label"] == diagram_label(
+                cartan_type(braiding_matrix(firing)))
+            labelled += 1
     assert checked == 284
     assert read == 780
+    assert labelled > 0
 
 
 # the classes whose tried subspaces past the scalar gate are walked
@@ -110,8 +149,8 @@ def _grid_diagrams(grid):
                 continue
             character = spec.character()
             for subrack in tried_subracks(cls):
-                diagram = dynkin_diagram(subrack_plan(subrack), character)
-                yield k, n, spec, subrack, diagram
+                plan = subrack_plan(subrack)
+                yield k, n, spec, plan, dynkin_diagram(plan, character)
 
 
 def _assert_same_cycle(diagram, space, pairs):
@@ -132,7 +171,7 @@ def _assert_same_cycle(diagram, space, pairs):
 
 def _fired_alike(grid):
     fired = 0
-    for k, n, spec, subrack, diagram in _grid_diagrams(grid):
+    for k, n, spec, plan, diagram in _grid_diagrams(grid):
         space = vertex_space(diagram)
         fired += _assert_same_cycle(diagram, space,
                                     dynkin_diagram_by_pairs(space))
@@ -152,9 +191,9 @@ def test_cycle_rule_matches_the_vertex_rule_on_larger_golden_classes():
     assert _fired_alike(((2, 7), (4, 6), (6, 5))) == 1158
 
 
-def _shape_or_raise(diagram, count):
+def _reading_or_raise(diagram, count):
     try:
-        return dynkin_shape(diagram, count)
+        return cartan_finite(diagram, count)
     except RuntimeError as exc:
         return str(exc)
 
@@ -185,8 +224,8 @@ def _assert_same_diagram(diagram, space):
     # each reading on nodes is the reading of the vertex expansion
     expanded = _expanded(diagram)
     for nodes, comp in found:
-        assert (_shape_or_raise(diagram, _count(diagram, nodes))
-                == _shape_or_raise(expanded, dict.fromkeys(comp, 1)))
+        assert (_reading_or_raise(diagram, _count(diagram, nodes))
+                == _reading_or_raise(expanded, dict.fromkeys(comp, 1)))
     return diagram
 
 
@@ -212,15 +251,21 @@ def node_diagrams(draw):
 @given(node_diagrams())
 def test_block_diagram_reads_as_its_vertex_expansion(diagram):
     # random nodes with random labels between and within them, against the
-    # same graph built vertex pair by vertex pair
-    _assert_same_diagram(diagram, vertex_space(diagram))
+    # same graph built vertex pair by vertex pair; a component whose vertex
+    # labels are all -1 is read as the general reference reads it
+    space = vertex_space(diagram)
+    _assert_same_diagram(diagram, space)
+    for nodes, comp in _node_components(diagram, space):
+        if all(diagram.q(x, x) == ROOT_MINUS_ONE for x in nodes):
+            _checked_reading(diagram, nodes,
+                             space.restrict(space.vertices[x] for x in comp))
 
 
 def test_twin_blocks_read_as_the_pairwise_diagram():
     # every candidate subspace of the grid, and a random rectangle of each
     rng = random.Random(2003)
     merged = 0
-    for k, n, spec, subrack, diagram in _grid_diagrams(GRID):
+    for k, n, spec, plan, diagram in _grid_diagrams(GRID):
         space = vertex_space(diagram)
         _assert_same_diagram(diagram, space)
         merged += any(len(run) > 1 for _, run in diagram.nodes)
@@ -336,11 +381,11 @@ def test_cycle_search_sees_at_most_two_twins_per_block(monkeypatch):
     assert largest == 12 and len(given) == 948
 
 
-def _decide_on(monkeypatch, diagram, subrack=None):
+def _decide_on(monkeypatch, diagram):
     # the rules of one subrack, run on a given diagram
     monkeypatch.setattr(nichols.verdict, "dynkin_diagram",
                         lambda plan, character: diagram)
-    return _subspace_rules(SubrackPlan(subrack, None, None, None), None)
+    return _subspace_rules(SubrackPlan(None, None, None, None, None), None)
 
 
 def test_witness_search_needs_minus_one_vertex_labels(monkeypatch):
@@ -352,7 +397,7 @@ def test_witness_search_needs_minus_one_vertex_labels(monkeypatch):
     diagram = GeneralizedDynkinDiagram(2, range(3), ((0, 1), (1, 1)), labels)
     comp = max(diagram.components(), key=len)
     with pytest.raises(RuntimeError, match="not -1"):
-        dynkin_shape(diagram, _count(diagram, comp))
+        cartan_finite(diagram, _count(diagram, comp))
     with pytest.raises(RuntimeError, match="not -1"):
         _decide_on(monkeypatch, diagram)
     # the path 0 - 1 - 2 with every edge label -1 and the middle label
@@ -363,7 +408,7 @@ def test_witness_search_needs_minus_one_vertex_labels(monkeypatch):
     assert diagram.components() == ((0, 1, 2),)
     assert {w for _, _, w in diagram.edges} == {ROOT_MINUS_ONE}
     with pytest.raises(RuntimeError, match="not -1"):
-        dynkin_shape(diagram, {0: 1, 1: 1, 2: 1})
+        cartan_finite(diagram, {0: 1, 1: 1, 2: 1})
     with pytest.raises(RuntimeError, match="not -1"):
         _decide_on(monkeypatch, diagram)
 
@@ -382,32 +427,22 @@ def _ones(nodes):
     return dict.fromkeys(nodes, 1)
 
 
-def test_a_non_finite_tree_is_its_own_witness(monkeypatch):
-    # no row has a non-finite tree component, so the whole-component
-    # branch of the witness search runs on a synthetic diagram: the affine
-    # tree E6(1) (three arms of two edges) on the first seven columns of
-    # the (2,4) canonical subrack, two isolated vertices beside it
-    subrack = canonical_subrack(UnmixedClass(2, 4))
-    assert subrack.size == 9
+def test_a_forked_tree_is_refused_by_the_decision(monkeypatch):
+    # no candidate subrack makes a tree with a fork (cartan_finite), so the
+    # decision refuses one rather than read it: the affine tree E6(1)
+    # (three arms of two edges) on the first seven columns, two isolated
+    # vertices beside it
     diagram = _graph(9, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
-    verdict = _decide_on(monkeypatch, diagram, subrack)
-    assert verdict.outcome == INFINITE and verdict.rule == "cartan-infinite"
-    firing = verdict.witness["firing"]
-    assert firing == list(range(7))
-    assert verdict.witness["label"] is None
-    assert len(verdict.witness["cartan_matrix"]) == 7
-    # the rule fires on the recorded values; without a leaf the tree is E6,
-    # of finite type
-    values = {"1": ROOT_ONE, "-1": ROOT_MINUS_ONE}
-    q = [[values[x] for x in row] for row in verdict.witness["q_matrix"]]
-    assert _cartan_infinite([[q[a][b] for b in firing] for a in firing]) \
-        == verdict.witness["cartan_matrix"]
+    with pytest.raises(RuntimeError, match="fork"):
+        _decide_on(monkeypatch, diagram)
+    # the cartan-infinite rule of the witness check fires on its values;
+    # without a leaf the tree is E6, of finite type
+    tree = range(7)
+    q = [[diagram.q(a, b) for b in tree] for a in tree]
+    assert _cartan_infinite(q) == _matrix(diagram, tree)
     for leaf in (2, 4, 6):
-        kept = [x for x in firing if x != leaf]
+        kept = [x for x in tree if x != leaf]
         assert _cartan_infinite([[q[a][b] for b in kept] for a in kept]) is None
-    # but they are not a braiding of chi=(1,1,1,1);mu=trivial, whose every
-    # entry on those columns is 1, so the witness check refuses them
-    assert not verify_witness(2, 4, "chi=(1,1,1,1);mu=trivial", verdict)
 
 
 def _matrix(diagram, comp):
@@ -434,15 +469,21 @@ def simply_laced_graphs(draw):
 @settings(max_examples=400, deadline=None)
 @given(simply_laced_graphs())
 def test_dynkin_shape_agrees_with_the_catalog_lookup(diagram):
+    # a tree with a fork is refused; every other component reads as the
+    # lookup reads it, and so does the whole graph when none is refused
     finite = []
     for comp in diagram.components():
-        shape = dynkin_shape(diagram, _ones(comp))
         a = _matrix(diagram, comp)
-        assert shape.finite == finite_type_lookup(a), comp
-        assert shape.label == diagram_label(CartanData(a, (2,) * len(a)))
-        finite.append(shape.finite)
-    everyone = range(len(diagram.nodes))
-    assert all(finite) == finite_type_lookup(_matrix(diagram, everyone))
+        if _forked(a):
+            with pytest.raises(RuntimeError, match="fork"):
+                cartan_finite(diagram, _ones(comp))
+            finite.append(FORK)
+            continue
+        finite.append(cartan_finite(diagram, _ones(comp)))
+        assert finite[-1] == finite_type_lookup(a), comp
+    if FORK not in finite:
+        everyone = range(len(diagram.nodes))
+        assert all(finite) == finite_type_lookup(_matrix(diagram, everyone))
 
 
 def _path(size, start=0):
@@ -451,27 +492,24 @@ def _path(size, start=0):
 
 def test_dynkin_shape_fixed_cases():
     # the A9 chain is beyond the rank-8 lookup, and finite
-    assert dynkin_shape(_graph(9, _path(9)), _ones(range(9))) == (True, "A9")
-    assert dynkin_shape(_graph(1, []), _ones((0,))) == (True, "A1")
-    named = {"D5": [(0, 1), (0, 2), (0, 3), (3, 4)],
-             "E8": [(0, 1), (0, 2), (2, 3), (0, 4)] + _path(4, 4)}
-    for name, pairs in named.items():
-        size = max(max(p) for p in pairs) + 1
-        assert dynkin_shape(_graph(size, pairs), _ones(range(size))) == (
-            True, name)
-    affine = {"K1,4": (5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
+    assert cartan_finite(_graph(9, _path(9)), _ones(range(9))) is True
+    assert cartan_finite(_graph(1, []), _ones((0,))) is True
+    # trees with a fork, finite or not, are refused
+    forked = {"D5": (5, [(0, 1), (0, 2), (0, 3), (3, 4)]),
+              "E8": (8, [(0, 1), (0, 2), (2, 3), (0, 4)] + _path(4, 4)),
+              "K1,4": (5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
               "D5(1)": (6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)]),
               "E6(1)": (7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])}
-    for name, (size, pairs) in affine.items():
-        shape = dynkin_shape(_graph(size, pairs), _ones(range(size)))
-        assert shape == (False, None), name
+    for name, (size, pairs) in forked.items():
+        with pytest.raises(RuntimeError, match="fork"):
+            cartan_finite(_graph(size, pairs), _ones(range(size)))
     cycle = _graph(6, _path(6) + [(5, 0)])
-    assert dynkin_shape(cycle, _ones(range(6))) == (False, "A5(1)")
+    assert cartan_finite(cycle, _ones(range(6))) is False
     chorded = _graph(4, _path(4) + [(3, 0), (0, 2)])
-    assert dynkin_shape(chorded, _ones(range(4))) == (False, None)
+    assert cartan_finite(chorded, _ones(range(4))) is False
     # an edge label other than -1 is no Cartan entry: not a shape at all
-    assert dynkin_shape(_graph(2, [(0, 1)], RootOfUnity(4, 1)),
-                        _ones((0, 1))) is None
+    assert cartan_finite(_graph(2, [(0, 1)], RootOfUnity(4, 1)),
+                         _ones((0, 1))) is None
 
 
 def test_dynkin_shape_counts_twins():
@@ -482,14 +520,91 @@ def test_dynkin_shape_counts_twins():
     diagram = GeneralizedDynkinDiagram(4, range(2), ((0, 1), (1, 4)),
                                        (((2, 2), (2, 0)), ((0, 0), (2, 2))))
     assert diagram.edges == ((0, 2, ROOT_MINUS_ONE), (1, 2, ROOT_MINUS_ONE))
-    assert dynkin_shape(diagram, {2: 1, 1: 3}) == (True, "D4")
-    assert dynkin_shape(diagram, {2: 1, 1: 4}) == (False, None)
-    assert dynkin_shape(diagram, {2: 1, 1: 2}) == (True, "A3")
-    assert dynkin_shape(diagram, {0: 1, 2: 1, 1: 2}) == (True, "D4")
-    assert dynkin_shape(diagram, _count(diagram, range(4))) == (False, None)
+    assert cartan_finite(diagram, {2: 1, 1: 2}) is True
+    for count in ({2: 1, 1: 3}, {2: 1, 1: 4}, {0: 1, 2: 1, 1: 2},
+                  _count(diagram, range(4))):
+        with pytest.raises(RuntimeError, match="fork"):
+            cartan_finite(diagram, count)
     twins = GeneralizedDynkinDiagram(2, range(1), ((0, 5),), (((1,),),))
     assert twins.edges == () and twins.components() == ((0,),)
-    assert dynkin_shape(twins, {0: 5}) == (True, "A1")
+    assert cartan_finite(twins, {0: 5}) is True
+    # three columns of two twins, column 0 adjacent to columns 1 and 2:
+    # two twins of column 0 close a 4-cycle, two of column 1 make a fork
+    fan = GeneralizedDynkinDiagram(4, range(3), ((0, 2),),
+                                   (((2,), (2,), (2,)), ((0,), (2,), (0,)),
+                                    ((0,), (0,), (2,))))
+    assert fan.edges == ((0, 1, ROOT_MINUS_ONE), (0, 2, ROOT_MINUS_ONE))
+    assert cartan_finite(fan, {0: 2, 1: 1, 2: 1}) is False
+    assert cartan_finite(fan, _count(fan, range(3))) is False
+    with pytest.raises(RuntimeError, match="fork"):
+        cartan_finite(fan, {0: 1, 1: 2, 2: 1})
+
+
+# the proof in cartan_finite's docstring, checked: the shapes of the
+# conjugation tables of the candidate subracks, and every diagram that the
+# triple can make on at most four characters
+
+def _proof_classes():
+    # k = 2 with n = 2..10, and even k = 4..16 with n = 2..6
+    yield from ((2, n) for n in range(2, 11))
+    yield from ((k, n) for k in range(4, 17, 2) for n in range(2, 7))
+
+
+def test_candidate_subracks_have_the_table_shapes_of_the_proof():
+    kinds = []
+    for k, n in _proof_classes():
+        cls = UnmixedClass(k, n)
+        pi = cls.basepoint
+        for subrack in _candidates(cls):
+            kinds.append(subrack.kind)
+            g = subrack.gamma_table()
+            if subrack.kind == "canonical-triple":
+                x, y = g[0][1], g[0][2]
+                assert g == ((pi, x, y), (x, pi, x), (y, y, pi)), (k, n)
+                assert x * x == y * y == Permutation.identity(cls.degree)
+                continue
+            assert subrack.kind in ("quadruple-rotation", "quadruple-swap")
+            f = g[0]
+            assert all(g[i][j] == f[i ^ j] for i in range(4) for j in range(4))
+            assert (f[0], f[1], f[3]) == (pi, pi.inverse(), f[2].inverse()), (
+                k, n, subrack.kind)
+    assert len(kinds) == 79
+    assert kinds.count("canonical-triple") == 9
+
+
+# the signs (psi(x), psi(y)) of the four characters of the triple, as
+# exponents mod 2; psi(pi) = -1 for each
+SIGNS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _triple_diagram(mults):
+    # the diagram of the triple's table for the characters of SIGNS with
+    # the given multiplicities
+    used = [(signs, m) for signs, m in zip(SIGNS, mults) if m]
+    values = [(1,) + signs for signs, _ in used]   # at pi, x and y
+    place = ((0, 1, 2), (1, 0, 1), (2, 2, 0))      # of gamma_ij among them
+    labels = tuple(tuple(tuple(v[place[i][j]] for v in values)
+                         for j in range(3)) for i in range(3))
+    mults = [m for _, m in used]
+    return GeneralizedDynkinDiagram(
+        2, range(3), tuple(zip(itertools.accumulate(mults, initial=0), mults)),
+        labels)
+
+
+def test_the_triple_makes_no_tree_with_a_fork():
+    # every multiset of the four characters of total multiplicity at most
+    # 4: a fork and its three neighbors use no more, so a fork anywhere
+    # would show on one of these; each is read as the reference reads it
+    multisets = [m for m in itertools.product(range(5), repeat=4)
+                 if 0 < sum(m) <= 4]
+    assert len(multisets) == 69
+    components = 0
+    for mults in multisets:
+        diagram = _triple_diagram(mults)
+        readings = [finite for *_, finite in _read_components(diagram)]
+        assert FORK not in readings, mults
+        components += len(diagram.components())
+    assert components == 123
 
 
 @st.composite
