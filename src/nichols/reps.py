@@ -13,7 +13,10 @@ character, which InducedCharacter computes from the spec alone: the
 induced-character formula over the orbit of u, with the symmetric-group
 factors given by the Murnaghan-Nakayama rule.  That works for every
 partition, so every irrep of every class is available; no representation
-matrix is ever built.
+matrix is ever built.  The orbit part of a value (orbit_terms) is computed
+once per (k, shape, label) per process, shape the (value, level size)
+pairs of u, and shared by every spec with those levels; the partitions
+enter only through the final product of partition characters.
 A character is a class function, so it is read at a conjugacy-class label
 of the centralizer, the sorted (L, s) pairs of nichols.permgroup, and never
 at a group element.  Character values are integer coefficient vectors over
@@ -154,6 +157,52 @@ class RepSpec(NamedTuple):
         return self.label()
 
 
+@lru_cache(maxsize=None)
+def orbit_terms(k: int, shape: tuple, label: tuple) -> tuple:
+    """The orbit part of the induced character at a class label, for a
+    vector u with levels shape, its (value, level size) pairs, values
+    descending: (cycle_types, vector) pairs, one per way the cycles of the
+    label fall on the levels.  cycle_types holds the lengths each level
+    receives, in label order; vector holds the k integers c with
+    sum_a c[a] zeta_k^a the sum of zeta_k^(u'.d) over the orbit members u'
+    that place the cycles so.  Cached for the life of the process, for
+    every spec with these levels."""
+    # the cycles of one (L, s) pair are alike, and adjacent in the sorted
+    # label: they are given levels in non-decreasing order, and a split of
+    # m of them, m_i to level i, stands for its m! / prod m_i! placements,
+    # built up as the t-th of them joins a level that then holds `same` of
+    # them: times t / same
+    terms = {}
+    room = [count for _, count in shape]
+    lengths = [[] for _ in shape]
+    rank = []
+    for c, pair in enumerate(label):
+        rank.append(rank[-1] + 1 if c and label[c - 1] == pair else 1)
+
+    def assign(c: int, level: int, run: int, phase: int, weight: int) -> None:
+        # cycle c (and those after it) gets a level with room for its
+        # length; the cycle before it went to level, the last run of its
+        # alike cycles there
+        if c == len(label):
+            vector = terms.setdefault(tuple(map(tuple, lengths)), [0] * k)
+            vector[phase % k] += weight
+            return
+        length, s = label[c]
+        t = rank[c]
+        for i in range(level if t > 1 else 0, len(shape)):
+            if room[i] >= length:
+                same = run + 1 if t > 1 and i == level else 1
+                room[i] -= length
+                lengths[i].append(length)
+                assign(c + 1, i, same, phase + shape[i][0] * s,
+                       weight * t // same)
+                lengths[i].pop()
+                room[i] += length
+
+    assign(0, 0, 0, 0, 1)
+    return tuple(zip(terms, map(tuple, terms.values())))
+
+
 class InducedCharacter:
     """The character of the centralizer irrep named by a RepSpec.
 
@@ -162,18 +211,23 @@ class InducedCharacter:
     the values v of the partition character of block v at the cycle type
     of b on the positions where u' = v.  That depends only on the (L, s)
     cycle label of (d, b), so the character takes the label, and a value is
-    computed once per label.  Values are integer coefficient vectors c over
-    Z/k, meaning sum_a c[a] zeta_k^a.
+    computed once per label.  The orbit part of the sum, the roots of unity
+    and placement counts grouped by the cycle types each level receives,
+    depends only on k, the levels of u and the label, so it is computed
+    once per (k, shape, label) per process (orbit_terms).  The partitions
+    enter only through the final product: each term times the partition
+    character of every level at its cycle type.  Values are integer
+    coefficient vectors c over Z/k, meaning sum_a c[a] zeta_k^a.
     """
 
-    __slots__ = ("spec", "k", "degree", "_levels", "_values")
+    __slots__ = ("spec", "k", "degree", "_shape", "_values")
 
     def __init__(self, spec: RepSpec) -> None:
         self.spec = spec
         self.k = spec.k
         self.degree = spec.degree()
-        self._levels = tuple(zip(sorted(set(spec.u), reverse=True),
-                                 level_sizes(spec.u), spec.partitions))
+        self._shape = tuple(zip(sorted(set(spec.u), reverse=True),
+                                level_sizes(spec.u)))
         self._values = {}
 
     def coefficients(self, label: tuple) -> tuple:
@@ -185,44 +239,12 @@ class InducedCharacter:
         return hit
 
     def _from_label(self, label: tuple) -> tuple:
-        # the cycles of one (L, s) pair are alike, and adjacent in the
-        # sorted label: they are given levels in non-decreasing order, and
-        # a split of m of them, m_i to level i, stands for its m! / prod m_i!
-        # placements, built up as the t-th of them joins a level that then
-        # holds `same` of them: times t / same
-        k = self.k
-        levels = self._levels
-        out = [0] * k
-        room = [count for _, count, _ in levels]
-        lengths = [[] for _ in levels]
-        rank = []
-        for c, pair in enumerate(label):
-            rank.append(rank[-1] + 1 if c and label[c - 1] == pair else 1)
-
-        def assign(c: int, level: int, run: int, phase: int, weight: int) -> None:
-            # cycle c (and those after it) gets a level with room for its
-            # length; the cycle before it went to level, the last run of
-            # its alike cycles there
-            if c == len(label):
-                for (_, _, part), cycle_type in zip(levels, lengths):
-                    weight *= sn_character(part, tuple(cycle_type))
-                    if not weight:
-                        return
-                out[phase % k] += weight
-                return
-            length, s = label[c]
-            t = rank[c]
-            for i in range(level if t > 1 else 0, len(levels)):
-                if room[i] >= length:
-                    same = run + 1 if t > 1 and i == level else 1
-                    room[i] -= length
-                    lengths[i].append(length)
-                    assign(c + 1, i, same, phase + levels[i][0] * s,
-                           weight * t // same)
-                    lengths[i].pop()
-                    room[i] += length
-
-        assign(0, 0, 0, 0, 1)
+        partitions = self.spec.partitions
+        out = [0] * self.k
+        for cycle_types, vector in orbit_terms(self.k, self._shape, label):
+            factor = prod(map(sn_character, partitions, cycle_types))
+            if factor:
+                out = [a + factor * c for a, c in zip(out, vector)]
         return tuple(out)
 
     def scalar(self, label: tuple) -> Optional[RootOfUnity]:

@@ -675,6 +675,24 @@ def _witness_group(subrack: AbelianSubrack, cols: tuple) -> _WitnessGroup:
                                for h in queue))
 
 
+# the witness fields each rule reads (a rule that is not one of these reads
+# the subrack fields, then is refused); the subrack field must hold the kind
+# and param of its family
+_SUBRACK_FIELDS = ("element_images", "transporter_images", "subrack",
+                   "vertices", "q_matrix")
+_WITNESS_FIELDS = {
+    "scalar-gate": ("q_scalar", "element_order"),
+    "cartan-infinite": _SUBRACK_FIELDS + ("firing", "cartan_matrix"),
+    "alternating-cycle": _SUBRACK_FIELDS + ("cycle", "cycle_labels"),
+}
+
+
+def _require(record: dict, keys: tuple, what: str) -> None:
+    missing = [key for key in keys if key not in record]
+    if missing:
+        raise ValueError("%s lacks the field %s" % (what, ", ".join(missing)))
+
+
 def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     """Re-validate an infinite verdict from its recorded witness alone, on
     the witness's own group: no subrack plan, class plan or spectrum of the
@@ -732,16 +750,19 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     indices) in order, from 0 and below the subrack size and the degree,
     whose firing or cycle indices repeat or leave its vertex list, whose
     table entries do not commute, or whose cycle is not a 4-cycle raises
-    ValueError."""
+    ValueError, and so does a witness that lacks a field its rule reads."""
     if verdict.outcome != INFINITE:
         raise ValueError("only infinite verdicts carry a rebuildable witness")
     spec = _resolve_spec(k, n, rho_spec)
     w = verdict.witness
+    _require(w, _WITNESS_FIELDS.get(verdict.rule, _SUBRACK_FIELDS),
+             "the %s witness" % verdict.rule)
     if verdict.rule == "scalar-gate":
         q = pi_scalar(spec)
         return ((k % 2 == 1 or q != ROOT_MINUS_ONE)
                 and w["q_scalar"] == str(q)
                 and type(w["element_order"]) is int and w["element_order"] == k)
+    _require(w["subrack"], ("kind", "param"), "the witness subrack")
     subrack, description = _witness_subrack(
         k, n, tuple(Permutation(img) for img in w["element_images"]),
         tuple(Permutation(img) for img in w["transporter_images"]),

@@ -223,7 +223,9 @@ def coefficients_by_placements(character, label: tuple) -> tuple:
     every placement of every cycle, alike cycles included, adds its term
     (the package counts the placements of alike cycles by multinomials)."""
     k = character.k
-    levels = character._levels
+    u = character.spec.u
+    levels = [(v, u.count(v), part) for v, part in
+              zip(sorted(set(u), reverse=True), character.spec.partitions)]
     out = [0] * k
     room = [count for _, count, _ in levels]
     lengths = [[] for _ in levels]

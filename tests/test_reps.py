@@ -3,14 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nichols.exactfield import ROOT_MINUS_ONE
 from nichols.braidspace import powers_subrack
 from nichols.permgroup import NormalForm, Permutation, UnmixedClass
-from nichols.reps import (enumerate_irreps, level_sizes, parse_rep_spec,
-                          partition_degree, partitions_of, pi_scalar,
-                          sn_character)
+from nichols.reps import (RepSpec, enumerate_irreps, level_sizes,
+                          parse_rep_spec, partition_degree, partitions_of,
+                          pi_scalar, sn_character)
 
 from exactfield_oracle import MINUS_ONE, ONE, rational, root_value, zeta
 from exactla_oracle import Matrix
@@ -236,15 +236,18 @@ def test_degree_is_the_listed_orbit_size_times_the_partition_degrees():
     # the orbit size n!/prod m_v! and the level sizes m_v, read off u,
     # against the orbit listed by permuting u and the sizes of its listed
     # stabilizer blocks, on every golden class with n <= 8: the listing
-    # makes n! tuples per rep
+    # makes n! tuples, once per vector u
     for k, n in sorted(DIGESTS):
         if n > 8:
             continue
+        listed = {}
         for spec in enumerate_irreps(k, n):
-            orbit, stab = orbit_and_stabilizer(GammaCharacter(k, spec.u))
-            assert level_sizes(spec.u) == tuple(
-                len(block) for block in stab.blocks), spec.label()
-            assert spec.degree() == len(orbit) * math.prod(
+            if spec.u not in listed:
+                orbit, stab = orbit_and_stabilizer(GammaCharacter(k, spec.u))
+                listed[spec.u] = len(orbit), tuple(map(len, stab.blocks))
+            orbit_size, block_sizes = listed[spec.u]
+            assert level_sizes(spec.u) == block_sizes, spec.label()
+            assert spec.degree() == orbit_size * math.prod(
                 partition_degree(p) for p in spec.partitions), spec.label()
 
 
@@ -378,3 +381,33 @@ def test_alike_cycles_counted_by_multinomials_match_every_placement():
                     k, n, spec.label(), label)
                 pairs += 1
     assert pairs == 16068
+
+
+@st.composite
+def _specs_and_labels(draw):
+    # any spec, and any sorted (L, s) label: each b-cycle of length L with
+    # any coordinate sum s; few sums, so alike pairs repeat often
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    spec = draw(st.sampled_from(enumerate_irreps(k, n)))
+    lengths = draw(st.sampled_from(partitions_of(n)))
+    sums = st.integers(0, draw(st.integers(0, k - 1)))
+    label = tuple(sorted((length, draw(sums)) for length in lengths))
+    return spec, label
+
+
+@settings(max_examples=300, deadline=None)
+@given(_specs_and_labels())
+# one alike pair four times over; the standard character of S_3 vanishes
+# at a transposition, so one term of the split drops out; a zero value
+@example((RepSpec(2, 6, (1, 1, 1, 0, 0, 0), ((2, 1), (3,))),
+          ((1, 0), (1, 0), (1, 0), (1, 0), (2, 1))))
+@example((RepSpec(2, 3, (1, 1, 1), ((2, 1),)), ((1, 0), (2, 1))))
+def test_split_character_matches_every_placement(case):
+    # the orbit part cached per (k, levels, label) times the partition
+    # characters of each term, against placing every cycle one at a time
+    spec, label = case
+    character = spec.character()
+    assert (character.coefficients(label)
+            == coefficients_by_placements(character, label)), (
+        spec.label(), label)

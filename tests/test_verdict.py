@@ -740,6 +740,40 @@ def test_verify_witness_rejects_repeated_vertices_and_short_cycles():
         verify_witness(*GENUINE, forged)
 
 
+@pytest.mark.parametrize("k,n,rep,rule,field", [
+    (6, 3, "chi=(5,5,5);mu=trivial", "alternating-cycle", "cycle"),
+    (2, 3, "chi=(1,1,1);mu=standard", "cartan-infinite", "firing"),
+    (2, 3, "chi=(1,1,0);mu=trivial", "scalar-gate", "q_scalar"),
+])
+def test_verify_witness_rejects_a_witness_that_lacks_a_field(k, n, rep, rule,
+                                                              field):
+    # a witness that lacks a field its rule reads is malformed: ValueError
+    # naming the field, not KeyError; so is a subrack without its kind or
+    # param.  A field the rule does not read may go
+    genuine = decide(k, n, rep)
+    assert genuine.rule == rule
+    sent = json.loads(json.dumps(genuine.witness))
+    assert verify_witness(k, n, rep, genuine._replace(witness=sent))
+    edited = dict(sent)
+    del edited[field]
+    with pytest.raises(ValueError, match="lacks the field %s$" % field):
+        verify_witness(k, n, rep, genuine._replace(witness=edited))
+    for key in sent:
+        edited = dict(sent)
+        del edited[key]
+        try:
+            verify_witness(k, n, rep, genuine._replace(witness=edited))
+        except ValueError as exc:
+            assert "lacks the field %s" % key in str(exc)
+    if "subrack" in sent:
+        for key in ("kind", "param"):
+            subrack = dict(sent["subrack"])
+            del subrack[key]
+            with pytest.raises(ValueError, match="lacks the field %s$" % key):
+                verify_witness(k, n, rep, genuine._replace(
+                    witness=dict(sent, subrack=subrack)))
+
+
 # the witness check reads the witness's own group H_w, never the decision's
 # spectrum: a fault there that decide cannot see is caught, and each new
 # reading of the witness refuses its own forgery
