@@ -5,6 +5,10 @@ Exit codes: 0 for a decided outcome, 64 for usage errors, 70 for internal
 invariant violations: table/oracle disagreement, or a representation that
 no rule decides.
 Timing goes to stderr so stdout stays byte-identical between runs.
+A JSON report is byte-identical to json.dumps(report, sort_keys=True,
+indent=2), encoded in one pass that writes each dict object once: rows
+whose characters restrict alike share one witness dict, and it is encoded
+once per report (_dumps).
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from .braidspace import canonical_subrack, dynkin_diagram, powers_subrack, \
     quadruple_subrack, rotation_subrack, subrack_plan, triple_subrack
@@ -33,6 +38,44 @@ EXIT_INTERNAL = 70
 TEXT_SKIP = frozenset((
     "q_matrix", "diagram_dot", "element_images", "transporter_images",
     "partners", "vertices", "subrack"))
+
+
+# exact type to encoder; str goes through the C quoter
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            bool: lambda value: "true" if value else "false",
+            type(None): lambda value: "null"}
+
+
+def _dumps(value, memo: dict, indent: str = "\n") -> str:
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte, for a
+    value whose lines start with indent (a newline and the spaces of its
+    depth).  Each dict object is encoded once and kept in memo, keyed by
+    id() with the object held so that its id stays taken, together with the
+    indent it was encoded at.  A dict met again at another depth is
+    re-indented by replacing that indent with its own, which is safe
+    because an encoded string holds no raw newline.  A dict key that is not
+    a str raises TypeError (json.dumps would convert it)."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        hit = memo.get(id(value))
+        if hit is None:
+            items = [encode_basestring_ascii(key) + ": " + _dumps(value[key], memo, inner)
+                     for key in sorted(value)]
+            hit = memo[id(value)] = (value, indent, _block("{", items, "}", indent))
+        return hit[2] if hit[1] == indent else hit[2].replace(hit[1], indent)
+    if isinstance(value, (list, tuple)):
+        return _block("[", [_dumps(item, memo, inner) for item in value], "]", indent)
+    return json.dumps(value)
+
+
+def _block(opening: str, items: list, closing: str, indent: str) -> str:
+    if not items:
+        return opening + closing
+    inner = indent + "  "
+    return opening + inner + ("," + inner).join(items) + indent + closing
 
 
 class UsageError(Exception):
@@ -135,7 +178,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     verdict = decide(args.k, args.n, spec)
     report = classify_report(args, spec, verdict)
     if args.format == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_dumps(report, {}))
     elif args.format == "dot":
         dot = verdict.witness.get("diagram_dot", EMPTY_DOT)
         print("// %s" % DOT_SCHEMA)
@@ -201,7 +244,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             "n": args.n,
             "rows": rows,
         }
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_dumps(report, {}))
     else:
         print("\n".join(_format_table(rows)))
     broken = [row["rep"] for row in rows if row["agree"] == "no"]

@@ -58,9 +58,9 @@ def partitions_of(m: int) -> tuple:
     return tuple(rec(m, m))
 
 
-def partition_degree(part) -> int:
+@lru_cache(maxsize=None)
+def partition_degree(part: tuple) -> int:
     """Degree of the symmetric-group irrep labeled by the partition (hook lengths)."""
-    part = tuple(part)
     m = sum(part)
     hooks = 1
     for i, row in enumerate(part):
@@ -114,6 +114,14 @@ def _label_to_partition(m: int, label: str) -> tuple:
     raise ValueError("unknown irrep label %r" % label)
 
 
+def _degree(sizes: tuple, partitions: tuple) -> int:
+    # the orbit of u has n! / prod m_v! members, m_v the level sizes
+    deg = factorial(sum(sizes))
+    for m in sizes:
+        deg //= factorial(m)
+    return deg * prod(map(partition_degree, partitions))
+
+
 class RepSpec(NamedTuple):
     """Label of a centralizer irrep: character vector plus per-block partitions."""
 
@@ -123,11 +131,7 @@ class RepSpec(NamedTuple):
     partitions: tuple
 
     def degree(self) -> int:
-        # the orbit of u has n! / prod m_v! members, m_v the level sizes
-        deg = factorial(len(self.u))
-        for m in level_sizes(self.u):
-            deg //= factorial(m)
-        return deg * prod(map(partition_degree, self.partitions))
+        return _degree(level_sizes(self.u), self.partitions)
 
     def mu_label(self) -> str:
         sizes = tuple(sum(p) for p in self.partitions)
@@ -225,9 +229,9 @@ class InducedCharacter:
     def __init__(self, spec: RepSpec) -> None:
         self.spec = spec
         self.k = spec.k
-        self.degree = spec.degree()
-        self._shape = tuple(zip(sorted(set(spec.u), reverse=True),
-                                level_sizes(spec.u)))
+        sizes = level_sizes(spec.u)
+        self.degree = _degree(sizes, spec.partitions)
+        self._shape = tuple(zip(sorted(set(spec.u), reverse=True), sizes))
         self._values = {}
 
     def coefficients(self, label: tuple) -> tuple:

@@ -7,8 +7,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nichols
+from nichols import cli
 
 PACKAGE_ROOT = str(pathlib.Path(nichols.__file__).resolve().parents[1])
 
@@ -269,6 +271,107 @@ def test_cli_import_leaves_the_process_pool_out():
                             text=True, env=child_env())
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+def _printed_report(monkeypatch, capsys, argv) -> dict:
+    """The report a --format json run hands to the encoder."""
+    reports = []
+    monkeypatch.setattr(cli, "_dumps",
+                        lambda value, memo: reports.append(value) or "")
+    assert cli.main(argv) == 0
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert len(reports) == 1
+    return reports[0]
+
+
+def _dict_ids(value, seen) -> set:
+    # the ids of the distinct dict objects reachable from value
+    if isinstance(value, dict):
+        if id(value) in seen:
+            return seen
+        seen.add(id(value))
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            _dict_ids(item, seen)
+    return seen
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("k,n", [(2, 6), (4, 5), (6, 3)])
+def test_table_report_encodes_as_json_dumps(k, n, jobs, monkeypatch, capsys):
+    # rows that restrict alike share one witness dict; with --jobs 2 they
+    # share it only within the chunk a worker sent back
+    report = _printed_report(monkeypatch, capsys, [
+        "table", "--k", str(k), "--n", str(n), "--format", "json",
+        "--jobs", jobs])
+    memo = {}
+    assert cli._dumps(report, memo) == json.dumps(report, sort_keys=True,
+                                                  indent=2)
+    assert len(memo) == len(_dict_ids(report, set()))
+
+
+@pytest.mark.parametrize("k,n,rep,rule", [
+    (6, 3, "chi=(3,3,3);mu=trivial", "negative-exhaustive"),
+    (2, 3, "chi=(1,1,1);mu=standard", "cartan-infinite"),
+])
+def test_classify_report_encodes_as_json_dumps(k, n, rep, rule, monkeypatch,
+                                               capsys):
+    report = _printed_report(monkeypatch, capsys, [
+        "classify", "--k", str(k), "--n", str(n), "--rep", rep,
+        "--format", "json"])
+    assert report["rule"] == rule
+    assert cli._dumps(report, {}) == json.dumps(report, sort_keys=True,
+                                                indent=2)
+
+
+# strings with what json must escape: quotes, backslashes, control and
+# non-ASCII characters, surrogates included
+JSON_TEXT = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7f\xe9\u20ac\ud800')
+                    | st.characters())
+JSON_SCALARS = (JSON_TEXT | st.integers() | st.integers(-2 ** 200, 2 ** 200)
+                | st.booleans() | st.none() | st.just(0.5))
+
+
+@st.composite
+def json_values(draw):
+    # random nested values in which one sub-dict is placed several times
+    shared = draw(st.dictionaries(JSON_TEXT, JSON_SCALARS, max_size=3))
+    value = draw(st.recursive(
+        JSON_SCALARS | st.just(shared),
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.lists(inner, max_size=4).map(tuple)
+                       | st.dictionaries(JSON_TEXT, inner, max_size=4)),
+        max_leaves=20))
+    return [value, shared, {"again": shared}]
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values())
+def test_the_encoder_is_json_dumps(value):
+    memo = {}
+    assert cli._dumps(value, memo) == json.dumps(value, sort_keys=True,
+                                                 indent=2)
+    assert len(memo) == len(_dict_ids(value, set()))
+
+
+@pytest.mark.parametrize("value", [
+    {1: "a"}, {"a": {None: 1}}, [{True: 1}], {"a": 1, 2.5: "b"}])
+def test_the_encoder_refuses_a_key_that_is_not_a_str(value):
+    with pytest.raises(TypeError):
+        cli._dumps(value, {})
+
+
+def test_the_encoder_keeps_one_entry_per_dict_object():
+    witness = {"label": "A2(1)", "firing": [[0, 1], [1, 2], [2, 0]]}
+    report = {"rows": [{"rep": str(i), "witness": witness}
+                       for i in range(500)]}
+    memo = {}
+    assert cli._dumps(report, memo) == json.dumps(report, sort_keys=True,
+                                                  indent=2)
+    # the report, its 500 rows and the one witness they share
+    assert len(memo) == 502
 
 
 def test_diagram_default_shows_witness():

@@ -16,7 +16,8 @@ permutation and the class; and a Cartan component is read by counting its
 edges, with no reader of the tree shapes that no candidate subrack makes.
 The witness check shares no code with the decision's spectrum: it plans no
 subrack and reads no joint spectrum, and parses no text by regular
-expression."""
+expression.  A JSON report has one encoder, `cli._dumps`: no module calls
+`json.dumps` with an indent beside it."""
 
 import ast
 import inspect
@@ -148,3 +149,18 @@ def test_verdict_imports_no_regular_expressions():
     path = pathlib.Path(nichols.verdict.__file__)
     tree = ast.parse(path.read_text(), filename=str(path))
     assert "re" not in {module for module, _ in _imports(tree)}
+
+
+def test_one_encoder_writes_the_json_report():
+    package = pathlib.Path(nichols.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            keywords = {keyword.arg for keyword in node.keywords}
+            assert not (name == "dumps" and "indent" in keywords), (
+                path.name, node.lineno)
