@@ -7,8 +7,9 @@ no rule decides.
 Timing goes to stderr so stdout stays byte-identical between runs.
 A JSON report is byte-identical to json.dumps(report, sort_keys=True,
 indent=2), encoded in one pass that writes each dict object once: rows
-whose characters restrict alike share one witness dict, and it is encoded
-once per report (_dumps).
+that share a verdict (those whose characters restrict alike, and the
+scalar-gate rows of one basepoint scalar) share one witness dict, and it
+is encoded once per report (_dumps).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from .braidspace import canonical_subrack, dynkin_diagram, powers_subrack, \
@@ -93,7 +95,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: an in-process caller
+    of main does not build it again on every call."""
     parser = _Parser(prog="nichols", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -136,12 +141,9 @@ def _parse_spec(args: argparse.Namespace):
 
 # classify
 
-def classify_report(args: argparse.Namespace, spec, verdict) -> dict:
+def _verdict_fields(spec: RepSpec, verdict) -> dict:
+    # the keys a classify report and a table row share
     return {
-        "schema": JSON_SCHEMA,
-        "command": "classify",
-        "k": args.k,
-        "n": args.n,
         "rep": spec.label(),
         "degree": spec.degree(),
         "q_pi": str(pi_scalar(spec)),
@@ -150,6 +152,11 @@ def classify_report(args: argparse.Namespace, spec, verdict) -> dict:
         "witness": verdict.witness,
         "flags": list(verdict.flags),
     }
+
+
+def classify_report(args: argparse.Namespace, spec, verdict) -> dict:
+    return {"schema": JSON_SCHEMA, "command": "classify", "k": args.k,
+            "n": args.n, **_verdict_fields(spec, verdict)}
 
 
 def _text_lines(report: dict) -> list:
@@ -194,17 +201,8 @@ def _table_row(spec: RepSpec) -> dict:
     verdict = decide(spec.k, spec.n, spec)
     oracle = closed_form_verdict(spec.k, spec.n, spec)
     agree = "yes" if verdict.outcome == oracle.outcome else "no"
-    return {
-        "rep": spec.label(),
-        "degree": spec.degree(),
-        "q_pi": str(pi_scalar(spec)),
-        "outcome": verdict.outcome,
-        "rule": verdict.rule,
-        "oracle": oracle.outcome,
-        "agree": agree,
-        "witness": verdict.witness,
-        "flags": list(verdict.flags),
-    }
+    return {**_verdict_fields(spec, verdict), "oracle": oracle.outcome,
+            "agree": agree}
 
 
 def _format_table(rows: list) -> list:

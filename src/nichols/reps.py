@@ -20,8 +20,8 @@ enter only through the final product of partition characters.
 A character is a class function, so it is read at a conjugacy-class label
 of the centralizer, the sorted (L, s) pairs of nichols.permgroup, and never
 at a group element.  Character values are integer coefficient vectors over
-Z/k, and whether a class acts by a scalar is decided from them by integer
-traces (nichols.exactfield.rational_value).
+Z/k.  They are multiplied as vectors and read by integer traces
+(nichols.exactfield.rational_value); no field element is built.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import factorial, prod
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .exactfield import RootOfUnity, rational_value
+from .exactfield import RootOfUnity
 
 
 def level_sizes(u) -> tuple:
@@ -221,7 +221,10 @@ class InducedCharacter:
     once per (k, shape, label) per process (orbit_terms).  The partitions
     enter only through the final product: each term times the partition
     character of every level at its cycle type.  Values are integer
-    coefficient vectors c over Z/k, meaning sum_a c[a] zeta_k^a.
+    coefficient vectors c over Z/k, meaning sum_a c[a] zeta_k^a.  A value
+    is a sum of degree roots of unity, so |chi(g)| <= degree, with equality
+    exactly when g acts by a scalar; the negativity check reads that off a
+    product of two values (nichols.verdict.negativity_check).
     """
 
     __slots__ = ("spec", "k", "degree", "_shape", "_values")
@@ -250,24 +253,6 @@ class InducedCharacter:
             if factor:
                 out = [a + factor * c for a, c in zip(out, vector)]
         return tuple(out)
-
-    def scalar(self, label: tuple) -> Optional[RootOfUnity]:
-        """The root of unity by which the class with the given label acts
-        when it acts by a scalar, else None: a sum of degree roots of unity
-        has absolute value degree exactly when they are all equal, so rho(g)
-        is scalar exactly when chi(g) = degree * zeta for a root of unity
-        zeta.  The roots of unity of Q(zeta_k) are the +-zeta_k^a, all of
-        them powers of zeta_2k, so each zeta_2k^b is tried: chi(g) zeta_2k^-b
-        must be the rational degree."""
-        coefficients = self.coefficients(label)
-        m = 2 * self.k
-        for b in range(m):
-            shifted = [0] * m
-            for a, c in enumerate(coefficients):
-                shifted[(2 * a - b) % m] = c
-            if rational_value(m, shifted) == self.degree:
-                return RootOfUnity(m, b)
-        return None
 
     def __repr__(self) -> str:
         return "InducedCharacter(%s)" % self.spec.label()

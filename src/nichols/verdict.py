@@ -16,14 +16,15 @@ each node; verify_witness re-fires it by linear algebra on the witness's
 braiding values instead.
 
 Everything runs on the character of the representation: braidings are
-roots of unity with integer exponents, and "acts by a scalar" is read off
-the character value.  What does not depend on the representation (the
-plans of the candidate subracks, each carrying its subrack, and the
-partner classes) is built once per class, by the first row that needs it,
-and kept in the class plan, and so is the answer of the subspace rules,
-which depends on the representation only through its character on the
-group of the subrack's table entries.  A row reads all of it from the one
-class plan that decide looks up, the negativity check included.
+roots of unity with integer exponents, and a negative pair is read off
+the product of two character values.  What does not depend on the
+representation (the plans of the candidate subracks, each carrying its
+subrack, and the partner classes) is built once per class, by the first
+row that needs it, and kept in the class plan, and so is the answer of
+the subspace rules, which depends on the representation only through its
+character on the group of the subrack's table entries.  A row reads all
+of it from the one class plan that decide looks up, the negativity check
+included.
 
 verify_witness shares none of that with the decision: it plans no subrack
 and runs none of its spectrum code.  A witness vertex (j, s) means the
@@ -77,10 +78,12 @@ class Verdict(NamedTuple):
     flags: tuple = ()
 
 
+@cache
 def scalar_gate(q: RootOfUnity, ord_pi: int) -> Optional[Verdict]:
     """Infinite unless the basepoint has even order and acts by -1.
 
-    Returns the infinite verdict, or None to pass."""
+    Returns the infinite verdict, or None to pass: one per (q, ord_pi) for
+    the life of the process, shared by every row it decides."""
     if ord_pi % 2:
         return Verdict(INFINITE, "scalar-gate",
                        {"q_scalar": str(q), "element_order": ord_pi,
@@ -333,38 +336,41 @@ def negativity_check(plan: ClassPlan,
     centralizer class without changing the braiding values, so one pair per
     partner class is checked.  pairs_checked counts those classes, partners
     lists their representatives, and partner_count sums their sizes.
-    Whether an element acts by a scalar, and which, is read off the
-    character at its class label: for t the label of its partner class, and
-    for the basepoint pulled back along a transporter of t the dual label
-    (nichols.permgroup.dual_label), so no transporter is built.  The
-    partners come from the given class plan.
+    The pair braids negatively when t and the basepoint pulled back along a
+    transporter g of t act by scalars whose product is 1.  A character
+    value has |chi(x)| <= degree, with equality exactly when x acts by a
+    scalar, so that holds exactly when chi(t) chi(g^-1 pi g) = degree^2:
+    one product of coefficient vectors over Z/k, read by integer traces.
+    chi(t) is read at the label of t's partner class and chi(g^-1 pi g) at
+    its dual label (nichols.permgroup.dual_label), so no transporter is
+    built.  The partners come from the given class plan.
     """
     q = pi_scalar(character.spec)
     if q != ROOT_MINUS_ONE:
         return NegativityReport(False, 0, True,
                                 {"reason": "basepoint scalar is not -1",
                                  "q_scalar": str(q)}, ())
+    k = character.k
+    square = character.degree ** 2
     checked = 0
     count = 0
     kept = []
     for partner in plan.partners():
         checked += 1
-        lam = character.scalar(partner.label)
-        mu = None if lam is None else character.scalar(partner.dual)
-        if lam is None:
-            failure = {"reason": "non-scalar value"}
-        elif mu is None:
-            failure = {"reason": "non-scalar pulled-back value"}
-        elif lam * mu != ROOT_ONE:
-            failure = {"value": str(lam * mu),
-                       "reason": "opposite values do not cancel"}
-        else:
-            kept.append(str(partner.representative))
-            count += partner.size
-            continue
-        return NegativityReport(False, checked, True,
-                                {"pair": _pair(plan.cls, partner), **failure},
-                                tuple(kept), count)
+        product = [0] * k
+        dual = character.coefficients(partner.dual)
+        for a, c in enumerate(character.coefficients(partner.label)):
+            if c:
+                for b, e in enumerate(dual):
+                    product[(a + b) % k] += c * e
+        if rational_value(k, product) != square:
+            return NegativityReport(
+                False, checked, True,
+                {"pair": _pair(plan.cls, partner),
+                 "reason": "chi(t) chi(g^-1 pi g) is not degree^2"},
+                tuple(kept), count)
+        kept.append(str(partner.representative))
+        count += partner.size
     return NegativityReport(True, checked, True, None, tuple(kept), count)
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import nichols
 from nichols import cli
+from nichols.reps import enumerate_irreps
 
 PACKAGE_ROOT = str(pathlib.Path(nichols.__file__).resolve().parents[1])
 
@@ -128,6 +129,20 @@ def test_usage_errors_exit_64(argv):
     result = run_cli(*argv)
     assert result.returncode == 64
     assert "error" in result.stderr
+
+
+def test_in_process_usage_errors_repeat_on_one_parser(capsys):
+    # main builds its parser once per process, and a second usage error
+    # reads as the first and as one in a fresh process
+    argv = ["classify", "--k", "2", "--n", "3", "--rep", "chi=(1,1,1)",
+            "--format", "yaml"]
+    printed = []
+    for _ in range(2):
+        assert cli.main(argv) == 64
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
+    assert printed[0].err == run_cli(*argv).stderr
+    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.mark.parametrize("part", ["", "a"])
@@ -324,6 +339,15 @@ def test_classify_report_encodes_as_json_dumps(k, n, rep, rule, monkeypatch,
     assert report["rule"] == rule
     assert cli._dumps(report, {}) == json.dumps(report, sort_keys=True,
                                                 indent=2)
+
+
+def test_scalar_gate_rows_share_their_witness():
+    # one scalar-gate verdict per (basepoint scalar, element order), so the
+    # encoder writes each of their witnesses once
+    rows = [cli._table_row(spec) for spec in enumerate_irreps(4, 4)]
+    gated = [row["witness"] for row in rows if row["rule"] == "scalar-gate"]
+    assert len(gated) == 76
+    assert len({id(witness) for witness in gated}) <= 3
 
 
 # strings with what json must escape: quotes, backslashes, control and

@@ -16,8 +16,9 @@ permutation and the class; and a Cartan component is read by counting its
 edges, with no reader of the tree shapes that no candidate subrack makes.
 The witness check shares no code with the decision's spectrum: it plans no
 subrack and reads no joint spectrum, and parses no text by regular
-expression.  A JSON report has one encoder, `cli._dumps`: no module calls
-`json.dumps` with an indent beside it."""
+expression.  A character is read as values only, with no search for the
+scalar a class acts by.  A JSON report has one encoder, `cli._dumps`: no
+module calls `json.dumps` with an indent beside it."""
 
 import ast
 import inspect
@@ -28,6 +29,7 @@ import nichols
 import nichols.verdict
 from nichols.braidspace import (AbelianSubrack, GeneralizedDynkinDiagram,
                                 dynkin_diagram)
+from nichols.reps import InducedCharacter
 from nichols.verdict import ClassPlan
 
 # last component of a module path that the package must not import
@@ -85,6 +87,12 @@ def test_reps_reads_characters_at_labels_without_permgroup():
     tree = ast.parse(path.read_text(), filename=str(path))
     for module, _ in _imports(tree):
         assert module.split(".")[-1] != "permgroup", module
+
+
+def test_a_character_offers_values_and_no_scalar_search():
+    # the negativity check reads chi(t) chi(g^-1 pi g) = degree^2 off two
+    # values, so no search over the roots of unity stands beside it
+    assert not hasattr(InducedCharacter, "scalar")
 
 
 def test_a_dynkin_diagram_is_built_from_a_plan_alone():

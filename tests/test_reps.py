@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nichols.exactfield import ROOT_MINUS_ONE
+from nichols.exactfield import ROOT_ONE, rational_value
 from nichols.braidspace import powers_subrack
 from nichols.permgroup import NormalForm, Permutation, UnmixedClass
 from nichols.reps import (RepSpec, enumerate_irreps, level_sizes,
@@ -205,7 +205,8 @@ def test_central_element_acts_by_minus_identity_in_weight_one():
     img = resolve(spec).evaluate(cls.normal_form(cls.basepoint))
     assert img == Matrix.identity(4).scale(MINUS_ONE)
     label = cls.normal_form(cls.basepoint).class_label(2)
-    assert spec.character().scalar(label) == ROOT_MINUS_ONE
+    coefficients = spec.character().coefficients(label)
+    assert rational_value(2, coefficients) == -spec.degree()
 
 
 def test_rep_images_of_block_products_match_reference():
@@ -337,28 +338,44 @@ def test_labels_parse_back_to_their_spec(data):
     assert parse_rep_spec(k, n, str(spec)) == spec
 
 
+def _product(k: int, x: tuple, y: tuple) -> list:
+    # the product of two values over Z/k as coefficient vectors
+    out = [0] * k
+    for a, c in enumerate(x):
+        for b, e in enumerate(y):
+            out[(a + b) % k] += c * e
+    return out
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_scalar_matches_the_field(data):
-    # rho(g) is scalar exactly when chi(g)/degree is a root of unity, which
-    # the field reads off the value; powers of the basepoint are central,
-    # so they act by scalars in every irrep
+def test_the_negativity_identity_matches_the_field(data):
+    # |chi(x)| <= degree, with equality exactly when rho(x) is scalar, so
+    # chi(x) chi(y) = degree^2 exactly when x and y act by roots of unity
+    # whose product is 1, which the field reads off the values; a power of
+    # the basepoint is central, so it and its inverse always pass
     k = data.draw(st.sampled_from((2, 3, 4, 5, 6, 8, 10, 12)))
     n = data.draw(st.integers(1, 3))
-    cls = UnmixedClass(k, n)
     specs = enumerate_irreps(k, n)
     spec = specs[data.draw(st.integers(0, len(specs) - 1))]
-    d = tuple(data.draw(st.integers(0, k - 1)) for _ in range(n))
     if data.draw(st.booleans()):
-        d = (d[0],) * n
-        b = Permutation.identity(n)
+        c = data.draw(st.integers(0, k - 1))
+        x = NormalForm((c,) * n, Permutation.identity(n))
+        y = NormalForm(((-c) % k,) * n, Permutation.identity(n))
     else:
-        b = Permutation(data.draw(st.permutations(range(1, n + 1))))
-    nf = NormalForm(d, b)
+        x, y = (NormalForm(
+            tuple(data.draw(st.integers(0, k - 1)) for _ in range(n)),
+            Permutation(data.draw(st.permutations(range(1, n + 1)))))
+            for _ in range(2))
     character = spec.character()
-    value = character_value(character, nf) * Fraction(1, spec.degree())
-    assert character.scalar(nf.class_label(k)) == value.as_root_of_unity(), (
-        spec.label(), str(nf))
+    degree = spec.degree()
+    lam, mu = ((character_value(character, nf) * Fraction(1, degree))
+               .as_root_of_unity() for nf in (x, y))
+    expected = lam is not None and mu is not None and lam * mu == ROOT_ONE
+    product = _product(k, character.coefficients(x.class_label(k)),
+                       character.coefficients(y.class_label(k)))
+    assert (rational_value(k, product) == degree ** 2) == expected, (
+        spec.label(), str(x), str(y))
 
 
 def test_alike_cycles_counted_by_multinomials_match_every_placement():
