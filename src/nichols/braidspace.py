@@ -20,8 +20,10 @@ unity held as integer exponents.  No field element is built.
 The work splits in two.  subrack_plan does what rho does not change, in a
 plan that carries its subrack: the table, the commute check, H with the
 (L, s) class label of each element (nichols.permgroup), and the linear
-characters of H.  dynkin_diagram(plan, character) then sums the character
-of rho, read at those labels, over H, once per rho, and labels the nodes.
+characters of H.  planned_spectrum(plan.spectrum, character) then sums the
+character of rho, read at those labels, over H, once per rho, and
+spectrum_diagram labels the nodes of the spectrum; dynkin_diagram(plan,
+character) does both.
 
 Construction families: the canonical involution subrack (k = 2), the swap and
 rotation quadruples (k even, n >= 2) and the power subrack (n = 1; drawn by
@@ -423,11 +425,19 @@ class GeneralizedDynkinDiagram:
             out.append(tuple(sorted(group)))
         return tuple(out)
 
-    def rectangle(self, columns, indices) -> "GeneralizedDynkinDiagram":
+    def rectangle(self, columns, indices,
+                  offsets=None) -> "GeneralizedDynkinDiagram":
         """The diagram on the vertices (j, s) with j in columns and s in
-        indices, both increasing, each vertex a node of its own."""
+        indices, both increasing, each vertex a node of its own.  Given
+        offsets, the first index of each run in a numbering whose runs have
+        at least as many members, each index s of run t is renamed
+        offsets[t] + s - self.offsets[t]: a diagram on capped runs draws
+        the vertices of the full one (nichols.verdict._witness)."""
         places = [bisect_right(self.columns, j) - 1 for j in columns]
         runs = [bisect_right(self.offsets, s) - 1 for s in indices]
+        if offsets is not None:
+            indices = [offsets[t] + s - self.offsets[t]
+                       for s, t in zip(indices, runs)]
         return GeneralizedDynkinDiagram(
             self.modulus, columns, [(s, 1) for s in indices],
             tuple(tuple(tuple(self.labels[a][b][t] for t in runs)
@@ -457,12 +467,13 @@ class GeneralizedDynkinDiagram:
             len(self.nodes), len(self.edges))
 
 
-def dynkin_diagram(plan: SubrackPlan,
-                   character: InducedCharacter) -> GeneralizedDynkinDiagram:
-    """The diagram of the diagonal subspace of rho over the planned
-    subrack: in each column one node per linear character psi of H that
-    occurs in rho, labelled by psi at the table entries."""
-    spectrum = planned_spectrum(plan.spectrum, character)
+def spectrum_diagram(plan: SubrackPlan, spectrum) -> GeneralizedDynkinDiagram:
+    """The diagram of a joint spectrum over the planned subrack, given as
+    its (exps, mult) pairs in order (planned_spectrum): in each column one
+    node per linear character psi of H in it, labelled by psi at the table
+    entries, with mult members.  The labels do not depend on the
+    multiplicities, so a spectrum with smaller ones gives the same labels
+    on fewer members."""
     column = {p: tuple(exps[t] for exps, _ in spectrum)
               for t, p in enumerate(plan.distinct)}
     mults = [mult for _, mult in spectrum]
@@ -470,3 +481,10 @@ def dynkin_diagram(plan: SubrackPlan,
         plan.spectrum.modulus, range(plan.subrack.size),
         tuple(zip(itertools.accumulate(mults, initial=0), mults)),
         tuple(tuple(column[p] for p in row) for row in plan.table))
+
+
+def dynkin_diagram(plan: SubrackPlan,
+                   character: InducedCharacter) -> GeneralizedDynkinDiagram:
+    """The diagram of the diagonal subspace of rho over the planned
+    subrack: the diagram of its joint spectrum (spectrum_diagram)."""
+    return spectrum_diagram(plan, planned_spectrum(plan.spectrum, character))

@@ -22,7 +22,8 @@ representation (the plans of the candidate subracks, each carrying its
 subrack, and the partner classes) is built once per class, by the first
 row that needs it, and kept in the class plan, and so is the answer of
 the subspace rules, which depends on the representation only through its
-character on the group of the subrack's table entries.  A row reads all
+character on the group of the subrack's table entries, and what the rules
+read off each pattern of its multiplicities capped at 3.  A row reads all
 of it from the one class plan that decide looks up, the negativity check
 included.
 
@@ -55,9 +56,10 @@ from functools import cache
 from math import lcm
 from typing import NamedTuple, Optional
 
+from . import braidspace
 from .braidspace import (FAMILIES, AbelianSubrack, GeneralizedDynkinDiagram,
-                         SubrackPlan, dynkin_diagram, quadruple_subrack,
-                         rotation_subrack, subrack_plan, triple_subrack)
+                         SubrackPlan, quadruple_subrack, rotation_subrack,
+                         spectrum_diagram, subrack_plan, triple_subrack)
 from .exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity, rational_value
 from .permgroup import PartnerClass, Permutation, UnmixedClass
 from .reps import InducedCharacter, RepSpec, parse_rep_spec, pi_scalar
@@ -70,7 +72,8 @@ class Verdict(NamedTuple):
     """An outcome, the rule that decided it and its witness.  Rows of one
     class whose characters restrict alike to the group of a subrack that
     fires share one verdict, witness included (ClassPlan.subspace_rules),
-    so a caller must treat the witness as read-only."""
+    and rows of one capped pattern share the fields of its rule, so a
+    caller must treat the witness as read-only."""
 
     outcome: str
     rule: str
@@ -285,9 +288,19 @@ class ClassPlan:
     labels of H, the identity's among them, whose value is the degree;
     every check of the spectrum (rationality, integrality, the degree sum)
     and every rule is a function of the key, run in full by the first row
-    with that key.  An answer of None, no rule fires, is kept as well."""
+    with that key.  An answer of None, no rule fires, is kept as well.
 
-    __slots__ = ("cls", "_plans", "_unplanned", "_partners", "_rules")
+    A row that misses it reads its joint spectrum, and a second memo keeps
+    what the rules read off each capped pattern: the subrack and the
+    multiplicity of each psi that occurs, capped at 3 (_subspace_rules,
+    which says why the cap is exact).  The rules run once per pattern, on
+    a diagram of at most three members per node, and each row that misses
+    the first memo draws its own witness from that reading; no row builds
+    its full diagram.  Rows of many restrictions share few patterns: 5 of
+    the 13 restrictions at (2,6) and of the 102 at (2,10)."""
+
+    __slots__ = ("cls", "_plans", "_unplanned", "_partners", "_rules",
+                 "_patterns")
 
     def __init__(self, k: int, n: int) -> None:
         self.cls = UnmixedClass(k, n)
@@ -295,6 +308,7 @@ class ClassPlan:
         self._unplanned = _candidates(self.cls)
         self._partners = None
         self._rules = {}
+        self._patterns = {}
 
     def plans(self):
         """The plans of the candidate subracks, in order, each built by the
@@ -308,11 +322,13 @@ class ClassPlan:
     def subspace_rules(self, plan: SubrackPlan,
                        character: InducedCharacter) -> Optional[Verdict]:
         """The verdict of the subspace rules on the subrack plan, or None,
-        run once per restriction of the character to H (see above)."""
+        kept per restriction of the character to H, and read per capped
+        pattern (see above)."""
         key = (plan.subrack, tuple(map(
             character.coefficients, dict.fromkeys(plan.spectrum.class_labels))))
         if key not in self._rules:
-            self._rules[key] = _subspace_rules(plan, character)
+            self._rules[key] = _subspace_rules(plan, character,
+                                               self._patterns)
         return self._rules[key]
 
     def partners(self) -> tuple:
@@ -433,23 +449,27 @@ def _shortest_cycle(near: dict) -> Optional[tuple]:
     return None if best is None else best[1]
 
 
-def _witness(plan: SubrackPlan, diagram: GeneralizedDynkinDiagram,
-             firing: tuple, rule: str, detail: dict,
-             cycle_order: tuple = ()) -> Verdict:
+def _witness(plan: SubrackPlan, spectrum: list,
+             diagram: GeneralizedDynkinDiagram, rule: str, firing: tuple,
+             detail: dict, cycle_order: tuple) -> Verdict:
     # expand the firing vertex set to (its columns) x (its eigenvector
-    # indices): the smallest rectangle that makes the witness self-contained
+    # indices): the smallest rectangle that makes the witness
+    # self-contained.  The diagram may be capped, so the rectangle names
+    # its indices by the runs of the row's spectrum
     cols = sorted({j for j, _ in firing})
     vecs = sorted({s for _, s in firing})
-    vertices = [(j, s) for j in cols for s in vecs]
-    position = {v: i for i, v in enumerate(vertices)}
-    expanded = diagram.rectangle(cols, vecs)
+    position = {v: i for i, v in
+                enumerate((j, s) for j in cols for s in vecs)}
+    expanded = diagram.rectangle(cols, vecs, tuple(itertools.accumulate(
+        (mult for _, mult in spectrum), initial=0)))
+    size = len(position)
     witness = {
         "subrack": plan.description,
         "element_images": [list(t.img) for t in plan.subrack.elements],
         "transporter_images": [list(g.img) for g in plan.subrack.transporters],
-        "vertices": [[j, s] for j, s in vertices],
-        "q_matrix": [[str(expanded.q(x, y)) for y in range(len(vertices))]
-                     for x in range(len(vertices))],
+        "vertices": [[j, s] for j in cols for s in expanded.offsets],
+        "q_matrix": [[str(expanded.q(x, y)) for y in range(size)]
+                     for x in range(size)],
         "diagram_dot": expanded.to_dot(),
         "components": [list(c) for c in expanded.components()],
         "firing": sorted(position[v] for v in firing),
@@ -460,9 +480,51 @@ def _witness(plan: SubrackPlan, diagram: GeneralizedDynkinDiagram,
     return Verdict(INFINITE, rule, witness)
 
 
-def _subspace_rules(plan: SubrackPlan,
-                    character: InducedCharacter) -> Optional[Verdict]:
-    diagram = dynkin_diagram(plan, character)
+def _subspace_rules(plan: SubrackPlan, character: InducedCharacter,
+                    patterns: dict) -> Optional[Verdict]:
+    """The verdict of the subspace rules on the subrack plan for rho, or
+    None, with the rules run once per capped pattern of the joint
+    spectrum: the pattern of a spectrum is its (exps, min(mult, 3)) pairs,
+    and patterns maps (subrack, pattern) to what the rules read off the
+    diagram of the pattern (_read_rules), or None, with that diagram.
+
+    Each row moves that reading onto its own spectrum: within run t the
+    pattern's index s is the row's offset_t + s - (the pattern's
+    offset_t), and the witness rectangle is drawn from the pattern's
+    diagram under those names.  The outcome is the one the rules give on
+    the full diagram:
+    - the pattern's diagram has the nodes and labels of the full one, on
+      the first min(mult, 3) members of each node, so a node joins its own
+      members in both or in neither (it has two of them in both, or one);
+    - so cartan_finite sees the same labels, and every cycle and fork
+      survives the cap: a set holds a cycle exactly when it holds a
+      chordless one, which meets a node in at most two members (see
+      _minimal_infinite_set), and a vertex of degree 3 or more keeps that
+      degree, a node of three members giving 3 on its own;
+    - cycle_rule and _minimal_infinite_set read only the first two
+      members of each node, and the index map is increasing, within runs
+      and across them, so it keeps the order of every tie-break;
+    - a rectangle reads labels per run, so the witness's values are the
+      same, and its positions keep their order under the map."""
+    spectrum = braidspace.planned_spectrum(plan.spectrum, character)
+    key = (plan.subrack,
+           tuple((exps, min(mult, 3)) for exps, mult in spectrum))
+    if key not in patterns:
+        diagram = spectrum_diagram(plan, key[1])
+        reading = _read_rules(diagram)
+        patterns[key] = None if reading is None else (diagram,) + reading
+    if patterns[key] is None:
+        return None
+    return _witness(plan, spectrum, *patterns[key])
+
+
+def _read_rules(diagram: GeneralizedDynkinDiagram) -> Optional[tuple]:
+    """The subspace rules on a diagram: (rule, firing vertices, witness
+    fields, cycle order) of the rule that fires, or None.  A non-finite
+    Cartan component fires cartan-infinite on its least witness
+    (_minimal_infinite_set) and comes first; else a component that is not
+    Cartan fires alternating-cycle (cycle_rule).  Either way the least
+    firing set by (expansion, sorted tuple) wins."""
     cartan_hits = []
     cycle_hits = []
     for comp in diagram.components():
@@ -482,15 +544,14 @@ def _subspace_rules(plan: SubrackPlan,
         size, firing = min(cartan_hits)
         cartan = [[2 if a == b else 0 if diagram.edge_label(a, b) is None
                    else -1 for b in firing] for a in firing]
-        return _witness(plan, diagram, firing, "cartan-infinite",
-                        {"cartan_matrix": cartan,
-                         "label": "A%d(1)" % (len(firing) - 1)})
+        return ("cartan-infinite", firing,
+                {"cartan_matrix": cartan,
+                 "label": "A%d(1)" % (len(firing) - 1)}, ())
     if cycle_hits:
         size, firing, order, hit = min(
             cycle_hits, key=lambda x: (x[0], x[1]))
-        return _witness(plan, diagram, firing, "alternating-cycle",
-                        {"cycle_labels": list(hit["labels"])},
-                        cycle_order=order)
+        return ("alternating-cycle", firing,
+                {"cycle_labels": list(hit["labels"])}, order)
     return None
 
 

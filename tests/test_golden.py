@@ -1,4 +1,4 @@
-"""The `table --format json` output of 46 classes, pinned by its sha256.
+"""The `table --format json` output of 50 classes, pinned by its sha256.
 
 A change that is meant to keep every verdict and witness must keep these
 digests; a change that alters output on purpose records the new ones here,
@@ -55,18 +55,22 @@ DIGESTS = {
     (8, 5): "17be067f878dd9fa0da18f233841b71dbb072c1df636846f4006b7ca629a6966",
     (10, 1): "5df69e2c71e1766f4a24dc9f77e9e380f52696d4c0f096577cf8e2f432dcd14f",
     (10, 2): "13d1327d118351e01cc29d7aed0abcf2d37e973bab444077b2e3fb5735bd1dcd",
+    (10, 4): "b5a81fbef496b6fa7623d54a8be2f8736d181b5f0db2af09ab1253bc3bf9a627",
     (12, 1): "5dac3de4e325a4504b9197b10faa2dc6adcfd8169264f6be1af0271b48d533c1",
 }
 
 # the larger sweeps, run one after another on a 2-vCPU VM: about 1 s each
-# for (2,14) and (4,9), 2 s for (2,16), 2.5 s for (4,10) and 4.5 s for
-# (4,11): run with -m slow
+# for (2,14) and (4,9), 1.5 s for (8,6), 2 s each for (2,16) and (6,8),
+# 2.5 s each for (2,18) and (4,10) and 4.5 s for (4,11): run with -m slow
 SLOW_DIGESTS = {
     (2, 14): "6ee8afaf27c5762c347dc85b2767cf9801632b2cdb21bd66e0b0ac0dc8dc2c05",
     (2, 16): "68175caa678b5844791a60c776d5d9522eebb4d18732e2a15cad4dcf6609f76e",
+    (2, 18): "cde643ab719b1bea93d4930997b000e05335ea976809d396e7f9dab804001639",
     (4, 9): "c537a94a05b688e059688bc2fd80d007b5d7416e2a95ec557e2c71b48a8c29e9",
     (4, 10): "1f594bbcf6e97d319d110068a228aad923e629fa80ed76a0630df6dc8f839573",
     (4, 11): "e6d26c5f60fdd013e176ab7d38ce195fc5f7e01c1d3d7aef00e9df5428c34759",
+    (6, 8): "cbb90dd89ef75bb45110e8cf95ab0f135f13aab5e91faad2c06df975188cfbcb",
+    (8, 6): "e5f6ec3f7b4b608f9cea13e27a0dd431b7016076ff55ca35f856a88ba44c8f6b",
 }
 
 

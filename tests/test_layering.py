@@ -28,7 +28,7 @@ import types
 import nichols
 import nichols.verdict
 from nichols.braidspace import (AbelianSubrack, GeneralizedDynkinDiagram,
-                                dynkin_diagram)
+                                dynkin_diagram, spectrum_diagram)
 from nichols.reps import InducedCharacter
 from nichols.verdict import ClassPlan
 
@@ -100,6 +100,8 @@ def test_a_dynkin_diagram_is_built_from_a_plan_alone():
     # and the diagram does not carry it again
     assert list(inspect.signature(dynkin_diagram).parameters) == [
         "plan", "character"]
+    assert list(inspect.signature(spectrum_diagram).parameters) == [
+        "plan", "spectrum"]
     assert list(inspect.signature(GeneralizedDynkinDiagram).parameters) == [
         "modulus", "columns", "runs", "labels"]
     assert "subrack" not in GeneralizedDynkinDiagram.__slots__
@@ -109,9 +111,10 @@ def test_a_class_plan_reaches_its_subracks_through_their_plans():
     # one list of subrack plans, each carrying its subrack, and the
     # candidates not yet planned: no subrack list beside it, no map from
     # subrack to plan, and no cached names on a subrack under the caches
-    # that already keep its description
+    # that already keep its description; beside them only the two memos
+    # of the subspace rules
     assert set(ClassPlan.__slots__) == {"cls", "_plans", "_unplanned",
-                                        "_partners", "_rules"}
+                                        "_partners", "_rules", "_patterns"}
     assert not hasattr(ClassPlan, "subrack_plan")
     assert "_names" not in AbelianSubrack.__slots__
 
@@ -119,7 +122,7 @@ def test_a_class_plan_reaches_its_subracks_through_their_plans():
 # the decision's spectrum code, which the witness check re-checks and so
 # must not call
 SPECTRUM_NAMES = frozenset(("subrack_plan", "spectrum_plan", "planned_spectrum",
-                            "dynkin_diagram"))
+                            "spectrum_diagram", "dynkin_diagram"))
 
 
 def _code_objects(code):

@@ -542,8 +542,10 @@ def test_verify_witness_does_not_read_the_class_plan(monkeypatch):
     monkeypatch.setattr(plans, "_plans", [
         plan._replace(distinct=plan.distinct[::-1])
         for plan in plans.plans()])
-    # and no subspace verdict kept from before the edit
+    # and no subspace verdict or reading of the rules kept from before the
+    # edit
     monkeypatch.setattr(plans, "_rules", {})
+    monkeypatch.setattr(plans, "_patterns", {})
     with pytest.raises(RuntimeError, match="not -1"):
         decide(k, n, rep)
     assert verify_witness(k, n, rep, genuine)
@@ -559,33 +561,49 @@ def _braiding(plan, character):
 
 
 # (k, n): the runs of the subspace rules in a sweep of every row, with one
-# class plan for all of them and with a cold plan for each
-SUBSPACE_RUNS = {(2, 6): (13, 23), (4, 4): (9, 41), (6, 3): (15, 24),
-                 (8, 2): (6, 12), (4, 5): (36, 81)}
+# class plan for all of them and with a cold plan for each, and the runs of
+# the rules themselves on one class plan: once per capped pattern
+SUBSPACE_RUNS = {(2, 6): (13, 23, 5), (4, 4): (9, 41, 6), (6, 3): (15, 24, 15),
+                 (8, 2): (6, 12, 6), (4, 5): (36, 81, 12),
+                 (2, 10): (102, 199, 5)}
 
 
 def test_the_class_plan_runs_the_subspace_rules_once_per_restriction(
         monkeypatch):
-    # rows whose characters agree on H share one answer, and a row decided
-    # on a warm plan gets the verdict, witness included, of a cold one
+    # rows whose characters agree on H share one answer, rows whose capped
+    # multiplicities agree share one reading of the rules, and a row
+    # decided on a warm plan gets the verdict, witness included, of a cold
+    # one
     runs = []
+    readings = []
     rules = nichols.verdict._subspace_rules
+    read = nichols.verdict._read_rules
 
-    def counted(plan, character):
+    def counted(plan, character, patterns):
         runs.append(plan.subrack)
-        return rules(plan, character)
+        return rules(plan, character, patterns)
+
+    def counted_reading(diagram):
+        # a capped diagram: no node has more than three members
+        assert max(len(indices) for _, indices in diagram.nodes) <= 3
+        readings.append(diagram)
+        return read(diagram)
     monkeypatch.setattr(nichols.verdict, "_subspace_rules", counted)
-    for (k, n), (warm_runs, cold_runs) in SUBSPACE_RUNS.items():
+    monkeypatch.setattr(nichols.verdict, "_read_rules", counted_reading)
+    for (k, n), (warm_runs, cold_runs, warm_readings) in SUBSPACE_RUNS.items():
         specs = enumerate_irreps(k, n)
         class_plan.cache_clear()
         warm = [decide(k, n, spec) for spec in specs]
         assert len(runs) == warm_runs, (k, n)
+        assert len(readings) == warm_readings, (k, n)
         runs.clear()
+        readings.clear()
         for spec, verdict in zip(specs, warm):
             class_plan.cache_clear()
             assert decide(k, n, spec) == verdict, (k, n, spec.label())
-        assert len(runs) == cold_runs, (k, n)
+        assert len(runs) == len(readings) == cold_runs, (k, n)
         runs.clear()
+        readings.clear()
 
 
 def test_every_k2_triple_gives_the_same_braiding_labels():
@@ -818,7 +836,7 @@ def test_verify_witness_plans_no_subrack_and_no_spectrum(monkeypatch):
         raise AssertionError("the witness check used the decision's spectrum")
     for module in (nichols.braidspace, nichols.verdict):
         for name in ("subrack_plan", "spectrum_plan", "planned_spectrum",
-                     "dynkin_diagram"):
+                     "spectrum_diagram", "dynkin_diagram"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     assert sum(v.rule != "scalar-gate" for *_, v in witnesses) == 17

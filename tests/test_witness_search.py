@@ -17,17 +17,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nichols.verdict
-from nichols.braidspace import (GeneralizedDynkinDiagram, SubrackPlan,
-                                dynkin_diagram, rotation_subrack,
+from nichols.braidspace import (GeneralizedDynkinDiagram, dynkin_diagram,
+                                rotation_subrack, spectrum_diagram,
                                 subrack_plan)
 from nichols.cli import _build_subrack
 from nichols.exactfield import ROOT_MINUS_ONE, RootOfUnity
 from nichols.permgroup import Permutation, UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
 from nichols.verdict import (_candidates, _cartan_infinite,
-                             _minimal_infinite_set, _near, _shortest_cycle,
-                             _subspace_rules, cartan_finite, class_plan,
-                             cycle_rule, scalar_gate)
+                             _minimal_infinite_set, _near, _read_rules,
+                             _shortest_cycle, _subspace_rules, _witness,
+                             cartan_finite, class_plan, cycle_rule,
+                             scalar_gate)
 
 import oracles
 from oracles import (CartanData, braiding_matrix, cartan_type, diagram_label,
@@ -123,7 +124,7 @@ def test_witness_search_matches_the_reference_on_every_candidate_subrack():
             assert got == tuple(space.vertices[x] for x in want), (
                 k, n, spec.label(), plan.subrack.kind)
             checked += 1
-        verdict = _subspace_rules(plan, spec.character())
+        verdict = _subspace_rules(plan, spec.character(), {})
         if verdict is not None and verdict.rule == "cartan-infinite":
             w = verdict.witness
             firing = vertex_space(diagram).restrict(
@@ -381,14 +382,7 @@ def test_cycle_search_sees_at_most_two_twins_per_block(monkeypatch):
     assert largest == 12 and len(given) == 948
 
 
-def _decide_on(monkeypatch, diagram):
-    # the rules of one subrack, run on a given diagram
-    monkeypatch.setattr(nichols.verdict, "dynkin_diagram",
-                        lambda plan, character: diagram)
-    return _subspace_rules(SubrackPlan(None, None, None, None, None), None)
-
-
-def test_witness_search_needs_minus_one_vertex_labels(monkeypatch):
+def test_witness_search_needs_minus_one_vertex_labels():
     # a vertex label 1 breaks "twins are never adjacent", on which the
     # pruning of the witness search rests: the reading raises rather than
     # guess
@@ -399,7 +393,7 @@ def test_witness_search_needs_minus_one_vertex_labels(monkeypatch):
     with pytest.raises(RuntimeError, match="not -1"):
         cartan_finite(diagram, _count(diagram, comp))
     with pytest.raises(RuntimeError, match="not -1"):
-        _decide_on(monkeypatch, diagram)
+        _read_rules(diagram)
     # the path 0 - 1 - 2 with every edge label -1 and the middle label
     # z(4,1): read as a graph alone it would be the finite tree A3, so the
     # guard covers finite components too
@@ -410,7 +404,7 @@ def test_witness_search_needs_minus_one_vertex_labels(monkeypatch):
     with pytest.raises(RuntimeError, match="not -1"):
         cartan_finite(diagram, {0: 1, 1: 1, 2: 1})
     with pytest.raises(RuntimeError, match="not -1"):
-        _decide_on(monkeypatch, diagram)
+        _read_rules(diagram)
 
 
 def _graph(size, pairs, label=ROOT_MINUS_ONE):
@@ -427,14 +421,14 @@ def _ones(nodes):
     return dict.fromkeys(nodes, 1)
 
 
-def test_a_forked_tree_is_refused_by_the_decision(monkeypatch):
+def test_a_forked_tree_is_refused_by_the_decision():
     # no candidate subrack makes a tree with a fork (cartan_finite), so the
     # decision refuses one rather than read it: the affine tree E6(1)
     # (three arms of two edges) on the first seven columns, two isolated
     # vertices beside it
     diagram = _graph(9, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
     with pytest.raises(RuntimeError, match="fork"):
-        _decide_on(monkeypatch, diagram)
+        _read_rules(diagram)
     # the cartan-infinite rule of the witness check fires on its values;
     # without a leaf the tree is E6, of finite type
     tree = range(7)
@@ -605,6 +599,71 @@ def test_the_triple_makes_no_tree_with_a_fork():
         assert FORK not in readings, mults
         components += len(diagram.components())
     assert components == 123
+
+
+def _minus_one_characters(plan):
+    # the exponents of the linear characters psi of H with psi(pi) = -1,
+    # in order: the characters a row past the scalar gate can hold
+    at_pi = plan.distinct.index(plan.table[0][0])
+    return sorted(exps for _, exps in plan.spectrum.characters
+                  if exps[at_pi] == plan.spectrum.modulus // 2)
+
+
+def _moved(vertices, capped, full):
+    # vertices (j, s) of the capped diagram at the full one's indices: run
+    # t keeps its place, its first index moves to the full offset
+    moved = []
+    for j, s in vertices:
+        t = capped.node((j, s)) % len(capped.offsets)
+        moved.append((j, full.offsets[t] + s - capped.offsets[t]))
+    return tuple(moved)
+
+
+def test_the_rules_read_a_capped_pattern_as_the_full_spectrum():
+    # every pattern of multiplicities 0 to 5 over the characters that pass
+    # the scalar gate, on the triple (k = 2) and both quadruples at k = 4
+    # and k = 6: the rules on the diagram capped at three members per node
+    # fire the rule of the full diagram, on its firing set and cycle under
+    # the offset map, with the same fields, and draw the same witness
+    counts = {}
+    for k, n in ((2, 4), (4, 3), (6, 2)):
+        for subrack in _candidates(UnmixedClass(k, n)):
+            plan = subrack_plan(subrack)
+            psis = _minus_one_characters(plan)
+            for mults in itertools.product(range(6), repeat=len(psis)):
+                spectrum = [(exps, m) for exps, m in zip(psis, mults) if m]
+                if not spectrum:
+                    continue
+                full = spectrum_diagram(plan, spectrum)
+                capped = spectrum_diagram(
+                    plan, [(exps, min(m, 3)) for exps, m in spectrum])
+                want = _read_rules(full)
+                got = _read_rules(capped)
+                key = (k, subrack.kind, want and want[0])
+                counts[key] = counts.get(key, 0) + 1
+                if want is None:
+                    assert got is None, (k, subrack.kind, mults)
+                    continue
+                rule, firing, detail, order = got
+                assert (rule, _moved(firing, capped, full), detail,
+                        _moved(order, capped, full)) == want, (
+                    k, subrack.kind, mults)
+                assert (_witness(plan, spectrum, capped, *got)
+                        == _witness(plan, spectrum, full, *want))
+    # 6^4 - 1 patterns on the triple, 6^2 - 1 on a quadruple with two such
+    # characters and 6^3 - 1 on the k = 6 rotation quadruple, which has
+    # three; the undecided ones go on to the negativity check
+    assert counts == {
+        (2, "canonical-triple", "cartan-infinite"): 1279,
+        (2, "canonical-triple", None): 16,
+        (4, "quadruple-rotation", "cartan-infinite"): 25,
+        (4, "quadruple-rotation", None): 10,
+        (4, "quadruple-swap", "cartan-infinite"): 25,
+        (4, "quadruple-swap", None): 10,
+        (6, "quadruple-rotation", "alternating-cycle"): 210,
+        (6, "quadruple-rotation", None): 5,
+        (6, "quadruple-swap", "cartan-infinite"): 25,
+        (6, "quadruple-swap", None): 10}
 
 
 @st.composite
