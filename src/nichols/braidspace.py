@@ -214,10 +214,18 @@ def spectrum_plan(cls: UnmixedClass, generators, modulus: int) -> SpectrumPlan:
     x_i with psi(g_i) = zeta_modulus^x_i, subject to r_i x_i = (exponent of
     psi at g_i^r_i, a word in earlier layers).  Each layer multiplies the
     characters by r_i, so exactly |H| of them are listed.  modulus must be a
-    multiple of k and of every generator's order."""
+    multiple of k and of every generator's order.
+
+    H closes on normal forms (d, b) of n entries (UnmixedClass.product),
+    not on permutations of the k*n points: only the generators are taken
+    to normal form, which raises ValueError on one that does not
+    centralize the basepoint, and each element's class label is read off
+    its form."""
     if modulus % cls.k:
         raise ValueError("modulus must be a multiple of k")
-    identity = Permutation.identity(cls.degree)
+    generators = [cls.normal_form(g) for g in generators]
+    product = cls.product
+    identity = cls.identity_form()
     elements = [identity]
     words = {identity: ()}
     layers = []
@@ -226,7 +234,7 @@ def spectrum_plan(cls: UnmixedClass, generators, modulus: int) -> SpectrumPlan:
             continue
         r, power = 1, g
         while power not in words:
-            power = power * g
+            power = product(power, g)
             r += 1
         layers.append((r, words[power]))
         grown = []
@@ -234,10 +242,10 @@ def spectrum_plan(cls: UnmixedClass, generators, modulus: int) -> SpectrumPlan:
         step = identity
         for e in range(r):
             for h in elements:
-                x = step * h
+                x = product(step, h)
                 grown.append(x)
                 grown_words[x] = words[h] + (e,)
-            step = step * g
+            step = product(step, g)
         elements = grown
         words = grown_words
     characters = [()]
@@ -259,8 +267,7 @@ def spectrum_plan(cls: UnmixedClass, generators, modulus: int) -> SpectrumPlan:
                      for g in generators)
         planned.append((tuple(phases), exps))
     return SpectrumPlan(modulus, modulus // cls.k,
-                        tuple(cls.normal_form(h).class_label(cls.k)
-                              for h in elements),
+                        tuple(h.class_label(cls.k) for h in elements),
                         tuple(planned))
 
 

@@ -6,6 +6,9 @@ length k in the symmetric group on k*n points.  Every element of the
 centralizer of its canonical basepoint has a unique normal form (d, b): a
 permutation b of the n blocks and a twist exponent d_j per block, the
 element sending offset h of block j to offset h + d_b(j) of block b(j).
+So normal forms multiply as the semidirect product they encode
+(UnmixedClass.product, with unit UnmixedClass.identity_form), and a group
+of centralizer elements closes on n-entry forms.
 
 The centralizer is the wreath product Z/k wr S_n.  Its conjugacy classes are
 labeled by the multiset of pairs (L, s), one per cycle of b: L is the cycle's
@@ -266,6 +269,23 @@ class UnmixedClass:
         if self.assemble(nf) != g:
             raise ValueError("element does not centralize the basepoint")
         return nf
+
+    def product(self, g: NormalForm, h: NormalForm) -> NormalForm:
+        """The normal form of assemble(g) * assemble(h), read off the two
+        normal forms: the block permutation b_g b_h, and on block b_g(j)
+        the twist d_g[b_g(j)] + d_h[j] mod k.  A group of centralizer
+        elements closes on these n-entry forms, not on permutations of the
+        k*n points."""
+        k = self.k
+        gd, hd = g.d, h.d
+        d = [0] * self.n
+        for j, y in enumerate(g.b.img):
+            d[y - 1] = (gd[y - 1] + hd[j]) % k
+        return NormalForm(tuple(d), g.b * h.b)
+
+    def identity_form(self) -> NormalForm:
+        """The normal form of the identity, the unit of product."""
+        return NormalForm((0,) * self.n, Permutation.identity(self.n))
 
     def partner_classes(self) -> list:
         """One PartnerClass per centralizer conjugacy class of partners, the

@@ -37,10 +37,11 @@ chi|H_w as often as the witness uses it; the check builds H_w by closure
 and tests just that, then re-fires the rule (see verify_witness).  It is
 split as the decision is: what no representation changes is built once
 per recorded subrack (the subrack with its own checks, the family its kind
-names, and its description) and once per set of its witness columns (H_w
-as a table of Cayley edges, with the class label of each element), and
-kept for the life of the process; a row only reads its psi_s, carries
-them along those edges and sums its character at those labels.
+names, and its description), once per set of its witness columns (H_w
+as a table of Cayley edges, with the class label of each element) and
+once per set of psi carried along those edges, and kept for the life of
+the process; a row only reads its psi_s and sums its character at those
+labels.
 
 Outcomes: "InfiniteDim" always carries a machine-checkable witness, and
 "NegativeBraiding" carries the verified pair inventory.  For an unmixed
@@ -172,24 +173,28 @@ def _positive_definite(S) -> bool:
     return True
 
 
-def _cartan_infinite(q) -> Optional[list]:
+def _cartan_infinite(q, modulus: int) -> Optional[list]:
     """The cartan-infinite rule re-fired by linear algebra on a square table
-    of braiding values: every diagonal entry is -1 and every product
-    q_ab q_ba is 1 or -1, and the Cartan matrix 2I - A is not positive
-    definite, A being 1 where the product is -1 and 0 elsewhere.  Returns
-    that Cartan matrix when the rule fires, else None."""
+    of braiding values, each given as its exponent of zeta_modulus: every
+    diagonal entry is -1 (exponent modulus/2) and every product q_ab q_ba
+    is 1 or -1 (exponent sum 0 or modulus/2), and the Cartan matrix 2I - A
+    is not positive definite, A being 1 where the product is -1 and 0
+    elsewhere.  Returns that Cartan matrix when the rule fires, else None."""
+    half, odd = divmod(modulus, 2)
+    if odd:
+        return None
     m = len(q)
     cartan = [[2] * m for _ in range(m)]
     for a in range(m):
-        if q[a][a] != ROOT_MINUS_ONE:
+        if q[a][a] % modulus != half:
             return None
         for b in range(m):
             if a == b:
                 continue
-            product = q[a][b] * q[b][a]
-            if product not in (ROOT_ONE, ROOT_MINUS_ONE):
+            product = (q[a][b] + q[b][a]) % modulus
+            if product not in (0, half):
                 return None
-            cartan[a][b] = -1 if product == ROOT_MINUS_ONE else 0
+            cartan[a][b] = -1 if product else 0
     return None if _positive_definite(cartan) else cartan
 
 
@@ -667,14 +672,15 @@ class _WitnessGroup(NamedTuple):
     columns, whatever the representation: the place of gamma_ij among the
     distinct table entries for i, j at places a, b of the columns
     (generator[a][b]), the roots of unity of order dividing modulus, by
-    exponent and by their printed form, and H_w: its elements h_0 = 1,
-    h_1, ... in the order of a breadth-first closure from the identity,
-    with h_x = g_t h_h for x = edges[h][t] and g_t the t-th distinct
-    entry, and the class label of each."""
+    exponent as printed (names) and by printed form as exponent
+    (exponent), and H_w: its elements h_0 = 1, h_1, ... in the order of a
+    breadth-first closure from the identity, with h_x = g_t h_h for x =
+    edges[h][t] and g_t the t-th distinct entry, and the class label of
+    each."""
 
     generator: tuple
     modulus: int
-    roots: tuple
+    names: tuple
     exponent: dict
     edges: tuple
     labels: tuple
@@ -683,13 +689,17 @@ class _WitnessGroup(NamedTuple):
 @cache
 def _witness_subrack(k: int, n: int, elements: tuple, transporters: tuple,
                      kind, param: tuple) -> tuple:
-    """The subrack of a witness, rebuilt with its own checks, and its
-    description; the description is None unless kind names a family
-    (nichols.braidspace.FAMILIES) whose member at param has exactly this
-    kind, param, elements and transporters (a family that fills in a
-    default param records it)."""
+    """The subrack of a witness, rebuilt from its image tuples with its own
+    checks, and its description; the description is None unless kind names
+    a family (nichols.braidspace.FAMILIES) whose member at param has
+    exactly this kind, param, elements and transporters (a family that
+    fills in a default param records it).  The caller checks that every
+    image and param entry is of type int, so that 1.0 or True cannot reach
+    the entry of 1."""
     cls = UnmixedClass(k, n)
-    subrack = AbelianSubrack(cls, elements, transporters, kind=kind, param=param)
+    subrack = AbelianSubrack(cls, map(Permutation, elements),
+                             map(Permutation, transporters),
+                             kind=kind, param=param)
     family = FAMILIES.get(kind)
     if family is None:
         return subrack, None
@@ -698,48 +708,85 @@ def _witness_subrack(k: int, n: int, elements: tuple, transporters: tuple,
     except (TypeError, ValueError):
         return subrack, None
     if ((named.kind, named.param, named.elements, named.transporters)
-            != (kind, param, elements, transporters)):
+            != (kind, param, subrack.elements, subrack.transporters)):
         return subrack, None
     return subrack, subrack.describe()
 
 
+def _images(witness: dict, field: str) -> tuple:
+    # the image tuples of a witness field, every entry of type int
+    try:
+        images = tuple(map(tuple, witness[field]))
+    except TypeError:
+        raise ValueError("the witness %s must be a list of image lists"
+                         % field) from None
+    if set(map(type, itertools.chain.from_iterable(images))) - {int}:
+        raise ValueError("images are not a bijection of 1..N")
+    return images
+
+
 @cache
 def _witness_group(subrack: AbelianSubrack, cols: tuple) -> _WitnessGroup:
-    """H_w for the given columns of a subrack (see _WitnessGroup).  Table
-    entries that do not centralize the basepoint or do not commute raise
-    ValueError."""
+    """H_w for the given columns of a subrack (see _WitnessGroup), closed
+    on normal forms of n entries (nichols.permgroup.UnmixedClass.product):
+    only the distinct table entries are taken to normal form, which raises
+    ValueError on one that does not centralize the basepoint, and each
+    element's class label is read off its form.  Entries that do not
+    commute raise ValueError."""
     cls = subrack.cls
     position = {}
     generator = tuple(tuple(position.setdefault(subrack.gamma(i, j),
                                                 len(position))
                             for j in cols) for i in cols)
     generators = tuple(position)
-    for g in generators:
-        cls.normal_form(g)
+    forms = [cls.normal_form(g) for g in generators]
     if not all(a.commutes_with(b)
                for a, b in itertools.combinations(generators, 2)):
         raise ValueError("conjugation table entries do not commute")
     modulus = lcm(cls.k, *(g.order() for g in generators))
-    roots = tuple(RootOfUnity(modulus, e) for e in range(modulus))
-    identity = Permutation.identity(cls.degree)
+    names = tuple(str(RootOfUnity(modulus, e)) for e in range(modulus))
+    product = cls.product
+    identity = cls.identity_form()
     index = {identity: 0}
     queue = [identity]
     edges = []
     # the queue grows while it is read
     for h in queue:
         row = []
-        for g in generators:
-            x = g * h
+        for g in forms:
+            x = product(g, h)
             if x not in index:
                 index[x] = len(queue)
                 queue.append(x)
             row.append(index[x])
         edges.append(tuple(row))
-    return _WitnessGroup(generator, modulus, roots,
-                         {str(r): e for e, r in enumerate(roots)},
+    return _WitnessGroup(generator, modulus, names,
+                         {name: e for e, name in enumerate(names)},
                          tuple(edges),
-                         tuple(cls.normal_form(h).class_label(cls.k)
-                               for h in queue))
+                         tuple(h.class_label(cls.k) for h in queue))
+
+
+@cache
+def _carried(subrack: AbelianSubrack, cols: tuple,
+             used: tuple) -> Optional[tuple]:
+    """Each psi of used, given by its exponents on the distinct table
+    entries, carried from the identity along the Cayley edges of H_w
+    (_witness_group) and checked on every one of them: the phases of all
+    of them at each element, or None when an edge fails, so that some
+    psi is no character of H_w."""
+    group = _witness_group(subrack, cols)
+    modulus = group.modulus
+    phases = [None] * len(group.edges)
+    phases[0] = (0,) * len(used)
+    for h, row in enumerate(group.edges):
+        for t, x in enumerate(row):
+            step = tuple((p + psi[t]) % modulus
+                         for p, psi in zip(phases[h], used))
+            if phases[x] is None:
+                phases[x] = step
+            elif phases[x] != step:
+                return None
+    return tuple(phases)
 
 
 # the witness fields each rule reads (a rule that is not one of these reads
@@ -783,7 +830,8 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     builds H_w by plain closure from the identity and checks on every
     Cayley edge that psi_s extends to a character of H_w, and sums chi
     against each psi used, (1/|H_w|) sum_h chi(h) psi(h)^-1, by integer
-    traces.  Then the rule is re-fired on the recorded values.
+    traces.  Then the rule is re-fired on the recorded values, each as its
+    integer exponent of zeta_modulus.
     cartan-infinite is re-fired by linear algebra on the firing set,
     sharing no code with the graph reading that decided it: every diagonal
     entry -1, every product q_ab q_ba equal to 1 or -1, and the Cartan
@@ -791,14 +839,19 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
 
     Only the values and the representation change from row to row.  The
     subrack, the family check and the description are built once per
-    recorded (images, kind, param) (_witness_subrack); the generator of
+    recorded (image tuples, kind, param) (_witness_subrack), each image
+    and param entry checked to be of type int before the lookup; the
+    generator of
     each gamma_ij, the normal form and commute checks, the modulus, H_w as
-    a table of Cayley edges and the class label of each of its elements
-    once per subrack and set of witness columns (_witness_group).  Each
-    row compares the description, checks its vertices and indices, reads
-    psi_s, carries it along the edges, sums chi at the labels and re-fires
-    the rule.  Checks run in that order, cached or not, and a witness that
-    raises is not cached.
+    a table of Cayley edges, closed on normal forms, and the class label
+    of each of its elements once per subrack and set of witness columns
+    (_witness_group); and the phases of the psi used, carried along those
+    edges, or the edge that fails, once per subrack, set of witness
+    columns and sorted set of psi (_carried).  Each row compares the
+    description, checks its vertices and indices, reads psi_s, looks up
+    their phases, sums chi at the labels and re-fires the rule on the
+    integer exponents of the values.  Checks run in that order, cached or
+    not, and a witness that raises is not cached.
 
     The recorded fields that follow from these values must match them: the
     cartan_matrix, the cycle_labels (the products around the cycle), the
@@ -810,14 +863,17 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     is not 3).  The label, the components and the diagram_dot are not
     read.  An entry that is not a root of unity printed in lowest terms,
     or a q_matrix that is not one list per vertex of one entry per vertex,
-    fails.  A witness whose vertices are not a list of two-element lists,
-    whose firing or cycle is not a list, whose vertex coordinates or
-    firing or cycle indices are not all of type int (a bool, float or str
-    is not), whose vertices are not the rectangle (its columns) x (its
-    indices) in order, from 0 and below the subrack size and the degree,
-    whose firing or cycle indices repeat or leave its vertex list, whose
-    table entries do not commute, or whose cycle is not a 4-cycle raises
-    ValueError, and so does a witness that lacks a field its rule reads."""
+    fails.  A witness whose element_images or transporter_images are not
+    a list of image lists, or hold an entry not of type int (1.0 or True
+    is not 1), whose subrack param is not a list of int, whose vertices
+    are not a list of two-element lists, whose firing or cycle is not a list,
+    whose vertex coordinates or firing or cycle indices are not all of
+    type int (a bool, float or str is not), whose vertices are not the
+    rectangle (its columns) x (its indices) in order, from 0 and below the
+    subrack size and the degree, whose firing or cycle indices repeat or
+    leave its vertex list, whose table entries do not commute, or whose
+    cycle is not a 4-cycle raises ValueError, and so does a witness that
+    lacks a field its rule reads."""
     if verdict.outcome != INFINITE:
         raise ValueError("only infinite verdicts carry a rebuildable witness")
     spec = _resolve_spec(k, n, rho_spec)
@@ -830,10 +886,16 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
                 and w["q_scalar"] == str(q)
                 and type(w["element_order"]) is int and w["element_order"] == k)
     _require(w["subrack"], ("kind", "param"), "the witness subrack")
+    elements = _images(w, "element_images")
+    transporters = _images(w, "transporter_images")
+    try:
+        param = tuple(w["subrack"]["param"])
+    except TypeError:
+        param = None
+    if param is None or set(map(type, param)) - {int}:
+        raise ValueError("the witness subrack param must be a list of int")
     subrack, description = _witness_subrack(
-        k, n, tuple(Permutation(img) for img in w["element_images"]),
-        tuple(Permutation(img) for img in w["transporter_images"]),
-        w["subrack"]["kind"], tuple(w["subrack"]["param"]))
+        k, n, elements, transporters, w["subrack"]["kind"], param)
     if description is None or w["subrack"] != description:
         return False
     character = spec.character()
@@ -882,19 +944,10 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
                 if psi.setdefault(t, e) != e:
                     return False
         psis.append(tuple(psi[t] for t in range(len(psi))))
-    used = sorted(set(psis))
-    # each psi used carried from the identity along the Cayley edges of
-    # H_w, and checked on every one of them
-    phases = [None] * len(group.edges)
-    phases[0] = (0,) * len(used)
-    for h, row in enumerate(group.edges):
-        for t, x in enumerate(row):
-            step = tuple((p + psi[t]) % modulus
-                         for p, psi in zip(phases[h], used))
-            if phases[x] is None:
-                phases[x] = step
-            elif phases[x] != step:
-                return False
+    used = tuple(sorted(set(psis)))
+    phases = _carried(subrack, tuple(cols), used)
+    if phases is None:
+        return False
     order = len(phases)
     scale = modulus // k
     terms = [[(a * scale, c) for a, c in enumerate(
@@ -908,11 +961,10 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
         total = rational_value(modulus, acc)
         if total is None or total % order or total // order < psis.count(psi):
             return False
-    roots = group.roots
-    q = [[roots[e] for e in row] for row in exps]
     if verdict.rule == "cartan-infinite":
         firing = w["firing"]
-        cartan = _cartan_infinite([[q[a][b] for b in firing] for a in firing])
+        cartan = _cartan_infinite([[exps[a][b] for b in firing]
+                                   for a in firing], modulus)
         return (cartan is not None and cartan == w["cartan_matrix"]
                 and all(type(x) is int for row in w["cartan_matrix"]
                         for x in row))
@@ -921,12 +973,14 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
             raise ValueError("an alternating cycle has four vertices")
         a, b, c, d = w["cycle"]
         def product(x, y):
-            return q[x][y] * q[y][x]
-        if any(q[v][v] != ROOT_MINUS_ONE for v in (a, b, c, d)):
+            return (exps[x][y] + exps[y][x]) % modulus
+        if modulus % 2 or any(exps[v][v] != modulus // 2
+                              for v in (a, b, c, d)):
             return False
-        if product(a, c) != ROOT_ONE or product(b, d) != ROOT_ONE:
+        if product(a, c) or product(b, d):
             return False
         ab, bc, cd, da = product(a, b), product(b, c), product(c, d), product(d, a)
-        return (ab != ROOT_ONE and ab * bc == ROOT_ONE and ab == cd and bc == da
-                and [str(x) for x in (ab, bc, cd, da)] == w["cycle_labels"])
+        return (ab != 0 and (ab + bc) % modulus == 0 and ab == cd and bc == da
+                and [group.names[x] for x in (ab, bc, cd, da)]
+                == w["cycle_labels"])
     raise ValueError("unknown rule %r" % verdict.rule)

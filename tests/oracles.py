@@ -15,10 +15,13 @@ instead of partner classes and their dual labels in closed form, and the
 whole class and centralizer are listed element by element where the
 package works with their conjugacy-class labels, a witness is shrunk by
 listing every triangle and running one unbounded BFS per edge where the
-package runs one plain search on at most two twins per node, and the
+package runs one plain search on at most two twins per node, the
 Dynkin diagram is built one vertex pair at a time, and searched for
 alternating 4-cycles vertex by vertex, where the package labels one pair
-of nodes at a time and searches two members per node.
+of nodes at a time and searches two members per node, and the group of a
+subrack's table entries is closed on permutations of the k*n points, each
+element taken to normal form for its label, where the package closes it
+on the normal forms of its generators.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import NamedTuple, Optional, Union
 
 import networkx as nx
 
-from nichols.braidspace import triple_subrack
+from nichols.braidspace import SpectrumPlan, triple_subrack
 from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE
 from nichols.permgroup import NormalForm, Permutation
 from nichols.reps import _label_to_partition, partitions_of, sn_character
@@ -1233,3 +1236,90 @@ def minimal_infinite_set(space, sub, comp: tuple) -> tuple:
     if candidates:
         return min(candidates)[2]
     return comp
+
+
+def permutation_spectrum_plan(cls, generators, modulus: int) -> SpectrumPlan:
+    """braidspace.spectrum_plan with H closed on permutations of the k*n
+    points, in the same layer order, and each element's class label read
+    from its normal form."""
+    if modulus % cls.k:
+        raise ValueError("modulus must be a multiple of k")
+    identity = Permutation.identity(cls.degree)
+    elements = [identity]
+    words = {identity: ()}
+    layers = []
+    for g in generators:
+        if g in words:
+            continue
+        r, power = 1, g
+        while power not in words:
+            power = power * g
+            r += 1
+        layers.append((r, words[power]))
+        grown = []
+        grown_words = {}
+        step = identity
+        for e in range(r):
+            for h in elements:
+                x = step * h
+                grown.append(x)
+                grown_words[x] = words[h] + (e,)
+            step = step * g
+        elements = grown
+        words = grown_words
+    characters = [()]
+    for r, rel in layers:
+        wider = []
+        for x in characters:
+            s = sum(c * xi for c, xi in zip(rel, x)) % modulus
+            if s % r:
+                raise ArithmeticError("generators do not commute")
+            wider.extend(x + ((s // r + t * (modulus // r)) % modulus,)
+                         for t in range(r))
+        characters = wider
+    planned = []
+    for x in characters:
+        phases = [0]
+        for (r, _), xi in zip(layers, x):
+            phases = [p + e * xi for e in range(r) for p in phases]
+        exps = tuple(sum(w * xi for w, xi in zip(words[g], x)) % modulus
+                     for g in generators)
+        planned.append((tuple(phases), exps))
+    return SpectrumPlan(modulus, modulus // cls.k,
+                        tuple(cls.normal_form(h).class_label(cls.k)
+                              for h in elements),
+                        tuple(planned))
+
+
+def permutation_witness_group(subrack, cols: tuple) -> tuple:
+    """H_w of verdict._witness_group closed on permutations of the k*n
+    points by breadth-first search from the identity: the generator place
+    of each gamma_ij, the modulus, the Cayley edges and the class label of
+    each element, read from its normal form."""
+    cls = subrack.cls
+    position = {}
+    generator = tuple(tuple(position.setdefault(subrack.gamma(i, j),
+                                                len(position))
+                            for j in cols) for i in cols)
+    generators = tuple(position)
+    for g in generators:
+        cls.normal_form(g)
+    if not all(a.commutes_with(b)
+               for a, b in itertools.combinations(generators, 2)):
+        raise ValueError("conjugation table entries do not commute")
+    modulus = lcm(cls.k, *(g.order() for g in generators))
+    identity = Permutation.identity(cls.degree)
+    index = {identity: 0}
+    queue = [identity]
+    edges = []
+    for h in queue:
+        row = []
+        for g in generators:
+            x = g * h
+            if x not in index:
+                index[x] = len(queue)
+                queue.append(x)
+            row.append(index[x])
+        edges.append(tuple(row))
+    return (generator, modulus, tuple(edges),
+            tuple(cls.normal_form(h).class_label(cls.k) for h in queue))

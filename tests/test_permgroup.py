@@ -165,10 +165,14 @@ def test_normal_form_multiplicativity():
     cls = UnmixedClass(3, 3)
     rng = random.Random(3)
     pool = list(centralizer_elements(cls))
+    identity = cls.identity_form()
+    assert identity == cls.normal_form(Permutation.identity(cls.degree))
     for _ in range(40):
         g, h = rng.choice(pool), rng.choice(pool)
         ng, nh = cls.normal_form(g), cls.normal_form(h)
         nm = cls.normal_form(g * h)
+        assert cls.product(ng, nh) == nm
+        assert cls.product(identity, ng) == ng == cls.product(ng, identity)
         assert nm.b == ng.b * nh.b
         binv = ng.b.inverse()
         for j in range(1, cls.n + 1):

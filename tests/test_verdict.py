@@ -24,8 +24,9 @@ from oracles import (REFERENCE_Q_SIX_CYCLE, CartanData, NotCartan,
                      _positive_definite as oracle_positive_definite,
                      cartan_type, cataloged, diagram_label, finite_catalog,
                      finite_type, finite_type_lookup, negativity_full,
-                     negativity_walk, random_symmetrizable_gcm, resolve,
-                     symmetrizable)
+                     negativity_walk, permutation_spectrum_plan,
+                     permutation_witness_group, random_symmetrizable_gcm,
+                     resolve, symmetrizable, tried_subracks)
 
 _SYMBOLS = {"1": ROOT_ONE, "-1": ROOT_MINUS_ONE}
 
@@ -302,9 +303,16 @@ def _root(text):
     return RootOfUnity(*map(int, re.fullmatch(r"z\((\d+),(\d+)\)", text).groups()))
 
 
-def _firing_q(witness):
+def _exponent(root, modulus):
+    # the exponent of zeta_modulus that is the root
+    return root.a * (modulus // root.m)
+
+
+def _firing_q(witness, modulus):
+    # the firing block of the q_matrix as exponents of zeta_modulus
     firing = witness["firing"]
-    return [[_root(witness["q_matrix"][a][b]) for b in firing] for a in firing]
+    return [[_exponent(_root(witness["q_matrix"][a][b]), modulus)
+             for b in firing] for a in firing]
 
 
 def test_verify_witness_rejects_a_dropped_firing_vertex():
@@ -328,7 +336,7 @@ def test_verify_witness_rejects_labels_outside_the_cartan_reading():
     spec = "chi=(1,0,0,0);mu=standard"
     verdict = decide(2, 4, spec)
     w = verdict.witness
-    assert _cartan_infinite(_firing_q(w))
+    assert _cartan_infinite(_firing_q(w, 4), 4)
     a, b = w["firing"][:2]
     # a diagonal entry 1, and a product q_ab q_ba of z(4,1)
     diagonal = [row[:] for row in w["q_matrix"]]
@@ -337,16 +345,16 @@ def test_verify_witness_rejects_labels_outside_the_cartan_reading():
     product[a][b] = str(RootOfUnity(4, 1) * _root(product[b][a]).inverse())
     for q_matrix in (diagonal, product):
         edited = dict(w, q_matrix=q_matrix)
-        assert not _cartan_infinite(_firing_q(edited))
+        assert not _cartan_infinite(_firing_q(edited, 4), 4)
         assert not verify_witness(2, 4, spec, verdict._replace(witness=edited))
     # a triangle, non-finite on its own, beside a vertex whose product with
     # it is z(4,1): read as "no edge", that product would pass unnoticed
-    q = [[ROOT_MINUS_ONE if a == b else ROOT_ONE for b in range(4)]
-         for a in range(4)]
-    q[0][1] = q[1][2] = q[0][2] = ROOT_MINUS_ONE
-    assert _cartan_infinite(q)
-    q[0][3] = RootOfUnity(4, 1)
-    assert not _cartan_infinite(q)
+    # (exponents of zeta_4: -1 is 2, and 1 is 0)
+    q = [[2 if a == b else 0 for b in range(4)] for a in range(4)]
+    q[0][1] = q[1][2] = q[0][2] = 2
+    assert _cartan_infinite(q, 4)
+    q[0][3] = 1
+    assert not _cartan_infinite(q, 4)
 
 
 def test_verify_witness_needs_infinite_verdict():
@@ -635,6 +643,38 @@ def test_verify_witness_rejects_an_element_outside_the_class():
     with pytest.raises(ValueError, match="outside the class"):
         verify_witness(k, n, rep, edited)
 
+
+
+@pytest.mark.parametrize("one", [1.0, True])
+def test_verify_witness_rejects_image_entries_that_are_not_int(one):
+    # 1.0 and True equal 1 and hash like it, so a subrack cache keyed by
+    # the images would take them for 1: the genuine witness fills it first
+    genuine = decide(*GENUINE)
+    assert verify_witness(*GENUINE, genuine)
+    for field in ("element_images", "transporter_images"):
+        images = [[one if y == 1 else y for y in img]
+                  for img in genuine.witness[field]]
+        forged = genuine._replace(witness=dict(genuine.witness,
+                                               **{field: images}))
+        with pytest.raises(ValueError, match="bijection"):
+            verify_witness(*GENUINE, forged)
+
+
+def test_verify_witness_rejects_images_and_a_param_that_are_no_lists():
+    # ValueError naming the field, not TypeError
+    genuine = decide(*GENUINE)
+    for field in ("element_images", "transporter_images"):
+        forged = genuine._replace(witness=dict(genuine.witness, **{field: 5}))
+        with pytest.raises(ValueError, match=field):
+            verify_witness(*GENUINE, forged)
+    # nor may a param entry be anything but an int: True and 1.0 would
+    # rebuild the genuine member, whose param [1] they equal
+    for param in (5, [True], [1.0], [[1]]):
+        subrack = dict(genuine.witness["subrack"], param=param)
+        forged = genuine._replace(witness=dict(genuine.witness,
+                                               subrack=subrack))
+        with pytest.raises(ValueError, match="param"):
+            verify_witness(*GENUINE, forged)
 
 
 # malformed index lists: each forgery of the genuine (2,3) witness reads a
@@ -931,10 +971,41 @@ def test_verify_witness_refuses_a_psi_that_breaks_a_relation_of_h():
                 flipped = _root(q_matrix[2 * i + r][2 * j + 1]) * ROOT_MINUS_ONE
                 q_matrix[2 * i + r][2 * j + 1] = str(flipped)
     firing = w["firing"]
-    q = [[_root(x) for x in row] for row in q_matrix]
-    assert _cartan_infinite([[q[a][b] for b in firing] for a in firing]) \
+    q = [[_exponent(_root(x), 4) for x in row] for row in q_matrix]
+    assert _cartan_infinite([[q[a][b] for b in firing] for a in firing], 4) \
         == w["cartan_matrix"]
     assert not verify_witness(*QUADRUPLE, _with(verdict, q_matrix=q_matrix))
+
+
+def test_the_normal_form_closures_match_the_permutation_closures():
+    # H of spectrum_plan and H_w of _witness_group close on normal forms;
+    # the reference closes on permutations of the k*n points.  Every tried
+    # subrack, and every set of its columns, gives the same elements in the
+    # same order: the same labels, characters and Cayley edges
+    compared = 0
+    for k, n in ((2, 3), (2, 4), (2, 5), (2, 6), (4, 2), (4, 3), (4, 4),
+                 (6, 2), (6, 3), (8, 2)):
+        cls = UnmixedClass(k, n)
+        for subrack in tried_subracks(cls):
+            for r in range(1, subrack.size + 1):
+                for cols in itertools.combinations(range(subrack.size), r):
+                    group = nichols.verdict._witness_group(subrack, cols)
+                    generator, modulus, edges, labels = \
+                        permutation_witness_group(subrack, cols)
+                    assert (group.generator, group.modulus, group.edges,
+                            group.labels) == (generator, modulus, edges,
+                                              labels), (k, n, subrack, cols)
+                    entries = list(dict.fromkeys(
+                        subrack.gamma(i, j) for i in cols for j in cols))
+                    assert nichols.braidspace.spectrum_plan(
+                        cls, entries, modulus) == permutation_spectrum_plan(
+                            cls, entries, modulus), (k, n, subrack, cols)
+                    compared += 1
+            plan = subrack_plan(subrack)
+            assert plan.spectrum == permutation_spectrum_plan(
+                cls, plan.distinct, plan.spectrum.modulus)
+    # 8 triples of 3 columns, and two quadruples of 4 columns per even k
+    assert compared == 8 * 7 + 6 * 2 * 15
 
 
 def test_verify_witness_rebuilds_the_family_its_kind_names():
@@ -1000,13 +1071,21 @@ def test_a_warm_witness_cache_refuses_what_a_cold_one_refuses():
                 (1, 2, 3, 4, 5, 6, 7, 8), (1, 4, 3, 2, 5, 8, 7, 6),
                 (1, 6, 3, 8, 2, 7, 4, 5), (1, 8, 3, 6, 2, 5, 4, 7))]),
     }
+    # the entry 1 of the basepoint's image as 1.0 and as True
+    for name, one in (("float", 1.0), ("bool", True)):
+        forgeries[name] = _with(verdict, element_images=[
+            [one if y == 1 else y for y in w["element_images"][0]]]
+            + w["element_images"][1:])
     warm = {name: [_verify_or_error(forged) for _ in range(2)]
             for name, forged in forgeries.items()}
     nichols.verdict._witness_subrack.cache_clear()
     nichols.verdict._witness_group.cache_clear()
+    nichols.verdict._carried.cache_clear()
     cold = {name: _verify_or_error(forged)
             for name, forged in forgeries.items()}
     assert warm == {name: [result] * 2 for name, result in cold.items()}
     assert cold["element"].startswith("ValueError: transporter")
+    assert cold["float"] == cold["bool"] == \
+        "ValueError: images are not a bijection of 1..N"
     assert cold["kind"] is cold["columns"] is cold["commute"] is False
     assert verify_witness(*QUADRUPLE, verdict)

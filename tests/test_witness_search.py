@@ -432,11 +432,12 @@ def test_a_forked_tree_is_refused_by_the_decision():
     # the cartan-infinite rule of the witness check fires on its values;
     # without a leaf the tree is E6, of finite type
     tree = range(7)
-    q = [[diagram.q(a, b) for b in tree] for a in tree]
-    assert _cartan_infinite(q) == _matrix(diagram, tree)
+    q = [[diagram.labels[a][b][0] for b in tree] for a in tree]
+    assert _cartan_infinite(q, diagram.modulus) == _matrix(diagram, tree)
     for leaf in (2, 4, 6):
         kept = [x for x in tree if x != leaf]
-        assert _cartan_infinite([[q[a][b] for b in kept] for a in kept]) is None
+        assert _cartan_infinite([[q[a][b] for b in kept] for a in kept],
+                                diagram.modulus) is None
 
 
 def _matrix(diagram, comp):
