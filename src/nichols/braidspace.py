@@ -134,6 +134,16 @@ def triple_subrack(cls: UnmixedClass, l: int) -> AbelianSubrack:
         kind="canonical-triple", param=(l,))
 
 
+def _quadruple(cls: UnmixedClass, t: Permutation, g3: Permutation,
+               g4: Permutation, kind: str, param: tuple = ()) -> AbelianSubrack:
+    # (pi, pi^-1, t, t^-1) transported by (1, sigma_reflect(), g3, g4)
+    pi = cls.basepoint
+    return AbelianSubrack(cls, (pi, pi.inverse(), t, t.inverse()),
+                          (Permutation.identity(cls.degree), cls.sigma_reflect(),
+                           g3, g4),
+                          kind=kind, param=param)
+
+
 def quadruple_subrack(cls: UnmixedClass, i: int = 1, j: int = 2) -> AbelianSubrack:
     """The swap quadruple (pi, pi^{-1}, pi B_ij, (pi B_ij)^{-1}) with its
     canonical involution transporters; needs k even and at least 4."""
@@ -141,13 +151,9 @@ def quadruple_subrack(cls: UnmixedClass, i: int = 1, j: int = 2) -> AbelianSubra
         raise ValueError("the swap quadruple needs even k >= 4")
     if not 1 <= i < j <= cls.n:
         raise ValueError("need 1 <= i < j <= n")
-    pi = cls.basepoint
-    mixed = pi * cls.block_swap(i, j)
-    elements = (pi, pi.inverse(), mixed, mixed.inverse())
-    transporters = (Permutation.identity(cls.degree), cls.sigma_reflect(),
-                    cls.sigma_swap(i, j), cls.sigma_swapinv(i, j))
-    return AbelianSubrack(cls, elements, transporters,
-                          kind="quadruple-swap", param=(i, j))
+    return _quadruple(cls, cls.basepoint * cls.block_swap(i, j),
+                      cls.sigma_swap(i, j), cls.sigma_swapinv(i, j),
+                      "quadruple-swap", (i, j))
 
 
 def rotation_subrack(cls: UnmixedClass) -> AbelianSubrack:
@@ -159,15 +165,9 @@ def rotation_subrack(cls: UnmixedClass) -> AbelianSubrack:
         raise ValueError("the rotation quadruple needs even k >= 4")
     if cls.n < 2:
         raise ValueError("the rotation quadruple needs n >= 2")
-    pi = cls.basepoint
-    t = cls.twist((cls.k - 1,) + (1,) * (cls.n - 1))
-    g3 = cls.sigma_block(1)
-    g4 = Permutation.identity(cls.degree)
-    for blk in range(2, cls.n + 1):
-        g4 = g4 * cls.sigma_block(blk)
-    elements = (pi, pi.inverse(), t, t.inverse())
-    transporters = (Permutation.identity(cls.degree), cls.sigma_reflect(), g3, g4)
-    return AbelianSubrack(cls, elements, transporters, kind="quadruple-rotation")
+    return _quadruple(cls, cls.twist((cls.k - 1,) + (1,) * (cls.n - 1)),
+                      cls.sigma_block(1), cls.sigma_block(*range(2, cls.n + 1)),
+                      "quadruple-rotation")
 
 
 def powers_subrack(cls: UnmixedClass) -> AbelianSubrack:
@@ -186,7 +186,8 @@ def powers_subrack(cls: UnmixedClass) -> AbelianSubrack:
 
 
 # each family by the kind of its subracks; a subrack's param is the rest of
-# the arguments of its family
+# the arguments of its family.  A witness's family and each --subrack
+# selector of the CLI are read from here
 FAMILIES = {"canonical": canonical_subrack, "canonical-triple": triple_subrack,
             "quadruple-swap": quadruple_subrack,
             "quadruple-rotation": rotation_subrack, "powers": powers_subrack}

@@ -21,8 +21,7 @@ import time
 from functools import cache
 from json.encoder import encode_basestring_ascii
 
-from .braidspace import canonical_subrack, dynkin_diagram, powers_subrack, \
-    quadruple_subrack, rotation_subrack, subrack_plan, triple_subrack
+from .braidspace import FAMILIES, dynkin_diagram, subrack_plan
 from .permgroup import UnmixedClass
 from .reps import RepSpec, enumerate_irreps, parse_rep_spec, pi_scalar
 from .verdict import class_plan, closed_form_verdict, decide
@@ -120,8 +119,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("diagram", help="print a braiding diagram as DOT")
     common(p, rep_required=True)
-    p.add_argument("--subrack", default=None,
-                   help="canonical | triple:<l> | quadruple:<i>,<j> | rotation | powers")
+    p.add_argument("--subrack", default=None, help=" | ".join(
+        name + (":" + shape if shape else "")
+        for name, (_, shape) in SELECTORS.items()))
     return parser
 
 
@@ -254,35 +254,31 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 # diagram
 
-def _selector_indices(name: str, arg: str, shape: str) -> list:
-    # the integers of "<i>,<j>,...", as many as shape names
-    tokens = arg.split(",")
-    try:
-        if len(tokens) == shape.count(",") + 1:
-            return [int(tok) for tok in tokens]
-    except ValueError:
-        pass
-    raise ValueError("%s needs %s" % (name, shape))
+# each --subrack selector: the kind of its family (nichols.braidspace.FAMILIES)
+# and the integers it takes after a colon, None for a selector that takes none
+SELECTORS = {"canonical": ("canonical", None),
+             "triple": ("canonical-triple", "<l>"),
+             "quadruple": ("quadruple-swap", "<i>,<j>"),
+             "rotation": ("quadruple-rotation", None),
+             "powers": ("powers", None)}
 
 
 def _build_subrack(cls: UnmixedClass, selector: str):
     name, _, arg = selector.partition(":")
+    kind, shape = SELECTORS.get(name, (None, None))
+    if kind is None or (arg and shape is None):
+        raise UsageError("unknown subrack selector %r" % selector)
     try:
-        if name == "canonical" and not arg:
-            return canonical_subrack(cls)
-        if name == "triple":
-            l, = _selector_indices(name, arg, "<l>")
-            return triple_subrack(cls, l)
-        if name == "quadruple":
-            i, j = _selector_indices(name, arg, "<i>,<j>")
-            return quadruple_subrack(cls, i, j)
-        if name == "rotation" and not arg:
-            return rotation_subrack(cls)
-        if name == "powers" and not arg:
-            return powers_subrack(cls)
+        params = [int(tok) for tok in arg.split(",")] if shape else []
+        if shape and len(params) != shape.count(",") + 1:
+            raise ValueError
+    except ValueError:
+        raise UsageError("bad subrack selector %r: %s needs %s"
+                         % (selector, name, shape)) from None
+    try:
+        return FAMILIES[kind](cls, *params)
     except ValueError as exc:
         raise UsageError("bad subrack selector %r: %s" % (selector, exc)) from None
-    raise UsageError("unknown subrack selector %r" % selector)
 
 
 def cmd_diagram(args: argparse.Namespace) -> int:

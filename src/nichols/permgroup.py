@@ -8,7 +8,11 @@ permutation b of the n blocks and a twist exponent d_j per block, the
 element sending offset h of block j to offset h + d_b(j) of block b(j).
 So normal forms multiply as the semidirect product they encode
 (UnmixedClass.product, with unit UnmixedClass.identity_form), and a group
-of centralizer elements closes on n-entry forms.
+of centralizer elements closes on n-entry forms.  The centralizer elements
+the subracks are built from (the basepoint twist((1,) * n), the other
+twists, and the block swaps) are all put together from their normal forms
+by UnmixedClass.assemble, and every block reflection, of one block or of
+several, comes from sigma_block.
 
 The centralizer is the wreath product Z/k wr S_n.  Its conjugacy classes are
 labeled by the multiset of pairs (L, s), one per cycle of b: L is the cycle's
@@ -203,11 +207,7 @@ class UnmixedClass:
         self.k = k
         self.n = n
         self.degree = k * n
-        self.basepoint = Permutation.from_cycles(
-            self.degree, [self._block(j) for j in range(1, n + 1)])
-
-    def _block(self, j: int) -> tuple:
-        return tuple(range(self.k * (j - 1) + 1, self.k * j + 1))
+        self.basepoint = self.twist((1,) * n)
 
     def point(self, j: int, h: int) -> int:
         """Point at offset h (1-based) inside block j."""
@@ -222,22 +222,19 @@ class UnmixedClass:
     # the centralizer in normal form
 
     def block_swap(self, i: int, j: int) -> Permutation:
-        """The involution exchanging blocks i and j, offset by offset."""
-        img = list(range(1, self.degree + 1))
-        for h in range(1, self.k + 1):
-            img[self.point(i, h) - 1] = self.point(j, h)
-            img[self.point(j, h) - 1] = self.point(i, h)
-        return Permutation(img)
+        """The involution exchanging blocks i and j, offset by offset: no
+        twist and the transposition of blocks i and j (the identity for
+        i == j)."""
+        b = list(range(1, self.n + 1))
+        b[i - 1], b[j - 1] = j, i
+        return self.assemble(NormalForm((0,) * self.n, Permutation(b)))
 
     def twist(self, d) -> Permutation:
+        """The element turning block j by d_j and fixing every block."""
         d = tuple(d)
         if len(d) != self.n:
             raise ValueError("need one exponent per block")
-        img = [0] * self.degree
-        for j in range(1, self.n + 1):
-            for h in range(1, self.k + 1):
-                img[self.point(j, h) - 1] = self.point(j, (h - 1 + d[j - 1]) % self.k + 1)
-        return Permutation(img)
+        return self.assemble(NormalForm(d, Permutation.identity(self.n)))
 
     def assemble(self, nf: NormalForm) -> Permutation:
         d = tuple(nf.d)
@@ -338,25 +335,19 @@ class UnmixedClass:
 
     # canonical involutions for even k = 2r
 
-    def sigma_block(self, j: int) -> Permutation:
-        """Reflection of block j; conjugates A_j to its inverse."""
+    def sigma_block(self, *blocks) -> Permutation:
+        """Reflection of the given blocks, offset h to offset k + 1 - h,
+        fixing the others; conjugates A_j to its inverse on each block j."""
         if self.k % 2:
             raise ValueError("block reflection needs even cycle length")
-        r = self.k // 2
         return Permutation.from_cycles(
             self.degree,
-            [(self.point(j, h), self.point(j, self.k + 1 - h)) for h in range(1, r + 1)])
+            [(self.point(j, h), self.point(j, self.k + 1 - h))
+             for j in blocks for h in range(1, self.k // 2 + 1)])
 
     def sigma_reflect(self) -> Permutation:
         """Product of all block reflections; conjugates basepoint to its inverse."""
-        if self.k % 2:
-            raise ValueError("reflection needs even cycle length")
-        r = self.k // 2
-        cycles = []
-        for j in range(1, self.n + 1):
-            cycles.extend((self.point(j, h), self.point(j, self.k + 1 - h))
-                          for h in range(1, r + 1))
-        return Permutation.from_cycles(self.degree, cycles)
+        return self.sigma_block(*range(1, self.n + 1))
 
     def sigma_swap(self, i: int, j: int) -> Permutation:
         """Involution conjugating basepoint to basepoint * block_swap(i, j)."""
@@ -374,16 +365,11 @@ class UnmixedClass:
         r = self.k // 2
         cycles = [(self.point(i, 2 * h), self.point(j, 2 * r + 2 - 2 * h))
                   for h in range(1, r + 1)]
-        for blk in (i, j):
-            for y in range(1, self.k, 2):
-                mate = (1 - y) % self.k + 1
-                if y < mate:
-                    cycles.append((self.point(blk, y), self.point(blk, mate)))
-        for blk in range(1, self.n + 1):
-            if blk not in (i, j):
-                cycles.extend((self.point(blk, h), self.point(blk, self.k + 1 - h))
-                              for h in range(1, r + 1))
-        return Permutation.from_cycles(self.degree, cycles)
+        # odd offset y to 2 - y mod k on blocks i and j
+        cycles += [(self.point(blk, y), self.point(blk, self.k + 2 - y))
+                   for blk in (i, j) for y in range(3, r + 1, 2)]
+        others = [blk for blk in range(1, self.n + 1) if blk not in (i, j)]
+        return Permutation.from_cycles(self.degree, cycles) * self.sigma_block(*others)
 
     # pair involutions for k = 2 (blocks 2l-1, 2l)
 

@@ -802,6 +802,8 @@ _WITNESS_FIELDS = {
 
 
 def _require(record: dict, keys: tuple, what: str) -> None:
+    if not isinstance(record, dict):
+        raise ValueError("%s must be a dict" % what)
     missing = [key for key in keys if key not in record]
     if missing:
         raise ValueError("%s lacks the field %s" % (what, ", ".join(missing)))
@@ -872,8 +874,9 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     rectangle (its columns) x (its indices) in order, from 0 and below the
     subrack size and the degree, whose firing or cycle indices repeat or
     leave its vertex list, whose table entries do not commute, or whose
-    cycle is not a 4-cycle raises ValueError, and so does a witness that
-    lacks a field its rule reads."""
+    cycle is not a 4-cycle raises ValueError, and so does a witness, or
+    its subrack field, that is not a dict or lacks a field its rule
+    reads, and a subrack kind that is not a str."""
     if verdict.outcome != INFINITE:
         raise ValueError("only infinite verdicts carry a rebuildable witness")
     spec = _resolve_spec(k, n, rho_spec)
@@ -886,6 +889,8 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
                 and w["q_scalar"] == str(q)
                 and type(w["element_order"]) is int and w["element_order"] == k)
     _require(w["subrack"], ("kind", "param"), "the witness subrack")
+    if type(w["subrack"]["kind"]) is not str:
+        raise ValueError("the witness subrack kind must be a str")
     elements = _images(w, "element_images")
     transporters = _images(w, "transporter_images")
     try:

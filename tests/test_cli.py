@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -431,18 +432,37 @@ def test_diagram_without_subracks_prints_empty_graph():
         assert dot.stdout == result.stdout
 
 
-@pytest.mark.parametrize("k,n,rep,selector", [
-    (2, 5, "chi=(1,1,1,1,1);mu=trivial", "canonical"),
-    (2, 5, "chi=(1,1,1,1,1);mu=trivial", "triple:2"),
-    (4, 2, "chi=(1,1);mu=trivial", "rotation"),
-    (4, 2, "chi=(1,1);mu=trivial", "quadruple:1,2"),
-    (6, 1, "chi=(1);mu=trivial", "powers"),
-])
+# the sha256 of each diagram's stdout, pinned from the builders as they
+# stood before twist, block_swap and the block reflections were put
+# together from normal forms and sigma_block
+SUBRACK_DIAGRAMS = {
+    (2, 5, "chi=(1,1,1,1,1);mu=trivial", "canonical"):
+        "b3ef41c3157bc0f7e8bc61416476bbf7e44e8e68b63e9c3987f17643872b9051",
+    (2, 5, "chi=(1,1,1,1,1);mu=trivial", "triple:2"):
+        "dabd5e88c472a5894b6843219a9823049acf66a51b0cbe4e0b5300c890621055",
+    (4, 2, "chi=(1,1);mu=trivial", "rotation"):
+        "98d347d618a2ad25e151b36b64e385daf55cb812063e401ca6ce50780b3facbb",
+    (4, 2, "chi=(1,1);mu=trivial", "quadruple:1,2"):
+        "98d347d618a2ad25e151b36b64e385daf55cb812063e401ca6ce50780b3facbb",
+    (6, 1, "chi=(1);mu=trivial", "powers"):
+        "8678b76ca2882e2a13c0945bf10bcb5719487e46a3da2fc6aed8e4ea4dd53ef3",
+    (4, 3, "chi=(1,1,1);mu=standard", "rotation"):
+        "43eb5c085f8e986e87cd6577ec395ae43c8da2cdb967bc534a785f2af97b4944",
+    (6, 3, "chi=(1,1,1);mu=standard", "quadruple:1,3"):
+        "31a6b2f2e24e0afe0aa8e370172b5cc091e7bc4e5eb5fd930dc2e1b236a51dc5",
+    (8, 3, "chi=(1,1,1);mu=standard", "rotation"):
+        "df2c035a01cbfc69cb9d8f608e118491e3ccb19ff5cf3cc963e0750165bed1e0",
+}
+
+
+@pytest.mark.parametrize("k,n,rep,selector", list(SUBRACK_DIAGRAMS))
 def test_diagram_subrack_selectors(k, n, rep, selector):
     result = run_cli("diagram", "--k", str(k), "--n", str(n),
                      "--rep", rep, "--subrack", selector)
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "// nichols.diagram/1"
+    assert (hashlib.sha256(result.stdout.encode()).hexdigest()
+            == SUBRACK_DIAGRAMS[k, n, rep, selector])
 
 
 def test_diagram_of_adjacent_twins():

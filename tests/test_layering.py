@@ -18,7 +18,9 @@ The witness check shares no code with the decision's spectrum: it plans no
 subrack and reads no joint spectrum, and parses no text by regular
 expression.  A character is read as values only, with no search for the
 scalar a class acts by.  A JSON report has one encoder, `cli._dumps`: no
-module calls `json.dumps` with an indent beside it."""
+module calls `json.dumps` with an indent beside it.  The `--subrack`
+selectors name the families of `braidspace.FAMILIES`, and `cli` imports
+no family builder beside them."""
 
 import ast
 import inspect
@@ -27,8 +29,10 @@ import types
 
 import nichols
 import nichols.verdict
-from nichols.braidspace import (AbelianSubrack, GeneralizedDynkinDiagram,
-                                dynkin_diagram, spectrum_diagram)
+from nichols import cli
+from nichols.braidspace import (FAMILIES, AbelianSubrack,
+                                GeneralizedDynkinDiagram, dynkin_diagram,
+                                spectrum_diagram)
 from nichols.reps import InducedCharacter
 from nichols.verdict import ClassPlan
 
@@ -47,7 +51,7 @@ REMOVED_NAMES = frozenset(("candidate_subracks", "joint_spectrum",
                            "YoungSubgroup", "stabilizer", "orbit_size",
                            "conjugate", "_power", "_class_label",
                            "_subrack_plans", "dynkin_shape", "DynkinShape",
-                           "_EXCEPTIONAL"))
+                           "_EXCEPTIONAL", "_selector_indices"))
 FORBIDDEN_NAMES = frozenset(("Cyclotomic", "cartan_type", "symmetrizable",
                              "braiding_matrix", "transporter",
                              "_involution_transporter", "CycleType",
@@ -175,3 +179,12 @@ def test_one_encoder_writes_the_json_report():
             keywords = {keyword.arg for keyword in node.keywords}
             assert not (name == "dumps" and "indent" in keywords), (
                 path.name, node.lineno)
+
+
+def test_the_subrack_selectors_read_the_family_registry():
+    # every family has one selector, and cli reaches the builders only
+    # through FAMILIES
+    assert sorted(kind for kind, _ in cli.SELECTORS.values()) == sorted(FAMILIES)
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    imported = {name for _, names in _imports(tree) for name in names}
+    assert not imported & {family.__name__ for family in FAMILIES.values()}

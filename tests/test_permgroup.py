@@ -228,15 +228,29 @@ def test_sigma_pairs_conjugate_basepoint_into_commuting_partners():
 
 
 def test_canonical_involutions_move_pi_to_inverse_and_swap():
-    cls = UnmixedClass(4, 2)
-    pi = cls.basepoint
-    sigma, swap, swapinv = (cls.sigma_reflect(), cls.sigma_swap(1, 2),
-                            cls.sigma_swapinv(1, 2))
-    assert conjugate(sigma, pi) == pi.inverse()
-    mixed = pi * cls.block_swap(1, 2)
-    assert conjugate(swap, pi) == mixed
-    assert conjugate(swapinv, pi) == mixed.inverse()
-    assert mixed.cycle_type() == pi.cycle_type()
+    # one test id over several classes and every block pair i < j
+    for k, n in ((4, 2), (4, 3), (6, 3), (8, 2)):
+        cls = UnmixedClass(k, n)
+        pi = cls.basepoint
+        sigma = cls.sigma_reflect()
+        assert conjugate(sigma, pi) == pi.inverse()
+        for j in range(1, n + 1):
+            # sigma_block(j) inverts the cycle of block j, fixes every
+            # point of the other blocks, and is an involution
+            reflect = cls.sigma_block(j)
+            turns = [k - 1 if blk == j else 1 for blk in range(1, n + 1)]
+            assert conjugate(reflect, pi) == cls.twist(turns)
+            assert all(reflect(cls.point(blk, h)) == cls.point(blk, h)
+                       for blk in range(1, n + 1) if blk != j
+                       for h in range(1, k + 1))
+            assert reflect * reflect == Permutation.identity(cls.degree)
+        for i, j in itertools.combinations(range(1, n + 1), 2):
+            swap, swapinv = cls.sigma_swap(i, j), cls.sigma_swapinv(i, j)
+            mixed = pi * cls.block_swap(i, j)
+            assert conjugate(swap, pi) == mixed, (k, n, i, j)
+            assert conjugate(swapinv, pi) == mixed.inverse(), (k, n, i, j)
+            assert mixed.cycle_type() == pi.cycle_type()
+            assert cls.sigma_block(i, j) == cls.sigma_block(i) * cls.sigma_block(j)
 
 
 def test_twist_produces_class_member_commuting_with_basepoint():

@@ -677,6 +677,27 @@ def test_verify_witness_rejects_images_and_a_param_that_are_no_lists():
             verify_witness(*GENUINE, forged)
 
 
+def test_verify_witness_rejects_records_that_are_no_dicts_and_a_kind_that_is_no_str():
+    # ValueError naming the field, not TypeError; a string subrack holds
+    # "kind" and "param" as substrings, not as fields
+    genuine = decide(*GENUINE)
+    for witness in (5, None):
+        with pytest.raises(ValueError, match="witness must be a dict"):
+            verify_witness(*GENUINE, genuine._replace(witness=witness))
+    for subrack in (5, None, "kind param"):
+        forged = genuine._replace(witness=dict(genuine.witness,
+                                               subrack=subrack))
+        with pytest.raises(ValueError, match="subrack must be a dict"):
+            verify_witness(*GENUINE, forged)
+    for kind in (["canonical-triple"], 5, None):
+        subrack = dict(genuine.witness["subrack"], kind=kind)
+        forged = genuine._replace(witness=dict(genuine.witness,
+                                               subrack=subrack))
+        with pytest.raises(ValueError, match="kind must be a str"):
+            verify_witness(*GENUINE, forged)
+    assert verify_witness(*GENUINE, genuine)
+
+
 # malformed index lists: each forgery of the genuine (2,3) witness reads a
 # vertex twice or through a negative index, and each is refused
 
