@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional, Union
 import networkx as nx
 
 from nichols.braidspace import SpectrumPlan, triple_subrack
-from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE
+from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE, rational_value
 from nichols.permgroup import NormalForm, Permutation
 from nichols.reps import _label_to_partition, partitions_of, sn_character
 from nichols.verdict import NegativityReport, class_plan
@@ -1323,3 +1323,34 @@ def permutation_witness_group(subrack, cols: tuple) -> tuple:
         edges.append(tuple(row))
     return (generator, modulus, tuple(edges),
             tuple(cls.normal_form(h).class_label(cls.k) for h in queue))
+
+
+def per_element_sums(subrack, cols: tuple, used: tuple, character) -> list:
+    """sum_h chi(h) psi(h)^-1 over H_w (permutation_witness_group) for
+    each psi of used, given by its exponents on the distinct table
+    entries: each psi carried from the identity along the Cayley edges,
+    and chi read at the label of every element in turn; each sum as a
+    rational_value, or None on an edge where a psi fails.  The reference
+    for verdict._character_sums, which reads chi once per distinct label."""
+    _, modulus, edges, labels = permutation_witness_group(subrack, cols)
+    phases = [None] * len(edges)
+    phases[0] = (0,) * len(used)
+    for h, row in enumerate(edges):
+        for t, x in enumerate(row):
+            step = tuple((p + psi[t]) % modulus
+                         for p, psi in zip(phases[h], used))
+            if phases[x] is None:
+                phases[x] = step
+            elif phases[x] != step:
+                return None
+    scale = modulus // character.k
+    terms = [[(a * scale, c) for a, c in enumerate(
+              character.coefficients(label)) if c] for label in labels]
+    sums = []
+    for d in range(len(used)):
+        acc = [0] * modulus
+        for at, hterms in zip(phases, terms):
+            for a, c in hterms:
+                acc[(a - at[d]) % modulus] += c
+        sums.append(rational_value(modulus, acc))
+    return sums

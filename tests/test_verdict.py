@@ -24,7 +24,8 @@ from oracles import (REFERENCE_Q_SIX_CYCLE, CartanData, NotCartan,
                      _positive_definite as oracle_positive_definite,
                      cartan_type, cataloged, diagram_label, finite_catalog,
                      finite_type, finite_type_lookup, negativity_full,
-                     negativity_walk, permutation_spectrum_plan,
+                     negativity_walk, per_element_sums,
+                     permutation_spectrum_plan,
                      permutation_witness_group, random_symmetrizable_gcm,
                      resolve, symmetrizable, tried_subracks)
 
@@ -554,6 +555,8 @@ def test_verify_witness_does_not_read_the_class_plan(monkeypatch):
     # edit
     monkeypatch.setattr(plans, "_rules", {})
     monkeypatch.setattr(plans, "_patterns", {})
+    # and no reading of the witness kept from before either
+    nichols.verdict._witness_reading.cache_clear()
     with pytest.raises(RuntimeError, match="not -1"):
         decide(k, n, rep)
     assert verify_witness(k, n, rep, genuine)
@@ -695,6 +698,24 @@ def test_verify_witness_rejects_records_that_are_no_dicts_and_a_kind_that_is_no_
                                                subrack=subrack))
         with pytest.raises(ValueError, match="kind must be a str"):
             verify_witness(*GENUINE, forged)
+    assert verify_witness(*GENUINE, genuine)
+
+
+def test_a_rule_and_a_representation_spec_of_the_wrong_type_are_refused():
+    # ValueError naming the field, not TypeError from hashing the rule or
+    # AttributeError from splitting the spec; decide and closed_form_verdict
+    # resolve the spec the same way
+    genuine = decide(*GENUINE)
+    for rule in (["cartan-infinite"], {"cartan-infinite": 1}, 5):
+        with pytest.raises(ValueError, match="rule must be a str"):
+            verify_witness(*GENUINE, genuine._replace(rule=rule))
+    k, n, _ = GENUINE
+    for spec in (None, 5, ["chi=(1,1,1);mu=standard"]):
+        for check in (decide, closed_form_verdict):
+            with pytest.raises(ValueError, match="rho_spec must be"):
+                check(k, n, spec)
+        with pytest.raises(ValueError, match="rho_spec must be"):
+            verify_witness(k, n, spec, genuine)
     assert verify_witness(*GENUINE, genuine)
 
 
@@ -1029,6 +1050,43 @@ def test_the_normal_form_closures_match_the_permutation_closures():
     assert compared == 8 * 7 + 6 * 2 * 15
 
 
+# the sums compared, one per psi used by a subrack witness, by k
+COMPARED_SUMS = {2: 96, 4: 76, 6: 28, 8: 4}
+
+
+def test_the_per_label_sums_match_the_per_element_sums():
+    # the witness check reads chi once per distinct label of H_w and weighs
+    # it by the phase counts of each psi there; the reference carries each
+    # psi to every element of H_w, closed on permutations, and reads chi at
+    # each in turn.  Every subrack witness of these classes, every psi used
+    compared = Counter()
+    for k, n in ((2, 3), (2, 4), (2, 5), (2, 6), (4, 2), (4, 3), (4, 4),
+                 (6, 2), (6, 3), (8, 2)):
+        for spec in enumerate_irreps(k, n):
+            verdict = decide(k, n, spec)
+            if verdict.rule not in ("cartan-infinite", "alternating-cycle"):
+                continue
+            w = verdict.witness
+            subrack, _ = nichols.verdict._witness_subrack(
+                k, n, tuple(map(tuple, w["element_images"])),
+                tuple(map(tuple, w["transporter_images"])),
+                w["subrack"]["kind"], tuple(w["subrack"]["param"]))
+            cols = tuple(sorted({j for j, _ in w["vertices"]}))
+            width = len(w["vertices"]) // len(cols)
+            reading = nichols.verdict._witness_reading(
+                subrack, cols, width, tuple(map(tuple, w["q_matrix"])))
+            character = spec.character()
+            modulus = nichols.verdict._witness_group(subrack, cols).modulus
+            sums = list(nichols.verdict._character_sums(reading, character,
+                                                        modulus))
+            assert None not in sums
+            assert sums == per_element_sums(
+                subrack, cols, tuple(psi for psi, _ in reading.used),
+                character), (k, n, spec.label())
+            compared[k] += len(sums)
+    assert compared == COMPARED_SUMS
+
+
 def test_verify_witness_rebuilds_the_family_its_kind_names():
     # kind and param must name the family that has the rebuilt elements
     # and transporters: the canonical subrack takes no index, and a custom
@@ -1055,12 +1113,15 @@ def test_verify_witness_rebuilds_the_family_its_kind_names():
         assert verify_witness(k, n, rep, verdict._replace(witness=sent)), kind
 
 
-def _verify_or_error(verdict):
+def _verify_or_error(verdict, row=QUADRUPLE):
     # False, True, or the ValueError raised, as text
     try:
-        return verify_witness(*QUADRUPLE, verdict)
+        return verify_witness(*row, verdict)
     except ValueError as exc:
         return "ValueError: %s" % exc
+
+
+CYCLE = (6, 3, "chi=(5,5,5);mu=trivial")
 
 
 def test_a_warm_witness_cache_refuses_what_a_cold_one_refuses():
@@ -1097,16 +1158,50 @@ def test_a_warm_witness_cache_refuses_what_a_cold_one_refuses():
         forgeries[name] = _with(verdict, element_images=[
             [one if y == 1 else y for y in w["element_images"][0]]]
             + w["element_images"][1:])
-    warm = {name: [_verify_or_error(forged) for _ in range(2)]
+    # each of these differs from a genuine witness only where a cache key
+    # built from the recorded value would equal the genuine one: a
+    # q_matrix entry that is no str, a cartan_matrix of 2.0 and False
+    # (equal to 2 and 0) or of tuple rows, tuple cycle_labels, and a
+    # 3-vertex cycle, on a row whose multiplicity holds and on one whose
+    # multiplicity fails
+    q_matrix = [row[:] for row in w["q_matrix"]]
+    q_matrix[0][0] = [q_matrix[0][0]]
+    cartan = w["cartan_matrix"]
+    forgeries.update({
+        "entry": _with(verdict, q_matrix=q_matrix),
+        "float-cartan": _with(verdict, cartan_matrix=[
+            [2.0 if x == 2 else x for x in row] for row in cartan]),
+        "bool-cartan": _with(verdict, cartan_matrix=[
+            [x if x else False for x in row] for row in cartan]),
+        "tuple-cartan": _with(verdict,
+                              cartan_matrix=[tuple(row) for row in cartan]),
+        "short-cycle": _with(verdict._replace(rule="alternating-cycle"),
+                             cycle=[0, 2, 4], cycle_labels=["-1"] * 3),
+    })
+    rows = dict.fromkeys(forgeries, QUADRUPLE)
+    forgeries["short-cycle-failing"] = forgeries["short-cycle"]
+    rows["short-cycle-failing"] = (4, 4, "chi=(3,3,3,2);mu=trivial")
+    cycle = decide(*CYCLE)
+    assert cycle.rule == "alternating-cycle" and verify_witness(*CYCLE, cycle)
+    forgeries["tuple-labels"] = _with(
+        cycle, cycle_labels=tuple(cycle.witness["cycle_labels"]))
+    rows["tuple-labels"] = CYCLE
+    warm = {name: [_verify_or_error(forged, rows[name]) for _ in range(2)]
             for name, forged in forgeries.items()}
     nichols.verdict._witness_subrack.cache_clear()
     nichols.verdict._witness_group.cache_clear()
-    nichols.verdict._carried.cache_clear()
-    cold = {name: _verify_or_error(forged)
+    nichols.verdict._witness_reading.cache_clear()
+    cold = {name: _verify_or_error(forged, rows[name])
             for name, forged in forgeries.items()}
     assert warm == {name: [result] * 2 for name, result in cold.items()}
     assert cold["element"].startswith("ValueError: transporter")
     assert cold["float"] == cold["bool"] == \
         "ValueError: images are not a bijection of 1..N"
     assert cold["kind"] is cold["columns"] is cold["commute"] is False
+    assert all(cold[name] is False for name in (
+        "entry", "float-cartan", "bool-cartan", "tuple-cartan",
+        "short-cycle-failing", "tuple-labels"))
+    assert cold["short-cycle"] == \
+        "ValueError: an alternating cycle has four vertices"
     assert verify_witness(*QUADRUPLE, verdict)
+    assert verify_witness(*CYCLE, cycle)
