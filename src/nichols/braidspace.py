@@ -14,7 +14,7 @@ generalized Dynkin diagram are held as one node per (column, psi) with the
 multiplicity of psi: as many nodes as the subrack size times the number of
 psi that occur, however large the degree.  Only the character of rho is
 needed: the multiplicities are integers read off integer traces
-(nichols.exactfield.rational_value), and the braiding labels are roots of
+(nichols.exactfield.rational_trace), and the braiding labels are roots of
 unity held as integer exponents.  No field element is built.
 
 The work splits in two.  subrack_plan does what rho does not change, in a
@@ -37,7 +37,7 @@ from bisect import bisect_right
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .exactfield import RootOfUnity, rational_value
+from .exactfield import RootOfUnity, rational_trace, totient
 from .permgroup import Permutation, UnmixedClass
 from .reps import InducedCharacter
 
@@ -279,26 +279,28 @@ def planned_spectrum(plan: SpectrumPlan, character: InducedCharacter) -> list:
 
     The multiplicity of psi is (1/|H|) sum_h chi(h) psi(h)^-1, with chi read
     at the class label of every element of H and summed as integer
-    coefficients over Z/modulus; the sum is checked to be rational, and read
-    off, by integer traces (rational_value), and the multiplicities to add
-    up to the degree."""
+    coefficients over Z/modulus; the sum is checked to be rational, and
+    read off as phi(modulus) times itself, by integer traces
+    (rational_trace), then to be divisible by phi(modulus) |H|, and the
+    multiplicities to add up to the degree."""
     modulus = plan.modulus
     scale = plan.scale
     # chi(h) as terms (exponent mod modulus, integer)
     terms = [tuple((a * scale, c) for a, c in
                    enumerate(character.coefficients(label)) if c)
              for label in plan.class_labels]
-    order = len(terms)
+    # phi(modulus) |H| times the multiplicity
+    order = totient(modulus) * len(terms)
     spectrum = []
     for phases, exps in plan.characters:
         acc = [0] * modulus
         for phase, hterms in zip(phases, terms):
             for a, c in hterms:
                 acc[(a - phase) % modulus] += c
-        total = rational_value(modulus, acc)
+        total = rational_trace(modulus, acc)
         if total is None or total % order:
             raise ArithmeticError("character inner product is not an integer")
-        mult = int(total) // order
+        mult = total // order
         if mult:
             spectrum.append((exps, mult))
     if sum(mult for _, mult in spectrum) != character.degree:

@@ -5,16 +5,17 @@ lowest terms, which multiplies by adding exponents and prints as "1", "-1"
 or "z(m,a)".
 
 A cyclotomic number sum_j c_j zeta_m^j with integer c_j is never built as
-a field element.  rational_value decides whether it is rational, and which
+a field element.  rational_trace decides whether it is rational, and which
 rational it is, from integer traces alone: the trace from Q(zeta_m) to Q
 of zeta_m^j is the Ramanujan sum c_m(j) (Hardy-Wright 16.6), and the trace
 form is non-degenerate, so x is the rational r exactly when
-Tr(x zeta_m^-b) = r c_m(b) for every b below phi(m) = c_m(0).
+Tr(x zeta_m^-b) = r c_m(b) for every b below phi(m) = c_m(0).  It
+returns the integer phi(m) x = Tr(x), so a caller tests a rational
+against an integer, or its divisibility, in integers alone.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Optional
@@ -82,9 +83,15 @@ def _ramanujan_sums(m: int) -> tuple:
     return tuple(sums)
 
 
-def rational_value(m: int, coeffs) -> Optional[Fraction]:
-    """The rational number x = sum_j coeffs[j] zeta_m^j, for m integer
-    coefficients, or None when x is not rational."""
+def totient(m: int) -> int:
+    """phi(m), the degree of Q(zeta_m)."""
+    return _ramanujan_sums(m)[0]
+
+
+def rational_trace(m: int, coeffs) -> Optional[int]:
+    """phi(m) x for the number x = sum_j coeffs[j] zeta_m^j, m integer
+    coefficients, when x is rational (then phi(m) x = Tr(x), an integer),
+    or None when x is not rational."""
     sums = _ramanujan_sums(m)
     phi = sums[0]
     terms = [(j, c) for j, c in enumerate(coeffs) if c]
@@ -92,4 +99,4 @@ def rational_value(m: int, coeffs) -> Optional[Fraction]:
     for b in range(1, phi):
         if phi * sum(c * sums[j - b] for j, c in terms) != trace * sums[b]:
             return None
-    return Fraction(trace, phi)
+    return trace

@@ -122,8 +122,8 @@ class Permutation:
         return lcm(*(len(c) for c in self.cycles(include_fixed=True)))
 
     def commutes_with(self, other: "Permutation") -> bool:
-        return all(self.img[other.img[x] - 1] == other.img[self.img[x] - 1]
-                   for x in range(self.degree))
+        a, b = self.img, other.img
+        return [a[y - 1] for y in b] == [b[y - 1] for y in a]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Permutation):
@@ -140,7 +140,7 @@ class Permutation:
         cyc = self.cycles()
         if not cyc:
             return "()"
-        return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cyc)
+        return "(" + ")(".join(" ".join(map(str, c)) for c in cyc) + ")"
 
     def __repr__(self) -> str:
         return "Permutation(%r)" % (self.img,)
@@ -155,8 +155,21 @@ class NormalForm(NamedTuple):
     def class_label(self, k: int) -> tuple:
         """The sorted (L, s) pairs of the cycles of b, with s the twist sum
         over the cycle mod k: the element's conjugacy class in Z/k wr S_n."""
-        return tuple(sorted((len(c), sum(self.d[x - 1] for x in c) % k)
-                            for c in self.b.cycles(include_fixed=True)))
+        img, d = self.b.img, self.d
+        seen = [False] * len(img)
+        label = []
+        for start in range(len(img)):
+            x = start
+            length = s = 0
+            while not seen[x]:
+                seen[x] = True
+                length += 1
+                s += d[x]
+                x = img[x] - 1
+            if length:
+                label.append((length, s % k))
+        label.sort()
+        return tuple(label)
 
     def __str__(self) -> str:
         return "d=%s;b=%s" % (",".join(str(x) for x in self.d), self.b)
@@ -241,23 +254,30 @@ class UnmixedClass:
         b = nf.b
         if len(d) != self.n or b.degree != self.n:
             raise ValueError("normal form size mismatch")
-        img = [0] * self.degree
-        for j in range(1, self.n + 1):
-            bj = b(j)
-            for h in range(1, self.k + 1):
-                img[self.point(j, h) - 1] = self.point(bj, (h - 1 + d[bj - 1]) % self.k + 1)
+        # block j goes to block b(j), turned by t = d_b(j): offset h to
+        # offset h + t, so its images are the points of block b(j) from
+        # offset t + 1 on, then those below it
+        k = self.k
+        img = []
+        for bj in b.img:
+            start = k * (bj - 1) + 1
+            t = d[bj - 1] % k
+            img += range(start + t, start + k)
+            img += range(start, start + t)
         return Permutation(img)
 
     def normal_form(self, g: Permutation) -> NormalForm:
         if g.degree != self.degree:
             raise ValueError("ground set size mismatch")
+        k = self.k
+        img = g.img
         d = [0] * self.n
         b_img = [0] * self.n
-        for j in range(1, self.n + 1):
-            y = g(self.point(j, 1))
-            bj = (y - 1) // self.k + 1
-            b_img[j - 1] = bj
-            d[bj - 1] = (y - 1) % self.k
+        for j in range(self.n):
+            # offset 1 of block j + 1 goes to offset t + 1 of block bj + 1
+            bj, t = divmod(img[k * j] - 1, k)
+            b_img[j] = bj + 1
+            d[bj] = t
         try:
             b = Permutation(b_img)
         except ValueError:
@@ -274,11 +294,12 @@ class UnmixedClass:
         elements closes on these n-entry forms, not on permutations of the
         k*n points."""
         k = self.k
-        gd, hd = g.d, h.d
+        gd, hd, gb = g.d, h.d, g.b.img
         d = [0] * self.n
-        for j, y in enumerate(g.b.img):
+        for j, y in enumerate(gb):
             d[y - 1] = (gd[y - 1] + hd[j]) % k
-        return NormalForm(tuple(d), g.b * h.b)
+        return NormalForm(tuple(d), Permutation._trusted(
+            tuple([gb[y - 1] for y in h.b.img])))
 
     def identity_form(self) -> NormalForm:
         """The normal form of the identity, the unit of product."""

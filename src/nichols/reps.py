@@ -21,7 +21,7 @@ A character is a class function, so it is read at a conjugacy-class label
 of the centralizer, the sorted (L, s) pairs of nichols.permgroup, and never
 at a group element.  Character values are integer coefficient vectors over
 Z/k.  They are multiplied as vectors and read by integer traces
-(nichols.exactfield.rational_value); no field element is built.
+(nichols.exactfield.rational_trace); no field element is built.
 """
 
 from __future__ import annotations
@@ -35,9 +35,18 @@ from .exactfield import RootOfUnity
 
 
 def level_sizes(u) -> tuple:
-    """How many entries of u hold each value, values in descending order:
-    the block sizes of the stabilizer of u in S_n, a Young subgroup."""
-    return tuple(u.count(v) for v in sorted(set(u), reverse=True))
+    """How many entries of the non-increasing u hold each value, values in
+    descending order: the block sizes of the stabilizer of u in S_n, a
+    Young subgroup, read in one pass over u."""
+    sizes = []
+    last = None
+    for v in u:
+        if v == last:
+            sizes[-1] += 1
+        else:
+            sizes.append(1)
+            last = v
+    return tuple(sizes)
 
 
 # symmetric-group irreps and their characters
@@ -131,7 +140,7 @@ class RepSpec(NamedTuple):
     partitions: tuple
 
     def degree(self) -> int:
-        return _degree(level_sizes(self.u), self.partitions)
+        return _degree(tuple(map(sum, self.partitions)), self.partitions)
 
     def mu_label(self) -> str:
         sizes = tuple(sum(p) for p in self.partitions)
@@ -220,11 +229,13 @@ class InducedCharacter:
     depends only on k, the levels of u and the label, so it is computed
     once per (k, shape, label) per process (orbit_terms).  The partitions
     enter only through the final product: each term times the partition
-    character of every level at its cycle type.  Values are integer
-    coefficient vectors c over Z/k, meaning sum_a c[a] zeta_k^a.  A value
-    is a sum of degree roots of unity, so |chi(g)| <= degree, with equality
-    exactly when g acts by a scalar; the negativity check reads that off a
-    product of two values (nichols.verdict.negativity_check).
+    character of every level at its cycle type, so a label with one term
+    whose product is 1 takes that term's vector as it is.  The level
+    sizes are the sizes of the partitions, not counted in u.  Values are
+    integer coefficient vectors c over Z/k, meaning sum_a c[a] zeta_k^a.
+    A value is a sum of degree roots of unity, so |chi(g)| <= degree, with
+    equality exactly when g acts by a scalar; the negativity check reads
+    that off a product of two values (nichols.verdict.negativity_check).
     """
 
     __slots__ = ("spec", "k", "degree", "_shape", "_values")
@@ -232,9 +243,11 @@ class InducedCharacter:
     def __init__(self, spec: RepSpec) -> None:
         self.spec = spec
         self.k = spec.k
-        sizes = level_sizes(spec.u)
+        # the level sizes are the sizes of the partitions, and the values
+        # of the non-increasing u come in descending order
+        sizes = tuple(map(sum, spec.partitions))
         self.degree = _degree(sizes, spec.partitions)
-        self._shape = tuple(zip(sorted(set(spec.u), reverse=True), sizes))
+        self._shape = tuple(zip(dict.fromkeys(spec.u), sizes))
         self._values = {}
 
     def coefficients(self, label: tuple) -> tuple:
@@ -247,9 +260,12 @@ class InducedCharacter:
 
     def _from_label(self, label: tuple) -> tuple:
         partitions = self.spec.partitions
+        terms = orbit_terms(self.k, self._shape, label)
         out = [0] * self.k
-        for cycle_types, vector in orbit_terms(self.k, self._shape, label):
+        for cycle_types, vector in terms:
             factor = prod(map(sn_character, partitions, cycle_types))
+            if factor == 1 and len(terms) == 1:
+                return vector
             if factor:
                 out = [a + factor * c for a, c in zip(out, vector)]
         return tuple(out)
@@ -286,16 +302,17 @@ def parse_rep_spec(k: int, n: int, text: str) -> RepSpec:
     ones then zeros) for k = 2.  The character vector is canonicalized to
     its non-increasing orbit representative.  mu is one of trivial | sign |
     standard | standard_sign | catalog:<p1|p2|...> with each p a partition
-    "a+b+...", one per stabilizer block.
+    "a+b+...", one per stabilizer block.  The text is read in one pass,
+    and each fault raises ValueError; the first, in the order the fields
+    and entries are read, is the one named.
     """
     fields = {}
     for part in text.split(";"):
-        part = part.strip()
-        if not part:
+        key, eq, val = part.partition("=")
+        if not eq:
+            if part.strip():
+                raise ValueError("malformed representation spec %r" % text)
             continue
-        if "=" not in part:
-            raise ValueError("malformed representation spec %r" % text)
-        key, _, val = part.partition("=")
         key = key.strip()
         if key in fields:
             raise ValueError("repeated representation spec field: %s" % key)
@@ -320,17 +337,19 @@ def parse_rep_spec(k: int, n: int, text: str) -> RepSpec:
             raise ValueError("weight %d out of range 0..%d" % (j, n))
         u = (1,) * j + (0,) * (n - j)
     else:
-        body = chi_text.strip()
+        body = chi_text
         if body.startswith("(") and body.endswith(")"):
             body = body[1:-1]
-        tokens = []
-        for entry in body.split(",") if body.strip() else ():
-            if not entry.strip():
-                raise ValueError("character vector %r has an empty entry" % body)
-            tokens += entry.split()
+        if body.strip() and not all(map(str.strip, body.split(","))):
+            raise ValueError("character vector %r has an empty entry" % body)
         if k < 1:
             raise ValueError("modulus must be positive")
-        u = tuple(_integer(tok) % k for tok in tokens)
+        # with no empty entry, the tokens of the entries are these
+        tokens = body.replace(",", " ").split()
+        try:
+            u = [x % k for x in map(int, tokens)]
+        except ValueError:
+            u = [_integer(tok) % k for tok in tokens]
         if len(u) != n:
             raise ValueError("character vector must have length %d" % n)
         u = tuple(sorted(u, reverse=True))
@@ -345,8 +364,10 @@ def _integer(token: str) -> int:
 
 
 def _parse_mu(sizes: tuple, text: str) -> tuple:
-    if text in ("trivial", "sign"):
-        return tuple(_label_to_partition(s, text) for s in sizes)
+    if text == "trivial":
+        return tuple((s,) for s in sizes)
+    if text == "sign":
+        return tuple((1,) * s for s in sizes)
     if text in ("standard", "standard_sign"):
         bigs = [idx for idx, s in enumerate(sizes) if s >= 2]
         if len(bigs) != 1:
@@ -362,12 +383,12 @@ def _parse_mu(sizes: tuple, text: str) -> tuple:
         partitions = []
         for chunk, s in zip(chunks, sizes):
             try:
-                part = tuple(sorted((int(tok) for tok in chunk.split("+")),
-                                    reverse=True))
+                part = sorted(map(int, chunk.split("+")), reverse=True)
             except ValueError:
-                part = ()
-            if sum(part) != s or any(x < 1 for x in part):
+                part = []
+            # a block has at least one entry, so an empty part fails the sum
+            if sum(part) != s or part[-1] < 1:
                 raise ValueError("%r is not a partition of block size %d" % (chunk, s))
-            partitions.append(part)
+            partitions.append(tuple(part))
         return tuple(partitions)
     raise ValueError("unknown mu label %r" % text)

@@ -36,15 +36,16 @@ exactly when each psi_s read off it is a character of H_w that occurs in
 chi|H_w as often as the witness uses it; the check builds H_w by closure
 and tests just that, then re-fires the rule (see verify_witness).  It is
 split as the decision is: what no representation changes is built once
-per recorded subrack (the subrack with its own checks, the family its kind
-names, and its description), once per set of its witness columns (H_w
+per recorded subrack (the member of the family its kind names, or else the
+subrack rebuilt from its images with its own checks, and no description),
+once per set of its witness columns (H_w
 as a table of Cayley edges, with the class label of each element) and
 once per recorded q_matrix on those columns (its exponents, the psi_s
 read off it, their phases carried along those edges and counted at each
 distinct label, and the rule re-fired on each firing or cycle), and kept
 for the life of the process; a row only checks its own fields and
-vertices, and sums its character, read once at each distinct label,
-against those counts.
+vertices, and sums its character, read once at each distinct label as its
+nonzero terms, against those counts, in integers.
 
 Outcomes: "InfiniteDim" always carries a machine-checkable witness, and
 "NegativeBraiding" carries the verified pair inventory.  For an unmixed
@@ -64,7 +65,8 @@ from . import braidspace
 from .braidspace import (FAMILIES, AbelianSubrack, GeneralizedDynkinDiagram,
                          SubrackPlan, quadruple_subrack, rotation_subrack,
                          spectrum_diagram, subrack_plan, triple_subrack)
-from .exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity, rational_value
+from .exactfield import (ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity, rational_trace,
+                         totient)
 from .permgroup import PartnerClass, Permutation, UnmixedClass
 from .reps import InducedCharacter, RepSpec, parse_rep_spec, pi_scalar
 
@@ -364,7 +366,8 @@ def negativity_check(plan: ClassPlan,
     transporter g of t act by scalars whose product is 1.  A character
     value has |chi(x)| <= degree, with equality exactly when x acts by a
     scalar, so that holds exactly when chi(t) chi(g^-1 pi g) = degree^2:
-    one product of coefficient vectors over Z/k, read by integer traces.
+    one product of coefficient vectors over Z/k, read by integer traces
+    as phi(k) times itself (nichols.exactfield.rational_trace).
     chi(t) is read at the label of t's partner class and chi(g^-1 pi g) at
     its dual label (nichols.permgroup.dual_label), so no transporter is
     built.  The partners come from the given class plan.
@@ -375,7 +378,7 @@ def negativity_check(plan: ClassPlan,
                                 {"reason": "basepoint scalar is not -1",
                                  "q_scalar": str(q)}, ())
     k = character.k
-    square = character.degree ** 2
+    square = totient(k) * character.degree ** 2
     checked = 0
     count = 0
     kept = []
@@ -387,7 +390,7 @@ def negativity_check(plan: ClassPlan,
             if c:
                 for b, e in enumerate(dual):
                     product[(a + b) % k] += c * e
-        if rational_value(k, product) != square:
+        if rational_trace(k, product) != square:
             return NegativityReport(
                 False, checked, True,
                 {"pair": _pair(plan.cls, partner),
@@ -694,28 +697,27 @@ class _WitnessGroup(NamedTuple):
 @cache
 def _witness_subrack(k: int, n: int, elements: tuple, transporters: tuple,
                      kind, param: tuple) -> tuple:
-    """The subrack of a witness, rebuilt from its image tuples with its own
-    checks, and its description; the description is None unless kind names
-    a family (nichols.braidspace.FAMILIES) whose member at param has
-    exactly this kind, param, elements and transporters (a family that
-    fills in a default param records it).  The caller checks that every
-    image and param entry is of type int, so that 1.0 or True cannot reach
-    the entry of 1."""
+    """The subrack of a witness and its description, built once: the
+    member of the family that kind names (nichols.braidspace.FAMILIES) at
+    param, with its description, when it has exactly this kind, param
+    and image tuples (a family that fills in a default param records it);
+    otherwise the subrack rebuilt from the image tuples with all of its
+    own checks, which raise as they do for any subrack, and no
+    description.  The caller checks that every image and param entry is
+    of type int, so that 1.0 or True cannot reach the entry of 1."""
     cls = UnmixedClass(k, n)
-    subrack = AbelianSubrack(cls, map(Permutation, elements),
-                             map(Permutation, transporters),
-                             kind=kind, param=param)
     family = FAMILIES.get(kind)
-    if family is None:
-        return subrack, None
     try:
-        named = family(cls, *param)
+        named = family(cls, *param) if family else None
     except (TypeError, ValueError):
-        return subrack, None
-    if ((named.kind, named.param, named.elements, named.transporters)
-            != (kind, param, subrack.elements, subrack.transporters)):
-        return subrack, None
-    return subrack, subrack.describe()
+        named = None
+    if named is not None and (named.kind, named.param) == (kind, param) and (
+            tuple(g.img for g in named.elements) == elements
+            and tuple(g.img for g in named.transporters) == transporters):
+        return named, named.describe()
+    return AbelianSubrack(cls, map(Permutation, elements),
+                          map(Permutation, transporters),
+                          kind=kind, param=param), None
 
 
 def _images(witness: dict, field: str) -> tuple:
@@ -790,17 +792,18 @@ class _WitnessReading(NamedTuple):
     subrack and set of its columns, whatever the representation: the
     entries as integer exponents of zeta_modulus (exponents); each psi
     used, as its exponents on the distinct table entries, with the number
-    of vertex indices that name it (used); for each psi used, one (class
-    label, places, count) triple per class label and phase p of psi that
-    occur together on the elements of H_w, with the number of those
-    elements, and in places, for each a < k, the exponent of
-    zeta_k^a zeta_modulus^-p as a power of zeta_modulus (phases); and
-    what each rule
-    re-fired on the exponents gives (_refire), by (rule, firing or cycle)
-    (fired), filled in as rows meet it."""
+    of vertex indices that name it (used); the distinct class labels of
+    H_w (labels); for each psi used, one (label index, places, count)
+    triple per class label and phase p of psi that occur together on the
+    elements of H_w, with the number of those elements, and in places, for
+    each a < k, the exponent of zeta_k^a zeta_modulus^-p as a power of
+    zeta_modulus (phases); and what each rule re-fired on the exponents
+    gives (_refire), by (rule, firing or cycle) (fired), filled in as rows
+    meet it."""
 
     exponents: tuple
     used: tuple
+    labels: tuple
     phases: tuple
     fired: dict
 
@@ -835,6 +838,10 @@ def _witness_reading(subrack: AbelianSubrack, cols: tuple, width: int,
     # each psi used, carried from the identity along every Cayley edge, and
     # counted by (label, phase); a phase p is kept as the place of
     # zeta_k^a zeta_modulus^-p in the sum, for each a < k
+    places = [tuple((a * modulus // k - p) % modulus for a in range(k))
+              for p in range(modulus)]
+    labels = tuple(dict.fromkeys(group.labels))
+    index = {label: x for x, label in enumerate(labels)}
     phases = []
     for psi in used:
         at = [0] + [None] * (len(group.edges) - 1)
@@ -845,27 +852,28 @@ def _witness_reading(subrack: AbelianSubrack, cols: tuple, width: int,
                     at[x] = step
                 elif at[x] != step:
                     return None
-        phases.append(tuple(
-            (label, tuple((a * modulus // k - p) % modulus for a in range(k)),
-             m) for (label, p), m in Counter(zip(group.labels, at)).items()))
+        phases.append(tuple((index[label], places[p], m) for (label, p), m
+                            in Counter(zip(group.labels, at)).items()))
     return _WitnessReading(exps, tuple((psi, psis.count(psi)) for psi in used),
-                           tuple(phases), {})
+                           labels, tuple(phases), {})
 
 
 def _character_sums(reading: _WitnessReading, character: InducedCharacter,
                     modulus: int):
-    """sum_h chi(h) psi(h)^-1 over H_w for each psi of reading.used, in
-    order, each as a rational_value of the integer coefficients of its
-    powers of zeta_modulus (None when not rational): chi is computed once
-    at each distinct label of H_w (the character keeps its values), and
-    each of its k coefficients there is added at its place, times the
-    number of elements with that label and phase of psi."""
+    """phi(modulus) sum_h chi(h) psi(h)^-1 over H_w for each psi of
+    reading.used, in order, each read by rational_trace off the integer
+    coefficients of its powers of zeta_modulus (None when not rational):
+    chi is read once at each distinct label of H_w, as its nonzero
+    (index, coefficient) terms, and each term is added at its place,
+    times the number of elements with that label and phase of psi."""
+    terms = [[(a, c) for a, c in enumerate(character.coefficients(label)) if c]
+             for label in reading.labels]
     for counts in reading.phases:
         acc = [0] * modulus
-        for label, places, m in counts:
-            for c, place in zip(character.coefficients(label), places):
-                acc[place] += c * m
-        yield rational_value(modulus, acc)
+        for x, places, m in counts:
+            for a, c in terms[x]:
+                acc[places[a]] += c * m
+        yield rational_trace(modulus, acc)
 
 
 def _refire(rule: str, positions: tuple, exps: tuple,
@@ -914,12 +922,13 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     the witness's own group: no subrack plan, class plan or spectrum of the
     decision is read.
 
-    The subrack is rebuilt from the raw images, with its own checks, and
-    the family that its kind and param name must rebuild the same elements
-    and transporters.  A vertex (j, s) names the vector g_j v_s, for g_j
-    the transporter of column j and v_s a joint eigenvector of rho on H_w,
-    the group generated by the table entries gamma_ij = g_j^-1 t_i g_j with
-    i, j in the witness columns; s is only a name.  Why that is sound:
+    The member of the family that its kind and param name must have
+    exactly the recorded images; any other images are rebuilt, with the
+    subrack's own checks, and refused.  A vertex (j, s) names the vector
+    g_j v_s, for g_j the transporter of column j and v_s a joint
+    eigenvector of rho on H_w, the group generated by the table entries
+    gamma_ij = g_j^-1 t_i g_j with i, j in the witness columns; s is only
+    a name.  Why that is sound:
     - t_i (g_j v) = g_j gamma_ij v, and gamma_ij centralizes the basepoint;
     - so if v_s is an eigenvector of H_w with linear character psi_s, the
       vectors g_j v_s span a braided subspace of diagonal type whose entry
@@ -932,17 +941,18 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     builds H_w by plain closure from the identity and checks on every
     Cayley edge that psi_s extends to a character of H_w, and sums chi
     against each psi used, (1/|H_w|) sum_h chi(h) psi(h)^-1, by integer
-    traces.  Then the rule is re-fired on the recorded values, each as its
-    integer exponent of zeta_modulus.
+    traces: phi(modulus) |H_w| times it is an integer, which must be
+    divisible by phi(modulus) |H_w|.  Then the rule is re-fired on the
+    recorded values, each as its integer exponent of zeta_modulus.
     cartan-infinite is re-fired by linear algebra on the firing set,
     sharing no code with the graph reading that decided it: every diagonal
     entry -1, every product q_ab q_ba equal to 1 or -1, and the Cartan
     matrix 2I - A (A = 1 where the product is -1) not positive definite.
 
-    Only the representation changes from row to row.  The subrack, the
-    family check and the description are built once per recorded (image
-    tuples, kind, param) (_witness_subrack), each image and param entry
-    checked to be of type int before the lookup; the generator of each
+    Only the representation changes from row to row.  The subrack and its
+    description are built once per recorded (image tuples, kind, param)
+    (_witness_subrack), each image and param entry checked to be of type
+    int before the lookup; the generator of each
     gamma_ij, the normal form and commute checks, the modulus, H_w as a
     table of Cayley edges, closed on normal forms, and the class label of
     each of its elements once per subrack and set of witness columns
@@ -954,12 +964,13 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     psi_s or edge that fails, and the outcome of the rule re-fired on
     each (rule, firing or cycle) a row has met.  Each row compares the
     description, checks its vertices and indices and the shape of its
-    q_matrix, reads chi once at each distinct label of H_w and sums it
-    against each psi's phase counts (_character_sums), which is the sum
-    over the elements of H_w, and compares its recorded cartan_matrix or
-    cycle_labels with the re-fired outcome.  Checks run in that order,
-    cached or not: a failing multiplicity returns False before a cycle
-    that is not a 4-cycle raises.  A witness that raises is not cached.
+    q_matrix, reads chi once at each distinct label of H_w, as its nonzero
+    terms, and sums it against each psi's phase counts (_character_sums),
+    which is the sum over the elements of H_w, and compares its recorded
+    cartan_matrix or cycle_labels with the re-fired outcome.  Checks run
+    in that order, cached or not: a failing multiplicity returns False
+    before a cycle that is not a 4-cycle raises.  A witness that raises is
+    not cached.
 
     The recorded fields that follow from these values must match them: the
     cartan_matrix, the cycle_labels (the products around the cycle), the
@@ -973,10 +984,11 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     or a q_matrix that is not one list per vertex of one entry per vertex,
     fails.  A witness whose element_images or transporter_images are not
     a list of image lists, or hold an entry not of type int (1.0 or True
-    is not 1), whose subrack param is not a list of int, whose vertices
-    are not a list of two-element lists, whose firing or cycle is not a list,
-    whose vertex coordinates or firing or cycle indices are not all of
-    type int (a bool, float or str is not), whose vertices are not the
+    is not 1), whose subrack param is not a list of int (a tuple, set or
+    dict is not), whose vertices are not a list of two-element lists,
+    whose firing or cycle is not a list, whose vertex coordinates or
+    firing or cycle indices are not all of type int (a bool, float or str
+    is not), whose vertices are not the
     rectangle (its columns) x (its indices) in order, from 0 and below the
     subrack size and the degree, whose firing or cycle indices repeat or
     leave its vertex list, whose table entries do not commute, or whose
@@ -1003,14 +1015,11 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
         raise ValueError("the witness subrack kind must be a str")
     elements = _images(w, "element_images")
     transporters = _images(w, "transporter_images")
-    try:
-        param = tuple(w["subrack"]["param"])
-    except TypeError:
-        param = None
-    if param is None or set(map(type, param)) - {int}:
+    param = w["subrack"]["param"]
+    if not isinstance(param, list) or set(map(type, param)) - {int}:
         raise ValueError("the witness subrack param must be a list of int")
     subrack, description = _witness_subrack(
-        k, n, elements, transporters, w["subrack"]["kind"], param)
+        k, n, elements, transporters, w["subrack"]["kind"], tuple(param))
     if description is None or w["subrack"] != description:
         return False
     character = spec.character()
@@ -1047,7 +1056,8 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
                                tuple(map(tuple, q_matrix)))
     if reading is None:
         return False
-    order = len(group.edges)
+    # phi(modulus) |H_w| times each multiplicity
+    order = totient(group.modulus) * len(group.edges)
     for (_, count), total in zip(reading.used, _character_sums(
             reading, character, group.modulus)):
         if total is None or total % order or total // order < count:
@@ -1067,4 +1077,4 @@ def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
     # a cartan_matrix entry 2.0 or True equals 2 or 1, but is not it
     return (expected is not None and expected == recorded
             and (verdict.rule != "cartan-infinite"
-                 or all(type(x) is int for row in recorded for x in row)))
+                 or not set(map(type, itertools.chain(*recorded))) - {int}))

@@ -37,9 +37,10 @@ from typing import NamedTuple, Optional, Union
 import networkx as nx
 
 from nichols.braidspace import SpectrumPlan, triple_subrack
-from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE, rational_value
+from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE, _ramanujan_sums
 from nichols.permgroup import NormalForm, Permutation
-from nichols.reps import _label_to_partition, partitions_of, sn_character
+from nichols.reps import (RepSpec, _label_to_partition, partitions_of,
+                          sn_character)
 from nichols.verdict import NegativityReport, class_plan
 
 from exactfield_oracle import MINUS_ONE, ONE, ZERO, Cyclotomic, zeta
@@ -1354,3 +1355,110 @@ def per_element_sums(subrack, cols: tuple, used: tuple, character) -> list:
                 acc[(a - at[d]) % modulus] += c
         sums.append(rational_value(modulus, acc))
     return sums
+
+
+# the rational value of an integer combination of roots of unity, and the
+# representation spec parser, in the per-entry forms that the package's
+# integer trace (nichols.exactfield.rational_trace) and one-pass parser
+# (nichols.reps.parse_rep_spec) are compared against
+
+def rational_value(m: int, coeffs) -> Optional[Fraction]:
+    """The rational number x = sum_j coeffs[j] zeta_m^j, for m integer
+    coefficients, or None when x is not rational."""
+    sums = _ramanujan_sums(m)
+    phi = sums[0]
+    terms = [(j, c) for j, c in enumerate(coeffs) if c]
+    trace = sum(c * sums[j] for j, c in terms)
+    for b in range(1, phi):
+        if phi * sum(c * sums[j - b] for j, c in terms) != trace * sums[b]:
+            return None
+    return Fraction(trace, phi)
+
+
+def parse_rep_spec(k: int, n: int, text: str) -> RepSpec:
+    """Parse "chi=(u1,...,un);mu=<label>" (mu defaults to trivial), field
+    by field and entry by entry, each token converted on its own."""
+    fields = {}
+    for part in text.split(";"):
+        part = part.strip()
+        if not part:
+            continue
+        if "=" not in part:
+            raise ValueError("malformed representation spec %r" % text)
+        key, _, val = part.partition("=")
+        key = key.strip()
+        if key in fields:
+            raise ValueError("repeated representation spec field: %s" % key)
+        fields[key] = val.strip()
+    unknown = set(fields) - {"chi", "mu"}
+    if unknown:
+        raise ValueError("unknown representation spec fields: %s" % ", ".join(sorted(unknown)))
+    if "chi" not in fields:
+        raise ValueError("representation spec needs a chi field")
+    chi_text = fields["chi"]
+    if ":" in chi_text:
+        prefix, _, weight = chi_text.partition(":")
+        if prefix.strip() not in ("2", "k"):
+            raise ValueError("unknown character shorthand %r; use chi=2:<j>" % chi_text)
+        if k != 2:
+            raise ValueError("the weight shorthand chi=2:<j> is defined for k = 2 only")
+        try:
+            j = int(weight)
+        except ValueError:
+            raise ValueError("weight %r is not an integer" % weight.strip()) from None
+        if not 0 <= j <= n:
+            raise ValueError("weight %d out of range 0..%d" % (j, n))
+        u = (1,) * j + (0,) * (n - j)
+    else:
+        body = chi_text.strip()
+        if body.startswith("(") and body.endswith(")"):
+            body = body[1:-1]
+        tokens = []
+        for entry in body.split(",") if body.strip() else ():
+            if not entry.strip():
+                raise ValueError("character vector %r has an empty entry" % body)
+            tokens += entry.split()
+        if k < 1:
+            raise ValueError("modulus must be positive")
+        u = tuple(_integer(tok) % k for tok in tokens)
+        if len(u) != n:
+            raise ValueError("character vector must have length %d" % n)
+        u = tuple(sorted(u, reverse=True))
+    sizes = tuple(u.count(v) for v in sorted(set(u), reverse=True))
+    return RepSpec(k, n, u, _parse_mu(sizes, fields.get("mu", "trivial")))
+
+
+def _integer(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError("%r is not an integer" % token) from None
+
+
+def _parse_mu(sizes: tuple, text: str) -> tuple:
+    if text in ("trivial", "sign"):
+        return tuple(_label_to_partition(s, text) for s in sizes)
+    if text in ("standard", "standard_sign"):
+        bigs = [idx for idx, s in enumerate(sizes) if s >= 2]
+        if len(bigs) != 1:
+            raise ValueError(
+                "%s needs exactly one stabilizer block of size >= 2; use catalog:..." % text)
+        return tuple(
+            _label_to_partition(s, text) if idx == bigs[0] else (1,)
+            for idx, s in enumerate(sizes))
+    if text.startswith("catalog:"):
+        chunks = text[len("catalog:"):].split("|")
+        if len(chunks) != len(sizes):
+            raise ValueError("mu needs %d block partitions, got %d" % (len(sizes), len(chunks)))
+        partitions = []
+        for chunk, s in zip(chunks, sizes):
+            try:
+                part = tuple(sorted((int(tok) for tok in chunk.split("+")),
+                                    reverse=True))
+            except ValueError:
+                part = ()
+            if sum(part) != s or any(x < 1 for x in part):
+                raise ValueError("%r is not a partition of block size %d" % (chunk, s))
+            partitions.append(part)
+        return tuple(partitions)
+    raise ValueError("unknown mu label %r" % text)

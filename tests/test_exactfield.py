@@ -135,7 +135,10 @@ from math import gcd  # noqa: E402
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nichols.exactfield import RootOfUnity, rational_value  # noqa: E402
+from nichols.exactfield import (RootOfUnity, rational_trace,  # noqa: E402
+                                totient)
+
+from oracles import rational_value  # noqa: E402
 
 CONDUCTORS = (1, 2, 3, 4, 5, 6, 8, 12)
 UNITS = tuple(t for t in range(1, 120) if gcd(t, 120) == 1)
@@ -247,3 +250,22 @@ def test_rational_value_agrees_with_the_field(data):
     noise = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
     y = Cyclotomic(m, noise)
     assert rational_value(m, noise) == (y.as_rational() if y.is_rational() else None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rational_trace_is_phi_times_the_rational_value(data):
+    # the package's integer form against the Fraction reference: phi(m) x
+    # exactly when the reference gives x, and None exactly when it does,
+    # on rational vectors (a rational plus a vanishing sum) and on random
+    # ones
+    m = data.draw(st.integers(1, 24))
+    rational = data.draw(vanishing_sums(m))
+    rational[0] += data.draw(st.integers(-5, 5))
+    noise = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+    for coeffs in (rational, noise):
+        want = rational_value(m, coeffs)
+        got = rational_trace(m, coeffs)
+        assert type(got) is int if want is not None else got is None
+        assert want is None or got == totient(m) * want
+    assert rational_value(m, rational) is not None

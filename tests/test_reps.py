@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nichols.exactfield import ROOT_ONE, rational_value
+from nichols.exactfield import ROOT_ONE, rational_trace, totient
 from nichols.braidspace import powers_subrack
 from nichols.permgroup import NormalForm, Permutation, UnmixedClass
 from nichols.reps import (RepSpec, enumerate_irreps, level_sizes,
@@ -20,6 +20,7 @@ from oracles import (A, B, CatalogGapError, GammaCharacter, catalog_covers,
                      class_size, coefficients_by_placements, dense_pi_scalar,
                      orbit_and_stabilizer, resolve, sign, sn_irrep,
                      tried_subracks)
+from oracles import parse_rep_spec as reference_parse_rep_spec
 from test_golden import DIGESTS
 
 
@@ -165,6 +166,80 @@ def test_repeated_spec_field_is_rejected(text, field):
         parse_rep_spec(2, 3, text)
 
 
+def _parsed(parse, k, n, text):
+    # the spec, or the type and message of what the parse raised
+    try:
+        return parse(k, n, text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_PAD = st.sampled_from(["", " ", "  ", "\t"])
+# mostly digits, sometimes a bad token or none
+_TOKENS = st.sampled_from([str(x) for x in range(10)] * 4 + [
+    "-1", "x", "1.5", "+1", "1_0", "(", "", " "])
+# a vector entry mostly holds one token, but may hold two, "1 2", or none
+_ENTRIES = st.sampled_from((1, 1, 1, 2, 0)).flatmap(
+    lambda size: st.lists(_TOKENS, min_size=size, max_size=size)).map(" ".join)
+_WEIGHTS = st.builds("{}:{}".format, st.sampled_from(["2", "k", " 2 ", "3"]),
+                     st.sampled_from(["0", "1", "2", "5", "-1", "x", " 3 "]))
+_PARTITIONS = st.lists(st.sampled_from("012341x"),
+                       min_size=1, max_size=3).map("+".join)
+_MUS = st.sampled_from(["trivial", "sign", "standard", "standard_sign",
+                        "nonsense", ""]) | st.lists(
+    _PARTITIONS, min_size=1, max_size=3).map(lambda p: "catalog:" + "|".join(p))
+
+
+def _vectors(n):
+    # about n entries, in or out of brackets
+    return st.builds(
+        lambda entries, left, right: left + ",".join(entries) + right,
+        st.sampled_from((n - 1, n, n, n, n + 1)).flatmap(
+            lambda size: st.lists(_ENTRIES, min_size=size, max_size=size)),
+        st.sampled_from(["(", "(", "", " ("]),
+        st.sampled_from([")", ")", "", ") "]))
+
+
+@st.composite
+def _spec_texts(draw, n):
+    # "key=value" per field, padded, or a bare part with no "=", in any
+    # order, joined by ";": mostly a chi and a mu field, sometimes a
+    # repeated, unknown or empty key, or a bare part, and sometimes no chi
+    fields = [("chi", draw(_WEIGHTS if draw(st.integers(0, 5)) == 5
+                           else _vectors(n)))]
+    if draw(st.booleans()):
+        fields.append(("mu", draw(_MUS)))
+    if draw(st.integers(0, 3)) == 3:
+        fields.append(draw(st.sampled_from([
+            ("chi", "(1)"), (" chi", "0"), ("tau", "(1)"), ("", "1"),
+            ("mu", "sign"), ("", None), ("junk", None)])))
+    if draw(st.integers(0, 9)) == 9:
+        fields = fields[1:]
+    return ";".join(key if value is None else
+                    key + draw(_PAD) + "=" + draw(_PAD) + value
+                    for key, value in draw(st.permutations(fields)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from((0, 1, 2, 2, 3, 4, 4)), st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), _spec_texts(n))))
+def test_the_one_pass_parse_matches_the_reference(k, text_for):
+    # the same spec, or the same exception type and message, as the
+    # field-by-field reference (tests/oracles.py), on texts with spaces,
+    # empty entries, two tokens in an entry, bad tokens, the weight
+    # shorthand, repeated, unknown and missing fields, and catalog labels
+    n, text = text_for
+    assert _parsed(parse_rep_spec, k, n, text) == _parsed(
+        reference_parse_rep_spec, k, n, text), text
+
+
+def test_the_one_pass_parse_reads_every_label_as_the_reference():
+    for k, n in ((2, 4), (3, 3), (4, 3), (6, 2), (8, 2)):
+        for spec in enumerate_irreps(k, n):
+            assert parse_rep_spec(k, n, spec.label()) == \
+                reference_parse_rep_spec(k, n, spec.label()) == spec
+
+
 @pytest.mark.parametrize("part", ["", "a", "1+a", "1++2", "9"])
 def test_catalog_part_that_is_no_partition(part):
     with pytest.raises(ValueError) as caught:
@@ -206,7 +281,7 @@ def test_central_element_acts_by_minus_identity_in_weight_one():
     assert img == Matrix.identity(4).scale(MINUS_ONE)
     label = cls.normal_form(cls.basepoint).class_label(2)
     coefficients = spec.character().coefficients(label)
-    assert rational_value(2, coefficients) == -spec.degree()
+    assert rational_trace(2, coefficients) == totient(2) * -spec.degree()
 
 
 def test_rep_images_of_block_products_match_reference():
@@ -374,7 +449,8 @@ def test_the_negativity_identity_matches_the_field(data):
     expected = lam is not None and mu is not None and lam * mu == ROOT_ONE
     product = _product(k, character.coefficients(x.class_label(k)),
                        character.coefficients(y.class_label(k)))
-    assert (rational_value(k, product) == degree ** 2) == expected, (
+    square = totient(k) * degree ** 2
+    assert (rational_trace(k, product) == square) == expected, (
         spec.label(), str(x), str(y))
 
 

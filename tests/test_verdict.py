@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 import nichols.braidspace
 import nichols.verdict
 from nichols.braidspace import (AbelianSubrack, dynkin_diagram,
-                                rotation_subrack, subrack_plan, triple_subrack)
-from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
+                                quadruple_subrack, rotation_subrack,
+                                subrack_plan, triple_subrack)
+from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity, totient
 from nichols.permgroup import Permutation, UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
 from nichols.verdict import (INFINITE, NEGATIVE, _cartan_infinite,
@@ -680,6 +681,21 @@ def test_verify_witness_rejects_images_and_a_param_that_are_no_lists():
             verify_witness(*GENUINE, forged)
 
 
+def test_verify_witness_refuses_a_param_that_is_no_list():
+    # a dict, set or tuple of the genuine param's entries is refused as the
+    # docstring says, not compared with the description and found false
+    row = (4, 2, "chi=(2,0);mu=trivial")
+    genuine = decide(*row)
+    assert genuine.witness["subrack"] == dict(genuine.witness["subrack"],
+                                              kind="quadruple-swap",
+                                              param=[1, 2])
+    for param in ({1: 0, 2: 0}, {1, 2}, (1, 2)):
+        subrack = dict(genuine.witness["subrack"], param=param)
+        with pytest.raises(ValueError, match="param must be a list of int"):
+            verify_witness(*row, _with(genuine, subrack=subrack))
+    assert verify_witness(*row, genuine)
+
+
 def test_verify_witness_rejects_records_that_are_no_dicts_and_a_kind_that_is_no_str():
     # ValueError naming the field, not TypeError; a string subrack holds
     # "kind" and "param" as substrings, not as fields
@@ -1080,9 +1096,10 @@ def test_the_per_label_sums_match_the_per_element_sums():
             sums = list(nichols.verdict._character_sums(reading, character,
                                                         modulus))
             assert None not in sums
-            assert sums == per_element_sums(
+            # the check sums in integers, phi(modulus) times the reference
+            assert sums == [totient(modulus) * x for x in per_element_sums(
                 subrack, cols, tuple(psi for psi, _ in reading.used),
-                character), (k, n, spec.label())
+                character)], (k, n, spec.label())
             compared[k] += len(sums)
     assert compared == COMPARED_SUMS
 
@@ -1122,6 +1139,69 @@ def _verify_or_error(verdict, row=QUADRUPLE):
 
 
 CYCLE = (6, 3, "chi=(5,5,5);mu=trivial")
+
+
+def test_the_named_member_serves_only_its_own_images():
+    # the witness subrack is the member its kind and param name only when
+    # the images are that member's own; any other images are rebuilt with
+    # every check of the subrack, so each forgery below is refused alike
+    # from a warm and from a cold cache, with the value or error text it
+    # had when the subrack was always rebuilt from the images
+    verdict = _quadruple_witness()
+    w = verdict.witness
+    cls = UnmixedClass(4, 4)
+
+    def images(subrack):
+        return {"element_images": [list(g.img) for g in subrack.elements],
+                "transporter_images": [list(g.img)
+                                       for g in subrack.transporters]}
+
+    def swapped(field, row):
+        lists = [list(img) for img in w[field]]
+        lists[row][0], lists[row][1] = lists[row][1], lists[row][0]
+        return {field: lists}
+
+    order = (0, 1, 3, 2)
+    forgeries = {
+        # a family member's images under another kind or another param
+        "rotation-images": images(rotation_subrack(cls)),
+        "other-kind": {"subrack": dict(w["subrack"],
+                                       kind="quadruple-rotation", param=[])},
+        "other-member-images": images(quadruple_subrack(cls, 1, 3)),
+        "other-param": {"subrack": dict(w["subrack"], param=[1, 3])},
+        "reversed-param": {"subrack": dict(w["subrack"], param=[2, 1])},
+        # one image list with two entries swapped
+        "element-swap": swapped("element_images", 1),
+        "transporter-swap": swapped("transporter_images", 2),
+        # the entry 1 as 1.0 and as True
+        "float": {"element_images": [[1.0 if y == 1 else y for y in img]
+                                     for img in w["element_images"]]},
+        "bool": {"transporter_images": [[True if y == 1 else y for y in img]
+                                        for img in w["transporter_images"]]},
+        # a bijection of every image list, and a subrack, but no member
+        "reordered": {field: [w[field][x] for x in order]
+                      for field in ("element_images", "transporter_images")},
+    }
+    forgeries = {name: _with(verdict, **fields)
+                 for name, fields in forgeries.items()}
+    assert verify_witness(*QUADRUPLE, verdict)
+    warm = {name: [_verify_or_error(forged) for _ in range(2)]
+            for name, forged in forgeries.items()}
+    nichols.verdict._witness_subrack.cache_clear()
+    nichols.verdict._witness_group.cache_clear()
+    nichols.verdict._witness_reading.cache_clear()
+    cold = {name: _verify_or_error(forged)
+            for name, forged in forgeries.items()}
+    assert warm == {name: [result] * 2 for name, result in cold.items()}
+    assert cold == dict(
+        dict.fromkeys(("rotation-images", "other-kind", "other-member-images",
+                       "other-param", "reversed-param", "reordered"), False),
+        **{"element-swap": "ValueError: subrack element lies outside the class",
+           "transporter-swap": "ValueError: transporter does not carry the "
+                               "basepoint to its element",
+           "float": "ValueError: images are not a bijection of 1..N",
+           "bool": "ValueError: images are not a bijection of 1..N"})
+    assert verify_witness(*QUADRUPLE, verdict)
 
 
 def test_a_warm_witness_cache_refuses_what_a_cold_one_refuses():
