@@ -295,6 +295,19 @@ def enumerate_irreps(k: int, n: int) -> list:
     return out
 
 
+def resolve_spec(k: int, n: int, rho_spec) -> RepSpec:
+    """The RepSpec of (k, n) that rho_spec names: a RepSpec of those
+    parameters as it is, or a str parsed (parse_rep_spec); anything else
+    raises ValueError."""
+    if isinstance(rho_spec, RepSpec):
+        if rho_spec.k != k or rho_spec.n != n:
+            raise ValueError("representation spec is for different parameters")
+        return rho_spec
+    if not isinstance(rho_spec, str):
+        raise ValueError("rho_spec must be a RepSpec or a str")
+    return parse_rep_spec(k, n, rho_spec)
+
+
 def parse_rep_spec(k: int, n: int, text: str) -> RepSpec:
     """Parse "chi=(u1,...,un);mu=<label>" (mu defaults to trivial).
 
@@ -330,7 +343,7 @@ def parse_rep_spec(k: int, n: int, text: str) -> RepSpec:
         if k != 2:
             raise ValueError("the weight shorthand chi=2:<j> is defined for k = 2 only")
         try:
-            j = int(weight)
+            j = _integer(weight)
         except ValueError:
             raise ValueError("weight %r is not an integer" % weight.strip()) from None
         if not 0 <= j <= n:
@@ -344,10 +357,12 @@ def parse_rep_spec(k: int, n: int, text: str) -> RepSpec:
             raise ValueError("character vector %r has an empty entry" % body)
         if k < 1:
             raise ValueError("modulus must be positive")
-        # with no empty entry, the tokens of the entries are these
+        # with no empty entry, the tokens of the entries are these; on
+        # ASCII text with no "_" or "+", int() reads just what _integer does
         tokens = body.replace(",", " ").split()
+        plain = body.isascii() and "_" not in body and "+" not in body
         try:
-            u = [x % k for x in map(int, tokens)]
+            u = [x % k for x in map(int if plain else _integer, tokens)]
         except ValueError:
             u = [_integer(tok) % k for tok in tokens]
         if len(u) != n:
@@ -357,10 +372,12 @@ def parse_rep_spec(k: int, n: int, text: str) -> RepSpec:
 
 
 def _integer(token: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError("%r is not an integer" % token) from None
+    # an optional "-" then ASCII digits, spaces around them allowed: int()
+    # alone also reads "+1", "1_0" and digits of other scripts
+    digits = token.strip()
+    if not (digits.isascii() and digits.removeprefix("-").isdigit()):
+        raise ValueError("%r is not an integer" % token)
+    return int(digits)
 
 
 def _parse_mu(sizes: tuple, text: str) -> tuple:
@@ -380,10 +397,12 @@ def _parse_mu(sizes: tuple, text: str) -> tuple:
         chunks = text[len("catalog:"):].split("|")
         if len(chunks) != len(sizes):
             raise ValueError("mu needs %d block partitions, got %d" % (len(sizes), len(chunks)))
+        # "+" splits the parts, so int() reads plain ASCII as _integer does
+        convert = int if text.isascii() and "_" not in text else _integer
         partitions = []
         for chunk, s in zip(chunks, sizes):
             try:
-                part = sorted(map(int, chunk.split("+")), reverse=True)
+                part = sorted(map(convert, chunk.split("+")), reverse=True)
             except ValueError:
                 part = []
             # a block has at least one entry, so an empty part fails the sum

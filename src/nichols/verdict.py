@@ -12,8 +12,7 @@ of finite type exactly when its graph is an A, D or E tree.  On the
 candidate subracks every tree is a path, so the decision reads a Cartan
 component off the nodes of the diagram by counting its edges
 (cartan_finite), and searches its witnesses on at most two members of
-each node; verify_witness re-fires it by linear algebra on the witness's
-braiding values instead.
+each node.
 
 Everything runs on the character of the representation: braidings are
 roots of unity with integer exponents, and a negative pair is read off
@@ -27,50 +26,30 @@ read off each pattern of its multiplicities capped at 3.  A row reads all
 of it from the one class plan that decide looks up, the negativity check
 included.
 
-verify_witness shares none of that with the decision: it plans no subrack
-and runs none of its spectrum code.  A witness vertex (j, s) means the
-vector g_j v_s, with v_s an eigenvector of the group H_w that the
-witness's own table entries generate, and s only a name.  Since
-t_i g_j v = g_j gamma_ij v, the recorded q_matrix is such a braiding
-exactly when each psi_s read off it is a character of H_w that occurs in
-chi|H_w as often as the witness uses it; the check builds H_w by closure
-and tests just that, then re-fires the rule (see verify_witness).  It is
-split as the decision is: what no representation changes is built once
-per recorded subrack (the member of the family its kind names, or else the
-subrack rebuilt from its images with its own checks, and no description),
-once per set of its witness columns (H_w
-as a table of Cayley edges, with the class label of each element) and
-once per recorded q_matrix on those columns (its exponents, the psi_s
-read off it, their phases carried along those edges and counted at each
-distinct label, and the rule re-fired on each firing or cycle), and kept
-for the life of the process; a row only checks its own fields and
-vertices, and sums its character, read once at each distinct label as its
-nonzero terms, against those counts, in integers.
-
 Outcomes: "InfiniteDim" always carries a machine-checkable witness, and
 "NegativeBraiding" carries the verified pair inventory.  For an unmixed
 class every braiding is one or the other, so an input that no rule decides
-is a defect of the engine and raises.
+is a defect of the engine and raises.  Each InfiniteDim witness is
+re-checked on its own by nichols.witness (verify_witness, imported here).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import deque
 from functools import cache
-from math import lcm
 from typing import NamedTuple, Optional
 
 from . import braidspace
-from .braidspace import (FAMILIES, AbelianSubrack, GeneralizedDynkinDiagram,
-                         SubrackPlan, quadruple_subrack, rotation_subrack,
-                         spectrum_diagram, subrack_plan, triple_subrack)
+from .braidspace import (GeneralizedDynkinDiagram, SubrackPlan,
+                         quadruple_subrack, rotation_subrack, spectrum_diagram,
+                         subrack_plan, triple_subrack)
 from .exactfield import (ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity, rational_trace,
                          totient)
-from .permgroup import PartnerClass, Permutation, UnmixedClass
-from .reps import InducedCharacter, RepSpec, parse_rep_spec, pi_scalar
+from .permgroup import PartnerClass, UnmixedClass
+from .reps import InducedCharacter, pi_scalar, resolve_spec
+from .witness import INFINITE, verify_witness
 
-INFINITE = "InfiniteDim"
 NEGATIVE = "NegativeBraiding"
 
 
@@ -158,49 +137,6 @@ def cartan_finite(diagram: GeneralizedDynkinDiagram,
                            "subrack makes")
     return True
 
-
-def _positive_definite(S) -> bool:
-    """Sylvester's criterion for an integer symmetric matrix: every leading
-    principal minor is positive.  Fraction-free (Bareiss) elimination makes
-    each pivot the next leading minor and keeps every entry an integer."""
-    work = [list(row) for row in S]
-    m = len(work)
-    previous = 1
-    for p in range(m):
-        pivot = work[p][p]
-        if pivot <= 0:
-            return False
-        for i in range(p + 1, m):
-            for j in range(p + 1, m):
-                work[i][j] = (pivot * work[i][j]
-                              - work[i][p] * work[p][j]) // previous
-        previous = pivot
-    return True
-
-
-def _cartan_infinite(q, modulus: int) -> Optional[list]:
-    """The cartan-infinite rule re-fired by linear algebra on a square table
-    of braiding values, each given as its exponent of zeta_modulus: every
-    diagonal entry is -1 (exponent modulus/2) and every product q_ab q_ba
-    is 1 or -1 (exponent sum 0 or modulus/2), and the Cartan matrix 2I - A
-    is not positive definite, A being 1 where the product is -1 and 0
-    elsewhere.  Returns that Cartan matrix when the rule fires, else None."""
-    half, odd = divmod(modulus, 2)
-    if odd:
-        return None
-    m = len(q)
-    cartan = [[2] * m for _ in range(m)]
-    for a in range(m):
-        if q[a][a] % modulus != half:
-            return None
-        for b in range(m):
-            if a == b:
-                continue
-            product = (q[a][b] + q[b][a]) % modulus
-            if product not in (0, half):
-                return None
-            cartan[a][b] = -1 if product else 0
-    return None if _positive_definite(cartan) else cartan
 
 
 def _members(diagram: GeneralizedDynkinDiagram, nodes) -> list:
@@ -618,15 +554,6 @@ def _minimal_infinite_set(diagram: GeneralizedDynkinDiagram,
     return best[2]
 
 
-def _resolve_spec(k: int, n: int, rho_spec) -> RepSpec:
-    if isinstance(rho_spec, RepSpec):
-        if rho_spec.k != k or rho_spec.n != n:
-            raise ValueError("representation spec is for different parameters")
-        return rho_spec
-    if not isinstance(rho_spec, str):
-        raise ValueError("rho_spec must be a RepSpec or a str")
-    return parse_rep_spec(k, n, rho_spec)
-
 
 def decide(k: int, n: int, rho_spec) -> Verdict:
     """Classify the braiding of the (k^n) class with the given centralizer
@@ -637,7 +564,7 @@ def decide(k: int, n: int, rho_spec) -> Verdict:
     (k, n); each row reads its character at the labels of each H, and runs
     the subspace rules only on a restriction the plan has not met."""
     plans = class_plan(k, n)
-    spec = _resolve_spec(k, n, rho_spec)
+    spec = resolve_spec(k, n, rho_spec)
     gate = scalar_gate(pi_scalar(spec), k)
     if gate is not None:
         return gate
@@ -661,7 +588,7 @@ def closed_form_verdict(k: int, n: int, rho_spec) -> Verdict:
     """Case-table verdict, independent of the subspace machinery: negative
     exactly for scalar representations with constant twist parameter c where
     the basepoint value is -1 and 2c vanishes mod k/2; infinite otherwise."""
-    spec = _resolve_spec(k, n, rho_spec)
+    spec = resolve_spec(k, n, rho_spec)
     if k % 2:
         return Verdict(INFINITE, "closed-form", {"case": "odd-order"})
     r = k // 2
@@ -673,408 +600,3 @@ def closed_form_verdict(k: int, n: int, rho_spec) -> Verdict:
     if (2 * c) % r:
         return Verdict(INFINITE, "closed-form", {"case": "parameter"})
     return Verdict(NEGATIVE, "closed-form", {"case": "scalar-negative", "c": c})
-
-
-class _WitnessGroup(NamedTuple):
-    """What the witness check needs of one subrack and a set of its
-    columns, whatever the representation: the place of gamma_ij among the
-    distinct table entries for i, j at places a, b of the columns
-    (generator[a][b]), the roots of unity of order dividing modulus, by
-    exponent as printed (names) and by printed form as exponent
-    (exponent), and H_w: its elements h_0 = 1, h_1, ... in the order of a
-    breadth-first closure from the identity, with h_x = g_t h_h for x =
-    edges[h][t] and g_t the t-th distinct entry, and the class label of
-    each."""
-
-    generator: tuple
-    modulus: int
-    names: tuple
-    exponent: dict
-    edges: tuple
-    labels: tuple
-
-
-@cache
-def _witness_subrack(k: int, n: int, elements: tuple, transporters: tuple,
-                     kind, param: tuple) -> tuple:
-    """The subrack of a witness and its description, built once: the
-    member of the family that kind names (nichols.braidspace.FAMILIES) at
-    param, with its description, when it has exactly this kind, param
-    and image tuples (a family that fills in a default param records it);
-    otherwise the subrack rebuilt from the image tuples with all of its
-    own checks, which raise as they do for any subrack, and no
-    description.  The caller checks that every image and param entry is
-    of type int, so that 1.0 or True cannot reach the entry of 1."""
-    cls = UnmixedClass(k, n)
-    family = FAMILIES.get(kind)
-    try:
-        named = family(cls, *param) if family else None
-    except (TypeError, ValueError):
-        named = None
-    if named is not None and (named.kind, named.param) == (kind, param) and (
-            tuple(g.img for g in named.elements) == elements
-            and tuple(g.img for g in named.transporters) == transporters):
-        return named, named.describe()
-    return AbelianSubrack(cls, map(Permutation, elements),
-                          map(Permutation, transporters),
-                          kind=kind, param=param), None
-
-
-def _images(witness: dict, field: str) -> tuple:
-    # the image tuples of a witness field, every entry of type int
-    try:
-        images = tuple(map(tuple, witness[field]))
-    except TypeError:
-        raise ValueError("the witness %s must be a list of image lists"
-                         % field) from None
-    if set(map(type, itertools.chain.from_iterable(images))) - {int}:
-        raise ValueError("images are not a bijection of 1..N")
-    return images
-
-
-@cache
-def _witness_group(subrack: AbelianSubrack, cols: tuple) -> _WitnessGroup:
-    """H_w for the given columns of a subrack (see _WitnessGroup), closed
-    on normal forms of n entries (nichols.permgroup.UnmixedClass.product):
-    only the distinct table entries are taken to normal form, which raises
-    ValueError on one that does not centralize the basepoint, and each
-    element's class label is read off its form.  Entries that do not
-    commute raise ValueError.  Each transporter of the columns is inverted
-    once, the closure indexes each form by its plain (d, b images) tuple,
-    and an edge whose end is already known by commutativity (see the
-    closure) is read off a finished row instead of multiplied: on the
-    subracks of the (4,4), (6,3) and (8,2) witnesses, 219 of 448."""
-    cls = subrack.cls
-    inverse = {j: subrack.transporters[j].inverse() for j in cols}
-    position = {}
-    generator = tuple(tuple(
-        position.setdefault(subrack.elements[i].conjugated_by(inverse[j]),
-                            len(position)) for j in cols) for i in cols)
-    generators = tuple(position)
-    forms = [cls.normal_form(g) for g in generators]
-    if not all(a.commutes_with(b)
-               for a, b in itertools.combinations(generators, 2)):
-        raise ValueError("conjugation table entries do not commute")
-    modulus = lcm(cls.k, *(g.order() for g in generators))
-    names = tuple(str(RootOfUnity(modulus, e)) for e in range(modulus))
-    product = cls.product
-    identity = cls.identity_form()
-    index = {(identity.d, identity.b.img): 0}
-    queue = [identity]
-    made = [None]
-    edges = []
-    # the queue grows while it is read.  The generators commute, so for
-    # h = g_s h' made from an earlier h', g_t h = g_s (g_t h') is read off
-    # the row of g_t h' once that row is done, and multiplied otherwise
-    for h, form in enumerate(queue):
-        row = []
-        for t, g in enumerate(forms):
-            y = edges[made[h][0]][t] if h else h
-            if y < h:
-                row.append(edges[y][made[h][1]])
-                continue
-            x = product(g, form)
-            key = (x.d, x.b.img)
-            if key not in index:
-                index[key] = len(queue)
-                queue.append(x)
-                made.append((h, t))
-            row.append(index[key])
-        edges.append(tuple(row))
-    return _WitnessGroup(generator, modulus, names,
-                         {name: e for e, name in enumerate(names)},
-                         tuple(edges),
-                         tuple(h.class_label(cls.k) for h in queue))
-
-
-class _WitnessReading(NamedTuple):
-    """What the witness check reads off one recorded q_matrix on one
-    subrack and set of its columns, whatever the representation: the
-    entries as integer exponents of zeta_modulus (exponents); each psi
-    used, as its exponents on the distinct table entries, with the number
-    of vertex indices that name it (used); the distinct class labels of
-    H_w (labels); for each psi used, one (label index, places, count)
-    triple per class label and phase p of psi that occur together on the
-    elements of H_w, with the number of those elements, and in places, for
-    each a < k, the exponent of zeta_k^a zeta_modulus^-p as a power of
-    zeta_modulus (phases); and what each rule re-fired on the exponents
-    gives (_refire), by (rule, firing or cycle) (fired), filled in as rows
-    meet it."""
-
-    exponents: tuple
-    used: tuple
-    labels: tuple
-    phases: tuple
-    fired: dict
-
-
-@cache
-def _witness_reading(subrack: AbelianSubrack, cols: tuple, width: int,
-                     q_matrix: tuple) -> Optional[_WitnessReading]:
-    """The reading of a q_matrix of str entries, one row and one column
-    per vertex (j, s) of the rectangle cols x (width indices), on H_w
-    (_witness_group): None when an entry is no root of unity printed in
-    lowest terms of order dividing the modulus, when a psi_s read off two
-    row vertices (i, r) disagrees on a table entry, or when a psi used,
-    carried from the identity along the Cayley edges of H_w, fails on an
-    edge, so that it is no character of H_w."""
-    group = _witness_group(subrack, cols)
-    modulus = group.modulus
-    exps = tuple(tuple(group.exponent.get(x) for x in row) for row in q_matrix)
-    if any(None in row for row in exps):
-        return None
-    # psi_s on the generators, read off every row vertex (i, r)
-    psis = []
-    for b in range(width):
-        psi = {}
-        for a, row in enumerate(exps):
-            for y, t in enumerate(group.generator[a // width]):
-                e = row[y * width + b]
-                if psi.setdefault(t, e) != e:
-                    return None
-        psis.append(tuple(psi[t] for t in range(len(psi))))
-    used = tuple(sorted(set(psis)))
-    k = subrack.cls.k
-    # each psi used, carried from the identity along every Cayley edge, and
-    # counted by (label, phase); a phase p is kept as the place of
-    # zeta_k^a zeta_modulus^-p in the sum, for each a < k
-    places = [tuple((a * modulus // k - p) % modulus for a in range(k))
-              for p in range(modulus)]
-    labels = tuple(dict.fromkeys(group.labels))
-    index = {label: x for x, label in enumerate(labels)}
-    phases = []
-    for psi in used:
-        at = [0] + [None] * (len(group.edges) - 1)
-        for h, row in enumerate(group.edges):
-            for t, x in enumerate(row):
-                step = (at[h] + psi[t]) % modulus
-                if at[x] is None:
-                    at[x] = step
-                elif at[x] != step:
-                    return None
-        phases.append(tuple((index[label], places[p], m) for (label, p), m
-                            in Counter(zip(group.labels, at)).items()))
-    return _WitnessReading(exps, tuple((psi, psis.count(psi)) for psi in used),
-                           labels, tuple(phases), {})
-
-
-def _character_sums(reading: _WitnessReading, character: InducedCharacter,
-                    modulus: int):
-    """phi(modulus) sum_h chi(h) psi(h)^-1 over H_w for each psi of
-    reading.used, in order, each read by rational_trace off the integer
-    coefficients of its powers of zeta_modulus (None when not rational):
-    chi is read once at each distinct label of H_w, as its nonzero
-    (index, coefficient) terms, and each term is added at its place,
-    times the number of elements with that label and phase of psi."""
-    terms = [[(a, c) for a, c in enumerate(character.coefficients(label)) if c]
-             for label in reading.labels]
-    for counts in reading.phases:
-        acc = [0] * modulus
-        for x, places, m in counts:
-            for a, c in terms[x]:
-                acc[places[a]] += c * m
-        yield rational_trace(modulus, acc)
-
-
-def _refire(rule: str, positions: tuple, exps: tuple,
-            group: _WitnessGroup) -> Optional[list]:
-    """The rule re-fired on the integer exponents of the q_matrix at the
-    firing or cycle positions: the Cartan matrix of a cartan-infinite
-    firing set, or the printed products around an alternating 4-cycle, or
-    None when the rule does not fire there."""
-    modulus = group.modulus
-    if rule == "cartan-infinite":
-        return _cartan_infinite([[exps[a][b] for b in positions]
-                                 for a in positions], modulus)
-    a, b, c, d = positions
-    def product(x, y):
-        return (exps[x][y] + exps[y][x]) % modulus
-    ab, bc, cd, da = product(a, b), product(b, c), product(c, d), product(d, a)
-    if (modulus % 2 or any(exps[v][v] != modulus // 2 for v in positions)
-            or product(a, c) or product(b, d) or ab == 0
-            or (ab + bc) % modulus or ab != cd or bc != da):
-        return None
-    return [group.names[x] for x in (ab, bc, cd, da)]
-
-
-# the witness fields each rule reads (a rule that is not one of these reads
-# the subrack fields, then is refused); the subrack field must hold the kind
-# and param of its family
-_SUBRACK_FIELDS = ("element_images", "transporter_images", "subrack",
-                   "vertices", "q_matrix")
-_WITNESS_FIELDS = {
-    "scalar-gate": ("q_scalar", "element_order"),
-    "cartan-infinite": _SUBRACK_FIELDS + ("firing", "cartan_matrix"),
-    "alternating-cycle": _SUBRACK_FIELDS + ("cycle", "cycle_labels"),
-}
-
-
-def _require(record: dict, keys: tuple, what: str) -> None:
-    if not isinstance(record, dict):
-        raise ValueError("%s must be a dict" % what)
-    missing = [key for key in keys if key not in record]
-    if missing:
-        raise ValueError("%s lacks the field %s" % (what, ", ".join(missing)))
-
-
-def verify_witness(k: int, n: int, rho_spec, verdict: Verdict) -> bool:
-    """Re-validate an infinite verdict from its recorded witness alone, on
-    the witness's own group: no subrack plan, class plan or spectrum of the
-    decision is read.
-
-    The member of the family that its kind and param name must have
-    exactly the recorded images; any other images are rebuilt, with the
-    subrack's own checks, and refused.  A vertex (j, s) names the vector
-    g_j v_s, for g_j the transporter of column j and v_s a joint
-    eigenvector of rho on H_w, the group generated by the table entries
-    gamma_ij = g_j^-1 t_i g_j with i, j in the witness columns; s is only
-    a name.  Why that is sound:
-    - t_i (g_j v) = g_j gamma_ij v, and gamma_ij centralizes the basepoint;
-    - so if v_s is an eigenvector of H_w with linear character psi_s, the
-      vectors g_j v_s span a braided subspace of diagonal type whose entry
-      for (i, r), (j, s) is psi_s(gamma_ij), the recorded q_matrix;
-    - vectors of one psi can be chosen independent exactly when psi occurs
-      in chi|H_w at least as often as the witness uses it, and vectors of
-      different psi are independent.
-    So the check reads psi_s(gamma_ij) off the recorded q_matrix (the same
-    for every row index r, and wherever two (i, j) give the same entry),
-    builds H_w by plain closure from the identity and checks on every
-    Cayley edge that psi_s extends to a character of H_w, and sums chi
-    against each psi used, (1/|H_w|) sum_h chi(h) psi(h)^-1, by integer
-    traces: phi(modulus) |H_w| times it is an integer, which must be
-    divisible by phi(modulus) |H_w|.  Then the rule is re-fired on the
-    recorded values, each as its integer exponent of zeta_modulus.
-    cartan-infinite is re-fired by linear algebra on the firing set,
-    sharing no code with the graph reading that decided it: every diagonal
-    entry -1, every product q_ab q_ba equal to 1 or -1, and the Cartan
-    matrix 2I - A (A = 1 where the product is -1) not positive definite.
-
-    Only the representation changes from row to row.  The subrack and its
-    description are built once per recorded (image tuples, kind, param)
-    (_witness_subrack), each image and param entry checked to be of type
-    int before the lookup; the generator of each
-    gamma_ij, the normal form and commute checks, the modulus, H_w as a
-    table of Cayley edges, closed on normal forms, and the class label of
-    each of its elements once per subrack and set of witness columns
-    (_witness_group); and once per subrack, set of witness columns, number
-    of indices and q_matrix (_witness_reading), each entry checked to be a
-    str before the lookup: the exponents of its entries, the psi_s read
-    off it with how often each is used, their phases carried along the
-    Cayley edges and counted at each distinct class label, or the lookup,
-    psi_s or edge that fails, and the outcome of the rule re-fired on
-    each (rule, firing or cycle) a row has met.  Each row compares the
-    description, checks its vertices and indices and the shape of its
-    q_matrix, reads chi once at each distinct label of H_w, as its nonzero
-    terms, and sums it against each psi's phase counts (_character_sums),
-    which is the sum over the elements of H_w, and compares its recorded
-    cartan_matrix or cycle_labels with the re-fired outcome.  Checks run
-    in that order, cached or not: a failing multiplicity returns False
-    before a cycle that is not a 4-cycle raises.  A witness that raises is
-    not cached.
-
-    The recorded fields that follow from these values must match them: the
-    cartan_matrix, the cycle_labels (the products around the cycle), the
-    q_scalar and element_order of the scalar gate, and the subrack
-    description (kind, param and the printed elements and transporters),
-    which must describe the subrack rebuilt from the images; a kind that
-    names no family, or a param that its family refuses, fails.  The
-    cartan_matrix entries and the element_order must be of type int (3.0
-    is not 3).  The label, the components and the diagram_dot are not
-    read.  An entry that is not a root of unity printed in lowest terms,
-    or a q_matrix that is not one list per vertex of one entry per vertex,
-    fails.  A witness whose element_images or transporter_images are not
-    a list of image lists, or hold an entry not of type int (1.0 or True
-    is not 1), whose subrack param is not a list of int (a tuple, set or
-    dict is not), whose vertices are not a list of two-element lists,
-    whose firing or cycle is not a list, whose vertex coordinates or
-    firing or cycle indices are not all of type int (a bool, float or str
-    is not), whose vertices are not the
-    rectangle (its columns) x (its indices) in order, from 0 and below the
-    subrack size and the degree, whose firing or cycle indices repeat or
-    leave its vertex list, whose table entries do not commute, or whose
-    cycle is not a 4-cycle raises ValueError, and so does a witness, or
-    its subrack field, that is not a dict or lacks a field its rule
-    reads, a subrack kind that is not a str, a verdict rule that is not a
-    str (a list or dict is not hashed), and a rho_spec that is neither a
-    RepSpec nor a str (None, 5 or a list is not split)."""
-    if verdict.outcome != INFINITE:
-        raise ValueError("only infinite verdicts carry a rebuildable witness")
-    spec = _resolve_spec(k, n, rho_spec)
-    w = verdict.witness
-    if not isinstance(verdict.rule, str):
-        raise ValueError("the verdict rule must be a str")
-    _require(w, _WITNESS_FIELDS.get(verdict.rule, _SUBRACK_FIELDS),
-             "the %s witness" % verdict.rule)
-    if verdict.rule == "scalar-gate":
-        q = pi_scalar(spec)
-        return ((k % 2 == 1 or q != ROOT_MINUS_ONE)
-                and w["q_scalar"] == str(q)
-                and type(w["element_order"]) is int and w["element_order"] == k)
-    _require(w["subrack"], ("kind", "param"), "the witness subrack")
-    if type(w["subrack"]["kind"]) is not str:
-        raise ValueError("the witness subrack kind must be a str")
-    elements = _images(w, "element_images")
-    transporters = _images(w, "transporter_images")
-    param = w["subrack"]["param"]
-    if not isinstance(param, list) or set(map(type, param)) - {int}:
-        raise ValueError("the witness subrack param must be a list of int")
-    subrack, description = _witness_subrack(
-        k, n, elements, transporters, w["subrack"]["kind"], tuple(param))
-    if description is None or w["subrack"] != description:
-        return False
-    character = spec.character()
-    indices = [w[key] for key in ("firing", "cycle") if key in w]
-    if (not isinstance(w["vertices"], list)
-            or any(not isinstance(v, list) or len(v) != 2
-                   for v in w["vertices"])
-            or any(not isinstance(positions, list) for positions in indices)):
-        raise ValueError("witness vertices must be a list of pairs, and its "
-                         "firing and cycle lists")
-    vertices = [(j, s) for j, s in w["vertices"]]
-    if set(map(type, itertools.chain(*vertices, *indices))) - {int}:
-        raise ValueError("witness vertices and indices must be integers")
-    cols = sorted({j for j, _ in vertices})
-    vecs = sorted({s for _, s in vertices})
-    if (not vertices or vertices != [(j, s) for j in cols for s in vecs]
-            or cols[0] < 0 or cols[-1] >= subrack.size
-            or vecs[0] < 0 or vecs[-1] >= character.degree):
-        raise ValueError("witness vertices must be the rectangle of their "
-                         "columns and indices, none repeated, below the "
-                         "subrack size and the degree")
-    size = len(vertices)
-    for positions in indices:
-        if len(set(positions) & set(range(size))) != len(positions):
-            raise ValueError("witness indices must be distinct vertex positions")
-    group = _witness_group(subrack, tuple(cols))
-    q_matrix = w["q_matrix"]
-    if (not isinstance(q_matrix, list) or len(q_matrix) != size
-            or any(not isinstance(row, list) or len(row) != size
-                   for row in q_matrix)
-            or set(map(type, itertools.chain(*q_matrix))) - {str}):
-        return False
-    reading = _witness_reading(subrack, tuple(cols), len(vecs),
-                               tuple(map(tuple, q_matrix)))
-    if reading is None:
-        return False
-    # phi(modulus) |H_w| times each multiplicity
-    order = totient(group.modulus) * len(group.edges)
-    for (_, count), total in zip(reading.used, _character_sums(
-            reading, character, group.modulus)):
-        if total is None or total % order or total // order < count:
-            return False
-    if verdict.rule == "cartan-infinite":
-        positions, recorded = w["firing"], w["cartan_matrix"]
-    elif verdict.rule == "alternating-cycle":
-        if len(w["cycle"]) != 4:
-            raise ValueError("an alternating cycle has four vertices")
-        positions, recorded = w["cycle"], w["cycle_labels"]
-    else:
-        raise ValueError("unknown rule %r" % verdict.rule)
-    key = (verdict.rule, tuple(positions))
-    if key not in reading.fired:
-        reading.fired[key] = _refire(*key, reading.exponents, group)
-    expected = reading.fired[key]
-    # a cartan_matrix entry 2.0 or True equals 2 or 1, but is not it
-    return (expected is not None and expected == recorded
-            and (verdict.rule != "cartan-infinite"
-                 or not set(map(type, itertools.chain(*recorded))) - {int}))

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
@@ -1403,7 +1404,7 @@ def parse_rep_spec(k: int, n: int, text: str) -> RepSpec:
         if k != 2:
             raise ValueError("the weight shorthand chi=2:<j> is defined for k = 2 only")
         try:
-            j = int(weight)
+            j = _integer(weight)
         except ValueError:
             raise ValueError("weight %r is not an integer" % weight.strip()) from None
         if not 0 <= j <= n:
@@ -1429,10 +1430,11 @@ def parse_rep_spec(k: int, n: int, text: str) -> RepSpec:
 
 
 def _integer(token: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError("%r is not an integer" % token) from None
+    # an optional "-" then ASCII digits, with spaces around them: not "+1",
+    # "1_0" or digits of another script, which int() reads too
+    if not re.fullmatch(r"-?[0-9]+", token.strip()):
+        raise ValueError("%r is not an integer" % token)
+    return int(token)
 
 
 def _parse_mu(sizes: tuple, text: str) -> tuple:
@@ -1453,8 +1455,8 @@ def _parse_mu(sizes: tuple, text: str) -> tuple:
         partitions = []
         for chunk, s in zip(chunks, sizes):
             try:
-                part = tuple(sorted((int(tok) for tok in chunk.split("+")),
-                                    reverse=True))
+                part = tuple(sorted(
+                    (_integer(tok) for tok in chunk.split("+")), reverse=True))
             except ValueError:
                 part = ()
             if sum(part) != s or any(x < 1 for x in part):

@@ -175,6 +175,8 @@ def test_catalog_part_error_names_the_part(part):
       "--subrack", "rotation"),
      "bad subrack selector 'rotation': the rotation quadruple needs even "
      "k >= 4"),
+    (("classify", "--k", "4", "--n", "2", "--rep", "chi=(1_0,0)"),
+     "'1_0' is not an integer"),
 ])
 def test_malformed_spec_or_selector_is_named(argv, message):
     # an empty entry used to be skipped, and the others reported Python's

@@ -14,21 +14,24 @@ level sizes, with no record of the character or of its Young subgroup;
 conjugation and the powers of one cycle are the methods of the
 permutation and the class; and a Cartan component is read by counting its
 edges, with no reader of the tree shapes that no candidate subrack makes.
-The witness check shares no code with the decision's spectrum: it plans no
-subrack and reads no joint spectrum, and parses no text by regular
-expression.  A character is read as values only, with no search for the
-scalar a class acts by.  A JSON report has one encoder, `cli._dumps`: no
-module calls `json.dumps` with an indent beside it.  The `--subrack`
-selectors name the families of `braidspace.FAMILIES`, and `cli` imports
-no family builder beside them."""
+The witness check, `nichols.witness`, imports nothing of the decision: its
+import statements are held to a whitelist (the family registry and the
+subrack class of `braidspace`, and `permgroup`, `reps` and `exactfield`
+whole), so no spectrum or rule code that the decision adds can reach it,
+and `verdict` takes from it only the check and the outcome name.  Neither
+parses text by regular expression.  A character is read as values only,
+with no search for the scalar a class acts by.  A JSON report has one
+encoder, `cli._dumps`: no module calls `json.dumps` with an indent beside
+it.  The `--subrack` selectors name the families of `braidspace.FAMILIES`,
+and `cli` imports no family builder beside them."""
 
 import ast
 import inspect
 import pathlib
-import types
 
 import nichols
 import nichols.verdict
+import nichols.witness
 from nichols import cli
 from nichols.braidspace import (FAMILIES, AbelianSubrack,
                                 GeneralizedDynkinDiagram, dynkin_diagram,
@@ -123,41 +126,51 @@ def test_a_class_plan_reaches_its_subracks_through_their_plans():
     assert "_names" not in AbelianSubrack.__slots__
 
 
-# the decision's spectrum code, which the witness check re-checks and so
-# must not call
-SPECTRUM_NAMES = frozenset(("subrack_plan", "spectrum_plan", "planned_spectrum",
-                            "spectrum_diagram", "dynkin_diagram"))
+# all that the witness check may import from the package: the family
+# registry and the subrack class of braidspace, and the modules below the
+# decision whole
+WITNESS_MAY_IMPORT = {"braidspace": {"FAMILIES", "AbelianSubrack"},
+                      "permgroup": None, "reps": None, "exactfield": None}
 
 
-def _code_objects(code):
-    yield code
-    for const in code.co_consts:
-        if isinstance(const, types.CodeType):
-            yield from _code_objects(const)
+def test_the_witness_check_imports_none_of_the_decision():
+    # a whitelist of witness.py's import statements: whatever spectrum or
+    # rule code the decision grows, the check cannot reach it; and verdict
+    # takes from the check only the check and the outcome name
+    package = pathlib.Path(nichols.__file__).parent
+    tree = ast.parse((package / "witness.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[0] not in ("nichols", "re"), (
+                    alias.name)
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            if not node.level:
+                assert node.module.split(".")[0] not in ("nichols", "re"), (
+                    node.module)
+                continue
+            assert node.module in WITNESS_MAY_IMPORT, (node.module, names)
+            allowed = WITNESS_MAY_IMPORT[node.module]
+            assert allowed is None or names <= allowed, (node.module, names)
+    tree = ast.parse((package / "verdict.py").read_text())
+    taken = [set(names) for module, names in _imports(tree)
+             if module.split(".")[-1] == "witness"]
+    assert taken == [{"INFINITE", "verify_witness"}]
 
 
-def test_the_witness_check_names_no_spectrum_code():
-    # verify_witness, the functions it defines, and every function of
-    # nichols.verdict that they name, followed to the end and through the
-    # wrapper of a cached function to the function it wraps
-    todo = [nichols.verdict.verify_witness]
-    seen = set()
-    while todo:
-        function = todo.pop()
-        if function in seen:
-            continue
-        seen.add(function)
-        for code in _code_objects(function.__code__):
-            assert not SPECTRUM_NAMES & set(code.co_names), (
-                function.__name__, code.co_name,
-                SPECTRUM_NAMES & set(code.co_names))
-            for name in code.co_names:
-                value = inspect.unwrap(getattr(nichols.verdict, name, None))
-                if (isinstance(value, types.FunctionType)
-                        and value.__module__ == "nichols.verdict"):
-                    todo.append(value)
-    assert {f.__name__ for f in seen} >= {"verify_witness", "_witness_group",
-                                          "_cartan_infinite"}
+def test_the_witness_check_is_defined_once():
+    # verdict re-exports the check and defines none of its helpers, and
+    # the spec resolver that both use lives in reps
+    helpers = {"_WitnessGroup", "_witness_subrack", "_images",
+               "_witness_group", "_WitnessReading", "_witness_reading",
+               "_character_sums", "_refire", "_cartan_infinite",
+               "_positive_definite", "_require", "_SUBRACK_FIELDS",
+               "_WITNESS_FIELDS"}
+    assert nichols.verdict.verify_witness is nichols.witness.verify_witness
+    assert nichols.verdict.INFINITE is nichols.witness.INFINITE
+    assert helpers <= set(vars(nichols.witness))
+    assert not (helpers | {"_resolve_spec"}) & set(vars(nichols.verdict))
 
 
 def test_verdict_imports_no_regular_expressions():

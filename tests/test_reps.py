@@ -138,10 +138,11 @@ def test_parse_shorthand_and_canonicalization():
     assert spec.u == (1, 0, 0, 0)
     assert parse_rep_spec(2, 4, "chi=(0,1,0,0);mu=standard") == spec
     assert parse_rep_spec(2, 4, "chi=2:1;mu=standard") == spec
-    for text in ("chi=2:5", "chi=2:-1", "chi=2:x", "chi=3:1"):
+    for text in ("chi=2:5", "chi=2:-1", "chi=2:x", "chi=3:1", "chi=2:+1"):
         with pytest.raises(ValueError):
             parse_rep_spec(2, 4, text)
     assert parse_rep_spec(3, 2, "chi=(1,2)").u == (2, 1)
+    assert parse_rep_spec(4, 2, "chi=(-1,0)").u == (3, 0)
     with pytest.raises(ValueError):
         parse_rep_spec(3, 2, "chi=k:1")
     with pytest.raises(ValueError):
@@ -177,13 +178,13 @@ def _parsed(parse, k, n, text):
 _PAD = st.sampled_from(["", " ", "  ", "\t"])
 # mostly digits, sometimes a bad token or none
 _TOKENS = st.sampled_from([str(x) for x in range(10)] * 4 + [
-    "-1", "x", "1.5", "+1", "1_0", "(", "", " "])
+    "-1", "x", "1.5", "+1", "1_0", "\u0661", "(", "", " "])
 # a vector entry mostly holds one token, but may hold two, "1 2", or none
 _ENTRIES = st.sampled_from((1, 1, 1, 2, 0)).flatmap(
     lambda size: st.lists(_TOKENS, min_size=size, max_size=size)).map(" ".join)
 _WEIGHTS = st.builds("{}:{}".format, st.sampled_from(["2", "k", " 2 ", "3"]),
                      st.sampled_from(["0", "1", "2", "5", "-1", "x", " 3 "]))
-_PARTITIONS = st.lists(st.sampled_from("012341x"),
+_PARTITIONS = st.lists(st.sampled_from("012341x\u0661"),
                        min_size=1, max_size=3).map("+".join)
 _MUS = st.sampled_from(["trivial", "sign", "standard", "standard_sign",
                         "nonsense", ""]) | st.lists(
@@ -240,7 +241,16 @@ def test_the_one_pass_parse_reads_every_label_as_the_reference():
                 reference_parse_rep_spec(k, n, spec.label()) == spec
 
 
-@pytest.mark.parametrize("part", ["", "a", "1+a", "1++2", "9"])
+@pytest.mark.parametrize("token", ["1_0", "+1", "\u0661"])
+def test_a_vector_entry_is_an_ascii_integer(token):
+    # int() reads these as 10, 1 and 1; no label prints them
+    with pytest.raises(ValueError) as caught:
+        parse_rep_spec(4, 2, "chi=(%s,0)" % token)
+    assert str(caught.value) == "%r is not an integer" % token
+
+
+@pytest.mark.parametrize("part", ["", "a", "1+a", "1++2", "9", "0_3",
+                                  "1+\u0662"])
 def test_catalog_part_that_is_no_partition(part):
     with pytest.raises(ValueError) as caught:
         parse_rep_spec(2, 3, "chi=(1,1,1);mu=catalog:" + part)

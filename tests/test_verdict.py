@@ -10,16 +10,17 @@ from hypothesis import given, settings, strategies as st
 
 import nichols.braidspace
 import nichols.verdict
+import nichols.witness
 from nichols.braidspace import (AbelianSubrack, dynkin_diagram,
                                 quadruple_subrack, rotation_subrack,
                                 subrack_plan, triple_subrack)
 from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity, totient
 from nichols.permgroup import Permutation, UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
-from nichols.verdict import (INFINITE, NEGATIVE, _cartan_infinite,
-                             _positive_definite, class_plan,
+from nichols.verdict import (INFINITE, NEGATIVE, class_plan,
                              closed_form_verdict, cycle_rule, decide,
                              negativity_check, scalar_gate, verify_witness)
+from nichols.witness import _cartan_infinite, _positive_definite
 
 from oracles import (REFERENCE_Q_SIX_CYCLE, CartanData, NotCartan,
                      _positive_definite as oracle_positive_definite,
@@ -557,7 +558,7 @@ def test_verify_witness_does_not_read_the_class_plan(monkeypatch):
     monkeypatch.setattr(plans, "_rules", {})
     monkeypatch.setattr(plans, "_patterns", {})
     # and no reading of the witness kept from before either
-    nichols.verdict._witness_reading.cache_clear()
+    nichols.witness._witness_reading.cache_clear()
     with pytest.raises(RuntimeError, match="not -1"):
         decide(k, n, rep)
     assert verify_witness(k, n, rep, genuine)
@@ -1047,7 +1048,7 @@ def test_the_normal_form_closures_match_the_permutation_closures():
         for subrack in tried_subracks(cls):
             for r in range(1, subrack.size + 1):
                 for cols in itertools.combinations(range(subrack.size), r):
-                    group = nichols.verdict._witness_group(subrack, cols)
+                    group = nichols.witness._witness_group(subrack, cols)
                     generator, modulus, edges, labels = \
                         permutation_witness_group(subrack, cols)
                     assert (group.generator, group.modulus, group.edges,
@@ -1083,17 +1084,17 @@ def test_the_per_label_sums_match_the_per_element_sums():
             if verdict.rule not in ("cartan-infinite", "alternating-cycle"):
                 continue
             w = verdict.witness
-            subrack, _ = nichols.verdict._witness_subrack(
+            subrack, _ = nichols.witness._witness_subrack(
                 k, n, tuple(map(tuple, w["element_images"])),
                 tuple(map(tuple, w["transporter_images"])),
                 w["subrack"]["kind"], tuple(w["subrack"]["param"]))
             cols = tuple(sorted({j for j, _ in w["vertices"]}))
             width = len(w["vertices"]) // len(cols)
-            reading = nichols.verdict._witness_reading(
+            reading = nichols.witness._witness_reading(
                 subrack, cols, width, tuple(map(tuple, w["q_matrix"])))
             character = spec.character()
-            modulus = nichols.verdict._witness_group(subrack, cols).modulus
-            sums = list(nichols.verdict._character_sums(reading, character,
+            modulus = nichols.witness._witness_group(subrack, cols).modulus
+            sums = list(nichols.witness._character_sums(reading, character,
                                                         modulus))
             assert None not in sums
             # the check sums in integers, phi(modulus) times the reference
@@ -1128,6 +1129,31 @@ def test_verify_witness_rebuilds_the_family_its_kind_names():
         assert verdict.witness["subrack"]["kind"] == kind
         sent = json.loads(json.dumps(verdict.witness))
         assert verify_witness(k, n, rep, verdict._replace(witness=sent)), kind
+
+
+def test_a_forged_canonical_witness_builds_no_canonical_member(monkeypatch):
+    # the canonical member has 3^(n//2) elements, 59,049 at (2,20), and is
+    # built only for a witness that records as many; a triple relabelled
+    # canonical is refused without it
+    def refuse(*args):
+        raise AssertionError("the canonical member was built")
+    verdict = decide(2, 20, "chi=2:1")
+    assert len(verdict.witness["element_images"]) == 3
+    forged = _with(verdict, subrack=dict(verdict.witness["subrack"],
+                                         kind="canonical", param=[]))
+    nichols.witness._witness_subrack.cache_clear()
+    monkeypatch.setitem(nichols.braidspace.FAMILIES, "canonical", refuse)
+    assert not verify_witness(2, 20, "chi=2:1", forged)
+    monkeypatch.undo()
+    nichols.witness._witness_subrack.cache_clear()
+    # witnesses drawn from the canonical member itself still pass
+    plan = subrack_plan(nichols.braidspace.canonical_subrack(UnmixedClass(2, 4)))
+    drawn = [(spec, nichols.verdict._subspace_rules(plan, spec.character(), {}))
+             for spec in enumerate_irreps(2, 4)
+             if scalar_gate(pi_scalar(spec), 2) is None]
+    assert sum(v is not None for _, v in drawn) == 6
+    for spec, v in drawn:
+        assert v is None or verify_witness(2, 4, spec, v), spec.label()
 
 
 def _verify_or_error(verdict, row=QUADRUPLE):
@@ -1187,9 +1213,9 @@ def test_the_named_member_serves_only_its_own_images():
     assert verify_witness(*QUADRUPLE, verdict)
     warm = {name: [_verify_or_error(forged) for _ in range(2)]
             for name, forged in forgeries.items()}
-    nichols.verdict._witness_subrack.cache_clear()
-    nichols.verdict._witness_group.cache_clear()
-    nichols.verdict._witness_reading.cache_clear()
+    nichols.witness._witness_subrack.cache_clear()
+    nichols.witness._witness_group.cache_clear()
+    nichols.witness._witness_reading.cache_clear()
     cold = {name: _verify_or_error(forged)
             for name, forged in forgeries.items()}
     assert warm == {name: [result] * 2 for name, result in cold.items()}
@@ -1268,9 +1294,9 @@ def test_a_warm_witness_cache_refuses_what_a_cold_one_refuses():
     rows["tuple-labels"] = CYCLE
     warm = {name: [_verify_or_error(forged, rows[name]) for _ in range(2)]
             for name, forged in forgeries.items()}
-    nichols.verdict._witness_subrack.cache_clear()
-    nichols.verdict._witness_group.cache_clear()
-    nichols.verdict._witness_reading.cache_clear()
+    nichols.witness._witness_subrack.cache_clear()
+    nichols.witness._witness_group.cache_clear()
+    nichols.witness._witness_reading.cache_clear()
     cold = {name: _verify_or_error(forged, rows[name])
             for name, forged in forgeries.items()}
     assert warm == {name: [result] * 2 for name, result in cold.items()}

@@ -24,11 +24,11 @@ from nichols.cli import _build_subrack
 from nichols.exactfield import ROOT_MINUS_ONE, RootOfUnity
 from nichols.permgroup import Permutation, UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
-from nichols.verdict import (_candidates, _cartan_infinite,
-                             _minimal_infinite_set, _near, _read_rules,
-                             _shortest_cycle, _subspace_rules, _witness,
-                             cartan_finite, class_plan, cycle_rule,
+from nichols.verdict import (_candidates, _minimal_infinite_set, _near,
+                             _read_rules, _shortest_cycle, _subspace_rules,
+                             _witness, cartan_finite, class_plan, cycle_rule,
                              scalar_gate)
+from nichols.witness import _cartan_infinite
 
 import oracles
 from oracles import (CartanData, braiding_matrix, cartan_type, diagram_label,
