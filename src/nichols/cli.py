@@ -1,31 +1,48 @@
 """Command-line front end: classify one representation, sweep a table of
 all centralizer irreps, or print a braiding diagram in DOT form.
 
+    nichols {classify,table,diagram} --k K --n N [options]
+
+The command line is read against one table of options per command
+(COMMANDS): `--opt value` or `--opt=value`, the last of a repeated option
+winning, and -h or --help prints the usage read from that table.  Option
+names are matched whole, so an abbreviation such as --form is refused, and
+the integers of --k, --n and --jobs, like those of a --subrack selector,
+are read as the representation grammar reads them: ASCII digits with an
+optional "-".
+
 Exit codes: 0 for a decided outcome, 64 for usage errors, 70 for internal
 invariant violations: table/oracle disagreement, or a representation that
 no rule decides.
 Timing goes to stderr so stdout stays byte-identical between runs.
 A JSON report is byte-identical to json.dumps(report, sort_keys=True,
-indent=2), encoded in one pass that writes each dict object once: rows
-that share a verdict (those whose characters restrict alike, and the
-scalar-gate rows of one basepoint scalar) share one witness dict, and it
-is encoded once per report (_dumps).
+indent=2).  `classify` encodes its report in one pass that writes each
+dict object once (_dumps).  `table` streams its report: the keys of the
+report and of a row are fixed, so the report's head and tail are fixed
+text and each row is written, as soon as it is decided, through one format
+string, its flags and witness through _dumps with one memo for the report.
+Rows that share a verdict (those whose characters restrict alike, and the
+scalar-gate rows of one basepoint scalar) share one witness dict, which is
+encoded once.  With --jobs N each worker encodes its rows, with one memo
+per chunk of rows it is sent, and the parent writes the text in order.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
-from functools import cache
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .braidspace import FAMILIES, dynkin_diagram, subrack_plan
+from .exactfield import RootOfUnity
 from .permgroup import UnmixedClass
-from .reps import RepSpec, enumerate_irreps, parse_rep_spec, pi_scalar
+from .reps import RepSpec, _integer, enumerate_irreps, parse_rep_spec
 from .verdict import class_plan, closed_form_verdict, decide
 
+PROG = "nichols"
 JSON_SCHEMA = "nichols.report/1"
 DOT_SCHEMA = "nichols.diagram/1"
 # printed where a verdict has no diagram and no subrack provides one
@@ -87,52 +104,14 @@ class InternalError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        print("%s: error: %s" % (self.prog, message), file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
-@cache
-def build_parser() -> _Parser:
-    """The argument parser, built once per process: an in-process caller
-    of main does not build it again on every call."""
-    parser = _Parser(prog="nichols", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, rep_required: bool):
-        p.add_argument("--k", type=int, required=True, help="cycle length")
-        p.add_argument("--n", type=int, required=True, help="number of cycles")
-        if rep_required:
-            p.add_argument("--rep", required=True,
-                           help='representation spec, e.g. "chi=(1,1,1);mu=standard"')
-
-    p = sub.add_parser("classify", help="classify a single representation")
-    common(p, rep_required=True)
-    p.add_argument("--format", choices=("text", "json", "dot"), default="text")
-
-    p = sub.add_parser("table", help="classify every centralizer irrep")
-    common(p, rep_required=False)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
-
-    p = sub.add_parser("diagram", help="print a braiding diagram as DOT")
-    common(p, rep_required=True)
-    p.add_argument("--subrack", default=None, help=" | ".join(
-        name + (":" + shape if shape else "")
-        for name, (_, shape) in SELECTORS.items()))
-    return parser
-
-
-def _check_class(args: argparse.Namespace):
+def _check_class(args: SimpleNamespace):
     if args.k < 2:
         raise UsageError("--k must be at least 2")
     if args.n < 1:
         raise UsageError("--n must be at least 1")
 
 
-def _parse_spec(args: argparse.Namespace):
+def _parse_spec(args: SimpleNamespace):
     try:
         return parse_rep_spec(args.k, args.n, args.rep)
     except ValueError as exc:
@@ -141,12 +120,18 @@ def _parse_spec(args: argparse.Namespace):
 
 # classify
 
+@cache
+def _printed_root(k: int, exponent: int) -> str:
+    return str(RootOfUnity(k, exponent))
+
+
 def _verdict_fields(spec: RepSpec, verdict) -> dict:
-    # the keys a classify report and a table row share
+    # the keys a classify report and a table row share; q_pi, the
+    # basepoint scalar reps.pi_scalar(spec), is zeta_k^(sum of u)
     return {
         "rep": spec.label(),
         "degree": spec.degree(),
-        "q_pi": str(pi_scalar(spec)),
+        "q_pi": _printed_root(spec.k, sum(spec.u) % spec.k),
         "outcome": verdict.outcome,
         "rule": verdict.rule,
         "witness": verdict.witness,
@@ -154,7 +139,7 @@ def _verdict_fields(spec: RepSpec, verdict) -> dict:
     }
 
 
-def classify_report(args: argparse.Namespace, spec, verdict) -> dict:
+def classify_report(args: SimpleNamespace, spec, verdict) -> dict:
     return {"schema": JSON_SCHEMA, "command": "classify", "k": args.k,
             "n": args.n, **_verdict_fields(spec, verdict)}
 
@@ -179,7 +164,7 @@ def _text_lines(report: dict) -> list:
     return lines
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: SimpleNamespace) -> int:
     _check_class(args)
     spec = _parse_spec(args)
     verdict = decide(args.k, args.n, spec)
@@ -197,6 +182,18 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 # table
 
+TABLE_HEADS = ("rep", "degree", "q_pi", "outcome", "rule", "oracle", "agree")
+# a table report and its rows have fixed keys; in sorted order, the report
+# is this head, its rows, and this tail
+REPORT_HEAD = '{\n  "command": "table",\n  "k": %d,\n  "n": %d,\n  "rows": ['
+REPORT_TAIL = '\n  ],\n  "schema": %s\n}\n' % encode_basestring_ascii(JSON_SCHEMA)
+ROW_KEYS = ("agree", "degree", "flags", "oracle", "outcome", "q_pi", "rep",
+            "rule", "witness")
+ROW_INDENT = "\n      "
+ROW_JSON = "{%s\n    }" % ",".join(
+    '%s%s: %%s' % (ROW_INDENT, encode_basestring_ascii(key)) for key in ROW_KEYS)
+
+
 def _table_row(spec: RepSpec) -> dict:
     verdict = decide(spec.k, spec.n, spec)
     oracle = closed_form_verdict(spec.k, spec.n, spec)
@@ -205,22 +202,65 @@ def _table_row(spec: RepSpec) -> dict:
             "agree": agree}
 
 
-def _format_table(rows: list) -> list:
-    heads = ("rep", "degree", "q_pi", "outcome", "rule", "oracle", "agree")
-    cells = [heads] + [
-        tuple(str(row[h]) for h in heads) for row in rows]
-    widths = [max(len(r[c]) for r in cells) for c in range(len(heads))]
+def _printed_row(memo: dict, as_json: bool, spec: RepSpec) -> tuple:
+    """One decided row as the table prints it, its JSON text (flags and
+    witness encoded through memo) or its text cells, and whether it agrees
+    with the closed form."""
+    row = _table_row(spec)
+    if as_json:
+        # the values in ROW_KEYS order
+        quote = encode_basestring_ascii
+        out = ROW_JSON % (
+            quote(row["agree"]), row["degree"], _dumps(row["flags"], memo, ROW_INDENT),
+            quote(row["oracle"]), quote(row["outcome"]), quote(row["q_pi"]),
+            quote(row["rep"]), quote(row["rule"]), _dumps(row["witness"], memo, ROW_INDENT))
+    else:
+        out = tuple(str(row[head]) for head in TABLE_HEADS)
+    return out, row["agree"] == "yes"
+
+
+def _format_table(cells: list) -> list:
+    widths = [max(len(r[c]) for r in cells) for c in range(len(TABLE_HEADS))]
     lines = []
     for r in cells:
         lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
     return lines
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def _write_table(args: SimpleNamespace, specs: list, printed) -> list:
+    """Writes the printed rows in order, each JSON row as soon as it comes
+    and the text table once its widths are known, and returns the labels
+    of the rows that disagree with the closed form."""
+    as_json = args.format == "json"
+    write = sys.stdout.write
+    if as_json:
+        write(REPORT_HEAD % (args.k, args.n))
+    cells = [TABLE_HEADS]
+    broken = []
+    separator = "\n    "
+    for spec, (out, agrees) in zip(specs, printed):
+        if not agrees:
+            broken.append(spec.label())
+        if as_json:
+            write(separator + out)
+            separator = ",\n    "
+        else:
+            cells.append(out)
+    if as_json:
+        write(REPORT_TAIL)
+    else:
+        print("\n".join(_format_table(cells)))
+    return broken
+
+
+def cmd_table(args: SimpleNamespace) -> int:
     _check_class(args)
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
     specs = enumerate_irreps(args.k, args.n)
+    # one memo for the report in this process; a worker unpickles the
+    # function afresh, empty memo included, with each chunk it is sent
+    printed = partial(_printed_row, {}, args.format == "json")
     # a fork-based pool starts all of its workers at the first submit
     workers = min(args.jobs, len(specs))
     if workers > 1:
@@ -231,21 +271,9 @@ def cmd_table(args: argparse.Namespace) -> int:
         # decide; about four chunks per worker still share out uneven rows
         chunk = -(-len(specs) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_table_row, specs, chunksize=chunk))
+            broken = _write_table(args, specs, pool.map(printed, specs, chunksize=chunk))
     else:
-        rows = [_table_row(spec) for spec in specs]
-    if args.format == "json":
-        report = {
-            "schema": JSON_SCHEMA,
-            "command": "table",
-            "k": args.k,
-            "n": args.n,
-            "rows": rows,
-        }
-        print(_dumps(report, {}))
-    else:
-        print("\n".join(_format_table(rows)))
-    broken = [row["rep"] for row in rows if row["agree"] == "no"]
+        broken = _write_table(args, specs, map(printed, specs))
     if broken:
         print("oracle disagreement on: %s" % ", ".join(broken), file=sys.stderr)
         raise InternalError("classifier disagrees with the closed-form oracle")
@@ -269,7 +297,7 @@ def _build_subrack(cls: UnmixedClass, selector: str):
     if kind is None or (arg and shape is None):
         raise UsageError("unknown subrack selector %r" % selector)
     try:
-        params = [int(tok) for tok in arg.split(",")] if shape else []
+        params = [_integer(tok) for tok in arg.split(",")] if shape else []
         if shape and len(params) != shape.count(",") + 1:
             raise ValueError
     except ValueError:
@@ -281,7 +309,7 @@ def _build_subrack(cls: UnmixedClass, selector: str):
         raise UsageError("bad subrack selector %r: %s" % (selector, exc)) from None
 
 
-def cmd_diagram(args: argparse.Namespace) -> int:
+def cmd_diagram(args: SimpleNamespace) -> int:
     _check_class(args)
     spec = _parse_spec(args)
 
@@ -302,31 +330,115 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     return EXIT_DECIDED
 
 
+# the command line
+
+# an option: (converter, required, default, help); the converter is
+# _integer, str, or the tuple of the values accepted
+CLASS_OPTIONS = {"--k": (_integer, True, None, "cycle length"),
+                 "--n": (_integer, True, None, "number of cycles")}
+REP_OPTION = {"--rep": (str, True, None,
+                        'representation spec, e.g. "chi=(1,1,1);mu=standard"')}
+
+# each command: its function, what it does, and its options
 COMMANDS = {
-    "classify": cmd_classify,
-    "table": cmd_table,
-    "diagram": cmd_diagram,
+    "classify": (cmd_classify, "classify a single representation", {
+        **CLASS_OPTIONS, **REP_OPTION,
+        "--format": (("text", "json", "dot"), False, "text", "output format")}),
+    "table": (cmd_table, "classify every centralizer irrep", {
+        **CLASS_OPTIONS,
+        "--format": (("text", "json"), False, "text", "output format"),
+        "--jobs": (_integer, False, 1, "worker processes")}),
+    "diagram": (cmd_diagram, "print a braiding diagram as DOT", {
+        **CLASS_OPTIONS, **REP_OPTION,
+        "--subrack": (str, False, None, " | ".join(
+            name + (":" + shape if shape else "")
+            for name, (_, shape) in SELECTORS.items()))}),
 }
+HELP = ("-h", "--help")
+
+
+def usage(command=None) -> str:
+    """The usage of one command, or of every command, read from COMMANDS."""
+    if command is None:
+        return "usage: %s {%s} ...\n\n%s" % (
+            PROG, ",".join(COMMANDS), "\n\n".join(map(usage, COMMANDS)))
+    _, about, options = COMMANDS[command]
+    words = []
+    lines = []
+    for name, (convert, required, default, text) in options.items():
+        meta = name + " " + ("{%s}" % ",".join(convert) if isinstance(convert, tuple)
+                             else name[2:].upper())
+        words.append(meta if required else "[%s]" % meta)
+        if default is not None:
+            text += " (default: %s)" % default
+        lines.append("  %-24s %s" % (meta, text))
+    return "usage: %s %s %s\n  %s\n%s" % (PROG, command, " ".join(words), about,
+                                        "\n".join(lines))
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The command and the value of each of its options, read from argv:
+    `--opt value` or `--opt=value`, each value converted as it is read, the
+    last of a repeated option kept.  Prints the usage and returns None on
+    -h or --help; raises UsageError on anything else it cannot read."""
+    command = argv[0] if argv else None
+    if command in HELP:
+        print(usage())
+        return None
+    if command not in COMMANDS:
+        raise UsageError("the command must be one of %s%s" % (
+            ", ".join(COMMANDS), "" if command is None else ", not %r" % command))
+    options = COMMANDS[command][2]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in HELP:
+            print(usage(command))
+            return None
+        name, eq, value = token.partition("=")
+        if name not in options:
+            raise UsageError("unrecognized argument %r" % token)
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError("argument %s needs a value" % name)
+        convert = options[name][0]
+        if isinstance(convert, tuple):
+            if value not in convert:
+                raise UsageError("argument %s: %r is not one of %s"
+                                 % (name, value, ", ".join(convert)))
+        else:
+            try:
+                value = convert(value)
+            except ValueError as exc:
+                raise UsageError("argument %s: %s" % (name, exc)) from None
+        given[name] = value
+    missing = [name for name, option in options.items()
+               if option[1] and name not in given]
+    if missing:
+        raise UsageError("the following arguments are required: %s"
+                         % ", ".join(missing))
+    return SimpleNamespace(command=command, **{
+        name[2:]: given.get(name, option[2]) for name, option in options.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
-    started = time.monotonic()
-    try:
-        code = COMMANDS[args.command](args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            # the usage was asked for, and printed
+            return EXIT_DECIDED
+        started = time.monotonic()
+        code = COMMANDS[args.command][0](args)
     except UsageError as exc:
-        print("%s: error: %s" % (parser.prog, exc), file=sys.stderr)
+        print("%s: error: %s" % (PROG, exc), file=sys.stderr)
         return EXIT_USAGE
     except InternalError as exc:
-        print("%s: internal error: %s" % (parser.prog, exc), file=sys.stderr)
+        print("%s: internal error: %s" % (PROG, exc), file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:
         print("%s: internal error: %s: %s" % (
-            parser.prog, type(exc).__name__, exc), file=sys.stderr)
+            PROG, type(exc).__name__, exc), file=sys.stderr)
         return EXIT_INTERNAL
     print("elapsed: %.3fs" % (time.monotonic() - started), file=sys.stderr)
     return code

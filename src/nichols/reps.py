@@ -140,34 +140,48 @@ class RepSpec(NamedTuple):
     partitions: tuple
 
     def degree(self) -> int:
-        return _degree(tuple(map(sum, self.partitions)), self.partitions)
-
-    def mu_label(self) -> str:
-        sizes = tuple(sum(p) for p in self.partitions)
-        if all(p == (s,) for p, s in zip(self.partitions, sizes)):
-            return "trivial"
-        if all(p == (1,) * s for p, s in zip(self.partitions, sizes)):
-            return "sign"
-        bigs = [idx for idx, s in enumerate(sizes) if s >= 2]
-        if len(bigs) == 1:
-            idx = bigs[0]
-            s = sizes[idx]
-            if all(p == (1,) for t, p in enumerate(self.partitions) if t != idx):
-                if self.partitions[idx] == (s - 1, 1):
-                    return "standard"
-                if self.partitions[idx] == (2,) + (1,) * (s - 2):
-                    return "standard_sign"
-        return "catalog:" + "|".join(
-            "+".join(str(x) for x in p) for p in self.partitions)
+        return _spec_degree(self.partitions)
 
     def label(self) -> str:
-        return "chi=(%s);mu=%s" % (",".join(str(x) for x in self.u), self.mu_label())
+        return "chi=(%s);mu=%s" % (",".join(map(str, self.u)),
+                                   _mu_label(self.partitions))
 
     def character(self) -> "InducedCharacter":
         return InducedCharacter(self)
 
     def __str__(self) -> str:
         return self.label()
+
+
+# a spec's degree and mu label depend on its partitions alone, which the
+# rows of a table share (every u with the same level sizes has the same
+# choices of partitions), so they are cached for the process; an
+# InducedCharacter works out its own degree, so that the witness check
+# reads nothing a sweep has filled
+
+@lru_cache(maxsize=None)
+def _spec_degree(partitions: tuple) -> int:
+    return _degree(tuple(map(sum, partitions)), partitions)
+
+
+@lru_cache(maxsize=None)
+def _mu_label(partitions: tuple) -> str:
+    sizes = tuple(sum(p) for p in partitions)
+    if all(p == (s,) for p, s in zip(partitions, sizes)):
+        return "trivial"
+    if all(p == (1,) * s for p, s in zip(partitions, sizes)):
+        return "sign"
+    bigs = [idx for idx, s in enumerate(sizes) if s >= 2]
+    if len(bigs) == 1:
+        idx = bigs[0]
+        s = sizes[idx]
+        if all(p == (1,) for t, p in enumerate(partitions) if t != idx):
+            if partitions[idx] == (s - 1, 1):
+                return "standard"
+            if partitions[idx] == (2,) + (1,) * (s - 2):
+                return "standard_sign"
+    return "catalog:" + "|".join(
+        "+".join(str(x) for x in p) for p in partitions)
 
 
 @lru_cache(maxsize=None)

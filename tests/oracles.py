@@ -21,13 +21,16 @@ alternating 4-cycles vertex by vertex, where the package labels one pair
 of nodes at a time and searches two members per node, and the group of a
 subrack's table entries is closed on permutations of the k*n points, each
 element taken to normal form for its label, where the package closes it
-on the normal forms of its generators.
+on the normal forms of its generators.  The command line is read by
+argparse, where the package reads it against its own table of options.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import random
+import sys
 import re
 from collections import Counter, deque
 from fractions import Fraction
@@ -38,6 +41,7 @@ from typing import NamedTuple, Optional, Union
 import networkx as nx
 
 from nichols.braidspace import SpectrumPlan, triple_subrack
+from nichols.cli import SELECTORS
 from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE, _ramanujan_sums
 from nichols.permgroup import NormalForm, Permutation
 from nichols.reps import (RepSpec, _label_to_partition, partitions_of,
@@ -1464,3 +1468,41 @@ def _parse_mu(sizes: tuple, text: str) -> tuple:
             partitions.append(part)
         return tuple(partitions)
     raise ValueError("unknown mu label %r" % text)
+
+
+# the command line as argparse reads it, against which the package's
+# table-driven parser (nichols.cli.parse_args) is compared
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        print("%s: error: %s" % (self.prog, message), file=sys.stderr)
+        raise SystemExit(64)
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="nichols", description="nichols command line")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p, rep_required: bool):
+        p.add_argument("--k", type=int, required=True, help="cycle length")
+        p.add_argument("--n", type=int, required=True, help="number of cycles")
+        if rep_required:
+            p.add_argument("--rep", required=True,
+                           help='representation spec, e.g. "chi=(1,1,1);mu=standard"')
+
+    p = sub.add_parser("classify", help="classify a single representation")
+    common(p, rep_required=True)
+    p.add_argument("--format", choices=("text", "json", "dot"), default="text")
+
+    p = sub.add_parser("table", help="classify every centralizer irrep")
+    common(p, rep_required=False)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+
+    p = sub.add_parser("diagram", help="print a braiding diagram as DOT")
+    common(p, rep_required=True)
+    p.add_argument("--subrack", default=None, help=" | ".join(
+        name + (":" + shape if shape else "")
+        for name, (_, shape) in SELECTORS.items()))
+    return parser

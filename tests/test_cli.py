@@ -1,8 +1,11 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
 import pathlib
+import resource
 import shutil
 import subprocess
 import sys
@@ -13,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 import nichols
 from nichols import cli
 from nichols.reps import enumerate_irreps
+
+import oracles
 
 PACKAGE_ROOT = str(pathlib.Path(nichols.__file__).resolve().parents[1])
 
@@ -133,8 +138,8 @@ def test_usage_errors_exit_64(argv):
 
 
 def test_in_process_usage_errors_repeat_on_one_parser(capsys):
-    # main builds its parser once per process, and a second usage error
-    # reads as the first and as one in a fresh process
+    # a second usage error in one process reads as the first and as one in
+    # a fresh process
     argv = ["classify", "--k", "2", "--n", "3", "--rep", "chi=(1,1,1)",
             "--format", "yaml"]
     printed = []
@@ -143,7 +148,94 @@ def test_in_process_usage_errors_repeat_on_one_parser(capsys):
         printed.append(capsys.readouterr())
     assert printed[0] == printed[1]
     assert printed[0].err == run_cli(*argv).stderr
-    assert cli.build_parser() is cli.build_parser()
+
+
+# argv in the documented forms: a command, then options in any order, each
+# as "--opt value" or "--opt=value", some repeated, some not of the command,
+# some without their value; integers as str(int), negative ones included
+INTEGER_TEXT = st.integers(-3, 12).map(str)
+OPTION_VALUES = {
+    "--k": INTEGER_TEXT, "--n": INTEGER_TEXT, "--jobs": INTEGER_TEXT,
+    "--rep": st.sampled_from(["chi=(1,1,1)", "chi=(1,1,1);mu=standard",
+                              "chi=2:1", "", "x"]),
+    "--format": st.sampled_from(["text", "json", "dot", "yaml"]),
+    "--subrack": st.sampled_from(["canonical", "quadruple:1,2", "hexagon"]),
+    "--bogus": st.just("1"),
+}
+ARGS_FIELDS = ("command", "k", "n", "rep", "format", "jobs", "subrack")
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(["classify", "table", "diagram", "bogus"]))
+    needed = ["--k", "--n"] + (["--rep"] if command != "table" else [])
+    more = draw(st.lists(st.sampled_from(sorted(OPTION_VALUES)), max_size=4))
+    argv = [command]
+    for name in draw(st.permutations(needed + more)):
+        value = draw(OPTION_VALUES[name])
+        argv += [name + "=" + value] if draw(st.booleans()) else [name, value]
+    # now and then cut short: no command, or an option or value missing
+    if draw(st.integers(0, 9)) == 0:
+        argv = argv[:draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+def _read(parse, argv) -> tuple:
+    """The fields parse reads from argv, or None, and the exit code and
+    stderr of a refusal."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            args = parse(argv)
+    except (SystemExit, cli.UsageError) as exc:
+        return None, getattr(exc, "code", cli.EXIT_USAGE), err.getvalue()
+    return tuple(getattr(args, name, None) for name in ARGS_FIELDS), None, ""
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_the_option_table_reads_argv_as_argparse_did(argv):
+    # the argparse parser the package used to build is the reference: both
+    # read the same values, or both refuse, and then main exits 64 with
+    # the error on stderr, as argparse's parser did
+    want, code, err = _read(oracles.build_parser().parse_args, argv)
+    assert _read(cli.parse_args, argv)[0] == want
+    if want is None:
+        assert code == 64 and "error" in err
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(argv) == 64
+        assert err.getvalue().startswith("nichols: error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["classify", "-h"], ["table", "--help"],
+    ["diagram", "--k", "2", "-h"]])
+def test_help_names_every_option_and_exits_0(argv, capsys):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    commands = [argv[0]] if argv[0] in cli.COMMANDS else list(cli.COMMANDS)
+    for command in commands:
+        assert command in out
+        for option in cli.COMMANDS[command][2]:
+            assert option in out
+
+
+@pytest.mark.parametrize("argv", [
+    # an abbreviation of an option name
+    ["table", "--k", "2", "--n", "3", "--form", "json"],
+    ["table", "--k", "2", "--n", "3", "--jo", "2"],
+    # integer spellings that int() reads and the rep grammar refuses
+    ["table", "--k", "+2", "--n", "3"],
+    ["table", "--k", "2", "--n", "1_0"],
+    ["table", "--k", "2", "--n", "3", "--jobs", "\u0662"],
+])
+def test_the_intended_departures_from_argparse(argv, capsys):
+    # argparse took these; the option table refuses them
+    reference = oracles.build_parser().parse_args(argv)
+    assert reference.command == "table"
+    assert cli.main(argv) == 64
+    assert capsys.readouterr().err.startswith("nichols: error: ")
 
 
 @pytest.mark.parametrize("part", ["", "a"])
@@ -177,6 +269,16 @@ def test_catalog_part_error_names_the_part(part):
      "k >= 4"),
     (("classify", "--k", "4", "--n", "2", "--rep", "chi=(1_0,0)"),
      "'1_0' is not an integer"),
+    # a selector's integers are read as the rep grammar reads them
+    (("diagram", "--k", "4", "--n", "3", "--rep", "chi=(1,1,1)",
+      "--subrack", "quadruple:+1,2"),
+     "bad subrack selector 'quadruple:+1,2': quadruple needs <i>,<j>"),
+    (("diagram", "--k", "4", "--n", "3", "--rep", "chi=(1,1,1)",
+      "--subrack", "quadruple:1_0,2"),
+     "bad subrack selector 'quadruple:1_0,2': quadruple needs <i>,<j>"),
+    (("diagram", "--k", "4", "--n", "3", "--rep", "chi=(1,1,1)",
+      "--subrack", "quadruple:\u0661,2"),
+     "bad subrack selector 'quadruple:\u0661,2': quadruple needs <i>,<j>"),
 ])
 def test_malformed_spec_or_selector_is_named(argv, message):
     # an empty entry used to be skipped, and the others reported Python's
@@ -316,18 +418,75 @@ def _dict_ids(value, seen) -> set:
     return seen
 
 
+def _table_report(k, n, rows) -> dict:
+    return {"schema": "nichols.report/1", "command": "table", "k": k, "n": n,
+            "rows": rows}
+
+
+def _rows(k, n) -> list:
+    return [cli._table_row(spec) for spec in enumerate_irreps(k, n)]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("k,n", [(2, 6), (4, 5), (6, 3)])
-def test_table_report_encodes_as_json_dumps(k, n, jobs, monkeypatch, capsys):
-    # rows that restrict alike share one witness dict; with --jobs 2 they
-    # share it only within the chunk a worker sent back
-    report = _printed_report(monkeypatch, capsys, [
-        "table", "--k", str(k), "--n", str(n), "--format", "json",
-        "--jobs", jobs])
+def test_table_report_encodes_as_json_dumps(k, n, jobs, capsys):
+    # the streamed report, with --jobs 2 encoded row by row in the workers,
+    # is json.dumps of the report that the same rows make
+    assert cli.main(["table", "--k", str(k), "--n", str(n), "--format",
+                     "json", "--jobs", jobs]) == 0
+    assert capsys.readouterr().out == json.dumps(
+        _table_report(k, n, _rows(k, n)), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("k,n", [(2, 6), (4, 5), (6, 3)])
+def test_table_rows_encode_each_witness_once(k, n, monkeypatch):
+    # one memo for the report: rows that share a witness dict share its text
+    specs = enumerate_irreps(k, n)
+    rows = dict(zip(specs, map(cli._table_row, specs)))
+    monkeypatch.setattr(cli, "_table_row", rows.__getitem__)
     memo = {}
-    assert cli._dumps(report, memo) == json.dumps(report, sort_keys=True,
-                                                  indent=2)
-    assert len(memo) == len(_dict_ids(report, set()))
+    for spec in specs:
+        cli._printed_row(memo, True, spec)
+    witnesses = [row["witness"] for row in rows.values()]
+    assert len(memo) == len(_dict_ids(witnesses, set())) < len(witnesses)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_table_text_format_is_unchanged(jobs, capsys):
+    # the seven cells of each row, each column as wide as its widest cell
+    assert cli.main(["table", "--k", "4", "--n", "4", "--jobs", jobs]) == 0
+    heads = ("rep", "degree", "q_pi", "outcome", "rule", "oracle", "agree")
+    cells = [heads] + [tuple(str(row[head]) for head in heads)
+                       for row in _rows(4, 4)]
+    widths = [max(len(line[c]) for line in cells) for c in range(len(heads))]
+    assert capsys.readouterr().out == "".join(
+        "  ".join(v.ljust(w) for v, w in zip(line, widths)).rstrip() + "\n"
+        for line in cells)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_row_that_fails_mid_table_exits_70(fmt, monkeypatch, capsys):
+    # the rows decided before the fault are already written: the json report
+    # stops after the last of them, with no closing brackets, and the text
+    # table, printed once every row is in, prints nothing
+    specs = enumerate_irreps(2, 3)
+    rows = _rows(2, 3)
+    decide = cli.decide
+
+    def failing(k, n, spec):
+        if spec == specs[2]:
+            raise RuntimeError("no rule decides " + spec.label())
+        return decide(k, n, spec)
+
+    monkeypatch.setattr(cli, "decide", failing)
+    assert cli.main(["table", "--k", "2", "--n", "3", "--format", fmt]) == 70
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "nichols: internal error: RuntimeError: no rule decides %s\n"
+        % specs[2].label())
+    whole = json.dumps(_table_report(2, 3, rows[:2]), sort_keys=True, indent=2)
+    assert captured.out == (whole[:whole.rindex("\n  ]")] if fmt == "json"
+                            else "")
 
 
 @pytest.mark.parametrize("k,n,rep,rule", [
@@ -399,6 +558,47 @@ def test_the_encoder_keeps_one_entry_per_dict_object():
                                                   indent=2)
     # the report, its 500 rows and the one witness they share
     assert len(memo) == 502
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_table_disagreement_exits_70_after_the_last_row(jobs, monkeypatch,
+                                                       capsys):
+    # the closed form is made to disagree on two rows: the report is still
+    # written whole, and the two labels are named once the last row is in
+    from nichols.verdict import closed_form_verdict
+    specs = enumerate_irreps(2, 3)
+    flipped = (specs[1], specs[4])
+
+    def oracle(k, n, spec):
+        verdict = closed_form_verdict(k, n, spec)
+        return verdict._replace(outcome="NegativeBraiding") \
+            if spec in flipped else verdict
+
+    monkeypatch.setattr(cli, "closed_form_verdict", oracle)
+    assert cli.main(["table", "--k", "2", "--n", "3", "--format", "json",
+                     "--jobs", jobs]) == 70
+    captured = capsys.readouterr()
+    rows = _rows(2, 3)
+    assert [row["rep"] for row in rows if row["agree"] == "no"] == list(
+        map(str, flipped))
+    assert captured.out == json.dumps(_table_report(2, 3, rows),
+                                      sort_keys=True, indent=2) + "\n"
+    assert captured.err == (
+        "oracle disagreement on: %s, %s\nnichols: internal error: classifier "
+        "disagrees with the closed-form oracle\n" % tuple(map(str, flipped)))
+
+
+@pytest.mark.slow
+def test_table_streams_in_bounded_memory():
+    # the report is written row by row, so the 112 MB of (4,12) never sit
+    # in memory at once (a process that held the report peaked at 485 MB);
+    # RUSAGE_CHILDREN gives the peak of the largest child waited for
+    result = subprocess.run(
+        [sys.executable, "-m", "nichols.cli", "table", "--k", "4", "--n", "12",
+         "--format", "json"], stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True, env=child_env())
+    assert result.returncode == 0, result.stderr
+    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 200 * 1024
 
 
 def test_diagram_default_shows_witness():
