@@ -14,8 +14,9 @@ generalized Dynkin diagram are held as one node per (column, psi) with the
 multiplicity of psi: as many nodes as the subrack size times the number of
 psi that occur, however large the degree.  Only the character of rho is
 needed: the multiplicities are integers read off integer traces
-(nichols.exactfield.rational_trace), and the braiding labels are roots of
-unity held as integer exponents.  No field element is built.
+(nichols.exactfield.rational_trace), and each braiding label is a root of
+unity held as its integer exponent of zeta_modulus, printed through
+nichols.exactfield.root_names.  No field element is built.
 
 The work splits in two.  subrack_plan does what rho does not change, in a
 plan that carries its subrack: the table, the commute check, H with the
@@ -37,7 +38,7 @@ from bisect import bisect_right
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .exactfield import RootOfUnity, rational_trace, totient
+from .exactfield import rational_trace, root_names, totient
 from .permgroup import Permutation, UnmixedClass
 from .reps import InducedCharacter
 
@@ -355,7 +356,9 @@ class GeneralizedDynkinDiagram:
     members of a node are twins: they have one braiding with every vertex.
 
     The vertex label of a node is q_aa of its members, and the edge label
-    of two nodes is q_ab q_ba of their members, an edge only where != 1; an
+    of two nodes is q_ab q_ba of their members, an edge only where != 1,
+    each held as its exponent of zeta_modulus (the sum of the two
+    exponents for an edge, nonzero mod modulus); an
     edge of a node to itself joins its members pairwise, and no vertex is
     its own neighbor.  edges lists them as (x, y, label) with x <= y.  The
     decision reads nodes only; vertices are drawn only by to_dot, and
@@ -364,7 +367,7 @@ class GeneralizedDynkinDiagram:
     of the plan that the diagram was built from."""
 
     __slots__ = ("modulus", "columns", "offsets", "labels", "nodes", "edges",
-                 "_roots", "_adjacent")
+                 "_adjacent")
 
     def __init__(self, modulus: int, columns, runs, labels) -> None:
         # runs: (first index, multiplicity) of each run, in order
@@ -374,8 +377,6 @@ class GeneralizedDynkinDiagram:
         self.labels = labels
         self.nodes = tuple((j, range(offset, offset + mult))
                            for j in self.columns for offset, mult in runs)
-        self._roots = roots = tuple(RootOfUnity(modulus, e)
-                                    for e in range(modulus))
         width = len(self.offsets)
         edges = []
         self._adjacent = adjacent = tuple({} for _ in self.nodes)
@@ -385,8 +386,8 @@ class GeneralizedDynkinDiagram:
                 b, t = divmod(y, width)
                 w = (labels[a][b][t] + labels[b][a][r]) % modulus
                 if w:
-                    edges.append((x, y, roots[w]))
-                    adjacent[x][y] = adjacent[y][x] = roots[w]
+                    edges.append((x, y, w))
+                    adjacent[x][y] = adjacent[y][x] = w
         self.edges = tuple(edges)
 
     def node(self, vertex) -> int:
@@ -400,15 +401,16 @@ class GeneralizedDynkinDiagram:
         are adjacent to each other, mapped to the edge label."""
         return self._adjacent[x]
 
-    def q(self, x: int, y: int) -> RootOfUnity:
-        """The braiding entry of a member of node x with one of node y; for
-        x = y, the vertex label of node x."""
+    def q(self, x: int, y: int) -> int:
+        """The braiding entry of a member of node x with one of node y, as
+        its exponent of zeta_modulus; for x = y, the vertex label of node
+        x."""
         width = len(self.offsets)
-        return self._roots[self.labels[x // width][y // width][y % width]]
+        return self.labels[x // width][y // width][y % width]
 
     def edge_label(self, u, v):
-        """The edge label of vertices u and v, None where they are not
-        adjacent."""
+        """The edge label of vertices u and v, as its exponent, None where
+        they are not adjacent."""
         if u == v:
             return None
         return self._adjacent[self.node(u)].get(self.node(v))
@@ -458,15 +460,16 @@ class GeneralizedDynkinDiagram:
         with every edge (u, v) for u before v, sorted."""
         names = [["t%d.v%d" % (j, s) for s in indices]
                  for j, indices in self.nodes]
+        roots = root_names(self.modulus)
         lines = ["graph diagram {"]
         for x, members in enumerate(names):
-            label = self.q(x, x)
+            label = roots[self.q(x, x)]
             lines += ['  %s [label="%s"];' % (v, label) for v in members]
         for x, members in enumerate(names):
             later = sorted(y for y in self._adjacent[x] if y >= x)
             for t, u in enumerate(members):
                 for y in later:
-                    w = self._adjacent[x][y]
+                    w = roots[self._adjacent[x][y]]
                     lines += ['  %s -- %s [label="%s"];' % (u, v, w)
                               for v in (members[t + 1:] if y == x else names[y])]
         lines.append("}")

@@ -32,14 +32,15 @@ from __future__ import annotations
 import json
 import sys
 import time
-from functools import cache, partial
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from .braidspace import FAMILIES, dynkin_diagram, subrack_plan
-from .exactfield import RootOfUnity
+from .exactfield import root_names
 from .permgroup import UnmixedClass
-from .reps import RepSpec, _integer, enumerate_irreps, parse_rep_spec
+from .reps import (RepSpec, _integer, enumerate_irreps, parse_rep_spec,
+                   pi_scalar)
 from .verdict import class_plan, closed_form_verdict, decide
 
 PROG = "nichols"
@@ -120,18 +121,12 @@ def _parse_spec(args: SimpleNamespace):
 
 # classify
 
-@cache
-def _printed_root(k: int, exponent: int) -> str:
-    return str(RootOfUnity(k, exponent))
-
-
 def _verdict_fields(spec: RepSpec, verdict) -> dict:
-    # the keys a classify report and a table row share; q_pi, the
-    # basepoint scalar reps.pi_scalar(spec), is zeta_k^(sum of u)
+    # the keys a classify report and a table row share
     return {
         "rep": spec.label(),
         "degree": spec.degree(),
-        "q_pi": _printed_root(spec.k, sum(spec.u) % spec.k),
+        "q_pi": root_names(spec.k)[pi_scalar(spec)],
         "outcome": verdict.outcome,
         "rule": verdict.rule,
         "witness": verdict.witness,
@@ -208,12 +203,8 @@ def _printed_row(memo: dict, as_json: bool, spec: RepSpec) -> tuple:
     with the closed form."""
     row = _table_row(spec)
     if as_json:
-        # the values in ROW_KEYS order
-        quote = encode_basestring_ascii
-        out = ROW_JSON % (
-            quote(row["agree"]), row["degree"], _dumps(row["flags"], memo, ROW_INDENT),
-            quote(row["oracle"]), quote(row["outcome"]), quote(row["q_pi"]),
-            quote(row["rep"]), quote(row["rule"]), _dumps(row["witness"], memo, ROW_INDENT))
+        out = ROW_JSON % tuple(_dumps(row[key], memo, ROW_INDENT)
+                               for key in ROW_KEYS)
     else:
         out = tuple(str(row[head]) for head in TABLE_HEADS)
     return out, row["agree"] == "yes"

@@ -1,8 +1,9 @@
 """Roots of unity as integers, and rationality tests by integer traces.
 
-A root of unity is held as RootOfUnity: an (order, exponent) pair in
-lowest terms, which multiplies by adding exponents and prints as "1", "-1"
-or "z(m,a)".
+A root of unity zeta_m^a is held as its integer exponent a mod m, for the
+m of its diagram or group: roots multiply by adding exponents, and
+zeta_m^a is -1 exactly when 2a = m.  It is printed only through
+root_names(m), as "1", "-1" or "z(o,e)" in lowest terms.
 
 A cyclotomic number sum_j c_j zeta_m^j with integer c_j is never built as
 a field element.  rational_trace decides whether it is rational, and which
@@ -21,51 +22,13 @@ from math import gcd
 from typing import Optional
 
 
-class RootOfUnity:
-    """The value zeta_m**a as integers: order m and exponent a, in lowest
-    terms (gcd(a, m) = 1, with 1 stored as (1, 0)).  Printed as "1", "-1"
-    or "z(m,a)"."""
-
-    __slots__ = ("m", "a")
-
-    def __init__(self, m: int, a: int) -> None:
-        if m < 1:
-            raise ValueError("order must be positive")
-        a %= m
-        g = gcd(m, a)
-        self.m = m // g
-        self.a = a // g
-
-    def order(self) -> int:
-        return self.m
-
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        m = self.m * other.m // gcd(self.m, other.m)
-        return RootOfUnity(m, self.a * (m // self.m) + other.a * (m // other.m))
-
-    def inverse(self) -> "RootOfUnity":
-        return RootOfUnity(self.m, -self.a)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RootOfUnity):
-            return NotImplemented
-        return self.m == other.m and self.a == other.a
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.a))
-
-    def __str__(self) -> str:
-        if self.m == 1:
-            return "1"
-        if self.m == 2:
-            return "-1"
-        return "z(%d,%d)" % (self.m, self.a)
-
-    __repr__ = __str__
-
-
-ROOT_ONE = RootOfUnity(1, 0)
-ROOT_MINUS_ONE = RootOfUnity(2, 1)
+@lru_cache(maxsize=None)
+def root_names(m: int) -> tuple:
+    """The printed form of zeta_m**a for each a < m, in lowest terms: "1",
+    "-1", or "z(o,e)" for zeta_o**e with gcd(e, o) = 1."""
+    lowest = ((m // gcd(a, m), a // gcd(a, m)) for a in range(m))
+    return tuple("1" if o == 1 else "-1" if o == 2 else "z(%d,%d)" % (o, e)
+                 for o, e in lowest)
 
 
 @lru_cache(maxsize=None)

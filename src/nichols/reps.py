@@ -31,8 +31,6 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import NamedTuple
 
-from .exactfield import RootOfUnity
-
 
 def level_sizes(u) -> tuple:
     """How many entries of the non-increasing u hold each value, values in
@@ -288,11 +286,12 @@ class InducedCharacter:
         return "InducedCharacter(%s)" % self.spec.label()
 
 
-def pi_scalar(spec: RepSpec) -> RootOfUnity:
-    """The scalar by which the basepoint, (d, b) = ((1, ..., 1), id), acts:
-    every orbit member u' has the same coordinate sum, so it is
-    zeta_k^(u_1 + ... + u_n)."""
-    return RootOfUnity(spec.k, sum(spec.u))
+def pi_scalar(spec: RepSpec) -> int:
+    """The scalar by which the basepoint, (d, b) = ((1, ..., 1), id), acts,
+    as its exponent of zeta_k: every orbit member u' has the same
+    coordinate sum, so it is zeta_k^(u_1 + ... + u_n), and the exponent is
+    that sum mod k."""
+    return sum(spec.u) % spec.k
 
 
 def enumerate_irreps(k: int, n: int) -> list:

@@ -44,8 +44,7 @@ from . import braidspace
 from .braidspace import (GeneralizedDynkinDiagram, SubrackPlan,
                          quadruple_subrack, rotation_subrack, spectrum_diagram,
                          subrack_plan, triple_subrack)
-from .exactfield import (ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity, rational_trace,
-                         totient)
+from .exactfield import rational_trace, root_names, totient
 from .permgroup import PartnerClass, UnmixedClass
 from .reps import InducedCharacter, pi_scalar, resolve_spec
 from .witness import INFINITE, verify_witness
@@ -67,20 +66,22 @@ class Verdict(NamedTuple):
 
 
 @cache
-def scalar_gate(q: RootOfUnity, ord_pi: int) -> Optional[Verdict]:
-    """Infinite unless the basepoint has even order and acts by -1.
+def scalar_gate(q: int, ord_pi: int) -> Optional[Verdict]:
+    """Infinite unless the basepoint has even order and acts by -1: its
+    scalar is zeta_ord_pi^q, q < ord_pi, which is -1 exactly when
+    2q = ord_pi.
 
     Returns the infinite verdict, or None to pass: one per (q, ord_pi) for
     the life of the process, shared by every row it decides."""
     if ord_pi % 2:
-        return Verdict(INFINITE, "scalar-gate",
-                       {"q_scalar": str(q), "element_order": ord_pi,
-                        "reason": "basepoint has odd order"})
-    if q != ROOT_MINUS_ONE:
-        return Verdict(INFINITE, "scalar-gate",
-                       {"q_scalar": str(q), "element_order": ord_pi,
-                        "reason": "basepoint scalar is not -1"})
-    return None
+        reason = "basepoint has odd order"
+    elif 2 * q != ord_pi:
+        reason = "basepoint scalar is not -1"
+    else:
+        return None
+    return Verdict(INFINITE, "scalar-gate",
+                   {"q_scalar": root_names(ord_pi)[q], "element_order": ord_pi,
+                    "reason": reason})
 
 
 def cartan_finite(diagram: GeneralizedDynkinDiagram,
@@ -117,8 +118,9 @@ def cartan_finite(diagram: GeneralizedDynkinDiagram,
       component with a fork (the test suite builds every one).
 
     Labels and degrees are read per node, as twins have one label and one
-    degree."""
-    if any(diagram.q(x, x) != ROOT_MINUS_ONE for x in count):
+    degree, each label as its exponent e of zeta_modulus: -1 exactly when
+    2e = modulus."""
+    if any(2 * diagram.q(x, x) != diagram.modulus for x in count):
         raise RuntimeError("a vertex label is not -1 past the scalar gate, "
                            "so one column may hold adjacent vertices")
     degree = {}
@@ -127,7 +129,7 @@ def cartan_finite(diagram: GeneralizedDynkinDiagram,
         for y, w in diagram.adjacent(x).items():
             near = count.get(y, 0) - (y == x)
             if near:
-                if w != ROOT_MINUS_ONE:
+                if 2 * w != diagram.modulus:
                     return None
                 degree[x] += near
     if sum(degree[x] * c for x, c in count.items()) // 2 >= sum(count.values()):
@@ -183,7 +185,7 @@ def cycle_rule(diagram: GeneralizedDynkinDiagram, comp) -> Optional[dict]:
       neighbors, holds only first and second members.
     The same argument shrinks the witness search (_minimal_infinite_set)."""
     minus = _members(diagram, [x for x in comp
-                               if diagram.q(x, x) == ROOT_MINUS_ONE])
+                               if 2 * diagram.q(x, x) == diagram.modulus])
     near = _near(diagram, minus)
     for a in minus:
         for c in minus:
@@ -198,12 +200,13 @@ def cycle_rule(diagram: GeneralizedDynkinDiagram, comp) -> Optional[dict]:
                 bc = diagram.edge_label(b, c)
                 cd = diagram.edge_label(c, d)
                 da = diagram.edge_label(d, a)
-                if ab * bc != ROOT_ONE:
+                if (ab + bc) % diagram.modulus:
                     continue
                 if ab != cd or bc != da:
                     continue
+                names = root_names(diagram.modulus)
                 return {"cycle": (a, b, c, d),
-                        "labels": (str(ab), str(bc), str(cd), str(da))}
+                        "labels": tuple(names[w] for w in (ab, bc, cd, da))}
     return None
 
 
@@ -308,12 +311,12 @@ def negativity_check(plan: ClassPlan,
     its dual label (nichols.permgroup.dual_label), so no transporter is
     built.  The partners come from the given class plan.
     """
+    k = character.k
     q = pi_scalar(character.spec)
-    if q != ROOT_MINUS_ONE:
+    if 2 * q != k:
         return NegativityReport(False, 0, True,
                                 {"reason": "basepoint scalar is not -1",
-                                 "q_scalar": str(q)}, ())
-    k = character.k
+                                 "q_scalar": root_names(k)[q]}, ())
     square = totient(k) * character.degree ** 2
     checked = 0
     count = 0
@@ -410,12 +413,13 @@ def _witness(plan: SubrackPlan, spectrum: list,
     expanded = diagram.rectangle(cols, vecs, tuple(itertools.accumulate(
         (mult for _, mult in spectrum), initial=0)))
     size = len(position)
+    names = root_names(diagram.modulus)
     witness = {
         "subrack": plan.description,
         "element_images": [list(t.img) for t in plan.subrack.elements],
         "transporter_images": [list(g.img) for g in plan.subrack.transporters],
         "vertices": [[j, s] for j in cols for s in expanded.offsets],
-        "q_matrix": [[str(expanded.q(x, y)) for y in range(size)]
+        "q_matrix": [[names[expanded.q(x, y)] for y in range(size)]
                      for x in range(size)],
         "diagram_dot": expanded.to_dot(),
         "components": [list(c) for c in expanded.components()],

@@ -32,7 +32,7 @@ from math import lcm
 from typing import NamedTuple, Optional
 
 from .braidspace import FAMILIES, AbelianSubrack
-from .exactfield import ROOT_MINUS_ONE, RootOfUnity, rational_trace, totient
+from .exactfield import rational_trace, root_names, totient
 from .permgroup import Permutation, UnmixedClass
 from .reps import InducedCharacter, pi_scalar, resolve_spec
 
@@ -170,7 +170,7 @@ def _witness_group(subrack: AbelianSubrack, cols: tuple) -> _WitnessGroup:
                for a, b in itertools.combinations(generators, 2)):
         raise ValueError("conjugation table entries do not commute")
     modulus = lcm(cls.k, *(g.order() for g in generators))
-    names = tuple(str(RootOfUnity(modulus, e)) for e in range(modulus))
+    names = root_names(modulus)
     product = cls.product
     identity = cls.identity_form()
     index = {(identity.d, identity.b.img): 0}
@@ -421,8 +421,8 @@ def verify_witness(k: int, n: int, rho_spec, verdict) -> bool:
              "the %s witness" % verdict.rule)
     if verdict.rule == "scalar-gate":
         q = pi_scalar(spec)
-        return ((k % 2 == 1 or q != ROOT_MINUS_ONE)
-                and w["q_scalar"] == str(q)
+        return ((k % 2 == 1 or 2 * q != k)
+                and w["q_scalar"] == root_names(k)[q]
                 and type(w["element_order"]) is int and w["element_order"] == k)
     _require(w["subrack"], ("kind", "param"), "the witness subrack")
     if type(w["subrack"]["kind"]) is not str:

@@ -13,10 +13,12 @@ smallest cyclotomic field that contains the element, so equal elements
 hash equally whatever conductor they were built at.  A rational hashes as
 the Fraction it equals.
 
-The package holds roots of unity as nichols.exactfield.RootOfUnity, an
-integer (order, exponent) pair.  It never compares equal to a field
-element; root_value converts one explicitly, and as_root_of_unity goes the
-other way.
+The package holds a root of unity as its integer exponent for the modulus
+of its diagram or group, printed by nichols.exactfield.root_names.  The
+oracles hold one as RootOfUnity, an integer (order, exponent) pair in
+lowest terms that multiplies, compares and hashes, and prints as
+root_names does.  It never compares equal to a field element; root_value
+converts one explicitly, and as_root_of_unity goes the other way.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-
-from nichols.exactfield import RootOfUnity
 
 
 def _poly_mul(a: list, b: list) -> list:
@@ -398,6 +398,53 @@ def rational(p, q: int = 1) -> Cyclotomic:
 ZERO = rational(0)
 ONE = rational(1)
 MINUS_ONE = rational(-1)
+
+
+class RootOfUnity:
+    """The value zeta_m**a as integers: order m and exponent a, in lowest
+    terms (gcd(a, m) = 1, with 1 stored as (1, 0)).  Printed as "1", "-1"
+    or "z(m,a)"."""
+
+    __slots__ = ("m", "a")
+
+    def __init__(self, m: int, a: int) -> None:
+        if m < 1:
+            raise ValueError("order must be positive")
+        a %= m
+        g = gcd(m, a)
+        self.m = m // g
+        self.a = a // g
+
+    def order(self) -> int:
+        return self.m
+
+    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
+        m = self.m * other.m // gcd(self.m, other.m)
+        return RootOfUnity(m, self.a * (m // self.m) + other.a * (m // other.m))
+
+    def inverse(self) -> "RootOfUnity":
+        return RootOfUnity(self.m, -self.a)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RootOfUnity):
+            return NotImplemented
+        return self.m == other.m and self.a == other.a
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.a))
+
+    def __str__(self) -> str:
+        if self.m == 1:
+            return "1"
+        if self.m == 2:
+            return "-1"
+        return "z(%d,%d)" % (self.m, self.a)
+
+    __repr__ = __str__
+
+
+ROOT_ONE = RootOfUnity(1, 0)
+ROOT_MINUS_ONE = RootOfUnity(2, 1)
 
 
 def root_value(root: RootOfUnity) -> Cyclotomic:

@@ -42,13 +42,14 @@ import networkx as nx
 
 from nichols.braidspace import SpectrumPlan, triple_subrack
 from nichols.cli import SELECTORS
-from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE, _ramanujan_sums
+from nichols.exactfield import _ramanujan_sums
 from nichols.permgroup import NormalForm, Permutation
 from nichols.reps import (RepSpec, _label_to_partition, partitions_of,
                           sn_character)
 from nichols.verdict import NegativityReport, class_plan
 
-from exactfield_oracle import MINUS_ONE, ONE, ZERO, Cyclotomic, zeta
+from exactfield_oracle import (MINUS_ONE, ONE, ROOT_MINUS_ONE, ROOT_ONE, ZERO,
+                               Cyclotomic, RootOfUnity, zeta)
 from exactla_oracle import Matrix, _normalize, kernel, kron
 
 
@@ -1046,6 +1047,12 @@ def negativity_walk(cls, rho) -> NegativityReport:
 
 # the diagonal subspace and its Dynkin diagram vertex by vertex
 
+def label_root(diagram, exponent) -> Optional[RootOfUnity]:
+    """A label of a node diagram of nichols.braidspace, which holds it as
+    its exponent of zeta_modulus, as a RootOfUnity; None stays None."""
+    return None if exponent is None else RootOfUnity(diagram.modulus, exponent)
+
+
 class VertexSpace:
     """A diagonal subspace listed vertex by vertex: the vertices (j, s) of
     a node diagram of nichols.braidspace, with its braiding values."""
@@ -1059,7 +1066,8 @@ class VertexSpace:
         return len(self.vertices)
 
     def q(self, a, b):
-        return self.diagram.q(self.diagram.node(a), self.diagram.node(b))
+        return label_root(self.diagram, self.diagram.q(self.diagram.node(a),
+                                                       self.diagram.node(b)))
 
     def restrict(self, vertices) -> "VertexSpace":
         vertices = tuple(vertices)

@@ -12,16 +12,16 @@ from nichols.braidspace import (AbelianSubrack, GeneralizedDynkinDiagram,
                                 powers_subrack, quadruple_subrack,
                                 rotation_subrack, spectrum_plan, subrack_plan,
                                 triple_subrack)
-from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
 from nichols.permgroup import Permutation, UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec
 
-from exactfield_oracle import ZERO, rational, root_value, zeta
+from exactfield_oracle import (ROOT_MINUS_ONE, ROOT_ONE, ZERO, rational,
+                               root_value, zeta)
 from oracles import (REFERENCE_Q_ROTATION_EDGELESS, REFERENCE_Q_SIX_CYCLE, A,
                      B, cataloged, centralizer_elements, character_value,
                      conjugate, degree_sequence, dense_columns, in_centralizer,
-                     is_identity, q_matches_up_to_permutation, resolve,
-                     transporter, tried_subracks, vertex_space)
+                     is_identity, label_root, q_matches_up_to_permutation,
+                     resolve, transporter, tried_subracks, vertex_space)
 
 
 def _q_strings(diagram):
@@ -189,14 +189,15 @@ def test_triple_braiding_matches_reference_six_cycle():
     diagram = dynkin_diagram(subrack_plan(triple_subrack(cls, 1)), chi)
     assert q_matches_up_to_permutation(_q_strings(diagram), REFERENCE_Q_SIX_CYCLE)
     assert len(diagram.components()) == 1
-    assert all(str(diagram.q(x, x)) == "-1"
+    assert all(str(label_root(diagram, diagram.q(x, x))) == "-1"
                for x in range(len(diagram.nodes)))
     # every vertex a node of its own
     vertices = diagram.rectangle(range(3), range(2))
     assert len(vertex_space(vertices).vertices) == 6
     assert vertices.components() == (tuple(range(6)),)
     assert len(vertices.edges) == 6
-    assert all(str(w) == "-1" for _, _, w in vertices.edges)
+    assert all(str(label_root(vertices, w)) == "-1"
+               for _, _, w in vertices.edges)
 
 
 def test_rotation_braiding_matches_reference_edgeless():
@@ -243,7 +244,7 @@ def test_dynkin_diagram_edges_only_where_product_differs_from_one():
         for y in range(x + 1, len(verts)):
             w = space.q(verts[x], verts[y]) * space.q(verts[y], verts[x])
             assert ((x, y) in listed) == (w != ROOT_ONE)
-            assert (diagram.edge_label(verts[x], verts[y])
+            assert (label_root(diagram, diagram.edge_label(verts[x], verts[y]))
                     == (w if w != ROOT_ONE else None))
 
 
@@ -288,7 +289,7 @@ def test_dynkin_adjacency_map_matches_edge_scan():
         for a, b in itertools.combinations(range(size), 2):
             w = (labels[a][b][0] + labels[b][a][0]) % 12
             if w:
-                scanned[a, b] = RootOfUnity(12, w)
+                scanned[a, b] = w
         assert [(a, b) for a, b, _ in diagram.edges] == sorted(scanned)
         for v in range(size):
             assert diagram.adjacent(v) == {

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from exactfield_oracle import (Cyclotomic, MINUS_ONE, ONE, ZERO,
+from exactfield_oracle import (Cyclotomic, MINUS_ONE, ONE, RootOfUnity, ZERO,
                                cyclotomic_polynomial, degree_of_field,
                                rational, root_value, zeta)
 
@@ -135,7 +135,7 @@ from math import gcd  # noqa: E402
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nichols.exactfield import (RootOfUnity, rational_trace,  # noqa: E402
+from nichols.exactfield import (rational_trace, root_names,  # noqa: E402
                                 totient)
 
 from oracles import rational_value  # noqa: E402
@@ -215,6 +215,18 @@ def test_root_of_unity_labels_agree_with_field_elements(m, a, p, b):
     if r == s:
         assert hash(r) == hash(s)
     assert r != zeta(m, a) and zeta(m, a) != r
+
+
+def test_root_names_print_as_the_reference_roots():
+    # the package's one printed form of zeta_m^a against the reference
+    # class, for every exponent below m; no two exponents share a name, so
+    # the witness check can read a name back as its exponent
+    for m in range(1, 65):
+        names = root_names(m)
+        assert names == tuple(str(RootOfUnity(m, a)) for a in range(m))
+        assert len(set(names)) == m
+    assert root_names(12)[:4] == ("1", "z(12,1)", "z(6,1)", "z(4,1)")
+    assert root_names(12)[6] == "-1"
 
 
 @st.composite

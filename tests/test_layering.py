@@ -1,8 +1,10 @@
-"""The package decides with integers and roots of unity only: no module of
-`nichols` imports the exact cyclotomic field, the dense linear algebra, or
-the test-side modules that hold them as reference implementations, and
-none defines or uses the general Cartan-matrix reading (the congruence
-solver, the symmetrizer, the dense braiding table) that now lives there.
+"""The package decides with integers and roots of unity only, a root held
+as its integer exponent and printed by `exactfield.root_names` alone, with
+no class of roots beside it: no module of `nichols` imports the exact
+cyclotomic field, the dense linear algebra, or the test-side modules that
+hold them as reference implementations, and none defines or uses the
+general Cartan-matrix reading (the congruence solver, the symmetrizer, the
+dense braiding table) that now lives there.
 Characters are read at class labels only: `reps` imports nothing from
 `permgroup`, and no module defines or uses a transporter, a cycle-type
 class or a walk over the whole class, which live there too.  Nor does it
@@ -54,7 +56,9 @@ REMOVED_NAMES = frozenset(("candidate_subracks", "joint_spectrum",
                            "YoungSubgroup", "stabilizer", "orbit_size",
                            "conjugate", "_power", "_class_label",
                            "_subrack_plans", "dynkin_shape", "DynkinShape",
-                           "_EXCEPTIONAL", "_selector_indices"))
+                           "_EXCEPTIONAL", "_selector_indices",
+                           "RootOfUnity", "ROOT_ONE", "ROOT_MINUS_ONE",
+                           "_printed_root", "_roots"))
 FORBIDDEN_NAMES = frozenset(("Cyclotomic", "cartan_type", "symmetrizable",
                              "braiding_matrix", "transporter",
                              "_involution_transporter", "CycleType",

@@ -5,14 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nichols.exactfield import ROOT_ONE, rational_trace, totient
+from nichols.exactfield import rational_trace, root_names, totient
 from nichols.braidspace import powers_subrack
 from nichols.permgroup import NormalForm, Permutation, UnmixedClass
 from nichols.reps import (RepSpec, enumerate_irreps, level_sizes,
                           parse_rep_spec, partition_degree, partitions_of,
                           pi_scalar, sn_character)
 
-from exactfield_oracle import MINUS_ONE, ONE, rational, root_value, zeta
+from exactfield_oracle import MINUS_ONE, ONE, ROOT_ONE, rational, zeta
 from exactla_oracle import Matrix
 from nichols.verdict import class_plan
 from oracles import (A, B, CatalogGapError, GammaCharacter, catalog_covers,
@@ -262,9 +262,9 @@ def test_pi_scalar_is_weight_power_of_root():
         spec = parse_rep_spec(
             k, n, "chi=(%s)" % ",".join(str(x) for x in u))
         cls = UnmixedClass(k, n)
-        assert root_value(pi_scalar(spec)) == zeta(k, sum(u) % k)
-        assert str(pi_scalar(spec)) == str(zeta(k, sum(u) % k))
-        assert dense_pi_scalar(resolve(spec), cls) == zeta(k, sum(u) % k)
+        assert pi_scalar(spec) == sum(u) % k
+        assert root_names(k)[pi_scalar(spec)] == str(zeta(k, sum(u) % k))
+        assert dense_pi_scalar(resolve(spec), cls) == zeta(k, pi_scalar(spec))
 
 
 def test_induced_rep_is_a_homomorphism():

@@ -14,7 +14,7 @@ import nichols.witness
 from nichols.braidspace import (AbelianSubrack, dynkin_diagram,
                                 quadruple_subrack, rotation_subrack,
                                 subrack_plan, triple_subrack)
-from nichols.exactfield import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity, totient
+from nichols.exactfield import totient
 from nichols.permgroup import Permutation, UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
 from nichols.verdict import (INFINITE, NEGATIVE, class_plan,
@@ -22,6 +22,7 @@ from nichols.verdict import (INFINITE, NEGATIVE, class_plan,
                              negativity_check, scalar_gate, verify_witness)
 from nichols.witness import _cartan_infinite, _positive_definite
 
+from exactfield_oracle import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
 from oracles import (REFERENCE_Q_SIX_CYCLE, CartanData, NotCartan,
                      _positive_definite as oracle_positive_definite,
                      cartan_type, cataloged, diagram_label, finite_catalog,
@@ -44,14 +45,19 @@ def _gcm(rows) -> CartanData:
 
 
 def test_scalar_gate():
-    assert scalar_gate(ROOT_MINUS_ONE, 2) is None
-    odd = scalar_gate(ROOT_MINUS_ONE, 3)
+    # the basepoint scalar as its exponent of zeta_k: -1 is k/2
+    assert scalar_gate(1, 2) is None
+    assert scalar_gate(2, 4) is None
+    odd = scalar_gate(1, 3)
     assert odd is not None and odd.outcome == INFINITE
     assert odd.rule == "scalar-gate"
     assert odd.witness["reason"] == "basepoint has odd order"
-    wrong = scalar_gate(ROOT_ONE, 2)
+    assert odd.witness["q_scalar"] == "z(3,1)"
+    wrong = scalar_gate(0, 2)
     assert wrong is not None and wrong.outcome == INFINITE
     assert wrong.witness["reason"] == "basepoint scalar is not -1"
+    assert wrong.witness["q_scalar"] == "1"
+    assert scalar_gate(1, 4).witness["q_scalar"] == "z(4,1)"
 
 
 def test_cartan_type_of_six_cycle_braiding():
@@ -205,7 +211,7 @@ def test_negativity_over_partner_classes_matches_the_walks():
                          (6, 3, negativity_walk)):
         cls = UnmixedClass(k, n)
         for spec in enumerate_irreps(k, n):
-            if not cataloged(spec) or pi_scalar(spec) != ROOT_MINUS_ONE:
+            if not cataloged(spec) or 2 * pi_scalar(spec) != k:
                 continue
             report = negativity_check(class_plan(k, n), spec.character())
             expected = oracle(cls, resolve(spec))
