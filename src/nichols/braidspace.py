@@ -312,13 +312,16 @@ def planned_spectrum(plan: SpectrumPlan, character: InducedCharacter) -> list:
 
 class SubrackPlan(NamedTuple):
     """The part of a diagonal subspace that does not depend on rho: the
-    subrack and its description (AbelianSubrack.describe, which every
-    witness on the subrack prints), its conjugation table, the distinct
-    entries in order of first appearance (row i, then column j), and the
-    plan of the group they make."""
+    subrack, its description (AbelianSubrack.describe) and the image lists
+    of its elements and of its transporters, which every witness on the
+    subrack prints, its conjugation table, the distinct entries in order
+    of first appearance (row i, then column j), and the plan of the group
+    they make."""
 
     subrack: AbelianSubrack
     description: dict
+    element_images: list
+    transporter_images: list
     table: tuple
     distinct: tuple
     spectrum: SpectrumPlan
@@ -337,8 +340,38 @@ def subrack_plan(subrack: AbelianSubrack) -> SubrackPlan:
     distinct = tuple(dict.fromkeys(p for row in table for p in row))
     if not all(a.commutes_with(b) for a, b in itertools.combinations(distinct, 2)):
         raise ValueError("conjugation table entries do not commute")
-    return SubrackPlan(subrack, subrack.describe(), table, distinct,
+    return SubrackPlan(subrack, subrack.describe(),
+                       [list(t.img) for t in subrack.elements],
+                       [list(g.img) for g in subrack.transporters],
+                       table, distinct,
                        spectrum_plan(subrack.cls, distinct, modulus))
+
+
+# a vertex (name, label) and an edge (name, name, label) of a DOT drawing
+_DOT_VERTEX = '  %s [label="%s"];'
+_DOT_EDGE = '  %s -- %s [label="%s"];'
+
+
+def connected_components(adjacent) -> tuple:
+    """The connected components of the graph on 0 .. len(adjacent) - 1 in
+    which adjacent[x] lists the neighbors of x, each a sorted tuple,
+    ordered by least vertex."""
+    seen = [False] * len(adjacent)
+    out = []
+    for start in range(len(adjacent)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        group = [start]
+        stack = [start]
+        while stack:
+            for y in adjacent[stack.pop()]:
+                if not seen[y]:
+                    seen[y] = True
+                    group.append(y)
+                    stack.append(y)
+        out.append(tuple(sorted(group)))
+    return tuple(out)
 
 
 class GeneralizedDynkinDiagram:
@@ -361,10 +394,10 @@ class GeneralizedDynkinDiagram:
     exponents for an edge, nonzero mod modulus); an
     edge of a node to itself joins its members pairwise, and no vertex is
     its own neighbor.  edges lists them as (x, y, label) with x <= y.  The
-    decision reads nodes only; vertices are drawn only by to_dot, and
-    rectangle gives the diagram of a few of them, each a node of its own.
-    The diagram holds labels only, no subrack: a witness names the subrack
-    of the plan that the diagram was built from."""
+    decision reads nodes only; vertices are drawn only by to_dot, and by
+    dot_template for the few that a witness prints.  The diagram holds
+    labels only, no subrack: a witness names the subrack of the plan that
+    the diagram was built from."""
 
     __slots__ = ("modulus", "columns", "offsets", "labels", "nodes", "edges",
                  "_adjacent")
@@ -420,40 +453,7 @@ class GeneralizedDynkinDiagram:
         least node.  The members of a node lie in one component, save that
         a node with no edge at all is one entry here and, when it has
         several members, stands for one component per member."""
-        seen = [False] * len(self.nodes)
-        out = []
-        for start in range(len(self.nodes)):
-            if seen[start]:
-                continue
-            seen[start] = True
-            group = [start]
-            stack = [start]
-            while stack:
-                for y in self._adjacent[stack.pop()]:
-                    if not seen[y]:
-                        seen[y] = True
-                        group.append(y)
-                        stack.append(y)
-            out.append(tuple(sorted(group)))
-        return tuple(out)
-
-    def rectangle(self, columns, indices,
-                  offsets=None) -> "GeneralizedDynkinDiagram":
-        """The diagram on the vertices (j, s) with j in columns and s in
-        indices, both increasing, each vertex a node of its own.  Given
-        offsets, the first index of each run in a numbering whose runs have
-        at least as many members, each index s of run t is renamed
-        offsets[t] + s - self.offsets[t]: a diagram on capped runs draws
-        the vertices of the full one (nichols.verdict._witness)."""
-        places = [bisect_right(self.columns, j) - 1 for j in columns]
-        runs = [bisect_right(self.offsets, s) - 1 for s in indices]
-        if offsets is not None:
-            indices = [offsets[t] + s - self.offsets[t]
-                       for s, t in zip(indices, runs)]
-        return GeneralizedDynkinDiagram(
-            self.modulus, columns, [(s, 1) for s in indices],
-            tuple(tuple(tuple(self.labels[a][b][t] for t in runs)
-                        for b in places) for a in places))
+        return connected_components(self._adjacent)
 
     def to_dot(self) -> str:
         """The diagram on its vertices, named t<j>.v<s>, in vertex order,
@@ -464,15 +464,38 @@ class GeneralizedDynkinDiagram:
         lines = ["graph diagram {"]
         for x, members in enumerate(names):
             label = roots[self.q(x, x)]
-            lines += ['  %s [label="%s"];' % (v, label) for v in members]
+            lines += [_DOT_VERTEX % (v, label) for v in members]
         for x, members in enumerate(names):
             later = sorted(y for y in self._adjacent[x] if y >= x)
             for t, u in enumerate(members):
                 for y in later:
                     w = roots[self._adjacent[x][y]]
-                    lines += ['  %s -- %s [label="%s"];' % (u, v, w)
+                    lines += [_DOT_EDGE % (u, v, w)
                               for v in (members[t + 1:] if y == x else names[y])]
         lines.append("}")
+        return "\n".join(lines)
+
+    def dot_template(self, columns, indices) -> str:
+        """The DOT text of the subdiagram on the vertices (j, s) with j in
+        columns and s in indices, both increasing, drawn as to_dot draws a
+        diagram, as a str.format template: the index in each vertex name
+        is the slot {i} of indices[i], and the braces of the graph are
+        doubled.  Labels are read per run, so the text with other indices
+        filled in draws the same vertices of any diagram with these runs
+        and more members in them (nichols.verdict fills in a row's own)."""
+        nodes = [self.node((j, s)) for j in columns for s in indices]
+        names = ["t%d.v{%d}" % (j, i)
+                 for j in columns for i in range(len(indices))]
+        roots = root_names(self.modulus)
+        lines = ["graph diagram {{"]
+        lines += [_DOT_VERTEX % (name, roots[self.q(x, x)])
+                  for name, x in zip(names, nodes)]
+        for a, x in enumerate(nodes):
+            # twins are adjacent when their node is adjacent to itself
+            near = self._adjacent[x]
+            lines += [_DOT_EDGE % (names[a], names[b], roots[near[nodes[b]]])
+                      for b in range(a + 1, len(nodes)) if nodes[b] in near]
+        lines.append("}}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:

@@ -13,23 +13,29 @@ optional "-".
 
 Exit codes: 0 for a decided outcome, 64 for usage errors, 70 for internal
 invariant violations: table/oracle disagreement, or a representation that
-no rule decides.
+no rule decides; 74 when stdout is closed before the report is written
+(a table piped to head), with nothing printed on stderr.
 Timing goes to stderr so stdout stays byte-identical between runs.
 A JSON report is byte-identical to json.dumps(report, sort_keys=True,
 indent=2).  `classify` encodes its report in one pass that writes each
-dict object once (_dumps).  `table` streams its report: the keys of the
-report and of a row are fixed, so the report's head and tail are fixed
-text and each row is written, as soon as it is decided, through one format
-string, its flags and witness through _dumps with one memo for the report.
-Rows that share a verdict (those whose characters restrict alike, and the
-scalar-gate rows of one basepoint scalar) share one witness dict, which is
-encoded once.  With --jobs N each worker encodes its rows, with one memo
-per chunk of rows it is sent, and the parent writes the text in order.
+dict object, and each list object that is a dict's value, once (_dumps).
+`table` streams its report: the keys of the report and of a row are
+fixed, so the report's head and tail are fixed text and each row is
+written, as soon as it is decided, through one format string, its flags
+and witness through _dumps with one memo for the report.  Rows that share
+a verdict (those whose characters restrict alike, and the scalar-gate
+rows of one basepoint scalar) share one witness dict, which is encoded
+once, and the witnesses of one capped pattern share every field but
+their vertices and DOT text, so the subrack's image lists, the q_matrix
+and the other field lists are encoded once per report.  With --jobs N
+each worker encodes its rows, with one memo per chunk of rows it is
+sent, and the parent writes the text in order.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from functools import partial
@@ -52,6 +58,7 @@ EMPTY_DOT = "graph diagram {\n}"
 EXIT_DECIDED = 0
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
+EXIT_IOERR = 74
 
 # witness fields too bulky for the text format; json carries everything
 TEXT_SKIP = frozenset((
@@ -68,26 +75,45 @@ _SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
 def _dumps(value, memo: dict, indent: str = "\n") -> str:
     """json.dumps(value, sort_keys=True, indent=2), byte for byte, for a
     value whose lines start with indent (a newline and the spaces of its
-    depth).  Each dict object is encoded once and kept in memo, keyed by
-    id() with the object held so that its id stays taken, together with the
-    indent it was encoded at.  A dict met again at another depth is
-    re-indented by replacing that indent with its own, which is safe
-    because an encoded string holds no raw newline.  A dict key that is not
-    a str raises TypeError (json.dumps would convert it)."""
+    depth).  Each dict object, and each list object that is the value of a
+    dict's key, is encoded once (_kept).  A dict key that is not a str
+    raises TypeError (json.dumps would convert it)."""
     scalar = _SCALARS.get(type(value))
     if scalar is not None:
         return scalar(value)
-    inner = indent + "  "
     if isinstance(value, dict):
-        hit = memo.get(id(value))
-        if hit is None:
-            items = [encode_basestring_ascii(key) + ": " + _dumps(value[key], memo, inner)
-                     for key in sorted(value)]
-            hit = memo[id(value)] = (value, indent, _block("{", items, "}", indent))
-        return hit[2] if hit[1] == indent else hit[2].replace(hit[1], indent)
+        return _kept(value, memo, indent)
     if isinstance(value, (list, tuple)):
-        return _block("[", [_dumps(item, memo, inner) for item in value], "]", indent)
+        inner = indent + "  "
+        return _block("[", [_dumps(item, memo, inner) for item in value], "]",
+                      indent)
     return json.dumps(value)
+
+
+def _kept(value, memo: dict, indent: str) -> str:
+    """The text of a dict, or of a list that is a dict's value, encoded
+    once and kept in memo, keyed by id() with the object held so that its
+    id stays taken, together with the indent it was encoded at.  An object
+    met again at another depth is re-indented by replacing that indent
+    with its own, which is safe because an encoded string holds no raw
+    newline.  A list elsewhere, such as a row's own flags, is not kept, so
+    the memo does not grow with the rows."""
+    hit = memo.get(id(value))
+    if hit is None:
+        inner = indent + "  "
+        if isinstance(value, dict):
+            items = []
+            for key in sorted(value):
+                item = value[key]
+                items.append(encode_basestring_ascii(key) + ": " + (
+                    _kept(item, memo, inner) if type(item) is list
+                    else _dumps(item, memo, inner)))
+            text = _block("{", items, "}", indent)
+        else:
+            text = _block("[", [_dumps(item, memo, inner) for item in value],
+                          "]", indent)
+        hit = memo[id(value)] = (value, indent, text)
+    return hit[2] if hit[1] == indent else hit[2].replace(hit[1], indent)
 
 
 def _block(opening: str, items: list, closing: str, indent: str) -> str:
@@ -424,6 +450,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("%s: error: %s" % (PROG, exc), file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # stdout was closed, as when the table is piped to head: what is
+        # left in its buffer goes to the null device, so that the flush at
+        # exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IOERR
     except InternalError as exc:
         print("%s: internal error: %s" % (PROG, exc), file=sys.stderr)
         return EXIT_INTERNAL

@@ -42,8 +42,9 @@ from typing import NamedTuple, Optional
 
 from . import braidspace
 from .braidspace import (GeneralizedDynkinDiagram, SubrackPlan,
-                         quadruple_subrack, rotation_subrack, spectrum_diagram,
-                         subrack_plan, triple_subrack)
+                         connected_components, quadruple_subrack,
+                         rotation_subrack, spectrum_diagram, subrack_plan,
+                         triple_subrack)
 from .exactfield import rational_trace, root_names, totient
 from .permgroup import PartnerClass, UnmixedClass
 from .reps import InducedCharacter, pi_scalar, resolve_spec
@@ -56,8 +57,9 @@ class Verdict(NamedTuple):
     """An outcome, the rule that decided it and its witness.  Rows of one
     class whose characters restrict alike to the group of a subrack that
     fires share one verdict, witness included (ClassPlan.subspace_rules),
-    and rows of one capped pattern share the fields of its rule, so a
-    caller must treat the witness as read-only."""
+    and rows of one capped pattern share every witness field but the
+    vertices and the DOT text (_Template), so a caller must treat the
+    witness as read-only."""
 
     outcome: str
     rule: str
@@ -243,10 +245,15 @@ class ClassPlan:
     what the rules read off each capped pattern: the subrack and the
     multiplicity of each psi that occurs, capped at 3 (_subspace_rules,
     which says why the cap is exact).  The rules run once per pattern, on
-    a diagram of at most three members per node, and each row that misses
-    the first memo draws its own witness from that reading; no row builds
-    its full diagram.  Rows of many restrictions share few patterns: 5 of
-    the 13 restrictions at (2,6) and of the 102 at (2,10)."""
+    a diagram of at most three members per node, and the memo keeps the
+    witness template of their reading (_template): every witness field
+    but the vertices and the DOT text, as objects that all rows of the
+    pattern share, the subrack's image lists among them, which its plan
+    builds once, and the DOT text with one slot per eigenvector index.  A
+    row that misses the first memo fills in only its own indices; no row
+    builds its full diagram, or draws one.  Rows of many restrictions
+    share few patterns: 5 of the 13 restrictions at (2,6) and of the 102
+    at (2,10)."""
 
     __slots__ = ("cls", "_plans", "_unplanned", "_partners", "_rules",
                  "_patterns")
@@ -399,36 +406,68 @@ def _shortest_cycle(near: dict) -> Optional[tuple]:
     return None if best is None else best[1]
 
 
-def _witness(plan: SubrackPlan, spectrum: list,
-             diagram: GeneralizedDynkinDiagram, rule: str, firing: tuple,
-             detail: dict, cycle_order: tuple) -> Verdict:
-    # expand the firing vertex set to (its columns) x (its eigenvector
-    # indices): the smallest rectangle that makes the witness
-    # self-contained.  The diagram may be capped, so the rectangle names
-    # its indices by the runs of the row's spectrum
+class _Template(NamedTuple):
+    """The witness of a capped pattern, made once per pattern (_template):
+    its rule, every field but the vertices and the DOT text, which all rows
+    of the pattern share (fields), the columns of its vertices, the run of
+    each of its eigenvector indices with the index's rank in the run
+    (runs), and the DOT text with one slot per index (dot)."""
+
+    rule: str
+    fields: dict
+    columns: tuple
+    runs: tuple
+    dot: str
+
+    def verdict(self, spectrum: list) -> Verdict:
+        """The verdict of a row whose spectrum has this pattern: the index
+        of rank r in run t is the row's offset of run t plus r, and these
+        indices name its vertices and fill the slots of the DOT text."""
+        offsets = list(itertools.accumulate(
+            (mult for _, mult in spectrum), initial=0))
+        indices = [offsets[t] + rank for t, rank in self.runs]
+        witness = dict(self.fields)
+        witness["vertices"] = [[j, s] for j in self.columns for s in indices]
+        witness["diagram_dot"] = self.dot.format(*indices)
+        return Verdict(INFINITE, self.rule, witness)
+
+
+def _template(plan: SubrackPlan, diagram: GeneralizedDynkinDiagram,
+              rule: str, firing: tuple, detail: dict,
+              cycle_order: tuple) -> _Template:
+    """The witness template of the rule that fired on a capped pattern's
+    diagram, on the rectangle (the firing set's columns) x (its
+    eigenvector indices), the smallest vertex set that makes the witness
+    self-contained.  Its values, edges and components are read per run,
+    so every row of the pattern has them; only the names of the indices
+    differ from row to row (_Template.verdict)."""
     cols = sorted({j for j, _ in firing})
     vecs = sorted({s for _, s in firing})
-    position = {v: i for i, v in
-                enumerate((j, s) for j in cols for s in vecs)}
-    expanded = diagram.rectangle(cols, vecs, tuple(itertools.accumulate(
-        (mult for _, mult in spectrum), initial=0)))
-    size = len(position)
+    vertices = [(j, s) for j in cols for s in vecs]
+    position = {v: i for i, v in enumerate(vertices)}
+    nodes = [diagram.node(v) for v in vertices]
     names = root_names(diagram.modulus)
-    witness = {
+    # twins are adjacent when their node is adjacent to itself
+    near = [[b for b, y in enumerate(nodes)
+             if b != a and y in diagram.adjacent(x)]
+            for a, x in enumerate(nodes)]
+    fields = {
         "subrack": plan.description,
-        "element_images": [list(t.img) for t in plan.subrack.elements],
-        "transporter_images": [list(g.img) for g in plan.subrack.transporters],
-        "vertices": [[j, s] for j in cols for s in expanded.offsets],
-        "q_matrix": [[names[expanded.q(x, y)] for y in range(size)]
-                     for x in range(size)],
-        "diagram_dot": expanded.to_dot(),
-        "components": [list(c) for c in expanded.components()],
+        "element_images": plan.element_images,
+        "transporter_images": plan.transporter_images,
+        "q_matrix": [[names[diagram.q(x, y)] for y in nodes] for x in nodes],
+        "components": [list(c) for c in connected_components(near)],
         "firing": sorted(position[v] for v in firing),
+        **detail,
     }
     if cycle_order:
-        witness["cycle"] = [position[v] for v in cycle_order]
-    witness.update(detail)
-    return Verdict(INFINITE, rule, witness)
+        fields["cycle"] = [position[v] for v in cycle_order]
+    runs = []
+    for s, x in zip(vecs, nodes):     # the vertices of the first column
+        t = x % len(diagram.offsets)
+        runs.append((t, s - diagram.offsets[t]))
+    return _Template(rule, fields, tuple(cols), tuple(runs),
+                     diagram.dot_template(cols, vecs))
 
 
 def _subspace_rules(plan: SubrackPlan, character: InducedCharacter,
@@ -436,13 +475,14 @@ def _subspace_rules(plan: SubrackPlan, character: InducedCharacter,
     """The verdict of the subspace rules on the subrack plan for rho, or
     None, with the rules run once per capped pattern of the joint
     spectrum: the pattern of a spectrum is its (exps, min(mult, 3)) pairs,
-    and patterns maps (subrack, pattern) to what the rules read off the
-    diagram of the pattern (_read_rules), or None, with that diagram.
+    and patterns maps (subrack, pattern) to the witness template of what
+    the rules read off the diagram of the pattern (_read_rules,
+    _template), or None.
 
     Each row moves that reading onto its own spectrum: within run t the
     pattern's index s is the row's offset_t + s - (the pattern's
-    offset_t), and the witness rectangle is drawn from the pattern's
-    diagram under those names.  The outcome is the one the rules give on
+    offset_t), and these names fill in the template's vertices and DOT
+    text (_Template.verdict).  The outcome is the one the rules give on
     the full diagram:
     - the pattern's diagram has the nodes and labels of the full one, on
       the first min(mult, 3) members of each node, so a node joins its own
@@ -455,18 +495,19 @@ def _subspace_rules(plan: SubrackPlan, character: InducedCharacter,
     - cycle_rule and _minimal_infinite_set read only the first two
       members of each node, and the index map is increasing, within runs
       and across them, so it keeps the order of every tie-break;
-    - a rectangle reads labels per run, so the witness's values are the
-      same, and its positions keep their order under the map."""
+    - the witness's rectangle reads labels per run, so its values, edges
+      and components are the same, and its positions keep their order
+      under the map."""
     spectrum = braidspace.planned_spectrum(plan.spectrum, character)
     key = (plan.subrack,
            tuple((exps, min(mult, 3)) for exps, mult in spectrum))
     if key not in patterns:
         diagram = spectrum_diagram(plan, key[1])
         reading = _read_rules(diagram)
-        patterns[key] = None if reading is None else (diagram,) + reading
-    if patterns[key] is None:
-        return None
-    return _witness(plan, spectrum, *patterns[key])
+        patterns[key] = (None if reading is None
+                         else _template(plan, diagram, *reading))
+    template = patterns[key]
+    return None if template is None else template.verdict(spectrum)
 
 
 def _read_rules(diagram: GeneralizedDynkinDiagram) -> Optional[tuple]:

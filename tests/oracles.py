@@ -18,7 +18,9 @@ listing every triangle and running one unbounded BFS per edge where the
 package runs one plain search on at most two twins per node, the
 Dynkin diagram is built one vertex pair at a time, and searched for
 alternating 4-cycles vertex by vertex, where the package labels one pair
-of nodes at a time and searches two members per node, and the group of a
+of nodes at a time and searches two members per node, a witness is drawn
+row by row from the diagram on its own rectangle of vertices, where the
+package fills in one template per capped pattern, and the group of a
 subrack's table entries is closed on permutations of the k*n points, each
 element taken to normal form for its label, where the package closes it
 on the normal forms of its generators.  The command line is read by
@@ -32,6 +34,7 @@ import itertools
 import random
 import sys
 import re
+from bisect import bisect_right
 from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
@@ -40,13 +43,14 @@ from typing import NamedTuple, Optional, Union
 
 import networkx as nx
 
-from nichols.braidspace import SpectrumPlan, triple_subrack
+from nichols.braidspace import (GeneralizedDynkinDiagram, SpectrumPlan,
+                                triple_subrack)
 from nichols.cli import SELECTORS
-from nichols.exactfield import _ramanujan_sums
+from nichols.exactfield import _ramanujan_sums, root_names
 from nichols.permgroup import NormalForm, Permutation
 from nichols.reps import (RepSpec, _label_to_partition, partitions_of,
                           sn_character)
-from nichols.verdict import NegativityReport, class_plan
+from nichols.verdict import INFINITE, NegativityReport, Verdict, class_plan
 
 from exactfield_oracle import (MINUS_ONE, ONE, ROOT_MINUS_ONE, ROOT_ONE, ZERO,
                                Cyclotomic, RootOfUnity, zeta)
@@ -1084,6 +1088,58 @@ def vertex_space(diagram) -> VertexSpace:
     """Every vertex of a node diagram, in vertex order."""
     return VertexSpace(diagram, [(j, s) for j, indices in diagram.nodes
                                  for s in indices])
+
+
+def rectangle(diagram, columns, indices,
+              offsets=None) -> GeneralizedDynkinDiagram:
+    """The node diagram on the vertices (j, s) of a node diagram with j in
+    columns and s in indices, both increasing, each vertex a node of its
+    own.  Given offsets, the first index of each run in a numbering whose
+    runs have at least as many members, each index s of run t is renamed
+    offsets[t] + s - diagram.offsets[t]: a diagram on capped runs draws
+    the vertices of the full one."""
+    places = [bisect_right(diagram.columns, j) - 1 for j in columns]
+    runs = [bisect_right(diagram.offsets, s) - 1 for s in indices]
+    if offsets is not None:
+        indices = [offsets[t] + s - diagram.offsets[t]
+                   for s, t in zip(indices, runs)]
+    return GeneralizedDynkinDiagram(
+        diagram.modulus, columns, [(s, 1) for s in indices],
+        tuple(tuple(tuple(diagram.labels[a][b][t] for t in runs)
+                    for b in places) for a in places))
+
+
+def rectangle_witness(plan, spectrum, diagram, rule, firing, detail,
+                      cycle_order) -> Verdict:
+    """The verdict of a reading of the subspace rules (rule, firing
+    vertices, witness fields, cycle order) on a diagram of the joint
+    spectrum, which may be capped, drawn afresh from the diagram on the
+    rectangle (the firing set's columns) x (its indices), its indices
+    renamed by the runs of the spectrum, where the package fills in a
+    template made once per capped pattern."""
+    cols = sorted({j for j, _ in firing})
+    vecs = sorted({s for _, s in firing})
+    position = {v: i for i, v in
+                enumerate((j, s) for j in cols for s in vecs)}
+    expanded = rectangle(diagram, cols, vecs, tuple(itertools.accumulate(
+        (mult for _, mult in spectrum), initial=0)))
+    size = len(position)
+    names = root_names(diagram.modulus)
+    witness = {
+        "subrack": plan.description,
+        "element_images": [list(t.img) for t in plan.subrack.elements],
+        "transporter_images": [list(g.img) for g in plan.subrack.transporters],
+        "vertices": [[j, s] for j in cols for s in expanded.offsets],
+        "q_matrix": [[names[expanded.q(x, y)] for y in range(size)]
+                     for x in range(size)],
+        "diagram_dot": expanded.to_dot(),
+        "components": [list(c) for c in expanded.components()],
+        "firing": sorted(position[v] for v in firing),
+    }
+    if cycle_order:
+        witness["cycle"] = [position[v] for v in cycle_order]
+    witness.update(detail)
+    return Verdict(INFINITE, rule, witness)
 
 
 class VertexDiagram:

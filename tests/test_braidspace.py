@@ -21,7 +21,8 @@ from oracles import (REFERENCE_Q_ROTATION_EDGELESS, REFERENCE_Q_SIX_CYCLE, A,
                      B, cataloged, centralizer_elements, character_value,
                      conjugate, degree_sequence, dense_columns, in_centralizer,
                      is_identity, label_root, q_matches_up_to_permutation,
-                     resolve, transporter, tried_subracks, vertex_space)
+                     rectangle, resolve, transporter, tried_subracks,
+                     vertex_space)
 
 
 def _q_strings(diagram):
@@ -192,7 +193,7 @@ def test_triple_braiding_matches_reference_six_cycle():
     assert all(str(label_root(diagram, diagram.q(x, x))) == "-1"
                for x in range(len(diagram.nodes)))
     # every vertex a node of its own
-    vertices = diagram.rectangle(range(3), range(2))
+    vertices = rectangle(diagram, range(3), range(2))
     assert len(vertex_space(vertices).vertices) == 6
     assert vertices.components() == (tuple(range(6)),)
     assert len(vertices.edges) == 6
@@ -224,7 +225,7 @@ def test_restrict_vectors_keeps_column_structure():
     cls = UnmixedClass(2, 3)
     chi = parse_rep_spec(2, 3, "chi=(1,1,1);mu=standard").character()
     diagram = dynkin_diagram(subrack_plan(triple_subrack(cls, 1)), chi)
-    small = diagram.rectangle(range(3), (0,))
+    small = rectangle(diagram, range(3), (0,))
     assert small.nodes == tuple((j, range(0, 1)) for j in range(3))
     part, whole = vertex_space(small), vertex_space(diagram)
     for a in part.vertices:
@@ -238,8 +239,8 @@ def test_dynkin_diagram_edges_only_where_product_differs_from_one():
     diagram = dynkin_diagram(subrack_plan(triple_subrack(cls, 2)), chi)
     space = vertex_space(diagram)
     verts = space.vertices
-    listed = {(a, b) for a, b, _ in diagram.rectangle(
-        range(3), range(chi.degree)).edges}
+    listed = {(a, b) for a, b, _ in rectangle(
+        diagram, range(3), range(chi.degree)).edges}
     for x in range(len(verts)):
         for y in range(x + 1, len(verts)):
             w = space.q(verts[x], verts[y]) * space.q(verts[y], verts[x])

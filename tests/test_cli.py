@@ -405,16 +405,18 @@ def _printed_report(monkeypatch, capsys, argv) -> dict:
     return reports[0]
 
 
-def _dict_ids(value, seen) -> set:
-    # the ids of the distinct dict objects reachable from value
+def _kept_ids(value, seen) -> set:
+    # the ids of the objects reachable from value that the encoder keeps:
+    # each distinct dict, and each distinct list that is a dict's value
     if isinstance(value, dict):
         if id(value) in seen:
             return seen
         seen.add(id(value))
+        seen.update(id(item) for item in value.values() if type(item) is list)
         value = list(value.values())
     if isinstance(value, (list, tuple)):
         for item in value:
-            _dict_ids(item, seen)
+            _kept_ids(item, seen)
     return seen
 
 
@@ -448,7 +450,10 @@ def test_table_rows_encode_each_witness_once(k, n, monkeypatch):
     for spec in specs:
         cli._printed_row(memo, True, spec)
     witnesses = [row["witness"] for row in rows.values()]
-    assert len(memo) == len(_dict_ids(witnesses, set())) < len(witnesses)
+    assert len({id(witness) for witness in witnesses}) < len(witnesses)
+    # and the lists of the witness fields, each once, however many
+    # witnesses share it; no row's own flags
+    assert len(memo) == len(_kept_ids(witnesses, set()))
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -522,15 +527,19 @@ JSON_SCALARS = (JSON_TEXT | st.integers() | st.integers(-2 ** 200, 2 ** 200)
 
 @st.composite
 def json_values(draw):
-    # random nested values in which one sub-dict is placed several times
+    # random nested values in which one sub-dict and one list are placed
+    # several times, the list at several depths as a dict's value (which
+    # the encoder keeps) and as an item of a list (which it does not)
     shared = draw(st.dictionaries(JSON_TEXT, JSON_SCALARS, max_size=3))
+    listed = draw(st.lists(JSON_SCALARS | st.just(shared), max_size=3))
     value = draw(st.recursive(
-        JSON_SCALARS | st.just(shared),
+        JSON_SCALARS | st.just(shared) | st.just(listed),
         lambda inner: (st.lists(inner, max_size=4)
                        | st.lists(inner, max_size=4).map(tuple)
                        | st.dictionaries(JSON_TEXT, inner, max_size=4)),
         max_leaves=20))
-    return [value, shared, {"again": shared}]
+    return [value, shared, {"again": shared, "list": listed}, listed,
+            {"deeper": {"list": listed}}]
 
 
 @settings(max_examples=200, deadline=None)
@@ -539,7 +548,7 @@ def test_the_encoder_is_json_dumps(value):
     memo = {}
     assert cli._dumps(value, memo) == json.dumps(value, sort_keys=True,
                                                  indent=2)
-    assert len(memo) == len(_dict_ids(value, set()))
+    assert len(memo) == len(_kept_ids(value, set()))
 
 
 @pytest.mark.parametrize("value", [
@@ -556,8 +565,9 @@ def test_the_encoder_keeps_one_entry_per_dict_object():
     memo = {}
     assert cli._dumps(report, memo) == json.dumps(report, sort_keys=True,
                                                   indent=2)
-    # the report, its 500 rows and the one witness they share
-    assert len(memo) == 502
+    # the report, its list of rows, its 500 rows, the one witness they
+    # share and the witness's firing list
+    assert len(memo) == 504
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -599,6 +609,20 @@ def test_table_streams_in_bounded_memory():
         stderr=subprocess.PIPE, text=True, env=child_env())
     assert result.returncode == 0, result.stderr
     assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 200 * 1024
+
+
+def test_a_closed_stdout_exits_74_with_nothing_on_stderr():
+    # the reader goes away after a few bytes, as head -c 100 does; the
+    # report is far larger than the pipe holds, so the writer meets the
+    # closed pipe, and neither main nor the flush at exit prints anything
+    child = subprocess.Popen(
+        [sys.executable, "-m", "nichols.cli", "table", "--k", "2", "--n", "8",
+         "--format", "json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=child_env())
+    assert child.stdout.read(100).startswith(b'{\n  "command": "table"')
+    child.stdout.close()
+    assert child.stderr.read() == b""
+    assert child.wait() == 74
 
 
 def test_diagram_default_shows_witness():

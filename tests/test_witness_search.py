@@ -25,15 +25,17 @@ from nichols.permgroup import Permutation, UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
 from nichols.verdict import (_candidates, _minimal_infinite_set, _near,
                              _read_rules, _shortest_cycle, _subspace_rules,
-                             _witness, cartan_finite, class_plan, cycle_rule,
-                             scalar_gate)
+                             _template, cartan_finite, class_plan, cycle_rule,
+                             decide, scalar_gate)
 from nichols.witness import _cartan_infinite
 
 import oracles
+from test_golden import DIGESTS
 from oracles import (CartanData, braiding_matrix, cartan_type, diagram_label,
                      dynkin_diagram_by_pairs, finite_type, finite_type_lookup,
-                     label_root, minimal_infinite_set, shortest_cycle,
-                     tried_subracks, vertex_space)
+                     label_root, minimal_infinite_set, rectangle,
+                     rectangle_witness, shortest_cycle, tried_subracks,
+                     vertex_space)
 
 
 def _count(diagram, nodes):
@@ -201,7 +203,7 @@ def _reading_or_raise(diagram, count):
 def _expanded(diagram):
     # the same diagram with every vertex a node of its own
     indices = sorted({s for _, run in diagram.nodes for s in run})
-    return diagram.rectangle(diagram.columns, indices)
+    return rectangle(diagram, diagram.columns, indices)
 
 
 def _assert_same_diagram(diagram, space):
@@ -275,7 +277,7 @@ def test_twin_blocks_read_as_the_pairwise_diagram():
                                     rng.randint(1, len(diagram.columns))))
         degree = space.size // len(diagram.columns)
         indices = sorted(rng.sample(range(degree), rng.randint(1, degree)))
-        _assert_same_diagram(diagram.rectangle(columns, indices),
+        _assert_same_diagram(rectangle(diagram, columns, indices),
                              space.restrict((j, s) for j in columns
                                             for s in indices))
     assert merged > 0
@@ -657,8 +659,8 @@ def test_the_rules_read_a_capped_pattern_as_the_full_spectrum():
                 assert (rule, _moved(firing, capped, full), detail,
                         _moved(order, capped, full)) == want, (
                     k, subrack.kind, mults)
-                assert (_witness(plan, spectrum, capped, *got)
-                        == _witness(plan, spectrum, full, *want))
+                assert (_template(plan, capped, *got).verdict(spectrum)
+                        == rectangle_witness(plan, spectrum, full, *want))
     # 6^4 - 1 patterns on the triple, 6^2 - 1 on a quadruple with two such
     # characters and 6^3 - 1 on the k = 6 rotation quadruple, which has
     # three; the undecided ones go on to the negativity check
@@ -687,6 +689,51 @@ def test_the_rules_read_a_capped_pattern_as_the_full_spectrum():
         (4, "quadruple-swap"): either,
         (6, "quadruple-rotation"): _alone(3, 1),
         (6, "quadruple-swap"): either}
+
+
+def test_every_pattern_a_golden_row_meets_is_decided_or_of_degree_one():
+    # the tier-1 golden grid: on the last candidate subrack, which sends a
+    # row that it does not decide on to the negativity check, every
+    # capped pattern met fires a rule or has total multiplicity 1 (a
+    # degree-1 row).  The rotation quadruple, tried first at even k >= 4,
+    # leaves a few patterns of one psi undecided, which the swap
+    # quadruple then decides.  Every witness that the rules give shares
+    # all of its fields with the template of its pattern, save its
+    # vertices and its DOT text
+    passed = {}
+    rows = varied = 0
+    for k, n in sorted(DIGESTS):
+        witnesses = [decide(k, n, spec).witness
+                     for spec in enumerate_irreps(k, n)]
+        plans = class_plan(k, n)
+        last = [plan.subrack for plan in plans.plans()][-1:]
+        templates = {}
+        for (subrack, pattern), template in plans._patterns.items():
+            if template is not None:
+                templates[id(template.fields["q_matrix"])] = template
+            elif sum(m for _, m in pattern) > 1:
+                assert [subrack] != last, (k, n, pattern)
+                passed.setdefault(subrack.kind, set()).add(pattern)
+        drawn = {}
+        for witness in witnesses:
+            if "q_matrix" not in witness:
+                continue
+            rows += 1
+            template = templates[id(witness["q_matrix"])]
+            assert witness.keys() == template.fields.keys() | {
+                "vertices", "diagram_dot"}
+            assert all(witness[key] is value
+                       for key, value in template.fields.items())
+            drawn.setdefault(id(template), set()).add(witness["diagram_dot"])
+        varied += sum(len(dots) > 1 for dots in drawn.values())
+    # one psi of multiplicity 2 or more at k = 4, 6, 8 and 10
+    assert passed == {"quadruple-rotation": {
+        (((2, 2, 0, 0), 3),), (((2, 2, 2, 2), 2),), (((2, 2, 2, 2), 3),),
+        (((3, 3, 3, 3), 2),), (((3, 3, 3, 3), 3),), (((4, 4, 0, 0), 3),),
+        (((4, 4, 4, 4), 2),), (((4, 4, 4, 4), 3),), (((5, 5, 5, 5), 2),),
+        (((5, 5, 5, 5), 3),)}}
+    # witnesses drawn from a template, and templates drawn more than one way
+    assert (rows, varied) == (4893, 68)
 
 
 @st.composite
