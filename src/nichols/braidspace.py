@@ -347,11 +347,6 @@ def subrack_plan(subrack: AbelianSubrack) -> SubrackPlan:
                        spectrum_plan(subrack.cls, distinct, modulus))
 
 
-# a vertex (name, label) and an edge (name, name, label) of a DOT drawing
-_DOT_VERTEX = '  %s [label="%s"];'
-_DOT_EDGE = '  %s -- %s [label="%s"];'
-
-
 def connected_components(adjacent) -> tuple:
     """The connected components of the graph on 0 .. len(adjacent) - 1 in
     which adjacent[x] lists the neighbors of x, each a sorted tuple,
@@ -395,9 +390,10 @@ class GeneralizedDynkinDiagram:
     edge of a node to itself joins its members pairwise, and no vertex is
     its own neighbor.  edges lists them as (x, y, label) with x <= y.  The
     decision reads nodes only; vertices are drawn only by to_dot, and by
-    dot_template for the few that a witness prints.  The diagram holds
-    labels only, no subrack: a witness names the subrack of the plan that
-    the diagram was built from."""
+    dot_template for the few that a witness prints, both through one
+    drawer that walks a rectangle of vertices node by node.  The diagram
+    holds labels only, no subrack: a witness names the subrack of the plan
+    that the diagram was built from."""
 
     __slots__ = ("modulus", "columns", "offsets", "labels", "nodes", "edges",
                  "_adjacent")
@@ -458,22 +454,8 @@ class GeneralizedDynkinDiagram:
     def to_dot(self) -> str:
         """The diagram on its vertices, named t<j>.v<s>, in vertex order,
         with every edge (u, v) for u before v, sorted."""
-        names = [["t%d.v%d" % (j, s) for s in indices]
-                 for j, indices in self.nodes]
-        roots = root_names(self.modulus)
-        lines = ["graph diagram {"]
-        for x, members in enumerate(names):
-            label = roots[self.q(x, x)]
-            lines += [_DOT_VERTEX % (v, label) for v in members]
-        for x, members in enumerate(names):
-            later = sorted(y for y in self._adjacent[x] if y >= x)
-            for t, u in enumerate(members):
-                for y in later:
-                    w = roots[self._adjacent[x][y]]
-                    lines += [_DOT_EDGE % (u, v, w)
-                              for v in (members[t + 1:] if y == x else names[y])]
-        lines.append("}")
-        return "\n".join(lines)
+        indices = [s for _, run in self.nodes[:len(self.offsets)] for s in run]
+        return self._draw(self.columns, indices, indices, "{", "}")
 
     def dot_template(self, columns, indices) -> str:
         """The DOT text of the subdiagram on the vertices (j, s) with j in
@@ -483,19 +465,36 @@ class GeneralizedDynkinDiagram:
         doubled.  Labels are read per run, so the text with other indices
         filled in draws the same vertices of any diagram with these runs
         and more members in them (nichols.verdict fills in a row's own)."""
-        nodes = [self.node((j, s)) for j in columns for s in indices]
-        names = ["t%d.v{%d}" % (j, i)
-                 for j in columns for i in range(len(indices))]
+        slots = ["{%d}" % i for i in range(len(indices))]
+        return self._draw(columns, indices, slots, "{{", "}}")
+
+    def _draw(self, columns, indices, spelled, opening, closing) -> str:
+        # the rectangle of vertices (j, s), j in columns and s in indices,
+        # both increasing, with s written as spelled[i] for s = indices[i],
+        # walked node by node in node order: the vertices, then each
+        # member's edges to the later members of its node and of later nodes
+        runs = {}
+        for s, text in zip(indices, spelled):
+            runs.setdefault(bisect_right(self.offsets, s) - 1, []).append(text)
+        width = len(self.offsets)
+        names = {(bisect_right(self.columns, j) - 1) * width + t:
+                 ["t%d.v%s" % (j, text) for text in texts]
+                 for j in columns for t, texts in runs.items()}
         roots = root_names(self.modulus)
-        lines = ["graph diagram {{"]
-        lines += [_DOT_VERTEX % (name, roots[self.q(x, x)])
-                  for name, x in zip(names, nodes)]
-        for a, x in enumerate(nodes):
-            # twins are adjacent when their node is adjacent to itself
+        lines = ["graph diagram " + opening]
+        for x, members in names.items():
+            label = roots[self.q(x, x)]
+            lines += ['  %s [label="%s"];' % (v, label) for v in members]
+        for x, members in names.items():
             near = self._adjacent[x]
-            lines += [_DOT_EDGE % (names[a], names[b], roots[near[nodes[b]]])
-                      for b in range(a + 1, len(nodes)) if nodes[b] in near]
-        lines.append("}}")
+            later = [(y, roots[near[y]]) for y in sorted(near)
+                     if y >= x and y in names]
+            for t, u in enumerate(members):
+                for y, w in later:
+                    ends = members[t + 1:] if y == x else names[y]
+                    lines += ['  %s -- %s [label="%s"];' % (u, v, w)
+                              for v in ends]
+        lines.append(closing)
         return "\n".join(lines)
 
     def __repr__(self) -> str:

@@ -9,7 +9,7 @@ winning, and -h or --help prints the usage read from that table.  Option
 names are matched whole, so an abbreviation such as --form is refused, and
 the integers of --k, --n and --jobs, like those of a --subrack selector,
 are read as the representation grammar reads them: ASCII digits with an
-optional "-".
+optional "-".  A colon follows only a selector that takes integers.
 
 Exit codes: 0 for a decided outcome, 64 for usage errors, 70 for internal
 invariant violations: table/oracle disagreement, or a representation that
@@ -28,12 +28,15 @@ rows of one basepoint scalar) share one witness dict, which is encoded
 once, and the witnesses of one capped pattern share every field but
 their vertices and DOT text, so the subrack's image lists, the q_matrix
 and the other field lists are encoded once per report.  With --jobs N
-each worker encodes its rows, with one memo per chunk of rows it is
-sent, and the parent writes the text in order.
+each worker is handed the table once as it starts and is then sent
+parts of it as slices; it encodes the rows of each part with one memo,
+and the parent writes the text in order.  A closed stdout or a row that
+fails terminates the pool, dropping the parts still running or waiting.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import sys
@@ -72,46 +75,38 @@ _SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
             type(None): lambda value: "null"}
 
 
-def _dumps(value, memo: dict, indent: str = "\n") -> str:
+def _dumps(value, memo: dict, indent: str = "\n",
+           keep_list: bool = False) -> str:
     """json.dumps(value, sort_keys=True, indent=2), byte for byte, for a
     value whose lines start with indent (a newline and the spaces of its
     depth).  Each dict object, and each list object that is the value of a
-    dict's key, is encoded once (_kept).  A dict key that is not a str
-    raises TypeError (json.dumps would convert it)."""
+    dict's key (keep_list), is encoded once and kept in memo, keyed by id()
+    with the object held so that its id stays taken, together with the
+    indent it was encoded at.  An object met again at another depth is
+    re-indented by replacing that indent with its own, which is safe
+    because an encoded string holds no raw newline.  A list elsewhere,
+    such as a row's own flags, is not kept, so the memo does not grow with
+    the rows.  A dict key that is not a str raises TypeError (json.dumps
+    would convert it)."""
     scalar = _SCALARS.get(type(value))
     if scalar is not None:
         return scalar(value)
-    if isinstance(value, dict):
-        return _kept(value, memo, indent)
-    if isinstance(value, (list, tuple)):
-        inner = indent + "  "
-        return _block("[", [_dumps(item, memo, inner) for item in value], "]",
-                      indent)
-    return json.dumps(value)
-
-
-def _kept(value, memo: dict, indent: str) -> str:
-    """The text of a dict, or of a list that is a dict's value, encoded
-    once and kept in memo, keyed by id() with the object held so that its
-    id stays taken, together with the indent it was encoded at.  An object
-    met again at another depth is re-indented by replacing that indent
-    with its own, which is safe because an encoded string holds no raw
-    newline.  A list elsewhere, such as a row's own flags, is not kept, so
-    the memo does not grow with the rows."""
-    hit = memo.get(id(value))
+    is_dict = isinstance(value, dict)
+    if not is_dict and not isinstance(value, (list, tuple)):
+        return json.dumps(value)
+    kept = is_dict or (keep_list and type(value) is list)
+    hit = memo.get(id(value)) if kept else None
     if hit is None:
         inner = indent + "  "
-        if isinstance(value, dict):
-            items = []
-            for key in sorted(value):
-                item = value[key]
-                items.append(encode_basestring_ascii(key) + ": " + (
-                    _kept(item, memo, inner) if type(item) is list
-                    else _dumps(item, memo, inner)))
-            text = _block("{", items, "}", indent)
+        if is_dict:
+            text = _block("{", [encode_basestring_ascii(key) + ": "
+                                + _dumps(value[key], memo, inner, True)
+                                for key in sorted(value)], "}", indent)
         else:
             text = _block("[", [_dumps(item, memo, inner) for item in value],
                           "]", indent)
+        if not kept:
+            return text
         hit = memo[id(value)] = (value, indent, text)
     return hit[2] if hit[1] == indent else hit[2].replace(hit[1], indent)
 
@@ -193,9 +188,8 @@ def cmd_classify(args: SimpleNamespace) -> int:
     if args.format == "json":
         print(_dumps(report, {}))
     elif args.format == "dot":
-        dot = verdict.witness.get("diagram_dot", EMPTY_DOT)
-        print("// %s" % DOT_SCHEMA)
-        print(dot)
+        print("// %s\n%s" % (DOT_SCHEMA,
+                             verdict.witness.get("diagram_dot", EMPTY_DOT)))
     else:
         print("\n".join(_text_lines(report)))
     return EXIT_DECIDED
@@ -236,14 +230,6 @@ def _printed_row(memo: dict, as_json: bool, spec: RepSpec) -> tuple:
     return out, row["agree"] == "yes"
 
 
-def _format_table(cells: list) -> list:
-    widths = [max(len(r[c]) for r in cells) for c in range(len(TABLE_HEADS))]
-    lines = []
-    for r in cells:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
-    return lines
-
-
 def _write_table(args: SimpleNamespace, specs: list, printed) -> list:
     """Writes the printed rows in order, each JSON row as soon as it comes
     and the text table once its widths are known, and returns the labels
@@ -266,8 +252,24 @@ def _write_table(args: SimpleNamespace, specs: list, printed) -> list:
     if as_json:
         write(REPORT_TAIL)
     else:
-        print("\n".join(_format_table(cells)))
+        widths = [max(map(len, column)) for column in zip(*cells)]
+        print("\n".join("  ".join(map(str.ljust, line, widths)).rstrip()
+                        for line in cells))
     return broken
+
+
+# the irreps of the table that a worker process sweeps, set as it starts
+_specs: list = []
+
+
+def _share(specs: list) -> None:
+    global _specs
+    _specs = specs
+
+
+def _printed_part(printed, part: slice) -> list:
+    # run in a worker: the rows of one part of its table, printed
+    return list(map(printed, _specs[part]))
 
 
 def cmd_table(args: SimpleNamespace) -> int:
@@ -276,19 +278,25 @@ def cmd_table(args: SimpleNamespace) -> int:
         raise UsageError("--jobs must be at least 1")
     specs = enumerate_irreps(args.k, args.n)
     # one memo for the report in this process; a worker unpickles the
-    # function afresh, empty memo included, with each chunk it is sent
+    # function afresh, empty memo included, with each part it is sent
     printed = partial(_printed_row, {}, args.format == "json")
-    # a fork-based pool starts all of its workers at the first submit
+    # the pool starts all of its workers at once
     workers = min(args.jobs, len(specs))
     if workers > 1:
-        # imported here: the pool pulls in multiprocessing, which a
-        # one-process run does not need
-        from concurrent.futures import ProcessPoolExecutor
+        # imported here: a one-process run does not need multiprocessing
+        from multiprocessing import Pool
         # one row per task costs more in pickling than a row takes to
-        # decide; about four chunks per worker still share out uneven rows
+        # decide; about four parts per worker still share out uneven rows
         chunk = -(-len(specs) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            broken = _write_table(args, specs, pool.map(printed, specs, chunksize=chunk))
+        parts = [slice(i, i + chunk) for i in range(0, len(specs), chunk)]
+        # a worker gets its table once and then only slices of it, so each
+        # task is a few bytes: leaving the block terminates the pool, which
+        # drops the parts still running or waiting on a closed stdout or a
+        # failed row, and does not hang on a task too large for the pipe
+        with Pool(workers, _share, (specs,)) as pool:
+            rows = pool.imap(partial(_printed_part, printed), parts)
+            broken = _write_table(args, specs,
+                                  itertools.chain.from_iterable(rows))
     else:
         broken = _write_table(args, specs, map(printed, specs))
     if broken:
@@ -309,9 +317,9 @@ SELECTORS = {"canonical": ("canonical", None),
 
 
 def _build_subrack(cls: UnmixedClass, selector: str):
-    name, _, arg = selector.partition(":")
+    name, colon, arg = selector.partition(":")
     kind, shape = SELECTORS.get(name, (None, None))
-    if kind is None or (arg and shape is None):
+    if kind is None or (colon and shape is None):
         raise UsageError("unknown subrack selector %r" % selector)
     try:
         params = [_integer(tok) for tok in arg.split(",")] if shape else []
@@ -342,8 +350,7 @@ def cmd_diagram(args: SimpleNamespace) -> int:
             # no witness diagram: show the first candidate subrack, if any
             plan = next(class_plan(args.k, args.n).plans(), None)
             dot = EMPTY_DOT if plan is None else draw(plan)
-    print("// %s" % DOT_SCHEMA)
-    print(dot)
+    print("// %s\n%s" % (DOT_SCHEMA, dot))
     return EXIT_DECIDED
 
 

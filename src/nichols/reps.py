@@ -109,18 +109,6 @@ def sn_character(partition: tuple, cycle_type: tuple) -> int:
     return total
 
 
-def _label_to_partition(m: int, label: str) -> tuple:
-    if label == "trivial":
-        return (m,)
-    if label == "sign":
-        return (1,) * m
-    if label in ("standard", "standard_sign"):
-        if m < 2:
-            raise ValueError("%s needs a symmetric group on at least 2 points" % label)
-        return (m - 1, 1) if label == "standard" else (2,) + (1,) * (m - 2)
-    raise ValueError("unknown irrep label %r" % label)
-
-
 def _degree(sizes: tuple, partitions: tuple) -> int:
     # the orbit of u has n! / prod m_v! members, m_v the level sizes
     deg = factorial(sum(sizes))
@@ -370,14 +358,8 @@ def parse_rep_spec(k: int, n: int, text: str) -> RepSpec:
             raise ValueError("character vector %r has an empty entry" % body)
         if k < 1:
             raise ValueError("modulus must be positive")
-        # with no empty entry, the tokens of the entries are these; on
-        # ASCII text with no "_" or "+", int() reads just what _integer does
-        tokens = body.replace(",", " ").split()
-        plain = body.isascii() and "_" not in body and "+" not in body
-        try:
-            u = [x % k for x in map(int if plain else _integer, tokens)]
-        except ValueError:
-            u = [_integer(tok) % k for tok in tokens]
+        # with no empty entry, the tokens of the entries are these
+        u = [_integer(tok) % k for tok in body.replace(",", " ").split()]
         if len(u) != n:
             raise ValueError("character vector must have length %d" % n)
         u = tuple(sorted(u, reverse=True))
@@ -399,23 +381,20 @@ def _parse_mu(sizes: tuple, text: str) -> tuple:
     if text == "sign":
         return tuple((1,) * s for s in sizes)
     if text in ("standard", "standard_sign"):
-        bigs = [idx for idx, s in enumerate(sizes) if s >= 2]
-        if len(bigs) != 1:
+        if sum(s >= 2 for s in sizes) != 1:
             raise ValueError(
                 "%s needs exactly one stabilizer block of size >= 2; use catalog:..." % text)
-        return tuple(
-            _label_to_partition(s, text) if idx == bigs[0] else (1,)
-            for idx, s in enumerate(sizes))
+        # the one block of size >= 2 takes the partition the label names
+        return tuple((1,) if s < 2 else (s - 1, 1) if text == "standard"
+                     else (2,) + (1,) * (s - 2) for s in sizes)
     if text.startswith("catalog:"):
         chunks = text[len("catalog:"):].split("|")
         if len(chunks) != len(sizes):
             raise ValueError("mu needs %d block partitions, got %d" % (len(sizes), len(chunks)))
-        # "+" splits the parts, so int() reads plain ASCII as _integer does
-        convert = int if text.isascii() and "_" not in text else _integer
         partitions = []
         for chunk, s in zip(chunks, sizes):
             try:
-                part = sorted(map(convert, chunk.split("+")), reverse=True)
+                part = sorted(map(_integer, chunk.split("+")), reverse=True)
             except ValueError:
                 part = []
             # a block has at least one entry, so an empty part fails the sum

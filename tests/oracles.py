@@ -48,8 +48,7 @@ from nichols.braidspace import (GeneralizedDynkinDiagram, SpectrumPlan,
 from nichols.cli import SELECTORS
 from nichols.exactfield import _ramanujan_sums, root_names
 from nichols.permgroup import NormalForm, Permutation
-from nichols.reps import (RepSpec, _label_to_partition, partitions_of,
-                          sn_character)
+from nichols.reps import RepSpec, partitions_of, sn_character
 from nichols.verdict import INFINITE, NegativityReport, Verdict, class_plan
 
 from exactfield_oracle import (MINUS_ONE, ONE, ROOT_MINUS_ONE, ROOT_ONE, ZERO,
@@ -357,6 +356,13 @@ def _catalog_irrep(m: int, partition: tuple) -> SnIrrep:
         std3 = _standard_gens(3)
         return SnIrrep(4, partition, (std3[1], std3[0], std3[1]))
     raise CatalogGapError("no catalog entry for partition %s of %d" % (partition, m))
+
+
+def _label_to_partition(m: int, label: str) -> tuple:
+    # the partition of m that each mu label names, kept apart from the
+    # package's parser, which this module checks
+    return {"trivial": (m,), "sign": (1,) * m, "standard": (m - 1, 1),
+            "standard_sign": (2,) + (1,) * (m - 2)}[label]
 
 
 def sn_irrep(m: int, label) -> SnIrrep:

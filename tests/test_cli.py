@@ -9,6 +9,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -279,6 +280,20 @@ def test_catalog_part_error_names_the_part(part):
     (("diagram", "--k", "4", "--n", "3", "--rep", "chi=(1,1,1)",
       "--subrack", "quadruple:\u0661,2"),
      "bad subrack selector 'quadruple:\u0661,2': quadruple needs <i>,<j>"),
+    # a colon belongs to a selector that takes integers: on one that takes
+    # none it is refused, not read as if it were not there
+    (("diagram", "--k", "4", "--n", "3", "--rep", "chi=(1,1,1)",
+      "--subrack", "rotation:"),
+     "unknown subrack selector 'rotation:'"),
+    (("diagram", "--k", "2", "--n", "3", "--rep", "chi=(1,1,1)",
+      "--subrack", "canonical:"),
+     "unknown subrack selector 'canonical:'"),
+    (("diagram", "--k", "6", "--n", "1", "--rep", "chi=(1)",
+      "--subrack", "powers:"),
+     "unknown subrack selector 'powers:'"),
+    (("diagram", "--k", "2", "--n", "3", "--rep", "chi=(1,1,1)",
+      "--subrack", "triple:"),
+     "bad subrack selector 'triple:': triple needs <l>"),
 ])
 def test_malformed_spec_or_selector_is_named(argv, message):
     # an empty entry used to be skipped, and the others reported Python's
@@ -346,8 +361,8 @@ def test_table_jobs_output_is_byte_identical_past_the_gate():
 def test_table_starts_no_more_workers_than_rows(monkeypatch, capsys):
     # the pool is replaced by one that records its size and runs in-process,
     # so no worker is started however large --jobs is; the CLI imports the
-    # pool from concurrent.futures when it needs one, so it is replaced there
-    import concurrent.futures
+    # pool from multiprocessing when it needs one, so it is replaced there
+    import multiprocessing
 
     import nichols.cli as cli
 
@@ -355,8 +370,9 @@ def test_table_starts_no_more_workers_than_rows(monkeypatch, capsys):
     chunks = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -364,18 +380,21 @@ def test_table_starts_no_more_workers_than_rows(monkeypatch, capsys):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=None):
-            chunks.append(chunksize)
-            return map(fn, tasks)
+        def imap(self, fn, parts):
+            # the parts are consecutive slices of one width
+            chunks.append(parts[0].stop)
+            assert [part.start for part in parts] == [
+                chunks[-1] * i for i in range(len(parts))]
+            return map(fn, parts)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     assert cli.main(["table", "--k", "2", "--n", "2", "--jobs", "64"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert sizes == [len(rows)] == [5]
     assert cli.main(["table", "--k", "2", "--n", "2", "--jobs", "3"]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == rows
     assert sizes == [5, 3]
-    # about four chunks per worker: ceil(rows / (4 * workers)) rows a task
+    # about four parts per worker: ceil(rows / (4 * workers)) rows a task
     assert cli.main(["table", "--k", "2", "--n", "5", "--jobs", "2"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert sizes == [5, 3, 2]
@@ -384,9 +403,9 @@ def test_table_starts_no_more_workers_than_rows(monkeypatch, capsys):
 
 
 def test_cli_import_leaves_the_process_pool_out():
-    # the pool pulls in multiprocessing, which only table --jobs N needs
+    # only table --jobs N needs multiprocessing
     probe = ("import sys, nichols.cli; "
-             "print('concurrent.futures.process' in sys.modules)")
+             "print('multiprocessing' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                             text=True, env=child_env())
     assert result.returncode == 0, result.stderr
@@ -469,11 +488,14 @@ def test_table_text_format_is_unchanged(jobs, capsys):
         for line in cells)
 
 
-@pytest.mark.parametrize("fmt", ["json", "text"])
-def test_a_row_that_fails_mid_table_exits_70(fmt, monkeypatch, capsys):
+@pytest.mark.parametrize("fmt,jobs", [
+    ("json", "1"), ("text", "1"), ("json", "2"), ("text", "2")],
+    ids=["json", "text", "json-jobs2", "text-jobs2"])
+def test_a_row_that_fails_mid_table_exits_70(fmt, jobs, monkeypatch, capsys):
     # the rows decided before the fault are already written: the json report
     # stops after the last of them, with no closing brackets, and the text
-    # table, printed once every row is in, prints nothing
+    # table, printed once every row is in, prints nothing; with --jobs 2
+    # each of the 8 rows is a part of its own, so the same rows come first
     specs = enumerate_irreps(2, 3)
     rows = _rows(2, 3)
     decide = cli.decide
@@ -484,7 +506,8 @@ def test_a_row_that_fails_mid_table_exits_70(fmt, monkeypatch, capsys):
         return decide(k, n, spec)
 
     monkeypatch.setattr(cli, "decide", failing)
-    assert cli.main(["table", "--k", "2", "--n", "3", "--format", fmt]) == 70
+    assert cli.main(["table", "--k", "2", "--n", "3", "--format", fmt,
+                     "--jobs", jobs]) == 70
     captured = capsys.readouterr()
     assert captured.err == (
         "nichols: internal error: RuntimeError: no rule decides %s\n"
@@ -623,6 +646,31 @@ def test_a_closed_stdout_exits_74_with_nothing_on_stderr():
     child.stdout.close()
     assert child.stderr.read() == b""
     assert child.wait() == 74
+
+
+@pytest.mark.slow
+def test_a_closed_stdout_stops_the_workers():
+    # with --jobs 2 the parent writes the first part's rows, meets the
+    # closed pipe and leaves the pool, which drops the parts still running
+    # or waiting: the (2,22) sweep takes 3.6-4.3 s whole on 2 vCPUs, and
+    # 1.2-1.5 s up to the closed pipe, where a pool that ran every part
+    # first took 3.6 s, and one that fed the workers each part's specs,
+    # larger than the pipe to them, never stopped
+    started = time.monotonic()
+    child = subprocess.Popen(
+        [sys.executable, "-m", "nichols.cli", "table", "--k", "2", "--n", "22",
+         "--format", "json", "--jobs", "2"], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=child_env())
+    assert child.stdout.read(100).startswith(b'{\n  "command": "table"')
+    child.stdout.close()
+    try:
+        code = child.wait(timeout=60)
+    except subprocess.TimeoutExpired:
+        child.kill()
+        raise
+    assert child.stderr.read() == b""
+    assert code == 74
+    assert time.monotonic() - started < 2.5
 
 
 def test_diagram_default_shows_witness():
