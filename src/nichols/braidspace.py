@@ -15,8 +15,8 @@ multiplicity of psi: as many nodes as the subrack size times the number of
 psi that occur, however large the degree.  Only the character of rho is
 needed: the multiplicities are integers read off integer traces
 (nichols.exactfield.rational_trace), and each braiding label is a root of
-unity held as its integer exponent of zeta_modulus, printed through
-nichols.exactfield.root_names.  No field element is built.
+unity held as its integer exponent of zeta_modulus, each printed one at
+a time through nichols.exactfield.root_name.  No field element is built.
 
 The work splits in two.  subrack_plan does what rho does not change, in a
 plan that carries its subrack: the table, the commute check, H with the
@@ -38,7 +38,7 @@ from bisect import bisect_right
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .exactfield import rational_trace, root_names, totient
+from .exactfield import rational_trace, root_name, totient
 from .permgroup import Permutation, UnmixedClass
 from .reps import InducedCharacter
 
@@ -480,14 +480,13 @@ class GeneralizedDynkinDiagram:
         names = {(bisect_right(self.columns, j) - 1) * width + t:
                  ["t%d.v%s" % (j, text) for text in texts]
                  for j in columns for t, texts in runs.items()}
-        roots = root_names(self.modulus)
         lines = ["graph diagram " + opening]
         for x, members in names.items():
-            label = roots[self.q(x, x)]
+            label = root_name(self.modulus, self.q(x, x))
             lines += ['  %s [label="%s"];' % (v, label) for v in members]
         for x, members in names.items():
             near = self._adjacent[x]
-            later = [(y, roots[near[y]]) for y in sorted(near)
+            later = [(y, root_name(self.modulus, near[y])) for y in sorted(near)
                      if y >= x and y in names]
             for t, u in enumerate(members):
                 for y, w in later:

@@ -46,7 +46,7 @@ from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from .braidspace import FAMILIES, dynkin_diagram, subrack_plan
-from .exactfield import root_names
+from .exactfield import root_name
 from .permgroup import UnmixedClass
 from .reps import (RepSpec, _integer, enumerate_irreps, parse_rep_spec,
                    pi_scalar)
@@ -147,7 +147,7 @@ def _verdict_fields(spec: RepSpec, verdict) -> dict:
     return {
         "rep": spec.label(),
         "degree": spec.degree(),
-        "q_pi": root_names(spec.k)[pi_scalar(spec)],
+        "q_pi": root_name(spec.k, pi_scalar(spec)),
         "outcome": verdict.outcome,
         "rule": verdict.rule,
         "witness": verdict.witness,

@@ -3,7 +3,9 @@
 A root of unity zeta_m^a is held as its integer exponent a mod m, for the
 m of its diagram or group: roots multiply by adding exponents, and
 zeta_m^a is -1 exactly when 2a = m.  It is printed only through
-root_names(m), as "1", "-1" or "z(o,e)" in lowest terms.
+root_name(m, a), as "1", "-1" or "z(o,e)" in lowest terms, one root at a
+time: a caller names only the roots it prints, so printing one costs the
+same whatever m is.
 
 A cyclotomic number sum_j c_j zeta_m^j with integer c_j is never built as
 a field element.  rational_trace decides whether it is rational, and which
@@ -23,12 +25,11 @@ from typing import Optional
 
 
 @lru_cache(maxsize=None)
-def root_names(m: int) -> tuple:
-    """The printed form of zeta_m**a for each a < m, in lowest terms: "1",
-    "-1", or "z(o,e)" for zeta_o**e with gcd(e, o) = 1."""
-    lowest = ((m // gcd(a, m), a // gcd(a, m)) for a in range(m))
-    return tuple("1" if o == 1 else "-1" if o == 2 else "z(%d,%d)" % (o, e)
-                 for o, e in lowest)
+def root_name(m: int, a: int) -> str:
+    """The printed form of zeta_m**a, a < m, in lowest terms: "1", "-1",
+    or "z(o,e)" for zeta_o**e with gcd(e, o) = 1."""
+    o, e = m // gcd(a, m), a // gcd(a, m)
+    return "1" if o == 1 else "-1" if o == 2 else "z(%d,%d)" % (o, e)
 
 
 @lru_cache(maxsize=None)

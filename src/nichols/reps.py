@@ -13,10 +13,13 @@ character, which InducedCharacter computes from the spec alone: the
 induced-character formula over the orbit of u, with the symmetric-group
 factors given by the Murnaghan-Nakayama rule.  That works for every
 partition, so every irrep of every class is available; no representation
-matrix is ever built.  The orbit part of a value (orbit_terms) is computed
-once per (k, shape, label) per process, shape the (value, level size)
-pairs of u, and shared by every spec with those levels; the partitions
-enter only through the final product of partition characters.
+matrix is ever built.  The orbit part of a value reads the values of u
+only through a phase, sum_i v_i S_i mod k with S_i the twist sum of the
+cycles that level i receives, so the placements of the cycles are counted
+once per (level sizes, label) per process (placements), by cycle types
+and twist sums per level, and shared by every spec whose u has those level
+sizes, whatever its values and k; the partitions enter only through the
+product of partition characters at each tuple of cycle types.
 A character is a class function, so it is read at a conjugacy-class label
 of the centralizer, the sorted (L, s) pairs of nichols.permgroup, and never
 at a group element.  Character values are integer coefficient vectors over
@@ -29,6 +32,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import factorial, prod
+from operator import mul
 from typing import NamedTuple
 
 
@@ -171,49 +175,54 @@ def _mu_label(partitions: tuple) -> str:
 
 
 @lru_cache(maxsize=None)
-def orbit_terms(k: int, shape: tuple, label: tuple) -> tuple:
-    """The orbit part of the induced character at a class label, for a
-    vector u with levels shape, its (value, level size) pairs, values
-    descending: (cycle_types, vector) pairs, one per way the cycles of the
-    label fall on the levels.  cycle_types holds the lengths each level
-    receives, in label order; vector holds the k integers c with
-    sum_a c[a] zeta_k^a the sum of zeta_k^(u'.d) over the orbit members u'
-    that place the cycles so.  Cached for the life of the process, for
-    every spec with these levels."""
+def placements(sizes: tuple, label: tuple) -> tuple:
+    """The ways the cycles of a class label fall on the levels of a vector
+    u with the given level sizes, values descending, counted without the
+    values: (cycle_types, counts) pairs, one per tuple of the lengths each
+    level receives, in label order, with counts the (twists, count) pairs
+    for each tuple of the twist sums S_i of the cycles that level i
+    receives and the number of orbit members u' that place the cycles so.
+    Such a member contributes zeta_k^(v_1 S_1 + v_2 S_2 + ...), v_i the
+    value of level i, so every u with these level sizes, of any values and
+    any k, reads its orbit part off one entry.  Cached for the life of the
+    process."""
     # the cycles of one (L, s) pair are alike, and adjacent in the sorted
     # label: they are given levels in non-decreasing order, and a split of
     # m of them, m_i to level i, stands for its m! / prod m_i! placements,
     # built up as the t-th of them joins a level that then holds `same` of
     # them: times t / same
-    terms = {}
-    room = [count for _, count in shape]
-    lengths = [[] for _ in shape]
+    table = {}
+    room = list(sizes)
+    lengths = [[] for _ in sizes]
+    twists = [0] * len(sizes)
     rank = []
     for c, pair in enumerate(label):
         rank.append(rank[-1] + 1 if c and label[c - 1] == pair else 1)
 
-    def assign(c: int, level: int, run: int, phase: int, weight: int) -> None:
+    def assign(c: int, level: int, run: int, weight: int) -> None:
         # cycle c (and those after it) gets a level with room for its
         # length; the cycle before it went to level, the last run of its
         # alike cycles there
         if c == len(label):
-            vector = terms.setdefault(tuple(map(tuple, lengths)), [0] * k)
-            vector[phase % k] += weight
+            counts = table.setdefault(tuple(map(tuple, lengths)), {})
+            key = tuple(twists)
+            counts[key] = counts.get(key, 0) + weight
             return
         length, s = label[c]
         t = rank[c]
-        for i in range(level if t > 1 else 0, len(shape)):
+        for i in range(level if t > 1 else 0, len(sizes)):
             if room[i] >= length:
                 same = run + 1 if t > 1 and i == level else 1
                 room[i] -= length
                 lengths[i].append(length)
-                assign(c + 1, i, same, phase + shape[i][0] * s,
-                       weight * t // same)
+                twists[i] += s
+                assign(c + 1, i, same, weight * t // same)
+                twists[i] -= s
                 lengths[i].pop()
                 room[i] += length
 
-    assign(0, 0, 0, 0, 1)
-    return tuple(zip(terms, map(tuple, terms.values())))
+    assign(0, 0, 0, 1)
+    return tuple((types, tuple(counts.items())) for types, counts in table.items())
 
 
 class InducedCharacter:
@@ -224,51 +233,46 @@ class InducedCharacter:
     the values v of the partition character of block v at the cycle type
     of b on the positions where u' = v.  That depends only on the (L, s)
     cycle label of (d, b), so the character takes the label, and a value is
-    computed once per label.  The orbit part of the sum, the roots of unity
-    and placement counts grouped by the cycle types each level receives,
-    depends only on k, the levels of u and the label, so it is computed
-    once per (k, shape, label) per process (orbit_terms).  The partitions
-    enter only through the final product: each term times the partition
-    character of every level at its cycle type, so a label with one term
-    whose product is 1 takes that term's vector as it is.  The level
-    sizes are the sizes of the partitions, not counted in u.  Values are
-    integer coefficient vectors c over Z/k, meaning sum_a c[a] zeta_k^a.
-    A value is a sum of degree roots of unity, so |chi(g)| <= degree, with
+    computed once per label.  The members are counted once per (level
+    sizes, label) per process, grouped by the cycle types and the twist
+    sums S_i each level receives (placements), and the values of u enter
+    only here, through the phase v_1 S_1 + v_2 S_2 + ... mod k; the
+    partitions enter through the factor of each cycle-type tuple, the
+    product of the partition character of every level at its cycle type,
+    and a tuple whose factor is 0 is skipped.  The level sizes are the
+    sizes of the partitions, not counted in u.  Values are integer
+    coefficient vectors c over Z/k, meaning sum_a c[a] zeta_k^a.  A value
+    is a sum of degree roots of unity, so |chi(g)| <= degree, with
     equality exactly when g acts by a scalar; the negativity check reads
     that off a product of two values (nichols.verdict.negativity_check).
     """
 
-    __slots__ = ("spec", "k", "degree", "_shape", "_values")
+    __slots__ = ("spec", "k", "degree", "_sizes", "_levels", "_values")
 
     def __init__(self, spec: RepSpec) -> None:
         self.spec = spec
         self.k = spec.k
         # the level sizes are the sizes of the partitions, and the values
         # of the non-increasing u come in descending order
-        sizes = tuple(map(sum, spec.partitions))
-        self.degree = _degree(sizes, spec.partitions)
-        self._shape = tuple(zip(dict.fromkeys(spec.u), sizes))
+        self._sizes = tuple(map(sum, spec.partitions))
+        self._levels = tuple(dict.fromkeys(spec.u))
+        self.degree = _degree(self._sizes, spec.partitions)
         self._values = {}
 
     def coefficients(self, label: tuple) -> tuple:
         """chi at the class with the given sorted (L, s) label, as k integers
         c with chi = sum_a c[a] zeta_k^a."""
         hit = self._values.get(label)
-        if hit is None:
-            hit = self._values[label] = self._from_label(label)
-        return hit
-
-    def _from_label(self, label: tuple) -> tuple:
-        partitions = self.spec.partitions
-        terms = orbit_terms(self.k, self._shape, label)
+        if hit is not None:
+            return hit
         out = [0] * self.k
-        for cycle_types, vector in terms:
-            factor = prod(map(sn_character, partitions, cycle_types))
-            if factor == 1 and len(terms) == 1:
-                return vector
+        for cycle_types, counts in placements(self._sizes, label):
+            factor = prod(map(sn_character, self.spec.partitions, cycle_types))
             if factor:
-                out = [a + factor * c for a, c in zip(out, vector)]
-        return tuple(out)
+                for twists, count in counts:
+                    out[sum(map(mul, self._levels, twists)) % self.k] += factor * count
+        hit = self._values[label] = tuple(out)
+        return hit
 
     def __repr__(self) -> str:
         return "InducedCharacter(%s)" % self.spec.label()

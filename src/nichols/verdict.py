@@ -45,7 +45,7 @@ from .braidspace import (GeneralizedDynkinDiagram, SubrackPlan,
                          connected_components, quadruple_subrack,
                          rotation_subrack, spectrum_diagram, subrack_plan,
                          triple_subrack)
-from .exactfield import rational_trace, root_names, totient
+from .exactfield import rational_trace, root_name, totient
 from .permgroup import PartnerClass, UnmixedClass
 from .reps import InducedCharacter, pi_scalar, resolve_spec
 from .witness import INFINITE, verify_witness
@@ -82,7 +82,7 @@ def scalar_gate(q: int, ord_pi: int) -> Optional[Verdict]:
     else:
         return None
     return Verdict(INFINITE, "scalar-gate",
-                   {"q_scalar": root_names(ord_pi)[q], "element_order": ord_pi,
+                   {"q_scalar": root_name(ord_pi, q), "element_order": ord_pi,
                     "reason": reason})
 
 
@@ -206,9 +206,9 @@ def cycle_rule(diagram: GeneralizedDynkinDiagram, comp) -> Optional[dict]:
                     continue
                 if ab != cd or bc != da:
                     continue
-                names = root_names(diagram.modulus)
                 return {"cycle": (a, b, c, d),
-                        "labels": tuple(names[w] for w in (ab, bc, cd, da))}
+                        "labels": tuple(root_name(diagram.modulus, w)
+                                        for w in (ab, bc, cd, da))}
     return None
 
 
@@ -323,7 +323,7 @@ def negativity_check(plan: ClassPlan,
     if 2 * q != k:
         return NegativityReport(False, 0, True,
                                 {"reason": "basepoint scalar is not -1",
-                                 "q_scalar": root_names(k)[q]}, ())
+                                 "q_scalar": root_name(k, q)}, ())
     square = totient(k) * character.degree ** 2
     checked = 0
     count = 0
@@ -446,7 +446,6 @@ def _template(plan: SubrackPlan, diagram: GeneralizedDynkinDiagram,
     vertices = [(j, s) for j in cols for s in vecs]
     position = {v: i for i, v in enumerate(vertices)}
     nodes = [diagram.node(v) for v in vertices]
-    names = root_names(diagram.modulus)
     # twins are adjacent when their node is adjacent to itself
     near = [[b for b, y in enumerate(nodes)
              if b != a and y in diagram.adjacent(x)]
@@ -455,7 +454,8 @@ def _template(plan: SubrackPlan, diagram: GeneralizedDynkinDiagram,
         "subrack": plan.description,
         "element_images": plan.element_images,
         "transporter_images": plan.transporter_images,
-        "q_matrix": [[names[diagram.q(x, y)] for y in nodes] for x in nodes],
+        "q_matrix": [[root_name(diagram.modulus, diagram.q(x, y)) for y in nodes]
+                     for x in nodes],
         "components": [list(c) for c in connected_components(near)],
         "firing": sorted(position[v] for v in firing),
         **detail,
@@ -605,14 +605,16 @@ def decide(k: int, n: int, rho_spec) -> Verdict:
     representation: InfiniteDim with a machine-checkable witness, or
     NegativeBraiding with the verified pair inventory.  Raises RuntimeError
     when no rule decides, which the dichotomy for unmixed classes rules
-    out.  The subrack plans and the partners come from the class plan of
-    (k, n); each row reads its character at the labels of each H, and runs
-    the subspace rules only on a restriction the plan has not met."""
-    plans = class_plan(k, n)
+    out.  A row that the scalar gate decides reads nothing of its class;
+    past the gate, the subrack plans and the partners come from the class
+    plan of (k, n), and each row reads its character at the labels of each
+    H, and runs the subspace rules only on a restriction the plan has not
+    met."""
     spec = resolve_spec(k, n, rho_spec)
     gate = scalar_gate(pi_scalar(spec), k)
     if gate is not None:
         return gate
+    plans = class_plan(k, n)
     character = spec.character()
     for plan in plans.plans():
         verdict = plans.subspace_rules(plan, character)

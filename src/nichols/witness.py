@@ -32,7 +32,7 @@ from math import lcm
 from typing import NamedTuple, Optional
 
 from .braidspace import FAMILIES, AbelianSubrack
-from .exactfield import rational_trace, root_names, totient
+from .exactfield import rational_trace, root_name, totient
 from .permgroup import Permutation, UnmixedClass
 from .reps import InducedCharacter, pi_scalar, resolve_spec
 
@@ -87,16 +87,15 @@ class _WitnessGroup(NamedTuple):
     """What the witness check needs of one subrack and a set of its
     columns, whatever the representation: the place of gamma_ij among the
     distinct table entries for i, j at places a, b of the columns
-    (generator[a][b]), the roots of unity of order dividing modulus, by
-    exponent as printed (names) and by printed form as exponent
-    (exponent), and H_w: its elements h_0 = 1, h_1, ... in the order of a
-    breadth-first closure from the identity, with h_x = g_t h_h for x =
-    edges[h][t] and g_t the t-th distinct entry, and the class label of
-    each."""
+    (generator[a][b]), the exponent of each root of unity of order
+    dividing modulus by its printed form (exponent, named through
+    nichols.exactfield.root_name), and H_w: its elements h_0 = 1, h_1, ...
+    in the order of a breadth-first closure from the identity, with h_x =
+    g_t h_h for x = edges[h][t] and g_t the t-th distinct entry, and the
+    class label of each."""
 
     generator: tuple
     modulus: int
-    names: tuple
     exponent: dict
     edges: tuple
     labels: tuple
@@ -170,7 +169,6 @@ def _witness_group(subrack: AbelianSubrack, cols: tuple) -> _WitnessGroup:
                for a, b in itertools.combinations(generators, 2)):
         raise ValueError("conjugation table entries do not commute")
     modulus = lcm(cls.k, *(g.order() for g in generators))
-    names = root_names(modulus)
     product = cls.product
     identity = cls.identity_form()
     index = {(identity.d, identity.b.img): 0}
@@ -195,8 +193,8 @@ def _witness_group(subrack: AbelianSubrack, cols: tuple) -> _WitnessGroup:
                 made.append((h, t))
             row.append(index[key])
         edges.append(tuple(row))
-    return _WitnessGroup(generator, modulus, names,
-                         {name: e for e, name in enumerate(names)},
+    return _WitnessGroup(generator, modulus,
+                         {root_name(modulus, e): e for e in range(modulus)},
                          tuple(edges),
                          tuple(h.class_label(cls.k) for h in queue))
 
@@ -308,7 +306,7 @@ def _refire(rule: str, positions: tuple, exps: tuple,
             or product(a, c) or product(b, d) or ab == 0
             or (ab + bc) % modulus or ab != cd or bc != da):
         return None
-    return [group.names[x] for x in (ab, bc, cd, da)]
+    return [root_name(modulus, x) for x in (ab, bc, cd, da)]
 
 
 # the witness fields each rule reads (a rule that is not one of these reads
@@ -422,7 +420,7 @@ def verify_witness(k: int, n: int, rho_spec, verdict) -> bool:
     if verdict.rule == "scalar-gate":
         q = pi_scalar(spec)
         return ((k % 2 == 1 or 2 * q != k)
-                and w["q_scalar"] == root_names(k)[q]
+                and w["q_scalar"] == root_name(k, q)
                 and type(w["element_order"]) is int and w["element_order"] == k)
     _require(w["subrack"], ("kind", "param"), "the witness subrack")
     if type(w["subrack"]["kind"]) is not str:

@@ -14,10 +14,10 @@ hash equally whatever conductor they were built at.  A rational hashes as
 the Fraction it equals.
 
 The package holds a root of unity as its integer exponent for the modulus
-of its diagram or group, printed by nichols.exactfield.root_names.  The
+of its diagram or group, printed by nichols.exactfield.root_name.  The
 oracles hold one as RootOfUnity, an integer (order, exponent) pair in
 lowest terms that multiplies, compares and hashes, and prints as
-root_names does.  It never compares equal to a field element; root_value
+root_name does.  It never compares equal to a field element; root_value
 converts one explicitly, and as_root_of_unity goes the other way.
 """
 

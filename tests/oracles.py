@@ -46,7 +46,7 @@ import networkx as nx
 from nichols.braidspace import (GeneralizedDynkinDiagram, SpectrumPlan,
                                 triple_subrack)
 from nichols.cli import SELECTORS
-from nichols.exactfield import _ramanujan_sums, root_names
+from nichols.exactfield import _ramanujan_sums, root_name
 from nichols.permgroup import NormalForm, Permutation
 from nichols.reps import RepSpec, partitions_of, sn_character
 from nichols.verdict import INFINITE, NegativityReport, Verdict, class_plan
@@ -1130,14 +1130,13 @@ def rectangle_witness(plan, spectrum, diagram, rule, firing, detail,
     expanded = rectangle(diagram, cols, vecs, tuple(itertools.accumulate(
         (mult for _, mult in spectrum), initial=0)))
     size = len(position)
-    names = root_names(diagram.modulus)
     witness = {
         "subrack": plan.description,
         "element_images": [list(t.img) for t in plan.subrack.elements],
         "transporter_images": [list(g.img) for g in plan.subrack.transporters],
         "vertices": [[j, s] for j in cols for s in expanded.offsets],
-        "q_matrix": [[names[expanded.q(x, y)] for y in range(size)]
-                     for x in range(size)],
+        "q_matrix": [[root_name(diagram.modulus, expanded.q(x, y))
+                      for y in range(size)] for x in range(size)],
         "diagram_dot": expanded.to_dot(),
         "components": [list(c) for c in expanded.components()],
         "firing": sorted(position[v] for v in firing),

@@ -112,6 +112,22 @@ def test_classify_scalar_gate_on_odd_order():
     assert report["rule"] == "scalar-gate"
 
 
+def test_classify_scalar_gate_reads_nothing_of_its_class(monkeypatch, capsys):
+    # a row that the scalar gate decides looks up no class plan and names
+    # only the root it prints, so a modulus of 10^8 costs what a small one
+    # does: the basepoint alone would move 10^8 points
+    import nichols.verdict as v
+
+    def refuse(k, n):
+        raise AssertionError("the scalar gate looked up the class plan")
+    monkeypatch.setattr(v, "class_plan", refuse)
+    code = cli.main(["classify", "--k", "100000000", "--n", "1",
+                     "--rep", "chi=(1)", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert json.loads(captured.out)["q_pi"] == "z(100000000,1)"
+
+
 @pytest.mark.parametrize("argv", [
     ("classify", "--k", "1", "--n", "2", "--rep", "chi=(1,1);mu=trivial"),
     ("classify", "--k", "2", "--n", "0", "--rep", "chi=();mu=trivial"),

@@ -135,7 +135,7 @@ from math import gcd  # noqa: E402
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nichols.exactfield import (rational_trace, root_names,  # noqa: E402
+from nichols.exactfield import (rational_trace, root_name,  # noqa: E402
                                 totient)
 
 from oracles import rational_value  # noqa: E402
@@ -222,11 +222,12 @@ def test_root_names_print_as_the_reference_roots():
     # class, for every exponent below m; no two exponents share a name, so
     # the witness check can read a name back as its exponent
     for m in range(1, 65):
-        names = root_names(m)
-        assert names == tuple(str(RootOfUnity(m, a)) for a in range(m))
+        names = [root_name(m, a) for a in range(m)]
+        assert names == [str(RootOfUnity(m, a)) for a in range(m)]
         assert len(set(names)) == m
-    assert root_names(12)[:4] == ("1", "z(12,1)", "z(6,1)", "z(4,1)")
-    assert root_names(12)[6] == "-1"
+    assert [root_name(12, a) for a in range(4)] == [
+        "1", "z(12,1)", "z(6,1)", "z(4,1)"]
+    assert root_name(12, 6) == "-1"
 
 
 @st.composite

@@ -66,24 +66,29 @@ DIGESTS = {
 # 2.5 s each for (2,18) and (4,10), 3 s for (8,7), 4.5 s each for (4,11)
 # and (10,6), 4-6.5 s each for (2,20), (4,12) and (6,9), whose reports
 # reach 77-112 MB, and 4.5 s for (4,13), whose report is 207 MB; on the
-# frontier, about 4 s for (6,10) and 5 s for (2,22), whose reports are
-# 179 and 191 MB, and 7.5-8 s each for (10,7) and (12,6): run with -m slow
+# frontier, about 3 s each for (8,8) and (12,6), 4 s each for (6,10) and
+# (10,7), and 5 s for (2,22), whose reports are 66-191 MB, 5-6.5 s for
+# (4,14) and 8 s for (2,24), whose reports are 401 and 391 MB: run with
+# -m slow
 SLOW_DIGESTS = {
     (2, 14): "6ee8afaf27c5762c347dc85b2767cf9801632b2cdb21bd66e0b0ac0dc8dc2c05",
     (2, 16): "68175caa678b5844791a60c776d5d9522eebb4d18732e2a15cad4dcf6609f76e",
     (2, 18): "cde643ab719b1bea93d4930997b000e05335ea976809d396e7f9dab804001639",
     (2, 20): "a4c830176e44f8265aa44a3ea3f7aa713a13a0231572ca147b2277f11d1f0414",
     (2, 22): "2d282bac796afb5004f879de8f5c652d5cfce78ca627b35ed2fb0a73a1bbe76b",
+    (2, 24): "08032883970ab1509890174273da0e0095e040f97ba79e02f9ab43c5d0e5ab8b",
     (4, 9): "c537a94a05b688e059688bc2fd80d007b5d7416e2a95ec557e2c71b48a8c29e9",
     (4, 10): "1f594bbcf6e97d319d110068a228aad923e629fa80ed76a0630df6dc8f839573",
     (4, 11): "e6d26c5f60fdd013e176ab7d38ce195fc5f7e01c1d3d7aef00e9df5428c34759",
     (4, 12): "220dda6b8071e371c23c76109ecd39c16c3163b9b8fd772ecc4096afd43f391a",
     (4, 13): "97ff79d7d3cb2f955dda40eaa2b4b9459e06d5fab214a7d25718682333860471",
+    (4, 14): "e10fb367101d08ab20c8844d716c380f4d38450dfbb2ed936155f650c1aff22c",
     (6, 8): "cbb90dd89ef75bb45110e8cf95ab0f135f13aab5e91faad2c06df975188cfbcb",
     (6, 9): "4a6e2d2e046355033b46a1f273aaee6e70ee54e1dae3146059237f052cd2658a",
     (6, 10): "3a5f7dfa42f81802a7a3d9814f31506bec451090b71114ba4ba44fb392345b11",
     (8, 6): "e5f6ec3f7b4b608f9cea13e27a0dd431b7016076ff55ca35f856a88ba44c8f6b",
     (8, 7): "03ed866b3d977e66fc615347d6561791605371a48459a6a5e810e26390d5631e",
+    (8, 8): "28caf8ae06dc844faefd554f7e47c08ff990ebd618d3a6cebf2c198bcf3e02d2",
     (10, 6): "24912e444957b6cfbca709f24d102cdc1748813bd56170ace3442040f9a77e10",
     (10, 7): "93f1d93c1d6b6ea6cb8a8bc467026803054837518f3b7df7d4f5ee7b42964129",
     (12, 6): "02fea4e4075442ce67789432be21016b8b07dd0cc085bd9150c1222baa4b8f82",

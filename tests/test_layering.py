@@ -1,6 +1,7 @@
 """The package decides with integers and roots of unity only, a root held
-as its integer exponent and printed by `exactfield.root_names` alone, with
-no class of roots beside it: no module of `nichols` imports the exact
+as its integer exponent and printed, one root at a time, by
+`exactfield.root_name` alone, with no class of roots and no table of all
+the names of a modulus beside it: no module of `nichols` imports the exact
 cyclotomic field, the dense linear algebra, or the test-side modules that
 hold them as reference implementations, and none defines or uses the
 general Cartan-matrix reading (the congruence solver, the symmetrizer, the
@@ -12,7 +13,9 @@ keep a wrapper whose callers know all it hides: a Dynkin diagram is built
 from a subrack plan alone, on nodes, with no vertex-level twin of it, and
 does not hold the subrack again; a class plan reaches its subracks through
 their plans alone; the stabilizer of a character vector is read as its
-level sizes, with no record of the character or of its Young subgroup;
+level sizes, with no record of the character or of its Young subgroup,
+and the placements of a label's cycles are counted per level sizes
+(`reps.placements`), with no table keyed on the values of the vector;
 conjugation and the powers of one cycle are the methods of the
 permutation and the class; and a Cartan component is read by counting its
 edges, with no reader of the tree shapes that no candidate subrack makes.
@@ -58,7 +61,8 @@ REMOVED_NAMES = frozenset(("candidate_subracks", "joint_spectrum",
                            "_subrack_plans", "dynkin_shape", "DynkinShape",
                            "_EXCEPTIONAL", "_selector_indices",
                            "RootOfUnity", "ROOT_ONE", "ROOT_MINUS_ONE",
-                           "_printed_root", "_roots"))
+                           "_printed_root", "_roots", "root_names",
+                           "orbit_terms"))
 FORBIDDEN_NAMES = frozenset(("Cyclotomic", "cartan_type", "symmetrizable",
                              "braiding_matrix", "transporter",
                              "_involution_transporter", "CycleType",
