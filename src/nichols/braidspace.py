@@ -17,6 +17,10 @@ needed: the multiplicities are integers read off integer traces
 (nichols.exactfield.rational_trace), and each braiding label is a root of
 unity held as its integer exponent of zeta_modulus, each printed one at
 a time through nichols.exactfield.root_name.  No field element is built.
+The diagram holds each edge once, in its adjacency map, and one generator
+of whole lines, GeneralizedDynkinDiagram.dot_lines, draws its DOT text:
+`diagram` writes the lines as they are drawn, and a witness joins them
+for its few vertices.
 
 The work splits in two.  subrack_plan does what rho does not change, in a
 plan that carries its subrack: the table, the commute check, H with the
@@ -34,6 +38,7 @@ rotation quadruples (k even, n >= 2) and the power subrack (n = 1; drawn by
 from __future__ import annotations
 
 import itertools
+from array import array
 from bisect import bisect_right
 from math import gcd, lcm
 from typing import NamedTuple
@@ -199,7 +204,9 @@ class SpectrumPlan(NamedTuple):
     elements of H = <generators> in layer order (e_1 fastest), each as its
     (L, s) class label in the centralizer, at which characters are read,
     and the |H| linear characters of H, each as its phase at every element
-    (psi(h) = zeta_modulus^phase) and its exponents on the generators."""
+    (psi(h) = zeta_modulus^phase, an array of machine integers reduced mod
+    modulus, so |H|^2 phases take 4 bytes each) and its exponents on the
+    generators."""
 
     modulus: int
     scale: int
@@ -264,10 +271,10 @@ def spectrum_plan(cls: UnmixedClass, generators, modulus: int) -> SpectrumPlan:
     for x in characters:
         phases = [0]
         for (r, _), xi in zip(layers, x):
-            phases = [p + e * xi for e in range(r) for p in phases]
+            phases = [(p + e * xi) % modulus for e in range(r) for p in phases]
         exps = tuple(sum(w * xi for w, xi in zip(words[g], x)) % modulus
                      for g in generators)
-        planned.append((tuple(phases), exps))
+        planned.append((array("I", phases), exps))
     return SpectrumPlan(modulus, modulus // cls.k,
                         tuple(h.class_label(cls.k) for h in elements),
                         tuple(planned))
@@ -388,15 +395,16 @@ class GeneralizedDynkinDiagram:
     each held as its exponent of zeta_modulus (the sum of the two
     exponents for an edge, nonzero mod modulus); an
     edge of a node to itself joins its members pairwise, and no vertex is
-    its own neighbor.  edges lists them as (x, y, label) with x <= y.  The
-    decision reads nodes only; vertices are drawn only by to_dot, and by
-    dot_template for the few that a witness prints, both through one
-    drawer that walks a rectangle of vertices node by node.  The diagram
-    holds labels only, no subrack: a witness names the subrack of the plan
-    that the diagram was built from."""
+    its own neighbor.  The edges are held once, in the map of each node
+    to its neighbors (adjacent), and edges reads them off it as (x, y,
+    label) with x <= y.  The decision reads nodes only; vertices are drawn
+    only by dot_lines, which walks a rectangle of vertices node by node and
+    yields the DOT text as it goes: the whole diagram for `diagram`, and
+    the few vertices that a witness prints.  The diagram holds labels
+    only, no subrack: a witness names the subrack of the plan that the
+    diagram was built from."""
 
-    __slots__ = ("modulus", "columns", "offsets", "labels", "nodes", "edges",
-                 "_adjacent")
+    __slots__ = ("modulus", "columns", "offsets", "labels", "nodes", "_adjacent")
 
     def __init__(self, modulus: int, columns, runs, labels) -> None:
         # runs: (first index, multiplicity) of each run, in order
@@ -407,7 +415,6 @@ class GeneralizedDynkinDiagram:
         self.nodes = tuple((j, range(offset, offset + mult))
                            for j in self.columns for offset, mult in runs)
         width = len(self.offsets)
-        edges = []
         self._adjacent = adjacent = tuple({} for _ in self.nodes)
         for x, (_, indices) in enumerate(self.nodes):
             a, r = divmod(x, width)
@@ -415,9 +422,14 @@ class GeneralizedDynkinDiagram:
                 b, t = divmod(y, width)
                 w = (labels[a][b][t] + labels[b][a][r]) % modulus
                 if w:
-                    edges.append((x, y, w))
                     adjacent[x][y] = adjacent[y][x] = w
-        self.edges = tuple(edges)
+
+    @property
+    def edges(self) -> tuple:
+        """Every edge (x, y, label) with x <= y, by x and then y: node x's
+        map holds its neighbors before x first, then the rest in order."""
+        return tuple((x, y, w) for x, near in enumerate(self._adjacent)
+                     for y, w in near.items() if y >= x)
 
     def node(self, vertex) -> int:
         """The node of the vertex (j, s)."""
@@ -451,50 +463,46 @@ class GeneralizedDynkinDiagram:
         several members, stands for one component per member."""
         return connected_components(self._adjacent)
 
-    def to_dot(self) -> str:
-        """The diagram on its vertices, named t<j>.v<s>, in vertex order,
-        with every edge (u, v) for u before v, sorted."""
-        indices = [s for _, run in self.nodes[:len(self.offsets)] for s in run]
-        return self._draw(self.columns, indices, indices, "{", "}")
+    def dot_lines(self, columns=None, indices=None, spelled=None,
+                  opening="{", closing="}"):
+        """The DOT text of the subdiagram on the vertices (j, s), j in
+        columns and s in indices, both increasing, as whole lines: the
+        head, one chunk of lines per node for its members, one per node
+        for their edges to the later members of the node and of later
+        nodes (a node with none yields no chunk), and the closing line.
+        The vertices are named t<j>.v<spelled[i]> for s = indices[i], in
+        vertex order, and edges (u, v) have u before v, sorted.
 
-    def dot_template(self, columns, indices) -> str:
-        """The DOT text of the subdiagram on the vertices (j, s) with j in
-        columns and s in indices, both increasing, drawn as to_dot draws a
-        diagram, as a str.format template: the index in each vertex name
-        is the slot {i} of indices[i], and the braces of the graph are
-        doubled.  Labels are read per run, so the text with other indices
-        filled in draws the same vertices of any diagram with these runs
-        and more members in them (nichols.verdict fills in a row's own)."""
-        slots = ["{%d}" % i for i in range(len(indices))]
-        return self._draw(columns, indices, slots, "{{", "}}")
-
-    def _draw(self, columns, indices, spelled, opening, closing) -> str:
-        # the rectangle of vertices (j, s), j in columns and s in indices,
-        # both increasing, with s written as spelled[i] for s = indices[i],
-        # walked node by node in node order: the vertices, then each
-        # member's edges to the later members of its node and of later nodes
-        runs = {}
-        for s, text in zip(indices, spelled):
-            runs.setdefault(bisect_right(self.offsets, s) - 1, []).append(text)
+        With no columns it draws the whole diagram: every column, and the
+        indices of the first column's runs.  nichols.verdict passes
+        the slots "{i}" as spelled and doubled braces, which makes the
+        text a str.format template; labels are read per run, so the text
+        with other indices filled in draws the same vertices of any
+        diagram with these runs and more members in them."""
         width = len(self.offsets)
+        if columns is None:
+            columns = self.columns
+            indices = [s for _, run in self.nodes[:width] for s in run]
+        runs = {}
+        for s, text in zip(indices, indices if spelled is None else spelled):
+            runs.setdefault(bisect_right(self.offsets, s) - 1, []).append(text)
         names = {(bisect_right(self.columns, j) - 1) * width + t:
                  ["t%d.v%s" % (j, text) for text in texts]
                  for j in columns for t, texts in runs.items()}
-        lines = ["graph diagram " + opening]
+        yield "graph diagram " + opening
         for x, members in names.items():
             label = root_name(self.modulus, self.q(x, x))
-            lines += ['  %s [label="%s"];' % (v, label) for v in members]
+            yield "\n".join('  %s [label="%s"];' % (v, label) for v in members)
         for x, members in names.items():
             near = self._adjacent[x]
             later = [(y, root_name(self.modulus, near[y])) for y in sorted(near)
                      if y >= x and y in names]
-            for t, u in enumerate(members):
-                for y, w in later:
-                    ends = members[t + 1:] if y == x else names[y]
-                    lines += ['  %s -- %s [label="%s"];' % (u, v, w)
-                              for v in ends]
-        lines.append(closing)
-        return "\n".join(lines)
+            lines = ['  %s -- %s [label="%s"];' % (u, v, w)
+                     for t, u in enumerate(members) for y, w in later
+                     for v in (members[t + 1:] if y == x else names[y])]
+            if lines:
+                yield "\n".join(lines)
+        yield closing
 
     def __repr__(self) -> str:
         return "GeneralizedDynkinDiagram(nodes=%d, edges=%d)" % (

@@ -32,6 +32,9 @@ each worker is handed the table once as it starts and is then sent
 parts of it as slices; it encodes the rows of each part with one memo,
 and the parent writes the text in order.  A closed stdout or a row that
 fails terminates the pool, dropping the parts still running or waiting.
+`diagram` writes a subrack's DOT text as it is drawn, node by node
+(GeneralizedDynkinDiagram.dot_lines), so the text is never held whole and
+a closed stdout stops it at the first lines.
 """
 
 from __future__ import annotations
@@ -337,20 +340,19 @@ def _build_subrack(cls: UnmixedClass, selector: str):
 def cmd_diagram(args: SimpleNamespace) -> int:
     _check_class(args)
     spec = _parse_spec(args)
-
-    def draw(plan) -> str:
-        return dynkin_diagram(plan, spec.character()).to_dot()
-
     if args.subrack is not None:
-        cls = UnmixedClass(args.k, args.n)
-        dot = draw(subrack_plan(_build_subrack(cls, args.subrack)))
+        plan = subrack_plan(_build_subrack(UnmixedClass(args.k, args.n),
+                                           args.subrack))
     else:
         dot = decide(args.k, args.n, spec).witness.get("diagram_dot")
-        if dot is None:
-            # no witness diagram: show the first candidate subrack, if any
-            plan = next(class_plan(args.k, args.n).plans(), None)
-            dot = EMPTY_DOT if plan is None else draw(plan)
-    print("// %s\n%s" % (DOT_SCHEMA, dot))
+        # no witness diagram: show the first candidate subrack, if any
+        plan = None if dot else next(class_plan(args.k, args.n).plans(), None)
+        chunks = [dot or EMPTY_DOT]
+    if plan is not None:
+        chunks = dynkin_diagram(plan, spec.character()).dot_lines()
+    print("// " + DOT_SCHEMA)
+    for chunk in chunks:
+        print(chunk)
     return EXIT_DECIDED
 
 

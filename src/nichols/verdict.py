@@ -466,8 +466,9 @@ def _template(plan: SubrackPlan, diagram: GeneralizedDynkinDiagram,
     for s, x in zip(vecs, nodes):     # the vertices of the first column
         t = x % len(diagram.offsets)
         runs.append((t, s - diagram.offsets[t]))
-    return _Template(rule, fields, tuple(cols), tuple(runs),
-                     diagram.dot_template(cols, vecs))
+    slots = ["{%d}" % i for i in range(len(vecs))]
+    return _Template(rule, fields, tuple(cols), tuple(runs), "\n".join(
+        diagram.dot_lines(cols, vecs, slots, "{{", "}}")))
 
 
 def _subspace_rules(plan: SubrackPlan, character: InducedCharacter,

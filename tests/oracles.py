@@ -34,6 +34,7 @@ import itertools
 import random
 import sys
 import re
+from array import array
 from bisect import bisect_right
 from collections import Counter, deque
 from fractions import Fraction
@@ -1137,7 +1138,7 @@ def rectangle_witness(plan, spectrum, diagram, rule, firing, detail,
         "vertices": [[j, s] for j in cols for s in expanded.offsets],
         "q_matrix": [[root_name(diagram.modulus, expanded.q(x, y))
                       for y in range(size)] for x in range(size)],
-        "diagram_dot": expanded.to_dot(),
+        "diagram_dot": "\n".join(expanded.dot_lines()),
         "components": [list(c) for c in expanded.components()],
         "firing": sorted(position[v] for v in firing),
     }
@@ -1356,10 +1357,10 @@ def permutation_spectrum_plan(cls, generators, modulus: int) -> SpectrumPlan:
     for x in characters:
         phases = [0]
         for (r, _), xi in zip(layers, x):
-            phases = [p + e * xi for e in range(r) for p in phases]
+            phases = [(p + e * xi) % modulus for e in range(r) for p in phases]
         exps = tuple(sum(w * xi for w, xi in zip(words[g], x)) % modulus
                      for g in generators)
-        planned.append((tuple(phases), exps))
+        planned.append((array("I", phases), exps))
     return SpectrumPlan(modulus, modulus // cls.k,
                         tuple(cls.normal_form(h).class_label(cls.k)
                               for h in elements),

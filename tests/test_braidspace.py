@@ -252,7 +252,8 @@ def test_dynkin_diagram_edges_only_where_product_differs_from_one():
 def test_dynkin_diagram_dot_shape():
     cls = UnmixedClass(2, 3)
     chi = parse_rep_spec(2, 3, "chi=(1,1,1);mu=standard").character()
-    dot = dynkin_diagram(subrack_plan(triple_subrack(cls, 1)), chi).to_dot()
+    dot = "\n".join(
+        dynkin_diagram(subrack_plan(triple_subrack(cls, 1)), chi).dot_lines())
     assert dot.startswith("graph diagram {")
     assert dot.endswith("}")
     assert dot.count("--") == 6

@@ -722,9 +722,12 @@ def test_diagram_without_subracks_prints_empty_graph():
         assert dot.stdout == result.stdout
 
 
-# the sha256 of each diagram's stdout, pinned from the builders as they
-# stood before twist, block_swap and the block reflections were put
-# together from normal forms and sigma_block
+# the sha256 of each diagram's stdout, the first eight pinned from the
+# builders as they stood before twist, block_swap and the block reflections
+# were put together from normal forms and sigma_block; the rest, on each
+# selector, on a witness row, on a negative row (the first candidate
+# subrack's diagram) and on a class with no candidate subrack (the empty
+# graph), recorded before the diagram was written as it is drawn
 SUBRACK_DIAGRAMS = {
     (2, 5, "chi=(1,1,1,1,1);mu=trivial", "canonical"):
         "b3ef41c3157bc0f7e8bc61416476bbf7e44e8e68b63e9c3987f17643872b9051",
@@ -742,17 +745,79 @@ SUBRACK_DIAGRAMS = {
         "31a6b2f2e24e0afe0aa8e370172b5cc091e7bc4e5eb5fd930dc2e1b236a51dc5",
     (8, 3, "chi=(1,1,1);mu=standard", "rotation"):
         "df2c035a01cbfc69cb9d8f608e118491e3ccb19ff5cf3cc963e0750165bed1e0",
+    (2, 6, "chi=(1,1,1,0,0,0);mu=trivial", "canonical"):
+        "dba594112b3772ec3ccefe1b98aa5040f5526b4fe0b822fce288d62da23276a5",
+    (2, 6, "chi=(1,1,1,0,0,0);mu=trivial", "triple:3"):
+        "69f6329dbbd062aee01e4ff34402143d5b05d464435b1d6f91026d62a2e3c213",
+    (4, 3, "chi=(3,3,0);mu=trivial", "quadruple:1,3"):
+        "a107c952255f17ebde25d47dd60f6a7a30f2d96d76120733005c80b6dcb2f680",
+    (6, 2, "chi=(1,2);mu=trivial", "rotation"):
+        "ae9e4ca628f8a8626c7fc3218090146677de6afa81143b590b0f2dd5747d15ba",
+    (10, 1, "chi=(3);mu=trivial", "powers"):
+        "36d74a3322f027ca3e4dea99bd236230fb9c6816661237a2574732aea4e9ef81",
+    (2, 6, "chi=(1,1,1,1,1,0);mu=standard", None):
+        "5a7f6118bf5a9d00b7081575679cc9f2bc5786d7b3a882a702c4afeb71b0f089",
+    (6, 3, "chi=(3,3,3);mu=trivial", None):
+        "98d347d618a2ad25e151b36b64e385daf55cb812063e401ca6ce50780b3facbb",
+    (3, 2, "chi=(1,2)", None):
+        "d6a71db6e5487918ece23f6a4f7322c205071314dfed172d29b3baa95a22ef4f",
 }
 
 
 @pytest.mark.parametrize("k,n,rep,selector", list(SUBRACK_DIAGRAMS))
 def test_diagram_subrack_selectors(k, n, rep, selector):
+    subrack = () if selector is None else ("--subrack", selector)
     result = run_cli("diagram", "--k", str(k), "--n", str(n),
-                     "--rep", rep, "--subrack", selector)
+                     "--rep", rep, *subrack)
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "// nichols.diagram/1"
     assert (hashlib.sha256(result.stdout.encode()).hexdigest()
             == SUBRACK_DIAGRAMS[k, n, rep, selector])
+
+
+BIG_DIAGRAM = ["diagram", "--k", "2", "--n", "8", "--rep",
+               "chi=(1,1,1,1,0,0,0,0);mu=trivial", "--subrack", "canonical"]
+
+
+@pytest.mark.slow
+def test_a_large_diagram_is_written_as_it_is_drawn():
+    # 264 MB of DOT on 81 columns of 70 vertices: the lines are written
+    # node by node, so the text is never held whole; the diagram itself
+    # peaks at about 350 MB, where a process that joined the text before
+    # printing it peaked at 1,579 MB.  RUSAGE_CHILDREN gives the peak of
+    # the largest child waited for
+    child = subprocess.Popen([sys.executable, "-m", "nichols.cli"] + BIG_DIAGRAM,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=child_env())
+    digest = hashlib.sha256()
+    for block in iter(lambda: child.stdout.read(1 << 20), b""):
+        digest.update(block)
+    assert child.wait() == 0, child.stderr.read()
+    assert digest.hexdigest() == (
+        "dc1cc3968375cdd271653acdabd7ae9be5923135b27d8c99f500afde7ef131fa")
+    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 600 * 1024
+
+
+@pytest.mark.slow
+def test_a_closed_stdout_stops_a_large_diagram():
+    # the first lines are written as soon as the diagram is built (2.5-2.9
+    # s on 2 vCPUs), so the closed pipe is met then; a process that drew
+    # the whole text first took 8-10 s
+    started = time.monotonic()
+    child = subprocess.Popen([sys.executable, "-m", "nichols.cli"] + BIG_DIAGRAM,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=child_env())
+    assert child.stdout.read(100).startswith(
+        b"// nichols.diagram/1\ngraph diagram {\n")
+    child.stdout.close()
+    try:
+        code = child.wait(timeout=60)
+    except subprocess.TimeoutExpired:
+        child.kill()
+        raise
+    assert child.stderr.read() == b""
+    assert code == 74
+    assert time.monotonic() - started < 5
 
 
 def test_diagram_of_adjacent_twins():

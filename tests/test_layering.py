@@ -10,8 +10,11 @@ Characters are read at class labels only: `reps` imports nothing from
 `permgroup`, and no module defines or uses a transporter, a cycle-type
 class or a walk over the whole class, which live there too.  Nor does it
 keep a wrapper whose callers know all it hides: a Dynkin diagram is built
-from a subrack plan alone, on nodes, with no vertex-level twin of it, and
-does not hold the subrack again; a class plan reaches its subracks through
+from a subrack plan alone, on nodes, with no vertex-level twin of it,
+holds each edge once, in its adjacency map, and is drawn by one generator
+of DOT lines (`dot_lines`) for the whole diagram and for a witness alike,
+with no second drawer that returns the text whole, and it does not hold
+the subrack again; a class plan reaches its subracks through
 their plans alone; the stabilizer of a character vector is read as its
 level sizes, with no record of the character or of its Young subgroup,
 and the placements of a label's cycles are counted per level sizes
@@ -62,7 +65,7 @@ REMOVED_NAMES = frozenset(("candidate_subracks", "joint_spectrum",
                            "_EXCEPTIONAL", "_selector_indices",
                            "RootOfUnity", "ROOT_ONE", "ROOT_MINUS_ONE",
                            "_printed_root", "_roots", "root_names",
-                           "orbit_terms"))
+                           "orbit_terms", "to_dot", "dot_template"))
 FORBIDDEN_NAMES = frozenset(("Cyclotomic", "cartan_type", "symmetrizable",
                              "braiding_matrix", "transporter",
                              "_involution_transporter", "CycleType",
@@ -120,6 +123,8 @@ def test_a_dynkin_diagram_is_built_from_a_plan_alone():
     assert list(inspect.signature(GeneralizedDynkinDiagram).parameters) == [
         "modulus", "columns", "runs", "labels"]
     assert "subrack" not in GeneralizedDynkinDiagram.__slots__
+    # each edge is held once, in the adjacency map, and read off it
+    assert "edges" not in GeneralizedDynkinDiagram.__slots__
 
 
 def test_a_class_plan_reaches_its_subracks_through_their_plans():
