@@ -343,8 +343,8 @@ def subrack_plan(subrack: AbelianSubrack) -> SubrackPlan:
     means the same vector in each column.  A subrack rebuilt from outside
     data whose table does not commute raises ValueError."""
     table = subrack.gamma_table()
-    modulus = lcm(*(p.order() for row in table for p in row))
     distinct = tuple(dict.fromkeys(p for row in table for p in row))
+    modulus = lcm(*(p.order() for p in distinct))
     if not all(a.commutes_with(b) for a, b in itertools.combinations(distinct, 2)):
         raise ValueError("conjugation table entries do not commute")
     return SubrackPlan(subrack, subrack.describe(),

@@ -6,12 +6,15 @@ length k in the symmetric group on k*n points.  Every element of the
 centralizer of its canonical basepoint has a unique normal form (d, b): a
 permutation b of the n blocks and a twist exponent d_j per block, the
 element sending offset h of block j to offset h + d_b(j) of block b(j).
-So normal forms multiply as the semidirect product they encode
-(UnmixedClass.product, with unit UnmixedClass.identity_form), and a group
-of centralizer elements closes on n-entry forms.  The centralizer elements
-the subracks are built from (the basepoint twist((1,) * n), the other
-twists, and the block swaps) are all put together from their normal forms
-by UnmixedClass.assemble, and every block reflection, of one block or of
+Both are plain tuples, b the block images in one-line notation, so a form
+hashes and compares as a pair of tuples.  Normal forms multiply as the
+semidirect product they encode (UnmixedClass.product, with unit
+UnmixedClass.identity_form), and a group of centralizer elements closes on
+n-entry forms; Permutation is kept for the elements of the k*n points that
+subracks and witnesses print.  The centralizer elements the subracks are
+built from (the basepoint twist((1,) * n), the other twists, and the block
+swaps) are all put together from their normal forms by
+UnmixedClass.assemble, and every block reflection, of one block or of
 several, comes from sigma_block.
 
 The centralizer is the wreath product Z/k wr S_n.  Its conjugacy classes are
@@ -147,15 +150,16 @@ class Permutation:
 
 
 class NormalForm(NamedTuple):
-    """Centralizer element as twist exponents d and block permutation b."""
+    """Centralizer element as twist exponents d and block permutation b,
+    the tuple of its block images in one-line notation (b[j - 1] = b(j))."""
 
     d: tuple
-    b: Permutation
+    b: tuple
 
     def class_label(self, k: int) -> tuple:
         """The sorted (L, s) pairs of the cycles of b, with s the twist sum
         over the cycle mod k: the element's conjugacy class in Z/k wr S_n."""
-        img, d = self.b.img, self.d
+        img, d = self.b, self.d
         seen = [False] * len(img)
         label = []
         for start in range(len(img)):
@@ -172,7 +176,8 @@ class NormalForm(NamedTuple):
         return tuple(label)
 
     def __str__(self) -> str:
-        return "d=%s;b=%s" % (",".join(str(x) for x in self.d), self.b)
+        return "d=%s;b=%s" % (",".join(str(x) for x in self.d),
+                              Permutation._trusted(self.b))
 
 
 class PartnerClass(NamedTuple):
@@ -240,26 +245,26 @@ class UnmixedClass:
         i == j)."""
         b = list(range(1, self.n + 1))
         b[i - 1], b[j - 1] = j, i
-        return self.assemble(NormalForm((0,) * self.n, Permutation(b)))
+        return self.assemble(NormalForm((0,) * self.n, tuple(b)))
 
     def twist(self, d) -> Permutation:
         """The element turning block j by d_j and fixing every block."""
         d = tuple(d)
         if len(d) != self.n:
             raise ValueError("need one exponent per block")
-        return self.assemble(NormalForm(d, Permutation.identity(self.n)))
+        return self.assemble(NormalForm(d, tuple(range(1, self.n + 1))))
 
     def assemble(self, nf: NormalForm) -> Permutation:
         d = tuple(nf.d)
         b = nf.b
-        if len(d) != self.n or b.degree != self.n:
+        if len(d) != self.n or len(b) != self.n:
             raise ValueError("normal form size mismatch")
         # block j goes to block b(j), turned by t = d_b(j): offset h to
         # offset h + t, so its images are the points of block b(j) from
         # offset t + 1 on, then those below it
         k = self.k
         img = []
-        for bj in b.img:
+        for bj in b:
             start = k * (bj - 1) + 1
             t = d[bj - 1] % k
             img += range(start + t, start + k)
@@ -278,12 +283,9 @@ class UnmixedClass:
             bj, t = divmod(img[k * j] - 1, k)
             b_img[j] = bj + 1
             d[bj] = t
-        try:
-            b = Permutation(b_img)
-        except ValueError:
-            raise ValueError("element does not centralize the basepoint") from None
-        nf = NormalForm(tuple(d), b)
-        if self.assemble(nf) != g:
+        nf = NormalForm(tuple(d), tuple(b_img))
+        # a b that repeats a block is no permutation of the blocks
+        if len(set(b_img)) < self.n or self.assemble(nf) != g:
             raise ValueError("element does not centralize the basepoint")
         return nf
 
@@ -294,16 +296,15 @@ class UnmixedClass:
         elements closes on these n-entry forms, not on permutations of the
         k*n points."""
         k = self.k
-        gd, hd, gb = g.d, h.d, g.b.img
+        gd, hd, gb = g.d, h.d, g.b
         d = [0] * self.n
         for j, y in enumerate(gb):
             d[y - 1] = (gd[y - 1] + hd[j]) % k
-        return NormalForm(tuple(d), Permutation._trusted(
-            tuple([gb[y - 1] for y in h.b.img])))
+        return NormalForm(tuple(d), tuple([gb[y - 1] for y in h.b]))
 
     def identity_form(self) -> NormalForm:
         """The normal form of the identity, the unit of product."""
-        return NormalForm((0,) * self.n, Permutation.identity(self.n))
+        return NormalForm((0,) * self.n, tuple(range(1, self.n + 1)))
 
     def partner_classes(self) -> list:
         """One PartnerClass per centralizer conjugacy class of partners, the
@@ -345,7 +346,7 @@ class UnmixedClass:
                 b_img[start + i] = start + (i + 1) % length + 1
             d[start] = s
             start += length
-        return NormalForm(tuple(d), Permutation(b_img))
+        return NormalForm(tuple(d), tuple(b_img))
 
     def _wreath_class_size(self, label: tuple) -> int:
         size = self.centralizer_order()

@@ -11,15 +11,17 @@ entries hold each value v, values descending; see level_sizes), and the
 orbit of u has n! / prod m_v! members.  The engine needs only the
 character, which InducedCharacter computes from the spec alone: the
 induced-character formula over the orbit of u, with the symmetric-group
-factors given by the Murnaghan-Nakayama rule.  That works for every
-partition, so every irrep of every class is available; no representation
-matrix is ever built.  The orbit part of a value reads the values of u
-only through a phase, sum_i v_i S_i mod k with S_i the twist sum of the
-cycles that level i receives, so the placements of the cycles are counted
-once per (level sizes, label) per process (placements), by cycle types
-and twist sums per level, and shared by every spec whose u has those level
-sizes, whatever its values and k; the partitions enter only through the
-product of partition characters at each tuple of cycle types.
+factors given by the Murnaghan-Nakayama rule (sn_character).  The same
+rule gives the degrees: a spec's degree is the orbit size times the value
+of each factor at the identity.  That works for every partition, so
+every irrep of every class is available; no representation matrix is ever
+built.  The orbit part of a value reads the values of u only through a
+phase, sum_i v_i S_i mod k with S_i the twist sum of the cycles that level
+i receives, so the placements of the cycles are counted once per (level
+sizes, label) per process (placements), by cycle types and twist sums per
+level, and shared by every spec whose u has those level sizes, whatever
+its values and k; the partitions enter only through the product of
+partition characters at each tuple of cycle types.
 A character is a class function, so it is read at a conjugacy-class label
 of the centralizer, the sorted (L, s) pairs of nichols.permgroup, and never
 at a group element.  Character values are integer coefficient vectors over
@@ -70,25 +72,13 @@ def partitions_of(m: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def partition_degree(part: tuple) -> int:
-    """Degree of the symmetric-group irrep labeled by the partition (hook lengths)."""
-    m = sum(part)
-    hooks = 1
-    for i, row in enumerate(part):
-        for j in range(row):
-            arm = row - j - 1
-            leg = sum(1 for r in part[i + 1:] if r > j)
-            hooks *= arm + leg + 1
-    return factorial(m) // hooks
-
-
-@lru_cache(maxsize=None)
 def sn_character(partition: tuple, cycle_type: tuple) -> int:
     """The irreducible character of S_m labeled by the partition, at a
     permutation of the given cycle type (a tuple of lengths summing to m),
     by the Murnaghan-Nakayama rule: strip a rim hook of each cycle length
     in turn, with sign (-1)^(rows spanned - 1).  Partition (m) is the
-    trivial character, (1^m) the sign."""
+    trivial character, (1^m) the sign.  Its value at the identity, cycle
+    type (1,) * m, is the degree of the irrep."""
     cycle_type = tuple(sorted(cycle_type, reverse=True))
     if sum(partition) != sum(cycle_type):
         raise ValueError("partition and cycle type have different sizes")
@@ -114,11 +104,12 @@ def sn_character(partition: tuple, cycle_type: tuple) -> int:
 
 
 def _degree(sizes: tuple, partitions: tuple) -> int:
-    # the orbit of u has n! / prod m_v! members, m_v the level sizes
+    # the orbit of u has n! / prod m_v! members, m_v the level sizes, and a
+    # symmetric-group factor's degree is its character at the identity
     deg = factorial(sum(sizes))
     for m in sizes:
         deg //= factorial(m)
-    return deg * prod(map(partition_degree, partitions))
+    return deg * prod(map(sn_character, partitions, ((1,) * m for m in sizes)))
 
 
 class RepSpec(NamedTuple):

@@ -14,13 +14,14 @@ closure and tests just that, then re-fires the rule (see verify_witness).
 What no representation changes is built once per recorded subrack (the
 member of the family its kind names, or else the subrack rebuilt from its
 images with its own checks, and no description), once per set of its
-witness columns (H_w as a table of Cayley edges, with the class label of
-each element) and once per recorded q_matrix on those columns (its
-exponents, the psi_s read off it, their phases carried along those edges
-and counted at each distinct label, and the rule re-fired on each firing
-or cycle), and kept for the life of the process; a row only checks its own
-fields and vertices, and sums its character, read once at each distinct
-label as its nonzero terms, against those counts, in integers.
+witness columns (H_w as a table of Cayley edges, closed on normal forms,
+each a pair of plain tuples, with the class label of each element) and
+once per recorded q_matrix on those columns (its exponents, the psi_s
+read off it, their phases carried along those edges and counted at each
+distinct label, and the rule re-fired on each firing or cycle), and kept
+for the life of the process; a row only checks its own fields and
+vertices, and sums its character, read once at each distinct label as its
+nonzero terms, against those counts, in integers.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ from .permgroup import Permutation, UnmixedClass
 from .reps import InducedCharacter, pi_scalar, resolve_spec
 
 INFINITE = "InfiniteDim"
+
+# the reason a scalar-gate witness prints, for even and for odd k
+_GATE_REASONS = ("basepoint scalar is not -1", "basepoint has odd order")
 
 
 def _positive_definite(S) -> bool:
@@ -153,9 +157,9 @@ def _witness_group(subrack: AbelianSubrack, cols: tuple) -> _WitnessGroup:
     ValueError on one that does not centralize the basepoint, and each
     element's class label is read off its form.  Entries that do not
     commute raise ValueError.  Each transporter of the columns is inverted
-    once, the closure indexes each form by its plain (d, b images) tuple,
-    and an edge whose end is already known by commutativity (see the
-    closure) is read off a finished row instead of multiplied: on the
+    once, the closure indexes each form, a pair of plain tuples, by
+    itself, and an edge whose end is already known by commutativity (see
+    the closure) is read off a finished row instead of multiplied: on the
     subracks of the (4,4), (6,3) and (8,2) witnesses, 219 of 448."""
     cls = subrack.cls
     inverse = {j: subrack.transporters[j].inverse() for j in cols}
@@ -171,7 +175,7 @@ def _witness_group(subrack: AbelianSubrack, cols: tuple) -> _WitnessGroup:
     modulus = lcm(cls.k, *(g.order() for g in generators))
     product = cls.product
     identity = cls.identity_form()
-    index = {(identity.d, identity.b.img): 0}
+    index = {identity: 0}
     queue = [identity]
     made = [None]
     edges = []
@@ -186,12 +190,11 @@ def _witness_group(subrack: AbelianSubrack, cols: tuple) -> _WitnessGroup:
                 row.append(edges[y][made[h][1]])
                 continue
             x = product(g, form)
-            key = (x.d, x.b.img)
-            if key not in index:
-                index[key] = len(queue)
+            if x not in index:
+                index[x] = len(queue)
                 queue.append(x)
                 made.append((h, t))
-            row.append(index[key])
+            row.append(index[x])
         edges.append(tuple(row))
     return _WitnessGroup(generator, modulus,
                          {root_name(modulus, e): e for e in range(modulus)},
@@ -315,9 +318,9 @@ def _refire(rule: str, positions: tuple, exps: tuple,
 _SUBRACK_FIELDS = ("element_images", "transporter_images", "subrack",
                    "vertices", "q_matrix")
 _WITNESS_FIELDS = {
-    "scalar-gate": ("q_scalar", "element_order"),
+    "scalar-gate": ("q_scalar", "element_order", "reason"),
     "cartan-infinite": _SUBRACK_FIELDS + ("firing", "cartan_matrix"),
-    "alternating-cycle": _SUBRACK_FIELDS + ("cycle", "cycle_labels"),
+    "alternating-cycle": _SUBRACK_FIELDS + ("firing", "cycle", "cycle_labels"),
 }
 
 
@@ -386,15 +389,17 @@ def verify_witness(k: int, n: int, rho_spec, verdict) -> bool:
 
     The recorded fields that follow from these values must match them: the
     cartan_matrix, the cycle_labels (the products around the cycle), the
-    q_scalar and element_order of the scalar gate, and the subrack
-    description (kind, param and the printed elements and transporters),
-    which must describe the subrack rebuilt from the images; a kind that
-    names no family, or a param that its family refuses, fails.  The
-    cartan_matrix entries and the element_order must be of type int (3.0
-    is not 3).  The label, the components and the diagram_dot are not
-    read.  An entry that is not a root of unity printed in lowest terms,
-    or a q_matrix that is not one list per vertex of one entry per vertex,
-    fails.  A witness whose element_images or transporter_images are not
+    firing of an alternating cycle (its cycle's positions in increasing
+    order), the q_scalar, element_order and reason of the scalar gate (the
+    reason is "basepoint has odd order" for odd k and "basepoint scalar is
+    not -1" for even k), and the subrack description (kind, param and the
+    printed elements and transporters), which must describe the subrack
+    rebuilt from the images; a kind that names no family, or a param that
+    its family refuses, fails.  The cartan_matrix entries and the
+    element_order must be of type int (3.0 is not 3).  The printed label,
+    components and diagram_dot are still not read.  An entry that is not a
+    root of unity printed in lowest terms, or a q_matrix that is not one
+    list per vertex of one entry per vertex, fails.  A witness whose element_images or transporter_images are not
     a list of image lists, or hold an entry not of type int (1.0 or True
     is not 1), whose subrack param is not a list of int (a tuple, set or
     dict is not), whose vertices are not a list of two-element lists,
@@ -421,7 +426,8 @@ def verify_witness(k: int, n: int, rho_spec, verdict) -> bool:
         q = pi_scalar(spec)
         return ((k % 2 == 1 or 2 * q != k)
                 and w["q_scalar"] == root_name(k, q)
-                and type(w["element_order"]) is int and w["element_order"] == k)
+                and type(w["element_order"]) is int and w["element_order"] == k
+                and w["reason"] == _GATE_REASONS[k % 2])
     _require(w["subrack"], ("kind", "param"), "the witness subrack")
     if type(w["subrack"]["kind"]) is not str:
         raise ValueError("the witness subrack kind must be a str")
@@ -479,6 +485,8 @@ def verify_witness(k: int, n: int, rho_spec, verdict) -> bool:
     elif verdict.rule == "alternating-cycle":
         if len(w["cycle"]) != 4:
             raise ValueError("an alternating cycle has four vertices")
+        if w["firing"] != sorted(w["cycle"]):
+            return False
         positions, recorded = w["cycle"], w["cycle_labels"]
     else:
         raise ValueError("unknown rule %r" % verdict.rule)

@@ -152,8 +152,7 @@ def centralizer_generators(cls) -> list:
 
 def centralizer_elements(cls):
     """All k^n * n! centralizer elements, identity first, deterministic order."""
-    for b_img in itertools.permutations(range(1, cls.n + 1)):
-        b = Permutation(b_img)
+    for b in itertools.permutations(range(1, cls.n + 1)):
         for d in itertools.product(range(cls.k), repeat=cls.n):
             yield cls.assemble(NormalForm(d, b))
 
@@ -264,6 +263,20 @@ def coefficients_by_placements(character, label: tuple) -> tuple:
 
     assign(0, 0)
     return tuple(out)
+
+
+def partition_degree(part: tuple) -> int:
+    """Degree of the symmetric-group irrep labeled by the partition, by the
+    hook-length formula: the reference for the degrees that nichols.reps
+    reads off sn_character at the identity."""
+    m = sum(part)
+    hooks = 1
+    for i, row in enumerate(part):
+        for j in range(row):
+            arm = row - j - 1
+            leg = sum(1 for r in part[i + 1:] if r > j)
+            hooks *= arm + leg + 1
+    return factorial(m) // hooks
 
 
 # dense representation matrices: a symmetric-group catalog covering every
@@ -447,9 +460,9 @@ class InducedRep:
 
     def evaluate(self, nf: NormalForm) -> Matrix:
         d = tuple(nf.d)
-        b = nf.b
-        if len(d) != self.n or b.degree != self.n:
+        if len(d) != self.n or len(nf.b) != self.n:
             raise ValueError("normal form size mismatch")
+        b = Permutation(nf.b)
         dm = self.mu.degree
         size = self.degree
         entries = [[ZERO] * size for _ in range(size)]
@@ -510,7 +523,7 @@ def dense_pi_scalar(rho: InducedRep, cls):
     """The scalar matrix by which the basepoint acts, read off the matrix."""
     if cls.k != rho.k or cls.n != rho.n:
         raise ValueError("class and representation sizes do not match")
-    mat = rho.evaluate(NormalForm((1,) * rho.n, Permutation.identity(rho.n)))
+    mat = rho.evaluate(NormalForm((1,) * rho.n, tuple(range(1, rho.n + 1))))
     scalar = mat.is_scalar()
     if scalar is None:
         raise ArithmeticError("basepoint does not act by a scalar")

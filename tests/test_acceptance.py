@@ -13,7 +13,7 @@ import sys
 import time
 
 import nichols
-from nichols.permgroup import UnmixedClass
+from nichols.permgroup import Permutation, UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec
 from nichols.verdict import (INFINITE, NEGATIVE, closed_form_verdict, decide,
                              verify_witness)
@@ -167,7 +167,8 @@ def test_criterion_7_commuting_pair_normal_form_invariants():
             right = cls.normal_form(t)
             g = transporter(cls, t)
             left = cls.normal_form(conjugate(g.inverse(), cls.basepoint))
-            assert right.b.cycle_type() == left.b.cycle_type(), (k, n, t)
+            assert (Permutation(right.b).cycle_type()
+                    == Permutation(left.b).cycle_type()), (k, n, t)
             total = sum(right.d) + sum(left.d)
             if n % 2 == 1:
                 assert total % 2 == 0, (k, n, t)

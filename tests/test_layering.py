@@ -17,8 +17,10 @@ with no second drawer that returns the text whole, and it does not hold
 the subrack again; a class plan reaches its subracks through
 their plans alone; the stabilizer of a character vector is read as its
 level sizes, with no record of the character or of its Young subgroup,
-and the placements of a label's cycles are counted per level sizes
-(`reps.placements`), with no table keyed on the values of the vector;
+the degree of a symmetric-group irrep is its character's value at the
+identity, with no hook-length formula beside it, and the placements of a
+label's cycles are counted per level sizes (`reps.placements`), with no
+table keyed on the values of the vector;
 conjugation and the powers of one cycle are the methods of the
 permutation and the class; and a Cartan component is read by counting its
 edges, with no reader of the tree shapes that no candidate subrack makes.
@@ -65,7 +67,8 @@ REMOVED_NAMES = frozenset(("candidate_subracks", "joint_spectrum",
                            "_EXCEPTIONAL", "_selector_indices",
                            "RootOfUnity", "ROOT_ONE", "ROOT_MINUS_ONE",
                            "_printed_root", "_roots", "root_names",
-                           "orbit_terms", "to_dot", "dot_template"))
+                           "orbit_terms", "to_dot", "dot_template",
+                           "partition_degree"))
 FORBIDDEN_NAMES = frozenset(("Cyclotomic", "cartan_type", "symmetrizable",
                              "braiding_matrix", "transporter",
                              "_involution_transporter", "CycleType",

@@ -98,6 +98,7 @@ def test_normal_form_round_trip_over_full_centralizer():
         for g in centralizer_elements(cls):
             nf = cls.normal_form(g)
             assert cls.assemble(nf) == g
+            assert type(nf.d) is type(nf.b) is tuple
             assert all(0 <= d < k for d in nf.d)
             seen.add(g)
         assert len(seen) == cls.centralizer_order()
@@ -105,7 +106,7 @@ def test_normal_form_round_trip_over_full_centralizer():
 
 def _label(cls, nf):
     return tuple(sorted((len(c), sum(nf.d[j - 1] for j in c) % cls.k)
-                        for c in nf.b.cycles(include_fixed=True)))
+                        for c in Permutation(nf.b).cycles(include_fixed=True)))
 
 
 def _conjugation_orbits(cls, elements):
@@ -173,8 +174,8 @@ def test_normal_form_multiplicativity():
         nm = cls.normal_form(g * h)
         assert cls.product(ng, nh) == nm
         assert cls.product(identity, ng) == ng == cls.product(ng, identity)
-        assert nm.b == ng.b * nh.b
-        binv = ng.b.inverse()
+        assert Permutation(nm.b) == Permutation(ng.b) * Permutation(nh.b)
+        binv = Permutation(ng.b).inverse()
         for j in range(1, cls.n + 1):
             assert nm.d[j - 1] == (ng.d[j - 1] + nh.d[binv(j) - 1]) % cls.k
 

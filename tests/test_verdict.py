@@ -306,6 +306,48 @@ def test_verify_witness_rejects_a_tampered_scalar_gate():
                                   verdict._replace(witness=tampered)), field
 
 
+def test_verify_witness_reads_the_firing_of_an_alternating_cycle():
+    # the firing of a cycle witness is its cycle's positions in increasing
+    # order: a firing that names fewer or other positions is refused, and a
+    # witness without one is malformed
+    spec = "chi=(5,5,5);mu=trivial"
+    verdict = decide(6, 3, spec)
+    assert verdict.rule == "alternating-cycle"
+    w = verdict.witness
+    assert (w["firing"], w["cycle"]) == ([0, 1, 2, 3], [0, 2, 1, 3])
+    assert verify_witness(6, 3, spec, verdict)
+    for firing in ([0], [], [0, 2, 1, 3], [3, 2, 1, 0]):
+        assert not verify_witness(6, 3, spec, _with(verdict, firing=firing)), \
+            firing
+    missing = dict(w)
+    del missing["firing"]
+    with pytest.raises(ValueError, match="lacks the field firing$"):
+        verify_witness(6, 3, spec, verdict._replace(witness=missing))
+
+
+@pytest.mark.parametrize("k,n,spec,reason", [
+    (4, 3, "chi=(1,0,0)", "basepoint scalar is not -1"),
+    (3, 2, "chi=(1,0)", "basepoint has odd order"),
+])
+def test_verify_witness_reads_the_reason_of_the_scalar_gate(k, n, spec, reason):
+    # the reason is the one the order of the basepoint gives: the other
+    # reason, another text or a number is refused, and a witness without
+    # one is malformed
+    verdict = decide(k, n, spec)
+    assert verdict.rule == "scalar-gate"
+    assert verdict.witness["reason"] == reason
+    assert verify_witness(k, n, spec, verdict)
+    other = ({"basepoint has odd order", "basepoint scalar is not -1"}
+             - {reason}).pop()
+    for forged in (other, "nonsense", 5, None):
+        assert not verify_witness(k, n, spec, _with(verdict, reason=forged)), \
+            forged
+    missing = dict(verdict.witness)
+    del missing["reason"]
+    with pytest.raises(ValueError, match="lacks the field reason$"):
+        verify_witness(k, n, spec, verdict._replace(witness=missing))
+
+
 def _root(text):
     if text in _SYMBOLS:
         return _SYMBOLS[text]
