@@ -17,10 +17,11 @@ needed: the multiplicities are integers read off integer traces
 (nichols.exactfield.rational_trace), and each braiding label is a root of
 unity held as its integer exponent of zeta_modulus, each printed one at
 a time through nichols.exactfield.root_name.  No field element is built.
-The diagram holds each edge once, in its adjacency map, and one generator
-of whole lines, GeneralizedDynkinDiagram.dot_lines, draws its DOT text:
-`diagram` writes the lines as they are drawn, and a witness joins them
-for its few vertices.
+The diagram is built from those labels alone: every edge is read off
+them by one formula, and one generator of whole lines,
+GeneralizedDynkinDiagram.dot_lines, draws a whole diagram's DOT text:
+`diagram` writes the lines as they are drawn, and a witness is drawn as
+the diagram of its own rectangle of vertices and joins them.
 
 The work splits in two.  subrack_plan does what rho does not change, in a
 plan that carries its subrack: the table, the commute check, H with the
@@ -41,6 +42,7 @@ import itertools
 from array import array
 from bisect import bisect_right
 from math import gcd, lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from .exactfield import rational_trace, root_name, totient
@@ -354,28 +356,6 @@ def subrack_plan(subrack: AbelianSubrack) -> SubrackPlan:
                        spectrum_plan(subrack.cls, distinct, modulus))
 
 
-def connected_components(adjacent) -> tuple:
-    """The connected components of the graph on 0 .. len(adjacent) - 1 in
-    which adjacent[x] lists the neighbors of x, each a sorted tuple,
-    ordered by least vertex."""
-    seen = [False] * len(adjacent)
-    out = []
-    for start in range(len(adjacent)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        group = [start]
-        stack = [start]
-        while stack:
-            for y in adjacent[stack.pop()]:
-                if not seen[y]:
-                    seen[y] = True
-                    group.append(y)
-                    stack.append(y)
-        out.append(tuple(sorted(group)))
-    return tuple(out)
-
-
 class GeneralizedDynkinDiagram:
     """The generalized Dynkin diagram of a diagonal subspace, on nodes.
 
@@ -393,16 +373,17 @@ class GeneralizedDynkinDiagram:
     The vertex label of a node is q_aa of its members, and the edge label
     of two nodes is q_ab q_ba of their members, an edge only where != 1,
     each held as its exponent of zeta_modulus (the sum of the two
-    exponents for an edge, nonzero mod modulus); an
-    edge of a node to itself joins its members pairwise, and no vertex is
-    its own neighbor.  The edges are held once, in the map of each node
-    to its neighbors (adjacent), and edges reads them off it as (x, y,
-    label) with x <= y.  The decision reads nodes only; vertices are drawn
-    only by dot_lines, which walks a rectangle of vertices node by node and
-    yields the DOT text as it goes: the whole diagram for `diagram`, and
-    the few vertices that a witness prints.  The diagram holds labels
-    only, no subrack: a witness names the subrack of the plan that the
-    diagram was built from."""
+    exponents for an edge, nonzero mod modulus); an edge of a node to
+    itself joins its members pairwise, and no vertex is its own neighbor.
+    Every edge is read off the labels by one formula (_scan), and no pair
+    is looked at when the diagram is built.  The decision reads nodes
+    only: its first read of neighbors (adjacent) reads every node's once
+    and keeps them.  Vertices are drawn only by dot_lines, which reads
+    each node's later neighbors straight off the labels and yields the DOT
+    text as it goes, so drawing builds no neighbor map.  A witness is
+    drawn as a diagram of its own, on the rectangle of its vertices
+    (rectangle).  The diagram holds labels only, no subrack: a witness
+    names the subrack of the plan that the diagram was built from."""
 
     __slots__ = ("modulus", "columns", "offsets", "labels", "nodes", "_adjacent")
 
@@ -414,22 +395,27 @@ class GeneralizedDynkinDiagram:
         self.labels = labels
         self.nodes = tuple((j, range(offset, offset + mult))
                            for j in self.columns for offset, mult in runs)
-        width = len(self.offsets)
-        self._adjacent = adjacent = tuple({} for _ in self.nodes)
+        self._adjacent = None
+
+    def _scan(self):
+        """Every edge (x, y, label) with x <= y, by x and then y, read off
+        the labels: for x = (a, r) and y = (b, t), a column place and a
+        run, the label is labels[a][b][t] + labels[b][a][r] mod modulus,
+        an edge where it is nonzero, and a node is adjacent to itself only
+        when it has two members or more."""
+        labels, modulus, width = self.labels, self.modulus, len(self.offsets)
         for x, (_, indices) in enumerate(self.nodes):
             a, r = divmod(x, width)
             for y in range(x if len(indices) > 1 else x + 1, len(self.nodes)):
                 b, t = divmod(y, width)
                 w = (labels[a][b][t] + labels[b][a][r]) % modulus
                 if w:
-                    adjacent[x][y] = adjacent[y][x] = w
+                    yield x, y, w
 
     @property
     def edges(self) -> tuple:
-        """Every edge (x, y, label) with x <= y, by x and then y: node x's
-        map holds its neighbors before x first, then the rest in order."""
-        return tuple((x, y, w) for x, near in enumerate(self._adjacent)
-                     for y, w in near.items() if y >= x)
+        """Every edge (x, y, label) with x <= y, by x and then y."""
+        return tuple(self._scan())
 
     def node(self, vertex) -> int:
         """The node of the vertex (j, s)."""
@@ -439,7 +425,12 @@ class GeneralizedDynkinDiagram:
 
     def adjacent(self, x: int) -> dict:
         """The nodes adjacent to node x, itself included when its members
-        are adjacent to each other, mapped to the edge label."""
+        are adjacent to each other, mapped to the edge label, in order.
+        The first call reads every node's neighbors, and they are kept."""
+        if self._adjacent is None:
+            self._adjacent = tuple({} for _ in self.nodes)
+            for u, y, w in self._scan():
+                self._adjacent[u][y] = self._adjacent[y][u] = w
         return self._adjacent[x]
 
     def q(self, x: int, y: int) -> int:
@@ -454,54 +445,69 @@ class GeneralizedDynkinDiagram:
         they are not adjacent."""
         if u == v:
             return None
-        return self._adjacent[self.node(u)].get(self.node(v))
+        return self.adjacent(self.node(u)).get(self.node(v))
 
     def components(self) -> tuple:
         """The connected components, each a sorted node tuple, ordered by
         least node.  The members of a node lie in one component, save that
         a node with no edge at all is one entry here and, when it has
         several members, stands for one component per member."""
-        return connected_components(self._adjacent)
+        seen = [False] * len(self.nodes)
+        out = []
+        for start in range(len(self.nodes)):
+            if seen[start]:
+                continue
+            seen[start] = True
+            group = [start]
+            stack = [start]
+            while stack:
+                for y in self.adjacent(stack.pop()):
+                    if not seen[y]:
+                        seen[y] = True
+                        group.append(y)
+                        stack.append(y)
+            out.append(tuple(sorted(group)))
+        return tuple(out)
 
-    def dot_lines(self, columns=None, indices=None, spelled=None,
-                  opening="{", closing="}"):
-        """The DOT text of the subdiagram on the vertices (j, s), j in
-        columns and s in indices, both increasing, as whole lines: the
-        head, one chunk of lines per node for its members, one per node
-        for their edges to the later members of the node and of later
-        nodes (a node with none yields no chunk), and the closing line.
-        The vertices are named t<j>.v<spelled[i]> for s = indices[i], in
-        vertex order, and edges (u, v) have u before v, sorted.
+    def rectangle(self, columns, indices) -> GeneralizedDynkinDiagram:
+        """The diagram on the vertices (j, s) with j in columns and s in
+        indices, both increasing, each vertex a node of its own: node x is
+        the vertex of place x in the rectangle, column by column."""
+        places = [bisect_right(self.columns, j) - 1 for j in columns]
+        runs = [bisect_right(self.offsets, s) - 1 for s in indices]
+        return GeneralizedDynkinDiagram(
+            self.modulus, columns, [(s, 1) for s in indices],
+            [[[self.labels[a][b][t] for t in runs] for b in places]
+             for a in places])
 
-        With no columns it draws the whole diagram: every column, and the
-        indices of the first column's runs.  nichols.verdict passes
-        the slots "{i}" as spelled and doubled braces, which makes the
-        text a str.format template; labels are read per run, so the text
-        with other indices filled in draws the same vertices of any
-        diagram with these runs and more members in them."""
-        width = len(self.offsets)
-        if columns is None:
-            columns = self.columns
-            indices = [s for _, run in self.nodes[:width] for s in run]
-        runs = {}
-        for s, text in zip(indices, indices if spelled is None else spelled):
-            runs.setdefault(bisect_right(self.offsets, s) - 1, []).append(text)
-        names = {(bisect_right(self.columns, j) - 1) * width + t:
-                 ["t%d.v%s" % (j, text) for text in texts]
-                 for j in columns for t, texts in runs.items()}
+    def dot_lines(self, spelled=None, opening="{", closing="}"):
+        """The DOT text of the diagram as whole lines: the head, one chunk
+        of lines per node for its members, one per node for their edges to
+        the later members of the node and of later nodes (a node with none
+        yields no chunk), and the closing line.  The vertices are named
+        t<j>.v<spelled[i]> for the i-th eigenvector index s, in vertex
+        order (t<j>.v<s> with no spelled), and edges (u, v) have u before
+        v, sorted.
+
+        nichols.verdict draws a witness's rectangle with the slots "{i}" as
+        spelled and doubled braces, which makes the text a str.format
+        template; labels are read per run, so the text with other indices
+        filled in draws the same vertices of any diagram with these runs
+        and more members in them."""
+        indices = [s for _, run in self.nodes[:len(self.offsets)] for s in run]
+        spell = dict(zip(indices, indices if spelled is None else spelled))
+        names = [["t%d.v%s" % (j, spell[s]) for s in run]
+                 for j, run in self.nodes]
         yield "graph diagram " + opening
-        for x, members in names.items():
+        for x, members in enumerate(names):
             label = root_name(self.modulus, self.q(x, x))
             yield "\n".join('  %s [label="%s"];' % (v, label) for v in members)
-        for x, members in names.items():
-            near = self._adjacent[x]
-            later = [(y, root_name(self.modulus, near[y])) for y in sorted(near)
-                     if y >= x and y in names]
-            lines = ['  %s -- %s [label="%s"];' % (u, v, w)
-                     for t, u in enumerate(members) for y, w in later
-                     for v in (members[t + 1:] if y == x else names[y])]
-            if lines:
-                yield "\n".join(lines)
+        for x, near in itertools.groupby(self._scan(), itemgetter(0)):
+            later = [(y, root_name(self.modulus, w)) for _, y, w in near]
+            members = names[x]
+            yield "\n".join('  %s -- %s [label="%s"];' % (u, v, w)
+                            for t, u in enumerate(members) for y, w in later
+                            for v in (members[t + 1:] if y == x else names[y]))
         yield closing
 
     def __repr__(self) -> str:

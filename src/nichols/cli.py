@@ -170,8 +170,9 @@ def _text_lines(report: dict) -> list:
     witness = report["witness"]
     sub = witness.get("subrack")
     if sub:
-        lines.append("subrack: %s %s" % (
-            sub["kind"], ",".join(str(x) for x in sub["param"])))
+        # a family with no param, such as quadruple-rotation, ends at its kind
+        lines.append(("subrack: %s %s" % (
+            sub["kind"], ",".join(str(x) for x in sub["param"]))).rstrip())
     for key in sorted(witness):
         if key in TEXT_SKIP:
             continue

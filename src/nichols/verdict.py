@@ -42,9 +42,8 @@ from typing import NamedTuple, Optional
 
 from . import braidspace
 from .braidspace import (GeneralizedDynkinDiagram, SubrackPlan,
-                         connected_components, quadruple_subrack,
-                         rotation_subrack, spectrum_diagram, subrack_plan,
-                         triple_subrack)
+                         quadruple_subrack, rotation_subrack,
+                         spectrum_diagram, subrack_plan, triple_subrack)
 from .exactfield import rational_trace, root_name, totient
 from .permgroup import PartnerClass, UnmixedClass
 from .reps import InducedCharacter, pi_scalar, resolve_spec
@@ -436,39 +435,36 @@ def _template(plan: SubrackPlan, diagram: GeneralizedDynkinDiagram,
               rule: str, firing: tuple, detail: dict,
               cycle_order: tuple) -> _Template:
     """The witness template of the rule that fired on a capped pattern's
-    diagram, on the rectangle (the firing set's columns) x (its
+    diagram, read off its rectangle (the firing set's columns) x (its
     eigenvector indices), the smallest vertex set that makes the witness
-    self-contained.  Its values, edges and components are read per run,
-    so every row of the pattern has them; only the names of the indices
-    differ from row to row (_Template.verdict)."""
+    self-contained, each vertex a node of the rectangle's own diagram
+    (GeneralizedDynkinDiagram.rectangle).  Its values, edges and
+    components are read per run, so every row of the pattern has them;
+    only the names of the indices differ from row to row
+    (_Template.verdict)."""
     cols = sorted({j for j, _ in firing})
     vecs = sorted({s for _, s in firing})
-    vertices = [(j, s) for j in cols for s in vecs]
-    position = {v: i for i, v in enumerate(vertices)}
-    nodes = [diagram.node(v) for v in vertices]
-    # twins are adjacent when their node is adjacent to itself
-    near = [[b for b, y in enumerate(nodes)
-             if b != a and y in diagram.adjacent(x)]
-            for a, x in enumerate(nodes)]
+    rectangle = diagram.rectangle(cols, vecs)
+    size = len(rectangle.nodes)
     fields = {
         "subrack": plan.description,
         "element_images": plan.element_images,
         "transporter_images": plan.transporter_images,
-        "q_matrix": [[root_name(diagram.modulus, diagram.q(x, y)) for y in nodes]
-                     for x in nodes],
-        "components": [list(c) for c in connected_components(near)],
-        "firing": sorted(position[v] for v in firing),
+        "q_matrix": [[root_name(rectangle.modulus, rectangle.q(x, y))
+                      for y in range(size)] for x in range(size)],
+        "components": [list(c) for c in rectangle.components()],
+        "firing": sorted(map(rectangle.node, firing)),
         **detail,
     }
     if cycle_order:
-        fields["cycle"] = [position[v] for v in cycle_order]
+        fields["cycle"] = list(map(rectangle.node, cycle_order))
     runs = []
-    for s, x in zip(vecs, nodes):     # the vertices of the first column
-        t = x % len(diagram.offsets)
+    for s in vecs:
+        t = diagram.node((cols[0], s)) % len(diagram.offsets)
         runs.append((t, s - diagram.offsets[t]))
     slots = ["{%d}" % i for i in range(len(vecs))]
     return _Template(rule, fields, tuple(cols), tuple(runs), "\n".join(
-        diagram.dot_lines(cols, vecs, slots, "{{", "}}")))
+        rectangle.dot_lines(slots, "{{", "}}")))
 
 
 def _subspace_rules(plan: SubrackPlan, character: InducedCharacter,

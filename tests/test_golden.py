@@ -92,6 +92,9 @@ SLOW_DIGESTS = {
     (10, 6): "24912e444957b6cfbca709f24d102cdc1748813bd56170ace3442040f9a77e10",
     (10, 7): "93f1d93c1d6b6ea6cb8a8bc467026803054837518f3b7df7d4f5ee7b42964129",
     (12, 6): "02fea4e4075442ce67789432be21016b8b07dd0cc085bd9150c1222baa4b8f82",
+    # 5,890 rows whose witnesses are rectangles on the rotation quadruple,
+    # |H| = 450
+    (30, 3): "910c86f0f3017cb9503aefb9b62dceab7e35e24a35df6ad1bedadc7c1cde54f4",
 }
 
 

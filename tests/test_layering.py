@@ -11,10 +11,12 @@ Characters are read at class labels only: `reps` imports nothing from
 class or a walk over the whole class, which live there too.  Nor does it
 keep a wrapper whose callers know all it hides: a Dynkin diagram is built
 from a subrack plan alone, on nodes, with no vertex-level twin of it,
-holds each edge once, in its adjacency map, and is drawn by one generator
-of DOT lines (`dot_lines`) for the whole diagram and for a witness alike,
-with no second drawer that returns the text whole, and it does not hold
-the subrack again; a class plan reaches its subracks through
+holds its braiding labels and reads every edge off them by one formula,
+with no edge held when it is built, and is drawn whole by one generator
+of DOT lines (`dot_lines`), with no mode that draws part of it and no
+second drawer that returns the text whole: a witness is drawn as the
+diagram of its own rectangle (`rectangle`), and it does not hold the
+subrack again; a class plan reaches its subracks through
 their plans alone; the stabilizer of a character vector is read as its
 level sizes, with no record of the character or of its Young subgroup,
 the degree of a symmetric-group irrep is its character's value at the
@@ -68,7 +70,7 @@ REMOVED_NAMES = frozenset(("candidate_subracks", "joint_spectrum",
                            "RootOfUnity", "ROOT_ONE", "ROOT_MINUS_ONE",
                            "_printed_root", "_roots", "root_names",
                            "orbit_terms", "to_dot", "dot_template",
-                           "partition_degree"))
+                           "partition_degree", "connected_components"))
 FORBIDDEN_NAMES = frozenset(("Cyclotomic", "cartan_type", "symmetrizable",
                              "braiding_matrix", "transporter",
                              "_involution_transporter", "CycleType",
@@ -126,8 +128,11 @@ def test_a_dynkin_diagram_is_built_from_a_plan_alone():
     assert list(inspect.signature(GeneralizedDynkinDiagram).parameters) == [
         "modulus", "columns", "runs", "labels"]
     assert "subrack" not in GeneralizedDynkinDiagram.__slots__
-    # each edge is held once, in the adjacency map, and read off it
+    # each edge is read off the labels, not held in a list
     assert "edges" not in GeneralizedDynkinDiagram.__slots__
+    # dot_lines draws the whole diagram only; a witness draws its rectangle
+    assert not {"columns", "indices"} & set(
+        inspect.signature(GeneralizedDynkinDiagram.dot_lines).parameters)
 
 
 def test_a_class_plan_reaches_its_subracks_through_their_plans():
