@@ -25,11 +25,12 @@ the diagram of its own rectangle of vertices and joins them.
 
 The work splits in two.  subrack_plan does what rho does not change, in a
 plan that carries its subrack: the table, the commute check, H with the
-(L, s) class label of each element (nichols.permgroup), and the linear
-characters of H.  planned_spectrum(plan.spectrum, character) then sums the
-character of rho, read at those labels, over H, once per rho, and
-spectrum_diagram labels the nodes of the spectrum; dynkin_diagram(plan,
-character) does both.
+(L, s) class label of each element (nichols.permgroup), the basepoint pi
+first, and the linear characters of H.  planned_spectrum(plan.spectrum,
+character) then sums the character of rho, read at those labels, over the
+coset representatives of <pi> in H only, since pi acts by a scalar, once
+per rho, and spectrum_diagram labels the nodes of the spectrum;
+dynkin_diagram(plan, character) does both.
 
 Construction families: the canonical involution subrack (k = 2), the swap and
 rotation quadruples (k even, n >= 2) and the power subrack (n = 1; drawn by
@@ -42,7 +43,7 @@ import itertools
 from array import array
 from bisect import bisect_right
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 from .exactfield import rational_trace, root_name, totient
@@ -203,29 +204,44 @@ FAMILIES = {"canonical": canonical_subrack, "canonical-triple": triple_subrack,
 
 class SpectrumPlan(NamedTuple):
     """The part of a joint spectrum that does not depend on rho: the
-    elements of H = <generators> in layer order (e_1 fastest), each as its
-    (L, s) class label in the centralizer, at which characters are read,
-    and the |H| linear characters of H, each as its phase at every element
-    (psi(h) = zeta_modulus^phase, an array of machine integers reduced mod
-    modulus, so |H|^2 phases take 4 bytes each) and its exponents on the
-    generators."""
+    elements of H = <pi, generators> in layer order (e_1 fastest), each as
+    its (L, s) class label in the centralizer, at which characters are
+    read, and the |H| linear characters of H, each as its phase at every
+    element (psi(h) = zeta_modulus^phase, an array of machine integers
+    reduced mod modulus, so |H|^2 phases take 4 bytes each) and its
+    exponents on the generators.  The basepoint pi is the first layer, of
+    order k = modulus / scale, so the element at index i is pi^(i mod k)
+    times the one at i - (i mod k): the elements at every k-th index, from
+    0, are the coset representatives of <pi> in H, and phase 1 of a
+    character is its value at pi."""
 
     modulus: int
     scale: int
     class_labels: tuple
     characters: tuple
 
+    @property
+    def representatives(self) -> tuple:
+        """The class labels of the coset representatives of <pi> in H,
+        the identity's first."""
+        return self.class_labels[::self.modulus // self.scale]
+
 
 def spectrum_plan(cls: UnmixedClass, generators, modulus: int) -> SpectrumPlan:
-    """Build H = <generators> and its linear characters for planned_spectrum.
+    """Build H = <pi, generators> and its linear characters for
+    planned_spectrum, pi the basepoint.
 
-    H is built layer by layer: a generator not yet in H joins with its
-    relative order r, so every element is a unique word g_1^e_1 ... g_l^e_l
-    with 0 <= e_i < r_i, and a linear character psi is fixed by exponents
+    H is built layer by layer, pi first whether the generators hold it or
+    not: a generator not yet in H joins with its relative order r, so
+    every element is a unique word g_1^e_1 ... g_l^e_l with 0 <= e_i < r_i,
+    g_1 = pi and r_1 = k, and a linear character psi is fixed by exponents
     x_i with psi(g_i) = zeta_modulus^x_i, subject to r_i x_i = (exponent of
     psi at g_i^r_i, a word in earlier layers).  Each layer multiplies the
-    characters by r_i, so exactly |H| of them are listed.  modulus must be a
-    multiple of k and of every generator's order.
+    characters by r_i, so exactly |H| of them are listed, by x_1 slowest,
+    and each keeps its exponents on the given generators.  modulus must be
+    a multiple of k and of every generator's order.  Every conjugation
+    table holds pi (gamma_jj = pi), so H is the group of the table's
+    entries.
 
     H closes on normal forms (d, b) of n entries (UnmixedClass.product),
     not on permutations of the k*n points: only the generators are taken
@@ -240,7 +256,7 @@ def spectrum_plan(cls: UnmixedClass, generators, modulus: int) -> SpectrumPlan:
     elements = [identity]
     words = {identity: ()}
     layers = []
-    for g in generators:
+    for g in [cls.normal_form(cls.basepoint)] + generators:
         if g in words:
             continue
         r, power = 1, g
@@ -287,24 +303,49 @@ def planned_spectrum(plan: SpectrumPlan, character: InducedCharacter) -> list:
     linear character psi that occurs, psi(generators[t]) = zeta^exps[t] with
     zeta = zeta_modulus, in lexicographic order of exps.
 
-    The multiplicity of psi is (1/|H|) sum_h chi(h) psi(h)^-1, with chi read
-    at the class label of every element of H and summed as integer
-    coefficients over Z/modulus; the sum is checked to be rational, and
-    read off as phi(modulus) times itself, by integer traces
-    (rational_trace), then to be divisible by phi(modulus) |H|, and the
-    multiplicities to add up to the degree."""
+    The basepoint pi is central in its centralizer, so rho(pi) is a scalar
+    zeta_k^q (Schur's lemma; Andruskiewitsch-Grana 2003, section 3), read
+    off chi(pi) = degree zeta_k^q.  Then chi(pi^e h) = zeta_k^(q e) chi(h)
+    for every h in H, and a psi occurs only if psi(pi) = zeta_k^q; for such
+    a psi, chi(h) psi(h)^-1 is constant on each coset of <pi>, so its
+    multiplicity (1/|H|) sum_h chi(h) psi(h)^-1 is (k/|H|) times the sum
+    over the coset representatives alone.  chi is read at the class label
+    of every element of H, and each element off the representatives is
+    checked against its representative's value rotated by q e: the
+    coefficient vectors are compared, and where they differ their
+    difference must be 0 (rational_trace), or ArithmeticError, so a class
+    function that is not such a character is refused.  Each sum is taken
+    as integer coefficients over Z/modulus, checked to be rational, and
+    read off as phi(modulus) times itself, by integer traces, then checked
+    to be divisible by phi(modulus) |H| / k, and the multiplicities to add
+    up to the degree."""
     modulus = plan.modulus
     scale = plan.scale
-    # chi(h) as terms (exponent mod modulus, integer)
-    terms = [tuple((a * scale, c) for a, c in
-                   enumerate(character.coefficients(label)) if c)
-             for label in plan.class_labels]
-    # phi(modulus) |H| times the multiplicity
+    k = modulus // scale
+    values = list(map(character.coefficients, plan.class_labels))
+    # the degree's place in chi(pi), element 1; the check at pi holds
+    # chi(pi) to degree zeta_k^q
+    q = values[1].index(max(values[1]))
+    for i, value in enumerate(values):
+        rep = values[i - i % k]
+        shift = -q * (i % k) % k
+        rotated = rep[shift:] + rep[:shift]
+        if value != rotated and rational_trace(
+                k, map(sub, value, rotated)) != 0:
+            raise ArithmeticError("character is not an integer combination"
+                                  " of the psi with psi(pi) = zeta_k^q")
+    # chi at the coset representatives as terms (exponent mod modulus,
+    # integer)
+    terms = [tuple((a * scale, c) for a, c in enumerate(value) if c)
+             for value in values[::k]]
+    # phi(modulus) |H| / k times the multiplicity
     order = totient(modulus) * len(terms)
     spectrum = []
     for phases, exps in plan.characters:
+        if phases[1] != q * scale:
+            continue
         acc = [0] * modulus
-        for phase, hterms in zip(phases, terms):
+        for phase, hterms in zip(phases[::k], terms):
             for a, c in hterms:
                 acc[(a - phase) % modulus] += c
         total = rational_trace(modulus, acc)

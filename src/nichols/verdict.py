@@ -233,12 +233,17 @@ class ClassPlan:
     group of the subrack's table entries.  The braiding labels of the
     subspace are psi(gamma_ij) for the psi that occur in chi|H, so the
     multiplicities, the diagram, its reading and the witness depend on rho
-    only through chi|H (Andruskiewitsch-Grana, 2003, section 3).  The key
-    is the subrack and the coefficients of chi at the distinct class
-    labels of H, the identity's among them, whose value is the degree;
-    every check of the spectrum (rationality, integrality, the degree sum)
-    and every rule is a function of the key, run in full by the first row
-    with that key.  An answer of None, no rule fires, is kept as well.
+    only through chi|H (Andruskiewitsch-Grana, 2003, section 3).  The
+    basepoint pi lies in H and acts by the scalar zeta_k^q, q = pi_scalar,
+    so chi(pi^e h) = zeta_k^(q e) chi(h) and chi|H is fixed by q and chi
+    at the coset representatives of <pi> in H (braidspace.SpectrumPlan).
+    The key is the subrack, q and the coefficients of chi at the distinct
+    class labels of those representatives, the identity's among them,
+    whose value is the degree: |H| / k reads, not |H|.  Every check of the
+    spectrum (the rotation check at the other elements, rationality,
+    integrality, the degree sum) and every rule is a function of the key,
+    run in full by the first row with that key.  An answer of None, no
+    rule fires, is kept as well.
 
     A row that misses it reads its joint spectrum, and a second memo keeps
     what the rules read off each capped pattern: the subrack and the
@@ -279,8 +284,9 @@ class ClassPlan:
         """The verdict of the subspace rules on the subrack plan, or None,
         kept per restriction of the character to H, and read per capped
         pattern (see above)."""
-        key = (plan.subrack, tuple(map(
-            character.coefficients, dict.fromkeys(plan.spectrum.class_labels))))
+        key = (plan.subrack, pi_scalar(character.spec), tuple(map(
+            character.coefficients,
+            dict.fromkeys(plan.spectrum.representatives))))
         if key not in self._rules:
             self._rules[key] = _subspace_rules(plan, character,
                                                self._patterns)

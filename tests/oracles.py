@@ -1329,15 +1329,15 @@ def minimal_infinite_set(space, sub, comp: tuple) -> tuple:
 
 def permutation_spectrum_plan(cls, generators, modulus: int) -> SpectrumPlan:
     """braidspace.spectrum_plan with H closed on permutations of the k*n
-    points, in the same layer order, and each element's class label read
-    from its normal form."""
+    points, in the same layer order, the basepoint first, and each
+    element's class label read from its normal form."""
     if modulus % cls.k:
         raise ValueError("modulus must be a multiple of k")
     identity = Permutation.identity(cls.degree)
     elements = [identity]
     words = {identity: ()}
     layers = []
-    for g in generators:
+    for g in [cls.basepoint] + list(generators):
         if g in words:
             continue
         r, power = 1, g

@@ -428,3 +428,61 @@ def test_joint_spectrum_needs_a_multiple_of_k():
                             character) == [((2,), 1)]
     with pytest.raises(ValueError, match="multiple of k"):
         spectrum_plan(cls, (pi * pi,), 2)
+
+
+def test_spectrum_plan_puts_the_basepoint_first():
+    # pi is layer 1, of order k, even when the generators leave it out:
+    # the elements are pi^0 .. pi^3, and each character's phase 1 is its
+    # value at pi, while its exponents stay on the given generator pi^2
+    cls = UnmixedClass(4, 2)
+    pi = cls.basepoint
+    plan = spectrum_plan(cls, (pi * pi,), 4)
+    powers = [Permutation.identity(cls.degree), pi, pi * pi, pi * pi * pi]
+    assert plan.class_labels == tuple(
+        cls.normal_form(h).class_label(4) for h in powers)
+    assert [phases[1] for phases, _ in plan.characters] == [0, 1, 2, 3]
+    assert [list(phases) for phases, _ in plan.characters] == [
+        [e * t % 4 for e in range(4)] for t in range(4)]
+    assert [exps for _, exps in plan.characters] == [(0,), (2,), (0,), (2,)]
+
+
+# (class, subrack, irrep) triples whose planned H has more than one coset
+# of <pi>
+COSET_CASES = ((2, 3, triple_subrack, (1,), "chi=(1,1,1);mu=standard"),
+               (4, 2, rotation_subrack, (), "chi=(2,0);mu=trivial"),
+               (4, 3, quadruple_subrack, (1, 2), "chi=(2,2,0);mu=trivial"),
+               (6, 2, rotation_subrack, (), "chi=(3,0);mu=trivial"))
+
+
+@pytest.mark.parametrize("k, n, family, param, text", COSET_CASES)
+def test_joint_spectrum_rejects_a_change_off_the_representatives(
+        k, n, family, param, text):
+    # the multiplicities are summed over the coset representatives of <pi>
+    # only, so a class function changed at a label that no representative
+    # has is invisible to that sum: the rotation check refuses it
+    cls = UnmixedClass(k, n)
+    plan = subrack_plan(family(cls, *param)).spectrum
+    character = parse_rep_spec(k, n, text).character()
+    assert planned_spectrum(plan, character)
+    kept = set(plan.class_labels[::k])
+    unseen = [label for label in plan.class_labels if label not in kept]
+    assert unseen
+    for index in range(k):
+        fake = _Perturbed(character, unseen[0], index)
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            planned_spectrum(plan, fake)
+
+
+@pytest.mark.parametrize("k, n, family, param, text", COSET_CASES)
+def test_joint_spectrum_rejects_a_basepoint_that_is_not_a_scalar(
+        k, n, family, param, text):
+    # chi(pi) moved off degree zeta_k^q by any root of unity: pi no longer
+    # acts by a scalar
+    cls = UnmixedClass(k, n)
+    plan = subrack_plan(family(cls, *param)).spectrum
+    character = parse_rep_spec(k, n, text).character()
+    at = cls.normal_form(cls.basepoint).class_label(k)
+    assert plan.class_labels[1] == at
+    for index in range(k):
+        with pytest.raises(ArithmeticError):
+            planned_spectrum(plan, _Perturbed(character, at, index))

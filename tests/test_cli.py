@@ -5,7 +5,6 @@ import itertools
 import json
 import os
 import pathlib
-import resource
 import shutil
 import subprocess
 import sys
@@ -33,6 +32,37 @@ def child_env() -> dict:
 def run_cli(*argv):
     cmd = [sys.executable, "-m", "nichols.cli"] + list(argv)
     return subprocess.run(cmd, capture_output=True, text=True, env=child_env())
+
+
+# A child starts as a copy of the process that spawns it, and Linux folds
+# that copy's high-water mark into the child's peak RSS when it execs, so
+# wait4 on a child of this test process reads at least this process's own
+# peak: 487 MB for every child once the sweeps of tests/test_golden.py have
+# run in this process.
+# So the command is started by a small Python process, which waits for it
+# and writes its exit code and wait4 peak RSS (KB) as its last stderr line
+MEASURED = ("import os, sys\n"
+            "pid = os.posix_spawn(sys.executable, [sys.executable]"
+            " + sys.argv[1:], os.environ)\n"
+            "_, status, usage = os.wait4(pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss,"
+            " file=sys.stderr)\n")
+
+
+def measured_cli(argv, stdout) -> subprocess.Popen:
+    """`python -m nichols.cli argv`, started under MEASURED, with stderr
+    piped; read its outcome with measured_outcome."""
+    return subprocess.Popen(
+        [sys.executable, "-c", MEASURED, "-m", "nichols.cli"] + list(argv),
+        stdout=stdout, stderr=subprocess.PIPE, env=child_env())
+
+
+def measured_outcome(child: subprocess.Popen) -> tuple:
+    """The command's exit code, its own peak RSS in KB and the rest of its
+    stderr, once its stdout has been read."""
+    head, _, last = child.communicate()[1].rstrip(b"\n").rpartition(b"\n")
+    code, peak = map(int, last.split())
+    return code, peak, head
 
 
 def test_classify_json_negative_outcome():
@@ -652,13 +682,13 @@ def test_table_disagreement_exits_70_after_the_last_row(jobs, monkeypatch,
 def test_table_streams_in_bounded_memory():
     # the report is written row by row, so the 112 MB of (4,12) never sit
     # in memory at once (a process that held the report peaked at 485 MB);
-    # RUSAGE_CHILDREN gives the peak of the largest child waited for
-    result = subprocess.run(
-        [sys.executable, "-m", "nichols.cli", "table", "--k", "4", "--n", "12",
-         "--format", "json"], stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE, text=True, env=child_env())
-    assert result.returncode == 0, result.stderr
-    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 200 * 1024
+    # the command's own peak is read (measured_cli), where RUSAGE_CHILDREN
+    # would give the largest child that the test process ever waited for
+    code, peak, stderr = measured_outcome(measured_cli(
+        ["table", "--k", "4", "--n", "12", "--format", "json"],
+        subprocess.DEVNULL))
+    assert code == 0, stderr
+    assert peak < 200 * 1024
 
 
 def test_a_closed_stdout_exits_74_with_nothing_on_stderr():
@@ -797,21 +827,18 @@ def test_a_large_diagram_is_written_as_it_is_drawn():
     # read off the labels as they are drawn, so no neighbor map is held
     # either.  The process peaks at about 21 MB, where one that held every
     # edge in a neighbor map peaked at 353 MB and one that joined the text
-    # before printing it at 1,579 MB.  wait4 gives the peak of this child
-    # alone, where RUSAGE_CHILDREN would give the largest child that the
-    # test process ever waited for
-    child = subprocess.Popen([sys.executable, "-m", "nichols.cli"] + BIG_DIAGRAM,
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                             env=child_env())
+    # before printing it at 1,579 MB.  The command's own peak is read
+    # (measured_cli), where RUSAGE_CHILDREN would give the largest child
+    # that the test process ever waited for
+    child = measured_cli(BIG_DIAGRAM, subprocess.PIPE)
     digest = hashlib.sha256()
     for block in iter(lambda: child.stdout.read(1 << 20), b""):
         digest.update(block)
-    _, status, usage = os.wait4(child.pid, 0)
-    child.returncode = os.waitstatus_to_exitcode(status)
-    assert child.returncode == 0, child.stderr.read()
+    code, peak, stderr = measured_outcome(child)
+    assert code == 0, stderr
     assert digest.hexdigest() == (
         "dc1cc3968375cdd271653acdabd7ae9be5923135b27d8c99f500afde7ef131fa")
-    assert usage.ru_maxrss < 100 * 1024
+    assert peak < 100 * 1024
 
 
 @pytest.mark.slow

@@ -1,4 +1,5 @@
-"""The `table --format json` output of 60 classes, pinned by its sha256.
+"""The `table --format json` output of 67 classes, and the `classify
+--format json` output of two rows at k = 100, each pinned by its sha256.
 
 A change that is meant to keep every verdict and witness must keep these
 digests; a change that alters output on purpose records the new ones here,
@@ -95,6 +96,19 @@ SLOW_DIGESTS = {
     # 5,890 rows whose witnesses are rectangles on the rotation quadruple,
     # |H| = 450
     (30, 3): "910c86f0f3017cb9503aefb9b62dceab7e35e24a35df6ad1bedadc7c1cde54f4",
+    # on the rotation quadruple at large k, |H| = 128, 450 and 1,250; each
+    # read chi on the |H| / k coset representatives of <pi> only
+    (16, 6): "308f1ae68813dab0ffd0ced0bab9bc96ff7b71381dc3ee7cf2ff8f093781cb67",
+    (30, 4): "314488f473a54a76be44244f516a1d3a27b25ac50a4c2015c58a6709cdc8d9f6",
+    (50, 3): "61e68fc529d4aa2859257e4b79de4aebc4ebc084b44ada93eb132dca59907c9e",
+}
+
+# `classify --k 100 --n 2 --format json` past the scalar gate, on the
+# rotation quadruple with |H| = 5,000: a negative row and an infinite one
+# (alternating cycle); -m slow
+SLOW_CLASSIFY_DIGESTS = {
+    "chi=(25,25)": "556ada474553a365c679e7b3421f393de0e71de43797c22b4c5ef8bc5167d779",
+    "chi=(26,24)": "6eb0b80e9be5f1b63d900ac121db22f53992814f1043035b37e0331ce05d02ba",
 }
 
 
@@ -110,20 +124,27 @@ class _Digest(io.TextIOBase):
         return len(text)
 
 
-def _assert_digest(k, n, digest):
+def _assert_digest(argv, digest):
     out = _Digest()
     with contextlib.redirect_stdout(out):
-        assert cli.main(["table", "--k", str(k), "--n", str(n),
-                         "--format", "json"]) == 0
+        assert cli.main(argv + ["--format", "json"]) == 0
     assert out.sha256.hexdigest() == digest
 
 
 @pytest.mark.parametrize("k,n", sorted(DIGESTS))
 def test_table_json_matches_its_digest(k, n):
-    _assert_digest(k, n, DIGESTS[k, n])
+    _assert_digest(["table", "--k", str(k), "--n", str(n)], DIGESTS[k, n])
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("k,n", sorted(SLOW_DIGESTS))
 def test_slow_table_json_matches_its_digest(k, n):
-    _assert_digest(k, n, SLOW_DIGESTS[k, n])
+    _assert_digest(["table", "--k", str(k), "--n", str(n)],
+                   SLOW_DIGESTS[k, n])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("rep", sorted(SLOW_CLASSIFY_DIGESTS))
+def test_slow_classify_json_matches_its_digest(rep):
+    _assert_digest(["classify", "--k", "100", "--n", "2", "--rep", rep],
+                   SLOW_CLASSIFY_DIGESTS[rep])
