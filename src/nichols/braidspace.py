@@ -26,11 +26,13 @@ the diagram of its own rectangle of vertices and joins them.
 The work splits in two.  subrack_plan does what rho does not change, in a
 plan that carries its subrack: the table, the commute check, H with the
 (L, s) class label of each element (nichols.permgroup), the basepoint pi
-first, and the linear characters of H.  planned_spectrum(plan.spectrum,
-character) then sums the character of rho, read at those labels, over the
-coset representatives of <pi> in H only, since pi acts by a scalar, once
-per rho, and spectrum_diagram labels the nodes of the spectrum;
-dynkin_diagram(plan, character) does both.
+first, and the linear characters of H, each by its phases at the coset
+representatives of <pi> only.  pi acts by a scalar, so
+planned_spectrum(plan.spectrum, character) then sums the character of
+rho, read at those labels, over those representatives only, against the
+characters with its value at pi only, once per rho, and spectrum_diagram
+labels the nodes of the spectrum; dynkin_diagram(plan, character) does
+both.
 
 Construction families: the canonical involution subrack (k = 2), the swap and
 rotation quadruples (k even, n >= 2) and the power subrack (n = 1; drawn by
@@ -207,13 +209,15 @@ class SpectrumPlan(NamedTuple):
     elements of H = <pi, generators> in layer order (e_1 fastest), each as
     its (L, s) class label in the centralizer, at which characters are
     read, and the |H| linear characters of H, each as its phase at every
-    element (psi(h) = zeta_modulus^phase, an array of machine integers
-    reduced mod modulus, so |H|^2 phases take 4 bytes each) and its
-    exponents on the generators.  The basepoint pi is the first layer, of
-    order k = modulus / scale, so the element at index i is pi^(i mod k)
-    times the one at i - (i mod k): the elements at every k-th index, from
-    0, are the coset representatives of <pi> in H, and phase 1 of a
-    character is its value at pi."""
+    coset representative of <pi> (psi(h) = zeta_modulus^phase, an array of
+    machine integers reduced mod modulus, so |H|^2 / k phases take 4 bytes
+    each) and its exponents on the generators.  The basepoint pi is the
+    first layer, of order k = modulus / scale, so the element at index i
+    is pi^(i mod k) times the one at i - (i mod k): the elements at every
+    k-th index, from 0, are the coset representatives, and phase i of a
+    character is its value at the one at index i k.  The characters are
+    listed with x_1 = psi(pi) slowest, so those with psi(pi) = zeta_k^q
+    are the q-th block of |H| / k, which planned_spectrum reads alone."""
 
     modulus: int
     scale: int
@@ -238,10 +242,11 @@ def spectrum_plan(cls: UnmixedClass, generators, modulus: int) -> SpectrumPlan:
     x_i with psi(g_i) = zeta_modulus^x_i, subject to r_i x_i = (exponent of
     psi at g_i^r_i, a word in earlier layers).  Each layer multiplies the
     characters by r_i, so exactly |H| of them are listed, by x_1 slowest,
-    and each keeps its exponents on the given generators.  modulus must be
-    a multiple of k and of every generator's order.  Every conjugation
-    table holds pi (gamma_jj = pi), so H is the group of the table's
-    entries.
+    and each keeps its exponents on the given generators and its phases
+    on the layers after pi, which are its phases at the coset
+    representatives.  modulus must be a multiple of k and of every
+    generator's order.  Every conjugation table holds pi (gamma_jj = pi),
+    so H is the group of the table's entries.
 
     H closes on normal forms (d, b) of n entries (UnmixedClass.product),
     not on permutations of the k*n points: only the generators are taken
@@ -288,7 +293,7 @@ def spectrum_plan(cls: UnmixedClass, generators, modulus: int) -> SpectrumPlan:
     planned = []
     for x in characters:
         phases = [0]
-        for (r, _), xi in zip(layers, x):
+        for (r, _), xi in zip(layers[1:], x[1:]):
             phases = [(p + e * xi) % modulus for e in range(r) for p in phases]
         exps = tuple(sum(w * xi for w, xi in zip(words[g], x)) % modulus
                      for g in generators)
@@ -306,8 +311,9 @@ def planned_spectrum(plan: SpectrumPlan, character: InducedCharacter) -> list:
     The basepoint pi is central in its centralizer, so rho(pi) is a scalar
     zeta_k^q (Schur's lemma; Andruskiewitsch-Grana 2003, section 3), read
     off chi(pi) = degree zeta_k^q.  Then chi(pi^e h) = zeta_k^(q e) chi(h)
-    for every h in H, and a psi occurs only if psi(pi) = zeta_k^q; for such
-    a psi, chi(h) psi(h)^-1 is constant on each coset of <pi>, so its
+    for every h in H, and a psi occurs only if psi(pi) = zeta_k^q, so only
+    the q-th block of the planned characters is summed; for such a psi,
+    chi(h) psi(h)^-1 is constant on each coset of <pi>, so its
     multiplicity (1/|H|) sum_h chi(h) psi(h)^-1 is (k/|H|) times the sum
     over the coset representatives alone.  chi is read at the class label
     of every element of H, and each element off the representatives is
@@ -339,13 +345,12 @@ def planned_spectrum(plan: SpectrumPlan, character: InducedCharacter) -> list:
     terms = [tuple((a * scale, c) for a, c in enumerate(value) if c)
              for value in values[::k]]
     # phi(modulus) |H| / k times the multiplicity
-    order = totient(modulus) * len(terms)
+    m = len(terms)
+    order = totient(modulus) * m
     spectrum = []
-    for phases, exps in plan.characters:
-        if phases[1] != q * scale:
-            continue
+    for phases, exps in plan.characters[q * m:(q + 1) * m]:
         acc = [0] * modulus
-        for phase, hterms in zip(phases[::k], terms):
+        for phase, hterms in zip(phases, terms):
             for a, c in hterms:
                 acc[(a - phase) % modulus] += c
         total = rational_trace(modulus, acc)

@@ -147,20 +147,14 @@ def _spec_degree(partitions: tuple) -> int:
 
 @lru_cache(maxsize=None)
 def _mu_label(partitions: tuple) -> str:
-    sizes = tuple(sum(p) for p in partitions)
-    if all(p == (s,) for p, s in zip(partitions, sizes)):
-        return "trivial"
-    if all(p == (1,) * s for p, s in zip(partitions, sizes)):
-        return "sign"
-    bigs = [idx for idx, s in enumerate(sizes) if s >= 2]
-    if len(bigs) == 1:
-        idx = bigs[0]
-        s = sizes[idx]
-        if all(p == (1,) for t, p in enumerate(partitions) if t != idx):
-            if partitions[idx] == (s - 1, 1):
-                return "standard"
-            if partitions[idx] == (2,) + (1,) * (s - 2):
-                return "standard_sign"
+    # the first name that _parse_mu reads as these partitions
+    sizes = tuple(map(sum, partitions))
+    for name in ("trivial", "sign", "standard", "standard_sign"):
+        try:
+            if _parse_mu(sizes, name) == partitions:
+                return name
+        except ValueError:
+            pass
     return "catalog:" + "|".join(
         "+".join(str(x) for x in p) for p in partitions)
 

@@ -14,14 +14,16 @@ closure and tests just that, then re-fires the rule (see verify_witness).
 What no representation changes is built once per recorded subrack (the
 member of the family its kind names, or else the subrack rebuilt from its
 images with its own checks, and no description), once per set of its
-witness columns (H_w as a table of Cayley edges, closed on normal forms,
-each a pair of plain tuples, with the class label of each element) and
-once per recorded q_matrix on those columns (its exponents, the psi_s
-read off it, their phases carried along those edges and counted at each
-distinct label, and the rule re-fired on each firing or cycle), and kept
-for the life of the process; a row only checks its own fields and
-vertices, and sums its character, read once at each distinct label as its
-nonzero terms, against those counts, in integers.
+witness columns (the place of each table entry among the distinct ones,
+their normal forms, each a pair of plain tuples, checked to commute, and
+the modulus) and once per recorded q_matrix on those columns (its
+exponents, the psi_s read off it, and H_w closed from the identity on
+normal forms while the phases of the psi used are carried along each
+Cayley edge, checked there and counted at each distinct class label, with
+the rule re-fired on each firing or cycle), and kept for the life of the
+process; a row only checks its own fields and vertices, and sums its
+character, read once at each distinct label as its nonzero terms, against
+those counts, in integers.
 """
 
 from __future__ import annotations
@@ -87,24 +89,6 @@ def _cartan_infinite(q, modulus: int) -> Optional[list]:
     return None if _positive_definite(cartan) else cartan
 
 
-class _WitnessGroup(NamedTuple):
-    """What the witness check needs of one subrack and a set of its
-    columns, whatever the representation: the place of gamma_ij among the
-    distinct table entries for i, j at places a, b of the columns
-    (generator[a][b]), the exponent of each root of unity of order
-    dividing modulus by its printed form (exponent, named through
-    nichols.exactfield.root_name), and H_w: its elements h_0 = 1, h_1, ...
-    in the order of a breadth-first closure from the identity, with h_x =
-    g_t h_h for x = edges[h][t] and g_t the t-th distinct entry, and the
-    class label of each."""
-
-    generator: tuple
-    modulus: int
-    exponent: dict
-    edges: tuple
-    labels: tuple
-
-
 @cache
 def _witness_subrack(k: int, n: int, elements: tuple, transporters: tuple,
                      kind, param: tuple) -> tuple:
@@ -150,74 +134,49 @@ def _images(witness: dict, field: str) -> tuple:
 
 
 @cache
-def _witness_group(subrack: AbelianSubrack, cols: tuple) -> _WitnessGroup:
-    """H_w for the given columns of a subrack (see _WitnessGroup), closed
-    on normal forms of n entries (nichols.permgroup.UnmixedClass.product):
-    only the distinct table entries are taken to normal form, which raises
-    ValueError on one that does not centralize the basepoint, and each
-    element's class label is read off its form.  Entries that do not
-    commute raise ValueError.  Each transporter of the columns is inverted
-    once, the closure indexes each form, a pair of plain tuples, by
-    itself, and an edge whose end is already known by commutativity (see
-    the closure) is read off a finished row instead of multiplied: on the
-    subracks of the (4,4), (6,3) and (8,2) witnesses, 219 of 448."""
+def _witness_columns(subrack: AbelianSubrack, cols: tuple) -> tuple:
+    """What the witness check needs of one subrack and a set of its
+    columns, whatever the representation: the place of gamma_ij among the
+    distinct table entries for i, j at places a, b of the columns
+    (generator[a][b]), the normal forms of those entries, the modulus, and
+    the exponent of each root of unity of order dividing it by its printed
+    form (named through nichols.exactfield.root_name).  An entry that does
+    not centralize the basepoint raises ValueError at its normal form
+    (nichols.permgroup.UnmixedClass.normal_form), and so do entries that
+    do not commute.  Each transporter of the columns is inverted once."""
     cls = subrack.cls
     inverse = {j: subrack.transporters[j].inverse() for j in cols}
     position = {}
     generator = tuple(tuple(
         position.setdefault(subrack.elements[i].conjugated_by(inverse[j]),
                             len(position)) for j in cols) for i in cols)
-    generators = tuple(position)
-    forms = [cls.normal_form(g) for g in generators]
+    forms = tuple(map(cls.normal_form, position))
     if not all(a.commutes_with(b)
-               for a, b in itertools.combinations(generators, 2)):
+               for a, b in itertools.combinations(position, 2)):
         raise ValueError("conjugation table entries do not commute")
-    modulus = lcm(cls.k, *(g.order() for g in generators))
-    product = cls.product
-    identity = cls.identity_form()
-    index = {identity: 0}
-    queue = [identity]
-    made = [None]
-    edges = []
-    # the queue grows while it is read.  The generators commute, so for
-    # h = g_s h' made from an earlier h', g_t h = g_s (g_t h') is read off
-    # the row of g_t h' once that row is done, and multiplied otherwise
-    for h, form in enumerate(queue):
-        row = []
-        for t, g in enumerate(forms):
-            y = edges[made[h][0]][t] if h else h
-            if y < h:
-                row.append(edges[y][made[h][1]])
-                continue
-            x = product(g, form)
-            if x not in index:
-                index[x] = len(queue)
-                queue.append(x)
-                made.append((h, t))
-            row.append(index[x])
-        edges.append(tuple(row))
-    return _WitnessGroup(generator, modulus,
-                         {root_name(modulus, e): e for e in range(modulus)},
-                         tuple(edges),
-                         tuple(h.class_label(cls.k) for h in queue))
+    modulus = lcm(cls.k, *(g.order() for g in position))
+    return (generator, forms, modulus,
+            {root_name(modulus, e): e for e in range(modulus)})
 
 
 class _WitnessReading(NamedTuple):
     """What the witness check reads off one recorded q_matrix on one
     subrack and set of its columns, whatever the representation: the
-    entries as integer exponents of zeta_modulus (exponents); each psi
-    used, as its exponents on the distinct table entries, with the number
-    of vertex indices that name it (used); the distinct class labels of
-    H_w (labels); for each psi used, one (label index, places, count)
-    triple per class label and phase p of psi that occur together on the
-    elements of H_w, with the number of those elements, and in places, for
-    each a < k, the exponent of zeta_k^a zeta_modulus^-p as a power of
-    zeta_modulus (phases); and what each rule re-fired on the exponents
-    gives (_refire), by (rule, firing or cycle) (fired), filled in as rows
-    meet it."""
+    modulus; the entries as integer exponents of zeta_modulus (exponents);
+    each psi used, as its exponents on the distinct table entries, with the
+    number of vertex indices that name it (used); the order |H_w| and its
+    distinct class labels (labels); for each psi used, one (label index,
+    places, count) triple per class label and phase p of psi that occur
+    together on the elements of H_w, with the number of those elements,
+    and in places, for each a < k, the exponent of zeta_k^a zeta_modulus^-p
+    as a power of zeta_modulus (phases); and what each rule re-fired on the
+    exponents gives (_refire), by (rule, firing or cycle) (fired), filled
+    in as rows meet it."""
 
+    modulus: int
     exponents: tuple
     used: tuple
+    order: int
     labels: tuple
     phases: tuple
     fired: dict
@@ -227,15 +186,19 @@ class _WitnessReading(NamedTuple):
 def _witness_reading(subrack: AbelianSubrack, cols: tuple, width: int,
                      q_matrix: tuple) -> Optional[_WitnessReading]:
     """The reading of a q_matrix of str entries, one row and one column
-    per vertex (j, s) of the rectangle cols x (width indices), on H_w
-    (_witness_group): None when an entry is no root of unity printed in
-    lowest terms of order dividing the modulus, when a psi_s read off two
-    row vertices (i, r) disagrees on a table entry, or when a psi used,
-    carried from the identity along the Cayley edges of H_w, fails on an
-    edge, so that it is no character of H_w."""
-    group = _witness_group(subrack, cols)
-    modulus = group.modulus
-    exps = tuple(tuple(group.exponent.get(x) for x in row) for row in q_matrix)
+    per vertex (j, s) of the rectangle cols x (width indices), on H_w:
+    None when an entry is no root of unity printed in lowest terms of
+    order dividing the modulus (_witness_columns), when a psi_s read off
+    two row vertices (i, r) disagrees on a table entry, or when a psi used
+    fails on a Cayley edge of H_w, so that it is no character of H_w.
+
+    H_w is closed breadth-first from the identity on normal forms of n
+    entries (nichols.permgroup.UnmixedClass.product), each element
+    carrying the phase of every psi used from the first edge that reaches
+    it; every other edge g_t h must reach its end with the phases of h
+    moved by psi(g_t).  Each element's class label is read off its form."""
+    generator, forms, modulus, exponent = _witness_columns(subrack, cols)
+    exps = tuple(tuple(exponent.get(x) for x in row) for row in q_matrix)
     if any(None in row for row in exps):
         return None
     # psi_s on the generators, read off every row vertex (i, r)
@@ -243,38 +206,42 @@ def _witness_reading(subrack: AbelianSubrack, cols: tuple, width: int,
     for b in range(width):
         psi = {}
         for a, row in enumerate(exps):
-            for y, t in enumerate(group.generator[a // width]):
+            for y, t in enumerate(generator[a // width]):
                 e = row[y * width + b]
                 if psi.setdefault(t, e) != e:
                     return None
         psis.append(tuple(psi[t] for t in range(len(psi))))
     used = tuple(sorted(set(psis)))
-    k = subrack.cls.k
-    # each psi used, carried from the identity along every Cayley edge, and
-    # counted by (label, phase); a phase p is kept as the place of
+    cls = subrack.cls
+    product = cls.product
+    queue = [cls.identity_form()]
+    at = {queue[0]: (0,) * len(used)}
+    # the queue grows while it is read: an element first reached keeps the
+    # phases of that edge, and joins the queue
+    for h in queue:
+        for t, g in enumerate(forms):
+            x = product(g, h)
+            step = tuple((p + psi[t]) % modulus for p, psi in zip(at[h], used))
+            if at.setdefault(x, step) != step:
+                return None
+            if len(at) > len(queue):
+                queue.append(x)
+    # each psi counted by (label, phase); a phase p is kept as the place of
     # zeta_k^a zeta_modulus^-p in the sum, for each a < k
+    k = cls.k
     places = [tuple((a * modulus // k - p) % modulus for a in range(k))
               for p in range(modulus)]
-    labels = tuple(dict.fromkeys(group.labels))
-    index = {label: x for x, label in enumerate(labels)}
-    phases = []
-    for psi in used:
-        at = [0] + [None] * (len(group.edges) - 1)
-        for h, row in enumerate(group.edges):
-            for t, x in enumerate(row):
-                step = (at[h] + psi[t]) % modulus
-                if at[x] is None:
-                    at[x] = step
-                elif at[x] != step:
-                    return None
-        phases.append(tuple((index[label], places[p], m) for (label, p), m
-                            in Counter(zip(group.labels, at)).items()))
-    return _WitnessReading(exps, tuple((psi, psis.count(psi)) for psi in used),
-                           labels, tuple(phases), {})
+    labels = [h.class_label(k) for h in queue]
+    index = {label: x for x, label in enumerate(dict.fromkeys(labels))}
+    phases = tuple(tuple((index[label], places[p], m) for (label, p), m
+                         in Counter(zip(labels, column)).items())
+                   for column in zip(*at.values()))
+    return _WitnessReading(modulus, exps,
+                           tuple((psi, psis.count(psi)) for psi in used),
+                           len(queue), tuple(index), phases, {})
 
 
-def _character_sums(reading: _WitnessReading, character: InducedCharacter,
-                    modulus: int):
+def _character_sums(reading: _WitnessReading, character: InducedCharacter):
     """phi(modulus) sum_h chi(h) psi(h)^-1 over H_w for each psi of
     reading.used, in order, each read by rational_trace off the integer
     coefficients of its powers of zeta_modulus (None when not rational):
@@ -284,20 +251,19 @@ def _character_sums(reading: _WitnessReading, character: InducedCharacter,
     terms = [[(a, c) for a, c in enumerate(character.coefficients(label)) if c]
              for label in reading.labels]
     for counts in reading.phases:
-        acc = [0] * modulus
+        acc = [0] * reading.modulus
         for x, places, m in counts:
             for a, c in terms[x]:
                 acc[places[a]] += c * m
-        yield rational_trace(modulus, acc)
+        yield rational_trace(reading.modulus, acc)
 
 
 def _refire(rule: str, positions: tuple, exps: tuple,
-            group: _WitnessGroup) -> Optional[list]:
+            modulus: int) -> Optional[list]:
     """The rule re-fired on the integer exponents of the q_matrix at the
     firing or cycle positions: the Cartan matrix of a cartan-infinite
     firing set, or the printed products around an alternating 4-cycle, or
     None when the rule does not fire there."""
-    modulus = group.modulus
     if rule == "cartan-infinite":
         return _cartan_infinite([[exps[a][b] for b in positions]
                                  for a in positions], modulus)
@@ -353,7 +319,7 @@ def verify_witness(k: int, n: int, rho_spec, verdict) -> bool:
       different psi are independent.
     So the check reads psi_s(gamma_ij) off the recorded q_matrix (the same
     for every row index r, and wherever two (i, j) give the same entry),
-    builds H_w by plain closure from the identity and checks on every
+    builds H_w by plain closure from the identity while it checks on every
     Cayley edge that psi_s extends to a character of H_w, and sums chi
     against each psi used, (1/|H_w|) sum_h chi(h) psi(h)^-1, by integer
     traces: phi(modulus) |H_w| times it is an integer, which must be
@@ -368,24 +334,23 @@ def verify_witness(k: int, n: int, rho_spec, verdict) -> bool:
     description are built once per recorded (image tuples, kind, param)
     (_witness_subrack), each image and param entry checked to be of type
     int before the lookup; the generator of each
-    gamma_ij, the normal form and commute checks, the modulus, H_w as a
-    table of Cayley edges, closed on normal forms, and the class label of
-    each of its elements once per subrack and set of witness columns
-    (_witness_group); and once per subrack, set of witness columns, number
-    of indices and q_matrix (_witness_reading), each entry checked to be a
-    str before the lookup: the exponents of its entries, the psi_s read
-    off it with how often each is used, their phases carried along the
-    Cayley edges and counted at each distinct class label, or the lookup,
-    psi_s or edge that fails, and the outcome of the rule re-fired on
-    each (rule, firing or cycle) a row has met.  Each row compares the
-    description, checks its vertices and indices and the shape of its
-    q_matrix, reads chi once at each distinct label of H_w, as its nonzero
-    terms, and sums it against each psi's phase counts (_character_sums),
-    which is the sum over the elements of H_w, and compares its recorded
-    cartan_matrix or cycle_labels with the re-fired outcome.  Checks run
-    in that order, cached or not: a failing multiplicity returns False
-    before a cycle that is not a 4-cycle raises.  A witness that raises is
-    not cached.
+    gamma_ij, the normal form and commute checks and the modulus once per
+    subrack and set of witness columns (_witness_columns); and once per
+    subrack, set of witness columns, number of indices and q_matrix
+    (_witness_reading), each entry checked to be a str before the lookup:
+    the exponents of its entries, the psi_s read off it with how often
+    each is used, H_w closed on normal forms with their phases carried
+    along its Cayley edges and counted at each distinct class label, or
+    the lookup, psi_s or edge that fails, and the outcome of the rule
+    re-fired on each (rule, firing or cycle) a row has met.  Each row
+    compares the description, checks its vertices and indices and the
+    shape of its q_matrix, reads chi once at each distinct label of H_w,
+    as its nonzero terms, and sums it against each psi's phase counts
+    (_character_sums), which is the sum over the elements of H_w, and
+    compares its recorded cartan_matrix or cycle_labels with the re-fired
+    outcome.  Checks run in that order, cached or not: a failing
+    multiplicity returns False before a cycle that is not a 4-cycle
+    raises.  A witness that raises is not cached.
 
     The recorded fields that follow from these values must match them: the
     cartan_matrix, the cycle_labels (the products around the cycle), the
@@ -463,7 +428,8 @@ def verify_witness(k: int, n: int, rho_spec, verdict) -> bool:
     for positions in indices:
         if len(set(positions) & set(range(size))) != len(positions):
             raise ValueError("witness indices must be distinct vertex positions")
-    group = _witness_group(subrack, tuple(cols))
+    # the table entries are checked before the q_matrix
+    _witness_columns(subrack, tuple(cols))
     q_matrix = w["q_matrix"]
     if (not isinstance(q_matrix, list) or len(q_matrix) != size
             or any(not isinstance(row, list) or len(row) != size
@@ -475,9 +441,9 @@ def verify_witness(k: int, n: int, rho_spec, verdict) -> bool:
     if reading is None:
         return False
     # phi(modulus) |H_w| times each multiplicity
-    order = totient(group.modulus) * len(group.edges)
-    for (_, count), total in zip(reading.used, _character_sums(
-            reading, character, group.modulus)):
+    order = totient(reading.modulus) * reading.order
+    for (_, count), total in zip(reading.used,
+                                 _character_sums(reading, character)):
         if total is None or total % order or total // order < count:
             return False
     if verdict.rule == "cartan-infinite":
@@ -492,7 +458,8 @@ def verify_witness(k: int, n: int, rho_spec, verdict) -> bool:
         raise ValueError("unknown rule %r" % verdict.rule)
     key = (verdict.rule, tuple(positions))
     if key not in reading.fired:
-        reading.fired[key] = _refire(*key, reading.exponents, group)
+        reading.fired[key] = _refire(*key, reading.exponents,
+                                     reading.modulus)
     expected = reading.fired[key]
     # a cartan_matrix entry 2.0 or True equals 2 or 1, but is not it
     return (expected is not None and expected == recorded

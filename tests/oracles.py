@@ -1329,8 +1329,9 @@ def minimal_infinite_set(space, sub, comp: tuple) -> tuple:
 
 def permutation_spectrum_plan(cls, generators, modulus: int) -> SpectrumPlan:
     """braidspace.spectrum_plan with H closed on permutations of the k*n
-    points, in the same layer order, the basepoint first, and each
-    element's class label read from its normal form."""
+    points, in the same layer order, the basepoint first, each element's
+    class label read from its normal form, and each character's phases at
+    the coset representatives of <pi>, the layers after the first."""
     if modulus % cls.k:
         raise ValueError("modulus must be a multiple of k")
     identity = Permutation.identity(cls.degree)
@@ -1369,7 +1370,7 @@ def permutation_spectrum_plan(cls, generators, modulus: int) -> SpectrumPlan:
     planned = []
     for x in characters:
         phases = [0]
-        for (r, _), xi in zip(layers, x):
+        for (r, _), xi in zip(layers[1:], x[1:]):
             phases = [(p + e * xi) % modulus for e in range(r) for p in phases]
         exps = tuple(sum(w * xi for w, xi in zip(words[g], x)) % modulus
                      for g in generators)
@@ -1381,7 +1382,7 @@ def permutation_spectrum_plan(cls, generators, modulus: int) -> SpectrumPlan:
 
 
 def permutation_witness_group(subrack, cols: tuple) -> tuple:
-    """H_w of verdict._witness_group closed on permutations of the k*n
+    """H_w of witness._witness_reading closed on permutations of the k*n
     points by breadth-first search from the identity: the generator place
     of each gamma_ij, the modulus, the Cayley edges and the class label of
     each element, read from its normal form."""
@@ -1420,7 +1421,7 @@ def per_element_sums(subrack, cols: tuple, used: tuple, character) -> list:
     entries: each psi carried from the identity along the Cayley edges,
     and chi read at the label of every element in turn; each sum as a
     rational_value, or None on an edge where a psi fails.  The reference
-    for verdict._character_sums, which reads chi once per distinct label."""
+    for witness._character_sums, which reads chi once per distinct label."""
     _, modulus, edges, labels = permutation_witness_group(subrack, cols)
     phases = [None] * len(edges)
     phases[0] = (0,) * len(used)

@@ -432,17 +432,18 @@ def test_joint_spectrum_needs_a_multiple_of_k():
 
 def test_spectrum_plan_puts_the_basepoint_first():
     # pi is layer 1, of order k, even when the generators leave it out:
-    # the elements are pi^0 .. pi^3, and each character's phase 1 is its
-    # value at pi, while its exponents stay on the given generator pi^2
+    # the elements are pi^0 .. pi^3, one coset of <pi>, so each character
+    # has one phase, at the identity, and the characters are listed by
+    # their value at pi, while their exponents stay on the given generator
+    # pi^2
     cls = UnmixedClass(4, 2)
     pi = cls.basepoint
     plan = spectrum_plan(cls, (pi * pi,), 4)
     powers = [Permutation.identity(cls.degree), pi, pi * pi, pi * pi * pi]
     assert plan.class_labels == tuple(
         cls.normal_form(h).class_label(4) for h in powers)
-    assert [phases[1] for phases, _ in plan.characters] == [0, 1, 2, 3]
-    assert [list(phases) for phases, _ in plan.characters] == [
-        [e * t % 4 for e in range(4)] for t in range(4)]
+    assert plan.representatives == plan.class_labels[:1]
+    assert [list(phases) for phases, _ in plan.characters] == [[0]] * 4
     assert [exps for _, exps in plan.characters] == [(0,), (2,), (0,), (2,)]
 
 
@@ -452,6 +453,22 @@ COSET_CASES = ((2, 3, triple_subrack, (1,), "chi=(1,1,1);mu=standard"),
                (4, 2, rotation_subrack, (), "chi=(2,0);mu=trivial"),
                (4, 3, quadruple_subrack, (1, 2), "chi=(2,2,0);mu=trivial"),
                (6, 2, rotation_subrack, (), "chi=(3,0);mu=trivial"))
+
+
+@pytest.mark.parametrize("k, n, family, param, text", COSET_CASES)
+def test_spectrum_plan_lists_the_characters_by_their_value_at_pi(
+        k, n, family, param, text):
+    # the q-th block of |H| / k characters holds those with
+    # psi(pi) = zeta_k^q, each with its phases at the coset representatives
+    # of <pi> only, the identity's first
+    plan = subrack_plan(family(UnmixedClass(k, n), *param))
+    spectrum = plan.spectrum
+    at_pi = plan.distinct.index(plan.table[0][0])
+    m = len(spectrum.representatives)
+    assert m * k == len(spectrum.class_labels) == len(spectrum.characters)
+    for x, (phases, exps) in enumerate(spectrum.characters):
+        assert exps[at_pi] == x // m * spectrum.scale
+        assert len(phases) == m and phases[0] == 0
 
 
 @pytest.mark.parametrize("k, n, family, param, text", COSET_CASES)

@@ -691,6 +691,19 @@ def test_table_streams_in_bounded_memory():
     assert peak < 200 * 1024
 
 
+@pytest.mark.slow
+def test_a_large_k_row_plans_its_characters_on_the_cosets_of_pi():
+    # the rotation quadruple at (100,2) has |H| = 5,000, and each of its
+    # characters keeps its phases at the |H| / k = 50 coset representatives
+    # of <pi> only: the row peaks at 21 MB, where phases at every element
+    # of H took 116 MB
+    code, peak, stderr = measured_outcome(measured_cli(
+        ["classify", "--k", "100", "--n", "2", "--rep", "chi=(26,24)",
+         "--format", "json"], subprocess.DEVNULL))
+    assert code == 0, stderr
+    assert peak < 60 * 1024
+
+
 def test_a_closed_stdout_exits_74_with_nothing_on_stderr():
     # the reader goes away after a few bytes, as head -c 100 does; the
     # report is far larger than the pipe holds, so the writer meets the

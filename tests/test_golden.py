@@ -92,6 +92,8 @@ SLOW_DIGESTS = {
     (8, 8): "28caf8ae06dc844faefd554f7e47c08ff990ebd618d3a6cebf2c198bcf3e02d2",
     (10, 6): "24912e444957b6cfbca709f24d102cdc1748813bd56170ace3442040f9a77e10",
     (10, 7): "93f1d93c1d6b6ea6cb8a8bc467026803054837518f3b7df7d4f5ee7b42964129",
+    # 195,910 rows, a 359 MB report
+    (10, 8): "b682bdb79d236fae437eb31e9f0978cb6bd0d89d11615f2196301f7d22608baa",
     (12, 6): "02fea4e4075442ce67789432be21016b8b07dd0cc085bd9150c1222baa4b8f82",
     # 5,890 rows whose witnesses are rectangles on the rotation quadruple,
     # |H| = 450

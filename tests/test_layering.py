@@ -183,8 +183,8 @@ def test_the_witness_check_imports_none_of_the_decision():
 def test_the_witness_check_is_defined_once():
     # verdict re-exports the check and defines none of its helpers, and
     # the spec resolver that both use lives in reps
-    helpers = {"_WitnessGroup", "_witness_subrack", "_images",
-               "_witness_group", "_WitnessReading", "_witness_reading",
+    helpers = {"_witness_subrack", "_images", "_witness_columns",
+               "_WitnessReading", "_witness_reading",
                "_character_sums", "_refire", "_cartan_infinite",
                "_positive_definite", "_require", "_SUBRACK_FIELDS",
                "_WITNESS_FIELDS"}

@@ -1085,10 +1085,11 @@ def test_verify_witness_refuses_a_psi_that_breaks_a_relation_of_h():
 
 
 def test_the_normal_form_closures_match_the_permutation_closures():
-    # H of spectrum_plan and H_w of _witness_group close on normal forms;
+    # H of spectrum_plan and H_w of _witness_reading close on normal forms;
     # the reference closes on permutations of the k*n points.  Every tried
-    # subrack, and every set of its columns, gives the same elements in the
-    # same order: the same labels, characters and Cayley edges
+    # subrack, and every set of its columns, gives the same generator
+    # places, modulus, order and labels, read through the trivial psi, and
+    # H the same elements in the same order
     compared = 0
     for k, n in ((2, 3), (2, 4), (2, 5), (2, 6), (4, 2), (4, 3), (4, 4),
                  (6, 2), (6, 3), (8, 2)):
@@ -1096,12 +1097,18 @@ def test_the_normal_form_closures_match_the_permutation_closures():
         for subrack in tried_subracks(cls):
             for r in range(1, subrack.size + 1):
                 for cols in itertools.combinations(range(subrack.size), r):
-                    group = nichols.witness._witness_group(subrack, cols)
-                    generator, modulus, edges, labels = \
-                        permutation_witness_group(subrack, cols)
-                    assert (group.generator, group.modulus, group.edges,
-                            group.labels) == (generator, modulus, edges,
-                                              labels), (k, n, subrack, cols)
+                    generator, _, modulus, _ = \
+                        nichols.witness._witness_columns(subrack, cols)
+                    reading = nichols.witness._witness_reading(
+                        subrack, cols, 1, (("1",) * r,) * r)
+                    (counts,) = reading.phases
+                    labels = Counter()
+                    for x, _, m in counts:
+                        labels[reading.labels[x]] += m
+                    expected = permutation_witness_group(subrack, cols)
+                    assert (generator, modulus, reading.order, labels) == (
+                        expected[0], expected[1], len(expected[2]),
+                        Counter(expected[3])), (k, n, subrack, cols)
                     entries = list(dict.fromkeys(
                         subrack.gamma(i, j) for i in cols for j in cols))
                     assert nichols.braidspace.spectrum_plan(
@@ -1141,14 +1148,13 @@ def test_the_per_label_sums_match_the_per_element_sums():
             reading = nichols.witness._witness_reading(
                 subrack, cols, width, tuple(map(tuple, w["q_matrix"])))
             character = spec.character()
-            modulus = nichols.witness._witness_group(subrack, cols).modulus
-            sums = list(nichols.witness._character_sums(reading, character,
-                                                        modulus))
+            sums = list(nichols.witness._character_sums(reading, character))
             assert None not in sums
             # the check sums in integers, phi(modulus) times the reference
-            assert sums == [totient(modulus) * x for x in per_element_sums(
-                subrack, cols, tuple(psi for psi, _ in reading.used),
-                character)], (k, n, spec.label())
+            assert sums == [
+                totient(reading.modulus) * x for x in per_element_sums(
+                    subrack, cols, tuple(psi for psi, _ in reading.used),
+                    character)], (k, n, spec.label())
             compared[k] += len(sums)
     assert compared == COMPARED_SUMS
 
@@ -1262,7 +1268,7 @@ def test_the_named_member_serves_only_its_own_images():
     warm = {name: [_verify_or_error(forged) for _ in range(2)]
             for name, forged in forgeries.items()}
     nichols.witness._witness_subrack.cache_clear()
-    nichols.witness._witness_group.cache_clear()
+    nichols.witness._witness_columns.cache_clear()
     nichols.witness._witness_reading.cache_clear()
     cold = {name: _verify_or_error(forged)
             for name, forged in forgeries.items()}
@@ -1343,7 +1349,7 @@ def test_a_warm_witness_cache_refuses_what_a_cold_one_refuses():
     warm = {name: [_verify_or_error(forged, rows[name]) for _ in range(2)]
             for name, forged in forgeries.items()}
     nichols.witness._witness_subrack.cache_clear()
-    nichols.witness._witness_group.cache_clear()
+    nichols.witness._witness_columns.cache_clear()
     nichols.witness._witness_reading.cache_clear()
     cold = {name: _verify_or_error(forged, rows[name])
             for name, forged in forgeries.items()}
