@@ -284,8 +284,9 @@ def cmd_table(args: SimpleNamespace) -> int:
     # one memo for the report in this process; a worker unpickles the
     # function afresh, empty memo included, with each part it is sent
     printed = partial(_printed_row, {}, args.format == "json")
-    # the pool starts all of its workers at once
-    workers = min(args.jobs, len(specs))
+    # the pool starts all of its workers at once, so at most one per row
+    # and one per CPU
+    workers = min(args.jobs, len(specs), os.cpu_count() or 1)
     if workers > 1:
         # imported here: a one-process run does not need multiprocessing
         from multiprocessing import Pool

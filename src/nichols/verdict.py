@@ -141,27 +141,17 @@ def cartan_finite(diagram: GeneralizedDynkinDiagram,
     return True
 
 
-
-def _members(diagram: GeneralizedDynkinDiagram, nodes) -> list:
-    """The first two members (j, s) of each node, in vertex order."""
-    members = []
-    for x in sorted(nodes):
-        j, indices = diagram.nodes[x]
-        members += [(j, s) for s in indices[:2]]
-    return members
-
-
-def _near(diagram: GeneralizedDynkinDiagram, vertices) -> dict:
-    """The neighbors of each vertex among vertices, in increasing order.
-    Every node of the vertices must be labelled -1, so that no two of its
-    members are adjacent: twins have one list."""
-    by_node = {}
-    for v in vertices:
-        by_node.setdefault(diagram.node(v), []).append(v)
+def _twins(diagram: GeneralizedDynkinDiagram, nodes) -> dict:
+    """The first two members (j, s) of each node, in vertex order, each
+    mapped to its neighbors among those members, in increasing order, and
+    each neighbor to its edge label.  Every node must be labelled -1, so
+    that no two of its members are adjacent: twins share one map."""
+    members = {x: [(diagram.nodes[x][0], s) for s in diagram.nodes[x][1][:2]]
+               for x in sorted(nodes)}
     near = {}
-    for x, group in by_node.items():
-        around = sorted(w for y in diagram.adjacent(x)
-                        for w in by_node.get(y, ()))
+    for x, group in members.items():
+        around = {w: label for y, label in diagram.adjacent(x).items()
+                  for w in members.get(y, ())}
         near.update(dict.fromkeys(group, around))
     return near
 
@@ -174,8 +164,9 @@ def cycle_rule(diagram: GeneralizedDynkinDiagram, comp) -> Optional[dict]:
     Such a labeled cycle certifies an infinite braiding.  Returns the cycle
     as vertices (j, s) and its labels, or None.
 
-    The search runs on the first two members of each node, and finds the
-    cycle that the same search on every vertex finds first:
+    The search reads adjacency and labels off the twin map (_twins) of
+    the nodes labelled -1, on the first two members of each node, and
+    finds the cycle that the same search on every vertex finds first:
     - members of a node labelled -1 are never adjacent (their product is
       q_aa^2 = 1) and share one neighbor set;
     - so a chordless 4-cycle a - b - c - d holds two members of one node
@@ -185,25 +176,18 @@ def cycle_rule(diagram: GeneralizedDynkinDiagram, comp) -> Optional[dict]:
     - so the first hit, in the order a < c, then b, d among the common
       neighbors, holds only first and second members.
     The same argument shrinks the witness search (_minimal_infinite_set)."""
-    minus = _members(diagram, [x for x in comp
-                               if 2 * diagram.q(x, x) == diagram.modulus])
-    near = _near(diagram, minus)
-    for a in minus:
-        for c in minus:
-            if c <= a or diagram.edge_label(a, c) is not None:
+    near = _twins(diagram, [x for x in comp
+                            if 2 * diagram.q(x, x) == diagram.modulus])
+    for a in near:
+        for c in near:
+            if c <= a or c in near[a]:
                 continue
-            commons = [x for x in near[a]
-                       if diagram.edge_label(x, c) is not None]
+            commons = [x for x in near[a] if c in near[x]]
             for b, d in itertools.permutations(commons, 2):
-                if diagram.edge_label(b, d) is not None:
+                if d in near[b]:
                     continue
-                ab = diagram.edge_label(a, b)
-                bc = diagram.edge_label(b, c)
-                cd = diagram.edge_label(c, d)
-                da = diagram.edge_label(d, a)
-                if (ab + bc) % diagram.modulus:
-                    continue
-                if ab != cd or bc != da:
+                ab, bc, cd, da = near[a][b], near[b][c], near[c][d], near[d][a]
+                if (ab + bc) % diagram.modulus or ab != cd or bc != da:
                     continue
                 return {"cycle": (a, b, c, d),
                         "labels": tuple(root_name(diagram.modulus, w)
@@ -515,13 +499,14 @@ def _subspace_rules(plan: SubrackPlan, character: InducedCharacter,
 
 def _read_rules(diagram: GeneralizedDynkinDiagram) -> Optional[tuple]:
     """The subspace rules on a diagram: (rule, firing vertices, witness
-    fields, cycle order) of the rule that fires, or None.  A non-finite
-    Cartan component fires cartan-infinite on its least witness
-    (_minimal_infinite_set) and comes first; else a component that is not
-    Cartan fires alternating-cycle (cycle_rule).  Either way the least
-    firing set by (expansion, sorted tuple) wins."""
-    cartan_hits = []
-    cycle_hits = []
+    fields, cycle order) of the rule that fires, or None.  Every component
+    that fires gives one hit (rank, expansion, firing, cycle order,
+    fields): a non-finite Cartan component fires cartan-infinite, rank 0,
+    on its least witness (_minimal_infinite_set); a component that is not
+    Cartan fires alternating-cycle, rank 1 (cycle_rule).  The least hit by
+    (rank, expansion, sorted firing tuple) wins, so every Cartan hit beats
+    every cycle hit."""
+    hits = []
     for comp in diagram.components():
         finite = cartan_finite(diagram, {x: len(diagram.nodes[x][1])
                                          for x in comp})
@@ -529,25 +514,20 @@ def _read_rules(diagram: GeneralizedDynkinDiagram) -> Optional[tuple]:
             hit = cycle_rule(diagram, comp)
             if hit is not None:
                 firing = tuple(sorted(hit["cycle"]))
-                cycle_hits.append((_expansion_size(firing), firing,
-                                   hit["cycle"], hit))
+                hits.append((1, _expansion_size(firing), firing, hit["cycle"],
+                             {"cycle_labels": list(hit["labels"])}))
         elif not finite:
+            # the firing set is a triangle or a chordless cycle
             firing = _minimal_infinite_set(diagram, comp)
-            cartan_hits.append((_expansion_size(firing), firing))
-    if cartan_hits:
-        # the firing set is a triangle or a chordless cycle
-        size, firing = min(cartan_hits)
-        cartan = [[2 if a == b else 0 if diagram.edge_label(a, b) is None
-                   else -1 for b in firing] for a in firing]
-        return ("cartan-infinite", firing,
-                {"cartan_matrix": cartan,
-                 "label": "A%d(1)" % (len(firing) - 1)}, ())
-    if cycle_hits:
-        size, firing, order, hit = min(
-            cycle_hits, key=lambda x: (x[0], x[1]))
-        return ("alternating-cycle", firing,
-                {"cycle_labels": list(hit["labels"])}, order)
-    return None
+            cartan = [[2 if a == b else 0 if diagram.edge_label(a, b) is None
+                       else -1 for b in firing] for a in firing]
+            hits.append((0, _expansion_size(firing), firing, (),
+                         {"cartan_matrix": cartan,
+                          "label": "A%d(1)" % (len(firing) - 1)}))
+    if not hits:
+        return None
+    rank, _, firing, order, fields = min(hits, key=lambda hit: hit[:3])
+    return ("cartan-infinite", "alternating-cycle")[rank], firing, fields, order
 
 
 def _expansion_size(firing: tuple) -> int:
@@ -564,8 +544,9 @@ def _minimal_infinite_set(diagram: GeneralizedDynkinDiagram,
     (cartan_finite), a shortest one is chordless, and any cycle subdiagram
     is again non-finite Cartan.
 
-    The search runs on the first two members of each node of the
-    component, with the answer of the search on every vertex:
+    The search reads the twin map of the component (_twins), on the first
+    two members of each node, with the answer of the search on every
+    vertex:
     - twins share one neighbor set and, every vertex label being -1
       (cartan_finite raises otherwise), are never adjacent;
     - so a triangle holds at most one member of each node, and moving
@@ -578,17 +559,15 @@ def _minimal_infinite_set(diagram: GeneralizedDynkinDiagram,
     - the eigenvector indices of one run can be swapped without changing
       the graph, so a slice over indices beyond the first two of a run
       repeats an earlier slice, with larger tuples."""
-    pruned = _members(diagram, comp)
-    near = _near(diagram, pruned)
-    sets = {v: set(ws) for v, ws in near.items()}
-    triangles = [(a, b, c) for a in pruned for b in near[a] if b > a
-                 for c in sets[a] & sets[b] if c > b]
+    near = _twins(diagram, comp)
+    triangles = [(a, b, c) for a in near for b in near[a] if b > a
+                 for c in near[a].keys() & near[b].keys() if c > b]
     if triangles:
         return min(triangles, key=lambda t: (_expansion_size(t), t))
-    indices = sorted({s for _, s in pruned})
-    subsets = [[v for v in pruned if v[1] in chosen]
+    indices = sorted({s for _, s in near})
+    subsets = [[v for v in near if v[1] in chosen]
                for r in (1, 2) for chosen in itertools.combinations(indices, r)]
-    subsets.append(pruned)
+    subsets.append(list(near))
     best = None
     for subset in subsets:
         keep = set(subset)

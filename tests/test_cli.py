@@ -418,7 +418,8 @@ def test_table_jobs_output_is_byte_identical_past_the_gate():
 def test_table_starts_no_more_workers_than_rows(monkeypatch, capsys):
     # the pool is replaced by one that records its size and runs in-process,
     # so no worker is started however large --jobs is; the CLI imports the
-    # pool from multiprocessing when it needs one, so it is replaced there
+    # pool from multiprocessing when it needs one, so it is replaced there.
+    # The machine has 8 CPUs here, more than any table below asks for
     import multiprocessing
 
     import nichols.cli as cli
@@ -445,6 +446,7 @@ def test_table_starts_no_more_workers_than_rows(monkeypatch, capsys):
             return map(fn, parts)
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert cli.main(["table", "--k", "2", "--n", "2", "--jobs", "64"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert sizes == [len(rows)] == [5]
@@ -457,6 +459,12 @@ def test_table_starts_no_more_workers_than_rows(monkeypatch, capsys):
     assert sizes == [5, 3, 2]
     assert len(rows) == 36
     assert chunks == [1, 1, 5]
+    # and no more workers than CPUs: 2 of them for 36 rows
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert cli.main(["table", "--k", "2", "--n", "5", "--jobs", "64"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == rows
+    assert sizes == [5, 3, 2, 2]
+    assert chunks == [1, 1, 5, 5]
 
 
 def test_cli_import_leaves_the_process_pool_out():

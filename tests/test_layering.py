@@ -70,7 +70,8 @@ REMOVED_NAMES = frozenset(("candidate_subracks", "joint_spectrum",
                            "RootOfUnity", "ROOT_ONE", "ROOT_MINUS_ONE",
                            "_printed_root", "_roots", "root_names",
                            "orbit_terms", "to_dot", "dot_template",
-                           "partition_degree", "connected_components"))
+                           "partition_degree", "connected_components",
+                           "_members", "_near"))
 FORBIDDEN_NAMES = frozenset(("Cyclotomic", "cartan_type", "symmetrizable",
                              "braiding_matrix", "transporter",
                              "_involution_transporter", "CycleType",

@@ -23,10 +23,10 @@ from nichols.braidspace import (GeneralizedDynkinDiagram, dynkin_diagram,
 from nichols.cli import _build_subrack
 from nichols.permgroup import Permutation, UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
-from nichols.verdict import (_candidates, _minimal_infinite_set, _near,
+from nichols.verdict import (_candidates, _minimal_infinite_set,
                              _read_rules, _shortest_cycle, _subspace_rules,
-                             _template, cartan_finite, class_plan, cycle_rule,
-                             decide, scalar_gate)
+                             _template, _twins, cartan_finite, class_plan,
+                             cycle_rule, decide, scalar_gate)
 from nichols.witness import _cartan_infinite
 
 import oracles
@@ -760,8 +760,7 @@ def cycle_unions(draw):
 def _shortest_cycles(diagram):
     # the package's cycle over every vertex (j, 0), as columns, and the
     # reference cycle of the pairwise diagram
-    vertices = vertex_space(diagram).vertices
-    cycle = _shortest_cycle(_near(diagram, vertices))
+    cycle = _shortest_cycle(_twins(diagram, range(len(diagram.nodes))))
     want = shortest_cycle(dynkin_diagram_by_pairs(vertex_space(diagram)))
     return (None if cycle is None else tuple(j for j, _ in cycle)), want
 
