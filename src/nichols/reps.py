@@ -348,7 +348,7 @@ def parse_rep_spec(k: int, n: int, text: str) -> RepSpec:
         if k < 1:
             raise ValueError("modulus must be positive")
         # with no empty entry, the tokens of the entries are these
-        u = [_integer(tok) % k for tok in body.replace(",", " ").split()]
+        u = [x % k for x in _integers(body.replace(",", " ").split())]
         if len(u) != n:
             raise ValueError("character vector must have length %d" % n)
         u = tuple(sorted(u, reverse=True))
@@ -364,6 +364,26 @@ def _integer(token: str) -> int:
     return int(digits)
 
 
+def _int_reads(text: str) -> bool:
+    # whether int() accepts each token of text that holds no "+" exactly
+    # when _integer does, with the same value: so when text is printable
+    # ASCII with no "_" (int() also reads "1_0", and refuses the "\x1c" to
+    # "\x1f" that _integer strips)
+    return text.isascii() and text.isprintable() and "_" not in text
+
+
+def _integers(tokens: list) -> list:
+    # _integer of each token in turn, naming the first it refuses; read by
+    # int() in one map where that reads them alike
+    joined = "".join(tokens)
+    if "+" not in joined and _int_reads(joined):
+        try:
+            return list(map(int, tokens))
+        except ValueError:
+            pass
+    return list(map(_integer, tokens))
+
+
 def _parse_mu(sizes: tuple, text: str) -> tuple:
     if text == "trivial":
         return tuple((s,) for s in sizes)
@@ -377,13 +397,16 @@ def _parse_mu(sizes: tuple, text: str) -> tuple:
         return tuple((1,) if s < 2 else (s - 1, 1) if text == "standard"
                      else (2,) + (1,) * (s - 2) for s in sizes)
     if text.startswith("catalog:"):
-        chunks = text[len("catalog:"):].split("|")
+        body = text[len("catalog:"):]
+        chunks = body.split("|")
         if len(chunks) != len(sizes):
             raise ValueError("mu needs %d block partitions, got %d" % (len(sizes), len(chunks)))
+        # a token split at "+" holds none
+        read = int if _int_reads(body) else _integer
         partitions = []
         for chunk, s in zip(chunks, sizes):
             try:
-                part = sorted(map(_integer, chunk.split("+")), reverse=True)
+                part = sorted(map(read, chunk.split("+")), reverse=True)
             except ValueError:
                 part = []
             # a block has at least one entry, so an empty part fails the sum

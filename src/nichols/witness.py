@@ -8,8 +8,12 @@ witness vertex (j, s) means the vector g_j v_s, with v_s an eigenvector of
 the group H_w that the witness's own table entries generate, and s only a
 name.  Since t_i g_j v = g_j gamma_ij v, the recorded q_matrix is such a
 braiding exactly when each psi_s read off it is a character of H_w that
-occurs in chi|H_w as often as the witness uses it; the check builds H_w by
-closure and tests just that, then re-fires the rule (see verify_witness).
+occurs in chi|H_w as often as the witness uses it.  The basepoint pi is a
+table entry (gamma_jj), central of order k, and acts on rho by the scalar
+zeta_k^q, so only a psi with psi(pi) = zeta_k^q occurs, and chi psi^-1 is
+constant on each coset of <pi>; the check closes H_w on the coset
+representatives, tests just that, then re-fires the rule (see
+verify_witness).
 
 What no representation changes is built once per recorded subrack (the
 member of the family its kind names, or else the subrack rebuilt from its
@@ -17,12 +21,14 @@ images with its own checks, and no description), once per set of its
 witness columns (the place of each table entry among the distinct ones,
 their normal forms, each a pair of plain tuples, checked to commute, and
 the modulus) and once per recorded q_matrix on those columns (its
-exponents, the psi_s read off it, and H_w closed from the identity on
-normal forms while the phases of the psi used are carried along each
+exponents, the psi_s read off it, the place of pi among the entries, and
+H_w/<pi> closed from the identity on the normal forms of the coset
+representatives while the phases of the psi used are carried along each
 Cayley edge, checked there and counted at each distinct class label, with
 the rule re-fired on each firing or cycle), and kept for the life of the
-process; a row only checks its own fields and vertices, and sums its
-character, read once at each distinct label as its nonzero terms, against
+process; a row only checks its own fields and vertices and that each psi
+used takes the value zeta_k^q at pi, and sums its character, read once at
+each distinct label of the representatives as its nonzero terms, against
 those counts, in integers.
 """
 
@@ -36,7 +42,7 @@ from typing import NamedTuple, Optional
 
 from .braidspace import FAMILIES, AbelianSubrack
 from .exactfield import rational_trace, root_name, totient
-from .permgroup import Permutation, UnmixedClass
+from .permgroup import NormalForm, Permutation, UnmixedClass
 from .reps import InducedCharacter, pi_scalar, resolve_spec
 
 INFINITE = "InfiniteDim"
@@ -164,18 +170,21 @@ class _WitnessReading(NamedTuple):
     subrack and set of its columns, whatever the representation: the
     modulus; the entries as integer exponents of zeta_modulus (exponents);
     each psi used, as its exponents on the distinct table entries, with the
-    number of vertex indices that name it (used); the order |H_w| and its
-    distinct class labels (labels); for each psi used, one (label index,
-    places, count) triple per class label and phase p of psi that occur
-    together on the elements of H_w, with the number of those elements,
-    and in places, for each a < k, the exponent of zeta_k^a zeta_modulus^-p
-    as a power of zeta_modulus (phases); and what each rule re-fired on the
+    number of vertex indices that name it (used); the place of the
+    basepoint pi among those entries (basepoint); the number |H_w|/k of
+    coset representatives of <pi> in H_w (order) and their distinct class
+    labels (labels); for each psi used, one (label index, places, count)
+    triple per class label and phase p of psi that occur together on the
+    representatives, with the number of those representatives, and in
+    places, for each a < k, the exponent of zeta_k^a zeta_modulus^-p as a
+    power of zeta_modulus (phases); and what each rule re-fired on the
     exponents gives (_refire), by (rule, firing or cycle) (fired), filled
     in as rows meet it."""
 
     modulus: int
     exponents: tuple
     used: tuple
+    basepoint: int
     order: int
     labels: tuple
     phases: tuple
@@ -189,14 +198,21 @@ def _witness_reading(subrack: AbelianSubrack, cols: tuple, width: int,
     per vertex (j, s) of the rectangle cols x (width indices), on H_w:
     None when an entry is no root of unity printed in lowest terms of
     order dividing the modulus (_witness_columns), when a psi_s read off
-    two row vertices (i, r) disagrees on a table entry, or when a psi used
-    fails on a Cayley edge of H_w, so that it is no character of H_w.
+    two row vertices (i, r) disagrees on a table entry, when the basepoint
+    pi = ((1, ..., 1), id) is no table entry or a psi used has psi(pi)^k
+    other than 1, or when a psi used fails on a Cayley edge of H_w/<pi>,
+    so that it is no character of H_w.
 
-    H_w is closed breadth-first from the identity on normal forms of n
-    entries (nichols.permgroup.UnmixedClass.product), each element
-    carrying the phase of every psi used from the first edge that reaches
-    it; every other edge g_t h must reach its end with the phases of h
-    moved by psi(g_t).  Each element's class label is read off its form."""
+    pi is central of order k, and pi^e h adds e to every twist of h, so
+    each coset of <pi> in H_w has one representative r with d[0] = 0, and
+    h = pi^e r for e = d[0].  H_w/<pi> is closed breadth-first from the
+    identity on those representatives (nichols.permgroup.UnmixedClass.
+    product), by every entry other than pi, each representative carrying
+    the phase of every psi used from the first edge that reaches it;
+    every other edge, g_t r = pi^e r', must reach r' with the phases of r
+    moved by psi(g_t) - e psi(pi).  Then psi(pi^e r) = psi(pi)^e psi(r)
+    is well defined and a character of H_w.  Each representative's class
+    label is read off its form."""
     generator, forms, modulus, exponent = _witness_columns(subrack, cols)
     exps = tuple(tuple(exponent.get(x) for x in row) for row in q_matrix)
     if any(None in row for row in exps):
@@ -213,22 +229,37 @@ def _witness_reading(subrack: AbelianSubrack, cols: tuple, width: int,
         psis.append(tuple(psi[t] for t in range(len(psi))))
     used = tuple(sorted(set(psis)))
     cls = subrack.cls
+    k = cls.k
+    identity = cls.identity_form()
+    try:
+        base = forms.index(NormalForm((1,) * cls.n, identity.b))
+    except ValueError:
+        return None
+    at_pi = tuple(psi[base] for psi in used)
+    if any(k * z % modulus for z in at_pi):
+        return None
+    # pi moves no coset, so it is no edge of H_w/<pi>
+    steps = [(g, tuple(psi[t] for psi in used))
+             for t, g in enumerate(forms) if t != base]
     product = cls.product
-    queue = [cls.identity_form()]
-    at = {queue[0]: (0,) * len(used)}
-    # the queue grows while it is read: an element first reached keeps the
-    # phases of that edge, and joins the queue
+    queue = [identity]
+    at = {identity: (0,) * len(used)}
+    # the queue grows while it is read: a representative first reached
+    # keeps the phases of that edge, and joins the queue
     for h in queue:
-        for t, g in enumerate(forms):
+        for g, moves in steps:
             x = product(g, h)
-            step = tuple((p + psi[t]) % modulus for p, psi in zip(at[h], used))
+            e = x.d[0]
+            if e:
+                x = NormalForm(tuple([(v - e) % k for v in x.d]), x.b)
+            step = tuple((p + m - e * z) % modulus
+                         for p, m, z in zip(at[h], moves, at_pi))
             if at.setdefault(x, step) != step:
                 return None
             if len(at) > len(queue):
                 queue.append(x)
     # each psi counted by (label, phase); a phase p is kept as the place of
     # zeta_k^a zeta_modulus^-p in the sum, for each a < k
-    k = cls.k
     places = [tuple((a * modulus // k - p) % modulus for a in range(k))
               for p in range(modulus)]
     labels = [h.class_label(k) for h in queue]
@@ -238,16 +269,17 @@ def _witness_reading(subrack: AbelianSubrack, cols: tuple, width: int,
                    for column in zip(*at.values()))
     return _WitnessReading(modulus, exps,
                            tuple((psi, psis.count(psi)) for psi in used),
-                           len(queue), tuple(index), phases, {})
+                           base, len(queue), tuple(index), phases, {})
 
 
 def _character_sums(reading: _WitnessReading, character: InducedCharacter):
-    """phi(modulus) sum_h chi(h) psi(h)^-1 over H_w for each psi of
-    reading.used, in order, each read by rational_trace off the integer
-    coefficients of its powers of zeta_modulus (None when not rational):
-    chi is read once at each distinct label of H_w, as its nonzero
-    (index, coefficient) terms, and each term is added at its place,
-    times the number of elements with that label and phase of psi."""
+    """phi(modulus) sum_r chi(r) psi(r)^-1 over the coset representatives
+    r of <pi> in H_w for each psi of reading.used, in order, each read by
+    rational_trace off the integer coefficients of its powers of
+    zeta_modulus (None when not rational): chi is read once at each
+    distinct label of the representatives, as its nonzero (index,
+    coefficient) terms, and each term is added at its place, times the
+    number of representatives with that label and phase of psi."""
     terms = [[(a, c) for a, c in enumerate(character.coefficients(label)) if c]
              for label in reading.labels]
     for counts in reading.phases:
@@ -318,17 +350,25 @@ def verify_witness(k: int, n: int, rho_spec, verdict) -> bool:
       in chi|H_w at least as often as the witness uses it, and vectors of
       different psi are independent.
     So the check reads psi_s(gamma_ij) off the recorded q_matrix (the same
-    for every row index r, and wherever two (i, j) give the same entry),
-    builds H_w by plain closure from the identity while it checks on every
-    Cayley edge that psi_s extends to a character of H_w, and sums chi
-    against each psi used, (1/|H_w|) sum_h chi(h) psi(h)^-1, by integer
-    traces: phi(modulus) |H_w| times it is an integer, which must be
-    divisible by phi(modulus) |H_w|.  Then the rule is re-fired on the
-    recorded values, each as its integer exponent of zeta_modulus.
-    cartan-infinite is re-fired by linear algebra on the firing set,
-    sharing no code with the graph reading that decided it: every diagonal
-    entry -1, every product q_ab q_ba equal to 1 or -1, and the Cartan
-    matrix 2I - A (A = 1 where the product is -1) not positive definite.
+    for every row index r, and wherever two (i, j) give the same entry).
+    The basepoint pi = gamma_jj is central of order k, and pi^e h adds e to
+    every twist of h, so each coset of <pi> in H_w has one representative
+    with d[0] = 0.  The check closes H_w/<pi> on those representatives,
+    from the identity, while it checks on every Cayley edge g_t r = pi^e r'
+    that the phase of r' is that of r moved by psi(g_t) - e psi(pi), and
+    that psi(pi)^k = 1, so that psi_s extends to a character of H_w.  pi
+    acts on rho by zeta_k^q, q = pi_scalar(spec), so chi(pi^e r) =
+    zeta_k^(q e) chi(r): a psi with psi(pi) other than zeta_k^q occurs 0
+    times, and is refused; for the others the multiplicity
+    (1/|H_w|) sum_h chi(h) psi(h)^-1 is (k/|H_w|) sum_r chi(r) psi(r)^-1
+    over the |H_w|/k representatives r, read by integer traces:
+    phi(modulus) |H_w|/k times it is an integer, which must be divisible
+    by phi(modulus) |H_w|/k.  Then the rule is re-fired on the recorded
+    values, each as its integer exponent of zeta_modulus.  cartan-infinite
+    is re-fired by linear algebra on the firing set, sharing no code with
+    the graph reading that decided it: every diagonal entry -1, every
+    product q_ab q_ba equal to 1 or -1, and the Cartan matrix 2I - A (A = 1
+    where the product is -1) not positive definite.
 
     Only the representation changes from row to row.  The subrack and its
     description are built once per recorded (image tuples, kind, param)
@@ -339,18 +379,20 @@ def verify_witness(k: int, n: int, rho_spec, verdict) -> bool:
     subrack, set of witness columns, number of indices and q_matrix
     (_witness_reading), each entry checked to be a str before the lookup:
     the exponents of its entries, the psi_s read off it with how often
-    each is used, H_w closed on normal forms with their phases carried
-    along its Cayley edges and counted at each distinct class label, or
-    the lookup, psi_s or edge that fails, and the outcome of the rule
-    re-fired on each (rule, firing or cycle) a row has met.  Each row
-    compares the description, checks its vertices and indices and the
-    shape of its q_matrix, reads chi once at each distinct label of H_w,
-    as its nonzero terms, and sums it against each psi's phase counts
-    (_character_sums), which is the sum over the elements of H_w, and
-    compares its recorded cartan_matrix or cycle_labels with the re-fired
-    outcome.  Checks run in that order, cached or not: a failing
-    multiplicity returns False before a cycle that is not a 4-cycle
-    raises.  A witness that raises is not cached.
+    each is used, the place of pi among the entries, H_w/<pi> closed on
+    the normal forms of the coset representatives with their phases
+    carried along its Cayley edges and counted at each distinct class
+    label, or the lookup, psi_s, psi(pi) or edge that fails, and the
+    outcome of the rule re-fired on each (rule, firing or cycle) a row has
+    met.  Each row compares the description, checks its vertices and
+    indices and the shape of its q_matrix, checks psi(pi) = zeta_k^q for
+    each psi used, reads chi once at each distinct label of the
+    representatives, as its nonzero terms, and sums it against each psi's
+    phase counts (_character_sums), which is the sum over the
+    representatives, and compares its recorded cartan_matrix or
+    cycle_labels with the re-fired outcome.  Checks run in that order,
+    cached or not: a failing multiplicity returns False before a cycle
+    that is not a 4-cycle raises.  A witness that raises is not cached.
 
     The recorded fields that follow from these values must match them: the
     cartan_matrix, the cycle_labels (the products around the cycle), the
@@ -364,21 +406,21 @@ def verify_witness(k: int, n: int, rho_spec, verdict) -> bool:
     element_order must be of type int (3.0 is not 3).  The printed label,
     components and diagram_dot are still not read.  An entry that is not a
     root of unity printed in lowest terms, or a q_matrix that is not one
-    list per vertex of one entry per vertex, fails.  A witness whose element_images or transporter_images are not
-    a list of image lists, or hold an entry not of type int (1.0 or True
-    is not 1), whose subrack param is not a list of int (a tuple, set or
-    dict is not), whose vertices are not a list of two-element lists,
-    whose firing or cycle is not a list, whose vertex coordinates or
-    firing or cycle indices are not all of type int (a bool, float or str
-    is not), whose vertices are not the
-    rectangle (its columns) x (its indices) in order, from 0 and below the
-    subrack size and the degree, whose firing or cycle indices repeat or
-    leave its vertex list, whose table entries do not commute, or whose
-    cycle is not a 4-cycle raises ValueError, and so does a witness, or
-    its subrack field, that is not a dict or lacks a field its rule
-    reads, a subrack kind that is not a str, a verdict rule that is not a
-    str (a list or dict is not hashed), and a rho_spec that is neither a
-    RepSpec nor a str (None, 5 or a list is not split)."""
+    list per vertex of one entry per vertex, fails.  A witness whose
+    element_images or transporter_images are not a list of image lists, or
+    hold an entry not of type int (1.0 or True is not 1), whose subrack
+    param is not a list of int (a tuple, set or dict is not), whose
+    vertices are not a list of two-element lists, whose firing or cycle is
+    not a list, whose vertex coordinates or firing or cycle indices are
+    not all of type int (a bool, float or str is not), whose vertices are
+    not the rectangle (its columns) x (its indices) in order, from 0 and
+    below the subrack size and the degree, whose firing or cycle indices
+    repeat or leave its vertex list, whose table entries do not commute,
+    or whose cycle is not a 4-cycle raises ValueError, and so does a
+    witness, or its subrack field, that is not a dict or lacks a field its
+    rule reads, a subrack kind that is not a str, a verdict rule that is
+    not a str (a list or dict is not hashed), and a rho_spec that is
+    neither a RepSpec nor a str (None, 5 or a list is not split)."""
     if verdict.outcome != INFINITE:
         raise ValueError("only infinite verdicts carry a rebuildable witness")
     spec = resolve_spec(k, n, rho_spec)
@@ -440,7 +482,11 @@ def verify_witness(k: int, n: int, rho_spec, verdict) -> bool:
                                tuple(map(tuple, q_matrix)))
     if reading is None:
         return False
-    # phi(modulus) |H_w| times each multiplicity
+    # pi acts by zeta_k^q, so a psi with psi(pi) other than it occurs 0 times
+    scalar = pi_scalar(spec) * reading.modulus // k
+    if any(psi[reading.basepoint] != scalar for psi, _ in reading.used):
+        return False
+    # phi(modulus) |H_w| / k times each multiplicity
     order = totient(reading.modulus) * reading.order
     for (_, count), total in zip(reading.used,
                                  _character_sums(reading, character)):

@@ -1382,8 +1382,9 @@ def permutation_spectrum_plan(cls, generators, modulus: int) -> SpectrumPlan:
 
 
 def permutation_witness_group(subrack, cols: tuple) -> tuple:
-    """H_w of witness._witness_reading closed on permutations of the k*n
-    points by breadth-first search from the identity: the generator place
+    """H_w, whose cosets of <pi> witness._witness_reading closes on,
+    closed whole on permutations of the k*n points by breadth-first search
+    from the identity: the generator place
     of each gamma_ij, the modulus, the Cayley edges and the class label of
     each element, read from its normal form."""
     cls = subrack.cls
@@ -1421,7 +1422,8 @@ def per_element_sums(subrack, cols: tuple, used: tuple, character) -> list:
     entries: each psi carried from the identity along the Cayley edges,
     and chi read at the label of every element in turn; each sum as a
     rational_value, or None on an edge where a psi fails.  The reference
-    for witness._character_sums, which reads chi once per distinct label."""
+    for witness._character_sums, which sums over the coset representatives
+    of <pi> only and reads chi once per distinct label of theirs."""
     _, modulus, edges, labels = permutation_witness_group(subrack, cols)
     phases = [None] * len(edges)
     phases[0] = (0,) * len(used)
@@ -1519,10 +1521,13 @@ def parse_rep_spec(k: int, n: int, text: str) -> RepSpec:
 
 def _integer(token: str) -> int:
     # an optional "-" then ASCII digits, with spaces around them: not "+1",
-    # "1_0" or digits of another script, which int() reads too
-    if not re.fullmatch(r"-?[0-9]+", token.strip()):
+    # "1_0" or digits of another script, which int() reads too; the spaces
+    # are those str.strip() takes, "\x1c" to "\x1f" among them, which
+    # int() keeps
+    digits = token.strip()
+    if not re.fullmatch(r"-?[0-9]+", digits):
         raise ValueError("%r is not an integer" % token)
-    return int(token)
+    return int(digits)
 
 
 def _parse_mu(sizes: tuple, text: str) -> tuple:

@@ -241,6 +241,46 @@ def test_the_one_pass_parse_reads_every_label_as_the_reference():
                 reference_parse_rep_spec(k, n, spec.label()) == spec
 
 
+# what a mutation puts into a label: its own separators and digits, the
+# tokens that int() reads but a label never holds, and spaces that
+# str.strip() takes but int() keeps ("\x1c") or that are not ASCII
+_PIECES = st.sampled_from(list("0123456789-+_,;|=(): x") + [
+    "\t", "\x1c", "\x1f", "\u00a0", "\u0661", "catalog:", "mu=", "chi=", ""])
+
+
+@st.composite
+def _mutated_labels(draw):
+    # a printed label of a few classes, with up to three characters
+    # inserted, deleted or replaced
+    k, n = draw(st.sampled_from(((2, 4), (3, 3), (4, 3), (4, 5), (6, 2))))
+    spec = draw(st.sampled_from(enumerate_irreps(k, n)))
+    text = spec.label()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from((0, 1, 1)))
+        text = text[:at] + draw(_PIECES) + text[at + kind:]
+    return k, n, spec, text
+
+
+_CATALOG_SPEC = RepSpec(2, 5, (1, 1, 0, 0, 0), ((2,), (2, 1)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_mutated_labels())
+@example((2, 5, _CATALOG_SPEC, "chi=(1,1,0,0,0);mu=catalog:2|2+\x1c1"))
+@example((2, 5, _CATALOG_SPEC, "chi=(1,1,0,0,0);mu=catalog:2|2+1_0"))
+@example((2, 5, _CATALOG_SPEC, "chi=(1,\x1c1,0,0,+0);mu=catalog:2|2+1"))
+def test_a_mutated_label_reads_as_the_reference(case):
+    # every label reads back as its spec, and a label mutated anywhere,
+    # the catalog partitions included, gives the spec or the exception
+    # type and message of the field-by-field reference
+    k, n, spec, text = case
+    got = _parsed(parse_rep_spec, k, n, text)
+    assert got == _parsed(reference_parse_rep_spec, k, n, text), text
+    if text == spec.label():
+        assert got == spec
+
+
 @pytest.mark.parametrize("token", ["1_0", "+1", "\u0661"])
 def test_a_vector_entry_is_an_ascii_integer(token):
     # int() reads these as 10, 1 and 1; no label prints them

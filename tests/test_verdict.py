@@ -14,7 +14,7 @@ import nichols.witness
 from nichols.braidspace import (AbelianSubrack, dynkin_diagram,
                                 quadruple_subrack, rotation_subrack,
                                 subrack_plan, triple_subrack)
-from nichols.exactfield import totient
+from nichols.exactfield import root_name, totient
 from nichols.permgroup import Permutation, UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
 from nichols.verdict import (INFINITE, NEGATIVE, class_plan,
@@ -1084,12 +1084,25 @@ def test_verify_witness_refuses_a_psi_that_breaks_a_relation_of_h():
     assert not verify_witness(*QUADRUPLE, _with(verdict, q_matrix=q_matrix))
 
 
+def _times_pi(k: int, labels: Counter) -> Counter:
+    # the labels of r pi^e for every r counted and every e < k: pi^e adds e
+    # to every twist, so a b-cycle (L, s) of r becomes (L, s + e L)
+    out = Counter()
+    for label, m in labels.items():
+        for e in range(k):
+            out[tuple(sorted((length, (s + e * length) % k)
+                             for length, s in label))] += m
+    return out
+
+
 def test_the_normal_form_closures_match_the_permutation_closures():
-    # H of spectrum_plan and H_w of _witness_reading close on normal forms;
-    # the reference closes on permutations of the k*n points.  Every tried
+    # H of spectrum_plan closes on normal forms, and H_w of _witness_reading
+    # on the normal forms of the coset representatives of <pi>; the
+    # reference closes on permutations of the k*n points.  Every tried
     # subrack, and every set of its columns, gives the same generator
-    # places, modulus, order and labels, read through the trivial psi, and
-    # H the same elements in the same order
+    # places and modulus, k times as many elements, and the labels, read
+    # through the trivial psi, of r pi^e over every representative r and
+    # every e; and H the same elements in the same order
     compared = 0
     for k, n in ((2, 3), (2, 4), (2, 5), (2, 6), (4, 2), (4, 3), (4, 4),
                  (6, 2), (6, 3), (8, 2)):
@@ -1106,7 +1119,8 @@ def test_the_normal_form_closures_match_the_permutation_closures():
                     for x, _, m in counts:
                         labels[reading.labels[x]] += m
                     expected = permutation_witness_group(subrack, cols)
-                    assert (generator, modulus, reading.order, labels) == (
+                    assert (generator, modulus, k * reading.order,
+                            _times_pi(k, labels)) == (
                         expected[0], expected[1], len(expected[2]),
                         Counter(expected[3])), (k, n, subrack, cols)
                     entries = list(dict.fromkeys(
@@ -1127,10 +1141,13 @@ COMPARED_SUMS = {2: 96, 4: 76, 6: 28, 8: 4}
 
 
 def test_the_per_label_sums_match_the_per_element_sums():
-    # the witness check reads chi once per distinct label of H_w and weighs
-    # it by the phase counts of each psi there; the reference carries each
-    # psi to every element of H_w, closed on permutations, and reads chi at
-    # each in turn.  Every subrack witness of these classes, every psi used
+    # the witness check reads chi once per distinct label of the coset
+    # representatives of <pi> in H_w and weighs it by the phase counts of
+    # each psi there; the reference carries each psi to every element of
+    # H_w, closed on permutations, and reads chi at each in turn.  Every
+    # psi used by a genuine witness has psi(pi) = zeta_k^q, so the sum over
+    # each coset is k times its representative's term.  Every subrack
+    # witness of these classes, every psi used
     compared = Counter()
     for k, n in ((2, 3), (2, 4), (2, 5), (2, 6), (4, 2), (4, 3), (4, 4),
                  (6, 2), (6, 3), (8, 2)):
@@ -1150,8 +1167,9 @@ def test_the_per_label_sums_match_the_per_element_sums():
             character = spec.character()
             sums = list(nichols.witness._character_sums(reading, character))
             assert None not in sums
-            # the check sums in integers, phi(modulus) times the reference
-            assert sums == [
+            # the check sums in integers over the representatives, k times
+            # that is phi(modulus) times the reference
+            assert [k * x for x in sums] == [
                 totient(reading.modulus) * x for x in per_element_sums(
                     subrack, cols, tuple(psi for psi, _ in reading.used),
                     character)], (k, n, spec.label())
@@ -1365,3 +1383,94 @@ def test_a_warm_witness_cache_refuses_what_a_cold_one_refuses():
         "ValueError: an alternating cycle has four vertices"
     assert verify_witness(*QUADRUPLE, verdict)
     assert verify_witness(*CYCLE, cycle)
+
+
+def _columns_of(k: int, n: int, verdict) -> tuple:
+    # the subrack the check builds for a witness, and its columns
+    w = verdict.witness
+    subrack, _ = nichols.witness._witness_subrack(
+        k, n, tuple(map(tuple, w["element_images"])),
+        tuple(map(tuple, w["transporter_images"])),
+        w["subrack"]["kind"], tuple(w["subrack"]["param"]))
+    return subrack, tuple(sorted({j for j, _ in w["vertices"]}))
+
+
+def _reading_of(k: int, n: int, verdict):
+    # the check's reading of a witness's q_matrix on its own columns
+    subrack, cols = _columns_of(k, n, verdict)
+    vertices = verdict.witness["vertices"]
+    return nichols.witness._witness_reading(
+        subrack, cols, len(vertices) // len(cols),
+        tuple(map(tuple, verdict.witness["q_matrix"])))
+
+
+@pytest.mark.parametrize("row,other", [
+    (GENUINE, "chi=(1,1,0);mu=trivial"),
+    (QUADRUPLE, "chi=(3,3,3,2);mu=trivial"),
+    (CYCLE, "chi=(5,5,4);mu=trivial")])
+def test_verify_witness_refuses_a_psi_whose_value_at_pi_is_not_the_scalar(
+        row, other):
+    # a genuine witness, checked for another row of its class: each psi_s
+    # is a character of H_w, consistent on every edge, and the rule fires
+    # on its diagonal of -1 = psi_s(pi), but pi acts on the other rho by
+    # zeta_k^q, not -1, so no such psi occurs in chi|H_w, whatever the sum
+    # over the coset representatives alone gives
+    k, n, _ = row
+    verdict = decide(*row)
+    reading = _reading_of(k, n, verdict)
+    assert {psi[reading.basepoint] for psi, _ in reading.used} == {
+        reading.modulus // 2}
+    assert 2 * pi_scalar(parse_rep_spec(k, n, other)) != k
+    assert parse_rep_spec(k, n, other).degree() > max(
+        s for _, s in verdict.witness["vertices"])
+    assert not verify_witness(k, n, other, verdict)
+
+
+def test_a_psi_whose_value_at_pi_has_no_kth_power_one_is_refused(
+        monkeypatch, request):
+    # every table entry is a conjugate of a class element, of order k, so
+    # the modulus of a subrack is k; read on a modulus of 2k instead, the
+    # genuine witness still passes.  On one column, H_w = <pi> has one
+    # coset and no edge to check, so a psi(pi) that is a primitive 2k-th
+    # root of unity, no character of <pi>, is refused by the reading alone
+    row = (2, 3, "chi=(1,0,0);mu=sign")
+    columns = nichols.witness._witness_columns
+
+    def doubled(subrack, cols):
+        generator, forms, modulus, _ = columns(subrack, cols)
+        return (generator, forms, 2 * modulus,
+                {root_name(2 * modulus, e): e for e in range(2 * modulus)})
+    nichols.witness._witness_reading.cache_clear()
+    request.addfinalizer(nichols.witness._witness_reading.cache_clear)
+    monkeypatch.setattr(nichols.witness, "_witness_columns", doubled)
+    verdict = decide(*row)
+    assert verdict.rule == "cartan-infinite" and verify_witness(*row, verdict)
+    assert _reading_of(2, 3, verdict).modulus == 4
+    subrack, _ = _columns_of(2, 3, verdict)
+    reading = nichols.witness._witness_reading(subrack, (0,), 1, (("-1",),))
+    assert (reading.order, reading.used) == (1, (((2,), 1),))
+    assert nichols.witness._witness_reading(
+        subrack, (0,), 1, (("z(4,1)",),)) is None
+
+
+def test_the_check_multiplies_each_coset_representative_once_per_entry(
+        monkeypatch):
+    # on a (4,4) rotation-quadruple witness, H_w is closed on its |H_w|/k
+    # coset representatives of <pi>, each multiplied by each distinct
+    # table entry at most once
+    row = (4, 4, "chi=(3,3,2,2);mu=trivial")
+    verdict = decide(*row)
+    assert verdict.witness["subrack"]["kind"] == "quadruple-rotation"
+    subrack, cols = _columns_of(4, 4, verdict)
+    _, entries, _, _ = nichols.witness._witness_columns(subrack, cols)
+    order = len(permutation_witness_group(subrack, cols)[2])
+    calls = []
+    product = UnmixedClass.product
+
+    def counted(self, g, h):
+        calls.append(1)
+        return product(self, g, h)
+    monkeypatch.setattr(UnmixedClass, "product", counted)
+    nichols.witness._witness_reading.cache_clear()
+    assert verify_witness(*row, verdict)
+    assert 0 < len(calls) <= order // 4 * len(entries), (len(calls), order)
