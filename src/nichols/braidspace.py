@@ -15,8 +15,9 @@ multiplicity of psi: as many nodes as the subrack size times the number of
 psi that occur, however large the degree.  Only the character of rho is
 needed: the multiplicities are integers read off integer traces
 (nichols.exactfield.rational_trace), and each braiding label is a root of
-unity held as its integer exponent of zeta_modulus, each printed one at
-a time through nichols.exactfield.root_name.  No field element is built.
+unity held as its integer exponent of zeta_k (each gamma_ij is a
+conjugate of a class element, so its order divides k), each printed one
+at a time through nichols.exactfield.root_name.  No field element is built.
 The diagram is built from those labels alone: every edge is read off
 them by one formula, and one generator of whole lines,
 GeneralizedDynkinDiagram.dot_lines, draws a whole diagram's DOT text:
@@ -25,14 +26,14 @@ the diagram of its own rectangle of vertices and joins them.
 
 The work splits in two.  subrack_plan does what rho does not change, in a
 plan that carries its subrack: the table, the commute check, H with the
-(L, s) class label of each element (nichols.permgroup), the basepoint pi
-first, and the linear characters of H, each by its phases at the coset
-representatives of <pi> only.  pi acts by a scalar, so
-planned_spectrum(plan.spectrum, character) then sums the character of
-rho, read at those labels, over those representatives only, against the
-characters with its value at pi only, once per rho, and spectrum_diagram
-labels the nodes of the spectrum; dynkin_diagram(plan, character) does
-both.
+basepoint pi first, the (L, s) class labels (nichols.permgroup) of pi
+and of the coset representatives of <pi>, and the linear characters of
+H, each by its phases at those representatives only.  pi acts by a
+scalar, so planned_spectrum(plan.spectrum, character) then sums the
+character of rho, read at those labels, over those representatives only,
+against the characters with its value at pi only, once per rho, and
+spectrum_diagram labels the nodes of the spectrum; dynkin_diagram(plan,
+character) does both.
 
 Construction families: the canonical involution subrack (k = 2), the swap and
 rotation quadruples (k even, n >= 2) and the power subrack (n = 1; drawn by
@@ -44,7 +45,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from bisect import bisect_right
-from math import gcd, lcm
+from math import gcd
 from operator import itemgetter, sub
 from typing import NamedTuple
 
@@ -205,33 +206,24 @@ FAMILIES = {"canonical": canonical_subrack, "canonical-triple": triple_subrack,
 
 
 class SpectrumPlan(NamedTuple):
-    """The part of a joint spectrum that does not depend on rho: the
-    elements of H = <pi, generators> in layer order (e_1 fastest), each as
-    its (L, s) class label in the centralizer, at which characters are
-    read, and the |H| linear characters of H, each as its phase at every
-    coset representative of <pi> (psi(h) = zeta_modulus^phase, an array of
-    machine integers reduced mod modulus, so |H|^2 / k phases take 4 bytes
-    each) and its exponents on the generators.  The basepoint pi is the
-    first layer, of order k = modulus / scale, so the element at index i
-    is pi^(i mod k) times the one at i - (i mod k): the elements at every
-    k-th index, from 0, are the coset representatives, and phase i of a
-    character is its value at the one at index i k.  The characters are
-    listed with x_1 = psi(pi) slowest, so those with psi(pi) = zeta_k^q
-    are the q-th block of |H| / k, which planned_spectrum reads alone."""
+    """The part of a joint spectrum that does not depend on rho, for
+    H = <pi, generators>, pi the basepoint, of order k: the (L, s) class
+    labels, at which characters are read, of the coset representatives
+    of <pi> in H, the identity's first, and of pi, and the |H| linear
+    characters of H, each as its phase at every representative
+    (psi(h) = zeta_k^phase, an array of machine integers reduced mod k,
+    so |H|^2 / k phases take 4 bytes each) and its exponents on the
+    generators.  The characters are listed with psi(pi) slowest, so those
+    with psi(pi) = zeta_k^q are the q-th block of |H| / k, which
+    planned_spectrum reads alone."""
 
-    modulus: int
-    scale: int
-    class_labels: tuple
+    k: int
+    representatives: tuple
+    basepoint: tuple
     characters: tuple
 
-    @property
-    def representatives(self) -> tuple:
-        """The class labels of the coset representatives of <pi> in H,
-        the identity's first."""
-        return self.class_labels[::self.modulus // self.scale]
 
-
-def spectrum_plan(cls: UnmixedClass, generators, modulus: int) -> SpectrumPlan:
+def spectrum_plan(cls: UnmixedClass, generators) -> SpectrumPlan:
     """Build H = <pi, generators> and its linear characters for
     planned_spectrum, pi the basepoint.
 
@@ -239,22 +231,25 @@ def spectrum_plan(cls: UnmixedClass, generators, modulus: int) -> SpectrumPlan:
     not: a generator not yet in H joins with its relative order r, so
     every element is a unique word g_1^e_1 ... g_l^e_l with 0 <= e_i < r_i,
     g_1 = pi and r_1 = k, and a linear character psi is fixed by exponents
-    x_i with psi(g_i) = zeta_modulus^x_i, subject to r_i x_i = (exponent of
-    psi at g_i^r_i, a word in earlier layers).  Each layer multiplies the
+    x_i with psi(g_i) = zeta_k^x_i, subject to r_i x_i = (exponent of psi
+    at g_i^r_i, a word in earlier layers).  Each layer multiplies the
     characters by r_i, so exactly |H| of them are listed, by x_1 slowest,
     and each keeps its exponents on the given generators and its phases
     on the layers after pi, which are its phases at the coset
-    representatives.  modulus must be a multiple of k and of every
-    generator's order.  Every conjugation table holds pi (gamma_jj = pi),
-    so H is the group of the table's entries.
+    representatives: the element at index i is pi^(i mod k) times the
+    one at i - (i mod k), so the representatives are every k-th element,
+    from 0.  Every table entry is a conjugate of a class element, so its
+    order divides k and every label is a power of zeta_k; generators that
+    make no abelian group of exponent dividing k raise ArithmeticError.
+    Every conjugation table holds pi (gamma_jj = pi), so H is the group of
+    the table's entries.
 
     H closes on normal forms (d, b) of n entries (UnmixedClass.product),
     not on permutations of the k*n points: only the generators are taken
     to normal form, which raises ValueError on one that does not
-    centralize the basepoint, and each element's class label is read off
-    its form."""
-    if modulus % cls.k:
-        raise ValueError("modulus must be a multiple of k")
+    centralize the basepoint, and the class labels are read off the
+    forms."""
+    k = cls.k
     generators = [cls.normal_form(g) for g in generators]
     product = cls.product
     identity = cls.identity_form()
@@ -284,76 +279,67 @@ def spectrum_plan(cls: UnmixedClass, generators, modulus: int) -> SpectrumPlan:
     for r, rel in layers:
         wider = []
         for x in characters:
-            s = sum(c * xi for c, xi in zip(rel, x)) % modulus
-            if s % r:
-                raise ArithmeticError("generators do not commute")
-            wider.extend(x + ((s // r + t * (modulus // r)) % modulus,)
+            s = sum(c * xi for c, xi in zip(rel, x)) % k
+            if k % r or s % r:
+                raise ArithmeticError("generators do not make an abelian "
+                                      "group of exponent dividing k")
+            wider.extend(x + ((s // r + t * (k // r)) % k,)
                          for t in range(r))
         characters = wider
     planned = []
     for x in characters:
         phases = [0]
         for (r, _), xi in zip(layers[1:], x[1:]):
-            phases = [(p + e * xi) % modulus for e in range(r) for p in phases]
-        exps = tuple(sum(w * xi for w, xi in zip(words[g], x)) % modulus
+            phases = [(p + e * xi) % k for e in range(r) for p in phases]
+        exps = tuple(sum(w * xi for w, xi in zip(words[g], x)) % k
                      for g in generators)
         planned.append((array("I", phases), exps))
-    return SpectrumPlan(modulus, modulus // cls.k,
-                        tuple(h.class_label(cls.k) for h in elements),
-                        tuple(planned))
+    return SpectrumPlan(k, tuple(h.class_label(k) for h in elements[::k]),
+                        elements[1].class_label(k), tuple(planned))
 
 
 def planned_spectrum(plan: SpectrumPlan, character: InducedCharacter) -> list:
     """The joint spectrum of rho on a planned H: one pair (exps, mult) per
-    linear character psi that occurs, psi(generators[t]) = zeta^exps[t] with
-    zeta = zeta_modulus, in lexicographic order of exps.
+    linear character psi that occurs, psi(generators[t]) = zeta_k^exps[t],
+    in lexicographic order of exps.
 
     The basepoint pi is central in its centralizer, so rho(pi) is a scalar
     zeta_k^q (Schur's lemma; Andruskiewitsch-Grana 2003, section 3), read
-    off chi(pi) = degree zeta_k^q.  Then chi(pi^e h) = zeta_k^(q e) chi(h)
-    for every h in H, and a psi occurs only if psi(pi) = zeta_k^q, so only
-    the q-th block of the planned characters is summed; for such a psi,
+    off chi(pi) = degree zeta_k^q, which is checked: the coefficient
+    vectors of chi(pi) and of chi(1) rotated by q are compared, and where
+    they differ their difference must be 0 (rational_trace), or
+    ArithmeticError.  Then chi(pi^e h) = zeta_k^(q e) chi(h) for every h
+    in H (tests/test_reps.py holds that identity of the character
+    formula), and a psi occurs only if psi(pi) = zeta_k^q, so only the
+    q-th block of the planned characters is summed; for such a psi,
     chi(h) psi(h)^-1 is constant on each coset of <pi>, so its
     multiplicity (1/|H|) sum_h chi(h) psi(h)^-1 is (k/|H|) times the sum
-    over the coset representatives alone.  chi is read at the class label
-    of every element of H, and each element off the representatives is
-    checked against its representative's value rotated by q e: the
-    coefficient vectors are compared, and where they differ their
-    difference must be 0 (rational_trace), or ArithmeticError, so a class
-    function that is not such a character is refused.  Each sum is taken
-    as integer coefficients over Z/modulus, checked to be rational, and
-    read off as phi(modulus) times itself, by integer traces, then checked
-    to be divisible by phi(modulus) |H| / k, and the multiplicities to add
-    up to the degree."""
-    modulus = plan.modulus
-    scale = plan.scale
-    k = modulus // scale
-    values = list(map(character.coefficients, plan.class_labels))
-    # the degree's place in chi(pi), element 1; the check at pi holds
-    # chi(pi) to degree zeta_k^q
-    q = values[1].index(max(values[1]))
-    for i, value in enumerate(values):
-        rep = values[i - i % k]
-        shift = -q * (i % k) % k
-        rotated = rep[shift:] + rep[:shift]
-        if value != rotated and rational_trace(
-                k, map(sub, value, rotated)) != 0:
-            raise ArithmeticError("character is not an integer combination"
-                                  " of the psi with psi(pi) = zeta_k^q")
-    # chi at the coset representatives as terms (exponent mod modulus,
-    # integer)
-    terms = [tuple((a * scale, c) for a, c in enumerate(value) if c)
-             for value in values[::k]]
-    # phi(modulus) |H| / k times the multiplicity
+    over the coset representatives alone, and chi is read only at them
+    and at pi.  Each sum is taken as integer coefficients over Z/k,
+    checked to be rational, and read off as phi(k) times itself, by
+    integer traces, then checked to be divisible by phi(k) |H| / k, and
+    the multiplicities to add up to the degree."""
+    k = plan.k
+    values = list(map(character.coefficients, plan.representatives))
+    at_pi = character.coefficients(plan.basepoint)
+    # the degree's place in chi(pi)
+    q = at_pi.index(max(at_pi))
+    rotated = values[0][-q:] + values[0][:-q]
+    if at_pi != rotated and rational_trace(k, map(sub, at_pi, rotated)) != 0:
+        raise ArithmeticError("the basepoint does not act by a scalar")
+    # chi at the coset representatives as terms (exponent mod k, integer)
+    terms = [tuple((a, c) for a, c in enumerate(value) if c)
+             for value in values]
+    # phi(k) |H| / k times the multiplicity
     m = len(terms)
-    order = totient(modulus) * m
+    order = totient(k) * m
     spectrum = []
     for phases, exps in plan.characters[q * m:(q + 1) * m]:
-        acc = [0] * modulus
+        acc = [0] * k
         for phase, hterms in zip(phases, terms):
             for a, c in hterms:
-                acc[(a - phase) % modulus] += c
-        total = rational_trace(modulus, acc)
+                acc[(a - phase) % k] += c
+        total = rational_trace(k, acc)
         if total is None or total % order:
             raise ArithmeticError("character inner product is not an integer")
         mult = total // order
@@ -392,14 +378,13 @@ def subrack_plan(subrack: AbelianSubrack) -> SubrackPlan:
     data whose table does not commute raises ValueError."""
     table = subrack.gamma_table()
     distinct = tuple(dict.fromkeys(p for row in table for p in row))
-    modulus = lcm(*(p.order() for p in distinct))
     if not all(a.commutes_with(b) for a, b in itertools.combinations(distinct, 2)):
         raise ValueError("conjugation table entries do not commute")
     return SubrackPlan(subrack, subrack.describe(),
                        [list(t.img) for t in subrack.elements],
                        [list(g.img) for g in subrack.transporters],
                        table, distinct,
-                       spectrum_plan(subrack.cls, distinct, modulus))
+                       spectrum_plan(subrack.cls, distinct))
 
 
 class GeneralizedDynkinDiagram:
@@ -572,7 +557,7 @@ def spectrum_diagram(plan: SubrackPlan, spectrum) -> GeneralizedDynkinDiagram:
               for t, p in enumerate(plan.distinct)}
     mults = [mult for _, mult in spectrum]
     return GeneralizedDynkinDiagram(
-        plan.spectrum.modulus, range(plan.subrack.size),
+        plan.spectrum.k, range(plan.subrack.size),
         tuple(zip(itertools.accumulate(mults, initial=0), mults)),
         tuple(tuple(column[p] for p in row) for row in plan.table))
 

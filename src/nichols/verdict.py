@@ -224,9 +224,9 @@ class ClassPlan:
     The key is the subrack, q and the coefficients of chi at the distinct
     class labels of those representatives, the identity's among them,
     whose value is the degree: |H| / k reads, not |H|.  Every check of the
-    spectrum (the rotation check at the other elements, rationality,
-    integrality, the degree sum) and every rule is a function of the key,
-    run in full by the first row with that key.  An answer of None, no
+    spectrum (chi(pi) against degree zeta_k^q, rationality, integrality,
+    the degree sum) and every rule is a function of the key, run in full
+    by the first row with that key.  An answer of None, no
     rule fires, is kept as well.
 
     A row that misses it reads its joint spectrum, and a second memo keeps

@@ -1327,13 +1327,14 @@ def minimal_infinite_set(space, sub, comp: tuple) -> tuple:
     return comp
 
 
-def permutation_spectrum_plan(cls, generators, modulus: int) -> SpectrumPlan:
+def permutation_spectrum_plan(cls, generators) -> tuple:
     """braidspace.spectrum_plan with H closed on permutations of the k*n
-    points, in the same layer order, the basepoint first, each element's
-    class label read from its normal form, and each character's phases at
-    the coset representatives of <pi>, the layers after the first."""
-    if modulus % cls.k:
-        raise ValueError("modulus must be a multiple of k")
+    points, in the same layer order, the basepoint first, each class label
+    read from its normal form, and each character's phases at the coset
+    representatives of <pi>, the layers after the first; with the plan,
+    the class labels of every element of H in that order, so that the
+    element at index i is pi^(i mod k) times the one at i - (i mod k)."""
+    k = cls.k
     identity = Permutation.identity(cls.degree)
     elements = [identity]
     words = {identity: ()}
@@ -1361,24 +1362,44 @@ def permutation_spectrum_plan(cls, generators, modulus: int) -> SpectrumPlan:
     for r, rel in layers:
         wider = []
         for x in characters:
-            s = sum(c * xi for c, xi in zip(rel, x)) % modulus
-            if s % r:
-                raise ArithmeticError("generators do not commute")
-            wider.extend(x + ((s // r + t * (modulus // r)) % modulus,)
+            s = sum(c * xi for c, xi in zip(rel, x)) % k
+            if k % r or s % r:
+                raise ArithmeticError("generators do not make an abelian "
+                                      "group of exponent dividing k")
+            wider.extend(x + ((s // r + t * (k // r)) % k,)
                          for t in range(r))
         characters = wider
     planned = []
     for x in characters:
         phases = [0]
         for (r, _), xi in zip(layers[1:], x[1:]):
-            phases = [(p + e * xi) % modulus for e in range(r) for p in phases]
-        exps = tuple(sum(w * xi for w, xi in zip(words[g], x)) % modulus
+            phases = [(p + e * xi) % k for e in range(r) for p in phases]
+        exps = tuple(sum(w * xi for w, xi in zip(words[g], x)) % k
                      for g in generators)
         planned.append((array("I", phases), exps))
-    return SpectrumPlan(modulus, modulus // cls.k,
-                        tuple(cls.normal_form(h).class_label(cls.k)
-                              for h in elements),
-                        tuple(planned))
+    labels = tuple(cls.normal_form(h).class_label(k) for h in elements)
+    return SpectrumPlan(k, labels[::k], labels[1], tuple(planned)), labels
+
+
+def rotation_defects(character, q: int, labels) -> list:
+    """The indices i of labels, the class labels of every element of an H
+    in the layer order of permutation_spectrum_plan, at which
+    chi(pi^e r) = zeta_k^(q e) chi(r) fails as coefficient vectors, for
+    the element pi^e r at index i, e = i mod k, and r the one at i - e.
+
+    The identity holds for every InducedCharacter with q = pi_scalar: the
+    label of pi^e h moves each (L, s) of h's to (L, s + e L), so in
+    reps.placements each level i, filled exactly, has its twist sum S_i
+    moved by e m_i, m_i its size, and the phase sum_i v_i S_i by
+    e sum_i v_i m_i = e sum(u) = e q mod k: every term moves by q e."""
+    k = character.k
+    defects = []
+    for i, label in enumerate(labels):
+        rep = character.coefficients(labels[i - i % k])
+        shift = -q * (i % k) % k
+        if character.coefficients(label) != rep[shift:] + rep[:shift]:
+            defects.append(i)
+    return defects
 
 
 def permutation_witness_group(subrack, cols: tuple) -> tuple:

@@ -1,7 +1,6 @@
 import itertools
 import random
 import time
-from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,15 +12,16 @@ from nichols.braidspace import (AbelianSubrack, GeneralizedDynkinDiagram,
                                 rotation_subrack, spectrum_plan, subrack_plan,
                                 triple_subrack)
 from nichols.permgroup import Permutation, UnmixedClass
-from nichols.reps import enumerate_irreps, parse_rep_spec
+from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
 
 from exactfield_oracle import (ROOT_MINUS_ONE, ROOT_ONE, ZERO, rational,
                                root_value, zeta)
 from oracles import (REFERENCE_Q_ROTATION_EDGELESS, REFERENCE_Q_SIX_CYCLE, A,
                      B, cataloged, centralizer_elements, character_value,
                      conjugate, degree_sequence, dense_columns, in_centralizer,
-                     is_identity, label_root, q_matches_up_to_permutation,
-                     rectangle, resolve, transporter, tried_subracks,
+                     label_root, permutation_spectrum_plan,
+                     q_matches_up_to_permutation, rectangle, resolve,
+                     rotation_defects, transporter, tried_subracks,
                      vertex_space)
 
 
@@ -316,19 +316,19 @@ SMALL_CLASSES = ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
 
 @st.composite
 def commuting_generators(draw):
-    """(class, spec, generators, modulus): a random irrep, two commuting
-    centralizer elements, and a common multiple of k and their orders, up
-    to 3 times the least one."""
+    """(class, spec, generators): a random irrep and two commuting
+    centralizer elements whose orders divide k, as every conjugation table
+    entry's does (it is a conjugate of a class element), so that every
+    label is a power of zeta_k."""
     k, n = draw(st.sampled_from(SMALL_CLASSES))
     cls = UnmixedClass(k, n)
     specs = enumerate_irreps(k, n)
     spec = specs[draw(st.integers(0, len(specs) - 1))]
-    pool = list(centralizer_elements(cls))
+    pool = [g for g in centralizer_elements(cls) if k % g.order() == 0]
     g = pool[draw(st.integers(0, len(pool) - 1))]
     partners = [h for h in pool if h.commutes_with(g)]
     h = partners[draw(st.integers(0, len(partners) - 1))]
-    modulus = lcm(k, g.order(), h.order()) * draw(st.integers(1, 3))
-    return cls, spec, (g, h), modulus
+    return cls, spec, (g, h)
 
 
 def _group_words(generators):
@@ -351,10 +351,9 @@ def _group_words(generators):
 def test_joint_spectrum_multiplicities_match_the_field(case):
     # each multiplicity is (1/|H|) sum_h chi(h) psi(h)^-1, summed in the
     # field over an independently listed H
-    cls, spec, generators, modulus = case
+    cls, spec, generators = case
     character = spec.character()
-    spectrum = planned_spectrum(spectrum_plan(cls, generators, modulus),
-                                character)
+    spectrum = planned_spectrum(spectrum_plan(cls, generators), character)
     assert sum(count for _, count in spectrum) == spec.degree()
     assert [exps for exps, _ in spectrum] == sorted({exps for exps, _ in spectrum})
     words = _group_words(generators)
@@ -363,7 +362,7 @@ def test_joint_spectrum_multiplicities_match_the_field(case):
         total = ZERO
         for h, word in words.items():
             phase = sum(w * e for w, e in zip(word, exps))
-            total = total + values[h] * zeta(modulus, -phase)
+            total = total + values[h] * zeta(cls.k, -phase)
         assert total == rational(count * len(words)), (spec.label(), exps)
 
 
@@ -372,6 +371,7 @@ class _Perturbed:
     class function, but not a character."""
 
     def __init__(self, character, at, index: int) -> None:
+        self.k = character.k
         self.degree = character.degree
         self._character = character
         self._at = at
@@ -385,49 +385,59 @@ class _Perturbed:
 
 
 @settings(max_examples=80, deadline=None)
-@given(commuting_generators(), st.integers(0, 7))
-def test_joint_spectrum_rejects_a_non_character(case, index):
-    # adding zeta_k^index at the class of one element h0 != 1 of H, so at
-    # the c elements of H in that class, 0 < c < |H| (the identity is alone
-    # in its class), moves the inner product with the trivial character of
-    # H by c zeta_k^index / |H|: not an integer, and irrational unless
-    # zeta_k^index = +-1
-    cls, spec, generators, modulus = case
-    words = _group_words(generators)
-    others = [h for h in words if not is_identity(h)]
-    if not others:
-        return
-    fake = _Perturbed(spec.character(),
-                      cls.normal_form(min(others)).class_label(cls.k),
+@given(commuting_generators(), st.integers(0, 7), st.integers(0, 63))
+def test_joint_spectrum_rejects_a_non_character(case, index, pick):
+    # the sum reads chi at pi and at the coset representatives of <pi>
+    # only.  Adding zeta_k^index at the class of pi moves chi(pi) off
+    # degree zeta_k^q.  Adding it at the class of a representative
+    # h0 != 1, so at c of the m representatives, 0 < c < m (the identity
+    # is alone in its class), moves the multiplicity of each psi of the
+    # q-th block by zeta_k^index S / m, S the sum of psi(r)^-1 over those
+    # c: over the block, whose psi differ by the characters of H/<pi>, the
+    # |S|^2 add up to c m, so some S is nonzero, and |S| / m <= c / m < 1,
+    # so that multiplicity is no integer
+    cls, spec, generators = case
+    plan = spectrum_plan(cls, generators)
+    read = plan.representatives[1:] + (plan.basepoint,)
+    fake = _Perturbed(spec.character(), read[pick % len(read)],
                       index % cls.k)
     with pytest.raises(ArithmeticError):
-        planned_spectrum(spectrum_plan(cls, generators, modulus), fake)
+        planned_spectrum(plan, fake)
 
 
 def test_joint_spectrum_rejects_an_irrational_inner_product():
-    # at k = 4, adding zeta_4 at pi^2 moves every inner product over
-    # H = <pi> by +-zeta_4 / 4, which has trace 0: only the rationality test
-    # sees it, not the divisibility of the trace
-    cls = UnmixedClass(4, 1)
-    pi = cls.basepoint
-    character = parse_rep_spec(4, 1, "chi=(0)").character()
-    plan = spectrum_plan(cls, (pi,), 4)
+    # at (4,2), H = <pi, t> for t = pi B_12, t^2 = pi^2, has two cosets of
+    # <pi>; on chi(pi) = 1 every psi that occurs has psi(t) = +-1, so
+    # adding zeta_4 at the class of t moves each inner product by
+    # +-zeta_4 / 2, which has trace 0: only the rationality test sees it,
+    # not the divisibility of the trace
+    cls = UnmixedClass(4, 2)
+    t = cls.basepoint * cls.block_swap(1, 2)
+    character = parse_rep_spec(4, 2, "chi=(0,0);mu=trivial").character()
+    plan = spectrum_plan(cls, (t,))
+    assert len(plan.representatives) == 2
     assert planned_spectrum(plan, character) == [((0,), 1)]
-    fake = _Perturbed(character, cls.normal_form(pi * pi).class_label(4), 1)
+    fake = _Perturbed(character, cls.normal_form(t).class_label(4), 1)
     with pytest.raises(ArithmeticError, match="not an integer"):
         planned_spectrum(plan, fake)
 
 
 def test_joint_spectrum_needs_a_multiple_of_k():
-    # character values live in Q(zeta_k), so the modulus must hold zeta_k
-    # even when every generator has a smaller order
+    # every label is a power of zeta_k, and k must be a multiple of every
+    # generator's order: at k = 4 the generator pi^2, of order 2, is read
+    # as the exponent 2 of zeta_4, and at (2,3) a 3-cycle of the blocks,
+    # which centralizes pi, is refused
     cls = UnmixedClass(4, 1)
     pi = cls.basepoint
     character = parse_rep_spec(4, 1, "chi=(3)").character()
-    assert planned_spectrum(spectrum_plan(cls, (pi * pi,), 4),
-                            character) == [((2,), 1)]
-    with pytest.raises(ValueError, match="multiple of k"):
-        spectrum_plan(cls, (pi * pi,), 2)
+    plan = spectrum_plan(cls, (pi * pi,))
+    assert plan.k == 4
+    assert planned_spectrum(plan, character) == [((2,), 1)]
+    cls = UnmixedClass(2, 3)
+    cycle = cls.block_swap(1, 2) * cls.block_swap(2, 3)
+    assert cycle.order() == 3
+    with pytest.raises(ArithmeticError, match="exponent dividing k"):
+        spectrum_plan(cls, (cycle,))
 
 
 def test_spectrum_plan_puts_the_basepoint_first():
@@ -435,14 +445,14 @@ def test_spectrum_plan_puts_the_basepoint_first():
     # the elements are pi^0 .. pi^3, one coset of <pi>, so each character
     # has one phase, at the identity, and the characters are listed by
     # their value at pi, while their exponents stay on the given generator
-    # pi^2
+    # pi^2; the plan keeps the labels of the identity and of pi only
     cls = UnmixedClass(4, 2)
     pi = cls.basepoint
-    plan = spectrum_plan(cls, (pi * pi,), 4)
+    plan = spectrum_plan(cls, (pi * pi,))
     powers = [Permutation.identity(cls.degree), pi, pi * pi, pi * pi * pi]
-    assert plan.class_labels == tuple(
-        cls.normal_form(h).class_label(4) for h in powers)
-    assert plan.representatives == plan.class_labels[:1]
+    labels = tuple(cls.normal_form(h).class_label(4) for h in powers)
+    assert (plan.representatives, plan.basepoint) == (labels[:1], labels[1])
+    assert permutation_spectrum_plan(cls, (pi * pi,)) == (plan, labels)
     assert [list(phases) for phases, _ in plan.characters] == [[0]] * 4
     assert [exps for _, exps in plan.characters] == [(0,), (2,), (0,), (2,)]
 
@@ -461,33 +471,47 @@ def test_spectrum_plan_lists_the_characters_by_their_value_at_pi(
     # the q-th block of |H| / k characters holds those with
     # psi(pi) = zeta_k^q, each with its phases at the coset representatives
     # of <pi> only, the identity's first
-    plan = subrack_plan(family(UnmixedClass(k, n), *param))
+    cls = UnmixedClass(k, n)
+    plan = subrack_plan(family(cls, *param))
     spectrum = plan.spectrum
     at_pi = plan.distinct.index(plan.table[0][0])
     m = len(spectrum.representatives)
-    assert m * k == len(spectrum.class_labels) == len(spectrum.characters)
+    _, labels = permutation_spectrum_plan(cls, plan.distinct)
+    assert m * k == len(labels) == len(spectrum.characters)
     for x, (phases, exps) in enumerate(spectrum.characters):
-        assert exps[at_pi] == x // m * spectrum.scale
+        assert exps[at_pi] == x // m
         assert len(phases) == m and phases[0] == 0
 
 
 @pytest.mark.parametrize("k, n, family, param, text", COSET_CASES)
 def test_joint_spectrum_rejects_a_change_off_the_representatives(
         k, n, family, param, text):
-    # the multiplicities are summed over the coset representatives of <pi>
-    # only, so a class function changed at a label that no representative
-    # has is invisible to that sum: the rotation check refuses it
+    # the sum reads chi at the coset representatives of <pi> and at pi, so
+    # of the labels off the representatives it reads only pi's, and a
+    # change there is refused.  A change at any other label off them does
+    # not reach the sum, which rests on chi(pi^e h) = zeta_k^(q e) chi(h)
+    # there: that identity of the character formula is held in
+    # tests/test_reps.py, and the changed class function breaks it
     cls = UnmixedClass(k, n)
-    plan = subrack_plan(family(cls, *param)).spectrum
-    character = parse_rep_spec(k, n, text).character()
-    assert planned_spectrum(plan, character)
-    kept = set(plan.class_labels[::k])
-    unseen = [label for label in plan.class_labels if label not in kept]
-    assert unseen
+    plan = subrack_plan(family(cls, *param))
+    spec = parse_rep_spec(k, n, text)
+    character = spec.character()
+    spectrum = planned_spectrum(plan.spectrum, character)
+    assert spectrum
+    _, labels = permutation_spectrum_plan(cls, plan.distinct)
+    q = pi_scalar(spec)
+    assert not rotation_defects(character, q, labels)
+    kept = set(plan.spectrum.representatives)
+    unseen = [label for label in dict.fromkeys(labels) if label not in kept]
+    assert unseen[0] == plan.spectrum.basepoint and unseen[1:]
     for index in range(k):
         fake = _Perturbed(character, unseen[0], index)
-        with pytest.raises(ArithmeticError, match="not an integer"):
-            planned_spectrum(plan, fake)
+        with pytest.raises(ArithmeticError, match="not act by a scalar"):
+            planned_spectrum(plan.spectrum, fake)
+        for label in unseen[1:]:
+            fake = _Perturbed(character, label, index)
+            assert planned_spectrum(plan.spectrum, fake) == spectrum
+            assert rotation_defects(fake, q, labels)
 
 
 @pytest.mark.parametrize("k, n, family, param, text", COSET_CASES)
@@ -499,7 +523,7 @@ def test_joint_spectrum_rejects_a_basepoint_that_is_not_a_scalar(
     plan = subrack_plan(family(cls, *param)).spectrum
     character = parse_rep_spec(k, n, text).character()
     at = cls.normal_form(cls.basepoint).class_label(k)
-    assert plan.class_labels[1] == at
+    assert plan.basepoint == at
     for index in range(k):
         with pytest.raises(ArithmeticError):
             planned_spectrum(plan, _Perturbed(character, at, index))

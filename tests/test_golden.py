@@ -1,4 +1,4 @@
-"""The `table --format json` output of 67 classes, and the `classify
+"""The `table --format json` output of 70 classes, and the `classify
 --format json` output of two rows at k = 100, each pinned by its sha256.
 
 A change that is meant to keep every verdict and witness must keep these
@@ -103,6 +103,10 @@ SLOW_DIGESTS = {
     (16, 6): "308f1ae68813dab0ffd0ced0bab9bc96ff7b71381dc3ee7cf2ff8f093781cb67",
     (30, 4): "314488f473a54a76be44244f516a1d3a27b25ac50a4c2015c58a6709cdc8d9f6",
     (50, 3): "61e68fc529d4aa2859257e4b79de4aebc4ebc084b44ada93eb132dca59907c9e",
+    # |H| = 800 and 2,450 on the rotation quadruple: 158,670 and 64,610
+    # rows, about 3 s and 2 s, whose reports are 168 and 56 MB
+    (40, 4): "c3f5877a1244210c8857fb8387ca8686d596c365254fc6b7e58f18da79a56355",
+    (70, 3): "18fa57c76ac0d3beb27ba3a67593173759d58f33413ffe094d66ed310b5f60e2",
 }
 
 # `classify --k 100 --n 2 --format json` past the scalar gate, on the

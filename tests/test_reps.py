@@ -18,8 +18,9 @@ from nichols.verdict import class_plan
 from oracles import (A, B, CatalogGapError, GammaCharacter, catalog_covers,
                      cataloged, centralizer_elements, character_value,
                      class_size, coefficients_by_placements, dense_pi_scalar,
-                     orbit_and_stabilizer, partition_degree, resolve, sign,
-                     sn_irrep, tried_subracks)
+                     orbit_and_stabilizer, partition_degree,
+                     permutation_spectrum_plan, resolve, rotation_defects,
+                     sign, sn_irrep, tried_subracks)
 from oracles import parse_rep_spec as reference_parse_rep_spec
 from test_golden import DIGESTS
 
@@ -505,17 +506,20 @@ def test_the_negativity_identity_matches_the_field(data):
 
 
 def test_alike_cycles_counted_by_multinomials_match_every_placement():
-    # the labels a decision reads: those of H on every candidate subrack and
-    # those of the partner classes and their duals.  (6,2), (6,4), (8,3),
-    # (10,3) and (12,2) are classes where many vectors u share level sizes
-    # and so read one table of placements with different values
+    # the labels of every element of H on every candidate subrack, listed
+    # by the reference closure (a decision reads those of the coset
+    # representatives of <pi> and of pi), and those of the partner classes
+    # and their duals.  (6,2), (6,4), (8,3), (10,3) and (12,2) are classes
+    # where many vectors u share level sizes and so read one table of
+    # placements with different values
     pairs = 0
     for k, n in ((2, 6), (4, 4), (6, 3), (8, 2), (2, 7), (4, 5), (2, 8),
                  (3, 4), (10, 2), (6, 2), (6, 4), (8, 3), (10, 3), (12, 2)):
         plan = class_plan(k, n)
         labels = set()
         for subrack_plan in plan.plans():
-            labels.update(subrack_plan.spectrum.class_labels)
+            labels.update(permutation_spectrum_plan(
+                plan.cls, subrack_plan.distinct)[1])
         for partner in plan.partners():
             labels.update((partner.label, partner.dual))
         for spec in enumerate_irreps(k, n):
@@ -557,3 +561,40 @@ def test_split_character_matches_every_placement(case):
     assert (character.coefficients(label)
             == coefficients_by_placements(character, label)), (
         spec.label(), label)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_character_turns_with_the_basepoint(data):
+    # chi(pi^e h) = zeta_k^(q e) chi(h), q = pi_scalar, as coefficient
+    # vectors: the label of pi^e h moves each (L, s) of h's to
+    # (L, s + e L), so each level's twist sum S_i moves by e m_i and the
+    # phase sum_i v_i S_i by e sum(u) = e q (oracles.rotation_defects).
+    # planned_spectrum and the witness check read chi at the coset
+    # representatives of <pi> only and rest on this.  Any spec and any
+    # sorted (L, s) label
+    spec, label = data.draw(_specs_and_labels())
+    k = spec.k
+    e = data.draw(st.integers(0, 2 * k))
+    moved = tuple(sorted((length, (s + e * length) % k)
+                         for length, s in label))
+    character = spec.character()
+    value = character.coefficients(label)
+    shift = -pi_scalar(spec) * e % k
+    assert character.coefficients(moved) == value[shift:] + value[:shift], (
+        spec.label(), label, e)
+
+
+@pytest.mark.parametrize("k,n", sorted(DIGESTS))
+def test_the_character_turns_with_the_basepoint_on_every_planned_h(k, n):
+    # the same identity at every element of H on each candidate subrack of
+    # the golden grid, for every irrep: H listed by the reference closure,
+    # each element pi^e r against its coset representative r
+    plan = class_plan(k, n)
+    groups = [permutation_spectrum_plan(plan.cls, subrack_plan.distinct)[1]
+              for subrack_plan in plan.plans()]
+    for spec in enumerate_irreps(k, n):
+        character = spec.character()
+        for labels in groups:
+            assert not rotation_defects(character, pi_scalar(spec),
+                                        labels), spec.label()

@@ -14,7 +14,7 @@ import nichols.witness
 from nichols.braidspace import (AbelianSubrack, dynkin_diagram,
                                 quadruple_subrack, rotation_subrack,
                                 subrack_plan, triple_subrack)
-from nichols.exactfield import root_name, totient
+from nichols.exactfield import totient
 from nichols.permgroup import Permutation, UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
 from nichols.verdict import (INFINITE, NEGATIVE, class_plan,
@@ -1100,9 +1100,11 @@ def test_the_normal_form_closures_match_the_permutation_closures():
     # on the normal forms of the coset representatives of <pi>; the
     # reference closes on permutations of the k*n points.  Every tried
     # subrack, and every set of its columns, gives the same generator
-    # places and modulus, k times as many elements, and the labels, read
-    # through the trivial psi, of r pi^e over every representative r and
-    # every e; and H the same elements in the same order
+    # places, k times as many elements, and the labels, read through the
+    # trivial psi, of r pi^e over every representative r and every e; and
+    # H the same plan, its elements in the same order.  The reference's
+    # lcm of k and the entries' orders is k: every label is a power of
+    # zeta_k
     compared = 0
     for k, n in ((2, 3), (2, 4), (2, 5), (2, 6), (4, 2), (4, 3), (4, 4),
                  (6, 2), (6, 3), (8, 2)):
@@ -1110,7 +1112,7 @@ def test_the_normal_form_closures_match_the_permutation_closures():
         for subrack in tried_subracks(cls):
             for r in range(1, subrack.size + 1):
                 for cols in itertools.combinations(range(subrack.size), r):
-                    generator, _, modulus, _ = \
+                    generator, _, _ = \
                         nichols.witness._witness_columns(subrack, cols)
                     reading = nichols.witness._witness_reading(
                         subrack, cols, 1, (("1",) * r,) * r)
@@ -1119,19 +1121,19 @@ def test_the_normal_form_closures_match_the_permutation_closures():
                     for x, _, m in counts:
                         labels[reading.labels[x]] += m
                     expected = permutation_witness_group(subrack, cols)
-                    assert (generator, modulus, k * reading.order,
+                    assert (generator, k, k * reading.order,
                             _times_pi(k, labels)) == (
                         expected[0], expected[1], len(expected[2]),
                         Counter(expected[3])), (k, n, subrack, cols)
                     entries = list(dict.fromkeys(
                         subrack.gamma(i, j) for i in cols for j in cols))
                     assert nichols.braidspace.spectrum_plan(
-                        cls, entries, modulus) == permutation_spectrum_plan(
-                            cls, entries, modulus), (k, n, subrack, cols)
+                        cls, entries) == permutation_spectrum_plan(
+                            cls, entries)[0], (k, n, subrack, cols)
                     compared += 1
             plan = subrack_plan(subrack)
             assert plan.spectrum == permutation_spectrum_plan(
-                cls, plan.distinct, plan.spectrum.modulus)
+                cls, plan.distinct)[0]
     # 8 triples of 3 columns, and two quadruples of 4 columns per even k
     assert compared == 8 * 7 + 6 * 2 * 15
 
@@ -1168,9 +1170,9 @@ def test_the_per_label_sums_match_the_per_element_sums():
             sums = list(nichols.witness._character_sums(reading, character))
             assert None not in sums
             # the check sums in integers over the representatives, k times
-            # that is phi(modulus) times the reference
+            # that is phi(k) times the reference
             assert [k * x for x in sums] == [
-                totient(reading.modulus) * x for x in per_element_sums(
+                totient(k) * x for x in per_element_sums(
                     subrack, cols, tuple(psi for psi, _ in reading.used),
                     character)], (k, n, spec.label())
             compared[k] += len(sums)
@@ -1418,37 +1420,25 @@ def test_verify_witness_refuses_a_psi_whose_value_at_pi_is_not_the_scalar(
     k, n, _ = row
     verdict = decide(*row)
     reading = _reading_of(k, n, verdict)
-    assert {psi[reading.basepoint] for psi, _ in reading.used} == {
-        reading.modulus // 2}
+    assert {psi[reading.basepoint] for psi, _ in reading.used} == {k // 2}
     assert 2 * pi_scalar(parse_rep_spec(k, n, other)) != k
     assert parse_rep_spec(k, n, other).degree() > max(
         s for _, s in verdict.witness["vertices"])
     assert not verify_witness(k, n, other, verdict)
 
 
-def test_a_psi_whose_value_at_pi_has_no_kth_power_one_is_refused(
-        monkeypatch, request):
+def test_a_psi_whose_value_at_pi_has_no_kth_power_one_is_refused():
     # every table entry is a conjugate of a class element, of order k, so
-    # the modulus of a subrack is k; read on a modulus of 2k instead, the
-    # genuine witness still passes.  On one column, H_w = <pi> has one
-    # coset and no edge to check, so a psi(pi) that is a primitive 2k-th
-    # root of unity, no character of <pi>, is refused by the reading alone
+    # every entry of a q_matrix is read as a power of zeta_k.  On one
+    # column, H_w = <pi> has one coset and no edge to check: -1 is read as
+    # the exponent 1 of zeta_2, and z(4,1), a psi(pi) that is no character
+    # of <pi>, is refused at the lookup of its entry
     row = (2, 3, "chi=(1,0,0);mu=sign")
-    columns = nichols.witness._witness_columns
-
-    def doubled(subrack, cols):
-        generator, forms, modulus, _ = columns(subrack, cols)
-        return (generator, forms, 2 * modulus,
-                {root_name(2 * modulus, e): e for e in range(2 * modulus)})
-    nichols.witness._witness_reading.cache_clear()
-    request.addfinalizer(nichols.witness._witness_reading.cache_clear)
-    monkeypatch.setattr(nichols.witness, "_witness_columns", doubled)
     verdict = decide(*row)
     assert verdict.rule == "cartan-infinite" and verify_witness(*row, verdict)
-    assert _reading_of(2, 3, verdict).modulus == 4
     subrack, _ = _columns_of(2, 3, verdict)
     reading = nichols.witness._witness_reading(subrack, (0,), 1, (("-1",),))
-    assert (reading.order, reading.used) == (1, (((2,), 1),))
+    assert (reading.order, reading.used) == (1, (((1,), 1),))
     assert nichols.witness._witness_reading(
         subrack, (0,), 1, (("z(4,1)",),)) is None
 
@@ -1462,7 +1452,7 @@ def test_the_check_multiplies_each_coset_representative_once_per_entry(
     verdict = decide(*row)
     assert verdict.witness["subrack"]["kind"] == "quadruple-rotation"
     subrack, cols = _columns_of(4, 4, verdict)
-    _, entries, _, _ = nichols.witness._witness_columns(subrack, cols)
+    _, entries, _ = nichols.witness._witness_columns(subrack, cols)
     order = len(permutation_witness_group(subrack, cols)[2])
     calls = []
     product = UnmixedClass.product

@@ -609,7 +609,7 @@ def _minus_one_characters(plan):
     # in order: the characters a row past the scalar gate can hold
     at_pi = plan.distinct.index(plan.table[0][0])
     return sorted(exps for _, exps in plan.spectrum.characters
-                  if exps[at_pi] == plan.spectrum.modulus // 2)
+                  if exps[at_pi] == plan.spectrum.k // 2)
 
 
 def _moved(vertices, capped, full):
