@@ -179,8 +179,6 @@ def _text_lines(report: dict) -> list:
         lines.append("witness.%s: %s" % (key, json.dumps(witness[key], sort_keys=True)))
     if "vertices" in witness:
         lines.append("witness.vertex_count: %d" % len(witness["vertices"]))
-    for flag in report["flags"]:
-        lines.append("flag: %s" % flag)
     return lines
 
 

@@ -25,7 +25,7 @@ character of the centralizer is read only at these labels.
 
 from __future__ import annotations
 
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from typing import NamedTuple
 
 
@@ -120,9 +120,6 @@ class Permutation:
     def cycle_type(self) -> tuple:
         """The cycle lengths, fixed points included, in increasing order."""
         return tuple(sorted(len(c) for c in self.cycles(include_fixed=True)))
-
-    def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles(include_fixed=True)))
 
     def commutes_with(self, other: "Permutation") -> bool:
         a, b = self.img, other.img

@@ -58,7 +58,8 @@ class Verdict(NamedTuple):
     fires share one verdict, witness included (ClassPlan.subspace_rules),
     and rows of one capped pattern share every witness field but the
     vertices and the DOT text (_Template), so a caller must treat the
-    witness as read-only."""
+    witness as read-only.  No decision sets flags: a JSON row prints them
+    as [], and the text format prints none."""
 
     outcome: str
     rule: str
@@ -156,17 +157,18 @@ def _twins(diagram: GeneralizedDynkinDiagram, nodes) -> dict:
     return near
 
 
-def cycle_rule(diagram: GeneralizedDynkinDiagram, comp) -> Optional[dict]:
-    """Detect a chordless 4-cycle with every vertex label -1 whose edge
-    labels alternate nu, 1/nu around the cycle (opposite edges equal), in
-    the subdiagram on the vertices of the nodes comp.
+def cycle_rule(near: dict, modulus: int) -> Optional[dict]:
+    """Detect a chordless 4-cycle whose edge labels, exponents of
+    zeta_modulus, alternate nu, 1/nu around the cycle (opposite edges
+    equal), in the twin map near (_twins) of a component whose nodes are
+    all labelled -1 (cartan_finite raises otherwise).
 
     Such a labeled cycle certifies an infinite braiding.  Returns the cycle
     as vertices (j, s) and its labels, or None.
 
-    The search reads adjacency and labels off the twin map (_twins) of
-    the nodes labelled -1, on the first two members of each node, and
-    finds the cycle that the same search on every vertex finds first:
+    The search reads adjacency and labels off the twin map, on the first
+    two members of each node, and finds the cycle that the same search on
+    every vertex finds first:
     - members of a node labelled -1 are never adjacent (their product is
       q_aa^2 = 1) and share one neighbor set;
     - so a chordless 4-cycle a - b - c - d holds two members of one node
@@ -176,8 +178,6 @@ def cycle_rule(diagram: GeneralizedDynkinDiagram, comp) -> Optional[dict]:
     - so the first hit, in the order a < c, then b, d among the common
       neighbors, holds only first and second members.
     The same argument shrinks the witness search (_minimal_infinite_set)."""
-    near = _twins(diagram, [x for x in comp
-                            if 2 * diagram.q(x, x) == diagram.modulus])
     for a in near:
         for c in near:
             if c <= a or c in near[a]:
@@ -187,10 +187,10 @@ def cycle_rule(diagram: GeneralizedDynkinDiagram, comp) -> Optional[dict]:
                 if d in near[b]:
                     continue
                 ab, bc, cd, da = near[a][b], near[b][c], near[c][d], near[d][a]
-                if (ab + bc) % diagram.modulus or ab != cd or bc != da:
+                if (ab + bc) % modulus or ab != cd or bc != da:
                     continue
                 return {"cycle": (a, b, c, d),
-                        "labels": tuple(root_name(diagram.modulus, w)
+                        "labels": tuple(root_name(modulus, w)
                                         for w in (ab, bc, cd, da))}
     return None
 
@@ -510,17 +510,20 @@ def _read_rules(diagram: GeneralizedDynkinDiagram) -> Optional[tuple]:
     for comp in diagram.components():
         finite = cartan_finite(diagram, {x: len(diagram.nodes[x][1])
                                          for x in comp})
+        if finite:
+            continue
+        near = _twins(diagram, comp)
         if finite is None:
-            hit = cycle_rule(diagram, comp)
+            hit = cycle_rule(near, diagram.modulus)
             if hit is not None:
                 firing = tuple(sorted(hit["cycle"]))
                 hits.append((1, _expansion_size(firing), firing, hit["cycle"],
                              {"cycle_labels": list(hit["labels"])}))
-        elif not finite:
+        else:
             # the firing set is a triangle or a chordless cycle
-            firing = _minimal_infinite_set(diagram, comp)
-            cartan = [[2 if a == b else 0 if diagram.edge_label(a, b) is None
-                       else -1 for b in firing] for a in firing]
+            firing = _minimal_infinite_set(near)
+            cartan = [[2 if a == b else -1 if b in near[a] else 0
+                       for b in firing] for a in firing]
             hits.append((0, _expansion_size(firing), firing, (),
                          {"cartan_matrix": cartan,
                           "label": "A%d(1)" % (len(firing) - 1)}))
@@ -534,19 +537,17 @@ def _expansion_size(firing: tuple) -> int:
     return len({j for j, _ in firing}) * len({s for _, s in firing})
 
 
-def _minimal_infinite_set(diagram: GeneralizedDynkinDiagram,
-                          comp: tuple) -> tuple:
-    """Shrink a non-finite Cartan component of the diagram, given by its
-    nodes, to a small witness: the triangle least by (expansion, sorted
+def _minimal_infinite_set(near: dict) -> tuple:
+    """Shrink a non-finite Cartan component, given by its twin map near
+    (_twins), to a small witness: the triangle least by (expansion, sorted
     tuple) when one exists; else, of the shortest cycles of each one- and
     two-index slice and of the whole component, the least by (expansion,
     length, sorted tuple).  A non-finite component holds a cycle
     (cartan_finite), a shortest one is chordless, and any cycle subdiagram
     is again non-finite Cartan.
 
-    The search reads the twin map of the component (_twins), on the first
-    two members of each node, with the answer of the search on every
-    vertex:
+    The search reads the twin map, on the first two members of each node,
+    with the answer of the search on every vertex:
     - twins share one neighbor set and, every vertex label being -1
       (cartan_finite raises otherwise), are never adjacent;
     - so a triangle holds at most one member of each node, and moving
@@ -559,7 +560,6 @@ def _minimal_infinite_set(diagram: GeneralizedDynkinDiagram,
     - the eigenvector indices of one run can be swapped without changing
       the graph, so a slice over indices beyond the first two of a run
       repeats an earlier slice, with larger tuples."""
-    near = _twins(diagram, comp)
     triangles = [(a, b, c) for a in near for b in near[a] if b > a
                  for c in near[a].keys() & near[b].keys() if c > b]
     if triangles:

@@ -42,17 +42,17 @@ the family its kind names, or else the subrack rebuilt from its images
 with its own checks, and no description; _witness_subrack), once per set
 of its witness columns (the place of each table entry among the distinct
 ones, their normal forms, each a pair of plain tuples, checked to
-commute; _witness_columns) and once per recorded q_matrix on those
+commute; _witness_columns), once per recorded q_matrix on those
 columns (its exponents, the psi_s read off it, the place of pi among the
 entries, and H_w/<pi> closed from the identity on the normal forms of the
 coset representatives while the phases of the psi used are carried along
 each Cayley edge, checked there and counted at each distinct class
-label, with the rule re-fired on each firing or cycle; _witness_reading),
-and kept for the life of the process; a row only checks its own fields
-and vertices and that each psi used takes the value zeta_k^q at pi, and
-sums its character, read once at each distinct label of the
-representatives as its nonzero terms, against those counts, in integers
-(_character_sums).
+label; _witness_reading) and once per rule re-fired on a firing or cycle
+of those exponents (_refire), and kept for the life of the process; a
+row only checks its own fields and vertices and that each psi used takes
+the value zeta_k^q at pi, and sums its character, read once at each
+distinct label of the representatives as its nonzero terms, against
+those counts, in integers (_character_sums).
 """
 from __future__ import annotations
 
@@ -168,10 +168,12 @@ def _witness_columns(subrack: AbelianSubrack, cols: tuple) -> tuple:
     (generator[a][b]), the normal forms of those entries, and the exponent
     of each k-th root of unity by its printed form (named through
     nichols.exactfield.root_name).  Each entry is a conjugate of a class
-    element, so every psi_s(gamma_ij) is a k-th root of unity.  An entry that does
-    not centralize the basepoint raises ValueError at its normal form
-    (nichols.permgroup.UnmixedClass.normal_form), and so do entries that
-    do not commute.  Each transporter of the columns is inverted once."""
+    element, so every psi_s(gamma_ij) is a k-th root of unity.  Every entry
+    centralizes the basepoint, as t_i commutes with t_j and g_j carries pi
+    to t_j (nichols.braidspace.AbelianSubrack refuses any other
+    transporter), so its normal form (nichols.permgroup.UnmixedClass.
+    normal_form) never raises, and only entries that do not commute raise
+    ValueError.  Each transporter of the columns is inverted once."""
     cls = subrack.cls
     inverse = {j: subrack.transporters[j].inverse() for j in cols}
     position = {}
@@ -193,11 +195,10 @@ class _WitnessReading(NamedTuple):
     vertex indices that name it (used); the place of the basepoint pi
     among those entries (basepoint); the number |H_w|/k of coset
     representatives of <pi> in H_w (order) and their distinct class
-    labels (labels); for each psi used, one (label index, phase, count)
-    triple per class label and phase of psi that occur together on the
-    representatives, with the number of those representatives (phases);
-    and what each rule re-fired on the exponents gives (_refire), by
-    (rule, firing or cycle) (fired), filled in as rows meet it."""
+    labels (labels); and for each psi used, one (label index, phase,
+    count) triple per class label and phase of psi that occur together on
+    the representatives, with the number of those representatives
+    (phases)."""
 
     exponents: tuple
     used: tuple
@@ -205,7 +206,6 @@ class _WitnessReading(NamedTuple):
     order: int
     labels: tuple
     phases: tuple
-    fired: dict
 
 
 @cache
@@ -215,9 +215,11 @@ def _witness_reading(subrack: AbelianSubrack, cols: tuple, width: int,
     per vertex (j, s) of the rectangle cols x (width indices), on H_w:
     None when an entry is no k-th root of unity printed in lowest terms
     (_witness_columns), when a psi_s read off two row vertices (i, r)
-    disagrees on a table entry, when the basepoint pi = ((1, ..., 1), id)
-    is no table entry, or when a psi used fails on a Cayley edge of
-    H_w/<pi>, so that it is no character of H_w.
+    disagrees on a table entry, or when a psi used fails on a Cayley edge
+    of H_w/<pi>, so that it is no character of H_w.  The basepoint pi =
+    ((1, ..., 1), id) is always a table entry: nichols.braidspace.
+    AbelianSubrack refuses a transporter g_j that does not carry pi to
+    t_j, so gamma_jj = g_j^-1 t_j g_j = pi.
 
     pi is central of order k, and pi^e h adds e to every twist of h, so
     each coset of <pi> in H_w has one representative r with d[0] = 0, and
@@ -247,10 +249,7 @@ def _witness_reading(subrack: AbelianSubrack, cols: tuple, width: int,
     cls = subrack.cls
     k = cls.k
     identity = cls.identity_form()
-    try:
-        base = forms.index(NormalForm((1,) * cls.n, identity.b))
-    except ValueError:
-        return None
+    base = forms.index(NormalForm((1,) * cls.n, identity.b))
     at_pi = tuple(psi[base] for psi in used)
     # pi moves no coset, so it is no edge of H_w/<pi>
     steps = [(g, tuple(psi[t] for psi in used))
@@ -280,7 +279,7 @@ def _witness_reading(subrack: AbelianSubrack, cols: tuple, width: int,
                    for column in zip(*at.values()))
     return _WitnessReading(exps,
                            tuple((psi, psis.count(psi)) for psi in used),
-                           base, len(queue), tuple(index), phases, {})
+                           base, len(queue), tuple(index), phases)
 
 
 def _character_sums(reading: _WitnessReading, character: InducedCharacter):
@@ -302,12 +301,14 @@ def _character_sums(reading: _WitnessReading, character: InducedCharacter):
         yield rational_trace(k, acc)
 
 
+@cache
 def _refire(rule: str, positions: tuple, exps: tuple,
             k: int) -> Optional[list]:
     """The rule re-fired on the integer exponents of the q_matrix at the
     firing or cycle positions: the Cartan matrix of a cartan-infinite
     firing set, or the printed products around an alternating 4-cycle, or
-    None when the rule does not fire there."""
+    None when the rule does not fire there.  Kept for the life of the
+    process, so a caller must treat the answer as read-only."""
     if rule == "cartan-infinite":
         return _cartan_infinite([[exps[a][b] for b in positions]
                                  for a in positions], k)
@@ -361,9 +362,9 @@ def verify_witness(k: int, n: int, rho_spec, verdict) -> bool:
       have exactly the recorded images, and a kind that names no family,
       or a param that its family refuses, fails;
     - the q_matrix is not one list per vertex of one str per vertex, an
-      entry is not a k-th root of unity printed in lowest terms, a psi_s
-      disagrees between two row vertices or fails on an edge of H_w/<pi>,
-      or pi is no table entry (_witness_reading);
+      entry is not a k-th root of unity printed in lowest terms, or a psi_s
+      disagrees between two row vertices or fails on an edge of H_w/<pi>
+      (_witness_reading);
     - a psi used has psi(pi) other than zeta_k^q, or occurs in chi|H_w
       fewer times than the witness uses it;
     - the firing of an alternating cycle is not its cycle's positions in
@@ -385,8 +386,8 @@ def verify_witness(k: int, n: int, rho_spec, verdict) -> bool:
     rectangle (its columns) x (its indices) in order, from 0 and below the
     subrack size and the degree, or the firing or cycle indices repeat or
     leave the vertex list; when the table entries of the columns do not
-    centralize the basepoint or do not commute; and when a cycle is not a
-    4-cycle."""
+    commute (every one centralizes the basepoint, _witness_columns); and
+    when a cycle is not a 4-cycle."""
     if verdict.outcome != INFINITE:
         raise ValueError("only infinite verdicts carry a rebuildable witness")
     spec = resolve_spec(k, n, rho_spec)
@@ -468,10 +469,7 @@ def verify_witness(k: int, n: int, rho_spec, verdict) -> bool:
         positions, recorded = w["cycle"], w["cycle_labels"]
     else:
         raise ValueError("unknown rule %r" % verdict.rule)
-    key = (verdict.rule, tuple(positions))
-    if key not in reading.fired:
-        reading.fired[key] = _refire(*key, reading.exponents, k)
-    expected = reading.fired[key]
+    expected = _refire(verdict.rule, tuple(positions), reading.exponents, k)
     # a cartan_matrix entry 2.0 or True equals 2 or 1, but is not it
     return (expected is not None and expected == recorded
             and (verdict.rule != "cartan-infinite"

@@ -48,7 +48,7 @@ from nichols.braidspace import (GeneralizedDynkinDiagram, SpectrumPlan,
                                 triple_subrack)
 from nichols.cli import SELECTORS
 from nichols.exactfield import _ramanujan_sums, root_name
-from nichols.permgroup import NormalForm, Permutation
+from nichols.permgroup import NormalForm, Permutation, UnmixedClass
 from nichols.reps import RepSpec, partitions_of, sn_character
 from nichols.verdict import INFINITE, NegativityReport, Verdict, class_plan
 
@@ -102,6 +102,11 @@ def class_size(t: tuple) -> int:
     for j, m in Counter(t).items():
         size //= j ** m * factorial(m)
     return size
+
+
+def permutation_order(p: Permutation) -> int:
+    # the lcm of the cycle lengths
+    return lcm(*(len(c) for c in p.cycles(include_fixed=True)))
 
 
 def sign(p: Permutation) -> int:
@@ -589,6 +594,9 @@ def simultaneous_diagonalize(family, orders) -> tuple:
         for vecs, eigs in blocks:
             found = 0
             for a in range(order):
+                if found == len(vecs):
+                    # eigenspaces are independent: the block is used up
+                    break
                 lam = zeta(order, a)
                 sub = _split_subspace(m, lam, vecs)
                 if sub:
@@ -618,7 +626,8 @@ def dense_columns(subrack, rho) -> tuple:
     perms = [[subrack.gamma(i, j) for j in range(size)] for i in range(size)]
     distinct = list(dict.fromkeys(p for row in perms for p in row))
     family = [rho.evaluate(cls.normal_form(p)) for p in distinct]
-    basis, table = simultaneous_diagonalize(family, [p.order() for p in distinct])
+    basis, table = simultaneous_diagonalize(
+        family, list(map(permutation_order, distinct)))
     basis = tuple(basis)
     index = {p: d for d, p in enumerate(distinct)}
     return tuple(
@@ -1007,14 +1016,32 @@ def _basepoint_failure(rho, cls):
     return None
 
 
+@lru_cache(maxsize=None)
+def _commuting_pairs(k: int, n: int) -> tuple:
+    """What negativity_full reads of the (k^n) class, whatever the
+    representation: each element t with t pulled back along its own
+    transporter, in order, and each commuting pair a < b with a pulled back
+    along the transporter of b and b along that of a."""
+    cls = UnmixedClass(k, n)
+    elements = sorted(class_elements(cls))
+    carriers = {t: transporter(cls, t) for t in elements}
+    diagonal = tuple((t, conjugate(carriers[t].inverse(), t))
+                     for t in elements)
+    pairs = tuple((a, b, conjugate(carriers[b].inverse(), a),
+                   conjugate(carriers[a].inverse(), b))
+                  for a, b in itertools.combinations(elements, 2)
+                  if a.commutes_with(b))
+    return diagonal, pairs
+
+
 def negativity_full(cls, rho) -> NegativityReport:
     """Every commuting pair of the whole class, each checked on both sides;
-    quadratic in the class size, so only for small classes."""
+    quadratic in the class size, so only for small classes.  The pairs and
+    their pulled-back elements are listed once per class."""
     failed = _basepoint_failure(rho, cls)
     if failed is not None:
         return failed
-    elements = sorted(class_elements(cls))
-    carriers = {t: transporter(cls, t) for t in elements}
+    diagonal, pairs = _commuting_pairs(cls.k, cls.n)
     values = {}
 
     def scalar(g):
@@ -1024,18 +1051,16 @@ def negativity_full(cls, rho) -> NegativityReport:
         return values[g]
 
     checked = 0
-    for t in elements:
-        if scalar(conjugate(carriers[t].inverse(), t)) != MINUS_ONE:
+    for t, pulled in diagonal:
+        if scalar(pulled) != MINUS_ONE:
             return NegativityReport(
                 False, checked, False,
                 {"pair": (str(t), str(t)), "reason": "diagonal value is not -1"},
                 ())
-    for a, b in itertools.combinations(elements, 2):
-        if not a.commutes_with(b):
-            continue
+    for a, b, pulled_a, pulled_b in pairs:
         checked += 1
-        x = scalar(conjugate(carriers[b].inverse(), a))
-        y = scalar(conjugate(carriers[a].inverse(), b))
+        x = scalar(pulled_a)
+        y = scalar(pulled_b)
         if x is None or y is None:
             return NegativityReport(
                 False, checked, False,
@@ -1048,6 +1073,20 @@ def negativity_full(cls, rho) -> NegativityReport:
     return NegativityReport(True, checked, False, None, ())
 
 
+@lru_cache(maxsize=None)
+def _walked_partners(k: int, n: int) -> tuple:
+    """What negativity_walk reads of the (k^n) class, whatever the
+    representation: each partner t of the basepoint pi found by walking
+    the centralizer, in order, with pi pulled back along the transporter
+    of t."""
+    cls = UnmixedClass(k, n)
+    pi = cls.basepoint
+    want = cls.cycle_type()
+    return tuple((t, conjugate(transporter(cls, t).inverse(), pi))
+                 for t in sorted(h for h in centralizer_elements(cls)
+                                 if h != pi and h.cycle_type() == want))
+
+
 def negativity_walk(cls, rho) -> NegativityReport:
     """The basepoint against every partner found by walking all k^n * n!
     centralizer elements; for classes too large for negativity_full."""
@@ -1055,12 +1094,10 @@ def negativity_walk(cls, rho) -> NegativityReport:
     if failed is not None:
         return failed
     pi = cls.basepoint
-    want = cls.cycle_type()
-    partners = sorted(h for h in centralizer_elements(cls)
-                      if h != pi and h.cycle_type() == want)
-    for checked, t in enumerate(partners, start=1):
+    partners = _walked_partners(cls.k, cls.n)
+    for checked, (t, pulled) in enumerate(partners, start=1):
         lam = _scalar_of(rho, cls, t)
-        mu = _scalar_of(rho, cls, conjugate(transporter(cls, t).inverse(), pi))
+        mu = _scalar_of(rho, cls, pulled)
         if lam is None or mu is None or lam * mu != ONE:
             return NegativityReport(
                 False, checked, False,
@@ -1071,27 +1108,39 @@ def negativity_walk(cls, rho) -> NegativityReport:
 
 # the diagonal subspace and its Dynkin diagram vertex by vertex
 
+# one RootOfUnity per (modulus, exponent), shared by every label read
+_root = lru_cache(maxsize=None)(RootOfUnity)
+
+
 def label_root(diagram, exponent) -> Optional[RootOfUnity]:
     """A label of a node diagram of nichols.braidspace, which holds it as
     its exponent of zeta_modulus, as a RootOfUnity; None stays None."""
-    return None if exponent is None else RootOfUnity(diagram.modulus, exponent)
+    return None if exponent is None else _root(diagram.modulus, exponent)
 
 
 class VertexSpace:
     """A diagonal subspace listed vertex by vertex: the vertices (j, s) of
-    a node diagram of nichols.braidspace, with its braiding values."""
+    a node diagram of nichols.braidspace, with its braiding values.  The
+    node of each vertex is looked up once, in a map that every restriction
+    of the space shares."""
 
-    def __init__(self, diagram, vertices) -> None:
+    def __init__(self, diagram, vertices, nodes=None) -> None:
         self.diagram = diagram
         self.vertices = tuple(vertices)
+        self._nodes = {} if nodes is None else nodes
 
     @property
     def size(self) -> int:
         return len(self.vertices)
 
+    def _node(self, v):
+        if v not in self._nodes:
+            self._nodes[v] = self.diagram.node(v)
+        return self._nodes[v]
+
     def q(self, a, b):
-        return label_root(self.diagram, self.diagram.q(self.diagram.node(a),
-                                                       self.diagram.node(b)))
+        return label_root(self.diagram,
+                          self.diagram.q(self._node(a), self._node(b)))
 
     def restrict(self, vertices) -> "VertexSpace":
         vertices = tuple(vertices)
@@ -1101,7 +1150,7 @@ class VertexSpace:
                 raise ValueError("vertex %r is repeated or not in the subspace"
                                  % (v,))
             known.remove(v)
-        return VertexSpace(self.diagram, vertices)
+        return VertexSpace(self.diagram, vertices, self._nodes)
 
 
 def vertex_space(diagram) -> VertexSpace:
@@ -1419,7 +1468,7 @@ def permutation_witness_group(subrack, cols: tuple) -> tuple:
     if not all(a.commutes_with(b)
                for a, b in itertools.combinations(generators, 2)):
         raise ValueError("conjugation table entries do not commute")
-    modulus = lcm(cls.k, *(g.order() for g in generators))
+    modulus = lcm(cls.k, *map(permutation_order, generators))
     identity = Permutation.identity(cls.degree)
     index = {identity: 0}
     queue = [identity]

@@ -19,7 +19,7 @@ from exactfield_oracle import (ROOT_MINUS_ONE, ROOT_ONE, ZERO, rational,
 from oracles import (REFERENCE_Q_ROTATION_EDGELESS, REFERENCE_Q_SIX_CYCLE, A,
                      B, cataloged, centralizer_elements, character_value,
                      conjugate, degree_sequence, dense_columns, in_centralizer,
-                     label_root, permutation_spectrum_plan,
+                     label_root, permutation_order, permutation_spectrum_plan,
                      q_matches_up_to_permutation, rectangle, resolve,
                      rotation_defects, transporter, tried_subracks,
                      vertex_space)
@@ -120,7 +120,7 @@ def test_powers_subrack_lists_coprime_powers():
     cls = UnmixedClass(6, 1)
     sub = powers_subrack(cls)
     assert sub.size == 2
-    orders = {t.order() for t in sub.elements}
+    orders = set(map(permutation_order, sub.elements))
     assert orders == {6}
 
 
@@ -324,7 +324,8 @@ def commuting_generators(draw):
     cls = UnmixedClass(k, n)
     specs = enumerate_irreps(k, n)
     spec = specs[draw(st.integers(0, len(specs) - 1))]
-    pool = [g for g in centralizer_elements(cls) if k % g.order() == 0]
+    pool = [g for g in centralizer_elements(cls)
+            if k % permutation_order(g) == 0]
     g = pool[draw(st.integers(0, len(pool) - 1))]
     partners = [h for h in pool if h.commutes_with(g)]
     h = partners[draw(st.integers(0, len(partners) - 1))]
@@ -435,7 +436,7 @@ def test_joint_spectrum_needs_a_multiple_of_k():
     assert planned_spectrum(plan, character) == [((2,), 1)]
     cls = UnmixedClass(2, 3)
     cycle = cls.block_swap(1, 2) * cls.block_swap(2, 3)
-    assert cycle.order() == 3
+    assert permutation_order(cycle) == 3
     with pytest.raises(ArithmeticError, match="exponent dividing k"):
         spectrum_plan(cls, (cycle,))
 

@@ -8,7 +8,7 @@ from nichols.permgroup import Permutation, UnmixedClass, dual_label
 
 from oracles import (A, B, centralizer_elements, centralizer_generators,
                      class_elements, class_size, conjugate, in_centralizer,
-                     sign, transporter)
+                     permutation_order, sign, transporter)
 
 
 def test_permutation_composition_and_inverse():
@@ -29,7 +29,7 @@ def test_permutation_composition_and_inverse():
 
 def test_permutation_order_matches_lcm_of_cycles():
     p = Permutation.from_cycles(8, ((1, 2, 3), (4, 5)))
-    assert p.order() == 6
+    assert permutation_order(p) == 6
     assert p.cycle_type() == (1, 1, 1, 2, 3)
     assert sign(p) == -1
     assert sign(Permutation.from_cycles(4, ((1, 2),))) == -1
@@ -86,7 +86,7 @@ def test_basepoint_is_product_of_block_cycles():
 def test_block_swap_involution_conjugates_blocks():
     cls = UnmixedClass(3, 2)
     b = B(cls, 1)
-    assert b.order() == 2
+    assert permutation_order(b) == 2
     assert conjugate(b, A(cls, 1)) == A(cls, 2)
     assert conjugate(b, A(cls, 2)) == A(cls, 1)
 

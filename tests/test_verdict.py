@@ -17,7 +17,7 @@ from nichols.braidspace import (AbelianSubrack, dynkin_diagram,
 from nichols.exactfield import totient
 from nichols.permgroup import Permutation, UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
-from nichols.verdict import (INFINITE, NEGATIVE, class_plan,
+from nichols.verdict import (INFINITE, NEGATIVE, _twins, class_plan,
                              closed_form_verdict, cycle_rule, decide,
                              negativity_check, scalar_gate, verify_witness)
 from nichols.witness import _cartan_infinite, _positive_definite
@@ -153,13 +153,19 @@ def test_positive_definite_agrees_with_rational_elimination(rows):
     assert _positive_definite(S) == oracle_positive_definite(S)
 
 
+def _cycle_rule(diagram, nodes):
+    # the rule on the twin map of the nodes labelled -1
+    return cycle_rule(_twins(diagram, [x for x in nodes if 2 * diagram.q(x, x)
+                                       == diagram.modulus]), diagram.modulus)
+
+
 def test_cycle_rule_fires_on_rotation_subrack():
     cls = UnmixedClass(6, 3)
     chi = parse_rep_spec(6, 3, "chi=(1,1,1);mu=trivial").character()
     diagram = dynkin_diagram(subrack_plan(rotation_subrack(cls)), chi)
     hits = []
     for comp in diagram.components():
-        hit = cycle_rule(diagram, comp)
+        hit = _cycle_rule(diagram, comp)
         if hit is not None:
             hits.append(hit)
     assert hits
@@ -174,7 +180,7 @@ def test_cycle_rule_silent_without_alternation():
     chi = parse_rep_spec(6, 3, "chi=(3,3,3);mu=trivial").character()
     diagram = dynkin_diagram(subrack_plan(rotation_subrack(cls)), chi)
     assert diagram.edges == ()
-    assert cycle_rule(diagram, range(len(diagram.nodes))) is None
+    assert _cycle_rule(diagram, range(len(diagram.nodes))) is None
 
 
 def test_negativity_reduced_and_full_agree_on_negative_case():
@@ -1290,6 +1296,7 @@ def test_the_named_member_serves_only_its_own_images():
     nichols.witness._witness_subrack.cache_clear()
     nichols.witness._witness_columns.cache_clear()
     nichols.witness._witness_reading.cache_clear()
+    nichols.witness._refire.cache_clear()
     cold = {name: _verify_or_error(forged)
             for name, forged in forgeries.items()}
     assert warm == {name: [result] * 2 for name, result in cold.items()}
@@ -1371,6 +1378,7 @@ def test_a_warm_witness_cache_refuses_what_a_cold_one_refuses():
     nichols.witness._witness_subrack.cache_clear()
     nichols.witness._witness_columns.cache_clear()
     nichols.witness._witness_reading.cache_clear()
+    nichols.witness._refire.cache_clear()
     cold = {name: _verify_or_error(forged, rows[name])
             for name, forged in forgeries.items()}
     assert warm == {name: [result] * 2 for name, result in cold.items()}

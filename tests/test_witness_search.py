@@ -43,6 +43,14 @@ def _count(diagram, nodes):
     return {x: len(diagram.nodes[x][1]) for x in nodes}
 
 
+def _near(diagram, nodes):
+    # the twin map that cycle_rule and _minimal_infinite_set read, over the
+    # nodes labelled -1, as _read_rules builds it for a component that
+    # cartan_finite does not call finite
+    return _twins(diagram, [x for x in nodes
+                            if 2 * diagram.q(x, x) == diagram.modulus])
+
+
 def _node_components(diagram, space):
     """(nodes, vertex positions) for every component of the vertex graph:
     the members of each node component, save that an edgeless node gives
@@ -89,14 +97,16 @@ def _checked_reading(diagram, nodes, sub):
     return finite
 
 
-def _read_components(diagram):
+def _read_components(diagram, space=None, pairs=None):
     """(space, restricted space, nodes, vertex component, reading) for
     every component, each reading checked (_checked_reading), and the
-    components against those of the pairwise diagram."""
-    space = vertex_space(diagram)
+    components against those of the pairwise diagram pairs of space, the
+    vertex space of the diagram, each built here when not given."""
+    if space is None:
+        space = vertex_space(diagram)
+        pairs = dynkin_diagram_by_pairs(space)
     found = list(_node_components(diagram, space))
-    assert sorted(comp for _, comp in found) == list(
-        dynkin_diagram_by_pairs(space).components())
+    assert sorted(comp for _, comp in found) == list(pairs.components())
     for nodes, comp in found:
         sub = space.restrict(space.vertices[x] for x in comp)
         yield space, sub, nodes, comp, _checked_reading(diagram, nodes, sub)
@@ -108,20 +118,35 @@ def _non_finite_components(diagram):
             yield space, sub, nodes, comp
 
 
-def test_witness_search_matches_the_reference_on_every_candidate_subrack():
+@pytest.fixture(scope="session")
+def grid_spaces():
+    """(k, n, spec, plan, diagram, vertex space, pairwise diagram) for every
+    candidate subspace of GRID past the scalar gate, built once for the
+    tests that read them all against the references."""
+    out = []
+    for k, n, spec, plan, diagram in _grid_diagrams(GRID):
+        space = vertex_space(diagram)
+        out.append((k, n, spec, plan, diagram, space,
+                    dynkin_diagram_by_pairs(space)))
+    return out
+
+
+def test_witness_search_matches_the_reference_on_every_candidate_subrack(
+        grid_spaces):
     # every component is read as the reference reads it, finite or not,
     # Cartan or not, and none is a tree with a fork; the non-finite ones
     # are shrunk as the reference does, and the label of each witness is
     # the reference's name of its firing set
     read = checked = labelled = 0
-    for k, n, spec, plan, diagram in _grid_diagrams(GRID):
-        for space, sub, nodes, comp, finite in _read_components(diagram):
+    for k, n, spec, plan, diagram, space, pairs in grid_spaces:
+        for space, sub, nodes, comp, finite in _read_components(
+                diagram, space, pairs):
             read += 1
             assert finite != FORK
             if finite is not False:
                 continue
             want = minimal_infinite_set(space, sub, comp)
-            got = _minimal_infinite_set(diagram, nodes)
+            got = _minimal_infinite_set(_near(diagram, nodes))
             assert got == tuple(space.vertices[x] for x in want), (
                 k, n, spec.label(), plan.subrack.kind)
             checked += 1
@@ -160,7 +185,7 @@ def _assert_same_cycle(diagram, space, pairs):
     # search on every vertex finds first, on every component
     fired = 0
     for nodes, comp in _node_components(diagram, space):
-        got = cycle_rule(diagram, nodes)
+        got = cycle_rule(_near(diagram, nodes), diagram.modulus)
         want = oracles.cycle_rule(pairs, comp)
         if want is None:
             assert got is None, comp
@@ -180,15 +205,18 @@ def _fired_alike(grid):
     return fired
 
 
-def test_cycle_rule_matches_the_vertex_rule_on_every_candidate_subrack():
+def test_cycle_rule_matches_the_vertex_rule_on_every_candidate_subrack(
+        grid_spaces):
     # the grid, and the golden classes (6,4), (4,5), (8,3) and (8,4), whose
     # vertex diagrams stay small; at k >= 6 the rule decides rows
-    assert _fired_alike(GRID + ((6, 4), (4, 5), (8, 3), (8, 4))) == 1027
+    fired = sum(_assert_same_cycle(diagram, space, pairs)
+                for _, _, _, _, diagram, space, pairs in grid_spaces)
+    assert fired + _fired_alike(((6, 4), (4, 5), (8, 3), (8, 4))) == 1027
 
 
 @pytest.mark.slow
 def test_cycle_rule_matches_the_vertex_rule_on_larger_golden_classes():
-    # about 90 s on a 2-vCPU VM, most of it in the pairwise reference;
+    # about 55 s on a 2-vCPU VM, most of it in the pairwise reference;
     # from (2,8) and (4,7) on, its vertex diagrams are out of reach
     assert _fired_alike(((2, 7), (4, 6), (6, 5))) == 1158
 
@@ -206,10 +234,12 @@ def _expanded(diagram):
     return rectangle(diagram, diagram.columns, indices)
 
 
-def _assert_same_diagram(diagram, space):
+def _assert_same_diagram(diagram, space, want=None):
     # the diagram on nodes reads exactly as the one built pair by pair on
-    # the vertices of space, which are the vertices of the diagram
-    want = dynkin_diagram_by_pairs(space)
+    # the vertices of space, which are the vertices of the diagram (want,
+    # built here when not given)
+    if want is None:
+        want = dynkin_diagram_by_pairs(space)
     assert [(j, s) for j, run in diagram.nodes for s in run] == list(
         space.vertices)
     nodes = [diagram.node(v) for v in space.vertices]
@@ -265,13 +295,12 @@ def test_block_diagram_reads_as_its_vertex_expansion(diagram):
                              space.restrict(space.vertices[x] for x in comp))
 
 
-def test_twin_blocks_read_as_the_pairwise_diagram():
+def test_twin_blocks_read_as_the_pairwise_diagram(grid_spaces):
     # every candidate subspace of the grid, and a random rectangle of each
     rng = random.Random(2003)
     merged = 0
-    for k, n, spec, plan, diagram in _grid_diagrams(GRID):
-        space = vertex_space(diagram)
-        _assert_same_diagram(diagram, space)
+    for k, n, spec, plan, diagram, space, pairs in grid_spaces:
+        _assert_same_diagram(diagram, space, pairs)
         merged += any(len(run) > 1 for _, run in diagram.nodes)
         columns = sorted(rng.sample(diagram.columns,
                                     rng.randint(1, len(diagram.columns))))
@@ -347,7 +376,7 @@ def test_witness_search_matches_the_reference_on_random_sign_tables(diagram):
     # _read_components); the non-finite ones are shrunk alike
     for space, sub, nodes, comp in _non_finite_components(diagram):
         want = minimal_infinite_set(space, sub, comp)
-        assert (_minimal_infinite_set(diagram, nodes)
+        assert (_minimal_infinite_set(_near(diagram, nodes))
                 == tuple(space.vertices[x] for x in want))
 
 
@@ -378,7 +407,7 @@ def test_cycle_search_sees_at_most_two_twins_per_block(monkeypatch):
             diagram = dynkin_diagram(plan, spec.character())
             for space, sub, nodes, comp in _non_finite_components(diagram):
                 searched = len(given)
-                _minimal_infinite_set(diagram, nodes)
+                _minimal_infinite_set(_near(diagram, nodes))
                 largest = max(largest, max(_count(diagram, nodes).values()))
                 assert all(v[1] in diagram.nodes[diagram.node(v)][1][:2]
                            for vertices in given[searched:] for v in vertices)
