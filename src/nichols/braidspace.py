@@ -20,9 +20,10 @@ conjugate of a class element, so its order divides k), each printed one
 at a time through nichols.exactfield.root_name.  No field element is built.
 The diagram is built from those labels alone: every edge is read off
 them by one formula, and one generator of whole lines,
-GeneralizedDynkinDiagram.dot_lines, draws a whole diagram's DOT text:
-`diagram` writes the lines as they are drawn, and a witness is drawn as
-the diagram of its own rectangle of vertices and joins them.
+GeneralizedDynkinDiagram.dot_lines, draws a whole diagram's DOT text,
+which `diagram` writes as it is drawn; a witness's text is drawn once
+per capped pattern by nichols.verdict, in the same two line formats
+(DOT_VERTEX, DOT_EDGE).
 
 The work splits in two.  subrack_plan does what rho does not change, in a
 plan that carries its subrack: the table, the commute check, H with the
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from bisect import bisect_right
 from math import gcd
 from operator import itemgetter, sub
 from typing import NamedTuple
@@ -355,9 +355,9 @@ class SubrackPlan(NamedTuple):
     """The part of a diagonal subspace that does not depend on rho: the
     subrack, its description (AbelianSubrack.describe) and the image lists
     of its elements and of its transporters, which every witness on the
-    subrack prints, its conjugation table, the distinct entries in order
-    of first appearance (row i, then column j), and the plan of the group
-    they make."""
+    subrack prints, its conjugation table as the place of each entry
+    among the distinct entries, which are in order of first appearance
+    (row i, then column j), and the plan of the group they make."""
 
     subrack: AbelianSubrack
     description: dict
@@ -377,14 +377,22 @@ def subrack_plan(subrack: AbelianSubrack) -> SubrackPlan:
     means the same vector in each column.  A subrack rebuilt from outside
     data whose table does not commute raises ValueError."""
     table = subrack.gamma_table()
-    distinct = tuple(dict.fromkeys(p for row in table for p in row))
+    place = {p: t for t, p in enumerate(
+        dict.fromkeys(p for row in table for p in row))}
+    distinct = tuple(place)
     if not all(a.commutes_with(b) for a, b in itertools.combinations(distinct, 2)):
         raise ValueError("conjugation table entries do not commute")
     return SubrackPlan(subrack, subrack.describe(),
                        [list(t.img) for t in subrack.elements],
                        [list(g.img) for g in subrack.transporters],
-                       table, distinct,
-                       spectrum_plan(subrack.cls, distinct))
+                       tuple(tuple(map(place.get, row)) for row in table),
+                       distinct, spectrum_plan(subrack.cls, distinct))
+
+
+# the two line formats of every DOT drawing: a vertex with its label, and
+# an edge with its label
+DOT_VERTEX = '  %s [label="%s"];'
+DOT_EDGE = '  %s -- %s [label="%s"];'
 
 
 class GeneralizedDynkinDiagram:
@@ -411,10 +419,11 @@ class GeneralizedDynkinDiagram:
     only: its first read of neighbors (adjacent) reads every node's once
     and keeps them.  Vertices are drawn only by dot_lines, which reads
     each node's later neighbors straight off the labels and yields the DOT
-    text as it goes, so drawing builds no neighbor map.  A witness is
-    drawn as a diagram of its own, on the rectangle of its vertices
-    (rectangle).  The diagram holds labels only, no subrack: a witness
-    names the subrack of the plan that the diagram was built from."""
+    text as it goes, so drawing builds no neighbor map.  A witness reads
+    the labels of the rectangle of its vertices straight off the node
+    labels (nichols.verdict._template).  The diagram holds labels only,
+    no subrack: a witness names the subrack of the plan that the diagram
+    was built from."""
 
     __slots__ = ("modulus", "columns", "offsets", "labels", "nodes", "_adjacent")
 
@@ -422,10 +431,10 @@ class GeneralizedDynkinDiagram:
         # runs: (first index, multiplicity) of each run, in order
         self.modulus = modulus
         self.columns = tuple(columns)
-        self.offsets = tuple(offset for offset, _ in runs)
+        self.offsets = tuple([offset for offset, _ in runs])
         self.labels = labels
-        self.nodes = tuple((j, range(offset, offset + mult))
-                           for j in self.columns for offset, mult in runs)
+        self.nodes = tuple([(j, range(offset, offset + mult))
+                            for j in self.columns for offset, mult in runs])
         self._adjacent = None
 
     def _scan(self):
@@ -448,12 +457,6 @@ class GeneralizedDynkinDiagram:
         """Every edge (x, y, label) with x <= y, by x and then y."""
         return tuple(self._scan())
 
-    def node(self, vertex) -> int:
-        """The node of the vertex (j, s)."""
-        j, s = vertex
-        return ((bisect_right(self.columns, j) - 1) * len(self.offsets)
-                + bisect_right(self.offsets, s) - 1)
-
     def adjacent(self, x: int) -> dict:
         """The nodes adjacent to node x, itself included when its members
         are adjacent to each other, mapped to the edge label, in order.
@@ -471,75 +474,44 @@ class GeneralizedDynkinDiagram:
         width = len(self.offsets)
         return self.labels[x // width][y // width][y % width]
 
-    def edge_label(self, u, v):
-        """The edge label of vertices u and v, as its exponent, None where
-        they are not adjacent."""
-        if u == v:
-            return None
-        return self.adjacent(self.node(u)).get(self.node(v))
-
     def components(self) -> tuple:
         """The connected components, each a sorted node tuple, ordered by
         least node.  The members of a node lie in one component, save that
         a node with no edge at all is one entry here and, when it has
         several members, stands for one component per member."""
-        seen = [False] * len(self.nodes)
+        seen = set()
         out = []
         for start in range(len(self.nodes)):
-            if seen[start]:
-                continue
-            seen[start] = True
-            group = [start]
-            stack = [start]
-            while stack:
-                for y in self.adjacent(stack.pop()):
-                    if not seen[y]:
-                        seen[y] = True
-                        group.append(y)
-                        stack.append(y)
-            out.append(tuple(sorted(group)))
+            if start not in seen:
+                seen.add(start)
+                group = [start]
+                for x in group:
+                    for y in self.adjacent(x):
+                        if y not in seen:
+                            seen.add(y)
+                            group.append(y)
+                out.append(tuple(sorted(group)))
         return tuple(out)
 
-    def rectangle(self, columns, indices) -> GeneralizedDynkinDiagram:
-        """The diagram on the vertices (j, s) with j in columns and s in
-        indices, both increasing, each vertex a node of its own: node x is
-        the vertex of place x in the rectangle, column by column."""
-        places = [bisect_right(self.columns, j) - 1 for j in columns]
-        runs = [bisect_right(self.offsets, s) - 1 for s in indices]
-        return GeneralizedDynkinDiagram(
-            self.modulus, columns, [(s, 1) for s in indices],
-            [[[self.labels[a][b][t] for t in runs] for b in places]
-             for a in places])
-
-    def dot_lines(self, spelled=None, opening="{", closing="}"):
+    def dot_lines(self):
         """The DOT text of the diagram as whole lines: the head, one chunk
         of lines per node for its members, one per node for their edges to
         the later members of the node and of later nodes (a node with none
         yields no chunk), and the closing line.  The vertices are named
-        t<j>.v<spelled[i]> for the i-th eigenvector index s, in vertex
-        order (t<j>.v<s> with no spelled), and edges (u, v) have u before
-        v, sorted.
-
-        nichols.verdict draws a witness's rectangle with the slots "{i}" as
-        spelled and doubled braces, which makes the text a str.format
-        template; labels are read per run, so the text with other indices
-        filled in draws the same vertices of any diagram with these runs
-        and more members in them."""
-        indices = [s for _, run in self.nodes[:len(self.offsets)] for s in run]
-        spell = dict(zip(indices, indices if spelled is None else spelled))
-        names = [["t%d.v%s" % (j, spell[s]) for s in run]
-                 for j, run in self.nodes]
-        yield "graph diagram " + opening
+        t<j>.v<s>, in vertex order, and edges (u, v) have u before v,
+        sorted."""
+        names = [["t%d.v%d" % (j, s) for s in run] for j, run in self.nodes]
+        yield "graph diagram {"
         for x, members in enumerate(names):
             label = root_name(self.modulus, self.q(x, x))
-            yield "\n".join('  %s [label="%s"];' % (v, label) for v in members)
+            yield "\n".join(DOT_VERTEX % (v, label) for v in members)
         for x, near in itertools.groupby(self._scan(), itemgetter(0)):
             later = [(y, root_name(self.modulus, w)) for _, y, w in near]
             members = names[x]
-            yield "\n".join('  %s -- %s [label="%s"];' % (u, v, w)
+            yield "\n".join(DOT_EDGE % (u, v, w)
                             for t, u in enumerate(members) for y, w in later
                             for v in (members[t + 1:] if y == x else names[y]))
-        yield closing
+        yield "}"
 
     def __repr__(self) -> str:
         return "GeneralizedDynkinDiagram(nodes=%d, edges=%d)" % (
@@ -553,13 +525,13 @@ def spectrum_diagram(plan: SubrackPlan, spectrum) -> GeneralizedDynkinDiagram:
     entries, with mult members.  The labels do not depend on the
     multiplicities, so a spectrum with smaller ones gives the same labels
     on fewer members."""
-    column = {p: tuple(exps[t] for exps, _ in spectrum)
-              for t, p in enumerate(plan.distinct)}
+    # the exponents of every psi at each distinct entry
+    column = tuple(zip(*[exps for exps, _ in spectrum]))
     mults = [mult for _, mult in spectrum]
     return GeneralizedDynkinDiagram(
         plan.spectrum.k, range(plan.subrack.size),
         tuple(zip(itertools.accumulate(mults, initial=0), mults)),
-        tuple(tuple(column[p] for p in row) for row in plan.table))
+        tuple([tuple(map(column.__getitem__, row)) for row in plan.table]))
 
 
 def dynkin_diagram(plan: SubrackPlan,

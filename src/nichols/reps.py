@@ -147,16 +147,18 @@ def _spec_degree(partitions: tuple) -> int:
 
 @lru_cache(maxsize=None)
 def _mu_label(partitions: tuple) -> str:
-    # the first name that _parse_mu reads as these partitions
-    sizes = tuple(map(sum, partitions))
-    for name in ("trivial", "sign", "standard", "standard_sign"):
-        try:
-            if _parse_mu(sizes, name) == partitions:
-                return name
-        except ValueError:
-            pass
-    return "catalog:" + "|".join(
-        "+".join(str(x) for x in p) for p in partitions)
+    # the first of trivial, sign, standard and standard_sign that _parse_mu
+    # reads as these partitions, read off them: the last two need exactly
+    # one block of size s >= 2, with (s - 1, 1) and (2, 1, ..., 1) on it
+    wide = [p for p in partitions if sum(p) > 1]
+    for name, reads in (("trivial", all(len(p) == 1 for p in partitions)),
+                        ("sign", all(p[0] == 1 for p in partitions)),
+                        ("standard", len(wide) == 1 and wide[0][1:] == (1,)),
+                        ("standard_sign", len(wide) == 1 and wide[0][0] == 2
+                         and set(wide[0][1:]) == {1})):
+        if reads:
+            return name
+    return "catalog:" + "|".join("+".join(map(str, p)) for p in partitions)
 
 
 @lru_cache(maxsize=None)

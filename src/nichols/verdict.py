@@ -36,13 +36,12 @@ re-checked on its own by nichols.witness (verify_witness, imported here).
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from functools import cache
 from typing import NamedTuple, Optional
 
 from . import braidspace
-from .braidspace import (GeneralizedDynkinDiagram, SubrackPlan,
-                         quadruple_subrack, rotation_subrack,
+from .braidspace import (DOT_EDGE, DOT_VERTEX, GeneralizedDynkinDiagram,
+                         SubrackPlan, quadruple_subrack, rotation_subrack,
                          spectrum_diagram, subrack_plan, triple_subrack)
 from .exactfield import rational_trace, root_name, totient
 from .permgroup import PartnerClass, UnmixedClass
@@ -125,18 +124,20 @@ def cartan_finite(diagram: GeneralizedDynkinDiagram,
     if any(2 * diagram.q(x, x) != diagram.modulus for x in count):
         raise RuntimeError("a vertex label is not -1 past the scalar gate, "
                            "so one column may hold adjacent vertices")
-    degree = {}
-    for x in count:
-        degree[x] = 0
+    ends = fork = 0
+    for x, c in count.items():
+        degree = 0
         for y, w in diagram.adjacent(x).items():
             near = count.get(y, 0) - (y == x)
             if near:
                 if 2 * w != diagram.modulus:
                     return None
-                degree[x] += near
-    if sum(degree[x] * c for x, c in count.items()) // 2 >= sum(count.values()):
+                degree += near
+        ends += degree * c
+        fork = fork or degree > 2
+    if ends // 2 >= sum(count.values()):
         return False
-    if any(d > 2 for d in degree.values()):
+    if fork:
         raise RuntimeError("a tree component has a fork, which no candidate "
                            "subrack makes")
     return True
@@ -365,34 +366,32 @@ def _shortest_cycle(near: dict) -> Optional[tuple]:
     tuple in cycle order; None when it has no cycle.
 
     The tie-break, on which the printed witness depends: for each edge
-    (a, b) with a < b, in increasing order, a breadth-first search from a
-    with that edge removed, neighbors taken in increasing order and the
-    first discoverer made the parent, reaches b along the
-    lexicographically least shortest path; the cycle is (b, ..., a) along
-    it.  The answer is the first of these cycles that is least by (length,
-    sorted vertex tuple)."""
-    best = None
-    for a in sorted(near):
-        for b in near[a]:
-            if b < a:
-                continue
-            parent = {a: None}
-            queue = deque([a])
-            while queue and b not in parent:
-                v = queue.popleft()
-                for w in near[v]:
-                    if w not in parent and (v, w) != (a, b):
-                        parent[w] = v
-                        queue.append(w)
-            if b not in parent:
-                continue
+    (a, b) with a < b, in increasing order, the search of the edge
+    (_edge_cycle) gives a cycle through it.  The answer is the first of
+    these cycles that is least by (length, sorted vertex tuple)."""
+    cycles = [path for a in sorted(near) for b in near[a] if b > a
+              for path in (_edge_cycle(near, a, b),) if path is not None]
+    return min(cycles, key=lambda p: (len(p), sorted(p)), default=None)
+
+
+def _edge_cycle(near: dict, a, b) -> Optional[tuple]:
+    """The cycle that _shortest_cycle reads off the edge (a, b), a < b: a
+    breadth-first search from a with that edge removed, neighbors taken in
+    increasing order and the first discoverer made the parent, reaches b
+    along the lexicographically least shortest path, and the cycle is
+    (b, ..., a) along it; None when b is not reached."""
+    parent = {a: None}
+    queue = [a]
+    for v in queue:
+        for w in near[v]:
+            if w not in parent and (v, w) != (a, b):
+                parent[w] = v
+                queue.append(w)
+        if b in parent:
             path = [b]
-            while parent[path[-1]] is not None:
+            while path[-1] != a:
                 path.append(parent[path[-1]])
-            key = (len(path), sorted(path))
-            if best is None or key < best[0]:
-                best = (key, tuple(path))
-    return None if best is None else best[1]
+            return tuple(path)
 
 
 class _Template(NamedTuple):
@@ -427,34 +426,51 @@ def _template(plan: SubrackPlan, diagram: GeneralizedDynkinDiagram,
     """The witness template of the rule that fired on a capped pattern's
     diagram, read off its rectangle (the firing set's columns) x (its
     eigenvector indices), the smallest vertex set that makes the witness
-    self-contained, each vertex a node of the rectangle's own diagram
-    (GeneralizedDynkinDiagram.rectangle).  Its values, edges and
-    components are read per run, so every row of the pattern has them;
-    only the names of the indices differ from row to row
-    (_Template.verdict)."""
+    self-contained, in one pass over the rectangle's label table: the
+    exponent q[x][y] of each pair of its positions x, y (column by
+    column, then by index), read off the node labels, gives the values,
+    and each pair x < y whose q[x][y] + q[y][x] is nonzero mod the
+    modulus gives an edge, the join of two components and a line of DOT
+    text, in the line formats of every drawing (braidspace.DOT_VERTEX,
+    DOT_EDGE).  Each component is named by its least position, so they
+    come out ordered by it.  The labels are read per run, so every row
+    of the pattern has these values, edges and components; only the
+    names of the indices differ from row to row, and the DOT text holds
+    a str.format slot for each (_Template.verdict)."""
     cols = sorted({j for j, _ in firing})
     vecs = sorted({s for _, s in firing})
-    rectangle = diagram.rectangle(cols, vecs)
-    size = len(rectangle.nodes)
+    modulus = diagram.modulus
+    run_of = [next(t for t, (_, run) in enumerate(diagram.nodes) if s in run)
+              for s in vecs]
+    cells = [(a, t) for a in map(diagram.columns.index, cols) for t in run_of]
+    q = [[diagram.labels[a][b][t] for b, t in cells] for a, _ in cells]
+    spelled = {e: root_name(modulus, e) for e in set().union(*q)}
+    names = ["t%d.v{%d}" % (j, i) for j in cols for i in range(len(vecs))]
+    lines = ["graph diagram {{"]
+    lines += [DOT_VERTEX % (v, spelled[q[x][x]]) for x, v in enumerate(names)]
+    group = list(range(len(cells)))
+    for x, y in itertools.combinations(group, 2):
+        w = (q[x][y] + q[y][x]) % modulus
+        if w:
+            lines.append(DOT_EDGE % (names[x], names[y], root_name(modulus, w)))
+            low, high = sorted((group[x], group[y]))
+            group = [low if g == high else g for g in group]
+    lines.append("}}")
+    position = {v: x for x, v in enumerate(itertools.product(cols, vecs))}
     fields = {
         "subrack": plan.description,
         "element_images": plan.element_images,
         "transporter_images": plan.transporter_images,
-        "q_matrix": [[root_name(rectangle.modulus, rectangle.q(x, y))
-                      for y in range(size)] for x in range(size)],
-        "components": [list(c) for c in rectangle.components()],
-        "firing": sorted(map(rectangle.node, firing)),
+        "q_matrix": [[spelled[e] for e in row] for row in q],
+        "components": [[x for x, g in enumerate(group) if g == least]
+                       for least in sorted(set(group))],
+        "firing": sorted(map(position.get, firing)),
         **detail,
     }
     if cycle_order:
-        fields["cycle"] = list(map(rectangle.node, cycle_order))
-    runs = []
-    for s in vecs:
-        t = diagram.node((cols[0], s)) % len(diagram.offsets)
-        runs.append((t, s - diagram.offsets[t]))
-    slots = ["{%d}" % i for i in range(len(vecs))]
-    return _Template(rule, fields, tuple(cols), tuple(runs), "\n".join(
-        rectangle.dot_lines(slots, "{{", "}}")))
+        fields["cycle"] = list(map(position.get, cycle_order))
+    runs = [(t, s - diagram.offsets[t]) for t, s in zip(run_of, vecs)]
+    return _Template(rule, fields, tuple(cols), tuple(runs), "\n".join(lines))
 
 
 def _subspace_rules(plan: SubrackPlan, character: InducedCharacter,
@@ -499,15 +515,24 @@ def _subspace_rules(plan: SubrackPlan, character: InducedCharacter,
 
 def _read_rules(diagram: GeneralizedDynkinDiagram) -> Optional[tuple]:
     """The subspace rules on a diagram: (rule, firing vertices, witness
-    fields, cycle order) of the rule that fires, or None.  Every component
-    that fires gives one hit (rank, expansion, firing, cycle order,
-    fields): a non-finite Cartan component fires cartan-infinite, rank 0,
-    on its least witness (_minimal_infinite_set); a component that is not
-    Cartan fires alternating-cycle, rank 1 (cycle_rule).  The least hit by
-    (rank, expansion, sorted firing tuple) wins, so every Cartan hit beats
-    every cycle hit."""
+    fields, cycle order) of the rule that fires, or None.  The node
+    neighbors are read off the labels once (the diagram's adjacent), and
+    every step reads them: the components, cartan_finite on each, with the
+    node multiplicities, and one twin map (_twins) for each component that
+    is not finite, which is all that cycle_rule, _minimal_infinite_set and
+    the witness's Cartan matrix read; a node with no edge and labelled -1
+    is finite, an A1 per member, and is passed over unread.  Every
+    component that fires gives one hit (rank, expansion, firing, cycle
+    order, fields): a non-finite Cartan component fires cartan-infinite,
+    rank 0, on its least witness (_minimal_infinite_set); a component that
+    is not Cartan fires alternating-cycle, rank 1 (cycle_rule).  The least
+    hit by (rank, expansion, sorted firing tuple) wins, so every Cartan hit
+    beats every cycle hit."""
     hits = []
     for comp in diagram.components():
+        if (len(comp) == 1 and not diagram.adjacent(comp[0])
+                and 2 * diagram.q(comp[0], comp[0]) == diagram.modulus):
+            continue    # an edgeless node labelled -1: an A1 per member
         finite = cartan_finite(diagram, {x: len(diagram.nodes[x][1])
                                          for x in comp})
         if finite:
@@ -541,8 +566,9 @@ def _minimal_infinite_set(near: dict) -> tuple:
     """Shrink a non-finite Cartan component, given by its twin map near
     (_twins), to a small witness: the triangle least by (expansion, sorted
     tuple) when one exists; else, of the shortest cycles of each one- and
-    two-index slice and of the whole component, the least by (expansion,
-    length, sorted tuple).  A non-finite component holds a cycle
+    two-index slice and of the whole component (the cycle _shortest_cycle
+    returns on it), the least by (expansion, length, sorted tuple).  A
+    non-finite component holds a cycle
     (cartan_finite), a shortest one is chordless, and any cycle subdiagram
     is again non-finite Cartan.
 
@@ -559,27 +585,65 @@ def _minimal_infinite_set(near: dict) -> tuple:
       node keeps the length, the expansion at most and the tuple at most;
     - the eigenvector indices of one run can be swapped without changing
       the graph, so a slice over indices beyond the first two of a run
-      repeats an earlier slice, with larger tuples."""
-    triangles = [(a, b, c) for a in near for b in near[a] if b > a
-                 for c in near[a].keys() & near[b].keys() if c > b]
+      repeats an earlier slice, with larger tuples, and with one or two
+      indices in all the whole component is a slice.
+
+    Without a triangle, each slice is read by common neighbors first
+    (_slice_cycle), and _shortest_cycle runs only where that reading does
+    not settle the answer."""
+    triangles = [(a, b, c) for a, around in near.items() for b in around
+                 if b > a for c in around.keys() & near[b] if c > b]
     if triangles:
         return min(triangles, key=lambda t: (_expansion_size(t), t))
     indices = sorted({s for _, s in near})
-    subsets = [[v for v in near if v[1] in chosen]
-               for r in (1, 2) for chosen in itertools.combinations(indices, r)]
-    subsets.append(list(near))
-    best = None
-    for subset in subsets:
-        keep = set(subset)
-        cyc = _shortest_cycle({v: [w for w in near[v] if w in keep]
-                               for v in subset})
-        if cyc is not None:
-            firing = tuple(sorted(cyc))
-            candidate = (_expansion_size(firing), len(cyc), firing)
-            if best is None or candidate < best:
-                best = candidate
-    return best[2]
+    cycles = filter(None, (_slice_cycle(near, [v for v in near if v[1] in c])
+                           for r in sorted({1, 2, len(indices)})
+                           for c in itertools.combinations(indices, r)))
+    return min(cycles, key=lambda c: (_expansion_size(c), len(c), c))
 
+
+def _slice_cycle(near: dict, subset: list) -> Optional[tuple]:
+    """The vertex set, sorted, of the cycle that _shortest_cycle finds on
+    the subgraph of near on subset (in vertex order), where near has no
+    triangle; None when that subgraph has no cycle.
+
+    Let S be the least 4-cycle of the subgraph by sorted tuple, read off
+    common neighbors: its least vertex a is the first that lies on a
+    4-cycle of vertices after it, and for each c after a, the two least
+    common neighbors of a and c after a close the least such 4-cycle with
+    a and c opposite.  Without triangles every cycle has length 4 or more,
+    so fewer than 4 vertices hold none, and 4 vertices hold one exactly
+    when each has two neighbors among them: then S is all four.  On more,
+    every cycle that the full search reads off an edge is no smaller than
+    S by (length, sorted tuple), so its answer is S as soon as one edge
+    gives S; the searches of S's own four edges (_edge_cycle), which the
+    full search runs as well, are tried first.  Only when none of them
+    gives S, or there is no S, does _shortest_cycle run.  The full search
+    does not always return S: on the triangle-free graph with edges 0-3,
+    0-4, 0-5, 1-2, 1-7, 1-9, 2-4, 2-5, 3-6, 3-8, 4-8, 4-9, 5-6 and 5-7, S
+    is {0, 2, 4, 5}, but its edges give {0, 3, 4, 8}, {0, 3, 5, 6},
+    {1, 2, 4, 9} and {1, 2, 5, 7}, and the full search {0, 3, 4, 8}."""
+    keep = set(subset)
+    if len(subset) <= 4:
+        return (tuple(subset) if len(subset) == 4 and all(
+            len(near[v].keys() & keep) == 2 for v in subset) else None)
+    induced = {v: [w for w in near[v] if w in keep] for v in subset}
+    for i, a in enumerate(subset):
+        # the 4-cycles of a and vertices after it: a and c opposite, with
+        # their two least common neighbors after a
+        later = [b for b in induced[a] if b > a]
+        squares = [tuple(sorted((a, c, *middle[:2]))) for c in subset[i + 1:]
+                   for middle in ([b for b in later if c in near[b]],)
+                   if len(middle) > 1]
+        if squares:
+            break
+    square = min(squares, default=None)
+    if square is not None and any(
+            tuple(sorted(_edge_cycle(induced, a, b))) == square
+            for a, b in itertools.combinations(square, 2) if b in near[a]):
+        return square
+    cycle = _shortest_cycle(induced)
+    return None if cycle is None else tuple(sorted(cycle))
 
 
 def decide(k: int, n: int, rho_spec) -> Verdict:

@@ -15,12 +15,15 @@ instead of partner classes and their dual labels in closed form, and the
 whole class and centralizer are listed element by element where the
 package works with their conjugacy-class labels, a witness is shrunk by
 listing every triangle and running one unbounded BFS per edge where the
-package runs one plain search on at most two twins per node, the
+package reads each slice's least 4-cycle off common neighbors, on at most
+two twins per node, and searches edge by edge only to confirm it, the
 Dynkin diagram is built one vertex pair at a time, and searched for
 alternating 4-cycles vertex by vertex, where the package labels one pair
 of nodes at a time and searches two members per node, a witness is drawn
 row by row from the diagram on its own rectangle of vertices, where the
-package fills in one template per capped pattern, and the group of a
+package fills in one template per capped pattern, and that template is
+read off the rectangle's own diagram where the package reads the
+rectangle's label table in one pass, and the group of a
 subrack's table entries is closed on permutations of the k*n points, each
 element taken to normal form for its label, where the package closes it
 on the normal forms of its generators.  The command line is read by
@@ -50,7 +53,8 @@ from nichols.cli import SELECTORS
 from nichols.exactfield import _ramanujan_sums, root_name
 from nichols.permgroup import NormalForm, Permutation, UnmixedClass
 from nichols.reps import RepSpec, partitions_of, sn_character
-from nichols.verdict import INFINITE, NegativityReport, Verdict, class_plan
+from nichols.verdict import (INFINITE, NegativityReport, Verdict, _Template,
+                             class_plan)
 
 from exactfield_oracle import (MINUS_ONE, ONE, ROOT_MINUS_ONE, ROOT_ONE, ZERO,
                                Cyclotomic, RootOfUnity, zeta)
@@ -1118,6 +1122,21 @@ def label_root(diagram, exponent) -> Optional[RootOfUnity]:
     return None if exponent is None else _root(diagram.modulus, exponent)
 
 
+def node_of(diagram, vertex) -> int:
+    """The node of the vertex (j, s) of a node diagram."""
+    j, s = vertex
+    return ((bisect_right(diagram.columns, j) - 1) * len(diagram.offsets)
+            + bisect_right(diagram.offsets, s) - 1)
+
+
+def edge_label(diagram, u, v):
+    """The edge label of vertices u and v of a node diagram, as its
+    exponent, None where they are not adjacent."""
+    if u == v:
+        return None
+    return diagram.adjacent(node_of(diagram, u)).get(node_of(diagram, v))
+
+
 class VertexSpace:
     """A diagonal subspace listed vertex by vertex: the vertices (j, s) of
     a node diagram of nichols.braidspace, with its braiding values.  The
@@ -1135,7 +1154,7 @@ class VertexSpace:
 
     def _node(self, v):
         if v not in self._nodes:
-            self._nodes[v] = self.diagram.node(v)
+            self._nodes[v] = node_of(self.diagram, v)
         return self._nodes[v]
 
     def q(self, a, b):
@@ -1176,6 +1195,39 @@ def rectangle(diagram, columns, indices,
         diagram.modulus, columns, [(s, 1) for s in indices],
         tuple(tuple(tuple(diagram.labels[a][b][t] for t in runs)
                     for b in places) for a in places))
+
+
+def template(plan, diagram, rule, firing, detail, cycle_order) -> _Template:
+    """The witness template of a reading of the subspace rules (rule,
+    firing vertices, witness fields, cycle order) on a capped pattern's
+    diagram, as verdict._template made it before it read the rectangle in
+    one pass: every value, component and position read off the diagram of
+    the rectangle (the firing set's columns) x (its indices), and the DOT
+    text drawn whole by its dot_lines, with its braces doubled and each
+    index name turned into the str.format slot of its place."""
+    cols = sorted({j for j, _ in firing})
+    vecs = sorted({s for _, s in firing})
+    rect = rectangle(diagram, cols, vecs)
+    size = len(rect.nodes)
+    fields = {
+        "subrack": plan.description,
+        "element_images": plan.element_images,
+        "transporter_images": plan.transporter_images,
+        "q_matrix": [[root_name(rect.modulus, rect.q(x, y))
+                      for y in range(size)] for x in range(size)],
+        "components": [list(c) for c in rect.components()],
+        "firing": sorted(node_of(rect, v) for v in firing),
+        **detail,
+    }
+    if cycle_order:
+        fields["cycle"] = [node_of(rect, v) for v in cycle_order]
+    runs = []
+    for s in vecs:
+        t = node_of(diagram, (cols[0], s)) % len(diagram.offsets)
+        runs.append((t, s - diagram.offsets[t]))
+    text = "\n".join(rect.dot_lines()).replace("{", "{{").replace("}", "}}")
+    return _Template(rule, fields, tuple(cols), tuple(runs), re.sub(
+        r"\.v(\d+)", lambda m: ".v{%d}" % vecs.index(int(m.group(1))), text))
 
 
 def rectangle_witness(plan, spectrum, diagram, rule, firing, detail,

@@ -13,10 +13,11 @@ keep a wrapper whose callers know all it hides: a Dynkin diagram is built
 from a subrack plan alone, on nodes, with no vertex-level twin of it,
 holds its braiding labels and reads every edge off them by one formula,
 with no edge held when it is built, and is drawn whole by one generator
-of DOT lines (`dot_lines`), with no mode that draws part of it and no
-second drawer that returns the text whole: a witness is drawn as the
-diagram of its own rectangle (`rectangle`), and it does not hold the
-subrack again; a class plan reaches its subracks through
+of DOT lines (`dot_lines`), with no mode that draws part of it: a
+witness's text is drawn once per capped pattern off the label table of
+its rectangle, in the same two line formats (`DOT_VERTEX`, `DOT_EDGE`),
+with no second diagram built for it (`rectangle`), and a diagram does not
+hold the subrack again; a class plan reaches its subracks through
 their plans alone; the stabilizer of a character vector is read as its
 level sizes, with no record of the character or of its Young subgroup,
 the degree of a symmetric-group irrep is its character's value at the
@@ -71,7 +72,7 @@ REMOVED_NAMES = frozenset(("candidate_subracks", "joint_spectrum",
                            "_printed_root", "_roots", "root_names",
                            "orbit_terms", "to_dot", "dot_template",
                            "partition_degree", "connected_components",
-                           "_members", "_near"))
+                           "_members", "_near", "rectangle", "edge_label"))
 FORBIDDEN_NAMES = frozenset(("Cyclotomic", "cartan_type", "symmetrizable",
                              "braiding_matrix", "transporter",
                              "_involution_transporter", "CycleType",
@@ -131,9 +132,9 @@ def test_a_dynkin_diagram_is_built_from_a_plan_alone():
     assert "subrack" not in GeneralizedDynkinDiagram.__slots__
     # each edge is read off the labels, not held in a list
     assert "edges" not in GeneralizedDynkinDiagram.__slots__
-    # dot_lines draws the whole diagram only; a witness draws its rectangle
-    assert not {"columns", "indices"} & set(
-        inspect.signature(GeneralizedDynkinDiagram.dot_lines).parameters)
+    # dot_lines draws the whole diagram only, with its own names
+    assert list(inspect.signature(GeneralizedDynkinDiagram.dot_lines)
+                .parameters) == ["self"]
 
 
 def test_a_class_plan_reaches_its_subracks_through_their_plans():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from nichols.exactfield import rational_trace, root_name, totient
 from nichols.braidspace import powers_subrack
 from nichols.permgroup import NormalForm, Permutation, UnmixedClass
-from nichols.reps import (RepSpec, enumerate_irreps, level_sizes,
-                          parse_rep_spec, partitions_of, pi_scalar,
-                          sn_character)
+from nichols.reps import (RepSpec, _mu_label, _parse_mu, enumerate_irreps,
+                          level_sizes, parse_rep_spec, partitions_of,
+                          pi_scalar, sn_character)
 
 from exactfield_oracle import MINUS_ONE, ONE, ROOT_ONE, rational, zeta
 from exactla_oracle import Matrix
@@ -132,6 +133,36 @@ def test_rep_spec_labels_round_trip():
         for spec in enumerate_irreps(k, n):
             again = parse_rep_spec(k, n, spec.label())
             assert again == spec
+
+
+def _compositions(n):
+    # every tuple of positive sizes adding up to n
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+def test_the_mu_label_is_the_first_name_that_reads_as_the_partitions():
+    # every tuple of partitions of at most 10 boxes in all: its label reads
+    # back as it, and no earlier name of trivial, sign, standard and
+    # standard_sign does
+    names = ("trivial", "sign", "standard", "standard_sign")
+    read = 0
+    for n in range(1, 11):
+        for sizes in _compositions(n):
+            for parts in itertools.product(*map(partitions_of, sizes)):
+                label = _mu_label(parts)
+                assert _parse_mu(sizes, label) == parts, label
+                for name in names[:names.index(label) if label in names
+                                  else len(names)]:
+                    try:
+                        assert _parse_mu(sizes, name) != parts, (parts, name)
+                    except ValueError:
+                        pass
+                read += 1
+    assert read == 13462
 
 
 def test_parse_shorthand_and_canonicalization():

@@ -605,7 +605,8 @@ def test_verify_witness_does_not_read_the_class_plan(monkeypatch):
     assert [plan.subrack.kind for plan in plans.plans()] == [
         "quadruple-rotation", "quadruple-swap"]
     monkeypatch.setattr(plans, "_plans", [
-        plan._replace(distinct=plan.distinct[::-1])
+        plan._replace(table=tuple(tuple(len(plan.distinct) - 1 - t
+                                        for t in row) for row in plan.table))
         for plan in plans.plans()])
     # and no subspace verdict or reading of the rules kept from before the
     # edit

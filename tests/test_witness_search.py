@@ -18,24 +18,25 @@ from hypothesis import given, settings, strategies as st
 
 import nichols.verdict
 from nichols.braidspace import (GeneralizedDynkinDiagram, dynkin_diagram,
-                                rotation_subrack, spectrum_diagram,
-                                subrack_plan)
+                                planned_spectrum, rotation_subrack,
+                                spectrum_diagram, subrack_plan)
 from nichols.cli import _build_subrack
 from nichols.permgroup import Permutation, UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
-from nichols.verdict import (_candidates, _minimal_infinite_set,
-                             _read_rules, _shortest_cycle, _subspace_rules,
-                             _template, _twins, cartan_finite, class_plan,
-                             cycle_rule, decide, scalar_gate)
+from nichols.verdict import (_candidates, _edge_cycle, _minimal_infinite_set,
+                             _read_rules, _shortest_cycle, _slice_cycle,
+                             _subspace_rules, _template, _twins,
+                             cartan_finite, class_plan, cycle_rule, decide,
+                             scalar_gate)
 from nichols.witness import _cartan_infinite
 
 import oracles
 from test_golden import DIGESTS
 from oracles import (CartanData, braiding_matrix, cartan_type, diagram_label,
-                     dynkin_diagram_by_pairs, finite_type, finite_type_lookup,
-                     label_root, minimal_infinite_set, rectangle,
-                     rectangle_witness, shortest_cycle, tried_subracks,
-                     vertex_space)
+                     dynkin_diagram_by_pairs, edge_label, finite_type,
+                     finite_type_lookup, label_root, minimal_infinite_set,
+                     node_of, rectangle, rectangle_witness, shortest_cycle,
+                     tried_subracks, vertex_space)
 
 
 def _count(diagram, nodes):
@@ -242,14 +243,14 @@ def _assert_same_diagram(diagram, space, want=None):
         want = dynkin_diagram_by_pairs(space)
     assert [(j, s) for j, run in diagram.nodes for s in run] == list(
         space.vertices)
-    nodes = [diagram.node(v) for v in space.vertices]
+    nodes = [node_of(diagram, v) for v in space.vertices]
     assert [label_root(diagram, diagram.q(x, x))
             for x in nodes] == list(want.vertex_labels)
     assert "\n".join(diagram.dot_lines()) == want.to_dot()
     for a, u in enumerate(space.vertices):
         assert ([label_root(diagram, diagram.q(nodes[a], y)) for y in nodes]
                 == [space.q(u, v) for v in space.vertices])
-        assert ([label_root(diagram, diagram.edge_label(u, v))
+        assert ([label_root(diagram, edge_label(diagram, u, v))
                  for v in space.vertices]
                 == [want.edge_label(a, b) if a != b else None
                     for b in range(space.size)])
@@ -341,20 +342,21 @@ def test_adjacent_twins_form_one_component():
     assert all(x in diagram.adjacent(x) for x in range(4))
     assert diagram.components() == ((0, 1, 2, 3),)
     assert len(_expanded(diagram).edges) == 28
-    assert all(diagram.edge_label(v, v) is None
+    assert all(edge_label(diagram, v, v) is None
                for v in vertex_space(diagram).vertices)
 
 
 @st.composite
-def labeled_spaces(draw, moduli):
-    # 3 or 4 columns over a random table of signs (or of powers of i) with
-    # -1 on the diagonal, as past the scalar gate, for 1 to 4 characters of
-    # multiplicity 1 to 4: the labels are constant on a run, so each column
-    # holds nodes of up to 4 twins.  Triangles of every expansion, and
-    # cycles through twins
+def labeled_spaces(draw, moduli, columns=st.integers(3, 4),
+                   mults=st.lists(st.integers(1, 4), min_size=1, max_size=4)):
+    # by default 3 or 4 columns over a random table of signs (or of powers
+    # of i) with -1 on the diagonal, as past the scalar gate, for 1 to 4
+    # characters of multiplicity 1 to 4: the labels are constant on a run,
+    # so each column holds nodes of up to 4 twins.  Triangles of every
+    # expansion, and cycles through twins
     modulus = draw(st.sampled_from(moduli))
-    columns = draw(st.integers(3, 4))
-    mults = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    columns = draw(columns)
+    mults = draw(mults)
     count = columns * columns * len(mults)
     exps = draw(st.lists(st.integers(0, modulus - 1), min_size=count,
                          max_size=count))
@@ -380,6 +382,89 @@ def test_witness_search_matches_the_reference_on_random_sign_tables(diagram):
                 == tuple(space.vertices[x] for x in want))
 
 
+@settings(max_examples=200, deadline=None)
+@given(labeled_spaces((2,), st.integers(5, 7),
+                      st.lists(st.integers(1, 2), min_size=1, max_size=2)))
+def test_witness_search_matches_the_reference_on_wide_sign_tables(diagram):
+    # 5 to 7 columns over 1 to 4 eigenvector indices, so that slices of 5
+    # vertices or more are common: their least 4-cycle, read off common
+    # neighbors, is confirmed by the searches of its edges, or the full
+    # search runs, and the witness is still the reference's
+    for space, sub, nodes, comp in _non_finite_components(diagram):
+        want = minimal_infinite_set(space, sub, comp)
+        assert (_minimal_infinite_set(_near(diagram, nodes))
+                == tuple(space.vertices[x] for x in want))
+
+
+def _triangle_free_graphs(size):
+    # every triangle-free graph on the vertices 0 .. size - 1, as the map
+    # of each vertex to its neighbors in increasing order, each with a
+    # label; an edge set is a bit mask over the pairs
+    pairs = list(itertools.combinations(range(size), 2))
+    bit = {p: 1 << i for i, p in enumerate(pairs)}
+    triangles = [bit[a, b] | bit[a, c] | bit[b, c]
+                 for a, b, c in itertools.combinations(range(size), 3)]
+    for mask in range(1 << len(pairs)):
+        if any(mask & t == t for t in triangles):
+            continue
+        near = {v: {} for v in range(size)}
+        for a, b in pairs:
+            if mask & bit[a, b]:
+                near[a][b] = near[b][a] = 2
+        yield {v: dict(sorted(around.items())) for v, around in near.items()}
+
+
+def _least_square(near):
+    # the least 4-cycle by sorted tuple, from every 4 vertices that each
+    # have two neighbors among them, or None
+    return min((square for square in itertools.combinations(near, 4)
+                if all(len(near[v].keys() & set(square)) == 2
+                       for v in square)), default=None)
+
+
+def test_the_slice_reading_is_the_full_search_on_small_graphs():
+    # every triangle-free labelled graph of at most 6 vertices: the full
+    # search returns the least 4-cycle wherever there is one, and the
+    # slice reading returns the vertex set of the full search's cycle
+    graphs = squares = 0
+    for size in range(1, 7):
+        for near in _triangle_free_graphs(size):
+            graphs += 1
+            cycle = _shortest_cycle(near)
+            square = _least_square(near)
+            if square is not None:
+                squares += 1
+                assert tuple(sorted(cycle)) == square, near
+            assert _slice_cycle(near, list(near)) == (
+                None if cycle is None else tuple(sorted(cycle))), near
+    assert (graphs, squares) == (6228, 2453)
+
+
+def test_the_slice_reading_falls_back_to_the_full_search(monkeypatch):
+    # a triangle-free graph on 10 vertices whose least 4-cycle is
+    # {0, 2, 4, 5}, but whose full search returns {0, 3, 4, 8}, as do none
+    # of the four edges of {0, 2, 4, 5}: the slice reading runs the full
+    # search and returns its cycle
+    edges = ((0, 3), (0, 4), (0, 5), (1, 2), (1, 7), (1, 9), (2, 4), (2, 5),
+             (3, 6), (3, 8), (4, 8), (4, 9), (5, 6), (5, 7))
+    near = {v: dict.fromkeys(sorted(w for p in edges if v in p
+                                    for w in p if w != v), 2)
+            for v in range(10)}
+    searched = []
+
+    def full(graph):
+        searched.append(graph)
+        return _shortest_cycle(graph)
+
+    monkeypatch.setattr(nichols.verdict, "_shortest_cycle", full)
+    assert _least_square(near) == (0, 2, 4, 5)
+    assert {tuple(sorted(_edge_cycle(near, a, b)))
+            for a, b in ((0, 4), (0, 5), (2, 4), (2, 5))} == {
+        (0, 3, 4, 8), (0, 3, 5, 6), (1, 2, 4, 9), (1, 2, 5, 7)}
+    assert _slice_cycle(near, list(near)) == (0, 3, 4, 8)
+    assert len(searched) == 1
+
+
 @settings(max_examples=300, deadline=None)
 @given(labeled_spaces((2, 4)))
 def test_cycle_rule_matches_the_vertex_rule_on_random_tables(diagram):
@@ -388,16 +473,29 @@ def test_cycle_rule_matches_the_vertex_rule_on_random_tables(diagram):
 
 
 def test_cycle_search_sees_at_most_two_twins_per_block(monkeypatch):
-    # at (4,4) the cycle search runs 948 times, on components whose nodes
-    # hold up to 12 twins, and is given only the first two of each node.
-    # (At (2,6) every non-finite component has a triangle, so it never runs)
+    # at (4,4) the cycle search reads 948 slices, on components whose
+    # nodes hold up to 12 twins, and is given only the first two of each
+    # node.  The 92 slices of 5 vertices or more each hold a 4-cycle that
+    # the search of its first edge confirms, so 92 edge searches run and
+    # the full search none.  (At (2,6) every non-finite component has a
+    # triangle, so no slice is read)
     given = []
+    searches = {"_edge_cycle": 0, "_shortest_cycle": 0}
 
-    def spy(near):
-        given.append(list(near))
-        return _shortest_cycle(near)
+    def spy(near, subset):
+        given.append(subset)
+        return _slice_cycle(near, subset)
 
-    monkeypatch.setattr(nichols.verdict, "_shortest_cycle", spy)
+    def counted(name, search):
+        def run(*args):
+            searches[name] += 1
+            return search(*args)
+        return run
+
+    monkeypatch.setattr(nichols.verdict, "_slice_cycle", spy)
+    for name, search in (("_edge_cycle", _edge_cycle),
+                         ("_shortest_cycle", _shortest_cycle)):
+        monkeypatch.setattr(nichols.verdict, name, counted(name, search))
     largest = 0
     plans = class_plan(4, 4)
     for spec in enumerate_irreps(4, 4):
@@ -406,12 +504,14 @@ def test_cycle_search_sees_at_most_two_twins_per_block(monkeypatch):
         for plan in plans.plans():
             diagram = dynkin_diagram(plan, spec.character())
             for space, sub, nodes, comp in _non_finite_components(diagram):
-                searched = len(given)
+                read = len(given)
                 _minimal_infinite_set(_near(diagram, nodes))
                 largest = max(largest, max(_count(diagram, nodes).values()))
-                assert all(v[1] in diagram.nodes[diagram.node(v)][1][:2]
-                           for vertices in given[searched:] for v in vertices)
-    assert largest == 12 and len(given) == 948
+                assert all(v[1] in diagram.nodes[node_of(diagram, v)][1][:2]
+                           for vertices in given[read:] for v in vertices)
+    assert (largest, len(given), sum(len(v) > 4 for v in given)) == (
+        12, 948, 92)
+    assert searches == {"_edge_cycle": 92, "_shortest_cycle": 0}
 
 
 def test_witness_search_needs_minus_one_vertex_labels():
@@ -636,7 +736,7 @@ def test_the_triple_makes_no_tree_with_a_fork():
 def _minus_one_characters(plan):
     # the exponents of the linear characters psi of H with psi(pi) = -1,
     # in order: the characters a row past the scalar gate can hold
-    at_pi = plan.distinct.index(plan.table[0][0])
+    at_pi = plan.table[0][0]
     return sorted(exps for _, exps in plan.spectrum.characters
                   if exps[at_pi] == plan.spectrum.k // 2)
 
@@ -646,7 +746,7 @@ def _moved(vertices, capped, full):
     # t keeps its place, its first index moves to the full offset
     moved = []
     for j, s in vertices:
-        t = capped.node((j, s)) % len(capped.offsets)
+        t = node_of(capped, (j, s)) % len(capped.offsets)
         moved.append((j, full.offsets[t] + s - capped.offsets[t]))
     return tuple(moved)
 
@@ -718,6 +818,36 @@ def test_the_rules_read_a_capped_pattern_as_the_full_spectrum():
         (4, "quadruple-swap"): either,
         (6, "quadruple-rotation"): _alone(3, 1),
         (6, "quadruple-swap"): either}
+
+
+def test_the_template_is_read_as_the_rectangle_diagram_reads(grid_spaces):
+    # every capped pattern that a subspace of the grid meets and the rules
+    # fire on: the template read off the rectangle's label table in one
+    # pass is the one read off the rectangle's own diagram, field by field
+    # and in its DOT text (oracles.template)
+    seen = set()
+    fired = 0
+    for k, n, spec, plan, diagram, space, pairs in grid_spaces:
+        pattern = tuple((exps, min(mult, 3)) for exps, mult in
+                        planned_spectrum(plan.spectrum, spec.character()))
+        if (plan.subrack, pattern) in seen:
+            continue
+        seen.add((plan.subrack, pattern))
+        capped = spectrum_diagram(plan, pattern)
+        reading = _read_rules(capped)
+        if reading is None:
+            continue
+        got = _template(plan, capped, *reading)
+        want = oracles.template(plan, capped, *reading)
+        assert list(got.fields) == list(want.fields)
+        for key, value in want.fields.items():
+            assert got.fields[key] == value, (k, n, pattern, key)
+        assert got.rule == want.rule and got.columns == want.columns
+        assert got.runs == want.runs
+        assert got.dot == want.dot, (k, n, pattern)
+        fired += 1
+    # 149 capped patterns over the grid's subracks, 122 of them fired
+    assert (len(seen), fired) == (149, 122)
 
 
 def test_every_pattern_a_golden_row_meets_is_decided_or_of_degree_one():
