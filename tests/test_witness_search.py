@@ -347,16 +347,15 @@ def test_adjacent_twins_form_one_component():
 
 
 @st.composite
-def labeled_spaces(draw, moduli, columns=st.integers(3, 4),
-                   mults=st.lists(st.integers(1, 4), min_size=1, max_size=4)):
-    # by default 3 or 4 columns over a random table of signs (or of powers
-    # of i) with -1 on the diagonal, as past the scalar gate, for 1 to 4
-    # characters of multiplicity 1 to 4: the labels are constant on a run,
-    # so each column holds nodes of up to 4 twins.  Triangles of every
-    # expansion, and cycles through twins
+def labeled_spaces(draw, moduli):
+    # 3 or 4 columns over a random table of signs (or of powers of i) with
+    # -1 on the diagonal, as past the scalar gate, for 1 to 4 characters of
+    # multiplicity 1 to 4: the labels are constant on a run, so each column
+    # holds nodes of up to 4 twins.  Triangles of every expansion, and
+    # cycles through twins
     modulus = draw(st.sampled_from(moduli))
-    columns = draw(columns)
-    mults = draw(mults)
+    columns = draw(st.integers(3, 4))
+    mults = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     count = columns * columns * len(mults)
     exps = draw(st.lists(st.integers(0, modulus - 1), min_size=count,
                          max_size=count))
@@ -382,14 +381,33 @@ def test_witness_search_matches_the_reference_on_random_sign_tables(diagram):
                 == tuple(space.vertices[x] for x in want))
 
 
+@st.composite
+def wide_sign_tables(draw):
+    # 5 to 7 columns over a random table of signs with -1 on the diagonal,
+    # for 1 or 2 characters of multiplicity 1 or 2: 1 to 4 eigenvector
+    # indices, so slices of 5 vertices or more are common.  When the
+    # columns are split in two sides, only columns on different sides are
+    # joined, so no component has a triangle, and its slices are read by
+    # 4-cycles or by the full search
+    columns = draw(st.integers(5, 7))
+    mults = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    side = draw(st.one_of(st.none(), st.lists(
+        st.booleans(), min_size=columns, max_size=columns)))
+    labels = tuple(tuple(tuple(
+        1 if i == j else 0 if side and side[i] == side[j]
+        else draw(st.integers(0, 1)) for _ in mults)
+        for j in range(columns)) for i in range(columns))
+    return GeneralizedDynkinDiagram(
+        2, range(columns),
+        tuple(zip(itertools.accumulate(mults, initial=0), mults)), labels)
+
+
 @settings(max_examples=200, deadline=None)
-@given(labeled_spaces((2,), st.integers(5, 7),
-                      st.lists(st.integers(1, 2), min_size=1, max_size=2)))
+@given(wide_sign_tables())
 def test_witness_search_matches_the_reference_on_wide_sign_tables(diagram):
-    # 5 to 7 columns over 1 to 4 eigenvector indices, so that slices of 5
-    # vertices or more are common: their least 4-cycle, read off common
-    # neighbors, is confirmed by the searches of its edges, or the full
-    # search runs, and the witness is still the reference's
+    # the least 4-cycle of each slice, read off common neighbors, is
+    # confirmed by the searches of its edges, or the full search runs, and
+    # the witness is still the reference's
     for space, sub, nodes, comp in _non_finite_components(diagram):
         want = minimal_infinite_set(space, sub, comp)
         assert (_minimal_infinite_set(_near(diagram, nodes))
