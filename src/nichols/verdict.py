@@ -452,7 +452,8 @@ def _template(plan: SubrackPlan, diagram: GeneralizedDynkinDiagram,
     for x, y in itertools.combinations(group, 2):
         w = (q[x][y] + q[y][x]) % modulus
         if w:
-            lines.append(DOT_EDGE % (names[x], names[y], root_name(modulus, w)))
+            lines.append(DOT_EDGE % (names[x], names[y],
+                                     root_name(modulus, w)))
             low, high = sorted((group[x], group[y]))
             group = [low if g == high else g for g in group]
     lines.append("}}")
@@ -547,11 +548,10 @@ def _read_rules(diagram: GeneralizedDynkinDiagram) -> Optional[tuple]:
         else:
             # the firing set is a triangle or a chordless cycle
             firing = _minimal_infinite_set(near)
-            cartan = [[2 if a == b else -1 if b in near[a] else 0
-                       for b in firing] for a in firing]
-            hits.append((0, _expansion_size(firing), firing, (),
-                         {"cartan_matrix": cartan,
-                          "label": "A%d(1)" % (len(firing) - 1)}))
+            hits.append((0, _expansion_size(firing), firing, (), {
+                "cartan_matrix": [[2 if a == b else -1 if b in near[a] else 0
+                                   for b in firing] for a in firing],
+                "label": "A%d(1)" % (len(firing) - 1)}))
     if not hits:
         return None
     rank, _, firing, order, fields = min(hits, key=lambda hit: hit[:3])

@@ -245,8 +245,9 @@ def test_dynkin_diagram_edges_only_where_product_differs_from_one():
         for y in range(x + 1, len(verts)):
             w = space.q(verts[x], verts[y]) * space.q(verts[y], verts[x])
             assert ((x, y) in listed) == (w != ROOT_ONE)
-            assert (label_root(diagram, edge_label(diagram, verts[x], verts[y]))
-                    == (w if w != ROOT_ONE else None))
+            label = edge_label(diagram, verts[x], verts[y])
+            assert label_root(diagram, label) == (w if w != ROOT_ONE
+                                                  else None)
 
 
 def test_dynkin_diagram_dot_shape():
