@@ -26,15 +26,18 @@ per capped pattern by nichols.verdict, in the same two line formats
 (DOT_VERTEX, DOT_EDGE).
 
 The work splits in two.  subrack_plan does what rho does not change, in a
-plan that carries its subrack: the table, the commute check, H with the
-basepoint pi first, the (L, s) class labels (nichols.permgroup) of pi
-and of the coset representatives of <pi>, and the linear characters of
-H, each by its phases at those representatives only.  pi acts by a
-scalar, so planned_spectrum(plan.spectrum, character) then sums the
-character of rho, read at those labels, over those representatives only,
-against the characters with its value at pi only, once per rho, and
-spectrum_diagram labels the nodes of the spectrum; dynkin_diagram(plan,
-character) does both.
+plan that carries its subrack: the table, the commute check, and H closed
+on the cosets of the basepoint pi, which is central in the centralizer:
+the (L, s) class labels (nichols.permgroup) of pi and of the coset
+representatives of <pi>, the layers of H after pi and the places of the
+generators, from which a linear character's values follow; the plan
+holds no character.
+pi acts by a scalar zeta_k^q, so planned_spectrum(plan.spectrum,
+character) then lists, once per rho, only the characters psi with
+psi(pi) = zeta_k^q, and sums against them the character of rho, read at
+those labels, over those representatives only; spectrum_diagram labels
+the nodes of the spectrum, and dynkin_diagram(plan, character) does
+both.
 
 Construction families: the canonical involution subrack (k = 2), the swap and
 rotation quadruples (k even, n >= 2) and the power subrack (n = 1; drawn by
@@ -44,8 +47,7 @@ rotation quadruples (k even, n >= 2) and the power subrack (n = 1; drawn by
 from __future__ import annotations
 
 import itertools
-from array import array
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter, sub
 from typing import NamedTuple
 
@@ -207,42 +209,46 @@ FAMILIES = {"canonical": canonical_subrack, "canonical-triple": triple_subrack,
 
 class SpectrumPlan(NamedTuple):
     """The part of a joint spectrum that does not depend on rho, for
-    H = <pi, generators>, pi the basepoint, of order k: the (L, s) class
-    labels, at which characters are read, of the coset representatives
-    of <pi> in H, the identity's first, and of pi, and the |H| linear
-    characters of H, each as its phase at every representative
-    (psi(h) = zeta_k^phase, an array of machine integers reduced mod k,
-    so |H|^2 / k phases take 4 bytes each) and its exponents on the
-    generators.  The characters are listed with psi(pi) slowest, so those
-    with psi(pi) = zeta_k^q are the q-th block of |H| / k, which
-    planned_spectrum reads alone."""
+    H = <pi, generators>, pi the basepoint, of order k, held on the cosets
+    of <pi>.  An element pi^e r, r the coset representative at index i,
+    is placed as (e, i).  The plan keeps the (L, s) class labels, at which
+    characters are read, of the representatives, the identity's first,
+    and of pi; the layers after pi, each as its relative order r and the
+    place of its generator's r-th power; and the place of each given
+    generator.  It holds no character: planned_spectrum lists those it
+    sums from the layers."""
 
     k: int
     representatives: tuple
     basepoint: tuple
-    characters: tuple
+    layers: tuple
+    generators: tuple
 
 
 def spectrum_plan(cls: UnmixedClass, generators) -> SpectrumPlan:
-    """Build H = <pi, generators> and its linear characters for
+    """Close H = <pi, generators> on the cosets of <pi> for
     planned_spectrum, pi the basepoint.
 
-    H is built layer by layer, pi first whether the generators hold it or
-    not: a generator not yet in H joins with its relative order r, so
-    every element is a unique word g_1^e_1 ... g_l^e_l with 0 <= e_i < r_i,
-    g_1 = pi and r_1 = k, and a linear character psi is fixed by exponents
-    x_i with psi(g_i) = zeta_k^x_i, subject to r_i x_i = (exponent of psi
-    at g_i^r_i, a word in earlier layers).  Each layer multiplies the
-    characters by r_i, so exactly |H| of them are listed, by x_1 slowest,
-    and each keeps its exponents on the given generators and its phases
-    on the layers after pi, which are its phases at the coset
-    representatives: the element at index i is pi^(i mod k) times the
-    one at i - (i mod k), so the representatives are every k-th element,
-    from 0.  Every table entry is a conjugate of a class element, so its
-    order divides k and every label is a power of zeta_k; generators that
-    make no abelian group of exponent dividing k raise ArithmeticError.
-    Every conjugation table holds pi (gamma_jj = pi), so H is the group of
-    the table's entries.
+    pi is H's first layer, of order k, whether the generators hold it or
+    not, and the others are closed on the cosets of <pi>: a generator
+    whose coset is not yet met joins with its relative order r, the least
+    with g^r in the group so far, so every element is a unique word
+    pi^e_1 g_2^e_2 ... g_l^e_l with 0 <= e_i < r_i, and the coset
+    representatives are the words with e_1 = 0, listed layer by layer,
+    each layer's g^e slowest: those of the group before a layer come
+    first, so the place of its g^r stays valid.  pi adds 1 to every twist
+    (it is central in the centralizer), so a coset is keyed by its
+    element with d[0] = 0, and an element is pi^e r, r its coset's
+    representative and e the difference of their d[0].  Products are made
+    per coset, never per element of H.
+
+    Every table entry is a conjugate of a class element, so its order
+    divides k and every character value is a power of zeta_k.  A
+    generator of order not dividing k (the lcm of L k / gcd(s, k) over
+    the (L, s) pairs of its label) raises ArithmeticError, whatever the
+    value of psi(pi): for commuting generators that is exactly when H is
+    no group of exponent dividing k.  Every conjugation table holds pi
+    (gamma_jj = pi), so H is the group of the table's entries.
 
     H closes on normal forms (d, b) of n entries (UnmixedClass.product),
     not on permutations of the k*n points: only the generators are taken
@@ -251,51 +257,43 @@ def spectrum_plan(cls: UnmixedClass, generators) -> SpectrumPlan:
     forms."""
     k = cls.k
     generators = [cls.normal_form(g) for g in generators]
+    for g in generators:
+        if k % lcm(*(length * k // gcd(s, k)
+                     for length, s in g.class_label(k))):
+            raise ArithmeticError("generators do not make an abelian "
+                                  "group of exponent dividing k")
     product = cls.product
     identity = cls.identity_form()
-    elements = [identity]
-    words = {identity: ()}
+
+    def coset(x):
+        return tuple([(t - x.d[0]) % k for t in x.d]), x.b
+
+    def place(x):
+        rep, i = cosets[coset(x)]
+        return (x.d[0] - rep.d[0]) % k, i
+
+    cosets = {coset(identity): (identity, 0)}
     layers = []
-    for g in [cls.normal_form(cls.basepoint)] + generators:
-        if g in words:
+    for g in generators:
+        if coset(g) in cosets:
             continue
         r, power = 1, g
-        while power not in words:
+        while coset(power) not in cosets:
             power = product(power, g)
             r += 1
-        layers.append((r, words[power]))
-        grown = []
-        grown_words = {}
+        layers.append((r,) + place(power))
+        grown = {}
         step = identity
         for e in range(r):
-            for h in elements:
+            for h, _ in cosets.values():
                 x = product(step, h)
-                grown.append(x)
-                grown_words[x] = words[h] + (e,)
+                grown[coset(x)] = x, len(grown)
             step = product(step, g)
-        elements = grown
-        words = grown_words
-    characters = [()]
-    for r, rel in layers:
-        wider = []
-        for x in characters:
-            s = sum(c * xi for c, xi in zip(rel, x)) % k
-            if k % r or s % r:
-                raise ArithmeticError("generators do not make an abelian "
-                                      "group of exponent dividing k")
-            wider.extend(x + ((s // r + t * (k // r)) % k,)
-                         for t in range(r))
-        characters = wider
-    planned = []
-    for x in characters:
-        phases = [0]
-        for (r, _), xi in zip(layers[1:], x[1:]):
-            phases = [(p + e * xi) % k for e in range(r) for p in phases]
-        exps = tuple(sum(w * xi for w, xi in zip(words[g], x)) % k
-                     for g in generators)
-        planned.append((array("I", phases), exps))
-    return SpectrumPlan(k, tuple(h.class_label(k) for h in elements[::k]),
-                        elements[1].class_label(k), tuple(planned))
+        cosets = grown
+    return SpectrumPlan(
+        k, tuple([h.class_label(k) for h, _ in cosets.values()]),
+        cls.normal_form(cls.basepoint).class_label(k), tuple(layers),
+        tuple(map(place, generators)))
 
 
 def planned_spectrum(plan: SpectrumPlan, character: InducedCharacter) -> list:
@@ -311,7 +309,12 @@ def planned_spectrum(plan: SpectrumPlan, character: InducedCharacter) -> list:
     ArithmeticError.  Then chi(pi^e h) = zeta_k^(q e) chi(h) for every h
     in H (tests/test_reps.py holds that identity of the character
     formula), and a psi occurs only if psi(pi) = zeta_k^q, so only the
-    q-th block of the planned characters is summed; for such a psi,
+    |H| / k characters with that value are listed, each as its phases at
+    the representatives (psi(r) = zeta_k^phase), layer by layer: psi at an
+    element placed (e, i) is q e plus its phase at representative i, and
+    a layer's psi(g) = zeta_k^x must have r x = psi(g^r), which has the r
+    solutions psi(g^r) / r + t k / r (the plan refused every H of
+    exponent not dividing k, so r divides psi(g^r)).  For such a psi,
     chi(h) psi(h)^-1 is constant on each coset of <pi>, so its
     multiplicity (1/|H|) sum_h chi(h) psi(h)^-1 is (k/|H|) times the sum
     over the coset representatives alone, and chi is read only at them
@@ -331,10 +334,14 @@ def planned_spectrum(plan: SpectrumPlan, character: InducedCharacter) -> list:
     terms = [tuple((a, c) for a, c in enumerate(value) if c)
              for value in values]
     # phi(k) |H| / k times the multiplicity
-    m = len(terms)
-    order = totient(k) * m
+    order = totient(k) * len(terms)
+    block = [[0]]
+    for r, e, i in plan.layers:
+        block = [[(p + t * x) % k for t in range(r) for p in phases]
+                 for phases in block
+                 for x in range((q * e + phases[i]) % k // r, k, k // r)]
     spectrum = []
-    for phases, exps in plan.characters[q * m:(q + 1) * m]:
+    for phases in block:
         acc = [0] * k
         for phase, hterms in zip(phases, terms):
             for a, c in hterms:
@@ -344,7 +351,8 @@ def planned_spectrum(plan: SpectrumPlan, character: InducedCharacter) -> list:
             raise ArithmeticError("character inner product is not an integer")
         mult = total // order
         if mult:
-            spectrum.append((exps, mult))
+            spectrum.append((tuple([(q * e + phases[i]) % k
+                                    for e, i in plan.generators]), mult))
     if sum(mult for _, mult in spectrum) != character.degree:
         raise ArithmeticError("multiplicities do not add up to the degree")
     spectrum.sort()

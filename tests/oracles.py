@@ -25,8 +25,11 @@ package fills in one template per capped pattern, and that template is
 read off the rectangle's own diagram where the package reads the
 rectangle's label table in one pass, and the group of a
 subrack's table entries is closed on permutations of the k*n points, each
-element taken to normal form for its label, where the package closes it
-on the normal forms of its generators.  The command line is read by
+element taken to normal form for its label, with every linear character
+and the joint spectrum summed over every element, where the package
+closes it on the cosets of the basepoint, on the normal forms of its
+generators, and sums one value of the characters at the basepoint over
+the coset representatives.  The command line is read by
 argparse, where the package reads it against its own table of options.
 """
 
@@ -37,7 +40,6 @@ import itertools
 import random
 import sys
 import re
-from array import array
 from bisect import bisect_right
 from collections import Counter, deque
 from fractions import Fraction
@@ -1428,13 +1430,61 @@ def minimal_infinite_set(space, sub, comp: tuple) -> tuple:
     return comp
 
 
-def permutation_spectrum_plan(cls, generators) -> tuple:
-    """braidspace.spectrum_plan with H closed on permutations of the k*n
-    points, in the same layer order, the basepoint first, each class label
-    read from its normal form, and each character's phases at the coset
-    representatives of <pi>, the layers after the first; with the plan,
-    the class labels of every element of H in that order, so that the
-    element at index i is pi^(i mod k) times the one at i - (i mod k)."""
+class ReferenceGroup(NamedTuple):
+    """An abelian group H = <pi, generators> listed whole on permutations
+    (permutation_spectrum_plan): the class label of every element, in
+    layer order, so that the element at index i is pi^(i mod k) times the
+    one at i - (i mod k), and is placed as (i mod k, i // k); the layers
+    after pi, each as its relative order and the place of its r-th power;
+    the place of each generator; and every linear character psi of H, by
+    psi(pi) slowest, as its phase at every element and its exponents on
+    the generators."""
+
+    k: int
+    labels: tuple
+    layers: tuple
+    generators: tuple
+    characters: tuple
+
+    def plan(self) -> SpectrumPlan:
+        """The plan that braidspace.spectrum_plan builds of the same
+        generators: the labels of every k-th element, from the identity,
+        are those of the coset representatives of <pi>."""
+        k = self.k
+        return SpectrumPlan(k, self.labels[::k], self.labels[1], self.layers,
+                            self.generators)
+
+    def spectrum(self, character) -> list:
+        """The joint spectrum of a character on H, each multiplicity
+        (1/|H|) sum_h chi(h) psi(h)^-1 summed over every element h, for
+        every linear character psi, read off its trace (a Ramanujan sum
+        per power of zeta_k): the (exps, mult) pairs with mult > 0, in
+        order."""
+        k = self.k
+        sums = _ramanujan_sums(k)
+        # the trace of chi(h) zeta_k^-p, for every label and phase p
+        traces = {label: [sum(c * sums[(a - p) % k] for a, c in
+                              enumerate(character.coefficients(label)))
+                          for p in range(k)]
+                  for label in set(self.labels)}
+        rows = [traces[label] for label in self.labels]
+        order = sums[0] * len(rows)
+        spectrum = []
+        for phases, exps in self.characters:
+            total = sum(row[p] for row, p in zip(rows, phases))
+            assert total % order == 0, exps
+            if total:
+                spectrum.append((exps, total // order))
+        return sorted(spectrum)
+
+
+def permutation_spectrum_plan(cls, generators) -> ReferenceGroup:
+    """H = <pi, generators> and its linear characters, closed whole on
+    permutations of the k*n points, in the layer order of
+    braidspace.spectrum_plan, the basepoint first, each class label read
+    from its normal form; a generator of relative order r joins with every
+    extension of each character listed so far (r x = the exponent at its
+    r-th power), and a character with none raises ArithmeticError."""
     k = cls.k
     identity = Permutation.identity(cls.degree)
     elements = [identity]
@@ -1447,7 +1497,7 @@ def permutation_spectrum_plan(cls, generators) -> tuple:
         while power not in words:
             power = power * g
             r += 1
-        layers.append((r, words[power]))
+        layers.append((r, power))
         grown = []
         grown_words = {}
         step = identity
@@ -1460,26 +1510,33 @@ def permutation_spectrum_plan(cls, generators) -> tuple:
         elements = grown
         words = grown_words
     characters = [()]
-    for r, rel in layers:
+    for r, power in layers:
         wider = []
         for x in characters:
-            s = sum(c * xi for c, xi in zip(rel, x)) % k
+            s = sum(c * xi for c, xi in zip(words[power], x)) % k
             if k % r or s % r:
                 raise ArithmeticError("generators do not make an abelian "
                                       "group of exponent dividing k")
             wider.extend(x + ((s // r + t * (k // r)) % k,)
                          for t in range(r))
         characters = wider
-    planned = []
-    for x in characters:
-        phases = [0]
-        for (r, _), xi in zip(layers[1:], x[1:]):
-            phases = [(p + e * xi) % k for e in range(r) for p in phases]
-        exps = tuple(sum(w * xi for w, xi in zip(words[g], x)) % k
-                     for g in generators)
-        planned.append((array("I", phases), exps))
-    labels = tuple(cls.normal_form(h).class_label(k) for h in elements)
-    return SpectrumPlan(k, labels[::k], labels[1], tuple(planned)), labels
+    index = {h: i for i, h in enumerate(elements)}
+
+    def place(h):
+        return index[h] % k, index[h] // k
+
+    def exponent(word, x):
+        return sum(w * xi for w, xi in zip(word, x)) % k
+
+    listed = [words[h] for h in elements]
+    generator_words = [words[g] for g in generators]
+    return ReferenceGroup(
+        k, tuple(cls.normal_form(h).class_label(k) for h in elements),
+        tuple((r,) + place(power) for r, power in layers[1:]),
+        tuple(map(place, generators)),
+        tuple((tuple(exponent(w, x) for w in listed),
+               tuple(exponent(w, x) for w in generator_words))
+              for x in characters))
 
 
 def rotation_defects(character, q: int, labels) -> list:

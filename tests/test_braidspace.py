@@ -11,8 +11,9 @@ from nichols.braidspace import (AbelianSubrack, GeneralizedDynkinDiagram,
                                 powers_subrack, quadruple_subrack,
                                 rotation_subrack, spectrum_plan, subrack_plan,
                                 triple_subrack)
-from nichols.permgroup import Permutation, UnmixedClass
+from nichols.permgroup import NormalForm, Permutation, UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
+from nichols.verdict import class_plan
 
 from exactfield_oracle import (ROOT_MINUS_ONE, ROOT_ONE, ZERO, rational,
                                root_value, zeta)
@@ -23,6 +24,7 @@ from oracles import (REFERENCE_Q_ROTATION_EDGELESS, REFERENCE_Q_SIX_CYCLE, A,
                      permutation_spectrum_plan, q_matches_up_to_permutation,
                      rectangle, resolve, rotation_defects, transporter,
                      tried_subracks, vertex_space)
+from test_golden import DIGESTS
 
 
 def _q_strings(diagram):
@@ -442,21 +444,63 @@ def test_joint_spectrum_needs_a_multiple_of_k():
         spectrum_plan(cls, (cycle,))
 
 
+def test_spectrum_plan_refuses_a_square_root_of_pi():
+    # at (4,2), g = (d = (0, 1), b = (2, 1)) swaps the two blocks with g^2
+    # = pi: relative order 2 over <pi> and order 8.  Only the psi with an
+    # odd psi(pi) = zeta_4^q fail to extend to it, so a check made only on
+    # the block q = 2, which every row past the scalar gate reads, would
+    # let it through; the plan refuses it whatever psi(pi), as the
+    # reference listing of every character does
+    cls = UnmixedClass(4, 2)
+    root = cls.assemble(NormalForm((0, 1), (2, 1)))
+    assert root * root == cls.basepoint and permutation_order(root) == 8
+    with pytest.raises(ArithmeticError, match="exponent dividing k"):
+        spectrum_plan(cls, (root,))
+    with pytest.raises(ArithmeticError, match="exponent dividing k"):
+        permutation_spectrum_plan(cls, (root,))
+
+
+class _Induced:
+    """The character of H induced from psi(pi) = zeta_k^q on <pi>, read at
+    the labels that planned_spectrum reads: m = |H| / k at the identity,
+    m zeta_k^q at pi, and 0 at the other coset representatives, which lie
+    off <pi>.  It holds once each psi with psi(pi) = zeta_k^q."""
+
+    def __init__(self, plan, q: int) -> None:
+        self.k = plan.k
+        self.degree = len(plan.representatives)
+        self._at = {plan.representatives[0]: 0, plan.basepoint: q}
+
+    def coefficients(self, label):
+        out = [0] * self.k
+        if label in self._at:
+            out[self._at[label]] = self.degree
+        return tuple(out)
+
+
 def test_spectrum_plan_puts_the_basepoint_first():
     # pi is layer 1, of order k, even when the generators leave it out:
-    # the elements are pi^0 .. pi^3, one coset of <pi>, so each character
-    # has one phase, at the identity, and the characters are listed by
-    # their value at pi, while their exponents stay on the given generator
-    # pi^2; the plan keeps the labels of the identity and of pi only
+    # the elements are pi^0 .. pi^3, one coset of <pi>, so the plan has no
+    # layer after pi and one representative, the identity, and keeps the
+    # labels of the identity and of pi only.  The generator pi^2 is placed
+    # (2, 0), pi^2 times the identity, so the character with
+    # psi(pi) = zeta_4^q, the only one that planned_spectrum lists for q,
+    # has the exponent 2q on it, as in the reference, which lists the
+    # characters by their value at pi
     cls = UnmixedClass(4, 2)
     pi = cls.basepoint
     plan = spectrum_plan(cls, (pi * pi,))
     powers = [Permutation.identity(cls.degree), pi, pi * pi, pi * pi * pi]
     labels = tuple(cls.normal_form(h).class_label(4) for h in powers)
     assert (plan.representatives, plan.basepoint) == (labels[:1], labels[1])
-    assert permutation_spectrum_plan(cls, (pi * pi,)) == (plan, labels)
-    assert [list(phases) for phases, _ in plan.characters] == [[0]] * 4
-    assert [exps for _, exps in plan.characters] == [(0,), (2,), (0,), (2,)]
+    assert (plan.layers, plan.generators) == ((), ((2, 0),))
+    reference = permutation_spectrum_plan(cls, (pi * pi,))
+    assert (reference.plan(), reference.labels) == (plan, labels)
+    assert reference.characters == tuple(
+        (tuple(e * q % 4 for e in range(4)), (2 * q % 4,)) for q in range(4))
+    for q in range(4):
+        assert planned_spectrum(plan, _Induced(plan, q)) == [
+            ((2 * q % 4,), 1)]
 
 
 # (class, subrack, irrep) triples whose planned H has more than one coset
@@ -470,19 +514,26 @@ COSET_CASES = ((2, 3, triple_subrack, (1,), "chi=(1,1,1);mu=standard"),
 @pytest.mark.parametrize("k, n, family, param, text", COSET_CASES)
 def test_spectrum_plan_lists_the_characters_by_their_value_at_pi(
         k, n, family, param, text):
-    # the q-th block of |H| / k characters holds those with
-    # psi(pi) = zeta_k^q, each with its phases at the coset representatives
-    # of <pi> only, the identity's first
+    # the plan holds no character: the labels of the m = |H| / k coset
+    # representatives of <pi>, every k-th element of the reference, the
+    # identity's first, the layers after pi and the places of the
+    # generators.  For each q, planned_spectrum lists from the layers the
+    # characters with psi(pi) = zeta_k^q, and on the character induced
+    # from zeta_k^q on <pi> it finds each of them once: the reference's
+    # q-th block of m characters
     cls = UnmixedClass(k, n)
     plan = subrack_plan(family(cls, *param))
     spectrum = plan.spectrum
     at_pi = plan.table[0][0]
     m = len(spectrum.representatives)
-    _, labels = permutation_spectrum_plan(cls, plan.distinct)
-    assert m * k == len(labels) == len(spectrum.characters)
-    for x, (phases, exps) in enumerate(spectrum.characters):
-        assert exps[at_pi] == x // m
-        assert len(phases) == m and phases[0] == 0
+    reference = permutation_spectrum_plan(cls, plan.distinct)
+    assert m * k == len(reference.labels) == len(reference.characters)
+    assert reference.plan() == spectrum and 1 < m
+    for q in range(k):
+        block = reference.characters[q * m:(q + 1) * m]
+        assert all(exps[at_pi] == q for _, exps in block)
+        assert planned_spectrum(spectrum, _Induced(spectrum, q)) == sorted(
+            (exps, 1) for _, exps in block)
 
 
 @pytest.mark.parametrize("k, n, family, param, text", COSET_CASES)
@@ -500,7 +551,7 @@ def test_joint_spectrum_rejects_a_change_off_the_representatives(
     character = spec.character()
     spectrum = planned_spectrum(plan.spectrum, character)
     assert spectrum
-    _, labels = permutation_spectrum_plan(cls, plan.distinct)
+    labels = permutation_spectrum_plan(cls, plan.distinct).labels
     q = pi_scalar(spec)
     assert not rotation_defects(character, q, labels)
     kept = set(plan.spectrum.representatives)
@@ -529,3 +580,30 @@ def test_joint_spectrum_rejects_a_basepoint_that_is_not_a_scalar(
     for index in range(k):
         with pytest.raises(ArithmeticError):
             planned_spectrum(plan, _Perturbed(character, at, index))
+
+
+@pytest.mark.parametrize("k,n", sorted(DIGESTS))
+def test_every_planned_block_matches_the_sum_over_all_of_h(k, n):
+    # every irrep of the golden grid, scalar-gate rows included, on each
+    # candidate subrack of its class: planned_spectrum lists and sums the
+    # block psi(pi) = zeta_k^q of its row's q over the coset
+    # representatives of <pi>, and gives the spectrum that the reference
+    # sums over every element of H for every linear character.  The
+    # decision reads only the block q = k/2 of the rows past the gate,
+    # and `diagram --subrack` reads the others; the reference's sum
+    # depends on the character only through its values on H, so each
+    # restriction is summed once
+    plan = class_plan(k, n)
+    references = [(subrack.spectrum,
+                   permutation_spectrum_plan(plan.cls, subrack.distinct))
+                  for subrack in plan.plans()]
+    summed = {}
+    for spec in enumerate_irreps(k, n):
+        character = spec.character()
+        for place, (planned, reference) in enumerate(references):
+            key = (place, tuple(map(character.coefficients,
+                                    dict.fromkeys(reference.labels))))
+            if key not in summed:
+                summed[key] = reference.spectrum(character)
+            assert planned_spectrum(planned, character) == summed[key], (
+                spec.label())

@@ -550,7 +550,7 @@ def test_alike_cycles_counted_by_multinomials_match_every_placement():
         labels = set()
         for subrack_plan in plan.plans():
             labels.update(permutation_spectrum_plan(
-                plan.cls, subrack_plan.distinct)[1])
+                plan.cls, subrack_plan.distinct).labels)
         for partner in plan.partners():
             labels.update((partner.label, partner.dual))
         for spec in enumerate_irreps(k, n):
@@ -622,7 +622,8 @@ def test_the_character_turns_with_the_basepoint_on_every_planned_h(k, n):
     # the golden grid, for every irrep: H listed by the reference closure,
     # each element pi^e r against its coset representative r
     plan = class_plan(k, n)
-    groups = [permutation_spectrum_plan(plan.cls, subrack_plan.distinct)[1]
+    groups = [permutation_spectrum_plan(plan.cls,
+                                        subrack_plan.distinct).labels
               for subrack_plan in plan.plans()]
     for spec in enumerate_irreps(k, n):
         character = spec.character()

@@ -1103,15 +1103,16 @@ def _times_pi(k: int, labels: Counter) -> Counter:
 
 
 def test_the_normal_form_closures_match_the_permutation_closures():
-    # H of spectrum_plan closes on normal forms, and H_w of _witness_reading
-    # on the normal forms of the coset representatives of <pi>; the
-    # reference closes on permutations of the k*n points.  Every tried
-    # subrack, and every set of its columns, gives the same generator
-    # places, k times as many elements, and the labels, read through the
-    # trivial psi, of r pi^e over every representative r and every e; and
-    # H the same plan, its elements in the same order.  The reference's
-    # lcm of k and the entries' orders is k: every label is a power of
-    # zeta_k
+    # H of spectrum_plan and H_w of _witness_reading close on the normal
+    # forms of the coset representatives of <pi>; the reference closes
+    # all of H on permutations of the k*n points.  Every tried subrack,
+    # and every set of its columns, gives the same generator places, k
+    # times as many elements, and the labels, read through the trivial
+    # psi, of r pi^e over every representative r and every e; and H the
+    # same plan: the same layers after pi and places of the generators,
+    # and the labels of the representatives those of every k-th element
+    # of the reference, in the same order.  The reference's lcm of k and
+    # the entries' orders is k: every label is a power of zeta_k
     compared = 0
     for k, n in ((2, 3), (2, 4), (2, 5), (2, 6), (4, 2), (4, 3), (4, 4),
                  (6, 2), (6, 3), (8, 2)):
@@ -1136,11 +1137,11 @@ def test_the_normal_form_closures_match_the_permutation_closures():
                         subrack.gamma(i, j) for i in cols for j in cols))
                     assert nichols.braidspace.spectrum_plan(
                         cls, entries) == permutation_spectrum_plan(
-                            cls, entries)[0], (k, n, subrack, cols)
+                            cls, entries).plan(), (k, n, subrack, cols)
                     compared += 1
             plan = subrack_plan(subrack)
             assert plan.spectrum == permutation_spectrum_plan(
-                cls, plan.distinct)[0]
+                cls, plan.distinct).plan()
     # 8 triples of 3 columns, and two quadruples of 4 columns per even k
     assert compared == 8 * 7 + 6 * 2 * 15
 

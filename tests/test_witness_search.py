@@ -753,10 +753,13 @@ def test_the_triple_makes_no_tree_with_a_fork():
 
 def _minus_one_characters(plan):
     # the exponents of the linear characters psi of H with psi(pi) = -1,
-    # in order: the characters a row past the scalar gate can hold
+    # in order: the characters a row past the scalar gate can hold, from
+    # the reference's listing of every character of H
     at_pi = plan.table[0][0]
-    return sorted(exps for _, exps in plan.spectrum.characters
-                  if exps[at_pi] == plan.spectrum.k // 2)
+    reference = oracles.permutation_spectrum_plan(plan.subrack.cls,
+                                                  plan.distinct)
+    return sorted(exps for _, exps in reference.characters
+                  if exps[at_pi] == reference.k // 2)
 
 
 def _moved(vertices, capped, full):
