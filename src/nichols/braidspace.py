@@ -13,8 +13,8 @@ braiding depends only on the column and psi, so the subspace and its
 generalized Dynkin diagram are held as one node per (column, psi) with the
 multiplicity of psi: as many nodes as the subrack size times the number of
 psi that occur, however large the degree.  Only the character of rho is
-needed: the multiplicities are integers read off integer traces
-(nichols.exactfield.rational_trace), and each braiding label is a root of
+needed: the multiplicities are integers read on a basis of Q(zeta_k)
+(nichols.exactfield.integer_value), and each braiding label is a root of
 unity held as its integer exponent of zeta_k (each gamma_ij is a
 conjugate of a class element, so its order divides k), each printed one
 at a time through nichols.exactfield.root_name.  No field element is built.
@@ -48,10 +48,10 @@ from __future__ import annotations
 
 import itertools
 from math import gcd, lcm
-from operator import itemgetter, sub
+from operator import itemgetter
 from typing import NamedTuple
 
-from .exactfield import rational_trace, root_name, totient
+from .exactfield import integer_value, root_name
 from .permgroup import Permutation, UnmixedClass
 from .reps import InducedCharacter
 
@@ -303,9 +303,8 @@ def planned_spectrum(plan: SpectrumPlan, character: InducedCharacter) -> list:
 
     The basepoint pi is central in its centralizer, so rho(pi) is a scalar
     zeta_k^q (Schur's lemma; Andruskiewitsch-Grana 2003, section 3), read
-    off chi(pi) = degree zeta_k^q, which is checked: the coefficient
-    vectors of chi(pi) and of chi(1) rotated by q are compared, and where
-    they differ their difference must be 0 (rational_trace), or
+    off chi(pi) = degree zeta_k^q, which is checked: chi(pi) less chi(1)
+    with its exponents moved by q must be 0 (integer_value), or
     ArithmeticError.  Then chi(pi^e h) = zeta_k^(q e) chi(h) for every h
     in H (tests/test_reps.py holds that identity of the character
     formula), and a psi occurs only if psi(pi) = zeta_k^q, so only the
@@ -318,23 +317,19 @@ def planned_spectrum(plan: SpectrumPlan, character: InducedCharacter) -> list:
     chi(h) psi(h)^-1 is constant on each coset of <pi>, so its
     multiplicity (1/|H|) sum_h chi(h) psi(h)^-1 is (k/|H|) times the sum
     over the coset representatives alone, and chi is read only at them
-    and at pi.  Each sum is taken as integer coefficients over Z/k,
-    checked to be rational, and read off as phi(k) times itself, by
-    integer traces, then checked to be divisible by phi(k) |H| / k, and
-    the multiplicities to add up to the degree."""
+    and at pi.  Each sum is taken as terms over Z/k, the terms of chi(r)
+    with their exponents moved by minus the phase of r, checked to be
+    rational and read off as an integer (integer_value), then checked to
+    be divisible by |H| / k, and the multiplicities to add up to the
+    degree."""
     k = plan.k
     values = list(map(character.coefficients, plan.representatives))
     at_pi = character.coefficients(plan.basepoint)
     # the degree's place in chi(pi)
-    q = at_pi.index(max(at_pi))
-    rotated = values[0][-q:] + values[0][:-q]
-    if at_pi != rotated and rational_trace(k, map(sub, at_pi, rotated)) != 0:
+    q = max(at_pi, key=itemgetter(1), default=(0, 0))[0]
+    if integer_value(k, at_pi + tuple([((a + q) % k, -c)
+                                       for a, c in values[0]])) != 0:
         raise ArithmeticError("the basepoint does not act by a scalar")
-    # chi at the coset representatives as terms (exponent mod k, integer)
-    terms = [tuple((a, c) for a, c in enumerate(value) if c)
-             for value in values]
-    # phi(k) |H| / k times the multiplicity
-    order = totient(k) * len(terms)
     block = [[0]]
     for r, e, i in plan.layers:
         block = [[(p + t * x) % k for t in range(r) for p in phases]
@@ -342,14 +337,11 @@ def planned_spectrum(plan: SpectrumPlan, character: InducedCharacter) -> list:
                  for x in range((q * e + phases[i]) % k // r, k, k // r)]
     spectrum = []
     for phases in block:
-        acc = [0] * k
-        for phase, hterms in zip(phases, terms):
-            for a, c in hterms:
-                acc[(a - phase) % k] += c
-        total = rational_trace(k, acc)
-        if total is None or total % order:
+        total = integer_value(k, [((a - phase) % k, c) for phase, terms
+                                  in zip(phases, values) for a, c in terms])
+        if total is None or total % len(values):
             raise ArithmeticError("character inner product is not an integer")
-        mult = total // order
+        mult = total // len(values)
         if mult:
             spectrum.append((tuple([(q * e + phases[i]) % k
                                     for e, i in plan.generators]), mult))

@@ -1,4 +1,4 @@
-"""Roots of unity as integers, and rationality tests by integer traces.
+"""Roots of unity as integers, and rationality read on a basis.
 
 A root of unity zeta_m^a is held as its integer exponent a mod m, for the
 m of its diagram or group: roots multiply by adding exponents, and
@@ -7,14 +7,23 @@ root_name(m, a), as "1", "-1" or "z(o,e)" in lowest terms, one root at a
 time: a caller names only the roots it prints, so printing one costs the
 same whatever m is.
 
-A cyclotomic number sum_j c_j zeta_m^j with integer c_j is never built as
-a field element.  rational_trace decides whether it is rational, and which
-rational it is, from integer traces alone: the trace from Q(zeta_m) to Q
-of zeta_m^j is the Ramanujan sum c_m(j) (Hardy-Wright 16.6), and the trace
-form is non-degenerate, so x is the rational r exactly when
-Tr(x zeta_m^-b) = r c_m(b) for every b below phi(m) = c_m(0).  It
-returns the integer phi(m) x = Tr(x), so a caller tests a rational
-against an integer, or its divisibility, in integers alone.
+A cyclotomic number x = sum_j c_j zeta_m^j with integer c_j is never
+built as a field element.  It is held as its terms (j, c), and
+integer_value decides whether it is rational, and then which integer it
+is (a rational algebraic integer is an integer), by writing it on a basis
+of Q(zeta_m) that holds 1.  By the Chinese remainder theorem Q(zeta_m) is
+the tensor product of the Q(zeta_q) over the prime powers q = p^a exactly
+dividing m, each with its power basis of q - q/p roots, so the zeta_m^j
+with j mod q below q - q/p for every such q are a basis of Q(zeta_m) (the
+basis GAP uses for cyclotomics; T. Breuer, "Integral bases for subfields
+of cyclotomic fields", AAECC 8 (1997), cited from memory).  zeta_m^(m/p)
+is a primitive p-th root of unity, so sum_{t<p} zeta_m^(j + t m/p) = 0,
+and a term whose exponent j has j mod q at or above q - q/p is replaced
+by minus its p - 1 partners j + t m/p, 0 < t < p: their residues mod q
+lie below q - q/p, and their residues mod every other prime power are
+j's.  Once every q is reduced in turn, x is on the basis, so it is
+rational exactly when only the exponent 0 is left, and x is that
+coefficient.
 """
 
 from __future__ import annotations
@@ -33,34 +42,34 @@ def root_name(m: int, a: int) -> str:
 
 
 @lru_cache(maxsize=None)
-def _ramanujan_sums(m: int) -> tuple:
-    # c_m(j) for j < m, the sum of the j-th powers of the primitive m-th
-    # roots of unity: the j-th powers of all m-th roots sum to m when m
-    # divides j and to 0 otherwise, and the roots of each exact order d | m
-    # contribute c_d(j)
-    sums = [m] + [0] * (m - 1)
-    for d in range(1, m):
-        if m % d == 0:
-            inner = _ramanujan_sums(d)
-            for j in range(m):
-                sums[j] -= inner[j % d]
-    return tuple(sums)
+def _axes(m: int) -> tuple:
+    # for each prime power q = p^a exactly dividing m: q, the least residue
+    # mod q off the basis, q - q/p, and the steps t m/p to the partners
+    # (each p that divides what is left of m is prime: its factors are out)
+    axes, rest = [], m
+    for p in range(2, m + 1):
+        q = 1
+        while rest % p == 0:
+            rest //= p
+            q *= p
+        if q > 1:
+            axes.append((q, q - q // p, range(m // p, m, m // p)))
+    return tuple(axes)
 
 
-def totient(m: int) -> int:
-    """phi(m), the degree of Q(zeta_m)."""
-    return _ramanujan_sums(m)[0]
-
-
-def rational_trace(m: int, coeffs) -> Optional[int]:
-    """phi(m) x for the number x = sum_j coeffs[j] zeta_m^j, m integer
-    coefficients, when x is rational (then phi(m) x = Tr(x), an integer),
-    or None when x is not rational."""
-    sums = _ramanujan_sums(m)
-    phi = sums[0]
-    terms = [(j, c) for j, c in enumerate(coeffs) if c]
-    trace = sum(c * sums[j] for j, c in terms)
-    for b in range(1, phi):
-        if phi * sum(c * sums[j - b] for j, c in terms) != trace * sums[b]:
-            return None
-    return trace
+def integer_value(m: int, terms) -> Optional[int]:
+    """The number x = sum c zeta_m^j over the (j, c) terms, 0 <= j < m, in
+    any order and with exponents repeated, when x is rational (then it is
+    an integer), or None when it is not."""
+    x = {}
+    for j, c in terms:
+        x[j] = x.get(j, 0) + c
+    for q, low, steps in _axes(m):
+        for j, c in list(x.items()):
+            if j % q >= low:
+                del x[j]
+                for s in steps:
+                    t = (j + s) % m
+                    x[t] = x.get(t, 0) - c
+    value = x.pop(0, 0)
+    return None if any(x.values()) else value

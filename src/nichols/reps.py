@@ -24,9 +24,11 @@ its values and k; the partitions enter only through the product of
 partition characters at each tuple of cycle types.
 A character is a class function, so it is read at a conjugacy-class label
 of the centralizer, the sorted (L, s) pairs of nichols.permgroup, and never
-at a group element.  Character values are integer coefficient vectors over
-Z/k.  They are multiplied as vectors and read by integer traces
-(nichols.exactfield.rational_trace); no field element is built.
+at a group element.  A character value is held as its nonzero terms,
+(exponent mod k, integer coefficient) pairs sorted by exponent, meaning
+the sum of coefficient times zeta_k^exponent.  Values are multiplied as
+terms and read on a basis of Q(zeta_k)
+(nichols.exactfield.integer_value); no field element is built.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import factorial, prod
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 
@@ -227,11 +229,12 @@ class InducedCharacter:
     partitions enter through the factor of each cycle-type tuple, the
     product of the partition character of every level at its cycle type,
     and a tuple whose factor is 0 is skipped.  The level sizes are the
-    sizes of the partitions, not counted in u.  Values are integer
-    coefficient vectors c over Z/k, meaning sum_a c[a] zeta_k^a.  A value
-    is a sum of degree roots of unity, so |chi(g)| <= degree, with
-    equality exactly when g acts by a scalar; the negativity check reads
-    that off a product of two values (nichols.verdict.negativity_check).
+    sizes of the partitions, not counted in u.  Values are the nonzero
+    terms (a, c), a mod k, sorted by a, meaning sum c zeta_k^a, so the
+    same coefficients over Z/k give the same tuple.  A value is a sum of
+    degree roots of unity, so |chi(g)| <= degree, with equality exactly
+    when g acts by a scalar; the negativity check reads that off a
+    product of two values (nichols.verdict.negativity_check).
     """
 
     __slots__ = ("spec", "k", "degree", "_sizes", "_levels", "_values")
@@ -247,18 +250,26 @@ class InducedCharacter:
         self._values = {}
 
     def coefficients(self, label: tuple) -> tuple:
-        """chi at the class with the given sorted (L, s) label, as k integers
-        c with chi = sum_a c[a] zeta_k^a."""
+        """chi at the class with the given sorted (L, s) label, as its
+        nonzero terms (a, c), 0 <= a < k, sorted by a, with
+        chi = sum c zeta_k^a."""
         hit = self._values.get(label)
         if hit is not None:
             return hit
-        out = [0] * self.k
+        k, levels, terms = self.k, self._levels, []
         for cycle_types, counts in placements(self._sizes, label):
             factor = prod(map(sn_character, self.spec.partitions, cycle_types))
             if factor:
                 for twists, count in counts:
-                    out[sum(map(mul, self._levels, twists)) % self.k] += factor * count
-        hit = self._values[label] = tuple(out)
+                    terms.append((sum(map(mul, levels, twists)) % k,
+                                  factor * count))
+        if len(terms) > 1:
+            # one term per exponent, and none where they cancel
+            merged = {}
+            for a, c in terms:
+                merged[a] = merged.get(a, 0) + c
+            terms = sorted(filter(itemgetter(1), merged.items()))
+        hit = self._values[label] = tuple(terms)
         return hit
 
     def __repr__(self) -> str:

@@ -43,7 +43,7 @@ from . import braidspace
 from .braidspace import (DOT_EDGE, DOT_VERTEX, GeneralizedDynkinDiagram,
                          SubrackPlan, quadruple_subrack, rotation_subrack,
                          spectrum_diagram, subrack_plan, triple_subrack)
-from .exactfield import rational_trace, root_name, totient
+from .exactfield import integer_value, root_name
 from .permgroup import PartnerClass, UnmixedClass
 from .reps import InducedCharacter, pi_scalar, resolve_spec
 from .witness import INFINITE, verify_witness
@@ -222,7 +222,7 @@ class ClassPlan:
     basepoint pi lies in H and acts by the scalar zeta_k^q, q = pi_scalar,
     so chi(pi^e h) = zeta_k^(q e) chi(h) and chi|H is fixed by q and chi
     at the coset representatives of <pi> in H (braidspace.SpectrumPlan).
-    The key is the subrack, q and the coefficients of chi at the distinct
+    The key is the subrack, q and the terms of chi at the distinct
     class labels of those representatives, the identity's among them,
     whose value is the degree: |H| / k reads, not |H|.  Every check of the
     spectrum (chi(pi) against degree zeta_k^q, rationality, integrality,
@@ -302,8 +302,8 @@ def negativity_check(plan: ClassPlan,
     transporter g of t act by scalars whose product is 1.  A character
     value has |chi(x)| <= degree, with equality exactly when x acts by a
     scalar, so that holds exactly when chi(t) chi(g^-1 pi g) = degree^2:
-    one product of coefficient vectors over Z/k, read by integer traces
-    as phi(k) times itself (nichols.exactfield.rational_trace).
+    one product of terms by terms over Z/k, read on a basis of Q(zeta_k)
+    (nichols.exactfield.integer_value).
     chi(t) is read at the label of t's partner class and chi(g^-1 pi g) at
     its dual label (nichols.permgroup.dual_label), so no transporter is
     built.  The partners come from the given class plan.
@@ -314,19 +314,15 @@ def negativity_check(plan: ClassPlan,
         return NegativityReport(False, 0, True,
                                 {"reason": "basepoint scalar is not -1",
                                  "q_scalar": root_name(k, q)}, ())
-    square = totient(k) * character.degree ** 2
     checked = 0
     count = 0
     kept = []
     for partner in plan.partners():
         checked += 1
-        product = [0] * k
         dual = character.coefficients(partner.dual)
-        for a, c in enumerate(character.coefficients(partner.label)):
-            if c:
-                for b, e in enumerate(dual):
-                    product[(a + b) % k] += c * e
-        if rational_trace(k, product) != square:
+        if integer_value(k, [((a + b) % k, c * e) for a, c
+                             in character.coefficients(partner.label)
+                             for b, e in dual]) != character.degree ** 2:
             return NegativityReport(
                 False, checked, True,
                 {"pair": _pair(plan.cls, partner),

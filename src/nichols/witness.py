@@ -28,9 +28,9 @@ acts on rho by zeta_k^q, q = pi_scalar(spec), so chi(pi^e r) =
 zeta_k^(q e) chi(r): a psi with psi(pi) other than zeta_k^q occurs 0
 times, and for the others the multiplicity (1/|H_w|) sum_h chi(h)
 psi(h)^-1 is (k/|H_w|) sum_r chi(r) psi(r)^-1 over the |H_w|/k
-representatives r, read by integer traces: phi(k) |H_w|/k times it is an
-integer, which must be divisible by phi(k) |H_w|/k.  Then the rule is
-re-fired on the recorded exponents.  cartan-infinite is re-fired by
+representatives r, read on a basis of Q(zeta_k) (integer_value): that
+sum is an integer, which must be divisible by |H_w|/k.  Then the rule
+is re-fired on the recorded exponents.  cartan-infinite is re-fired by
 linear algebra on the firing set, sharing no code with the graph reading
 that decided it: every diagonal entry -1, every product q_ab q_ba equal
 to 1 or -1, and the Cartan matrix 2I - A (A = 1 where the product is -1)
@@ -62,7 +62,7 @@ from functools import cache
 from typing import NamedTuple, Optional
 
 from .braidspace import FAMILIES, AbelianSubrack
-from .exactfield import rational_trace, root_name, totient
+from .exactfield import integer_value, root_name
 from .permgroup import NormalForm, Permutation, UnmixedClass
 from .reps import InducedCharacter, pi_scalar, resolve_spec
 
@@ -283,22 +283,17 @@ def _witness_reading(subrack: AbelianSubrack, cols: tuple, width: int,
 
 
 def _character_sums(reading: _WitnessReading, character: InducedCharacter):
-    """phi(k) sum_r chi(r) psi(r)^-1 over the coset representatives r of
-    <pi> in H_w for each psi of reading.used, in order, each read by
-    rational_trace off the integer coefficients of its powers of zeta_k
+    """sum_r chi(r) psi(r)^-1 over the coset representatives r of <pi> in
+    H_w for each psi of reading.used, in order, each read by integer_value
     (None when not rational): chi is read once at each distinct label of
-    the representatives, as its nonzero (index, coefficient) terms, and a
-    term a of a representative of phase p is added at place a - p mod k,
-    times the number of representatives with that label and phase."""
+    the representatives, as its terms, and a term (a, c) of a
+    representative of phase p becomes (a - p mod k, c m), m the number of
+    representatives with that label and phase."""
     k = character.k
-    terms = [[(a, c) for a, c in enumerate(character.coefficients(label)) if c]
-             for label in reading.labels]
+    terms = list(map(character.coefficients, reading.labels))
     for counts in reading.phases:
-        acc = [0] * k
-        for x, p, m in counts:
-            for a, c in terms[x]:
-                acc[(a - p) % k] += c * m
-        yield rational_trace(k, acc)
+        yield integer_value(k, [((a - p) % k, c * m) for x, p, m in counts
+                                for a, c in terms[x]])
 
 
 @cache
@@ -453,11 +448,11 @@ def verify_witness(k: int, n: int, rho_spec, verdict) -> bool:
     scalar = pi_scalar(spec)
     if any(psi[reading.basepoint] != scalar for psi, _ in reading.used):
         return False
-    # phi(k) |H_w| / k times each multiplicity
-    order = totient(k) * reading.order
+    # each total is |H_w| / k times a multiplicity
     for (_, count), total in zip(reading.used,
                                  _character_sums(reading, character)):
-        if total is None or total % order or total // order < count:
+        if (total is None or total % reading.order
+                or total // reading.order < count):
             return False
     if verdict.rule == "cartan-infinite":
         positions, recorded = w["firing"], w["cartan_matrix"]

@@ -9,7 +9,7 @@ reads simply-laced shapes off the diagram,
 representations are explicit matrices over the exact cyclotomic field of
 exactfield_oracle and exactla_oracle (a symmetric-group matrix catalog
 induced up to the centralizer), diagonalized by exact linear algebra where
-the package uses characters and integer traces only, negativity is checked
+the package uses characters read on a basis only, negativity is checked
 by walking commuting pairs, each pulled back along an explicit transporter,
 instead of partner classes and their dual labels in closed form, and the
 whole class and centralizer are listed element by element where the
@@ -52,7 +52,7 @@ import networkx as nx
 from nichols.braidspace import (GeneralizedDynkinDiagram, SpectrumPlan,
                                 triple_subrack)
 from nichols.cli import SELECTORS
-from nichols.exactfield import _ramanujan_sums, root_name
+from nichols.exactfield import root_name
 from nichols.permgroup import NormalForm, Permutation, UnmixedClass
 from nichols.reps import RepSpec, partitions_of, sn_character
 from nichols.verdict import (INFINITE, NegativityReport, Verdict, _Template,
@@ -235,17 +235,27 @@ def degree_sequence(diagram) -> tuple:
     return tuple(sorted(degrees))
 
 
+def dense(k: int, terms) -> list:
+    """The k integers c with sum_a c[a] zeta_k^a equal to the sum of the
+    (a, c) terms."""
+    out = [0] * k
+    for a, c in terms:
+        out[a % k] += c
+    return out
+
+
 def character_value(character, nf: NormalForm) -> Cyclotomic:
     """chi(d, b) as a field element, read at the class label of (d, b)."""
-    return Cyclotomic(character.k,
-                      character.coefficients(nf.class_label(character.k)))
+    return Cyclotomic(character.k, dense(
+        character.k, character.coefficients(nf.class_label(character.k))))
 
 
 def coefficients_by_placements(character, label: tuple) -> tuple:
-    """chi at the class with the given (L, s) label, as k integers, by
-    handing the label's cycles to the levels of the character one at a time:
-    every placement of every cycle, alike cycles included, adds its term
-    (the package counts the placements of alike cycles by multinomials)."""
+    """chi at the class with the given (L, s) label, as its nonzero terms
+    sorted by exponent, by handing the label's cycles to the levels of the
+    character one at a time: every placement of every cycle, alike cycles
+    included, adds its term (the package counts the placements of alike
+    cycles by multinomials)."""
     k = character.k
     u = character.spec.u
     levels = [(v, u.count(v), part) for v, part in
@@ -273,7 +283,7 @@ def coefficients_by_placements(character, label: tuple) -> tuple:
                 room[i] += length
 
     assign(0, 0)
-    return tuple(out)
+    return tuple((a, c) for a, c in enumerate(out) if c)
 
 
 def partition_degree(part: tuple) -> int:
@@ -1464,7 +1474,7 @@ class ReferenceGroup(NamedTuple):
         sums = _ramanujan_sums(k)
         # the trace of chi(h) zeta_k^-p, for every label and phase p
         traces = {label: [sum(c * sums[(a - p) % k] for a, c in
-                              enumerate(character.coefficients(label)))
+                              character.coefficients(label))
                           for p in range(k)]
                   for label in set(self.labels)}
         rows = [traces[label] for label in self.labels]
@@ -1542,8 +1552,8 @@ def permutation_spectrum_plan(cls, generators) -> ReferenceGroup:
 def rotation_defects(character, q: int, labels) -> list:
     """The indices i of labels, the class labels of every element of an H
     in the layer order of permutation_spectrum_plan, at which
-    chi(pi^e r) = zeta_k^(q e) chi(r) fails as coefficient vectors, for
-    the element pi^e r at index i, e = i mod k, and r the one at i - e.
+    chi(pi^e r) = zeta_k^(q e) chi(r) fails as terms, for the element
+    pi^e r at index i, e = i mod k, and r the one at i - e.
 
     The identity holds for every InducedCharacter with q = pi_scalar: the
     label of pi^e h moves each (L, s) of h's to (L, s + e L), so in
@@ -1553,9 +1563,10 @@ def rotation_defects(character, q: int, labels) -> list:
     k = character.k
     defects = []
     for i, label in enumerate(labels):
-        rep = character.coefficients(labels[i - i % k])
-        shift = -q * (i % k) % k
-        if character.coefficients(label) != rep[shift:] + rep[:shift]:
+        shift = q * (i % k)
+        if character.coefficients(label) != tuple(sorted(
+                ((a + shift) % k, c)
+                for a, c in character.coefficients(labels[i - i % k]))):
             defects.append(i)
     return defects
 
@@ -1615,8 +1626,8 @@ def per_element_sums(subrack, cols: tuple, used: tuple, character) -> list:
             elif phases[x] != step:
                 return None
     scale = modulus // character.k
-    terms = [[(a * scale, c) for a, c in enumerate(
-              character.coefficients(label)) if c] for label in labels]
+    terms = [[(a * scale, c) for a, c in character.coefficients(label)]
+             for label in labels]
     sums = []
     for d in range(len(used)):
         acc = [0] * modulus
@@ -1629,12 +1640,30 @@ def per_element_sums(subrack, cols: tuple, used: tuple, character) -> list:
 
 # the rational value of an integer combination of roots of unity, and the
 # representation spec parser, in the per-entry forms that the package's
-# integer trace (nichols.exactfield.rational_trace) and one-pass parser
-# (nichols.reps.parse_rep_spec) are compared against
+# reading on a basis (nichols.exactfield.integer_value) and one-pass
+# parser (nichols.reps.parse_rep_spec) are compared against
+
+@lru_cache(maxsize=None)
+def _ramanujan_sums(m: int) -> tuple:
+    """c_m(j) for j < m, the sum of the j-th powers of the primitive m-th
+    roots of unity, which is the trace from Q(zeta_m) to Q of zeta_m^j
+    (Hardy-Wright 16.6): the j-th powers of all m-th roots sum to m when
+    m divides j and to 0 otherwise, and the roots of each exact order
+    d | m contribute c_d(j)."""
+    sums = [m] + [0] * (m - 1)
+    for d in range(1, m):
+        if m % d == 0:
+            inner = _ramanujan_sums(d)
+            for j in range(m):
+                sums[j] -= inner[j % d]
+    return tuple(sums)
+
 
 def rational_value(m: int, coeffs) -> Optional[Fraction]:
     """The rational number x = sum_j coeffs[j] zeta_m^j, for m integer
-    coefficients, or None when x is not rational."""
+    coefficients, or None when x is not rational, by the trace form: it
+    is non-degenerate, so x is the rational r exactly when
+    Tr(x zeta_m^-b) = r c_m(b) for every b below phi(m) = c_m(0)."""
     sums = _ramanujan_sums(m)
     phi = sums[0]
     terms = [(j, c) for j, c in enumerate(coeffs) if c]

@@ -382,10 +382,10 @@ class _Perturbed:
         self._index = index
 
     def coefficients(self, label):
-        out = list(self._character.coefficients(label))
+        value = dict(self._character.coefficients(label))
         if label == self._at:
-            out[self._index] += 1
-        return tuple(out)
+            value[self._index] = value.get(self._index, 0) + 1
+        return tuple(sorted((a, c) for a, c in value.items() if c))
 
 
 @settings(max_examples=80, deadline=None)
@@ -472,10 +472,9 @@ class _Induced:
         self._at = {plan.representatives[0]: 0, plan.basepoint: q}
 
     def coefficients(self, label):
-        out = [0] * self.k
         if label in self._at:
-            out[self._at[label]] = self.degree
-        return tuple(out)
+            return ((self._at[label], self.degree),)
+        return ()
 
 
 def test_spectrum_plan_puts_the_basepoint_first():

@@ -731,6 +731,47 @@ def test_a_k_400_row_closes_h_on_the_cosets_of_pi():
     assert peak < 40 * 1024
 
 
+def _timed_digest(argv) -> tuple:
+    # the sha256 of the command's stdout, its wall time in seconds, from
+    # start to exit, and its wait4 peak RSS in KB
+    start = time.perf_counter()
+    child = measured_cli(argv, subprocess.PIPE)
+    digest = hashlib.sha256(child.stdout.read()).hexdigest()
+    code, peak, stderr = measured_outcome(child)
+    assert code == 0, stderr
+    return digest, time.perf_counter() - start, peak
+
+
+@pytest.mark.slow
+def test_a_k_1000_row_reads_its_multiplicities_on_a_basis():
+    # 500 multiplicities of the rotation quadruple at (1000,2), each read
+    # on the basis of Q(zeta_1000): the row takes 0.3-0.5 s and 23 MB on
+    # 2 vCPUs, where testing each sum against phi(1000) - 1 shifted
+    # Ramanujan sums took 4.3-6.5 s
+    digest, seconds, peak = _timed_digest(
+        ["classify", "--k", "1000", "--n", "2", "--rep", "chi=(251,249)",
+         "--format", "json"])
+    assert digest == ("e6038c48873c7e7c059f5c5389c98c1ec1e8b67bba983b0dae"
+                      "d0dee71667df63")
+    assert seconds < 2
+    assert peak < 100 * 1024
+
+
+@pytest.mark.slow
+def test_a_k_1000_negative_row_reads_its_values_as_terms():
+    # 80,399 partner classes, two character values each, held as their
+    # nonzero terms and multiplied term by term: the row takes 3.0-5.2 s
+    # and 130 MB on 2 vCPUs, where dense values of 1,000 entries took
+    # 46-58 s and 732 MB
+    digest, seconds, peak = _timed_digest(
+        ["classify", "--k", "1000", "--n", "2", "--rep",
+         "chi=(250,250);mu=trivial", "--format", "json"])
+    assert digest == ("fc011ddbecd989d1d43bc4b6c2561243e4e9b53f976db12592"
+                      "507523529198ab")
+    assert seconds < 10
+    assert peak < 150 * 1024
+
+
 def test_a_closed_stdout_exits_74_with_nothing_on_stderr():
     # the reader goes away after a few bytes, as head -c 100 does; the
     # report is far larger than the pipe holds, so the writer meets the

@@ -135,8 +135,7 @@ from math import gcd  # noqa: E402
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nichols.exactfield import (rational_trace, root_name,  # noqa: E402
-                                totient)
+from nichols.exactfield import integer_value, root_name  # noqa: E402
 
 from oracles import rational_value  # noqa: E402
 
@@ -265,20 +264,54 @@ def test_rational_value_agrees_with_the_field(data):
     assert rational_value(m, noise) == (y.as_rational() if y.is_rational() else None)
 
 
+# moduli of one prime, of a prime power and of several primes: 1 to 120,
+# and 2^7, 3^5, 2^3 3^2 5 and 2^3 5^3
+MODULI = st.one_of(st.integers(1, 120), st.sampled_from((128, 243, 360, 1000)))
+
+
+def _primes(m: int) -> list:
+    return [p for p in range(2, m + 1)
+            if m % p == 0 and all(p % d for d in range(2, p))]
+
+
+@st.composite
+def term_lists(draw, m, coeffs):
+    # the terms of the vector in shuffled order, each coefficient split
+    # over a repeated exponent, with terms of coefficient 0 among them
+    terms = [(j, 0) for j in draw(st.lists(st.integers(0, m - 1),
+                                           max_size=3))]
+    for j, c in enumerate(coeffs):
+        if c:
+            part = draw(st.integers(-3, 3))
+            terms += [(j, part), (j, c - part)]
+    return draw(st.permutations(terms))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_rational_trace_is_phi_times_the_rational_value(data):
-    # the package's integer form against the Fraction reference: phi(m) x
-    # exactly when the reference gives x, and None exactly when it does,
-    # on rational vectors (a rational plus a vanishing sum) and on random
-    # ones
-    m = data.draw(st.integers(1, 24))
-    rational = data.draw(vanishing_sums(m))
-    rational[0] += data.draw(st.integers(-5, 5))
-    noise = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+def test_integer_value_is_the_rational_value(data):
+    # the package's reading on a basis against the trace reference (a
+    # Fraction): the integer x exactly when the reference gives x, and
+    # None exactly when it does, on rational vectors (a rational plus
+    # sums sum_t zeta_m^(j + t m/p), 0 <= t < p, p a prime dividing m)
+    # and on random sparse ones
+    m = data.draw(MODULI)
+    rational = [0] * m
+    rational[0] = data.draw(st.integers(-5, 5))
+    primes = _primes(m)
+    for _ in range(data.draw(st.integers(0, 6)) if primes else 0):
+        p = data.draw(st.sampled_from(primes))
+        j, c = data.draw(st.integers(0, m - 1)), data.draw(st.integers(-3, 3))
+        for t in range(p):
+            rational[(j + t * (m // p)) % m] += c
+    noise = [0] * m
+    for j, c in data.draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                             st.integers(-3, 3)),
+                                   max_size=12)):
+        noise[j] += c
     for coeffs in (rational, noise):
         want = rational_value(m, coeffs)
-        got = rational_trace(m, coeffs)
+        got = integer_value(m, data.draw(term_lists(m, coeffs)))
         assert type(got) is int if want is not None else got is None
-        assert want is None or got == totient(m) * want
+        assert want is None or got == want
     assert rational_value(m, rational) is not None

@@ -107,6 +107,10 @@ SLOW_DIGESTS = {
     # rows, about 3 s and 2 s, whose reports are 168 and 56 MB
     (40, 4): "c3f5877a1244210c8857fb8387ca8686d596c365254fc6b7e58f18da79a56355",
     (70, 3): "18fa57c76ac0d3beb27ba3a67593173759d58f33413ffe094d66ed310b5f60e2",
+    # 20,300 rows: the 103 past the scalar gate read their multiplicities
+    # on the basis of Q(zeta_200), and the 4 negative ones among them also
+    # their products of character values at the partner labels, as terms
+    (200, 2): "a2a38415c9c9dc0d4d87a72997cdcfa2e05bd9e654318ab871b85e8a234f7f07",
 }
 
 # `classify --k 100 --n 2 --format json` past the scalar gate, on the
