@@ -34,6 +34,7 @@ terms and read on a basis of Q(zeta_k)
 from __future__ import annotations
 
 import itertools
+import re
 from functools import lru_cache
 from math import factorial, prod
 from operator import itemgetter, mul
@@ -138,9 +139,12 @@ class RepSpec(NamedTuple):
 
 # a spec's degree and mu label depend on its partitions alone, which the
 # rows of a table share (every u with the same level sizes has the same
-# choices of partitions), so they are cached for the process; an
-# InducedCharacter works out its own degree, so that the witness check
-# reads nothing a sweep has filled
+# choices of partitions), so they are cached for the process.  An
+# InducedCharacter works out its own degree, not through this cache, so
+# the witness check, which reads the degree off the character, keeps
+# nothing decide built; the symmetric-group characters and the placements
+# behind every value are process caches (sn_character, placements) that
+# the sweep and the check alike fill
 
 @lru_cache(maxsize=None)
 def _spec_degree(partitions: tuple) -> int:
@@ -311,6 +315,11 @@ def resolve_spec(k: int, n: int, rho_spec) -> RepSpec:
     return parse_rep_spec(k, n, rho_spec)
 
 
+# the grammar RepSpec.label prints: the entries of u in ASCII digits, then
+# a mu name or catalog partitions
+_LABEL = re.compile(r"chi=\(([0-9]+(?:,[0-9]+)*)\);mu=([a-z_]+|catalog:[0-9+|]+)")
+
+
 def parse_rep_spec(k: int, n: int, text: str) -> RepSpec:
     """Parse "chi=(u1,...,un);mu=<label>" (mu defaults to trivial).
 
@@ -318,10 +327,31 @@ def parse_rep_spec(k: int, n: int, text: str) -> RepSpec:
     ones then zeros) for k = 2.  The character vector is canonicalized to
     its non-increasing orbit representative.  mu is one of trivial | sign |
     standard | standard_sign | catalog:<p1|p2|...> with each p a partition
-    "a+b+...", one per stabilizer block.  The text is read in one pass,
-    and each fault raises ValueError; the first, in the order the fields
-    and entries are read, is the one named.
+    "a+b+...", one per stabilizer block.  Each fault raises ValueError;
+    the first, in the order the fields and entries are read, is the one
+    named.
+
+    A text in the grammar RepSpec.label prints, of n entries of ASCII
+    digits and no spaces, is read by one match (_LABEL), for k >= 1; any
+    other text goes to the field reader (_read_fields).  That reader
+    would read the match's u alike and hand mu to the same _parse_mu, so
+    the same spec, or the same fault of mu, comes out.
     """
+    match = _LABEL.fullmatch(text)
+    if match is not None and k >= 1:
+        chi, mu = match.groups()
+        u = sorted(map(int, chi.split(",")), reverse=True)
+        if u[0] >= k:
+            # entries of k or more, which no label prints
+            u = sorted([x % k for x in u], reverse=True)
+        if len(u) == n:
+            u = tuple(u)
+            return RepSpec(k, n, u, _parse_mu(level_sizes(u), mu))
+    return _read_fields(k, n, text)
+
+
+def _read_fields(k: int, n: int, text: str) -> RepSpec:
+    # parse_rep_spec field by field, in one pass over the text
     fields = {}
     for part in text.split(";"):
         key, eq, val = part.partition("=")
@@ -410,21 +440,25 @@ def _parse_mu(sizes: tuple, text: str) -> tuple:
         return tuple((1,) if s < 2 else (s - 1, 1) if text == "standard"
                      else (2,) + (1,) * (s - 2) for s in sizes)
     if text.startswith("catalog:"):
-        body = text[len("catalog:"):]
-        chunks = body.split("|")
+        chunks = text[len("catalog:"):].split("|")
         if len(chunks) != len(sizes):
             raise ValueError("mu needs %d block partitions, got %d" % (len(sizes), len(chunks)))
-        # a token split at "+" holds none
-        read = int if _int_reads(body) else _integer
-        partitions = []
-        for chunk, s in zip(chunks, sizes):
-            try:
-                part = sorted(map(read, chunk.split("+")), reverse=True)
-            except ValueError:
-                part = []
-            # a block has at least one entry, so an empty part fails the sum
-            if sum(part) != s or part[-1] < 1:
-                raise ValueError("%r is not a partition of block size %d" % (chunk, s))
-            partitions.append(tuple(part))
-        return tuple(partitions)
+        return tuple(map(_block_partition, chunks, sizes))
     raise ValueError("unknown mu label %r" % text)
+
+
+@lru_cache(maxsize=None)
+def _block_partition(chunk: str, s: int) -> tuple:
+    # the partition "a+b+..." of a block of size s, non-increasing.  The
+    # chunks of printed labels are partitions of the numbers up to n, so
+    # the chunks kept are few; a chunk that is no partition raises, and is
+    # not kept.  A token split at "+" holds none
+    read = int if _int_reads(chunk) else _integer
+    try:
+        part = sorted(map(read, chunk.split("+")), reverse=True)
+    except ValueError:
+        part = []
+    # a block has at least one entry, so an empty part fails the sum
+    if sum(part) != s or part[-1] < 1:
+        raise ValueError("%r is not a partition of block size %d" % (chunk, s))
+    return tuple(part)

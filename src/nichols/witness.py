@@ -330,12 +330,58 @@ _WITNESS_FIELDS = {
 }
 
 
-def _require(record: dict, keys: tuple, what: str) -> None:
+def _require(record: dict, keys: tuple, what: str, *args) -> None:
+    # what % args names the record, formatted only for the message
     if not isinstance(record, dict):
-        raise ValueError("%s must be a dict" % what)
-    missing = [key for key in keys if key not in record]
-    if missing:
-        raise ValueError("%s lacks the field %s" % (what, ", ".join(missing)))
+        raise ValueError("%s must be a dict" % (what % args))
+    if not all(map(record.__contains__, keys)):
+        missing = [key for key in keys if key not in record]
+        raise ValueError("%s lacks the field %s"
+                         % (what % args, ", ".join(missing)))
+
+
+def _lists(values) -> bool:
+    # whether every value is a list (a list subclass is one), by one scan
+    return all(map(isinstance, values, itertools.repeat(list)))
+
+
+def _rectangle(w: dict, width: int, degree: int) -> tuple:
+    """The columns and indices of a subrack witness's vertices, sorted, and
+    its firing and cycle lists, each list read by one scan of its types
+    or lengths.  ValueError when the vertices are no list of two-element
+    lists, the firing or cycle no list, or an entry of them no int (a
+    bool, float or str is not); or when the vertices are not the
+    rectangle (columns) x (indices) in order, from 0 and below width and
+    the degree."""
+    vertices = w["vertices"]
+    indices = [w[key] for key in ("firing", "cycle") if key in w]
+    if not (isinstance(vertices, list) and _lists(vertices)
+            and set(map(len, vertices)) <= {2} and _lists(indices)):
+        raise ValueError("witness vertices must be a list of pairs, and its "
+                         "firing and cycle lists")
+    flat = list(itertools.chain.from_iterable(vertices))
+    if not set(map(type, itertools.chain(flat, *indices))) <= {int}:
+        raise ValueError("witness vertices and indices must be integers")
+    cols = sorted(set(flat[0::2]))
+    vecs = sorted(set(flat[1::2]))
+    # in order: each column once per index, and the indices once per column
+    if (not flat or flat[0::2] != sorted(cols * len(vecs))
+            or flat[1::2] != vecs * len(cols)
+            or cols[0] < 0 or cols[-1] >= width
+            or vecs[0] < 0 or vecs[-1] >= degree):
+        raise ValueError("witness vertices must be the rectangle of their "
+                         "columns and indices, none repeated, below the "
+                         "subrack size and the degree")
+    return cols, vecs, indices
+
+
+def _is_table(q_matrix, size: int) -> bool:
+    # whether q_matrix is size lists of size str entries, each list read
+    # by one scan
+    return (isinstance(q_matrix, list) and len(q_matrix) == size
+            and _lists(q_matrix) and set(map(len, q_matrix)) == {size}
+            and set(map(type, itertools.chain.from_iterable(q_matrix)))
+            <= {str})
 
 
 def verify_witness(k: int, n: int, rho_spec, verdict) -> bool:
@@ -390,7 +436,7 @@ def verify_witness(k: int, n: int, rho_spec, verdict) -> bool:
     if not isinstance(verdict.rule, str):
         raise ValueError("the verdict rule must be a str")
     _require(w, _WITNESS_FIELDS.get(verdict.rule, _SUBRACK_FIELDS),
-             "the %s witness" % verdict.rule)
+             "the %s witness", verdict.rule)
     if verdict.rule == "scalar-gate":
         q = pi_scalar(spec)
         return ((k % 2 == 1 or 2 * q != k)
@@ -410,35 +456,15 @@ def verify_witness(k: int, n: int, rho_spec, verdict) -> bool:
     if description is None or w["subrack"] != description:
         return False
     character = spec.character()
-    indices = [w[key] for key in ("firing", "cycle") if key in w]
-    if (not isinstance(w["vertices"], list)
-            or any(not isinstance(v, list) or len(v) != 2
-                   for v in w["vertices"])
-            or any(not isinstance(positions, list) for positions in indices)):
-        raise ValueError("witness vertices must be a list of pairs, and its "
-                         "firing and cycle lists")
-    vertices = [(j, s) for j, s in w["vertices"]]
-    if set(map(type, itertools.chain(*vertices, *indices))) - {int}:
-        raise ValueError("witness vertices and indices must be integers")
-    cols = sorted({j for j, _ in vertices})
-    vecs = sorted({s for _, s in vertices})
-    if (not vertices or vertices != [(j, s) for j in cols for s in vecs]
-            or cols[0] < 0 or cols[-1] >= subrack.size
-            or vecs[0] < 0 or vecs[-1] >= character.degree):
-        raise ValueError("witness vertices must be the rectangle of their "
-                         "columns and indices, none repeated, below the "
-                         "subrack size and the degree")
-    size = len(vertices)
+    cols, vecs, indices = _rectangle(w, subrack.size, character.degree)
+    size = len(cols) * len(vecs)
     for positions in indices:
         if len(set(positions) & set(range(size))) != len(positions):
             raise ValueError("witness indices must be distinct vertex positions")
     # the table entries are checked before the q_matrix
     _witness_columns(subrack, tuple(cols))
     q_matrix = w["q_matrix"]
-    if (not isinstance(q_matrix, list) or len(q_matrix) != size
-            or any(not isinstance(row, list) or len(row) != size
-                   for row in q_matrix)
-            or set(map(type, itertools.chain(*q_matrix))) - {str}):
+    if not _is_table(q_matrix, size):
         return False
     reading = _witness_reading(subrack, tuple(cols), len(vecs),
                                tuple(map(tuple, q_matrix)))

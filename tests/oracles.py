@@ -1767,6 +1767,45 @@ def _parse_mu(sizes: tuple, text: str) -> tuple:
     raise ValueError("unknown mu label %r" % text)
 
 
+# the shape checks of a subrack witness entry by entry, against which the
+# package's scans of each list (nichols.witness._rectangle and _is_table)
+# are compared
+
+def witness_rectangle(w: dict, width: int, degree: int) -> tuple:
+    """The sorted columns and indices of a witness's vertices and its
+    firing and cycle lists, or the ValueError of the first shape check
+    that fails: each vertex tested as a list of length 2, each entry's
+    type tested, and the vertex pairs compared with the rectangle."""
+    indices = [w[key] for key in ("firing", "cycle") if key in w]
+    if (not isinstance(w["vertices"], list)
+            or any(not isinstance(v, list) or len(v) != 2
+                   for v in w["vertices"])
+            or any(not isinstance(positions, list) for positions in indices)):
+        raise ValueError("witness vertices must be a list of pairs, and its "
+                         "firing and cycle lists")
+    vertices = [(j, s) for j, s in w["vertices"]]
+    if set(map(type, itertools.chain(*vertices, *indices))) - {int}:
+        raise ValueError("witness vertices and indices must be integers")
+    cols = sorted({j for j, _ in vertices})
+    vecs = sorted({s for _, s in vertices})
+    if (not vertices or vertices != [(j, s) for j in cols for s in vecs]
+            or cols[0] < 0 or cols[-1] >= width
+            or vecs[0] < 0 or vecs[-1] >= degree):
+        raise ValueError("witness vertices must be the rectangle of their "
+                         "columns and indices, none repeated, below the "
+                         "subrack size and the degree")
+    return cols, vecs, indices
+
+
+def is_witness_table(q_matrix, size: int) -> bool:
+    """Whether q_matrix is a list of size lists of size str entries,
+    tested row by row."""
+    return not (not isinstance(q_matrix, list) or len(q_matrix) != size
+                or any(not isinstance(row, list) or len(row) != size
+                       for row in q_matrix)
+                or set(map(type, itertools.chain(*q_matrix))) - {str})
+
+
 # the command line as argparse reads it, against which the package's
 # table-driven parser (nichols.cli.parse_args) is compared
 

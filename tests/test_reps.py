@@ -282,9 +282,10 @@ _PIECES = st.sampled_from(list("0123456789-+_,;|=(): x") + [
 
 @st.composite
 def _mutated_labels(draw):
-    # a printed label of a few classes, with up to three characters
-    # inserted, deleted or replaced
-    k, n = draw(st.sampled_from(((2, 4), (3, 3), (4, 3), (4, 5), (6, 2))))
+    # a printed label of a few classes, one with two-digit entries, with up
+    # to three characters inserted, deleted or replaced
+    k, n = draw(st.sampled_from(((2, 4), (3, 3), (4, 3), (4, 5), (6, 2),
+                                 (12, 3))))
     spec = draw(st.sampled_from(enumerate_irreps(k, n)))
     text = spec.label()
     for _ in range(draw(st.integers(0, 3))):
@@ -311,6 +312,33 @@ def test_a_mutated_label_reads_as_the_reference(case):
     assert got == _parsed(reference_parse_rep_spec, k, n, text), text
     if text == spec.label():
         assert got == spec
+
+
+@pytest.mark.parametrize("k, n, text", [
+    # a modulus below 1
+    (0, 2, "chi=(1,0);mu=trivial"), (-1, 2, "chi=(1,0);mu=trivial"),
+    # one entry too many or too few
+    (4, 2, "chi=(1,0,0);mu=trivial"), (4, 2, "chi=(1);mu=sign"),
+    (12, 3, "chi=(11,10,9,8);mu=trivial"), (12, 3, "chi=(11,10);mu=trivial"),
+    # leading zeros, which no label prints
+    (4, 2, "chi=(03,1);mu=trivial"), (4, 2, "chi=(00,0);mu=sign"),
+    (12, 3, "chi=(011,1,0);mu=trivial"),
+    # entries of k or more, whose level sizes are those of the residues
+    (4, 2, "chi=(5,4);mu=trivial"), (4, 2, "chi=(5,1);mu=sign"),
+    (4, 2, "chi=(4,0);mu=standard"), (4, 2, "chi=(6,1);mu=standard"),
+    (12, 3, "chi=(13,12,1);mu=catalog:2|1"),
+    # mu that fails on the level sizes read
+    (4, 3, "chi=(3,2,1);mu=standard"), (2, 5, "chi=(1,1,0,0,0);mu=catalog:2"),
+    (2, 5, "chi=(1,1,0,0,0);mu=catalog:2|2+2"),
+    (2, 5, "chi=(1,1,0,0,0);mu=catalog:2|0+3"),
+    (2, 5, "chi=(1,1,0,0,0);mu=catalog:2|3+"),
+] + [(2, 5, spec.label()) for spec in enumerate_irreps(2, 5)
+     if spec.label().count("catalog:")])
+def test_a_label_shaped_text_reads_as_the_reference(k, n, text):
+    # texts in the printed grammar, which one match reads, give the spec,
+    # or the exception type and message, of the field-by-field reference
+    assert _parsed(parse_rep_spec, k, n, text) == _parsed(
+        reference_parse_rep_spec, k, n, text)
 
 
 @pytest.mark.parametrize("token", ["1_0", "+1", "\u0661"])

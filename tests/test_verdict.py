@@ -6,7 +6,7 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import nichols.braidspace
 import nichols.verdict
@@ -19,17 +19,19 @@ from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
 from nichols.verdict import (INFINITE, NEGATIVE, _twins, class_plan,
                              closed_form_verdict, cycle_rule, decide,
                              negativity_check, scalar_gate, verify_witness)
-from nichols.witness import _cartan_infinite, _positive_definite
+from nichols.witness import (_cartan_infinite, _is_table,
+                             _positive_definite, _rectangle)
 
 from exactfield_oracle import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
 from oracles import (REFERENCE_Q_SIX_CYCLE, CartanData, NotCartan,
                      _positive_definite as oracle_positive_definite,
                      cartan_type, cataloged, diagram_label, finite_catalog,
-                     finite_type, finite_type_lookup, negativity_full,
-                     negativity_walk, per_element_sums,
+                     finite_type, finite_type_lookup, is_witness_table,
+                     negativity_full, negativity_walk, per_element_sums,
                      permutation_spectrum_plan,
                      permutation_witness_group, random_symmetrizable_gcm,
-                     resolve, symmetrizable, tried_subracks)
+                     resolve, symmetrizable, tried_subracks,
+                     witness_rectangle)
 
 _SYMBOLS = {"1": ROOT_ONE, "-1": ROOT_MINUS_ONE}
 
@@ -1030,6 +1032,105 @@ def test_verify_witness_refuses_vertices_that_are_no_rectangle():
                   [[-1 if j == 0 else j, s] for j, s in vertices]):
         with pytest.raises(ValueError, match="degree"):
             verify_witness(*QUADRUPLE, _with(verdict, vertices=moved))
+
+
+class _ListSubclass(list):
+    """A list by isinstance, though not of type list."""
+
+
+def _edited(draw, value):
+    # one edit of a list: a tuple or a list subclass of it, one entry
+    # short or long, two entries swapped, or one entry replaced by a
+    # position, a bool, a float or a str; anything else becomes 5
+    action = draw(st.sampled_from(("tuple", "subclass", "short", "long",
+                                   "swap", "entry", "entry", "scalar")))
+    if not isinstance(value, list) or action == "scalar":
+        return 5
+    value = list(value)
+    if action == "tuple":
+        return tuple(value)
+    if action == "subclass":
+        return _ListSubclass(value)
+    if action == "short":
+        return value[:-1]
+    if action == "long":
+        return value + value[-1:] if value else [0]
+    if value:
+        a = draw(st.integers(0, len(value) - 1))
+        if action == "swap":
+            b = draw(st.integers(0, len(value) - 1))
+            value[a], value[b] = value[b], value[a]
+        else:
+            value[a] = draw(st.sampled_from(
+                (True, False, 1.0, "0", "1", None, -1, 0, 1, 5)))
+    return value
+
+
+@st.composite
+def _shape_forgeries(draw):
+    # the vertices, firing and cycle of a witness on a rectangle of
+    # columns x indices, and its q_matrix, with up to four edits of one of
+    # those lists or of one vertex or row in them
+    cols, vecs = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    vertices = [[j, s] for j in range(cols) for s in range(vecs)]
+    size = len(vertices)
+    w = {"vertices": vertices, "firing": list(range(min(size, 3)))}
+    if draw(st.booleans()):
+        w["cycle"] = list(range(min(size, 4)))
+    w["q_matrix"] = [["1"] * size for _ in range(size)]
+    for _ in range(draw(st.integers(0, 4))):
+        where = draw(st.sampled_from(("vertices", "vertex", "firing", "cycle",
+                                      "q_matrix", "row")))
+        if where in w:
+            w[where] = _edited(draw, w[where])
+            continue
+        outer = w["vertices" if where == "vertex" else "q_matrix"]
+        if isinstance(outer, list) and outer:
+            at = draw(st.integers(0, len(outer) - 1))
+            outer[at] = _edited(draw, outer[at])
+    return w, size
+
+
+def _outcome(check, *args):
+    # what a check returns, or the type and message of what it raised
+    try:
+        return check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_GENUINE_SHAPE = {"vertices": [[0, 0], [0, 1], [1, 0], [1, 1]],
+                  "firing": [0, 1, 2], "cycle": [0, 1, 2, 3],
+                  "q_matrix": [["1"] * 4 for _ in range(4)]}
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_shape_forgeries(), st.integers(0, 5), st.integers(0, 4),
+       st.integers(-1, 1))
+@example((dict(_GENUINE_SHAPE), 4), 2, 2, 0)
+@example((dict(_GENUINE_SHAPE, vertices=[(0, 0), (0, 1), (1, 0), (1, 1)]), 4),
+         2, 2, 0)
+@example((dict(_GENUINE_SHAPE, firing=(0, 1, 2), cycle=[True, 1, 2, 3]), 4),
+         2, 2, 0)
+@example((dict(_GENUINE_SHAPE, vertices=[[0, 0], [0, 1.0], [1, 0], [1, "0"]],
+               q_matrix=[["1"] * 4, ["1"] * 3, ["1"] * 4, ["1"] * 4]), 4),
+         2, 2, 0)
+@example((dict(_GENUINE_SHAPE, vertices=_ListSubclass(
+    [[0, 0], [0, 1], _ListSubclass([1, 0]), [1, 1]]),
+    cycle=_ListSubclass([0, 1, 2, 3]), q_matrix=_ListSubclass(
+        [["1"] * 4, _ListSubclass(["1"] * 4), ("1",) * 4, ["1"] * 4])), 4),
+         2, 2, 0)
+def test_the_witness_scans_refuse_what_the_entry_checks_refuse(
+        case, width, degree, extra):
+    # one scan of each list refuses exactly what the checks entry by entry
+    # (tests/oracles.py) refuse, with the same exception and message, reads
+    # the same rectangle, and takes the same q_matrix shapes; a list
+    # subclass is a list to both
+    w, size = case
+    assert _outcome(_rectangle, w, width, degree) == _outcome(
+        witness_rectangle, w, width, degree), w
+    assert _is_table(w["q_matrix"], size + extra) == is_witness_table(
+        w["q_matrix"], size + extra), w["q_matrix"]
 
 
 def test_verify_witness_refuses_an_entry_not_in_lowest_terms():
