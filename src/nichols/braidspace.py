@@ -88,14 +88,22 @@ class AbelianSubrack:
     def size(self) -> int:
         return len(self.elements)
 
-    def gamma(self, i: int, j: int) -> Permutation:
-        """Conjugation table entry g_j^{-1} t_i g_j, an element centralizing
-        the basepoint."""
-        return self.elements[i].conjugated_by(self.transporters[j].inverse())
-
-    def gamma_table(self) -> tuple:
-        return tuple(tuple(self.gamma(i, j) for j in range(self.size))
-                     for i in range(self.size))
+    def table(self, columns) -> tuple:
+        """The conjugation table gamma_ij = g_j^{-1} t_i g_j on a sequence
+        of columns, row i and column j both running over them: the place of
+        each entry among the distinct entries, which are in order of first
+        appearance (row i, then column j), and those entries.  Each entry
+        centralizes the basepoint.  Each transporter is inverted once, and
+        entries that do not commute pairwise raise ValueError."""
+        inverses = [self.transporters[j].inverse() for j in columns]
+        place = {}
+        table = tuple(tuple(place.setdefault(self.elements[i].conjugated_by(g),
+                                             len(place)) for g in inverses)
+                      for i in columns)
+        if not all(a.commutes_with(b)
+                   for a, b in itertools.combinations(place, 2)):
+            raise ValueError("conjugation table entries do not commute")
+        return table, tuple(place)
 
     def describe(self) -> dict:
         """Kind, param, and the elements and transporters in cycle
@@ -376,17 +384,11 @@ def subrack_plan(subrack: AbelianSubrack) -> SubrackPlan:
     then one joint spectrum serves every column, so an eigenvector index
     means the same vector in each column.  A subrack rebuilt from outside
     data whose table does not commute raises ValueError."""
-    table = subrack.gamma_table()
-    place = {p: t for t, p in enumerate(
-        dict.fromkeys(p for row in table for p in row))}
-    distinct = tuple(place)
-    if not all(a.commutes_with(b) for a, b in itertools.combinations(distinct, 2)):
-        raise ValueError("conjugation table entries do not commute")
+    table, distinct = subrack.table(range(subrack.size))
     return SubrackPlan(subrack, subrack.describe(),
                        [list(t.img) for t in subrack.elements],
                        [list(g.img) for g in subrack.transporters],
-                       tuple(tuple(map(place.get, row)) for row in table),
-                       distinct, spectrum_plan(subrack.cls, distinct))
+                       table, distinct, spectrum_plan(subrack.cls, distinct))
 
 
 # the two line formats of every DOT drawing: a vertex with its label, and

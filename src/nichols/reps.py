@@ -391,7 +391,7 @@ def _read_fields(k: int, n: int, text: str) -> RepSpec:
         if k < 1:
             raise ValueError("modulus must be positive")
         # with no empty entry, the tokens of the entries are these
-        u = [x % k for x in _integers(body.replace(",", " ").split())]
+        u = [_integer(x) % k for x in body.replace(",", " ").split()]
         if len(u) != n:
             raise ValueError("character vector must have length %d" % n)
         u = tuple(sorted(u, reverse=True))
@@ -405,26 +405,6 @@ def _integer(token: str) -> int:
     if not (digits.isascii() and digits.removeprefix("-").isdigit()):
         raise ValueError("%r is not an integer" % token)
     return int(digits)
-
-
-def _int_reads(text: str) -> bool:
-    # whether int() accepts each token of text that holds no "+" exactly
-    # when _integer does, with the same value: so when text is printable
-    # ASCII with no "_" (int() also reads "1_0", and refuses the "\x1c" to
-    # "\x1f" that _integer strips)
-    return text.isascii() and text.isprintable() and "_" not in text
-
-
-def _integers(tokens: list) -> list:
-    # _integer of each token in turn, naming the first it refuses; read by
-    # int() in one map where that reads them alike
-    joined = "".join(tokens)
-    if "+" not in joined and _int_reads(joined):
-        try:
-            return list(map(int, tokens))
-        except ValueError:
-            pass
-    return list(map(_integer, tokens))
 
 
 def _parse_mu(sizes: tuple, text: str) -> tuple:
@@ -452,10 +432,9 @@ def _block_partition(chunk: str, s: int) -> tuple:
     # the partition "a+b+..." of a block of size s, non-increasing.  The
     # chunks of printed labels are partitions of the numbers up to n, so
     # the chunks kept are few; a chunk that is no partition raises, and is
-    # not kept.  A token split at "+" holds none
-    read = int if _int_reads(chunk) else _integer
+    # not kept
     try:
-        part = sorted(map(read, chunk.split("+")), reverse=True)
+        part = sorted(map(_integer, chunk.split("+")), reverse=True)
     except ValueError:
         part = []
     # a block has at least one entry, so an empty part fails the sum

@@ -173,18 +173,12 @@ def _witness_columns(subrack: AbelianSubrack, cols: tuple) -> tuple:
     to t_j (nichols.braidspace.AbelianSubrack refuses any other
     transporter), so its normal form (nichols.permgroup.UnmixedClass.
     normal_form) never raises, and only entries that do not commute raise
-    ValueError.  Each transporter of the columns is inverted once."""
+    ValueError (nichols.braidspace.AbelianSubrack.table, the one builder of
+    a conjugation table)."""
     cls = subrack.cls
-    inverse = {j: subrack.transporters[j].inverse() for j in cols}
-    position = {}
-    generator = tuple(tuple(
-        position.setdefault(subrack.elements[i].conjugated_by(inverse[j]),
-                            len(position)) for j in cols) for i in cols)
-    forms = tuple(map(cls.normal_form, position))
-    if not all(a.commutes_with(b)
-               for a, b in itertools.combinations(position, 2)):
-        raise ValueError("conjugation table entries do not commute")
-    return (generator, forms, {root_name(cls.k, e): e for e in range(cls.k)})
+    generator, entries = subrack.table(cols)
+    return (generator, tuple(map(cls.normal_form, entries)),
+            {root_name(cls.k, e): e for e in range(cls.k)})
 
 
 class _WitnessReading(NamedTuple):
@@ -379,7 +373,7 @@ def _is_table(q_matrix, size: int) -> bool:
     # whether q_matrix is size lists of size str entries, each list read
     # by one scan
     return (isinstance(q_matrix, list) and len(q_matrix) == size
-            and _lists(q_matrix) and set(map(len, q_matrix)) == {size}
+            and _lists(q_matrix) and set(map(len, q_matrix)) <= {size}
             and set(map(type, itertools.chain.from_iterable(q_matrix)))
             <= {str})
 

@@ -631,6 +631,12 @@ def simultaneous_diagonalize(family, orders) -> tuple:
     return basis, [tuple(row) for row in table]
 
 
+def gamma(subrack, i: int, j: int):
+    """The conjugation table entry g_j^{-1} t_i g_j of a subrack, one entry
+    at a time, an element centralizing the basepoint."""
+    return subrack.elements[i].conjugated_by(subrack.transporters[j].inverse())
+
+
 def dense_columns(subrack, rho) -> tuple:
     """Per column j of the conjugation table, (basis, table) with
     table[i][s] the eigenvalue of rho(gamma_ij) on basis vector s.
@@ -639,7 +645,7 @@ def dense_columns(subrack, rho) -> tuple:
     of all of them serves every column."""
     cls = subrack.cls
     size = subrack.size
-    perms = [[subrack.gamma(i, j) for j in range(size)] for i in range(size)]
+    perms = [[gamma(subrack, i, j) for j in range(size)] for i in range(size)]
     distinct = list(dict.fromkeys(p for row in perms for p in row))
     family = [rho.evaluate(cls.normal_form(p)) for p in distinct]
     basis, table = simultaneous_diagonalize(
@@ -1579,7 +1585,7 @@ def permutation_witness_group(subrack, cols: tuple) -> tuple:
     each element, read from its normal form."""
     cls = subrack.cls
     position = {}
-    generator = tuple(tuple(position.setdefault(subrack.gamma(i, j),
+    generator = tuple(tuple(position.setdefault(gamma(subrack, i, j),
                                                 len(position))
                             for j in cols) for i in cols)
     generators = tuple(position)

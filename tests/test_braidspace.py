@@ -5,22 +5,23 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nichols.braidspace import (AbelianSubrack, GeneralizedDynkinDiagram,
-                                canonical_subrack, dynkin_diagram,
-                                planned_spectrum,
+from nichols.braidspace import (FAMILIES, AbelianSubrack,
+                                GeneralizedDynkinDiagram, canonical_subrack,
+                                dynkin_diagram, planned_spectrum,
                                 powers_subrack, quadruple_subrack,
                                 rotation_subrack, spectrum_plan, subrack_plan,
                                 triple_subrack)
 from nichols.permgroup import NormalForm, Permutation, UnmixedClass
 from nichols.reps import enumerate_irreps, parse_rep_spec, pi_scalar
-from nichols.verdict import class_plan
+from nichols.verdict import INFINITE, Verdict, class_plan
+from nichols.witness import _witness_subrack, verify_witness
 
 from exactfield_oracle import (ROOT_MINUS_ONE, ROOT_ONE, ZERO, rational,
                                root_value, zeta)
 from oracles import (REFERENCE_Q_ROTATION_EDGELESS, REFERENCE_Q_SIX_CYCLE, A,
                      B, cataloged, centralizer_elements, character_value,
                      conjugate, degree_sequence, dense_columns, edge_label,
-                     in_centralizer, label_root, permutation_order,
+                     gamma, in_centralizer, label_root, permutation_order,
                      permutation_spectrum_plan, q_matches_up_to_permutation,
                      rectangle, resolve, rotation_defects, transporter,
                      tried_subracks, vertex_space)
@@ -67,10 +68,10 @@ def test_subrack_gamma_diagonal_is_basepoint():
     cls = UnmixedClass(2, 5)
     sub = canonical_subrack(cls)
     for j in range(sub.size):
-        assert sub.gamma(j, j) == cls.basepoint
+        assert gamma(sub, j, j) == cls.basepoint
     for i in range(sub.size):
         for j in range(sub.size):
-            g = sub.gamma(i, j)
+            g = gamma(sub, i, j)
             assert g.cycle_type() == cls.cycle_type()
             assert in_centralizer(cls, g)
 
@@ -147,7 +148,7 @@ def test_diagonal_subspace_vertices_are_genuine_eigenvectors():
             basis, _ = columns[j]
             vec = basis[s]
             for i in range(sub.size):
-                image = rho.evaluate(cls.normal_form(sub.gamma(i, j)))
+                image = rho.evaluate(cls.normal_form(gamma(sub, i, j)))
                 val = root_value(space.q((i, 0), (j, s)))
                 assert image.apply(vec) == tuple(val * x for x in vec)
 
@@ -262,9 +263,43 @@ def test_dynkin_diagram_dot_shape():
     assert dot.count("--") == 6
 
 
-def test_non_commuting_table_is_rejected():
+def test_the_table_matches_the_entry_by_entry_reference():
+    # every subrack the decision tries on the golden classes, and the
+    # canonical subrack at (2,4) and (2,6), on every set of 1 to 4 of its
+    # columns: the same places of the entries, in order of first
+    # appearance (row i, then column j), and the same distinct entries as
+    # gamma reads them one at a time
+    subracks = [plan.subrack for k, n in DIGESTS
+                for plan in class_plan(k, n).plans()]
+    assert {s.kind for s in subracks} == {
+        "canonical-triple", "quadruple-rotation", "quadruple-swap"}
+    subracks += [canonical_subrack(UnmixedClass(2, n)) for n in (4, 6)]
+    compared = 0
+    for subrack in subracks:
+        size = subrack.size
+        entries = {(i, j): gamma(subrack, i, j)
+                   for i in range(size) for j in range(size)}
+        for r in range(1, 5):
+            for cols in itertools.combinations(range(size), r):
+                rows = [[entries[i, j] for j in cols] for i in cols]
+                distinct = list(dict.fromkeys(itertools.chain(*rows)))
+                places = tuple(tuple(map(distinct.index, row)) for row in rows)
+                assert subrack.table(cols) == (places, tuple(distinct)), (
+                    subrack, cols)
+                compared += 1
+    # 647 sets of the 49 tried subracks, and 255 and 20,853 of canonical
+    assert compared == 647 + 255 + 20853
+    # the plan's table is the table on every column
+    plan = subrack_plan(subracks[-1])
+    assert (plan.table, plan.distinct) == subracks[-1].table(range(27))
+
+
+def test_non_commuting_table_is_rejected(monkeypatch):
     # a maximal abelian subrack of the (4,2) class whose table entries do
-    # not commute, as a witness could supply it: no joint spectrum exists
+    # not commute, as a witness could supply it: no joint spectrum exists.
+    # The table, the plan and the witness check refuse it alike; the check
+    # reads it as the member of a family made for this test, so that it
+    # reaches the table
     cls = UnmixedClass(4, 2)
     elements = ((2, 3, 4, 1, 6, 7, 8, 5), (4, 1, 2, 3, 8, 5, 6, 7),
                 (6, 7, 8, 5, 2, 3, 4, 1), (8, 5, 6, 7, 4, 1, 2, 3))
@@ -272,12 +307,27 @@ def test_non_commuting_table_is_rejected():
                     (1, 6, 3, 8, 2, 7, 4, 5), (1, 8, 3, 6, 2, 5, 4, 7))
     sub = AbelianSubrack(cls, map(Permutation, elements),
                          map(Permutation, transporters))
-    distinct = set(itertools.chain(*sub.gamma_table()))
+    distinct = {gamma(sub, i, j) for i in range(4) for j in range(4)}
     assert any(not a.commutes_with(b)
                for a, b in itertools.combinations(distinct, 2))
-    chi = parse_rep_spec(4, 2, "chi=(1,1);mu=trivial").character()
-    with pytest.raises(ValueError, match="do not commute"):
-        dynkin_diagram(subrack_plan(sub), chi)
+    message = "^conjugation table entries do not commute$"
+    with pytest.raises(ValueError, match=message):
+        sub.table(range(4))
+    with pytest.raises(ValueError, match=message):
+        subrack_plan(sub)
+    witness = {"element_images": [list(t) for t in elements],
+               "transporter_images": [list(g) for g in transporters],
+               "subrack": sub.describe(), "vertices": [[0, 0], [2, 0]],
+               "q_matrix": [["-1", "1"], ["1", "-1"]], "firing": [0, 1],
+               "cartan_matrix": [[2, 0], [0, 2]]}
+    verdict = Verdict(INFINITE, "cartan-infinite", witness)
+    monkeypatch.setitem(FAMILIES, "custom", lambda cls: sub)
+    _witness_subrack.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=message):
+            verify_witness(4, 2, "chi=(1,1);mu=trivial", verdict)
+    finally:
+        _witness_subrack.cache_clear()
 
 
 def test_dynkin_adjacency_map_matches_edge_scan():

@@ -72,7 +72,8 @@ REMOVED_NAMES = frozenset(("candidate_subracks", "joint_spectrum",
                            "_printed_root", "_roots", "root_names",
                            "orbit_terms", "to_dot", "dot_template",
                            "partition_degree", "connected_components",
-                           "_members", "_near", "rectangle", "edge_label"))
+                           "_members", "_near", "rectangle", "edge_label",
+                           "gamma_table", "_integers", "_int_reads"))
 FORBIDDEN_NAMES = frozenset(("Cyclotomic", "cartan_type", "symmetrizable",
                              "braiding_matrix", "transporter",
                              "_involution_transporter", "CycleType",

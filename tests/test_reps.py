@@ -19,7 +19,7 @@ from nichols.verdict import class_plan
 from oracles import (A, B, CatalogGapError, GammaCharacter, catalog_covers,
                      cataloged, centralizer_elements, character_value,
                      class_size, coefficients_by_placements, dense_pi_scalar,
-                     orbit_and_stabilizer, partition_degree,
+                     gamma, orbit_and_stabilizer, partition_degree,
                      permutation_spectrum_plan, resolve, rotation_defects,
                      sign, sn_irrep, tried_subracks)
 from oracles import parse_rep_spec as reference_parse_rep_spec
@@ -490,7 +490,7 @@ def _gamma_entries(cls):
     for subrack in subracks:
         for i in range(subrack.size):
             for j in range(subrack.size):
-                yield subrack.gamma(i, j)
+                yield gamma(subrack, i, j)
 
 
 def test_induced_character_is_trace_of_oracle_matrix():

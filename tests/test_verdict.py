@@ -26,7 +26,7 @@ from exactfield_oracle import ROOT_MINUS_ONE, ROOT_ONE, RootOfUnity
 from oracles import (REFERENCE_Q_SIX_CYCLE, CartanData, NotCartan,
                      _positive_definite as oracle_positive_definite,
                      cartan_type, cataloged, diagram_label, finite_catalog,
-                     finite_type, finite_type_lookup, is_witness_table,
+                     finite_type, finite_type_lookup, gamma, is_witness_table,
                      negativity_full, negativity_walk, per_element_sums,
                      permutation_spectrum_plan,
                      permutation_witness_group, random_symmetrizable_gcm,
@@ -508,12 +508,12 @@ def test_a_second_decide_on_a_class_builds_no_plan(monkeypatch):
     # classes; a second row of the class reuses all of it
     counts = Counter()
     _count_calls(monkeypatch, counts, AbelianSubrack, "__init__")
-    _count_calls(monkeypatch, counts, AbelianSubrack, "gamma_table")
+    _count_calls(monkeypatch, counts, AbelianSubrack, "table")
     _count_calls(monkeypatch, counts, UnmixedClass, "partner_classes")
     class_plan.cache_clear()
     first = decide(6, 3, "chi=(3,3,3);mu=trivial")
     assert first.outcome == NEGATIVE
-    assert counts == {"__init__": 2, "gamma_table": 2, "partner_classes": 1}
+    assert counts == {"__init__": 2, "table": 2, "partner_classes": 1}
     counts.clear()
     assert decide(6, 3, "chi=(3,3,3);mu=trivial") == first
     assert decide(6, 3, "chi=(3,3,3);mu=sign").outcome == NEGATIVE
@@ -1168,8 +1168,8 @@ def test_verify_witness_refuses_a_psi_that_breaks_a_relation_of_h():
     subrack = AbelianSubrack(
         cls, [Permutation(img) for img in w["element_images"]],
         [Permutation(img) for img in w["transporter_images"]])
-    gamma = {(i, j): subrack.gamma(i, j) for i in range(4) for j in range(4)}
-    entries = list(dict.fromkeys(gamma.values()))
+    table = {(i, j): gamma(subrack, i, j) for i in range(4) for j in range(4)}
+    entries = list(dict.fromkeys(table.values()))
 
     def generated(gens):
         group = [Permutation.identity(cls.degree)]
@@ -1179,7 +1179,7 @@ def test_verify_witness_refuses_a_psi_that_breaks_a_relation_of_h():
     target = next(g for g in entries if g != cls.basepoint
                   and g in generated([h for h in entries if h != g]))
     q_matrix = [row[:] for row in w["q_matrix"]]
-    for (i, j), g in gamma.items():
+    for (i, j), g in table.items():
         if g == target:
             for r in (0, 1):
                 flipped = _root(q_matrix[2 * i + r][2 * j + 1]) * ROOT_MINUS_ONE
@@ -1234,7 +1234,7 @@ def test_the_normal_form_closures_match_the_permutation_closures():
                         expected[0], expected[1], len(expected[2]),
                         Counter(expected[3])), (k, n, subrack, cols)
                     entries = list(dict.fromkeys(
-                        subrack.gamma(i, j) for i in cols for j in cols))
+                        gamma(subrack, i, j) for i in cols for j in cols))
                     assert nichols.braidspace.spectrum_plan(
                         cls, entries) == permutation_spectrum_plan(
                             cls, entries).plan(), (k, n, subrack, cols)
